@@ -886,6 +886,7 @@ def _command_faults(args: argparse.Namespace) -> int:
 
 def _command_validate(args: argparse.Namespace) -> int:
     """Run the validation pipeline; exit 0 only if everything holds."""
+    from repro.core.errors import ConfigurationError
     from repro.validate import DEFAULT_RTOL, validate
 
     if args.solver is not None and (code := _select_solver(args.solver)):
@@ -899,7 +900,7 @@ def _command_validate(args: argparse.Namespace) -> int:
             rtol=args.rtol if args.rtol is not None else DEFAULT_RTOL,
             differential=not args.skip_differential,
         )
-    except KeyError as error:
+    except (KeyError, ConfigurationError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
     print(report.render())
@@ -907,6 +908,9 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.interconnect.ratesolver import SOLVERS
+
+    solvers = ", ".join(sorted(SOLVERS))
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Diversified heterogeneous HPC simulation framework "
@@ -998,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--solver", default=None, metavar="NAME",
-        help="rate solver for fabric phases (reference, numpy); "
+        help=f"rate solver for fabric phases ({solvers}); "
              "bit-identical results, different speed",
     )
 
@@ -1087,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--solver", default=None, metavar="NAME",
-        help="add a single-value solver axis (reference, numpy) to the "
+        help=f"add a single-value solver axis ({solvers}) to the "
              "grid; rides into every point and the sweep fingerprint",
     )
     sweep.add_argument(
@@ -1287,7 +1291,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=None)
     faults.add_argument(
         "--solver", default=None, metavar="NAME",
-        help="rate solver for any fabric phases (reference, numpy)",
+        help=f"rate solver for any fabric phases ({solvers})",
     )
 
     validate = subparsers.add_parser(
@@ -1305,7 +1309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--golden-dir", default=None,
-        help="golden fingerprint directory (default: tests/golden)",
+        help="golden fingerprint directory (default: tests/golden of the "
+             "checkout repro runs from)",
     )
     validate.add_argument(
         "--profiles", nargs="*", default=None, metavar="ID",
@@ -1325,8 +1330,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--solver", default=None, metavar="NAME",
-        help="run the whole pipeline under this rate solver (reference, "
-             "numpy); goldens must still match — solvers are bit-identical",
+        help=f"run the whole pipeline under this rate solver ({solvers}); "
+             "goldens must still match — solvers are bit-identical",
     )
     return parser
 

@@ -32,6 +32,7 @@ from repro.interconnect.congestion import (
 )
 from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats, LinkEvent
 from repro.interconnect.ratesolver import (
+    IndexedSolver,
     NumpySolver,
     RateSolver,
     ReferenceSolver,
@@ -112,6 +113,7 @@ __all__ = [
     "Flow",
     "FlowBasedCongestionControl",
     "FlowStats",
+    "IndexedSolver",
     "LinkEvent",
     "MemoryFabric",
     "MemoryPool",

@@ -181,12 +181,14 @@ class FabricSimulator:
         link-capacity map. Caching is behaviour-preserving (results are
         bit-identical); disable it only to measure its effect.
     solver:
-        The max-min rate solver: a registry name (``"reference"``,
-        ``"numpy"``), a :class:`~repro.interconnect.ratesolver.RateSolver`
-        instance, or ``None`` for the process default (see
-        :func:`~repro.interconnect.ratesolver.set_default_solver`).  All
-        registered solvers are bit-identical; ``"numpy"`` is the fast
-        vectorised-incremental implementation (see ``docs/performance.md``).
+        The max-min rate solver: a registry name (``"indexed"``,
+        ``"reference"``, ``"numpy"``), a
+        :class:`~repro.interconnect.ratesolver.RateSolver` instance, or
+        ``None`` for the process default, ``"indexed"`` unless changed by
+        :func:`~repro.interconnect.ratesolver.set_default_solver`.  All
+        registered solvers are bit-identical; ``"reference"`` is the
+        oracle, and the opt-in ``"numpy"`` is slower than ``"indexed"``
+        at every measured concurrency (see ``docs/performance.md``).
         Overriding ``_max_min_rates``/``_adjusted_rates_impl`` in a
         subclass still works but is deprecated in favour of registering a
         solver.

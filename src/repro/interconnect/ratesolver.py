@@ -11,27 +11,35 @@ substrates need portable software interfaces:
   topology state, then ``solve(flow_links, remaining_bytes)`` per epoch.
 * :class:`ReferenceSolver` (``"reference"``) — the original pure-Python
   loop, extracted verbatim from ``FabricSimulator._max_min_rates``.  It is
-  the semantic ground truth and keeps the no-numpy import path alive.
-* :class:`NumpySolver` (``"numpy"``) — vectorised water-filling over a
-  link×flow incidence matrix maintained *incrementally* across epochs:
-  per-link membership columns are only rebuilt for flows whose link set
-  changed, so a completion-only epoch touches just the dirty links.
+  the semantic ground truth (the oracle every other solver is checked
+  against) and recounts link users over every unfixed flow each round.
+* :class:`IndexedSolver` (``"indexed"``, the default) — the same rounds
+  over a link index built once per solve: each round takes a C-level
+  ``min`` over the fair shares and updates only the links the fixed flows
+  cross.  Pure Python and stateless between epochs.
+* :class:`NumpySolver` (``"numpy"``, opt-in) — vectorised water-filling
+  over a link×flow incidence matrix maintained *incrementally* across
+  epochs: per-link membership columns are only rebuilt for flows whose
+  link set changed, so a completion-only epoch touches just the dirty
+  links.  It pays numpy's per-call overhead on every round, so it beats
+  the reference only at high concurrency and ``"indexed"`` at none
+  measured (see ``docs/performance.md``).
 
-Both solvers compute **bit-identical** results: the numpy implementation
-replicates the reference's round structure, its first-insertion-order
-bottleneck tie-break, and its sequential clamped capacity updates exactly,
-so rates *and* the saturated-link set agree to the last bit (verified by
-:func:`repro.validate.differential.check_solvers`).
+All solvers compute **bit-identical** results: each replicates the
+reference's round structure, its first-insertion-order bottleneck
+tie-break, its sequential clamped capacity updates and its backlog
+summation order, so rates *and* the saturated-link set agree to the last
+bit (verified by :func:`repro.validate.differential.check_solvers`).
 
-Solvers are stateful and single-simulator: ``bind`` resets incremental
-state, and the fabric rebinds after every topology mutation (link flaps,
-degraded fabrics), invalidating the incidence structure the same way the
+Solvers are single-simulator.  ``bind`` resets any incremental state, and
+the fabric rebinds after every topology mutation (link flaps, degraded
+fabrics), invalidating the numpy incidence structure the same way the
 shared :class:`~repro.interconnect.routecache.RouteCache` is invalidated.
 
 Registry
 --------
-``get_solver("reference")`` / ``get_solver("numpy")`` return fresh
-instances; :func:`register_solver` adds custom implementations, and
+``get_solver(name)`` returns a fresh instance of any name in
+:data:`SOLVERS`; :func:`register_solver` adds custom implementations, and
 :func:`set_default_solver` selects the process-wide default used when a
 :class:`~repro.interconnect.fabric.FabricSimulator` is built without an
 explicit ``solver=``.
@@ -97,7 +105,7 @@ class RateSolver:
 #: Registered solver factories by name (see :func:`register_solver`).
 SOLVERS: Dict[str, Callable[[], "RateSolver"]] = {}
 
-_DEFAULT_SOLVER = "reference"
+_DEFAULT_SOLVER = "indexed"
 
 
 def register_solver(name: str) -> Callable[[Callable[[], RateSolver]], Callable[[], RateSolver]]:
@@ -136,7 +144,7 @@ def get_solver(name: str) -> RateSolver:
 
 
 def default_solver_name() -> str:
-    """The process-wide default solver name (``"reference"`` unless set)."""
+    """The process-wide default solver name (``"indexed"`` unless set)."""
     return _DEFAULT_SOLVER
 
 
@@ -241,6 +249,141 @@ class ReferenceSolver(RateSolver):
                     )
                 del unfixed[flow_id]
         return rates, saturated
+
+
+# --- the indexed implementation (the default) ----------------------------------
+
+
+@register_solver("indexed")
+class IndexedSolver(RateSolver):
+    """Exact pure-Python water-filling over a per-solve link index.
+
+    The reference recounts link users over every unfixed flow in every
+    round.  This solver builds the counts once per solve and then pays
+    per round only for what the round changes:
+
+    * one pass over ``flow_links`` numbers the links in use and lists each
+      link's flows in admission order, once per traversal, so a list's
+      length is the link's user count with multiplicity; index-aligned
+      capacity, count and fair-share lists follow from it;
+    * each round takes the C-level ``min`` of that list, fixes the
+      bottleneck's unfixed members, and updates capacity, count and share
+      only on the links those flows cross; a drained link's share becomes
+      ``inf`` so it can never win again.
+
+    Exactness: every share is the same ``capacity / count`` divide the
+    reference performs, and every capacity update the same clamped
+    subtraction in the same order (fixed flows in admission order, links
+    in path order, once per traversal).  When the minimum is unique it is
+    the reference's bottleneck; when it is tied the reference's
+    first-insertion-order tie-break is replayed by scanning unfixed flows
+    in admission order and their links in path order.  The congestion
+    backlog is summed with ``sum`` over the fixed flows in admission
+    order, and rates are inserted in the reference's order.  Rates and
+    the saturated set are therefore bit-identical.
+
+    No state survives a solve: :meth:`bind` only stores the capacity map,
+    so topology mutations need no invalidation.
+    """
+
+    def __init__(self) -> None:
+        self._capacities: Dict[Link, float] = {}
+
+    def bind(self, capacities: Dict[Link, float]) -> None:
+        self._capacities = capacities
+
+    def solve(
+        self,
+        flow_links: Dict[int, List[Link]],
+        remaining_bytes: Optional[Dict[int, float]] = None,
+    ) -> Tuple[Dict[int, float], Set[Link]]:
+        infinity = float("inf")
+        rates: Dict[int, float] = {}
+        saturated: Set[Link] = set()
+        # Flows by admission position; links by first use in this solve.
+        flow_ids = list(flow_links)
+        flow_rows: List[List[int]] = []
+        index: Dict[Link, int] = {}
+        links: List[Link] = []
+        members: List[List[int]] = []
+        for position, path in enumerate(flow_links.values()):
+            rows = []
+            for link in path:
+                row = index.get(link)
+                if row is None:
+                    row = index[link] = len(links)
+                    links.append(link)
+                    members.append([position])
+                else:
+                    members[row].append(position)
+                rows.append(row)
+            flow_rows.append(rows)
+        capacities = self._capacities
+        counts = list(map(len, members))
+        caps = [capacities[link] for link in links]
+        shares = [cap / count for cap, count in zip(caps, counts)]
+        fixed = [False] * len(flow_ids)
+        unfixed = len(flow_ids)
+
+        while unfixed and shares:
+            share = min(shares)
+            if share == infinity:  # only unconstrained flows remain
+                break
+            row = shares.index(share)
+            if shares.count(share) > 1:
+                row = self._tie_break(share, shares, flow_rows, fixed)
+            fixed_now = []
+            for position in members[row]:
+                if not fixed[position]:  # a detour lists its flow twice
+                    fixed[position] = True
+                    fixed_now.append(position)
+            if counts[row] >= MIN_CONTENDERS_FOR_CONGESTION:
+                link = links[row]
+                if remaining_bytes is None:
+                    saturated.add(link)
+                else:
+                    backlog = sum(
+                        remaining_bytes.get(flow_ids[p], 0.0) for p in fixed_now
+                    )
+                    if backlog / capacities[link] >= CONGESTION_BACKLOG_THRESHOLD:
+                        saturated.add(link)
+            for position in fixed_now:
+                rates[flow_ids[position]] = share
+                for touched in flow_rows[position]:
+                    cap = caps[touched] - share
+                    if not cap > 0.0:  # max(0.0, cap), NaN included
+                        cap = 0.0
+                    caps[touched] = cap
+                    count = counts[touched] - 1
+                    counts[touched] = count
+                    shares[touched] = cap / count if count else infinity
+            unfixed -= len(fixed_now)
+        if unfixed:
+            for position, flow_id in enumerate(flow_ids):
+                if not fixed[position]:
+                    rates[flow_id] = infinity
+        return rates, saturated
+
+    @staticmethod
+    def _tie_break(
+        share: float,
+        shares: List[float],
+        flow_rows: List[List[int]],
+        fixed: List[bool],
+    ) -> int:
+        """First tied link in the reference's ``link_users`` insertion order.
+
+        The reference counts users by scanning unfixed flows in admission
+        order and each flow's links in path order; among equal minimal
+        shares the first one seen wins its strict ``<`` comparison.
+        """
+        for position, rows in enumerate(flow_rows):
+            if fixed[position]:
+                continue
+            for row in rows:
+                if shares[row] == share:
+                    return row
+        raise AssertionError("tied bottleneck not reachable from any flow")
 
 
 # --- the vectorised incremental implementation ---------------------------------

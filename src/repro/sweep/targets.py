@@ -129,7 +129,7 @@ def fabric_congestion(
     ``flows`` / ``flow_size``
         Trace length and per-flow bytes (defaults 96 and 2 MB).
     ``solver``
-        Rate-solver registry name (``"reference"`` / ``"numpy"``); omitted
+        Rate-solver registry name (any key of ``SOLVERS``); omitted
         means the process default.  All solvers are bit-identical, so the
         metrics don't change — but the name lands in the point's params
         and therefore in the sweep fingerprint, keeping mixed-solver

@@ -19,12 +19,12 @@ and an independent (slower, simpler) reference — and demands agreement:
   truncated to a prefix, with a deliberately torn trailing line) and
   resumed via ``run_sweep(..., resume=...)`` vs the uninterrupted run:
   fingerprints must be bit-identical.
-* :func:`check_solvers` — the vectorised incremental ``"numpy"`` rate
-  solver vs the ``"reference"`` water-filling loop on randomised
-  topologies and evolving flow sets (arrivals, completions, reroutes,
-  zero-length paths), plus one end-to-end fabric run per topology family:
-  rates and completion times agree within tolerance, saturated-link sets
-  agree *exactly*.
+* :func:`check_solvers` — every registered rate solver (the default
+  ``"indexed"``, the opt-in ``"numpy"``, any custom one) vs the
+  ``"reference"`` water-filling loop on randomised topologies and
+  evolving flow sets (arrivals, completions, reroutes, zero-length
+  paths), plus one end-to-end fabric run per topology family: rates,
+  saturated-link sets and ``FlowStats`` must be ``==`` (bit-identical).
 * :func:`check_distributed` — the ``tcp`` backend sharding the smoke
   sweep over loopback worker hosts vs serial execution: fingerprints
   must be bit-identical (the fleet analogue of :func:`check_sweep`).
@@ -425,31 +425,42 @@ def check_resume(keep_points: int = 3) -> DifferentialResult:
 
 
 def check_solvers(
-    trials: int = 5, epochs: int = 12, seed: int = 8192, rtol: float = 1e-9
+    trials: int = 5, epochs: int = 12, seed: int = 8192
 ) -> DifferentialResult:
-    """Vectorised incremental rate solver vs the reference loop.
+    """Every registered rate solver vs the reference loop, bit for bit.
 
-    Each trial builds a random small topology, then drives both solvers
-    through ``epochs`` evolving flow-set epochs — arrivals, completions,
-    re-routes and the occasional zero-length path — exactly the epoch
-    stream the incremental incidence must survive.  Per epoch the
-    saturated-link sets must agree **exactly** and every rate within
-    ``rtol`` (``inf`` must match ``inf``).  One end-to-end
-    :class:`~repro.interconnect.fabric.FabricSimulator` run per trial then
-    compares completion times over identical traces.
+    Each trial builds a random small topology, then drives the reference
+    and every other registered solver through ``epochs`` evolving
+    flow-set epochs — arrivals, completions, re-routes and the occasional
+    zero-length path — the epoch stream an incremental solver must
+    survive.  Per epoch the rates and the saturated-link set must be
+    ``==`` to the reference's.  One end-to-end
+    :class:`~repro.interconnect.fabric.FabricSimulator` run per trial and
+    solver then compares the :class:`~repro.interconnect.fabric.FlowStats`
+    of identical traces with ``==``.  Only the ``"numpy"`` leg is skipped
+    when numpy is not installed.
     """
     from repro.core.errors import ConfigurationError
     from repro.interconnect.congestion import congestion_policy
     from repro.interconnect.fabric import FabricSimulator, Flow
-    from repro.interconnect.ratesolver import get_solver
+    from repro.interconnect.ratesolver import SOLVERS, get_solver
     from repro.interconnect.topology import build_topology
 
-    try:
-        get_solver("numpy")
-    except ConfigurationError:
-        return DifferentialResult(
-            "solvers", True, 0, "numpy unavailable; vectorised solver skipped"
-        )
+    failures: List[str] = []
+    names: List[str] = []
+    skipped = ""
+    for name in sorted(SOLVERS):
+        if name == "reference":
+            continue
+        try:
+            get_solver(name)
+        except ConfigurationError as error:
+            if name == "numpy":
+                skipped = "; numpy unavailable, its solver skipped"
+            else:
+                failures.append(f"{name}: {error}")
+            continue
+        names.append(name)
 
     specs = [
         ("dragonfly", {"groups": 4, "routers_per_group": 3, "terminals": 2}),
@@ -460,16 +471,16 @@ def check_solvers(
     ]
     rng = RandomSource(seed=seed, name="validate/solvers")
     comparisons = 0
-    failures: List[str] = []
     for trial in range(trials):
         kind, kwargs = specs[trial % len(specs)]
         topology = build_topology(kind, **kwargs)
         simulator = FabricSimulator(topology)
         terminals = list(topology.terminals)
         reference = get_solver("reference")
-        vectorised = get_solver("numpy")
         reference.bind(simulator._capacities)
-        vectorised.bind(simulator._capacities)
+        solvers = {name: get_solver(name) for name in names}
+        for solver in solvers.values():
+            solver.bind(simulator._capacities)
         flow_links: dict = {}
         next_id = trial * 10_000
         for epoch in range(epochs):
@@ -499,30 +510,27 @@ def check_solvers(
                 }
             epoch_links = dict(flow_links)
             ref_rates, ref_saturated = reference.solve(epoch_links, remaining)
-            vec_rates, vec_saturated = vectorised.solve(epoch_links, remaining)
-            comparisons += 1
-            if ref_saturated != vec_saturated:
-                failures.append(
-                    f"{kind} epoch {epoch}: saturated sets differ "
-                    f"({sorted(ref_saturated ^ vec_saturated)[:2]}...)"
-                )
-                continue
-            if ref_rates.keys() != vec_rates.keys():
-                failures.append(f"{kind} epoch {epoch}: rate keys differ")
-                continue
-            for flow_id, expected in ref_rates.items():
-                if not math.isclose(
-                    vec_rates[flow_id], expected, rel_tol=rtol
-                ):
+            for name, solver in solvers.items():
+                rates, saturated = solver.solve(epoch_links, remaining)
+                comparisons += 1
+                if saturated != ref_saturated:
                     failures.append(
-                        f"{kind} epoch {epoch} flow {flow_id}: "
-                        f"{vec_rates[flow_id]} != {expected}"
+                        f"{name} on {kind} epoch {epoch}: saturated sets "
+                        f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
                     )
-                    break
+                elif rates != ref_rates:
+                    flow_id = next(
+                        (f for f in ref_rates if rates.get(f) != ref_rates[f]),
+                        None,
+                    )
+                    failures.append(
+                        f"{name} on {kind} epoch {epoch}: rate of flow "
+                        f"{flow_id} differs"
+                    )
         # End-to-end: one fabric run per trial under each solver.
         trace_seed = rng.integer(0, 2**31 - 1)
-        results = []
-        for solver_name in ("reference", "numpy"):
+        results = {}
+        for solver_name in ["reference", *names]:
             trace_rng = RandomSource(seed=trace_seed, name="validate/trace")
             trace = []
             for index in range(24):
@@ -535,21 +543,21 @@ def check_solvers(
                 topology, congestion=congestion_policy("flow"),
                 solver=solver_name,
             )
-            results.append(fabric.run(trace))
-        comparisons += len(results[0])
-        for ref_stat, vec_stat in zip(*results):
-            if ref_stat.flow_id != vec_stat.flow_id or not math.isclose(
-                ref_stat.completion_time, vec_stat.completion_time,
-                rel_tol=rtol,
-            ):
-                failures.append(
-                    f"{kind}: flow {ref_stat.flow_id} completion "
-                    f"{vec_stat.completion_time} != {ref_stat.completion_time}"
+            results[solver_name] = fabric.run(trace)
+        expected = results.pop("reference")
+        for name, stats in results.items():
+            comparisons += len(expected)
+            if stats != expected:
+                differing = next(
+                    (a for a, b in zip(expected, stats) if a != b), None
                 )
-                break
+                failures.append(
+                    f"{name} on {kind}: FlowStats differ"
+                    + (f" at flow {differing.flow_id}" if differing else "")
+                )
     detail = (
-        f"{trials} topologies x {epochs} incremental epochs + fabric runs "
-        "agree (saturated sets exact)"
+        f"{', '.join(names)} vs reference: {trials} topologies x {epochs} "
+        f"incremental epochs + fabric runs bit-identical{skipped}"
         if not failures
         else "; ".join(failures[:3])
     )

@@ -18,6 +18,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.errors import ConfigurationError
 from repro.observability import Telemetry
 from repro.validate.fingerprint import (
     DEFAULT_RTOL,
@@ -27,8 +28,12 @@ from repro.validate.fingerprint import (
 )
 from repro.validate.invariants import InvariantChecker
 
-#: Where committed goldens live, relative to the repository root.
-DEFAULT_GOLDEN_DIR = pathlib.Path("tests") / "golden"
+#: Where committed goldens live: ``tests/golden`` of the checkout this
+#: package was imported from (``src/repro/validate`` -> checkout root), so
+#: ``repro validate`` finds them from any working directory.
+DEFAULT_GOLDEN_DIR = (
+    pathlib.Path(__file__).resolve().parents[3] / "tests" / "golden"
+)
 
 
 class _ValidatingTelemetry(Telemetry):
@@ -189,7 +194,10 @@ def validate(
         Subjects to cover; ``None`` means every run profile and every
         named sweep. Pass empty sequences to skip a category.
     golden_dir:
-        Golden directory (default ``tests/golden``).
+        Golden directory (default :data:`DEFAULT_GOLDEN_DIR`).  When it is
+        left out and the default does not exist (an installed package with
+        no checkout), :class:`~repro.core.errors.ConfigurationError` is
+        raised naming ``--golden-dir``.
     differential:
         Whether to run the differential checks.
     """
@@ -203,6 +211,11 @@ def validate(
         else [p.upper() for p in profiles]
     )
     sweep_names = list(NAMED_SWEEPS) if sweeps is None else list(sweeps)
+    if golden_dir is None and not DEFAULT_GOLDEN_DIR.is_dir():
+        raise ConfigurationError(
+            f"no golden directory at {DEFAULT_GOLDEN_DIR} (repro is not "
+            "running from a checkout); pass --golden-dir PATH"
+        )
     directory = pathlib.Path(
         golden_dir if golden_dir is not None else DEFAULT_GOLDEN_DIR
     )

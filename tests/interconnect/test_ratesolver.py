@@ -4,9 +4,9 @@ Four concerns, mirroring the RouteCache suite's structure:
 
 * the registry surface (``get_solver`` / ``register_solver`` /
   ``set_default_solver`` / ``resolve_solver``),
-* bit-exactness of the ``"numpy"`` solver against the ``"reference"``
-  ground truth on hand-built corner cases (ties, multiplicity, backlog,
-  zero-length paths),
+* bit-exactness of the ``"indexed"`` (default) and ``"numpy"`` solvers
+  against the ``"reference"`` ground truth on hand-built corner cases
+  (ties, multiplicity, backlog, zero-length paths),
 * the incremental-incidence contract, checked white-box through
   ``NumpySolver.stats`` (completion-only epochs touch only the completed
   flows' links; no-change epochs touch nothing; topology mutations rebind),
@@ -25,6 +25,7 @@ from repro.interconnect.failures import fail_links, fail_switches
 from repro.interconnect.ratesolver import (
     MIN_CONTENDERS_FOR_CONGESTION,
     SOLVERS,
+    IndexedSolver,
     NumpySolver,
     RateSolver,
     ReferenceSolver,
@@ -62,14 +63,25 @@ def _stats_key(stats):
     ]
 
 
-def _both(capacities, flow_links, remaining_bytes=None):
-    """Solve the same epoch with both registered solvers."""
+#: The built-in solvers checked against the reference.
+FAST_SOLVERS = ("indexed", "numpy")
+
+
+def _solve_all(capacities, flow_links, remaining_bytes=None):
+    """Solve the same epoch with the reference and every fast solver.
+
+    Returns ``(reference, fast)`` after asserting that all fast solvers
+    agree with each other, so a ``reference == fast`` check covers each.
+    """
     outcomes = []
-    for name in ("reference", "numpy"):
+    for name in ("reference",) + FAST_SOLVERS:
         solver = get_solver(name)
         solver.bind(dict(capacities))
         outcomes.append(solver.solve(dict(flow_links), remaining_bytes))
-    return outcomes
+    reference, fast, *others = outcomes
+    for other in others:
+        assert other == fast
+    return reference, fast
 
 
 # A little three-switch line: two directed links everybody contends on.
@@ -79,7 +91,7 @@ AB, BC, CD = ("a", "b"), ("b", "c"), ("c", "d")
 
 class TestRegistry:
     def test_builtin_solvers_registered(self):
-        assert {"reference", "numpy"} <= set(SOLVERS)
+        assert {"reference", "indexed", "numpy"} <= set(SOLVERS)
 
     def test_get_solver_returns_fresh_instances(self):
         assert get_solver("reference") is not get_solver("reference")
@@ -113,7 +125,7 @@ class TestRegistry:
     def test_set_default_solver_round_trip(self):
         previous = set_default_solver("numpy")
         try:
-            assert previous == "reference"
+            assert previous == "indexed"
             assert default_solver_name() == "numpy"
             topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
             assert isinstance(FabricSimulator(topology).solver, NumpySolver)
@@ -128,7 +140,7 @@ class TestRegistry:
         assert default_solver_name() == before
 
     def test_resolve_solver_coercions(self):
-        assert isinstance(resolve_solver(None), ReferenceSolver)
+        assert isinstance(resolve_solver(None), IndexedSolver)
         assert isinstance(resolve_solver("numpy"), NumpySolver)
         instance = ReferenceSolver()
         assert resolve_solver(instance) is instance
@@ -144,25 +156,25 @@ class TestRegistry:
 
 
 class TestExactness:
-    """The numpy solver must agree with the reference to the last bit."""
+    """The fast solvers must agree with the reference to the last bit."""
 
     def test_empty_epoch(self):
-        (ref, np_out) = _both(CAPS, {})
-        assert ref == np_out == ({}, set())
+        (ref, fast) = _solve_all(CAPS, {})
+        assert ref == fast == ({}, set())
 
     def test_single_flow_gets_line_rate(self):
-        (ref, np_out) = _both(CAPS, {1: [AB, BC]})
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, {1: [AB, BC]})
+        assert ref == fast
         assert ref[0] == {1: 10.0}
 
     def test_saturation_needs_min_contenders(self):
         flows = {i: [AB] for i in range(MIN_CONTENDERS_FOR_CONGESTION - 1)}
-        (ref, np_out) = _both(CAPS, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows)
+        assert ref == fast
         assert ref[1] == set()
         flows = {i: [AB] for i in range(MIN_CONTENDERS_FOR_CONGESTION)}
-        (ref, np_out) = _both(CAPS, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows)
+        assert ref == fast
         assert ref[1] == {AB}
 
     def test_tied_bottlenecks(self):
@@ -170,16 +182,28 @@ class TestExactness:
         # first-seen link per round; both solvers must agree on rates AND
         # on which links end up saturated.
         flows = {1: [AB], 2: [AB], 3: [AB], 4: [CD], 5: [CD], 6: [CD]}
-        (ref, np_out) = _both(CAPS, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows)
+        assert ref == fast
         assert ref[0] == {i: pytest.approx(10.0 / 3) for i in flows}
         assert ref[1] == {AB, CD}
+
+    def test_tie_break_follows_unfixed_flows_not_first_use(self):
+        # Round 1 fixes flow 1 on AB.  Round 2 ties BC and CD at 5.0 with
+        # three users each; CD was seen first overall (flow 1) but BC is
+        # first among the unfixed flows (flow 2), so the reference picks
+        # BC and only BC is saturated — CD has two users left after it.
+        caps = {AB: 1.0, BC: 15.0, CD: 16.0}
+        flows = {1: [AB, CD], 2: [BC, CD], 3: [BC], 4: [CD], 5: [BC], 6: [CD]}
+        (ref, fast) = _solve_all(caps, flows)
+        assert ref == fast
+        assert ref[1] == {BC}
+        assert ref[0] == {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0, 5: 5.0, 6: 5.0}
 
     def test_multi_round_waterfill(self):
         caps = {AB: 10.0, BC: 30.0}
         flows = {1: [AB, BC], 2: [AB], 3: [BC], 4: [BC]}
-        (ref, np_out) = _both(caps, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(caps, flows)
+        assert ref == fast
         rates = ref[0]
         # AB bottlenecks first (10/2 < 30/3); BC's survivors split the rest.
         assert rates[1] == rates[2] == 5.0
@@ -188,40 +212,40 @@ class TestExactness:
     def test_link_multiplicity(self):
         # A Valiant-style detour crossing AB twice pulls capacity twice.
         flows = {1: [AB, BC, AB], 2: [AB], 3: [AB]}
-        (ref, np_out) = _both(CAPS, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows)
+        assert ref == fast
 
     def test_zero_length_paths_get_infinite_rate(self):
         flows = {1: [], 2: [AB], 3: []}
-        (ref, np_out) = _both(CAPS, flows)
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows)
+        assert ref == fast
         assert ref[0][1] == ref[0][3] == float("inf")
         assert ref[0][2] == 10.0
 
     def test_all_zero_length_paths(self):
-        (ref, np_out) = _both(CAPS, {1: [], 2: []})
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, {1: [], 2: []})
+        assert ref == fast
         assert set(ref[0].values()) == {float("inf")}
 
     def test_empty_capacity_map(self):
-        (ref, np_out) = _both({}, {1: [], 2: []})
-        assert ref == np_out
+        (ref, fast) = _solve_all({}, {1: [], 2: []})
+        assert ref == fast
 
     def test_backlog_gate_on_saturation(self):
         flows = {1: [AB], 2: [AB], 3: [AB]}
         # Mice: drains far below the congestion threshold -> not saturated.
-        (ref, np_out) = _both(CAPS, flows, {1: 1e-4, 2: 1e-4, 3: 1e-4})
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows, {1: 1e-4, 2: 1e-4, 3: 1e-4})
+        assert ref == fast
         assert ref[1] == set()
         # Elephants: a standing queue -> saturated.
-        (ref, np_out) = _both(CAPS, flows, {1: 1e9, 2: 1e9, 3: 1e9})
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows, {1: 1e9, 2: 1e9, 3: 1e9})
+        assert ref == fast
         assert ref[1] == {AB}
 
     def test_missing_remaining_bytes_default_to_zero(self):
         flows = {1: [AB], 2: [AB], 3: [AB]}
-        (ref, np_out) = _both(CAPS, flows, {1: 1e9})
-        assert ref == np_out
+        (ref, fast) = _solve_all(CAPS, flows, {1: 1e9})
+        assert ref == fast
 
     def test_randomised_epoch_streams(self):
         # Many epochs over one bound solver pair: adds, removals and
@@ -234,9 +258,11 @@ class TestExactness:
         terminals = list(topology.terminals)
         rng = RandomSource(seed=77, name="ratesolver-stream")
 
-        reference, vectorised = get_solver("reference"), get_solver("numpy")
+        reference = get_solver("reference")
         reference.bind(capacities)
-        vectorised.bind(capacities)
+        fast = [get_solver(name) for name in FAST_SOLVERS]
+        for solver in fast:
+            solver.bind(capacities)
 
         flow_links, next_id = {}, 0
         for _ in range(30):
@@ -251,7 +277,9 @@ class TestExactness:
                 if rng.uniform() < 0.2:
                     del flow_links[flow_id]
             epoch = dict(flow_links)
-            assert reference.solve(epoch) == vectorised.solve(epoch)
+            expected = reference.solve(epoch)
+            for solver in fast:
+                assert solver.solve(epoch) == expected, solver.name
 
 
 class TestIncrementalIncidence:
@@ -319,13 +347,14 @@ class TestFabricIntegration:
         topology = build_dragonfly(
             groups=4, routers_per_group=3, terminals_per_router=2
         )
-        flows = _uniform_flows(topology, 40)
         reference = FabricSimulator(topology, solver="reference").run(
-            [Flow(source=f.source, destination=f.destination, size=f.size,
-                  start_time=f.start_time, flow_id=f.flow_id) for f in flows]
+            _uniform_flows(topology, 40)
         )
-        vectorised = FabricSimulator(topology, solver="numpy").run(flows)
-        assert _stats_key(reference) == _stats_key(vectorised)
+        for name in FAST_SOLVERS:
+            fast = FabricSimulator(topology, solver=name).run(
+                _uniform_flows(topology, 40)
+            )
+            assert _stats_key(reference) == _stats_key(fast), name
 
     def test_link_flap_rebinds_and_matches(self):
         # Mirrors the RouteCache invalidation contract: a mid-run topology
@@ -358,6 +387,10 @@ class TestFabricIntegration:
         assert _stats_key(reference) == _stats_key(vectorised)
         # Construction binds once; the flap's _refresh_link_state re-binds.
         assert simulator.solver.stats["binds"] >= 2
+        # The indexed solver keeps no state between epochs: the rebind
+        # only swaps its capacity map.
+        _, indexed = run("indexed")
+        assert _stats_key(reference) == _stats_key(indexed)
 
     @pytest.mark.parametrize("degrade", ["links", "switches"])
     def test_degraded_topologies_match(self, degrade):
@@ -372,13 +405,14 @@ class TestFabricIntegration:
             degraded = fail_switches(
                 topology, count=1, rng=RandomSource(seed=5)
             ).topology
-        flows = _uniform_flows(degraded, 25)
         reference = FabricSimulator(degraded, solver="reference").run(
-            [Flow(source=f.source, destination=f.destination, size=f.size,
-                  start_time=f.start_time, flow_id=f.flow_id) for f in flows]
+            _uniform_flows(degraded, 25)
         )
-        vectorised = FabricSimulator(degraded, solver="numpy").run(flows)
-        assert _stats_key(reference) == _stats_key(vectorised)
+        for name in FAST_SOLVERS:
+            fast = FabricSimulator(degraded, solver=name).run(
+                _uniform_flows(degraded, 25)
+            )
+            assert _stats_key(reference) == _stats_key(fast), name
 
 
 class TestNumpyUnavailable:
@@ -393,6 +427,12 @@ class TestNumpyUnavailable:
         solver.bind(dict(CAPS))
         rates, saturated = solver.solve({1: [AB]})
         assert rates == {1: 10.0} and saturated == set()
+
+    def test_default_solver_needs_no_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        solver = resolve_solver(None)
+        solver.bind(dict(CAPS))
+        assert solver.solve({1: [AB], 2: [AB]}) == ({1: 5.0, 2: 5.0}, set())
 
 
 class TestDeprecationShims:

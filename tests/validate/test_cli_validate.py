@@ -33,6 +33,34 @@ class TestCheckMode:
         assert "--record" in out
 
 
+class TestDefaultGoldenDir:
+    def test_check_finds_goldens_from_any_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["validate", "--check", "--skip-differential"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "12 ok, 0 failing" in out
+        assert str(GOLDEN_DIR) in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_default_exits_2_naming_the_flag(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.validate import runner
+
+        monkeypatch.setattr(runner, "DEFAULT_GOLDEN_DIR", tmp_path / "absent")
+        code = main([
+            "validate", "--check", "--profiles", "C1", "--sweeps",
+            "--skip-differential",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--golden-dir" in captured.err
+        assert captured.out == ""
+
+
 class TestRecordMode:
     def test_record_then_check_round_trips(self, tmp_path, capsys):
         golden_dir = str(tmp_path / "goldens")

@@ -71,6 +71,41 @@ class TestSolverDifferential:
         assert small.passed, small.detail
         assert small.comparisons < check_solvers().comparisons
 
+    def test_covers_every_registered_solver(self):
+        result = check_solvers(trials=1, epochs=4)
+        assert result.passed, result.detail
+        assert "indexed, numpy vs reference" in result.detail
+
+    def test_numpy_missing_skips_only_the_numpy_leg(self, monkeypatch):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        result = check_solvers(trials=1, epochs=4)
+        assert result.passed, result.detail
+        assert result.comparisons > 0
+        assert result.detail.startswith("indexed vs reference")
+        assert "numpy unavailable" in result.detail
+
+    def test_a_wrong_solver_fails_the_check(self):
+        from repro.interconnect.ratesolver import (
+            SOLVERS,
+            ReferenceSolver,
+            register_solver,
+        )
+
+        @register_solver("_halved")
+        class Halved(ReferenceSolver):
+            def solve(self, flow_links, remaining_bytes=None):
+                rates, saturated = super().solve(flow_links, remaining_bytes)
+                return {f: rate / 2 for f, rate in rates.items()}, saturated
+
+        try:
+            result = check_solvers(trials=1, epochs=4)
+        finally:
+            del SOLVERS["_halved"]
+        assert not result.passed
+        assert "_halved" in result.detail
+
 
 class TestDistributedDifferential:
     def test_tcp_fleet_matches_serial_bit_for_bit(self):
