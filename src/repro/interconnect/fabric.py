@@ -44,7 +44,7 @@ from repro.interconnect.routecache import (
 )
 from repro.interconnect.routing import Path, minimal_route, valiant_route
 from repro.interconnect.topology import Topology
-from repro.observability.metrics import exponential_buckets
+from repro.observability.metrics import Counter, Histogram, exponential_buckets
 from repro.observability.probes import (
     CATEGORY_CONGESTION,
     CATEGORY_FAULT,
@@ -267,7 +267,6 @@ class FabricSimulator:
             self._capacities = self._link_capacities()
         self.solver: RateSolver = resolve_solver(solver)
         self.solver.bind(self._capacities)
-        self._pending_link_bytes: Dict[Tuple[str, str], float] = {}
         # Legacy private-method override path: subclasses that replaced the
         # water-filling loop (or the adjustment around it) keep working —
         # the internal epoch path routes through their override — but the
@@ -378,25 +377,6 @@ class FabricSimulator:
                 hot.add(v)
         return hot
 
-    def _adjusted_rates(
-        self,
-        paths: Dict[int, Path],
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], Dict[int, int], Set[Tuple[str, str]]]:
-        inner = (
-            self._adjusted_rates_impl
-            if self._legacy_adjusted
-            else self._policy_adjusted_rates
-        )
-        if self._profiler is None:
-            return inner(paths, flow_links, remaining_bytes)
-        start = time.perf_counter()
-        try:
-            return inner(paths, flow_links, remaining_bytes)
-        finally:
-            self._profiler.add(PHASE_CONGESTION, time.perf_counter() - start)
-
     def _adjusted_rates_impl(
         self,
         paths: Dict[int, Path],
@@ -425,11 +405,12 @@ class FabricSimulator:
         (used by telemetry to mark congestion onsets).
         """
         rates, saturated = self._solve_rates(flow_links, remaining_bytes)
-        hot_switches = self._hot_switches(saturated)
         hot_exposure: Dict[int, int] = {}
-        if not saturated and not hot_switches:
-            # Nothing saturated: no aggressor clamps, no victim exposure.
+        if not saturated:
+            # Nothing saturated: no hot switches, no aggressor clamps and
+            # no victim exposure.
             return rates, hot_exposure, saturated
+        hot_switches = self._hot_switches(saturated)
         contains_hot = hot_switches.__contains__
         for flow_id, path in paths.items():
             crosses_saturated = saturated and not saturated.isdisjoint(
@@ -465,9 +446,8 @@ class FabricSimulator:
         """
         if not flows:
             return []
-        self._pending_link_bytes = {}
-        pending = sorted(flows, key=lambda f: f.start_time)
-        arrivals = list(pending)
+        arrivals = sorted(flows, key=lambda f: f.start_time)
+        arrival_count = len(arrivals)
         now = arrivals[0].start_time
         active: Dict[int, Flow] = {}
         remaining: Dict[int, float] = {}
@@ -478,8 +458,52 @@ class FabricSimulator:
         arrival_index = 0
         congested_now: Set[Tuple[str, str]] = set()
         events = sorted(link_events, key=lambda e: e.time) if link_events else []
+        event_count = len(events)
         event_index = 0
         down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
+        # Hot attributes as locals.  The route cache is read through
+        # ``self`` (a link event replaces it mid-run).
+        infinity = float("inf")
+        profiler = self._profiler
+        clock = time.perf_counter
+        ledger = (
+            _RunTelemetry(self.telemetry)
+            if self.telemetry is not None
+            else None
+        )
+        route = self._route
+        decompose = self._decompose
+        propagation_delay = self._propagation_delay
+        congestion = self.congestion
+        reroute_adaptively = self.reroute_adaptively
+
+        def charged(method, phase=PHASE_TELEMETRY):
+            """``method``, with its wall time charged to a profiler phase."""
+            if profiler is None:
+                return method
+
+            def timed(*args):
+                start = clock()
+                try:
+                    return method(*args)
+                finally:
+                    profiler.add(phase, clock() - start)
+
+            return timed
+
+        adjusted_rates = charged(
+            self._adjusted_rates_impl
+            if self._legacy_adjusted
+            else self._policy_adjusted_rates,
+            PHASE_CONGESTION,
+        )
+        if ledger is not None:
+            offer = charged(ledger.offer)
+            record_drop = charged(ledger.drop)
+            record_congestion = charged(ledger.congestion)
+            carry = charged(ledger.carry)
+            finish = charged(ledger.finish)
+            flush = charged(ledger.flush)
 
         def drop_flow(flow_id: int) -> None:
             flow = active.pop(flow_id)
@@ -499,8 +523,8 @@ class FabricSimulator:
                 delivered=max(0.0, flow.size - left),
             )
             results.append(stats)
-            if self.telemetry is not None:
-                self._record_drop(stats)
+            if ledger is not None:
+                record_drop(stats)
 
         def apply_link_event(event: LinkEvent) -> None:
             u, v = event.link
@@ -517,8 +541,8 @@ class FabricSimulator:
                 down_links[key] = dict(graph.edges[u, v])
                 graph.remove_edge(u, v)
             self._refresh_link_state()
-            if self.telemetry is not None:
-                self.telemetry.tracer.instant(
+            if ledger is not None:
+                ledger.tracer.instant(
                     "link_up" if event.up else "link_down", CATEGORY_FAULT,
                     now, link=f"{u}-{v}",
                 )
@@ -531,78 +555,79 @@ class FabricSimulator:
                     continue
                 flow = active[flow_id]
                 try:
-                    new_path = self._route(flow)
+                    new_path = route(flow)
                 except (nx.NetworkXNoPath, nx.NodeNotFound):
                     drop_flow(flow_id)
                     continue
                 paths[flow_id] = new_path
-                flow_links[flow_id] = self._decompose(new_path)
-                if self.telemetry is not None:
-                    self.telemetry.counter(
-                        "fabric.flows.rerouted",
-                        "in-flight flows re-routed around a dead link",
-                    ).inc(tag=flow.tag or "flow")
+                flow_links[flow_id] = decompose(new_path)
+                if ledger is not None:
+                    ledger.rerouted(flow.tag)
 
         for _ in range(max_iterations):
             # Apply link state changes due now (before admissions, so a
             # flow arriving at the flap instant sees the degraded fabric).
             while (
-                event_index < len(events)
+                event_index < event_count
                 and events[event_index].time <= now + 1e-15
             ):
                 apply_link_event(events[event_index])
                 event_index += 1
 
-            # Admit arrivals due now.
+            # Admit arrivals due now.  Admission order is the arrival
+            # order, so the offered-bytes ledger can take the epoch's
+            # arrivals in one call ahead of routing them.
+            due = arrival_index
             while (
-                arrival_index < len(arrivals)
-                and arrivals[arrival_index].start_time <= now + 1e-15
+                due < arrival_count
+                and arrivals[due].start_time <= now + 1e-15
             ):
-                flow = arrivals[arrival_index]
-                arrival_index += 1
-                if self.telemetry is not None:
+                due += 1
+            if due > arrival_index:
+                admitted = arrivals[arrival_index:due]
+                arrival_index = due
+                if ledger is not None:
                     # Conservation ledger: every admitted byte must later
                     # land in fabric.flow_bytes or fabric.flow_bytes_lost.
-                    self.telemetry.counter(
-                        "fabric.flow_bytes_offered",
-                        "bytes injected at flow admission",
-                    ).inc(flow.size, tag=flow.tag or "flow")
-                try:
-                    path = self._route(flow)
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
-                    # No path at admission: dead on arrival.
-                    stats = FlowStats(
-                        flow_id=flow.flow_id, tag=flow.tag, size=flow.size,
-                        start_time=flow.start_time,
-                        finish_time=max(now, flow.start_time),
-                        path_hops=0, propagation_delay=0.0,
-                        extra_queueing=0.0, dropped=True, delivered=0.0,
-                    )
-                    results.append(stats)
-                    if self.telemetry is not None:
-                        self._record_drop(stats)
-                    continue
-                active[flow.flow_id] = flow
-                remaining[flow.flow_id] = flow.size
-                paths[flow.flow_id] = path
-                flow_links[flow.flow_id] = self._decompose(path)
-                queueing.setdefault(flow.flow_id, 0.0)
+                    offer(admitted)
+                for flow in admitted:
+                    try:
+                        path = route(flow)
+                    except (nx.NetworkXNoPath, nx.NodeNotFound):
+                        # No path at admission: dead on arrival.
+                        stats = FlowStats(
+                            flow_id=flow.flow_id, tag=flow.tag, size=flow.size,
+                            start_time=flow.start_time,
+                            finish_time=max(now, flow.start_time),
+                            path_hops=0, propagation_delay=0.0,
+                            extra_queueing=0.0, dropped=True, delivered=0.0,
+                        )
+                        results.append(stats)
+                        if ledger is not None:
+                            record_drop(stats)
+                        continue
+                    flow_id = flow.flow_id
+                    active[flow_id] = flow
+                    remaining[flow_id] = flow.size
+                    paths[flow_id] = path
+                    flow_links[flow_id] = decompose(path)
+                    queueing.setdefault(flow_id, 0.0)
 
-            if not active and arrival_index >= len(arrivals):
-                break
             if not active:
+                if arrival_index >= arrival_count:
+                    break
                 # Idle: jump to whichever comes first, the next arrival or
                 # the next link event (future arrivals must see it).
                 next_time = arrivals[arrival_index].start_time
-                if event_index < len(events):
+                if event_index < event_count:
                     next_time = min(next_time, events[event_index].time)
                 now = next_time
                 continue
 
-            rates, hot_exposure, saturated = self._adjusted_rates(
+            rates, hot_exposure, saturated = adjusted_rates(
                 paths, flow_links, remaining
             )
-            if self.reroute_adaptively:
+            if reroute_adaptively:
                 # Reuse the epoch's saturated set: the solve above ran on
                 # exactly these flow_links/remaining, so re-solving inside
                 # the reroute would reproduce it bit-for-bit at double cost.
@@ -610,61 +635,69 @@ class FabricSimulator:
                     paths, flow_links, remaining, saturated=saturated
                 )
                 if rerouted:
-                    rates, hot_exposure, saturated = self._adjusted_rates(
+                    rates, hot_exposure, saturated = adjusted_rates(
                         paths, flow_links, remaining
                     )
-            if self.telemetry is not None:
-                congested_now = self._record_congestion(
-                    now, saturated, congested_now, active
+            if ledger is not None:
+                congested_now = record_congestion(
+                    now, saturated, congested_now, len(active)
                 )
 
             # Accrue queueing penalties for victims (once per exposure interval).
             for flow_id, exposure in hot_exposure.items():
                 queueing[flow_id] = max(
                     queueing[flow_id],
-                    self.congestion.victim_extra_latency(exposure),
+                    congestion.victim_extra_latency(exposure),
                 )
 
             # Next event: earliest completion, next arrival or link event.
-            next_completion = float("inf")
+            next_completion = infinity
             for flow_id, rate in rates.items():
                 if rate <= 0:
                     continue
-                next_completion = min(next_completion, remaining[flow_id] / rate)
+                until = remaining[flow_id] / rate
+                if until < next_completion:
+                    next_completion = until
             next_arrival = (
                 arrivals[arrival_index].start_time - now
-                if arrival_index < len(arrivals)
-                else float("inf")
+                if arrival_index < arrival_count
+                else infinity
             )
             next_link_event = (
                 events[event_index].time - now
-                if event_index < len(events)
-                else float("inf")
+                if event_index < event_count
+                else infinity
             )
             step = min(next_completion, next_arrival, next_link_event)
-            if step == float("inf"):
-                self._flush_link_bytes()
+            if step == infinity:
+                if ledger is not None:
+                    flush()
                 raise SimulationError("fabric deadlock: no progress possible")
             step = max(step, 0.0)
 
-            # Advance.
+            # Advance.  ``remaining`` holds exactly the active flows, in
+            # admission order.
             now += step
+            rate_of = rates.get
             finished: List[int] = []
-            for flow_id in list(active):
-                rate = rates.get(flow_id, 0.0)
-                moved = rate * step
-                remaining[flow_id] -= moved
-                if self.telemetry is not None and moved > 0:
-                    self._account_link_bytes(paths[flow_id], moved)
-                if remaining[flow_id] <= 1e-9:
+            for flow_id, left in remaining.items():
+                left -= rate_of(flow_id, 0.0) * step
+                remaining[flow_id] = left
+                if left <= 1e-9:
                     finished.append(flow_id)
+            if ledger is not None:
+                carry(remaining, flow_links, rate_of, step)
+            if not finished:
+                continue
+            done: List[FlowStats] = []
             for flow_id in finished:
                 flow = active.pop(flow_id)
                 path = paths.pop(flow_id)
                 del flow_links[flow_id]
-                propagation = self._propagation_delay(path)
+                del remaining[flow_id]
+                propagation = propagation_delay(path)
                 extra = queueing.pop(flow_id, 0.0)
-                stats = FlowStats(
+                done.append(FlowStats(
                     flow_id=flow.flow_id,
                     tag=flow.tag,
                     size=flow.size,
@@ -673,15 +706,16 @@ class FabricSimulator:
                     path_hops=len(path) - 1,
                     propagation_delay=propagation,
                     extra_queueing=extra,
-                )
-                results.append(stats)
-                if self.telemetry is not None:
-                    self._record_flow(stats)
-                del remaining[flow_id]
+                ))
+            results.extend(done)
+            if ledger is not None:
+                finish(done)
         else:
-            self._flush_link_bytes()
+            if ledger is not None:
+                flush()
             raise SimulationError("fabric simulation exceeded max_iterations")
-        self._flush_link_bytes()
+        if ledger is not None:
+            flush()
 
         if down_links:
             # The workload drained before every link came back; undo the
@@ -703,119 +737,6 @@ class FabricSimulator:
         # The solver's incremental state indexes the old link set — rebind
         # invalidates it the same way the route cache was just invalidated.
         self.solver.bind(self._capacities)
-
-    # --- telemetry --------------------------------------------------------------
-
-    def _record_drop(self, stats: FlowStats) -> None:
-        """Account one dropped flow (no FCT sample — it never completed)."""
-        tag = stats.tag or "flow"
-        self.telemetry.counter(
-            "fabric.flows.dropped", "flows killed by link failures"
-        ).inc(tag=tag)
-        if stats.delivered_bytes > 0:
-            self.telemetry.counter("fabric.flow_bytes").inc(
-                stats.delivered_bytes, tag=tag
-            )
-        lost = stats.size - stats.delivered_bytes
-        if lost > 0:
-            self.telemetry.counter(
-                "fabric.flow_bytes_lost",
-                "offered bytes that never reached their destination",
-            ).inc(lost, tag=tag)
-        self.telemetry.tracer.complete(
-            f"flow:{tag}", CATEGORY_FLOW, stats.start_time, stats.finish_time,
-            flow_id=stats.flow_id, bytes=stats.delivered_bytes, dropped=True,
-        )
-
-    def _record_flow(self, stats: FlowStats) -> None:
-        """Account one finished flow: FCT histogram + a trace span."""
-        tag = stats.tag or "flow"
-        self.telemetry.histogram(
-            "fabric.fct_seconds", FCT_BUCKETS, "flow completion time"
-        ).observe(stats.completion_time, tag=tag)
-        self.telemetry.counter("fabric.flow_bytes").inc(stats.size, tag=tag)
-        self.telemetry.tracer.complete(
-            f"flow:{tag}", CATEGORY_FLOW, stats.start_time, stats.finish_time,
-            flow_id=stats.flow_id, bytes=stats.size, hops=stats.path_hops,
-        )
-
-    def _account_link_bytes(self, path: Path, moved: float) -> None:
-        """Spread one interval's bytes over every link the flow traverses."""
-        if self._profiler is None:
-            return self._account_link_bytes_impl(path, moved)
-        start = time.perf_counter()
-        try:
-            return self._account_link_bytes_impl(path, moved)
-        finally:
-            self._profiler.add(PHASE_TELEMETRY, time.perf_counter() - start)
-
-    def _account_link_bytes_impl(self, path: Path, moved: float) -> None:
-        # Accumulate per directed link in a plain dict and flush once per
-        # run: per-label totals are added in the same chronological order,
-        # and a counter starting at 0.0 satisfies 0.0 + x == x, so the
-        # flushed values are bit-identical to per-epoch increments — while
-        # skipping the per-increment label formatting on the hot path.
-        pending = self._pending_link_bytes
-        for pair in zip(path, path[1:]):
-            pending[pair] = pending.get(pair, 0.0) + moved
-
-    def _flush_link_bytes(self) -> None:
-        """Publish the accumulated per-link byte totals to telemetry."""
-        if not self._pending_link_bytes or self.telemetry is None:
-            return
-        start = time.perf_counter() if self._profiler is not None else 0.0
-        link_bytes = self.telemetry.counter(
-            "fabric.link_bytes", "bytes carried per directed link"
-        )
-        for (u, v), total in self._pending_link_bytes.items():
-            link_bytes.inc(total, link=f"{u}->{v}")
-        self._pending_link_bytes = {}
-        if self._profiler is not None:
-            self._profiler.add(PHASE_TELEMETRY, time.perf_counter() - start)
-
-    def _record_congestion(
-        self,
-        now: float,
-        saturated: Set[Tuple[str, str]],
-        congested_before: Set[Tuple[str, str]],
-        active: Dict[int, Flow],
-    ) -> Set[Tuple[str, str]]:
-        if self._profiler is None:
-            return self._record_congestion_impl(
-                now, saturated, congested_before, active
-            )
-        start = time.perf_counter()
-        try:
-            return self._record_congestion_impl(
-                now, saturated, congested_before, active
-            )
-        finally:
-            self._profiler.add(PHASE_TELEMETRY, time.perf_counter() - start)
-
-    def _record_congestion_impl(
-        self,
-        now: float,
-        saturated: Set[Tuple[str, str]],
-        congested_before: Set[Tuple[str, str]],
-        active: Dict[int, Flow],
-    ) -> Set[Tuple[str, str]]:
-        """Mark congestion onsets (newly-saturated links) in the trace."""
-        onsets = saturated - congested_before
-        if onsets:
-            events = self.telemetry.counter(
-                "fabric.congestion_events", "congestion onsets per link"
-            )
-            for u, v in sorted(onsets):
-                events.inc(link=f"{u}->{v}")
-                self.telemetry.tracer.instant(
-                    "congestion_onset", CATEGORY_CONGESTION, now,
-                    link=f"{u}->{v}", active_flows=len(active),
-                )
-        self.telemetry.tracer.sample(
-            "fabric.active_flows", now, flows=len(active),
-            congested_links=len(saturated),
-        )
-        return set(saturated)
 
     def _reroute_hot_flows(
         self,
@@ -846,3 +767,141 @@ class FabricSimulator:
                     flow_links[flow_id] = self._links_of(detour)
                     rerouted = True
         return rerouted
+
+
+class _RunTelemetry:
+    """One :meth:`FabricSimulator.run`'s telemetry recording.
+
+    Each instrument is fetched from the registry once per run, the first
+    time the run records into it, so a run creates exactly the metrics it
+    records into, in the order it first records into them.  Link bytes
+    accumulate per directed link in a plain dict and are published by
+    :meth:`flush` once per run: per-label totals are added in the same
+    chronological order, and a counter starting at 0.0 satisfies
+    ``0.0 + x == x``, so the published values are bit-identical to
+    per-epoch increments.
+    """
+
+    __slots__ = ("telemetry", "tracer", "link_bytes", "_counters", "_fct")
+
+    def __init__(self, telemetry: Telemetry) -> None:
+        self.telemetry = telemetry
+        self.tracer = telemetry.tracer
+        self.link_bytes: Dict[Tuple[str, str], float] = {}
+        self._counters: Dict[str, Counter] = {}
+        self._fct: Optional[Histogram] = None
+
+    def _counter(self, name: str, description: str = "") -> Counter:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.telemetry.counter(
+                name, description
+            )
+        return counter
+
+    def offer(self, flows: Sequence[Flow]) -> None:
+        """Account the bytes of newly admitted flows (the offered ledger)."""
+        inc = self._counter(
+            "fabric.flow_bytes_offered", "bytes injected at flow admission"
+        ).inc
+        for flow in flows:
+            inc(flow.size, tag=flow.tag or "flow")
+
+    def finish(self, done: Sequence[FlowStats]) -> None:
+        """Account finished flows: FCT histogram, bytes and a trace span."""
+        if self._fct is None:
+            self._fct = self.telemetry.histogram(
+                "fabric.fct_seconds", FCT_BUCKETS, "flow completion time"
+            )
+        observe = self._fct.observe
+        inc = self._counter("fabric.flow_bytes").inc
+        complete = self.tracer.complete
+        for stats in done:
+            tag = stats.tag or "flow"
+            observe(stats.completion_time, tag=tag)
+            inc(stats.size, tag=tag)
+            complete(
+                f"flow:{tag}", CATEGORY_FLOW, stats.start_time,
+                stats.finish_time, flow_id=stats.flow_id, bytes=stats.size,
+                hops=stats.path_hops,
+            )
+
+    def drop(self, stats: FlowStats) -> None:
+        """Account one dropped flow (no FCT sample — it never completed)."""
+        tag = stats.tag or "flow"
+        self._counter(
+            "fabric.flows.dropped", "flows killed by link failures"
+        ).inc(tag=tag)
+        if stats.delivered_bytes > 0:
+            self._counter("fabric.flow_bytes").inc(
+                stats.delivered_bytes, tag=tag
+            )
+        lost = stats.size - stats.delivered_bytes
+        if lost > 0:
+            self._counter(
+                "fabric.flow_bytes_lost",
+                "offered bytes that never reached their destination",
+            ).inc(lost, tag=tag)
+        self.tracer.complete(
+            f"flow:{tag}", CATEGORY_FLOW, stats.start_time, stats.finish_time,
+            flow_id=stats.flow_id, bytes=stats.delivered_bytes, dropped=True,
+        )
+
+    def rerouted(self, tag: str) -> None:
+        """Count one in-flight flow re-routed around a dead link."""
+        self._counter(
+            "fabric.flows.rerouted",
+            "in-flight flows re-routed around a dead link",
+        ).inc(tag=tag or "flow")
+
+    def carry(
+        self,
+        remaining: Dict[int, float],
+        flow_links: Dict[int, List[Tuple[str, str]]],
+        rate_of,
+        step: float,
+    ) -> None:
+        """Add one interval's bytes to every link each active flow crosses."""
+        carried = self.link_bytes
+        get = carried.get
+        for flow_id in remaining:
+            moved = rate_of(flow_id, 0.0) * step
+            if moved > 0:
+                for link in flow_links[flow_id]:
+                    carried[link] = get(link, 0.0) + moved
+
+    def flush(self) -> None:
+        """Publish the accumulated per-link byte totals."""
+        if not self.link_bytes:
+            return
+        link_bytes = self._counter(
+            "fabric.link_bytes", "bytes carried per directed link"
+        )
+        for (u, v), total in self.link_bytes.items():
+            link_bytes.inc(total, link=f"{u}->{v}")
+        self.link_bytes = {}
+
+    def congestion(
+        self,
+        now: float,
+        saturated: Set[Tuple[str, str]],
+        congested_before: Set[Tuple[str, str]],
+        active_flows: int,
+    ) -> Set[Tuple[str, str]]:
+        """Mark congestion onsets (newly-saturated links) in the trace."""
+        onsets = saturated - congested_before
+        if onsets:
+            events = self._counter(
+                "fabric.congestion_events", "congestion onsets per link"
+            )
+            for u, v in sorted(onsets):
+                events.inc(link=f"{u}->{v}")
+                self.tracer.instant(
+                    "congestion_onset", CATEGORY_CONGESTION, now,
+                    link=f"{u}->{v}", active_flows=active_flows,
+                )
+        self.tracer.sample(
+            "fabric.active_flows", now, flows=active_flows,
+            congested_links=len(saturated),
+        )
+        return set(saturated)

@@ -16,7 +16,9 @@ substrates need portable software interfaces:
 * :class:`IndexedSolver` (``"indexed"``, the default) — the same rounds
   over a link index built once per solve: each round takes a C-level
   ``min`` over the fair shares and updates only the links the fixed flows
-  cross.  Pure Python and stateless between epochs.
+  cross.  An epoch whose flows share no link (most low-concurrency
+  epochs) skips the rounds: each flow gets its path's smallest capacity.
+  Pure Python and stateless between epochs.
 * :class:`NumpySolver` (``"numpy"``, opt-in) — vectorised water-filling
   over a link×flow incidence matrix maintained *incrementally* across
   epochs: per-link membership columns are only rebuilt for flows whose
@@ -47,6 +49,7 @@ explicit ``solver=``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -262,10 +265,14 @@ class IndexedSolver(RateSolver):
     round.  This solver builds the counts once per solve and then pays
     per round only for what the round changes:
 
-    * one pass over ``flow_links`` numbers the links in use and lists each
-      link's flows in admission order, once per traversal, so a list's
-      length is the link's user count with multiplicity; index-aligned
-      capacity, count and fair-share lists follow from it;
+    * first, a scan that stops at the first link traversed twice: when
+      there is none, every link has one user and max-min needs no rounds
+      (see :meth:`_disjoint_rates`).  A contended epoch reads only the
+      prefix of its flows up to the first shared link;
+    * otherwise one pass over ``flow_links`` numbers the links in use and
+      lists each link's flows in admission order, once per traversal, so
+      a list's length is the link's user count with multiplicity;
+      index-aligned capacity, count and fair-share lists follow from it;
     * each round takes the C-level ``min`` of that list, fixes the
       bottleneck's unfixed members, and updates capacity, count and share
       only on the links those flows cross; a drained link's share becomes
@@ -297,9 +304,21 @@ class IndexedSolver(RateSolver):
         flow_links: Dict[int, List[Link]],
         remaining_bytes: Optional[Dict[int, float]] = None,
     ) -> Tuple[Dict[int, float], Set[Link]]:
+        saturated: Set[Link] = set()
+        # Link-disjoint flows need no rounds (see _disjoint_rates).  The
+        # scan stops at the first link traversed twice, so a contended
+        # epoch reads only a prefix of its flows here.
+        seen: Set[Link] = set()
+        traversals = 0
+        for path in flow_links.values():
+            seen.update(path)
+            traversals += len(path)
+            if len(seen) != traversals:
+                break
+        else:
+            return self._disjoint_rates(flow_links), saturated
         infinity = float("inf")
         rates: Dict[int, float] = {}
-        saturated: Set[Link] = set()
         # Flows by admission position; links by first use in this solve.
         flow_ids = list(flow_links)
         flow_rows: List[List[int]] = []
@@ -363,6 +382,29 @@ class IndexedSolver(RateSolver):
                 if not fixed[position]:
                     rates[flow_id] = infinity
         return rates, saturated
+
+    def _disjoint_rates(
+        self, flow_links: Dict[int, List[Link]]
+    ) -> Dict[int, float]:
+        """Max-min rates when no link is traversed twice.
+
+        Every link then has one user, so each round's fair share is a bare
+        capacity (``cap / 1 == cap``) and fixing a flow touches no other
+        flow's links: each flow gets the smallest capacity on its path
+        (``min`` keeps the first of equal minima, as the reference's strict
+        ``<`` does), a zero-length path gets ``inf``, and no link reaches
+        :data:`MIN_CONTENDERS_FOR_CONGESTION`.  The reference fixes flows
+        in ascending rate with ties in admission order; a stable sort
+        reproduces that insertion order.
+        """
+        infinity = float("inf")
+        lookup = self._capacities.__getitem__
+        rates = {}
+        for flow_id, path in flow_links.items():
+            rates[flow_id] = min(map(lookup, path)) if path else infinity
+        if len(rates) > 1:
+            rates = dict(sorted(rates.items(), key=itemgetter(1)))
+        return rates
 
     @staticmethod
     def _tie_break(

@@ -17,9 +17,15 @@ this module memoises them **per topology object**:
   :class:`~repro.interconnect.tenancy.SlicedFabric`) starts from an empty
   cache and can never see its parent's routes. Derivation sites call
   :func:`invalidate_route_cache` anyway, as defence in depth.
+* A miss does not go through :func:`networkx.shortest_path`: the cache
+  runs its own port of networkx's bidirectional BFS over neighbour lists
+  it takes from the graph once, in ``graph.adj`` order, so it returns the
+  same node list without networkx's per-call dispatch and view
+  construction.  Propagation delays sum a per-link latency map, also
+  built once, in the same left-to-right order as per-edge reads.
 * Code that mutates a ``topology.graph`` **in place** must call
   :func:`invalidate_route_cache` afterwards — the cache cannot observe
-  in-place edits.
+  in-place edits (its neighbour lists and latency map included).
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
@@ -28,7 +34,7 @@ and adaptive routes draw from an RNG and are always computed fresh.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -55,7 +61,8 @@ class RouteCache:
     """
 
     __slots__ = ("_graph", "_name", "_paths", "_links", "_delays",
-                 "_capacities", "hits", "misses")
+                 "_capacities", "_successors", "_predecessors", "_latencies",
+                 "hits", "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._graph = topology.graph
@@ -64,6 +71,9 @@ class RouteCache:
         self._links: Dict[Tuple[str, str], List[Link]] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
         self._capacities: Dict[Link, float] = {}
+        self._successors: Dict[str, List[str]] = {}
+        self._predecessors: Dict[str, List[str]] = {}
+        self._latencies: Dict[Link, float] = {}
         self.hits = 0
         self.misses = 0
 
@@ -75,10 +85,55 @@ class RouteCache:
         path = self._paths.get(key)
         if path is None:
             self.misses += 1
-            path = nx.shortest_path(self._graph, source, destination)
+            path = self._shortest_path(source, destination)
             self._paths[key] = path
         else:
             self.hits += 1
+        return path
+
+    def _shortest_path(self, source: str, target: str) -> List[str]:
+        """``nx.shortest_path(graph, source, target)``, node for node.
+
+        A port of networkx's unweighted bidirectional BFS
+        (``bidirectional_shortest_path`` and ``_bidirectional_pred_succ``)
+        over plain neighbour lists taken once from ``graph.adj`` (``pred``
+        and ``succ`` for a directed graph) in the graph's own order.
+        Visiting neighbours in the same order expands the same fringes and
+        meets at the same node, so the path is the one networkx returns;
+        the exceptions and messages are networkx's too.  It skips the
+        per-call dispatch and adjacency-view construction that dominate a
+        cold lookup.
+        """
+        succ_of = self._successors
+        if not succ_of:
+            graph = self._graph
+            succ_of.update(
+                (node, list(neighbours)) for node, neighbours in graph.adj.items()
+            )
+            if graph.is_directed():
+                self._predecessors.update(
+                    (node, list(neighbours))
+                    for node, neighbours in graph.pred.items()
+                )
+        if source not in succ_of:
+            raise nx.NodeNotFound(f"Source {source} is not in G")
+        if target not in succ_of:
+            raise nx.NodeNotFound(f"Target {target} is not in G")
+        if target == source:
+            return [source]
+        pred, succ, meet = _bidirectional_pred_succ(
+            succ_of, self._predecessors or succ_of, source, target
+        )
+        path = []
+        node = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[path[-1]]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
         return path
 
     def links_of(self, path: List[str]) -> List[Link]:
@@ -108,8 +163,19 @@ class RouteCache:
         return self._sum_latency(path)
 
     def _sum_latency(self, path: List[str]) -> float:
-        edges = self._graph.edges
-        return sum(float(edges[u, v]["latency"]) for u, v in zip(path, path[1:]))
+        # The same ``sum`` over the same per-hop floats, left to right, as
+        # reading ``graph.edges[u, v]["latency"]`` hop by hop.
+        latencies = self._latencies
+        if not latencies:
+            graph = self._graph
+            directed = graph.is_directed()
+            for u, v, data in graph.edges(data=True):
+                if "latency" in data:
+                    latency = float(data["latency"])
+                    latencies[(u, v)] = latency
+                    if not directed:
+                        latencies[(v, u)] = latency
+        return sum(map(latencies.__getitem__, zip(path, path[1:])))
 
     # --- capacities ----------------------------------------------------------
 
@@ -131,11 +197,15 @@ class RouteCache:
     # --- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop every memoised route/link/capacity (stats are kept)."""
+        """Drop every memoised route, link, capacity, neighbour list and
+        latency (stats are kept)."""
         self._paths.clear()
         self._links.clear()
         self._delays.clear()
         self._capacities.clear()
+        self._successors.clear()
+        self._predecessors.clear()
+        self._latencies.clear()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters plus current cache population."""
@@ -150,6 +220,47 @@ class RouteCache:
             f"RouteCache({self._name!r}, routes={len(self._paths)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def _bidirectional_pred_succ(
+    succ_of: Dict[str, List[str]],
+    pred_of: Dict[str, List[str]],
+    source: str,
+    target: str,
+) -> Tuple[Dict[str, Optional[str]], Dict[str, Optional[str]], str]:
+    """networkx's ``_bidirectional_pred_succ`` over neighbour lists.
+
+    Breadth-first from both ends, always expanding the smaller fringe
+    (the forward one on a tie), until a node reached from one side is
+    known to the other.  Returns the predecessor map towards ``source``,
+    the successor map towards ``target`` and the meeting node.
+    """
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    forward_fringe = [source]
+    reverse_fringe = [target]
+    while forward_fringe and reverse_fringe:
+        if len(forward_fringe) <= len(reverse_fringe):
+            this_level = forward_fringe
+            forward_fringe = []
+            for v in this_level:
+                for w in succ_of[v]:
+                    if w not in pred:
+                        forward_fringe.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return pred, succ, w
+        else:
+            this_level = reverse_fringe
+            reverse_fringe = []
+            for v in this_level:
+                for w in pred_of[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse_fringe.append(w)
+                    if w in pred:
+                        return pred, succ, w
+    raise nx.NetworkXNoPath(f"No path between {source} and {target}.")
 
 
 def route_cache_for(topology: Topology) -> RouteCache:

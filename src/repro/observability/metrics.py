@@ -24,6 +24,9 @@ _NO_LABELS: Tuple[Tuple[str, str], ...] = ()
 
 
 def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
+    if len(labels) == 1:  # the common single-label call: nothing to sort
+        ((key, value),) = labels.items()
+        return ((key, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -557,20 +557,18 @@ def run_sweep(
             completed[result.index] = result
     else:
         context = _pool_context()
-        chunksize = max(1, len(jobs) // (workers * 4))
+        # One point per task: ordered ``imap`` hands back the first result
+        # as soon as point 0 finishes, not after a whole chunk, and the
+        # workers stay balanced to the last point.
         with context.Pool(processes=workers) as pool:
             try:
                 if strict:
-                    for result in pool.imap(
-                        _run_point, jobs, chunksize=chunksize
-                    ):
+                    for result in pool.imap(_run_point, jobs):
                         if progress is not None:
                             progress(result)
                         completed[result.index] = result
                 else:
-                    for kind, payload in pool.imap(
-                        _run_point_guarded, jobs, chunksize=chunksize
-                    ):
+                    for kind, payload in pool.imap(_run_point_guarded, jobs):
                         if kind == "ok":
                             if progress is not None:
                                 progress(payload)

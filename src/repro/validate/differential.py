@@ -4,9 +4,10 @@ Each check re-derives an answer two ways — the optimised production path
 and an independent (slower, simpler) reference — and demands agreement:
 
 * :func:`check_routes` — :class:`~repro.interconnect.routecache.RouteCache`
-  memoised routes vs uncached :mod:`networkx` shortest paths, link
-  decompositions vs plain pair-zipping, cached propagation delays vs a
-  manual per-edge latency sum.
+  memoised routes vs uncached :mod:`networkx` shortest paths (node for
+  node, on every canned fabric topology), link decompositions vs plain
+  pair-zipping, cached propagation delays vs a manual per-edge latency
+  sum (``==``).
 * :func:`check_collectives` — the alpha-beta-gamma closed forms vs
   step-by-step round loops that accumulate one message at a time.
 * :func:`check_checkpointing` — the Young/Daly interval vs a numeric grid
@@ -72,15 +73,20 @@ class DifferentialResult:
 
 
 def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
-    """Cached routing vs uncached networkx on two topology families."""
+    """Cached routing vs uncached networkx on every canned fabric topology.
+
+    For ``pairs`` sampled endpoint pairs per topology kind the cached
+    route must be node for node the path ``nx.shortest_path`` returns (a
+    different path of equal length would still change every golden), its
+    link decomposition must be plain pair-zipping, and its propagation
+    delay must ``==`` a manual left-to-right sum of per-edge latencies.
+    """
     from repro.interconnect.routecache import route_cache_for
     from repro.interconnect.topology import build_topology
+    from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
     topologies = [
-        build_topology(
-            "dragonfly", groups=6, routers_per_group=4, terminals=4
-        ),
-        build_topology("fat-tree", k=4),
+        build_topology(kind, **spec) for kind, spec in _FABRIC_TOPOLOGIES.items()
     ]
     rng = RandomSource(seed=seed, name="validate/routes")
     comparisons = 0
@@ -96,31 +102,14 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
             cached = cache.minimal_route(source, destination)
             # Independent reference: a fresh shortest-path computation on
             # the raw graph, no cache involved.
-            reference_hops = nx.shortest_path_length(
-                graph, source, destination
-            )
+            reference = nx.shortest_path(graph, source, destination)
             comparisons += 1
-            if cached[0] != source or cached[-1] != destination:
-                failures.append(
-                    f"{topology.name}: route {source}->{destination} has "
-                    f"endpoints {cached[0]}..{cached[-1]}"
-                )
-                continue
-            if len(cached) - 1 != reference_hops:
+            if cached != reference:
                 failures.append(
                     f"{topology.name}: cached {source}->{destination} is "
-                    f"{len(cached) - 1} hops, networkx says "
-                    f"{reference_hops}"
+                    f"{cached}, networkx says {reference}"
                 )
-            missing = [
-                (u, v) for u, v in zip(cached, cached[1:])
-                if not graph.has_edge(u, v)
-            ]
-            if missing:
-                failures.append(
-                    f"{topology.name}: cached route uses non-edges "
-                    f"{missing}"
-                )
+                continue
             links = cache.links_of(cached)
             if links != list(zip(cached, cached[1:])):
                 failures.append(
@@ -132,16 +121,14 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
                 float(graph.edges[u, v]["latency"])
                 for u, v in zip(cached, cached[1:])
             )
-            if not math.isclose(
-                delay, reference_delay, rel_tol=1e-12, abs_tol=1e-18
-            ):
+            if delay != reference_delay:
                 failures.append(
-                    f"{topology.name}: cached delay {delay} != manual sum "
-                    f"{reference_delay} for {source}->{destination}"
+                    f"{topology.name}: cached delay {delay!r} != manual sum "
+                    f"{reference_delay!r} for {source}->{destination}"
                 )
     detail = (
-        f"{len(topologies)} topologies x {pairs} pairs agree with "
-        "uncached networkx"
+        f"{len(topologies)} topologies x {pairs} pairs agree node for node "
+        "with uncached networkx"
         if not failures
         else "; ".join(failures[:3])
     )

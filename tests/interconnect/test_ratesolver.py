@@ -282,6 +282,67 @@ class TestExactness:
                 assert solver.solve(epoch) == expected, solver.name
 
 
+class TestLowConcurrencyEpochs:
+    """Tiny epochs, where ``"indexed"`` takes its link-disjoint shortcut
+    or falls back to the rounds: rates, their insertion order and the
+    saturated set must all match the reference."""
+
+    CAPS = {AB: 10.0, BC: 4.0, CD: 7.0, ("d", "e"): 4.0, ("e", "f"): 9.0}
+    DE, EF = ("d", "e"), ("e", "f")
+
+    def _agree(self, flow_links, remaining_bytes=None):
+        reference = get_solver("reference")
+        indexed = get_solver("indexed")
+        for solver in (reference, indexed):
+            solver.bind(dict(self.CAPS))
+        expected = reference.solve(dict(flow_links), remaining_bytes)
+        got = indexed.solve(dict(flow_links), remaining_bytes)
+        assert got == expected
+        assert list(got[0]) == list(expected[0])  # insertion order too
+        return got
+
+    def test_one_flow(self):
+        rates, saturated = self._agree({7: [AB, BC, CD]})
+        assert rates == {7: 4.0} and saturated == set()
+
+    def test_disjoint_flows_distinct_capacities(self):
+        rates, saturated = self._agree(
+            {1: [AB], 2: [BC], 3: [CD], 4: [self.EF]}
+        )
+        assert list(rates.items()) == [
+            (2, 4.0), (3, 7.0), (4, 9.0), (1, 10.0),
+        ]
+        assert saturated == set()
+
+    def test_disjoint_flows_tied_capacities(self):
+        # BC and DE tie at 4.0: the earlier-admitted flow is fixed first.
+        rates, _ = self._agree({5: [self.DE], 3: [AB, BC], 9: [CD]})
+        assert list(rates.items()) == [(5, 4.0), (3, 4.0), (9, 7.0)]
+
+    def test_empty_path(self):
+        rates, _ = self._agree({1: [], 2: [BC], 3: [], 4: [AB]})
+        assert list(rates.items()) == [
+            (2, 4.0), (4, 10.0), (1, float("inf")), (3, float("inf")),
+        ]
+
+    def test_detour_crossing_one_link_twice(self):
+        # A single flow, but AB carries it twice: no shortcut.
+        rates, _ = self._agree({1: [AB, CD, AB]})
+        assert rates == {1: 5.0}  # AB counts the flow twice: 10 / 2
+        self._agree({1: [AB, self.DE, AB], 2: [CD]})
+
+    def test_two_flows_share_a_link(self):
+        rates, saturated = self._agree({1: [AB, BC], 2: [BC, CD]})
+        assert rates == {1: 2.0, 2: 2.0} and saturated == set()
+
+    def test_three_flows_share_a_link(self):
+        flows = {1: [AB, BC], 2: [BC], 3: [CD, BC]}
+        rates, saturated = self._agree(flows)
+        assert set(rates.values()) == {4.0 / 3} and saturated == {BC}
+        _, saturated = self._agree(flows, {1: 1e-6, 2: 1e-6, 3: 1e-6})
+        assert saturated == set()  # mice: no standing queue
+
+
 class TestIncrementalIncidence:
     """White-box: the numpy solver only touches dirty links."""
 

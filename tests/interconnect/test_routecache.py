@@ -2,6 +2,7 @@
 
 import gc
 
+import networkx as nx
 import pytest
 
 from repro.core.rng import RandomSource
@@ -14,11 +15,14 @@ from repro.interconnect.routecache import (
     route_cache_for,
 )
 from repro.interconnect.topology import (
+    Topology,
     build_dragonfly,
     build_fat_tree,
     build_hyperx,
+    build_topology,
     build_two_tier,
 )
+from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -220,6 +224,135 @@ class TestInvalidation:
             assert stats
         finally:
             topology.graph.add_edge(*victim, **attrs)
+            invalidate_route_cache(topology)
+
+
+class TestShortestPathPort:
+    """The cache's own bidirectional BFS must return exactly the path
+    ``nx.shortest_path`` returns, and raise what it raises."""
+
+    @pytest.mark.parametrize("kind", sorted(_FABRIC_TOPOLOGIES))
+    def test_all_pairs_match_networkx(self, kind):
+        topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
+        graph = topology.graph
+        cache = RouteCache(topology)
+        nodes = list(graph.nodes)
+        for source in nodes:
+            for destination in nodes:
+                assert cache.minimal_route(source, destination) == (
+                    nx.shortest_path(graph, source, destination)
+                ), (source, destination)
+
+    def test_directed_graph_matches_networkx(self):
+        graph = nx.gnp_random_graph(24, 0.12, seed=5, directed=True)
+        nx.set_node_attributes(graph, "switch", "role")
+        topology = Topology("random-digraph", graph)
+        cache = RouteCache(topology)
+        for source in graph:
+            for destination in graph:
+                try:
+                    expected = nx.shortest_path(graph, source, destination)
+                except nx.NetworkXNoPath:
+                    with pytest.raises(nx.NetworkXNoPath):
+                        cache.minimal_route(source, destination)
+                    continue
+                assert cache.minimal_route(source, destination) == expected
+
+    def test_source_equals_destination(self):
+        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        node = topology.terminals[0]
+        assert RouteCache(topology).minimal_route(node, node) == [node]
+
+    def test_unknown_node_raises_node_not_found(self):
+        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        cache = RouteCache(topology)
+        known = topology.terminals[0]
+        for source, destination in (("nowhere", known), (known, "nowhere")):
+            with pytest.raises(nx.NodeNotFound) as ours:
+                cache.minimal_route(source, destination)
+            with pytest.raises(nx.NodeNotFound) as theirs:
+                nx.shortest_path(topology.graph, source, destination)
+            assert str(ours.value) == str(theirs.value)
+
+    def test_disconnected_pair_raises_no_path(self):
+        graph = nx.Graph()
+        graph.add_edge("a", "b", bandwidth=1e9, latency=1e-6)
+        graph.add_edge("c", "d", bandwidth=1e9, latency=1e-6)
+        nx.set_node_attributes(graph, "switch", "role")
+        cache = RouteCache(Topology("split", graph))
+        with pytest.raises(nx.NetworkXNoPath) as ours:
+            cache.minimal_route("a", "d")
+        with pytest.raises(nx.NetworkXNoPath) as theirs:
+            nx.shortest_path(graph, "a", "d")
+        assert str(ours.value) == str(theirs.value)
+
+    def test_propagation_delay_is_the_per_edge_sum(self):
+        topology = build_dragonfly(
+            groups=4, routers_per_group=3, terminals_per_router=2
+        )
+        graph = topology.graph
+        cache = RouteCache(topology)
+        terminals = topology.terminals
+        for destination in terminals[1:]:
+            path = cache.minimal_route(terminals[0], destination)
+            detour = path + path[-2::-1]  # there and back: not memoised
+            for route in (path, detour):
+                assert cache.propagation_delay(route) == sum(
+                    float(graph.edges[u, v]["latency"])
+                    for u, v in zip(route, route[1:])
+                )
+
+    def test_propagation_delay_sums_left_to_right(self):
+        # Float addition is order dependent: (0.1 + 0.2) + 0.3 differs
+        # from 0.3 + 0.2 + 0.1 in the last bit.
+        graph = nx.Graph()
+        for (u, v), latency in zip(
+            [("a", "b"), ("b", "c"), ("c", "d")], [0.1, 0.2, 0.3]
+        ):
+            graph.add_edge(u, v, bandwidth=1e9, latency=latency)
+        nx.set_node_attributes(graph, "switch", "role")
+        cache = RouteCache(Topology("line", graph))
+        path = cache.minimal_route("a", "d")
+        assert cache.propagation_delay(path) == 0.1 + 0.2 + 0.3
+        assert cache.propagation_delay(path[::-1]) == 0.3 + 0.2 + 0.1
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+
+    def test_maps_rebuilt_after_a_link_flap(self):
+        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        graph = topology.graph
+        cache = route_cache_for(topology)
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        before = cache.minimal_route(source, destination)
+        cache.propagation_delay(before)
+        u, v = next(
+            (a, b) for a, b in zip(before, before[1:])
+            if a in topology.switches and b in topology.switches
+        )
+        attrs = dict(graph.edges[u, v])
+        graph.remove_edge(u, v)
+        try:
+            invalidate_route_cache(topology)
+            # The dropped cache let go of its adjacency and latency maps.
+            assert not cache._successors and not cache._latencies
+            fresh = route_cache_for(topology)
+            after = fresh.minimal_route(source, destination)
+            assert after == nx.shortest_path(graph, source, destination)
+            assert (u, v) not in zip(after, after[1:])
+            assert v not in fresh._successors[u]
+            assert fresh.propagation_delay(after) == sum(
+                float(graph.edges[a, b]["latency"])
+                for a, b in zip(after, after[1:])
+            )
+            assert (u, v) not in fresh._latencies
+            # Repair the link in place: the next cache sees it again.
+            graph.add_edge(u, v, **attrs)
+            invalidate_route_cache(topology)
+            repaired = route_cache_for(topology)
+            assert repaired.minimal_route(source, destination) == before
+            assert v in repaired._successors[u]
+        finally:
+            if not graph.has_edge(u, v):
+                graph.add_edge(u, v, **attrs)
             invalidate_route_cache(topology)
 
 

@@ -15,11 +15,28 @@ class TestRoutesDifferential:
     def test_cached_routes_agree_with_uncached_networkx(self):
         result = check_routes()
         assert result.passed, result.detail
-        assert result.comparisons == 96  # 2 topologies x 48 pairs
+        assert result.comparisons == 240  # 5 topologies x 48 pairs
 
     def test_sampling_is_seeded(self):
         assert check_routes(seed=7).passed
-        assert check_routes(pairs=8).comparisons == 16
+        assert check_routes(pairs=8).comparisons == 40
+
+    def test_an_equal_length_different_path_fails(self, monkeypatch):
+        # Hop count, endpoints and edge existence all still hold; only
+        # node-for-node identity with networkx catches the swap.
+        import networkx as nx
+
+        from repro.interconnect.routecache import RouteCache
+
+        monkeypatch.setattr(
+            RouteCache, "_shortest_path",
+            lambda self, source, target: list(
+                nx.all_shortest_paths(self._graph, source, target)
+            )[-1],
+        )
+        result = check_routes(pairs=8)
+        assert not result.passed
+        assert "networkx says" in result.detail
 
 
 class TestCollectivesDifferential:
