@@ -9,12 +9,11 @@ figures and the wall-clock profiler's overhead:
   kernel/cluster path,
 * **flows/sec** — one congestion-heavy ``fabric-congestion`` point
   (dragonfly, flow-adaptive policy, 0.95 load), the fabric solver path,
-  run under both rate solvers,
 * **burst flows/sec** — the synchronized-burst point
-  (:mod:`fabric_burst`): hundreds of concurrent flows, where the
-  ``"numpy"`` solver must beat the ``"reference"`` baseline (>= 4x on the
-  full point; the ``--quick`` CI gate requires >= 2x on the smoke size)
-  while producing bit-identical FlowStats.
+  (:mod:`fabric_burst`): hundreds of concurrent flows, where the default
+  indexed solver must beat the reference loop (the ``--quick`` CI gate
+  requires >= 2x on the smoke size) while producing bit-identical
+  FlowStats.
 
 The profiler-overhead gate is **attributed**, not raced: the per-event
 cost of ``ProfilingKernelProbe`` over the plain ``KernelProbe`` is
@@ -146,15 +145,14 @@ def probe_cost_ns(chunks: int = 30, chunk_iterations: int = 10_000) -> float:
     return max(0.0, best_pair_ns(profiling) - best_pair_ns(plain))
 
 
-def bench_fabric(reps: int, solver: str = "reference"):
+def bench_fabric(reps: int):
     """Best-of-``reps`` run of the congestion-heavy fabric point."""
     target = resolve_target("fabric-congestion")
     best = None
     for _ in range(reps):
         telemetry = Telemetry()
-        point = dict(FABRIC_POINT, solver=solver)
         start = time.perf_counter()
-        metrics = target(point, telemetry, RandomSource(seed=7))
+        metrics = target(dict(FABRIC_POINT), telemetry, RandomSource(seed=7))
         wall = time.perf_counter() - start
         flows = metrics["flows_finished"]
         if best is None or wall < best["wall_seconds"]:
@@ -186,7 +184,6 @@ def main() -> int:
     c16 = bench_profile("C16", reps)
     f3 = bench_profile("F3", reps)
     fabric = bench_fabric(reps)
-    fabric_numpy = bench_fabric(reps, solver="numpy")
     burst = fabric_burst.measure_burst(
         fabric_burst.BURST_FLOWS_QUICK if args.quick
         else fabric_burst.BURST_FLOWS,
@@ -244,14 +241,7 @@ def main() -> int:
                 if f3["wall_seconds"] else 0.0
             ),
         },
-        "fabric": {
-            **fabric,
-            "numpy": fabric_numpy,
-            "solver_speedup": (
-                fabric["wall_seconds"] / fabric_numpy["wall_seconds"]
-                if fabric_numpy["wall_seconds"] else float("inf")
-            ),
-        },
+        "fabric": fabric,
         "fabric_burst": burst,
         "min_quick_burst_speedup": fabric_burst.MIN_QUICK_SPEEDUP,
         "overhead_point": OVERHEAD_POINT,
@@ -272,13 +262,11 @@ def main() -> int:
           f"({c16['events']:.0f} events in {c16['wall_seconds']:.3f}s)")
     print(f"F3:  {f3['events_per_sec']:,.0f} events/s, "
           f"{document['f3']['jobs_per_sec']:,.0f} jobs/s")
-    print(f"fabric: {fabric['flows_per_sec']:,.0f} flows/s reference, "
-          f"{fabric_numpy['flows_per_sec']:,.0f} flows/s numpy "
-          f"({fabric['flows']:.0f} flows; "
-          f"{document['fabric']['solver_speedup']:.2f}x)")
+    print(f"fabric: {fabric['flows_per_sec']:,.0f} flows/s "
+          f"({fabric['flows']:.0f} flows)")
     print(f"burst ({burst['flows']} flows): "
           f"{burst['reference']['flows_per_sec']:,.0f} flows/s reference, "
-          f"{burst['numpy']['flows_per_sec']:,.0f} flows/s numpy "
+          f"{burst['indexed']['flows_per_sec']:,.0f} flows/s indexed "
           f"= {burst['speedup']:.2f}x, identical={burst['identical']}")
     print(f"profiler tax on C16: {per_event_ns:.0f} ns/event attributed "
           f"= {on_pct:+.2f}% (budget {MAX_OVERHEAD_PCT:.0f}%); "
@@ -298,11 +286,11 @@ def main() -> int:
               f"the {MAX_OVERHEAD_PCT:.0f}% budget")
         return 1
     if not burst["identical"]:
-        print("ERROR: numpy and reference solvers disagree on the burst "
+        print("ERROR: indexed and reference solvers disagree on the burst "
               "FlowStats")
         return 1
     if args.quick and burst["speedup"] < fabric_burst.MIN_QUICK_SPEEDUP:
-        print(f"ERROR: numpy solver only {burst['speedup']:.2f}x the "
+        print(f"ERROR: indexed solver only {burst['speedup']:.2f}x the "
               f"reference on the quick burst (gate "
               f"{fabric_burst.MIN_QUICK_SPEEDUP:.1f}x)")
         return 1

@@ -7,13 +7,12 @@ hundreds of simultaneous flows — collective onset, checkpoint microbursts,
 incast — and that is where water-filling cost explodes: the reference
 loop is O(flows x links) per round with O(flows) rounds.  This module
 models that regime: every flow starts within a microsecond window, so the
-solver sees the full trace concurrently and the vectorised incremental
-solver's advantage is measured where it matters.
+solver sees the full trace concurrently and the indexed solver's
+advantage over the reference loop is measured where it matters.
 
-Used by ``bench_kernel.py`` (BENCH_kernel.json) and
-``bench_route_cache.py`` (BENCH_fabric.json); both record the reference
-baseline, the numpy figure, their speedup, and a bit-identity verdict
-over the full FlowStats lists.
+Used by ``bench_kernel.py`` (BENCH_kernel.json), which records the
+reference baseline, the default solver's figure, their speedup, and a
+bit-identity verdict over the full FlowStats lists.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Dict, List, Tuple
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import congestion_policy
 from repro.interconnect.fabric import FabricSimulator, Flow
+from repro.interconnect.ratesolver import IndexedSolver, RateSolver, ReferenceSolver
 from repro.interconnect.topology import build_topology
 
 #: The burst topology: mid-size dragonfly, 64 terminals.
@@ -33,8 +33,8 @@ BURST_TOPOLOGY = {"groups": 8, "routers_per_group": 4, "terminals": 2}
 BURST_FLOWS = 768
 BURST_FLOWS_QUICK = 320
 
-#: CI smoke gate: the numpy solver must beat the reference by at least
-#: this factor on the quick burst (the full point targets >= 4x).
+#: CI smoke gate: the default (indexed) solver must beat the reference by
+#: at least this factor on the quick burst.
 MIN_QUICK_SPEEDUP = 2.0
 
 
@@ -58,7 +58,7 @@ def burst_trace(topology, count: int, seed: int = 7) -> List[Flow]:
     return trace
 
 
-def _run_once(topology, flows: int, solver: str) -> Tuple[float, list]:
+def _run_once(topology, flows: int, solver: RateSolver) -> Tuple[float, list]:
     trace = burst_trace(topology, flows)
     simulator = FabricSimulator(
         topology,
@@ -74,28 +74,29 @@ def _run_once(topology, flows: int, solver: str) -> Tuple[float, list]:
 def measure_burst(flows: int, reps: int) -> Dict[str, object]:
     """Best-of-``reps`` burst runs under both solvers, reps interleaved.
 
-    Interleaving (reference, numpy, reference, numpy, ...) spreads host
-    noise across both solvers instead of letting one absorb a slow
-    stretch.  Returns a JSON-ready section with per-solver walls,
-    flows/sec, the speedup, and whether the two solvers' FlowStats are
-    bit-identical.
+    Races the oracle ``ReferenceSolver()`` against the fabric's default
+    ``IndexedSolver()``.  Interleaving (reference, indexed, reference,
+    indexed, ...) spreads host noise across both solvers instead of
+    letting one absorb a slow stretch.  Returns a JSON-ready section with
+    per-solver walls, flows/sec, the speedup, and whether the two solvers'
+    FlowStats are bit-identical.
     """
     topology = build_topology("dragonfly", **BURST_TOPOLOGY)
     best: Dict[str, float] = {}
     stats_of: Dict[str, list] = {}
-    _run_once(topology, min(flows, 64), "numpy")  # warm caches untimed
+    _run_once(topology, min(flows, 64), IndexedSolver())  # warm caches untimed
     for _ in range(reps):
-        for solver in ("reference", "numpy"):
+        for solver in (ReferenceSolver(), IndexedSolver()):
             wall, stats = _run_once(topology, flows, solver)
-            if solver not in best or wall < best[solver]:
-                best[solver] = wall
-            stats_of[solver] = stats
-    reference, numpy_stats = stats_of["reference"], stats_of["numpy"]
-    identical = len(reference) == len(numpy_stats) and all(
+            if solver.name not in best or wall < best[solver.name]:
+                best[solver.name] = wall
+            stats_of[solver.name] = stats
+    reference, indexed = stats_of["reference"], stats_of["indexed"]
+    identical = len(reference) == len(indexed) and all(
         ours.flow_id == theirs.flow_id
         and ours.completion_time == theirs.completion_time
         and ours.size == theirs.size
-        for ours, theirs in zip(reference, numpy_stats)
+        for ours, theirs in zip(reference, indexed)
     )
     return {
         "topology": "dragonfly(8x4x2)",
@@ -105,10 +106,10 @@ def measure_burst(flows: int, reps: int) -> Dict[str, object]:
             "wall_seconds": best["reference"],
             "flows_per_sec": flows / best["reference"],
         },
-        "numpy": {
-            "wall_seconds": best["numpy"],
-            "flows_per_sec": flows / best["numpy"],
+        "indexed": {
+            "wall_seconds": best["indexed"],
+            "flows_per_sec": flows / best["indexed"],
         },
-        "speedup": best["reference"] / best["numpy"],
+        "speedup": best["reference"] / best["indexed"],
         "identical": identical,
     }

@@ -272,25 +272,6 @@ def _parse_axis_value(text: str):
     return text
 
 
-def _select_solver(name: str) -> int:
-    """Make ``name`` the process-wide default rate solver; 0 ok, 2 unknown.
-
-    Every :class:`~repro.interconnect.fabric.FabricSimulator` built
-    without an explicit ``solver=`` (profiles, sweep targets, the fault
-    harness) then uses it.  All registered solvers are bit-identical, so
-    this changes speed, never results.
-    """
-    from repro.core.errors import ConfigurationError
-    from repro.interconnect.ratesolver import set_default_solver
-
-    try:
-        set_default_solver(name)
-    except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    return 0
-
-
 def _command_profile(args: argparse.Namespace) -> int:
     """Run an experiment profile under the wall-clock profiler.
 
@@ -323,9 +304,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             return 2
         key, _, value = clause.partition("=")
         overrides[key] = _parse_axis_value(value)
-
-    if args.solver is not None and (code := _select_solver(args.solver)):
-        return code
 
     profiler = PhaseProfiler(detail=bool(args.chrome))
     sampler = (
@@ -413,8 +391,6 @@ def _resume_command(args: argparse.Namespace, journal_path: str) -> str:
             parts += ["--axis", shlex.quote(axis)]
     if args.seed is not None:
         parts += ["--seed", str(args.seed)]
-    if args.solver is not None:
-        parts += ["--solver", shlex.quote(args.solver)]
     if args.workers != 1:
         parts += ["--workers", str(args.workers)]
     if args.timeout is not None:
@@ -477,22 +453,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
                   "(or pass --target with --axis)", file=sys.stderr)
             return 2
         spec = named_sweep(args.name, seed=args.seed)
-    if args.solver is not None:
-        from repro.interconnect.ratesolver import SOLVERS
-
-        if args.solver not in SOLVERS:
-            known = ", ".join(sorted(SOLVERS))
-            print(f"unknown rate solver {args.solver!r}; registered: {known}",
-                  file=sys.stderr)
-            return 2
-        # A single-value rider axis: the solver name reaches the target as
-        # a point parameter and is folded into the sweep fingerprint, so
-        # sweeps run under different solvers never collide in a store.
-        grid = spec.grid.axes
-        grid["solver"] = [args.solver]
-        spec = SweepSpec(
-            name=spec.name, target=spec.target, grid=grid, seed=spec.seed
-        )
     try:
         from repro.sweep import resolve_target
 
@@ -852,8 +812,6 @@ def _command_faults(args: argparse.Namespace) -> int:
     from repro.observability.export import counter_rows
     from repro.profiles import run
 
-    if args.solver is not None and (code := _select_solver(args.solver)):
-        return code
     overrides = {}
     if args.nodes is not None:
         overrides["nodes"] = args.nodes
@@ -889,8 +847,6 @@ def _command_validate(args: argparse.Namespace) -> int:
     from repro.core.errors import ConfigurationError
     from repro.validate import DEFAULT_RTOL, validate
 
-    if args.solver is not None and (code := _select_solver(args.solver)):
-        return code
     try:
         report = validate(
             mode="record" if args.record else "check",
@@ -908,9 +864,6 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.interconnect.ratesolver import SOLVERS
-
-    solvers = ", ".join(sorted(SOLVERS))
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Diversified heterogeneous HPC simulation framework "
@@ -1000,11 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prometheus", default=None, metavar="PATH",
         help="write the run's metrics as Prometheus text exposition here",
     )
-    profile.add_argument(
-        "--solver", default=None, metavar="NAME",
-        help=f"rate solver for fabric phases ({solvers}); "
-             "bit-identical results, different speed",
-    )
 
     sweep = subparsers.add_parser(
         "sweep", help="run a scenario sweep over a worker pool"
@@ -1088,11 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prometheus", default=None, metavar="PATH",
         help="write the merged sweep telemetry as Prometheus text "
              "exposition here (implies --telemetry)",
-    )
-    sweep.add_argument(
-        "--solver", default=None, metavar="NAME",
-        help=f"add a single-value solver axis ({solvers}) to the "
-             "grid; rides into every point and the sweep fingerprint",
     )
     sweep.add_argument(
         "--jitter", type=float, default=0.0, metavar="FRACTION",
@@ -1289,10 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--repair-time", type=float, default=None)
     faults.add_argument("--max-jobs", type=int, default=None)
     faults.add_argument("--seed", type=int, default=None)
-    faults.add_argument(
-        "--solver", default=None, metavar="NAME",
-        help=f"rate solver for any fabric phases ({solvers})",
-    )
 
     validate = subparsers.add_parser(
         "validate",
@@ -1327,11 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--skip-differential", action="store_true",
         help="skip the differential model checks",
-    )
-    validate.add_argument(
-        "--solver", default=None, metavar="NAME",
-        help=f"run the whole pipeline under this rate solver ({solvers}); "
-             "goldens must still match — solvers are bit-identical",
     )
     return parser
 

@@ -214,4 +214,6 @@ class AccountingLedger:
         if gross == 0:
             return 0.0
         settled = sum(amount for _, _, amount in self.settlement_transfers())
-        return 1.0 - settled / gross
+        # Netting never settles more than the gross, but the two sums round
+        # differently: clamp so a no-savings ledger reports 0.0, not -ulp.
+        return max(0.0, 1.0 - settled / gross)

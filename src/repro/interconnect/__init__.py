@@ -33,13 +33,8 @@ from repro.interconnect.congestion import (
 from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats, LinkEvent
 from repro.interconnect.ratesolver import (
     IndexedSolver,
-    NumpySolver,
     RateSolver,
     ReferenceSolver,
-    default_solver_name,
-    get_solver,
-    register_solver,
-    set_default_solver,
 )
 from repro.interconnect.failures import (
     ConnectivityCurve,
@@ -119,7 +114,6 @@ __all__ = [
     "MemoryPool",
     "MemoryTier",
     "NoCongestionControl",
-    "NumpySolver",
     "PhotonicsCostModel",
     "RateSolver",
     "ReferenceSolver",
@@ -138,17 +132,13 @@ __all__ = [
     "build_topology",
     "build_torus",
     "build_two_tier",
-    "default_solver_name",
     "electrical_reach",
     "enable_topology_cache",
     "encryption_overhead",
-    "get_solver",
     "invalidate_route_cache",
     "minimal_route",
     "normalize_topology_kind",
-    "register_solver",
     "route_cache_for",
-    "set_default_solver",
     "topology_cache_stats",
     "training_step_communication",
     "valiant_route",

@@ -21,8 +21,8 @@ benchmark harnesses compute mean/p99 FCT, goodput and slowdown.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -31,18 +31,13 @@ import networkx as nx
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import CongestionManager, NoCongestionControl
-from repro.interconnect.ratesolver import (
-    CONGESTION_BACKLOG_THRESHOLD,
-    MIN_CONTENDERS_FOR_CONGESTION,
-    RateSolver,
-    resolve_solver,
-)
+from repro.interconnect.ratesolver import IndexedSolver, RateSolver
 from repro.interconnect.routecache import (
     RouteCache,
     invalidate_route_cache,
     route_cache_for,
 )
-from repro.interconnect.routing import Path, minimal_route, valiant_route
+from repro.interconnect.routing import Path, valiant_route
 from repro.interconnect.topology import Topology
 from repro.observability.metrics import Counter, Histogram, exponential_buckets
 from repro.observability.probes import (
@@ -63,10 +58,6 @@ FCT_BUCKETS = exponential_buckets(1e-6, 10.0, 9)
 
 _flow_ids = itertools.count()
 
-# MIN_CONTENDERS_FOR_CONGESTION and CONGESTION_BACKLOG_THRESHOLD moved to
-# :mod:`repro.interconnect.ratesolver` with the water-filling algorithm; the
-# imports above re-export them here for backwards compatibility.
-
 
 @dataclass
 class Flow:
@@ -84,10 +75,14 @@ class Flow:
     flow_id: int = field(default_factory=lambda: next(_flow_ids))
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ConfigurationError(f"flow size must be positive: {self.size}")
-        if self.start_time < 0:
-            raise ConfigurationError("start_time must be non-negative")
+        if not math.isfinite(self.size) or self.size <= 0:
+            raise ConfigurationError(
+                f"flow size must be positive and finite: {self.size}"
+            )
+        if not math.isfinite(self.start_time) or self.start_time < 0:
+            raise ConfigurationError(
+                f"start_time must be non-negative and finite: {self.start_time}"
+            )
 
 
 @dataclass(frozen=True)
@@ -142,20 +137,10 @@ class LinkEvent:
     up: bool = False
 
 
-#: Sentinel distinguishing "not passed" from any real argument value in the
-#: positional-compatibility shim.
-_UNSET = object()
-
-#: Legacy positional parameter order of ``FabricSimulator.__init__`` (before
-#: configuration became keyword-only).
-_POSITIONAL_CONFIG = ("congestion", "routing", "reroute_adaptively", "rng", "telemetry")
-
-
 class FabricSimulator:
     """Progressive-filling flow simulator over a :class:`Topology`.
 
-    All configuration is keyword-only; passing it positionally still works
-    but emits a :class:`DeprecationWarning`.
+    All configuration is keyword-only.
 
     Parameters
     ----------
@@ -175,81 +160,45 @@ class FabricSimulator:
         the simulator records per-flow spans and an FCT histogram,
         per-link byte counters, and congestion-onset events. The fabric
         keeps its own clock, so all trace timestamps are explicit.
-    cache_routes:
-        Use the topology's shared :class:`~repro.interconnect.routecache.RouteCache`
-        for minimal routes, link decompositions, propagation delays and the
-        link-capacity map. Caching is behaviour-preserving (results are
-        bit-identical); disable it only to measure its effect.
     solver:
-        The max-min rate solver: a registry name (``"indexed"``,
-        ``"reference"``, ``"numpy"``), a
-        :class:`~repro.interconnect.ratesolver.RateSolver` instance, or
-        ``None`` for the process default, ``"indexed"`` unless changed by
-        :func:`~repro.interconnect.ratesolver.set_default_solver`.  All
-        registered solvers are bit-identical; ``"reference"`` is the
-        oracle, and the opt-in ``"numpy"`` is slower than ``"indexed"``
-        at every measured concurrency (see ``docs/performance.md``).
-        Overriding ``_max_min_rates``/``_adjusted_rates_impl`` in a
-        subclass still works but is deprecated in favour of registering a
-        solver.
+        The max-min rate solver, a
+        :class:`~repro.interconnect.ratesolver.RateSolver` instance;
+        ``None`` means a fresh
+        :class:`~repro.interconnect.ratesolver.IndexedSolver`.  Checks and
+        tests pass a :class:`~repro.interconnect.ratesolver.ReferenceSolver`
+        here to compare against the oracle.
+
+    Minimal routes, link decompositions, propagation delays and the
+    link-capacity map come from the topology's shared
+    :class:`~repro.interconnect.routecache.RouteCache`.
     """
 
     def __init__(
         self,
         topology: Topology,
-        *args: object,
-        congestion: object = _UNSET,
-        routing: object = _UNSET,
-        reroute_adaptively: object = _UNSET,
-        rng: object = _UNSET,
-        telemetry: object = _UNSET,
-        cache_routes: bool = True,
-        solver: object = None,
+        *,
+        congestion: Optional[CongestionManager] = None,
+        routing: str = "minimal",
+        reroute_adaptively: bool = False,
+        rng: Optional[RandomSource] = None,
+        telemetry: Optional[Telemetry] = None,
+        solver: Optional[RateSolver] = None,
     ) -> None:
-        config = {
-            "congestion": congestion,
-            "routing": routing,
-            "reroute_adaptively": reroute_adaptively,
-            "rng": rng,
-            "telemetry": telemetry,
-        }
-        if args:
-            warnings.warn(
-                "positional FabricSimulator configuration is deprecated; "
-                "pass congestion=..., routing=..., etc. as keywords",
-                DeprecationWarning,
-                stacklevel=2,
+        if routing not in ("minimal", "valiant"):
+            raise ConfigurationError(f"unknown routing: {routing!r}")
+        if solver is None:
+            solver = IndexedSolver()
+        elif not isinstance(solver, RateSolver):
+            raise ConfigurationError(
+                "solver must be a RateSolver instance or None, got "
+                f"{type(solver).__name__}"
             )
-            if len(args) > len(_POSITIONAL_CONFIG):
-                raise TypeError(
-                    f"FabricSimulator takes at most {1 + len(_POSITIONAL_CONFIG)} "
-                    f"positional arguments ({1 + len(args)} given)"
-                )
-            for name, value in zip(_POSITIONAL_CONFIG, args):
-                if config[name] is not _UNSET:
-                    raise TypeError(
-                        f"FabricSimulator got multiple values for argument {name!r}"
-                    )
-                config[name] = value
-        defaults = {
-            "congestion": None,
-            "routing": "minimal",
-            "reroute_adaptively": False,
-            "rng": None,
-            "telemetry": None,
-        }
-        for name, default in defaults.items():
-            if config[name] is _UNSET:
-                config[name] = default
-
-        if config["routing"] not in ("minimal", "valiant"):
-            raise ConfigurationError(f"unknown routing: {config['routing']!r}")
         self.topology = topology
-        self.congestion = config["congestion"] or NoCongestionControl()
-        self.routing = config["routing"]
-        self.reroute_adaptively = config["reroute_adaptively"]
-        self.rng = config["rng"] or RandomSource(seed=11, name="fabric")
-        self.telemetry = config["telemetry"]
+        self.congestion = congestion or NoCongestionControl()
+        self.routing = routing
+        self.reroute_adaptively = reroute_adaptively
+        self.rng = rng or RandomSource(seed=11, name="fabric")
+        self.telemetry = telemetry
         # Wall-clock phase attribution: None unless the run's telemetry
         # carries an *enabled* PhaseProfiler, so the hot paths pay one
         # `is not None` test when profiling is off.
@@ -257,47 +206,12 @@ class FabricSimulator:
         self._profiler = (
             profiler if profiler is not None and profiler.enabled else None
         )
-        self.cache_routes = cache_routes
-        self._route_cache: Optional[RouteCache] = (
-            route_cache_for(topology) if cache_routes else None
-        )
-        if self._route_cache is not None:
-            self._capacities = self._route_cache.link_capacities()
-        else:
-            self._capacities = self._link_capacities()
-        self.solver: RateSolver = resolve_solver(solver)
+        self._route_cache: RouteCache = route_cache_for(topology)
+        self._capacities = self._route_cache.link_capacities()
+        self.solver: RateSolver = solver
         self.solver.bind(self._capacities)
-        # Legacy private-method override path: subclasses that replaced the
-        # water-filling loop (or the adjustment around it) keep working —
-        # the internal epoch path routes through their override — but the
-        # hook is deprecated in favour of registering a RateSolver.
-        self._legacy_maxmin = (
-            type(self)._max_min_rates is not FabricSimulator._max_min_rates
-        )
-        self._legacy_adjusted = (
-            type(self)._adjusted_rates_impl
-            is not FabricSimulator._adjusted_rates_impl
-        )
-        if self._legacy_maxmin or self._legacy_adjusted:
-            warnings.warn(
-                "overriding FabricSimulator._max_min_rates/_adjusted_rates_impl "
-                "is deprecated; register a RateSolver instead (see "
-                "repro.interconnect.ratesolver.register_solver)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
-    # --- static helpers -------------------------------------------------------
-
-    def _link_capacities(self) -> Dict[Tuple[str, str], float]:
-        """Per-direction capacities: links are full duplex, so traffic
-        traversing u->v never contends with traffic traversing v->u."""
-        capacities = {}
-        for u, v, data in self.topology.graph.edges(data=True):
-            bandwidth = float(data["bandwidth"])
-            capacities[(u, v)] = bandwidth
-            capacities[(v, u)] = bandwidth
-        return capacities
+    # --- routing ----------------------------------------------------------------
 
     def _route(self, flow: Flow) -> Path:
         if self._profiler is None:
@@ -310,9 +224,7 @@ class FabricSimulator:
 
     def _route_impl(self, flow: Flow) -> Path:
         if self.routing == "minimal":
-            if self._route_cache is not None:
-                return self._route_cache.minimal_route(flow.source, flow.destination)
-            return minimal_route(self.topology, flow.source, flow.destination)
+            return self._route_cache.minimal_route(flow.source, flow.destination)
         return valiant_route(
             self.topology, flow.source, flow.destination, rng=self.rng,
             cache=self._route_cache,
@@ -323,49 +235,7 @@ class FabricSimulator:
         """Directed links as traversed (full-duplex capacity model)."""
         return list(zip(path, path[1:]))
 
-    def _decompose(self, path: Path) -> List[Tuple[str, str]]:
-        if self._route_cache is not None:
-            return self._route_cache.links_of(path)
-        return self._links_of(path)
-
-    def _propagation_delay(self, path: Path) -> float:
-        if self._route_cache is not None:
-            return self._route_cache.propagation_delay(path)
-        delay = 0.0
-        for u, v in zip(path, path[1:]):
-            delay += float(self.topology.graph.edges[u, v]["latency"])
-        return delay
-
     # --- rate computation -------------------------------------------------------
-
-    def _max_min_rates(
-        self,
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], Set[Tuple[str, str]]]:
-        """Deprecated: delegate to :attr:`solver` (``self.solver.solve``).
-
-        The water-filling loop lives in
-        :class:`~repro.interconnect.ratesolver.ReferenceSolver` now; this
-        thin shim keeps external callers and ``super()`` chains working.
-        """
-        warnings.warn(
-            "FabricSimulator._max_min_rates is deprecated; call "
-            "simulator.solver.solve(...) (repro.interconnect.ratesolver)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.solver.solve(flow_links, remaining_bytes)
-
-    def _solve_rates(
-        self,
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], Set[Tuple[str, str]]]:
-        """Internal epoch dispatch: the bound solver, or a legacy override."""
-        if self._legacy_maxmin:
-            return self._max_min_rates(flow_links, remaining_bytes)
-        return self.solver.solve(flow_links, remaining_bytes)
 
     def _hot_switches(self, saturated: Set[Tuple[str, str]]) -> Set[str]:
         """Switches adjacent to a saturated link (where buffers fill)."""
@@ -376,21 +246,6 @@ class FabricSimulator:
             if self.topology.graph.nodes[v].get("role") == "switch":
                 hot.add(v)
         return hot
-
-    def _adjusted_rates_impl(
-        self,
-        paths: Dict[int, Path],
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], Dict[int, int], Set[Tuple[str, str]]]:
-        """Deprecated alias for the policy-adjustment step (see below)."""
-        warnings.warn(
-            "FabricSimulator._adjusted_rates_impl is deprecated; override "
-            "via a registered RateSolver, or use _policy_adjusted_rates",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._policy_adjusted_rates(paths, flow_links, remaining_bytes)
 
     def _policy_adjusted_rates(
         self,
@@ -404,7 +259,7 @@ class FabricSimulator:
         (used for extra queueing accounting), and the congested link set
         (used by telemetry to mark congestion onsets).
         """
-        rates, saturated = self._solve_rates(flow_links, remaining_bytes)
+        rates, saturated = self.solver.solve(flow_links, remaining_bytes)
         hot_exposure: Dict[int, int] = {}
         if not saturated:
             # Nothing saturated: no hot switches, no aggressor clamps and
@@ -472,8 +327,6 @@ class FabricSimulator:
             else None
         )
         route = self._route
-        decompose = self._decompose
-        propagation_delay = self._propagation_delay
         congestion = self.congestion
         reroute_adaptively = self.reroute_adaptively
 
@@ -491,12 +344,7 @@ class FabricSimulator:
 
             return timed
 
-        adjusted_rates = charged(
-            self._adjusted_rates_impl
-            if self._legacy_adjusted
-            else self._policy_adjusted_rates,
-            PHASE_CONGESTION,
-        )
+        adjusted_rates = charged(self._policy_adjusted_rates, PHASE_CONGESTION)
         if ledger is not None:
             offer = charged(ledger.offer)
             record_drop = charged(ledger.drop)
@@ -560,7 +408,7 @@ class FabricSimulator:
                     drop_flow(flow_id)
                     continue
                 paths[flow_id] = new_path
-                flow_links[flow_id] = decompose(new_path)
+                flow_links[flow_id] = self._route_cache.links_of(new_path)
                 if ledger is not None:
                     ledger.rerouted(flow.tag)
 
@@ -610,7 +458,7 @@ class FabricSimulator:
                     active[flow_id] = flow
                     remaining[flow_id] = flow.size
                     paths[flow_id] = path
-                    flow_links[flow_id] = decompose(path)
+                    flow_links[flow_id] = self._route_cache.links_of(path)
                     queueing.setdefault(flow_id, 0.0)
 
             if not active:
@@ -631,9 +479,7 @@ class FabricSimulator:
                 # Reuse the epoch's saturated set: the solve above ran on
                 # exactly these flow_links/remaining, so re-solving inside
                 # the reroute would reproduce it bit-for-bit at double cost.
-                rerouted = self._reroute_hot_flows(
-                    paths, flow_links, remaining, saturated=saturated
-                )
+                rerouted = self._reroute_hot_flows(paths, flow_links, saturated)
                 if rerouted:
                     rates, hot_exposure, saturated = adjusted_rates(
                         paths, flow_links, remaining
@@ -695,7 +541,7 @@ class FabricSimulator:
                 path = paths.pop(flow_id)
                 del flow_links[flow_id]
                 del remaining[flow_id]
-                propagation = propagation_delay(path)
+                propagation = self._route_cache.propagation_delay(path)
                 extra = queueing.pop(flow_id, 0.0)
                 done.append(FlowStats(
                     flow_id=flow.flow_id,
@@ -729,29 +575,20 @@ class FabricSimulator:
     def _refresh_link_state(self) -> None:
         """Rebuild routes and capacities after an in-place graph mutation."""
         invalidate_route_cache(self.topology)
-        if self.cache_routes:
-            self._route_cache = route_cache_for(self.topology)
-            self._capacities = self._route_cache.link_capacities()
-        else:
-            self._capacities = self._link_capacities()
-        # The solver's incremental state indexes the old link set — rebind
-        # invalidates it the same way the route cache was just invalidated.
+        self._route_cache = route_cache_for(self.topology)
+        self._capacities = self._route_cache.link_capacities()
         self.solver.bind(self._capacities)
 
     def _reroute_hot_flows(
         self,
         paths: Dict[int, Path],
         flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]],
-        saturated: Optional[Set[Tuple[str, str]]] = None,
+        saturated: Set[Tuple[str, str]],
     ) -> bool:
         """Detour the slowest congested flows via Valiant paths (in place).
 
-        ``saturated`` is the congested-link set from the epoch's rate solve;
-        when omitted it is recomputed (same inputs — identical result).
+        ``saturated`` is the congested-link set from the epoch's rate solve.
         """
-        if saturated is None:
-            _, saturated = self._solve_rates(flow_links, remaining_bytes)
         if not saturated:
             return False
         rerouted = False

@@ -565,7 +565,6 @@ def _profile_c1(
     routers_per_group: int = 4,
     terminals: int = 4,
     congestion: str = "flow",
-    solver: object = None,
 ) -> ProfileResult:
     """C1: elephant incast vs latency-sensitive mice under flow-based CM."""
     topology = build_topology(
@@ -574,7 +573,7 @@ def _profile_c1(
     )
     fabric = FabricSimulator(
         topology, congestion=congestion_policy(congestion),
-        telemetry=telemetry, solver=solver,
+        telemetry=telemetry,
     )
     stats = fabric.run(_incast_flows(topology, aggressors=aggressors))
     victims = sorted(
@@ -601,7 +600,6 @@ def _profile_c2(
     flows: int = 120,
     flow_size: float = 4e6,
     seed: int = 17,
-    solver: object = None,
 ) -> ProfileResult:
     """C2: uniform random traffic over a low-diameter dragonfly."""
     topology = build_topology(
@@ -618,7 +616,7 @@ def _profile_c2(
                 start_time=index * 2e-4,
             )
         )
-    fabric = FabricSimulator(topology, telemetry=telemetry, solver=solver)
+    fabric = FabricSimulator(topology, telemetry=telemetry)
     stats = fabric.run(trace)
     fct = telemetry.metrics.get("fabric.fct_seconds")
     return ProfileResult(

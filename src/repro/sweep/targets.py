@@ -128,12 +128,6 @@ def fabric_congestion(
         (0, 1]; sets the mean flow inter-arrival gap (default ``0.5``).
     ``flows`` / ``flow_size``
         Trace length and per-flow bytes (defaults 96 and 2 MB).
-    ``solver``
-        Rate-solver registry name (any key of ``SOLVERS``); omitted
-        means the process default.  All solvers are bit-identical, so the
-        metrics don't change — but the name lands in the point's params
-        and therefore in the sweep fingerprint, keeping mixed-solver
-        sweeps from colliding with cached goldens.
     """
     kind = normalize_topology_kind(str(params["topology"]))
     spec = dict(_FABRIC_TOPOLOGIES[kind])
@@ -145,7 +139,6 @@ def fabric_congestion(
         raise ValueError(f"load must be in (0, 1], got {load}")
     flow_count = int(params.get("flows", 96))
     flow_size = float(params.get("flow_size", 2e6))
-    solver = params.get("solver")
 
     topology = build_topology(kind, **spec)
     simulator = FabricSimulator(
@@ -153,7 +146,6 @@ def fabric_congestion(
         congestion=policy,
         reroute_adaptively=adaptive,
         telemetry=telemetry,
-        solver=str(solver) if solver is not None else None,
     )
     terminals = list(topology.terminals)
     mean_gap = flow_size / (load * 25e9)

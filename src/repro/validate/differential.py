@@ -20,12 +20,13 @@ and an independent (slower, simpler) reference — and demands agreement:
   truncated to a prefix, with a deliberately torn trailing line) and
   resumed via ``run_sweep(..., resume=...)`` vs the uninterrupted run:
   fingerprints must be bit-identical.
-* :func:`check_solvers` — every registered rate solver (the default
-  ``"indexed"``, the opt-in ``"numpy"``, any custom one) vs the
-  ``"reference"`` water-filling loop on randomised topologies and
-  evolving flow sets (arrivals, completions, reroutes, zero-length
-  paths), plus one end-to-end fabric run per topology family: rates,
-  saturated-link sets and ``FlowStats`` must be ``==`` (bit-identical).
+* :func:`check_solvers` — the fabric's
+  :class:`~repro.interconnect.ratesolver.IndexedSolver` vs the
+  :class:`~repro.interconnect.ratesolver.ReferenceSolver` water-filling
+  loop on randomised topologies and evolving flow sets (arrivals,
+  completions, reroutes, zero-length paths), plus one end-to-end fabric
+  run per topology family: rates, saturated-link sets and ``FlowStats``
+  must be ``==`` (bit-identical).
 * :func:`check_distributed` — the ``tcp`` backend sharding the smoke
   sweep over loopback worker hosts vs serial execution: fingerprints
   must be bit-identical (the fleet analogue of :func:`check_sweep`).
@@ -414,41 +415,24 @@ def check_resume(keep_points: int = 3) -> DifferentialResult:
 def check_solvers(
     trials: int = 5, epochs: int = 12, seed: int = 8192
 ) -> DifferentialResult:
-    """Every registered rate solver vs the reference loop, bit for bit.
+    """The indexed rate solver vs the reference loop, bit for bit.
 
-    Each trial builds a random small topology, then drives the reference
-    and every other registered solver through ``epochs`` evolving
-    flow-set epochs — arrivals, completions, re-routes and the occasional
-    zero-length path — the epoch stream an incremental solver must
-    survive.  Per epoch the rates and the saturated-link set must be
-    ``==`` to the reference's.  One end-to-end
-    :class:`~repro.interconnect.fabric.FabricSimulator` run per trial and
-    solver then compares the :class:`~repro.interconnect.fabric.FlowStats`
-    of identical traces with ``==``.  Only the ``"numpy"`` leg is skipped
-    when numpy is not installed.
+    Each trial builds a random small topology, then drives both solvers
+    through ``epochs`` evolving flow-set epochs — arrivals, completions,
+    re-routes and the occasional zero-length path.  Per epoch the rates
+    and the saturated-link set must be ``==`` to the reference's.  One
+    end-to-end :class:`~repro.interconnect.fabric.FabricSimulator` run per
+    trial and solver then compares the
+    :class:`~repro.interconnect.fabric.FlowStats` of identical traces with
+    ``==``.
     """
-    from repro.core.errors import ConfigurationError
     from repro.interconnect.congestion import congestion_policy
     from repro.interconnect.fabric import FabricSimulator, Flow
-    from repro.interconnect.ratesolver import SOLVERS, get_solver
+    from repro.interconnect.ratesolver import IndexedSolver, ReferenceSolver
     from repro.interconnect.topology import build_topology
 
     failures: List[str] = []
-    names: List[str] = []
-    skipped = ""
-    for name in sorted(SOLVERS):
-        if name == "reference":
-            continue
-        try:
-            get_solver(name)
-        except ConfigurationError as error:
-            if name == "numpy":
-                skipped = "; numpy unavailable, its solver skipped"
-            else:
-                failures.append(f"{name}: {error}")
-            continue
-        names.append(name)
-
+    name = IndexedSolver.name
     specs = [
         ("dragonfly", {"groups": 4, "routers_per_group": 3, "terminals": 2}),
         ("two-tier", {"leaves": 4, "spines": 2, "terminals_per_leaf": 4}),
@@ -463,11 +447,10 @@ def check_solvers(
         topology = build_topology(kind, **kwargs)
         simulator = FabricSimulator(topology)
         terminals = list(topology.terminals)
-        reference = get_solver("reference")
+        reference = ReferenceSolver()
         reference.bind(simulator._capacities)
-        solvers = {name: get_solver(name) for name in names}
-        for solver in solvers.values():
-            solver.bind(simulator._capacities)
+        solver = IndexedSolver()
+        solver.bind(simulator._capacities)
         flow_links: dict = {}
         next_id = trial * 10_000
         for epoch in range(epochs):
@@ -497,27 +480,26 @@ def check_solvers(
                 }
             epoch_links = dict(flow_links)
             ref_rates, ref_saturated = reference.solve(epoch_links, remaining)
-            for name, solver in solvers.items():
-                rates, saturated = solver.solve(epoch_links, remaining)
-                comparisons += 1
-                if saturated != ref_saturated:
-                    failures.append(
-                        f"{name} on {kind} epoch {epoch}: saturated sets "
-                        f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
-                    )
-                elif rates != ref_rates:
-                    flow_id = next(
-                        (f for f in ref_rates if rates.get(f) != ref_rates[f]),
-                        None,
-                    )
-                    failures.append(
-                        f"{name} on {kind} epoch {epoch}: rate of flow "
-                        f"{flow_id} differs"
-                    )
+            rates, saturated = solver.solve(epoch_links, remaining)
+            comparisons += 1
+            if saturated != ref_saturated:
+                failures.append(
+                    f"{name} on {kind} epoch {epoch}: saturated sets "
+                    f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
+                )
+            elif rates != ref_rates:
+                flow_id = next(
+                    (f for f in ref_rates if rates.get(f) != ref_rates[f]),
+                    None,
+                )
+                failures.append(
+                    f"{name} on {kind} epoch {epoch}: rate of flow "
+                    f"{flow_id} differs"
+                )
         # End-to-end: one fabric run per trial under each solver.
         trace_seed = rng.integer(0, 2**31 - 1)
-        results = {}
-        for solver_name in ["reference", *names]:
+        results = []
+        for rate_solver in (ReferenceSolver(), IndexedSolver()):
             trace_rng = RandomSource(seed=trace_seed, name="validate/trace")
             trace = []
             for index in range(24):
@@ -528,23 +510,22 @@ def check_solvers(
                 ))
             fabric = FabricSimulator(
                 topology, congestion=congestion_policy("flow"),
-                solver=solver_name,
+                solver=rate_solver,
             )
-            results[solver_name] = fabric.run(trace)
-        expected = results.pop("reference")
-        for name, stats in results.items():
-            comparisons += len(expected)
-            if stats != expected:
-                differing = next(
-                    (a for a, b in zip(expected, stats) if a != b), None
-                )
-                failures.append(
-                    f"{name} on {kind}: FlowStats differ"
-                    + (f" at flow {differing.flow_id}" if differing else "")
-                )
+            results.append(fabric.run(trace))
+        expected, stats = results
+        comparisons += len(expected)
+        if stats != expected:
+            differing = next(
+                (a for a, b in zip(expected, stats) if a != b), None
+            )
+            failures.append(
+                f"{name} on {kind}: FlowStats differ"
+                + (f" at flow {differing.flow_id}" if differing else "")
+            )
     detail = (
-        f"{', '.join(names)} vs reference: {trials} topologies x {epochs} "
-        f"incremental epochs + fabric runs bit-identical{skipped}"
+        f"{name} vs reference: {trials} topologies x {epochs} "
+        f"epochs + fabric runs bit-identical"
         if not failures
         else "; ".join(failures[:3])
     )

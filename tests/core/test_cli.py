@@ -95,32 +95,3 @@ class TestExperimentRegistry:
         }
         registered = {target for _, target in EXPERIMENTS.values()}
         assert registered == on_disk
-
-
-class TestSolverFlag:
-    def _restore(self):
-        from repro.interconnect.ratesolver import (
-            default_solver_name,
-            set_default_solver,
-        )
-
-        return default_solver_name, set_default_solver
-
-    def test_profile_rejects_unknown_solver(self, capsys):
-        assert main(["profile", "C1", "--solver", "simplex"]) == 2
-        assert "unknown rate solver" in capsys.readouterr().err
-
-    def test_sweep_rejects_unknown_solver_before_running(self, capsys):
-        assert main(["sweep", "smoke", "--solver", "simplex"]) == 2
-        assert "unknown rate solver" in capsys.readouterr().err
-
-    def test_profile_selects_process_default(self, capsys, tmp_path):
-        default_solver_name, set_default_solver = self._restore()
-        before = default_solver_name()
-        try:
-            assert main(["profile", "C1", "--solver", "numpy",
-                         "--output", str(tmp_path / "profile.json")]) == 0
-            assert default_solver_name() == "numpy"
-        finally:
-            set_default_solver(before)
-        capsys.readouterr()

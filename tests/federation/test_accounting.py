@@ -104,6 +104,16 @@ class TestSettlement:
             settled[creditor] -= amount
         assert all(abs(v) < 1e-9 for v in settled.values())
 
+    def test_no_netting_is_zero_not_negative(self):
+        # Nothing nets here, and the settled and gross sums round apart.
+        ledger = AccountingLedger()
+        ledger.meter(record(provider="a", consumer="b", hours=6.0, price=10.0))
+        ledger.meter(record(provider="c", consumer="d", hours=1.0,
+                            price=4.146216777116827))
+        ledger.meter(record(provider="a", consumer="d", hours=1.0,
+                            price=1.1462167771168268))
+        assert ledger.netting_efficiency() == 0.0
+
     def test_empty_ledger(self):
         ledger = AccountingLedger()
         assert ledger.settlement_transfers() == []

@@ -31,6 +31,15 @@ class TestFlow:
         with pytest.raises(ConfigurationError):
             Flow(source="a", destination="b", size=1.0, start_time=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["size", "start_time"])
+    def test_rejects_non_finite_fields(self, field, value):
+        # Caught at construction: otherwise the run fails much later with
+        # a deadlock or max_iterations error that names no field.
+        kwargs = {"size": 1.0, "start_time": 0.0, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            Flow(source="a", destination="b", **kwargs)
+
     def test_flow_ids_unique(self):
         a = Flow(source="a", destination="b", size=1.0)
         b = Flow(source="a", destination="b", size=1.0)

@@ -105,18 +105,21 @@ class TestRouteCache:
 )
 class TestCachedRunsMatchUncached:
     def test_identical_flow_stats(self, topology_factory):
+        # Every flow's hops and propagation delay are those of the
+        # uncached networkx route, its latencies summed left to right.
         topology = topology_factory()
-        flows_cached = _uniform_flows(topology, 40)
-        flows_raw = [
-            Flow(
-                source=f.source, destination=f.destination,
-                size=f.size, start_time=f.start_time,
-            )
-            for f in flows_cached
-        ]
-        cached = FabricSimulator(topology, cache_routes=True).run(flows_cached)
-        uncached = FabricSimulator(topology, cache_routes=False).run(flows_raw)
-        assert _stats_key(cached) == _stats_key(uncached)
+        graph = topology.graph
+        flows = {f.flow_id: f for f in _uniform_flows(topology, 40)}
+        stats = FabricSimulator(topology).run(list(flows.values()))
+        assert sorted(s.flow_id for s in stats) == sorted(flows)
+        for s in stats:
+            flow = flows[s.flow_id]
+            path = nx.shortest_path(graph, flow.source, flow.destination)
+            delay = 0.0
+            for u, v in zip(path, path[1:]):
+                delay += float(graph.edges[u, v]["latency"])
+            assert s.path_hops == len(path) - 1
+            assert s.propagation_delay == delay
 
     def test_repeated_runs_identical(self, topology_factory):
         topology = topology_factory()
@@ -357,33 +360,13 @@ class TestShortestPathPort:
 
 
 class TestFabricKeywordApi:
-    def test_positional_config_warns_but_works(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
-        from repro.interconnect.congestion import FlowBasedCongestionControl
-
-        with pytest.warns(DeprecationWarning):
-            simulator = FabricSimulator(topology, FlowBasedCongestionControl())
-        assert simulator.congestion.name == "flow-based"
-
-    def test_positional_and_keyword_conflict_raises(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
-        from repro.interconnect.congestion import FlowBasedCongestionControl
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                FabricSimulator(
-                    topology,
-                    FlowBasedCongestionControl(),
-                    congestion=FlowBasedCongestionControl(),
-                )
-
     def test_too_many_positionals_raise(self):
+        # Configuration is keyword-only: the topology is the one positional.
         topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                FabricSimulator(topology, None, "minimal", False, None, None, "extra")
+        with pytest.raises(TypeError):
+            FabricSimulator(topology, None)
 
     def test_keyword_construction_is_silent(self, recwarn):
         topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
-        FabricSimulator(topology, routing="minimal", cache_routes=False)
+        FabricSimulator(topology, routing="minimal")
         assert not [w for w in recwarn if w.category is DeprecationWarning]

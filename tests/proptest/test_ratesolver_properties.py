@@ -4,15 +4,16 @@ The randomised differential in ``repro.validate`` drives whole fabrics;
 this suite attacks the solver layer directly with adversarial epoch
 streams — arbitrary capacities, zero-length paths, repeated links
 (multiplicity), partial ``remaining_bytes`` maps, and add/remove churn
-across epochs so incremental solvers are exercised, not just their first
-solve.
+across epochs so a solver reused epoch after epoch is exercised, not
+just its first solve.
 
 Two kinds of property:
 
-* every registered solver is bit-identical to the reference: equality is
-  ``==`` on the full result tuple, rates and saturated sets, never approx;
-* the default solver's rates satisfy the *definition* of a max-min fair
-  allocation, checked without reference to any other implementation.
+* :class:`IndexedSolver`, the fabric's solver, is bit-identical to
+  :class:`ReferenceSolver`: equality is ``==`` on the full result tuple,
+  rates and saturated sets, never approx;
+* its rates satisfy the *definition* of a max-min fair allocation,
+  checked without reference to any other implementation.
 """
 
 from collections import Counter
@@ -20,8 +21,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigurationError
-from repro.interconnect.ratesolver import SOLVERS, default_solver_name, get_solver
+from repro.interconnect.ratesolver import IndexedSolver, ReferenceSolver
 
 #: A small directed-link population: a square of switches with a chord and
 #: two terminal attachments, enough for shared bottlenecks and detours.
@@ -35,20 +35,6 @@ LINKS = (
 #: when its leftover is within that error.
 CAPACITY_SLACK = 1e-12
 FULL_SLACK = 1e-9
-
-
-def _fast_solvers():
-    """Every registered solver except the reference (numpy if installed)."""
-    names = []
-    for name in sorted(SOLVERS):
-        if name == "reference":
-            continue
-        try:
-            get_solver(name)
-        except ConfigurationError:
-            continue  # numpy is not installed
-        names.append(name)
-    return names
 
 
 @st.composite
@@ -86,35 +72,28 @@ def epoch_streams(draw):
 @settings(max_examples=60, deadline=None)
 def test_solvers_bit_identical_over_epoch_streams(stream):
     capacities, epochs = stream
-    reference = get_solver("reference")
+    reference = ReferenceSolver()
     reference.bind(dict(capacities))
-    solvers = [get_solver(name) for name in _fast_solvers()]
-    for solver in solvers:
-        solver.bind(dict(capacities))
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
     for flow_links, remaining in epochs:
         expected = reference.solve(dict(flow_links), remaining)
-        for solver in solvers:
-            assert solver.solve(dict(flow_links), remaining) == expected, (
-                solver.name
-            )
+        assert solver.solve(dict(flow_links), remaining) == expected
 
 
 @given(stream=epoch_streams())
 @settings(max_examples=20, deadline=None)
 def test_rebind_mid_stream_is_transparent(stream):
     capacities, epochs = stream
-    reference = get_solver("reference")
+    reference = ReferenceSolver()
     reference.bind(dict(capacities))
-    solvers = [get_solver(name) for name in _fast_solvers()]
+    solver = IndexedSolver()
     for flow_links, remaining in epochs:
         expected = reference.solve(dict(flow_links), remaining)
-        for solver in solvers:
-            # Rebinding (what the fabric does on topology mutations) drops
-            # any incremental state; results must be unchanged.
-            solver.bind(dict(capacities))
-            assert solver.solve(dict(flow_links), remaining) == expected, (
-                solver.name
-            )
+        # Rebinding (what the fabric does on topology mutations) must
+        # leave results unchanged.
+        solver.bind(dict(capacities))
+        assert solver.solve(dict(flow_links), remaining) == expected
 
 
 @given(stream=epoch_streams())
@@ -127,7 +106,7 @@ def test_default_solver_is_max_min_fair(stream):
     Flows with zero-length paths cross nothing and are unconstrained.
     """
     capacities, epochs = stream
-    solver = get_solver(default_solver_name())
+    solver = IndexedSolver()
     solver.bind(dict(capacities))
     for flow_links, remaining in epochs:
         rates, _ = solver.solve(dict(flow_links), remaining)

@@ -117,43 +117,3 @@ class TestWorkerBody:
                 _run_point(("_bad", "t", 0, 0, {}, None))
         finally:
             del TARGETS["_bad"]
-
-
-class TestSolverAxis:
-    """``solver`` rides the grid into params and the fingerprint."""
-
-    def _grid(self, solver_axis=None):
-        grid = {
-            "topology": ["dragonfly"],
-            "congestion": ["flow"],
-            "load": [0.9],
-            "flows": [12],
-        }
-        if solver_axis is not None:
-            grid["solver"] = solver_axis
-        return grid
-
-    def test_solver_param_reaches_every_point(self):
-        spec = _smoke_spec(grid=self._grid(["numpy"]))
-        result = run_sweep(spec, workers=1)
-        assert all(p.params["solver"] == "numpy" for p in result.points)
-
-    def test_solver_axis_changes_fingerprint_not_metrics(self):
-        base = run_sweep(_smoke_spec(grid=self._grid()), workers=1)
-        vectorised = run_sweep(
-            _smoke_spec(grid=self._grid(["numpy"])), workers=1
-        )
-        # Solvers are bit-identical, so point metrics match exactly ...
-        for a, b in zip(base.points, vectorised.points):
-            assert a.metrics == b.metrics
-            assert a.counters == b.counters
-        # ... but the rider axis lands in params, so the fingerprints (and
-        # therefore any cached goldens) cannot collide across solvers.
-        assert base.fingerprint() != vectorised.fingerprint()
-
-    def test_mixed_solver_axis_expands_grid(self):
-        spec = _smoke_spec(grid=self._grid(["reference", "numpy"]))
-        result = run_sweep(spec, workers=1)
-        assert sorted(p.params["solver"] for p in result.points) == [
-            "numpy", "reference",
-        ]
