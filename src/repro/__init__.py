@@ -46,6 +46,8 @@ Subpackages
 ``repro.sweep``
     Parallel scenario sweeps: parameter grids fanned over worker
     processes with bit-identical results at any worker count.
+``repro.serve``
+    The long-running simulation service behind ``python -m repro serve``.
 ``repro.validate``
     Validation and conformance: runtime invariants, golden-result
     fingerprints, differential model checks (``python -m repro validate``).
@@ -53,54 +55,48 @@ Subpackages
     Runnable experiment profiles: ``repro.profiles.run("C1", ...)``.
 """
 
-from repro.core import RandomSource, Simulation
-from repro.federation import (
-    Dataset,
-    Federation,
-    Site,
-    SiteKind,
-    WanLink,
-)
-from repro.hardware import (
-    Device,
-    DeviceCatalog,
-    DeviceKind,
-    DeviceSpec,
-    KernelProfile,
-    Precision,
-    default_catalog,
-)
-from repro.interconnect import (
-    FabricSimulator,
-    Flow,
-    Topology,
-    TopologySpec,
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
-    build_topology,
-    build_torus,
-    build_two_tier,
-    congestion_policy,
-)
-from repro.market import ComputeExchange, MarketSimulation, ResourceClass
-from repro.observability import MetricsRegistry, Telemetry, Tracer
-from repro.resilience import (
-    CheckpointPlan,
-    FaultCampaign,
-    FaultInjector,
-    RetryPolicy,
-    cluster_report,
-)
-from repro.scheduling import MetaScheduler, PlacementPolicy
-from repro.sweep import ParameterGrid, SweepResult, SweepSpec, run_sweep
-from repro.workloads import (
-    AIModel,
-    Job,
-    JobClass,
-    JobTraceGenerator,
-    TraceConfig,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.rng": ("RandomSource",),
+    ".core.events": ("Simulation",),
+    ".federation.datasets": ("Dataset",),
+    ".federation.federation": ("Federation",),
+    ".federation.site": ("Site", "SiteKind"),
+    ".federation.wan": ("WanLink",),
+    ".hardware.device": (
+        "Device", "DeviceKind", "DeviceSpec", "KernelProfile",
+    ),
+    ".hardware.catalog": ("DeviceCatalog", "default_catalog"),
+    ".hardware.precision": ("Precision",),
+    ".interconnect.fabric": ("FabricSimulator", "Flow"),
+    ".interconnect.topology": (
+        "Topology", "TopologySpec", "build_dragonfly", "build_fat_tree",
+        "build_hyperx", "build_topology", "build_torus", "build_two_tier",
+    ),
+    ".interconnect.congestion": ("congestion_policy",),
+    ".market.exchange": (
+        "ComputeExchange", "MarketSimulation", "ResourceClass",
+    ),
+    ".observability.metrics": ("MetricsRegistry",),
+    ".observability.probes": ("Telemetry",),
+    ".observability.tracer": ("Tracer",),
+    ".resilience.recovery": ("CheckpointPlan",),
+    ".resilience.faults": ("FaultCampaign",),
+    ".resilience.injector": ("FaultInjector",),
+    ".resilience.retry": ("RetryPolicy",),
+    ".resilience.metrics": ("cluster_report",),
+    ".scheduling.metascheduler": ("MetaScheduler", "PlacementPolicy"),
+    ".sweep.grid": ("ParameterGrid",),
+    ".sweep.engine": ("SweepResult", "SweepSpec", "run_sweep"),
+    ".workloads.ai": ("AIModel",),
+    ".workloads.base": ("Job", "JobClass"),
+    ".workloads.traces": ("JobTraceGenerator", "TraceConfig"),
+}, submodules=(
+    "core", "hardware", "interconnect", "workloads", "federation",
+    "scheduling", "resilience", "market", "datafoundation", "economics",
+    "analysis", "observability", "sweep", "serve", "validate", "profiles",
+))
 
 __version__ = "1.0.0"
 

@@ -1,8 +1,12 @@
 """Metric collection, table rendering and sweep aggregation."""
 
-from repro.analysis.aggregate import group_mean, pivot, speedup, summary_table
-from repro.analysis.metrics import Percentiles, SeriesStats, summarize
-from repro.analysis.tables import Table, format_series
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".aggregate": ("group_mean", "pivot", "speedup", "summary_table"),
+    ".metrics": ("Percentiles", "SeriesStats", "summarize"),
+    ".tables": ("Table", "format_series"),
+})
 
 __all__ = [
     "Percentiles",

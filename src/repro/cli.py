@@ -22,19 +22,12 @@ Run as ``python -m repro <command>``:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import List, Optional
 
-from repro.analysis.tables import Table
-from repro.core.units import format_time
-from repro.hardware import KernelProfile, Precision, default_catalog
-from repro.hardware.technology import (
-    GENERAL_PURPOSE,
-    SPECIALIZED,
-    default_roadmap,
-    dennard_break_year,
-)
-from repro.interconnect.topology import TOPOLOGY_KINDS, build_topology
+# The simulator is imported inside the handlers that use it: building the
+# parser, ``--help`` and ``serve-request`` load neither numpy nor networkx.
 
 #: Experiment registry: id -> (claim anchor, bench target).
 EXPERIMENTS = {
@@ -83,7 +76,21 @@ _TOPOLOGY_ARGS = {
 }
 
 
+def _imports_done() -> None:
+    """Freeze the heap a command's imports built, before its run starts.
+
+    The collector then never walks the import-time heap again, so a gen-2
+    collection during the run costs what the run allocated, and forked
+    workers do not copy the inherited pages on write.
+    """
+    gc.freeze()
+
+
 def _command_catalog(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import Table
+    from repro.core.units import format_time
+    from repro.hardware import KernelProfile, Precision, default_catalog
+
     catalog = default_catalog()
     n = 4096
     kernel = KernelProfile(
@@ -110,6 +117,9 @@ def _command_catalog(args: argparse.Namespace) -> int:
 
 
 def _command_topology(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import Table
+    from repro.interconnect.topology import build_topology
+
     spec = _TOPOLOGY_ARGS[args.family](args)
     topology = build_topology(args.family, **spec)
     table = Table(f"Topology metrics: {topology.name}", ["metric", "value"])
@@ -125,6 +135,14 @@ def _command_topology(args: argparse.Namespace) -> int:
 
 
 def _command_roadmap(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import Table
+    from repro.hardware.technology import (
+        GENERAL_PURPOSE,
+        SPECIALIZED,
+        default_roadmap,
+        dennard_break_year,
+    )
+
     table = Table(
         "Technology scaling roadmap (relative to 2005)",
         ["node", "year", "density", "power density", "lit fraction",
@@ -142,6 +160,8 @@ def _command_roadmap(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import Table
+
     table = Table(
         "Experiment index (run: pytest <bench> --benchmark-only)",
         ["id", "claim", "bench target"],
@@ -187,6 +207,7 @@ def _run_profile_or_fail(experiment_id: str):
     """Run one telemetry profile; prints the traceable ids on a bad id."""
     from repro.profiles import run_profile
 
+    _imports_done()
     try:
         return run_profile(experiment_id)
     except KeyError as error:
@@ -195,6 +216,8 @@ def _run_profile_or_fail(experiment_id: str):
 
 
 def _print_summary(result) -> None:
+    from repro.analysis.tables import Table
+
     table = Table(
         f"Run summary: {result.experiment_id} — {result.title}",
         ["metric", "value"],
@@ -206,6 +229,7 @@ def _print_summary(result) -> None:
 
 def _command_trace(args: argparse.Namespace) -> int:
     """Run one experiment profile with tracing on; export and summarise."""
+    from repro.analysis.tables import Table
     from repro.observability.export import (
         top_time_sinks,
         write_chrome_trace,
@@ -236,6 +260,7 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 def _command_metrics(args: argparse.Namespace) -> int:
     """Run one experiment profile and print its metric tables."""
+    from repro.analysis.tables import Table
     from repro.observability.export import counter_rows, histogram_rows
 
     result = _run_profile_or_fail(args.experiment)
@@ -284,6 +309,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     import json as json_module
     import pathlib
 
+    from repro.analysis.tables import Table
     from repro.observability import (
         PHASE_RUN,
         PhaseProfiler,
@@ -297,6 +323,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     )
     from repro.profiles import run as run_profile_by_id
 
+    _imports_done()
     overrides = {}
     for clause in args.set or []:
         if "=" not in clause:
@@ -417,6 +444,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     flushed; resume with --resume).
     """
     from repro.analysis.aggregate import pivot, summary_table
+    from repro.analysis.tables import Table
     from repro.core.errors import ConfigurationError
     from repro.sweep import (
         NAMED_SWEEPS,
@@ -429,6 +457,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     from repro.sweep.store import save_sweep
 
+    _imports_done()
     if args.target:
         if not args.axis:
             print("--target needs at least one --axis name=v1,v2,...",
@@ -636,6 +665,7 @@ def _command_sweep_worker(args: argparse.Namespace) -> int:
         except ImportError as error:
             print(f"cannot preload {module!r}: {error}", file=sys.stderr)
             return 2
+    _imports_done()
     try:
         return run_worker(
             args.connect,
@@ -664,6 +694,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     import importlib
 
     from repro.serve import QuotaPolicy, ServeConfig, ServiceApp
+    from repro.serve.app import REQUEST_PATH
 
     for module in args.preload:
         try:
@@ -671,6 +702,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         except ImportError as error:
             print(f"cannot preload {module!r}: {error}", file=sys.stderr)
             return 2
+    # Load what a request runs through before binding, so a 200 on
+    # /healthz means the first cache miss already runs at full speed.
+    for module in REQUEST_PATH:
+        importlib.import_module(module)
+    _imports_done()
     quota = None
     if args.quota is not None:
         try:
@@ -808,10 +844,12 @@ def _command_faults(args: argparse.Namespace) -> int:
     Exit codes: 0 success, 2 invalid campaign spec (the message names
     the offending field).
     """
+    from repro.analysis.tables import Table
     from repro.core.errors import ConfigurationError
     from repro.observability.export import counter_rows
     from repro.profiles import run
 
+    _imports_done()
     overrides = {}
     if args.nodes is not None:
         overrides["nodes"] = args.nodes
@@ -847,6 +885,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     from repro.core.errors import ConfigurationError
     from repro.validate import DEFAULT_RTOL, validate
 
+    _imports_done()
     try:
         report = validate(
             mode="record" if args.record else "check",

@@ -6,38 +6,22 @@ formatting helpers (:mod:`repro.core.units`), seeded random-number management
 (:mod:`repro.core.rng`) and the exception hierarchy used across the library.
 """
 
-from repro.core.atomicio import atomic_write_text, fsync_directory
-from repro.core.errors import (
-    CapacityError,
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-)
-from repro.core.events import Event, Simulation, SimulationHooks
-from repro.core.rng import RandomSource
-from repro.core.units import (
-    GB,
-    GIB,
-    HOUR,
-    KB,
-    KIB,
-    MB,
-    MIB,
-    MICROSECOND,
-    MILLISECOND,
-    MINUTE,
-    NANOSECOND,
-    PB,
-    TB,
-    GFLOP,
-    MFLOP,
-    PFLOP,
-    TFLOP,
-    format_bytes,
-    format_flops,
-    format_rate,
-    format_time,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".atomicio": ("atomic_write_text", "fsync_directory"),
+    ".errors": (
+        "CapacityError", "ConfigurationError", "ReproError", "SimulationError",
+    ),
+    ".events": ("Event", "Simulation", "SimulationHooks"),
+    ".rng": ("RandomSource",),
+    ".units": (
+        "GB", "GIB", "HOUR", "KB", "KIB", "MB", "MIB", "MICROSECOND",
+        "MILLISECOND", "MINUTE", "NANOSECOND", "PB", "TB", "GFLOP", "MFLOP",
+        "PFLOP", "TFLOP", "format_bytes", "format_flops", "format_rate",
+        "format_time",
+    ),
+})
 
 __all__ = [
     "CapacityError",

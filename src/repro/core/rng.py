@@ -13,6 +13,10 @@ import zlib
 from typing import List, Optional, Sequence, TypeVar
 
 import numpy as np
+# numpy 2 loads ``numpy.random`` on first attribute access.  Import it
+# here, with numpy, so the cost lands in the import and not in the first
+# RandomSource of each forked sweep worker.
+import numpy.random  # noqa: F401
 
 T = TypeVar("T")
 

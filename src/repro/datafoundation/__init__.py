@@ -17,13 +17,13 @@ Components:
   over the federation WAN.
 """
 
-from repro.datafoundation.lineage import LineageGraph, Transformation
-from repro.datafoundation.metadata import (
-    DataEntry,
-    GovernanceLabel,
-    MetadataCatalog,
-)
-from repro.datafoundation.transfer import TransferPlan, TransferPlanner
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".lineage": ("LineageGraph", "Transformation"),
+    ".metadata": ("DataEntry", "GovernanceLabel", "MetadataCatalog"),
+    ".transfer": ("TransferPlan", "TransferPlanner"),
+})
 
 __all__ = [
     "DataEntry",

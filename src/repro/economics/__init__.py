@@ -13,12 +13,14 @@ ESII-style carbon-per-GiB) so sweeps can trade reliability against
 sustainability.
 """
 
-from repro.economics.energy import EnergyCarbonModel
-from repro.economics.platform import (
-    PlatformCostModel,
-    SiliconOption,
-    standardization_savings,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".energy": ("EnergyCarbonModel",),
+    ".platform": (
+        "PlatformCostModel", "SiliconOption", "standardization_savings",
+    ),
+})
 
 __all__ = [
     "EnergyCarbonModel",

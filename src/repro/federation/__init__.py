@@ -13,30 +13,25 @@ kinds holding devices, a WAN connecting them, datasets pinned to sites, and
 the staged delivery evolution (bursting → fluidity → grid → exchange).
 """
 
-from repro.federation.accounting import (
-    AccountingLedger,
-    Invoice,
-    MeterRecord,
-)
-from repro.federation.bursting import BurstingPolicy, DeliveryStage
-from repro.federation.datasets import Dataset, DatasetCatalog
-from repro.federation.federation import Federation
-from repro.federation.gravity import data_gravity_score, transfer_cost
-from repro.federation.site import Site, SiteKind
-from repro.federation.sla import QoSClass, ServiceLevelAgreement, SlaTracker
-from repro.federation.trust import (
-    FederatedAction,
-    FederationAgreement,
-    Organisation,
-    TrustRegistry,
-)
-from repro.federation.wan import WanLink, WanNetwork
-from repro.federation.workflow import (
-    StepExecution,
-    WorkflowEngine,
-    WorkflowResult,
-    WorkflowStep,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".accounting": ("AccountingLedger", "Invoice", "MeterRecord"),
+    ".bursting": ("BurstingPolicy", "DeliveryStage"),
+    ".datasets": ("Dataset", "DatasetCatalog"),
+    ".federation": ("Federation",),
+    ".gravity": ("data_gravity_score", "transfer_cost"),
+    ".site": ("Site", "SiteKind"),
+    ".sla": ("QoSClass", "ServiceLevelAgreement", "SlaTracker"),
+    ".trust": (
+        "FederatedAction", "FederationAgreement", "Organisation",
+        "TrustRegistry",
+    ),
+    ".wan": ("WanLink", "WanNetwork"),
+    ".workflow": (
+        "StepExecution", "WorkflowEngine", "WorkflowResult", "WorkflowStep",
+    ),
+})
 
 __all__ = [
     "AccountingLedger",

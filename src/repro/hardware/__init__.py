@@ -18,36 +18,29 @@ The analytical backbone is the roofline model in
 utilisation, precision and conversion-overhead terms.
 """
 
-from repro.hardware.analog import AnalogDotProductEngine
-from repro.hardware.catalog import DeviceCatalog, default_catalog
-from repro.hardware.device import Device, DeviceKind, DeviceSpec, KernelProfile
-from repro.hardware.edge import EdgeInferenceAccelerator
-from repro.hardware.optical import OpticalMVMEngine
-from repro.hardware.power import (
-    CoolingTechnology,
-    DatacenterPowerModel,
-    RackPowerModel,
-)
-from repro.hardware.precision import Precision
-from repro.hardware.processors import CPU, GPU, FPGA
-from repro.hardware.reliability import (
-    DEVICE_TECHNOLOGY,
-    TECHNOLOGIES,
-    MemoryReliabilitySpec,
-    device_upset_rate,
-    reliability_for,
-)
-from repro.hardware.roofline import RooflineModel
-from repro.hardware.systolic import SystolicArrayAccelerator
-from repro.hardware.technology import (
-    GENERAL_PURPOSE,
-    SPECIALIZED,
-    ArchitectureModel,
-    ProcessNode,
-    default_roadmap,
-    dennard_break_year,
-)
-from repro.hardware.wafer_scale import WaferScaleEngine
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".analog": ("AnalogDotProductEngine",),
+    ".catalog": ("DeviceCatalog", "default_catalog"),
+    ".device": ("Device", "DeviceKind", "DeviceSpec", "KernelProfile"),
+    ".edge": ("EdgeInferenceAccelerator",),
+    ".optical": ("OpticalMVMEngine",),
+    ".power": ("CoolingTechnology", "DatacenterPowerModel", "RackPowerModel"),
+    ".precision": ("Precision",),
+    ".processors": ("CPU", "GPU", "FPGA"),
+    ".reliability": (
+        "DEVICE_TECHNOLOGY", "TECHNOLOGIES", "MemoryReliabilitySpec",
+        "device_upset_rate", "reliability_for",
+    ),
+    ".roofline": ("RooflineModel",),
+    ".systolic": ("SystolicArrayAccelerator",),
+    ".technology": (
+        "GENERAL_PURPOSE", "SPECIALIZED", "ArchitectureModel", "ProcessNode",
+        "default_roadmap", "dennard_break_year",
+    ),
+    ".wafer_scale": ("WaferScaleEngine",),
+})
 
 __all__ = [
     "AnalogDotProductEngine",

@@ -18,75 +18,35 @@ This subpackage reproduces the paper's interconnect discussion (§II.B and
   crossover (:mod:`repro.interconnect.photonics`).
 """
 
-from repro.interconnect.collectives import (
-    CollectiveModel,
-    training_step_communication,
-)
-from repro.interconnect.congestion import (
-    CONGESTION_POLICIES,
-    CongestionManager,
-    EcnCongestionControl,
-    FlowBasedCongestionControl,
-    NoCongestionControl,
-    congestion_policy,
-)
-from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats, LinkEvent
-from repro.interconnect.ratesolver import (
-    IndexedSolver,
-    RateSolver,
-    ReferenceSolver,
-)
-from repro.interconnect.failures import (
-    ConnectivityCurve,
-    DegradedFabric,
-    connectivity_curve,
-    default_failure_rng,
-    disconnection_threshold,
-    fail_links,
-    fail_switches,
-    path_stretch,
-    terminal_connectivity,
-)
-from repro.interconnect.memfabric import (
-    AccessKind,
-    MemoryFabric,
-    MemoryPool,
-    MemoryTier,
-)
-from repro.interconnect.photonics import (
-    PhotonicsCostModel,
-    electrical_reach,
-)
-from repro.interconnect.routecache import (
-    RouteCache,
-    invalidate_route_cache,
-    route_cache_for,
-)
-from repro.interconnect.routing import (
-    adaptive_route,
-    minimal_route,
-    valiant_route,
-)
-from repro.interconnect.switch import SwitchGeneration, SwitchSpec
-from repro.interconnect.tenancy import (
-    SlicedFabric,
-    VirtualNetwork,
-    encryption_overhead,
-)
-from repro.interconnect.topology import (
-    TOPOLOGY_KINDS,
-    Topology,
-    TopologySpec,
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
-    build_topology,
-    build_torus,
-    build_two_tier,
-    enable_topology_cache,
-    normalize_topology_kind,
-    topology_cache_stats,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".collectives": ("CollectiveModel", "training_step_communication"),
+    ".congestion": (
+        "CONGESTION_POLICIES", "CongestionManager", "EcnCongestionControl",
+        "FlowBasedCongestionControl", "NoCongestionControl",
+        "congestion_policy",
+    ),
+    ".fabric": ("FabricSimulator", "Flow", "FlowStats", "LinkEvent"),
+    ".ratesolver": ("IndexedSolver", "RateSolver", "ReferenceSolver"),
+    ".failures": (
+        "ConnectivityCurve", "DegradedFabric", "connectivity_curve",
+        "default_failure_rng", "disconnection_threshold", "fail_links",
+        "fail_switches", "path_stretch", "terminal_connectivity",
+    ),
+    ".memfabric": ("AccessKind", "MemoryFabric", "MemoryPool", "MemoryTier"),
+    ".photonics": ("PhotonicsCostModel", "electrical_reach"),
+    ".routecache": ("RouteCache", "invalidate_route_cache", "route_cache_for"),
+    ".routing": ("adaptive_route", "minimal_route", "valiant_route"),
+    ".switch": ("SwitchGeneration", "SwitchSpec"),
+    ".tenancy": ("SlicedFabric", "VirtualNetwork", "encryption_overhead"),
+    ".topology": (
+        "TOPOLOGY_KINDS", "Topology", "TopologySpec", "build_dragonfly",
+        "build_fat_tree", "build_hyperx", "build_topology", "build_torus",
+        "build_two_tier", "enable_topology_cache", "normalize_topology_kind",
+        "topology_cache_stats",
+    ),
+})
 
 __all__ = [
     "AccessKind",

@@ -83,6 +83,12 @@ class Flow:
             raise ConfigurationError(
                 f"start_time must be non-negative and finite: {self.start_time}"
             )
+        if self.source == self.destination:
+            # A loopback flow never enters the fabric, so no epoch would
+            # ever retire it: the run would end in a deadlock error.
+            raise ConfigurationError(
+                f"flow source and destination must differ: {self.source!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,19 @@ class TopologySpec:
         object.__setattr__(self, "kind", normalize_topology_kind(self.kind))
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        # Checked here because every builder goes through a spec: a bad
+        # link either fails mid-run ("no progress possible") or gives
+        # negative completion times.
+        if not (math.isfinite(self.link_bandwidth) and self.link_bandwidth > 0):
+            raise ConfigurationError(
+                "link_bandwidth must be positive and finite: "
+                f"{self.link_bandwidth!r}"
+            )
+        if not (math.isfinite(self.link_latency) and self.link_latency >= 0):
+            raise ConfigurationError(
+                "link_latency must be non-negative and finite: "
+                f"{self.link_latency!r}"
+            )
 
     def build(self) -> Topology:
         """Shorthand for ``build_topology(self)``."""

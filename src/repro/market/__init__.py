@@ -18,24 +18,22 @@ Components:
   to validate that the simulated market converges to it.
 """
 
-from repro.market.agents import (
-    Agent,
-    BrokerAgent,
-    ConsumerAgent,
-    ProviderAgent,
-    SpeculatorAgent,
-)
-from repro.market.equilibrium import clearing_price, demand_at, supply_at
-from repro.market.exchange import ComputeExchange, MarketSimulation, ResourceClass
-from repro.market.orderbook import OrderBook
-from repro.market.orders import Order, Side, Trade
-from repro.market.procurement import (
-    CapacityOffer,
-    CapacityProcurer,
-    ProcurementResult,
-    market_savings,
-    on_demand_cost,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".agents": (
+        "Agent", "BrokerAgent", "ConsumerAgent", "ProviderAgent",
+        "SpeculatorAgent",
+    ),
+    ".equilibrium": ("clearing_price", "demand_at", "supply_at"),
+    ".exchange": ("ComputeExchange", "MarketSimulation", "ResourceClass"),
+    ".orderbook": ("OrderBook",),
+    ".orders": ("Order", "Side", "Trade"),
+    ".procurement": (
+        "CapacityOffer", "CapacityProcurer", "ProcurementResult",
+        "market_savings", "on_demand_cost",
+    ),
+})
 
 __all__ = [
     "Agent",

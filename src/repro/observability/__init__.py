@@ -30,67 +30,39 @@ This package depends only on :mod:`repro.core` — subsystems import it,
 never the reverse.
 """
 
-from repro.observability.export import (
-    chrome_trace,
-    counter_rows,
-    histogram_rows,
-    jsonl_lines,
-    load_jsonl,
-    parse_prometheus,
-    prometheus_lines,
-    top_time_sinks,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PeriodicSampler,
-    exponential_buckets,
-)
-from repro.observability.probes import (
-    KernelProbe,
-    ProfilingKernelProbe,
-    Telemetry,
-    attach_cluster_sampler,
-    attach_kernel_sampler,
-)
-from repro.observability.profiler import (
-    NULL_PROFILER,
-    PHASE_CONGESTION,
-    PHASE_DISPATCH,
-    PHASE_ROUTING,
-    PHASE_RUN,
-    PHASE_TELEMETRY,
-    PhaseProfiler,
-    StackSampler,
-    callback_label,
-    collapsed_stack_lines,
-    parse_collapsed,
-    profile_report,
-    profiler_chrome_trace,
-    write_collapsed,
-    write_profiler_chrome_trace,
-)
-from repro.observability.progress import SweepProgressReporter
-from repro.observability.summary import (
-    host_breakdown,
-    merge_summaries,
-    parse_label_string,
-    registry_from_summary,
-    summarize_telemetry,
-    summary_totals,
-)
-from repro.observability.tracer import (
-    NULL_TRACER,
-    CounterRecord,
-    InstantRecord,
-    SpanRecord,
-    Tracer,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".export": (
+        "chrome_trace", "counter_rows", "histogram_rows", "jsonl_lines",
+        "load_jsonl", "parse_prometheus", "prometheus_lines", "top_time_sinks",
+        "write_chrome_trace", "write_jsonl", "write_prometheus",
+    ),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "PeriodicSampler",
+        "exponential_buckets",
+    ),
+    ".probes": (
+        "KernelProbe", "ProfilingKernelProbe", "Telemetry",
+        "attach_cluster_sampler", "attach_kernel_sampler",
+    ),
+    ".profiler": (
+        "NULL_PROFILER", "PHASE_CONGESTION", "PHASE_DISPATCH", "PHASE_ROUTING",
+        "PHASE_RUN", "PHASE_TELEMETRY", "PhaseProfiler", "StackSampler",
+        "callback_label", "collapsed_stack_lines", "parse_collapsed",
+        "profile_report", "profiler_chrome_trace", "write_collapsed",
+        "write_profiler_chrome_trace",
+    ),
+    ".progress": ("SweepProgressReporter",),
+    ".summary": (
+        "host_breakdown", "merge_summaries", "parse_label_string",
+        "registry_from_summary", "summarize_telemetry", "summary_totals",
+    ),
+    ".tracer": (
+        "NULL_TRACER", "CounterRecord", "InstantRecord", "SpanRecord",
+        "Tracer",
+    ),
+})
 
 __all__ = [
     "Counter",

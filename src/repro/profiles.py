@@ -25,9 +25,15 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
+from repro.economics.energy import EnergyCarbonModel
 from repro.federation import Dataset, Federation, Site, SiteKind, WanLink
 from repro.federation.bursting import BurstingPolicy
 from repro.hardware import Precision, default_catalog
+from repro.hardware.power import (
+    CoolingTechnology,
+    DatacenterPowerModel,
+    RackPowerModel,
+)
 from repro.interconnect.congestion import congestion_policy
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
@@ -409,13 +415,6 @@ def _profile_c17(
     Young/Daly — and the run is scored in energy and carbon so scrub
     aggressiveness shows up on both sides of the ledger.
     """
-    from repro.economics import EnergyCarbonModel
-    from repro.hardware.power import (
-        CoolingTechnology,
-        DatacenterPowerModel,
-        RackPowerModel,
-    )
-
     catalog = default_catalog()
     cpu = catalog.get("epyc-class-cpu")
     site = Site(name="memrel", kind=SiteKind.SUPERCOMPUTER, devices={cpu: nodes})

@@ -15,49 +15,31 @@ latency, retry histograms — flow through the observability layer and
 :func:`cluster_report`.
 """
 
-from repro.resilience.faults import (
-    FailureProcess,
-    FaultCampaign,
-    FaultEvent,
-    FaultKind,
-    LinkFlapSpec,
-    NodeFaultSpec,
-    SiteOutageSpec,
-)
-from repro.resilience.injector import FaultInjector
-from repro.resilience.memerrors import (
-    CHIPKILL,
-    ECC_NONE,
-    ECC_POLICIES,
-    NO_SCRUB,
-    SEC_DED,
-    EccPolicy,
-    MemoryErrorCampaign,
-    MemoryErrorSpec,
-    MemoryErrorStats,
-    MemoryUpset,
-    ScrubPolicy,
-    bind_memory,
-    due_rate,
-    ecc_policy,
-    effective_mtbf,
-    expand_spec,
-    memory_failure_model,
-    outcome_fractions,
-)
-from repro.resilience.metrics import (
-    ResilienceReport,
-    check_conservation,
-    cluster_report,
-    conservation,
-)
-from repro.resilience.recovery import (
-    CheckpointPlan,
-    bind_cluster,
-    bind_metascheduler,
-    link_events_from_timeline,
-)
-from repro.resilience.retry import RetryPolicy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".faults": (
+        "FailureProcess", "FaultCampaign", "FaultEvent", "FaultKind",
+        "LinkFlapSpec", "NodeFaultSpec", "SiteOutageSpec",
+    ),
+    ".injector": ("FaultInjector",),
+    ".memerrors": (
+        "CHIPKILL", "ECC_NONE", "ECC_POLICIES", "NO_SCRUB", "SEC_DED",
+        "EccPolicy", "MemoryErrorCampaign", "MemoryErrorSpec",
+        "MemoryErrorStats", "MemoryUpset", "ScrubPolicy", "bind_memory",
+        "due_rate", "ecc_policy", "effective_mtbf", "expand_spec",
+        "memory_failure_model", "outcome_fractions",
+    ),
+    ".metrics": (
+        "ResilienceReport", "check_conservation", "cluster_report",
+        "conservation",
+    ),
+    ".recovery": (
+        "CheckpointPlan", "bind_cluster", "bind_metascheduler",
+        "link_events_from_timeline",
+    ),
+    ".retry": ("RetryPolicy",),
+})
 
 __all__ = [
     "FaultCampaign",

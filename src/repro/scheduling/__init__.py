@@ -18,37 +18,28 @@ Layers:
   baselines.
 """
 
-from repro.scheduling.checkpointing import (
-    CheckpointedExecution,
-    CheckpointTarget,
-    FailureModel,
-    fabric_pm_target,
-    local_ssd_target,
-    parallel_filesystem_target,
-    young_daly_interval,
-)
-from repro.scheduling.cluster import ClusterSimulator, JobRecord
-from repro.scheduling.metascheduler import (
-    MetaScheduler,
-    PlacementDecision,
-    PlacementPolicy,
-)
-from repro.scheduling.noise import NoiseModel, bsp_slowdown, expected_max_of_normals
-from repro.scheduling.policies import (
-    EasyBackfillPolicy,
-    FcfsPolicy,
-    PriorityPolicy,
-    QueuePolicy,
-    SjfPolicy,
-)
-from repro.scheduling.runtime import RuntimeEstimate, estimate_job
-from repro.scheduling.taskgraph import (
-    DataTask,
-    Mapper,
-    Region,
-    TaskGraph,
-    TaskGraphExecutor,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".checkpointing": (
+        "CheckpointedExecution", "CheckpointTarget", "FailureModel",
+        "fabric_pm_target", "local_ssd_target", "parallel_filesystem_target",
+        "young_daly_interval",
+    ),
+    ".cluster": ("ClusterSimulator", "JobRecord"),
+    ".metascheduler": (
+        "MetaScheduler", "PlacementDecision", "PlacementPolicy",
+    ),
+    ".noise": ("NoiseModel", "bsp_slowdown", "expected_max_of_normals"),
+    ".policies": (
+        "EasyBackfillPolicy", "FcfsPolicy", "PriorityPolicy", "QueuePolicy",
+        "SjfPolicy",
+    ),
+    ".runtime": ("RuntimeEstimate", "estimate_job"),
+    ".taskgraph": (
+        "DataTask", "Mapper", "Region", "TaskGraph", "TaskGraphExecutor",
+    ),
+})
 
 __all__ = [
     "CheckpointTarget",

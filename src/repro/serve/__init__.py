@@ -30,25 +30,23 @@ Quickstart::
     python -m repro serve-request http://127.0.0.1:7750 profile C1
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    QuotaPolicy,
-    TokenBucket,
-)
-from repro.serve.app import ServeConfig, ServiceApp
-from repro.serve.cache import ResultCache
-from repro.serve.client import http_request
-from repro.serve.handlers import SERVE_SCHEMA, build_body
-from repro.serve.http import (
-    NdjsonResponse,
-    ProtocolError,
-    Response,
-    ServeRequest,
-    error_response,
-    json_response,
-)
-from repro.serve.testing import ClientResponse, ServerThread, ServiceClient
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".admission": (
+        "AdmissionController", "AdmissionDecision", "QuotaPolicy",
+        "TokenBucket",
+    ),
+    ".app": ("ServeConfig", "ServiceApp"),
+    ".cache": ("ResultCache",),
+    ".client": ("http_request",),
+    ".handlers": ("SERVE_SCHEMA", "build_body"),
+    ".http": (
+        "NdjsonResponse", "ProtocolError", "Response", "ServeRequest",
+        "error_response", "json_response",
+    ),
+    ".testing": ("ClientResponse", "ServerThread", "ServiceClient"),
+})
 
 __all__ = [
     "AdmissionController",

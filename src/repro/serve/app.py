@@ -40,6 +40,17 @@ from repro.serve.cache import ResultCache
 from repro.serve.handlers import ROUTES, build_body
 
 
+#: Modules the request path imports when a request first needs them:
+#: the profile runners, fingerprinting and the sweep engine.  ``repro
+#: serve`` imports them before it binds.
+REQUEST_PATH = (
+    "repro.profiles",
+    "repro.validate.fingerprint",
+    "repro.sweep.engine",
+    "repro.observability.progress",
+)
+
+
 @dataclass
 class ServeConfig:
     """Everything tunable about one serve process."""

@@ -45,47 +45,32 @@ Quickstart
 >>> result = run_sweep(spec, workers=2)   # doctest: +SKIP
 """
 
-from repro.sweep.backends import (
-    BACKEND_NAMES,
-    BaseExecutor,
-    FleetConfig,
-    FleetError,
-    backoff_delay,
-    create_executor,
-    register_backend,
-)
-from repro.sweep.engine import (
-    PointResult,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-    spec_from_request,
-)
-from repro.sweep.grid import ParameterGrid, ScenarioPoint
-from repro.sweep.journal import (
-    RunJournal,
-    load_journal,
-    merge_journals,
-    point_payload_digest,
-)
-from repro.sweep.remote_worker import run_worker
-from repro.sweep.store import SCHEMA, load_sweep, save_sweep, sweep_document
-from repro.sweep.supervisor import (
-    ChaosSpec,
-    PointFailure,
-    SupervisorConfig,
-    SweepInterrupted,
-    SweepPointError,
-    parse_chaos,
-)
-from repro.sweep.targets import (
-    FABRIC_CONGESTION_VARIANTS,
-    NAMED_SWEEPS,
-    TARGETS,
-    named_sweep,
-    register_target,
-    resolve_target,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".backends": (
+        "BACKEND_NAMES", "BaseExecutor", "FleetConfig", "FleetError",
+        "backoff_delay", "create_executor", "register_backend",
+    ),
+    ".engine": (
+        "PointResult", "SweepResult", "SweepSpec", "run_sweep",
+        "spec_from_request",
+    ),
+    ".grid": ("ParameterGrid", "ScenarioPoint"),
+    ".journal": (
+        "RunJournal", "load_journal", "merge_journals", "point_payload_digest",
+    ),
+    ".remote_worker": ("run_worker",),
+    ".store": ("SCHEMA", "load_sweep", "save_sweep", "sweep_document"),
+    ".supervisor": (
+        "ChaosSpec", "PointFailure", "SupervisorConfig", "SweepInterrupted",
+        "SweepPointError", "parse_chaos",
+    ),
+    ".targets": (
+        "FABRIC_CONGESTION_VARIANTS", "NAMED_SWEEPS", "TARGETS", "named_sweep",
+        "register_target", "resolve_target",
+    ),
+})
 
 __all__ = [
     "BACKEND_NAMES",

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.rng import RandomSource
 
 
 class SweepPointError(ReproError):
@@ -121,6 +120,9 @@ def backoff_delay(config, seed: int, sweep_name: str, index: int,
     jitter = getattr(config, "jitter", 0.0)
     if base <= 0.0 or jitter <= 0.0:
         return base
+    # Imported here so a sweep-worker host starts without numpy.
+    from repro.core.rng import RandomSource
+
     rng = RandomSource(seed).fork(f"backoff/{sweep_name}/{index}/{attempt}")
     return base * (1.0 + jitter * rng.uniform())
 

@@ -35,6 +35,7 @@ raising.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import pathlib
 import time
@@ -55,7 +56,7 @@ from repro.sweep.supervisor import (
     SweepInterrupted,
     parse_chaos,
 )
-from repro.sweep.targets import resolve_target
+from repro.sweep.targets import preload_target, resolve_target
 
 
 @dataclass
@@ -242,6 +243,23 @@ def _run_point_guarded(args):
             "error",
             (args[3], dict(args[4]), f"{type(error).__name__}: {error}"),
         )
+
+
+def _start_worker(target_name: str) -> None:
+    """Worker start-up: load the target's modules, then freeze the heap.
+
+    Under ``fork`` the modules are inherited and the import is a no-op;
+    under ``spawn`` it runs here instead of inside the first point.  The
+    freeze moves the heap the worker starts with into the collector's
+    permanent generation, so a gen-2 collection walks (and, under fork,
+    copies on write) only what the points allocate.  It is O(1) and
+    leaves the parent's collector alone.
+    """
+    try:
+        preload_target(target_name)
+    except (KeyError, ImportError):
+        pass  # every point then reports the error against itself
+    gc.freeze()
 
 
 def _pool_context():
@@ -471,12 +489,13 @@ def run_sweep(
         Deterministic retry-backoff jitter fraction (see
         :func:`repro.sweep.backends.backoff_delay`).
 
-    The target is resolved once up front so an unknown name fails fast,
-    then again by name inside each worker.
+    The target is resolved once up front, with every module its points
+    import, so an unknown name fails fast and forked workers inherit the
+    modules; each worker then resolves it again by name.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    resolve_target(spec.target)
+    preload_target(spec.target)
     if isinstance(chaos, str):
         chaos = parse_chaos(chaos)
     if isinstance(resume, (str, pathlib.Path)):
@@ -560,7 +579,10 @@ def run_sweep(
         # One point per task: ordered ``imap`` hands back the first result
         # as soon as point 0 finishes, not after a whole chunk, and the
         # workers stay balanced to the last point.
-        with context.Pool(processes=workers) as pool:
+        with context.Pool(
+            processes=workers, initializer=_start_worker,
+            initargs=(spec.target,),
+        ) as pool:
             try:
                 if strict:
                     for result in pool.imap(_run_point, jobs):

@@ -77,6 +77,7 @@ class _WorkerHost:
         trace_dir: Optional[str],
     ) -> None:
         from repro.sweep.engine import SweepSpec, _pool_context
+        from repro.sweep.targets import preload_target
 
         self.sock = sock
         self.name = name
@@ -98,6 +99,12 @@ class _WorkerHost:
             welcome.get("heartbeat_interval", 0.5)
         )
         self.collect_telemetry = bool(welcome.get("collect_telemetry", False))
+        try:
+            # Children fork from this host: load the target's modules once
+            # here rather than in every child's first point.
+            preload_target(self.spec.target)
+        except (KeyError, ImportError):
+            pass  # every point then reports the error against itself
         self._context = _pool_context()
         self._common = (
             self.spec.target, self.spec.name, self.spec.seed, trace_dir,

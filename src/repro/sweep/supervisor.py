@@ -40,7 +40,6 @@ from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
 from repro.sweep.backends import (  # re-exported for compatibility
     COUNTERS,
     BaseExecutor,
@@ -70,6 +69,15 @@ CHAOS_EXIT_CODE = 86
 
 #: Exit code a chaos-injected *host* crash dies with (tcp backend).
 CHAOS_HOST_EXIT_CODE = 87
+
+
+def _roll(stream: str, seed: int) -> float:
+    """One uniform draw from ``RandomSource(seed).fork(stream)``."""
+    # Imported here so a sweep-worker host starts without numpy; every
+    # process that draws has loaded it with its sweep target already.
+    from repro.core.rng import RandomSource
+
+    return RandomSource(seed).fork(stream).uniform()
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,7 @@ class ChaosSpec:
         self, seed: int, sweep_name: str, index: int, attempt: int
     ) -> Optional[str]:
         """``"crash"``, ``"hang"`` or ``None`` for this (point, attempt)."""
-        rng = RandomSource(seed).fork(
-            f"chaos/{sweep_name}/{index}/{attempt}"
-        )
-        roll = rng.uniform()
+        roll = _roll(f"chaos/{sweep_name}/{index}/{attempt}", seed)
         if roll < self.crash:
             return "crash"
         if roll < self.crash + self.hang:
@@ -158,10 +163,8 @@ class ChaosSpec:
         """``"crash"`` (whole host dies) or ``None`` for this attempt."""
         if self.host_crash <= 0.0:
             return None
-        rng = RandomSource(seed).fork(
-            f"chaos-host/{sweep_name}/{index}/{attempt}"
-        )
-        return "crash" if rng.uniform() < self.host_crash else None
+        roll = _roll(f"chaos-host/{sweep_name}/{index}/{attempt}", seed)
+        return "crash" if roll < self.host_crash else None
 
     def draw_net(
         self, seed: int, sweep_name: str, index: int, attempt: int
@@ -169,10 +172,7 @@ class ChaosSpec:
         """``"drop"``, ``"delay"`` or ``None`` for this result frame."""
         if self.drop <= 0.0 and self.delay <= 0.0:
             return None
-        rng = RandomSource(seed).fork(
-            f"chaos-net/{sweep_name}/{index}/{attempt}"
-        )
-        roll = rng.uniform()
+        roll = _roll(f"chaos-net/{sweep_name}/{index}/{attempt}", seed)
         if roll < self.drop:
             return "drop"
         if roll < self.drop + self.delay:
@@ -296,9 +296,10 @@ def _supervised_worker(conn, common: Tuple) -> None:
     Module-level (and fed only picklable state) so it works under both
     ``fork`` and ``spawn`` start methods.
     """
-    from repro.sweep.engine import _run_point
+    from repro.sweep.engine import _run_point, _start_worker
 
     target_name, sweep_name, seed, trace_dir, chaos, collect_telemetry = common
+    _start_worker(target_name)
     try:
         # Ready handshake: interpreter boot + imports are done (the bulk
         # of spawn-method startup).  The parent starts the first point's

@@ -21,8 +21,9 @@ stays declarative (and picklable).  Two families exist out of the box:
 
 from __future__ import annotations
 
+import importlib
 import inspect
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import congestion_policy
@@ -44,6 +45,19 @@ def register_target(name: str) -> Callable[[SweepTarget], SweepTarget]:
         return fn
 
     return wrap
+
+
+def preload_target(name: str) -> SweepTarget:
+    """Resolve ``name`` and import every module its points will use.
+
+    The sweep parent calls this before it starts workers: forked workers
+    inherit the modules instead of importing them on their first point,
+    and a spawned worker imports them before it reports ready.
+    """
+    target = resolve_target(name)
+    for module in _TARGET_IMPORTS.get(name, ()):
+        importlib.import_module(module)
+    return target
 
 
 def resolve_target(name: str) -> SweepTarget:
@@ -177,6 +191,34 @@ def fabric_congestion(
 
 
 # --- the resilience churn target ----------------------------------------------
+
+
+#: What the cluster targets import in their bodies, by defining module.
+_CLUSTER_IMPORTS = (
+    "repro.federation.site",
+    "repro.hardware.catalog",
+    "repro.hardware.precision",
+    "repro.resilience.faults",
+    "repro.resilience.injector",
+    "repro.resilience.metrics",
+    "repro.resilience.recovery",
+    "repro.resilience.retry",
+    "repro.scheduling.cluster",
+    "repro.scheduling.runtime",
+    "repro.workloads.base",
+)
+
+#: Modules a target imports inside its body, by target name; see
+#: :func:`preload_target`.
+_TARGET_IMPORTS: Dict[str, Tuple[str, ...]] = {
+    "resilience-churn": _CLUSTER_IMPORTS,
+    "memory-reliability": _CLUSTER_IMPORTS + (
+        "repro.economics.energy",
+        "repro.hardware.power",
+        "repro.resilience.memerrors",
+        "repro.scheduling.checkpointing",
+    ),
+}
 
 
 @register_target("resilience-churn")

@@ -27,44 +27,29 @@ Like :mod:`repro.profiles`, this package sits *above* the subsystems: it
 imports scheduling, interconnect and sweep freely.
 """
 
-from repro.validate.differential import (
-    DifferentialResult,
-    check_checkpointing,
-    check_collectives,
-    check_distributed,
-    check_memerrors,
-    check_resume,
-    check_routes,
-    check_serve,
-    check_solvers,
-    check_sweep,
-    run_differential_checks,
-)
-from repro.validate.fingerprint import (
-    DEFAULT_RTOL,
-    REQUEST_SCHEMA,
-    SCHEMA,
-    GoldenStore,
-    canonical_request,
-    compare_fingerprints,
-    profile_defaults,
-    profile_fingerprint,
-    request_fingerprint,
-    sweep_fingerprint,
-)
-from repro.validate.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    KernelInvariantHooks,
-    Violation,
-)
-from repro.validate.runner import (
-    DEFAULT_GOLDEN_DIR,
-    ValidationEntry,
-    ValidationReport,
-    run_validated,
-    validate,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".differential": (
+        "DifferentialResult", "check_checkpointing", "check_collectives",
+        "check_distributed", "check_memerrors", "check_resume", "check_routes",
+        "check_serve", "check_solvers", "check_sweep",
+        "run_differential_checks",
+    ),
+    ".fingerprint": (
+        "DEFAULT_RTOL", "REQUEST_SCHEMA", "SCHEMA", "GoldenStore",
+        "canonical_request", "compare_fingerprints", "profile_defaults",
+        "profile_fingerprint", "request_fingerprint", "sweep_fingerprint",
+    ),
+    ".invariants": (
+        "InvariantChecker", "InvariantViolation", "KernelInvariantHooks",
+        "Violation",
+    ),
+    ".runner": (
+        "DEFAULT_GOLDEN_DIR", "ValidationEntry", "ValidationReport",
+        "run_validated", "validate",
+    ),
+})
 
 __all__ = [
     "DEFAULT_GOLDEN_DIR",

@@ -15,49 +15,30 @@ Workloads are device independent: they describe *what* must be computed
 and scheduling layers decide where and how fast it runs.
 """
 
-from repro.workloads.ai import (
-    AIModel,
-    LayerShape,
-    build_cnn,
-    build_mlp,
-    build_transformer,
-)
-from repro.workloads.base import (
-    Job,
-    JobClass,
-    Phase,
-    PhaseKind,
-    Task,
-)
-from repro.workloads.control import (
-    DecisionMaker,
-    TieredControlPolicy,
-    edge_ai,
-    human_operator,
-    remote_ai,
-    science_yield,
-)
-from repro.workloads.edge import DetectorPreset, InstrumentStream
-from repro.workloads.hpc import (
-    dense_linear_algebra,
-    nbody,
-    sparse_solver,
-    spectral_transform,
-    stencil,
-)
-from repro.workloads.hybrid import ClosedLoopWorkflow, SurrogateModel
-from repro.workloads.interchange import (
-    CompiledModel,
-    PortableModel,
-    best_target,
-    compile_for_device,
-    export_model,
-    from_wire,
-    import_model,
-    to_wire,
-)
-from repro.workloads.synthetic import GanPair, build_gan, synthesise_dataset
-from repro.workloads.traces import JobTraceGenerator, TraceConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".ai": (
+        "AIModel", "LayerShape", "build_cnn", "build_mlp", "build_transformer",
+    ),
+    ".base": ("Job", "JobClass", "Phase", "PhaseKind", "Task"),
+    ".control": (
+        "DecisionMaker", "TieredControlPolicy", "edge_ai", "human_operator",
+        "remote_ai", "science_yield",
+    ),
+    ".edge": ("DetectorPreset", "InstrumentStream"),
+    ".hpc": (
+        "dense_linear_algebra", "nbody", "sparse_solver", "spectral_transform",
+        "stencil",
+    ),
+    ".hybrid": ("ClosedLoopWorkflow", "SurrogateModel"),
+    ".interchange": (
+        "CompiledModel", "PortableModel", "best_target", "compile_for_device",
+        "export_model", "from_wire", "import_model", "to_wire",
+    ),
+    ".synthetic": ("GanPair", "build_gan", "synthesise_dataset"),
+    ".traces": ("JobTraceGenerator", "TraceConfig"),
+})
 
 __all__ = [
     "AIModel",

@@ -40,6 +40,12 @@ class TestFlow:
         with pytest.raises(ConfigurationError, match=field):
             Flow(source="a", destination="b", **kwargs)
 
+    def test_rejects_loopback(self):
+        # A loopback flow never finishes: the run used to end in
+        # "fabric deadlock: no progress possible".
+        with pytest.raises(ConfigurationError, match="source and destination"):
+            Flow(source="a", destination="a", size=1.0)
+
     def test_flow_ids_unique(self):
         a = Flow(source="a", destination="b", size=1.0)
         b = Flow(source="a", destination="b", size=1.0)

@@ -116,6 +116,43 @@ class TestFieldValidation:
             build_topology("dragonfly", wings=2)
 
 
+#: Link parameters every builder must reject, with the field each names.
+BAD_LINKS = [
+    ("link_bandwidth", 0.0),
+    ("link_bandwidth", -1e9),
+    ("link_bandwidth", float("nan")),
+    ("link_bandwidth", float("inf")),
+    ("link_latency", -1e-3),
+    ("link_latency", float("nan")),
+    ("link_latency", float("inf")),
+]
+
+
+class TestLinkValidation:
+    """Bad links fail at build time, naming the field, not mid-run."""
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    @pytest.mark.parametrize("field,value", BAD_LINKS)
+    def test_build_topology_rejects(self, kind, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            build_topology(kind, **{field: value})
+
+    @pytest.mark.parametrize("field,value", BAD_LINKS)
+    def test_legacy_wrapper_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            build_dragonfly(**{field: value})
+
+    @pytest.mark.parametrize("field,value", BAD_LINKS)
+    def test_spec_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TopologySpec(kind="torus", **{field: value})
+
+    def test_zero_latency_allowed(self):
+        topology = build_topology("two-tier", link_latency=0.0)
+        _, _, data = next(iter(topology.graph.edges(data=True)))
+        assert data["latency"] == 0.0
+
+
 class TestTopologySpec:
     def test_spec_builds(self):
         spec = TopologySpec(kind="two-tier", leaves=4, spines=2, terminals=4)
