@@ -1,20 +1,19 @@
-"""Supervisor overhead benchmark: supervised, bare-pool and tcp fleet.
+"""Coordinator overhead benchmark: the tcp fleet against local workers.
 
-Runs the same sweep through the bare ``multiprocessing`` pool, through
-the fault-tolerant supervisor (same worker count, no faults injected)
-and through the ``tcp`` backend sharding over loopback worker hosts,
-checks all runs are bit-identical, and writes ``BENCH_supervisor.json``
-with the relative overheads.  The supervision tax — pipes, per-point
-dispatch, journal-free bookkeeping — must stay **under 5%** over the
-bare pool, and the coordinator tax — socket frames, heartbeats,
-host-side scheduling — **under 5%** over the supervised pool, on the
-congestion-style sweeps whose per-point cost they exist to protect; CI
-gates on ``overhead_pct`` and ``tcp_overhead_pct``.
+Runs the same sweep through the supervised local executor and through
+the ``tcp`` backend sharding over loopback worker hosts with the same
+total worker slots, checks the two runs are bit-identical, and writes
+``BENCH_supervisor.json`` with the relative overhead.  The coordinator
+tax — socket frames, heartbeats, host-side scheduling — must stay
+**under 5%** over the local executor on the congestion-style sweeps
+whose per-point cost it exists to protect; CI gates on
+``tcp_overhead_pct``.  The local executor's own cost is gated by
+perfbench's ``sweep_congestion`` workload.
 
-The modes are *interleaved*: each repetition runs bare, then supervised,
-then tcp, and the best (minimum) wall time per mode is kept — a slow
-system phase lands on every mode instead of biasing whichever one a
-block-sequential schedule happened to run through it.
+The modes are *interleaved*: each repetition runs local, then tcp, and
+the best (minimum) wall time per mode is kept — a slow system phase
+lands on both modes instead of biasing whichever one a block-sequential
+schedule happened to run through it.
 
 Run from the repo root::
 
@@ -31,13 +30,12 @@ import pathlib
 
 from repro.sweep import FleetConfig, named_sweep, run_sweep
 
-#: CI gate: supervised wall time may exceed the bare pool's by this
-#: much, and the tcp coordinator's the supervised pool's by the same.
+#: CI gate: tcp wall time may exceed the local executor's by this much.
 MAX_OVERHEAD_PCT = 5.0
 
 #: Loopback worker hosts the tcp mode shards over (when the local
 #: worker count divides across them; otherwise one host takes every
-#: slot so total slots always equal the local modes' worker count).
+#: slot so total slots always equal the local mode's worker count).
 TCP_HOSTS = 2
 
 
@@ -67,7 +65,7 @@ def _free_port() -> int:
 class _TcpFleet:
     """Long-lived loopback worker hosts reused across repetitions.
 
-    Total fleet slots match the local modes' worker count so the
+    Total fleet slots match the local mode's worker count so the
     comparison isolates coordination overhead, not parallelism.  The
     worker-host processes boot once and reconnect for each repetition:
     hosts are long-lived daemons in production, so their boot cost is
@@ -119,7 +117,7 @@ def main() -> int:
     parser.add_argument("--sweep", default="congestion",
                         choices=("congestion", "smoke"))
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for both modes "
+                        help="worker slots for both modes "
                              "(default: min(4, cpu_count))")
     parser.add_argument("--reps", type=int, default=3,
                         help="repetitions per mode; best wall time is kept")
@@ -127,8 +125,6 @@ def main() -> int:
                         help="2 reps per mode — the CI configuration "
                              "(the sweep stays full-size: the gate needs "
                              "real per-point cost, not spawn latency)")
-    parser.add_argument("--skip-tcp", action="store_true",
-                        help="skip the tcp-fleet mode (local modes only)")
     parser.add_argument("--output", default="BENCH_supervisor.json")
     args = parser.parse_args()
     if args.quick:
@@ -145,83 +141,52 @@ def main() -> int:
         ):
             best[mode] = result
 
-    fleet = None if args.skip_tcp else _TcpFleet(workers)
+    fleet = _TcpFleet(workers)
     try:
         for _ in range(args.reps):
-            keep("bare", run_sweep(spec, workers=workers, supervised=False))
-            keep("supervised",
-                 run_sweep(spec, workers=workers, supervised=True))
-            if fleet is not None:
-                keep("tcp", fleet.run(spec))
+            keep("local", run_sweep(spec, workers=workers, backend="local"))
+            keep("tcp", fleet.run(spec))
     finally:
-        if fleet is not None:
-            fleet.stop()
-    bare = best["bare"]
-    supervised = best["supervised"]
-    tcp = best.get("tcp")
-    identical = bare.fingerprint() == supervised.fingerprint()
+        fleet.stop()
+    local = best["local"]
+    tcp = best["tcp"]
+    identical = tcp.fingerprint() == local.fingerprint()
     overhead_pct = (
-        (supervised.wall_seconds - bare.wall_seconds)
-        / bare.wall_seconds * 100.0
-        if bare.wall_seconds else float("inf")
+        (tcp.wall_seconds - local.wall_seconds)
+        / local.wall_seconds * 100.0
+        if local.wall_seconds else float("inf")
     )
-
     document = {
         "schema": "repro.bench/v1",
-        "benchmark": "supervisor_overhead",
+        "benchmark": "coordinator_overhead",
         "sweep": spec.name,
-        "points": len(bare.points),
+        "points": len(local.points),
         "workers": workers,
         "reps": args.reps,
-        "bare_seconds": bare.wall_seconds,
-        "supervised_seconds": supervised.wall_seconds,
-        "overhead_pct": overhead_pct,
+        "local_seconds": local.wall_seconds,
+        "tcp_seconds": tcp.wall_seconds,
+        "tcp_hosts": fleet.hosts,
+        "tcp_overhead_pct": overhead_pct,
         "max_overhead_pct": MAX_OVERHEAD_PCT,
-        "bit_identical": identical,
-        "fingerprint": bare.fingerprint(),
-        "harness": supervised.harness,
+        "tcp_bit_identical": identical,
+        "fingerprint": local.fingerprint(),
+        "harness": tcp.harness,
         "cpu_count": os.cpu_count(),
     }
-    if tcp is not None:
-        tcp_identical = tcp.fingerprint() == bare.fingerprint()
-        tcp_overhead_pct = (
-            (tcp.wall_seconds - supervised.wall_seconds)
-            / supervised.wall_seconds * 100.0
-            if supervised.wall_seconds else float("inf")
-        )
-        document.update({
-            "tcp_seconds": tcp.wall_seconds,
-            "tcp_overhead_pct": tcp_overhead_pct,
-            "tcp_hosts": fleet.hosts,
-            "tcp_bit_identical": tcp_identical,
-        })
     path = pathlib.Path(args.output)
     path.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"{len(bare.points)} points x {workers} workers: "
-          f"bare {bare.wall_seconds:.2f}s, "
-          f"supervised {supervised.wall_seconds:.2f}s "
+    print(f"{len(local.points)} points x {workers} worker slots: "
+          f"local {local.wall_seconds:.2f}s, tcp over {fleet.hosts} "
+          f"loopback host(s) {tcp.wall_seconds:.2f}s "
           f"(overhead {overhead_pct:+.1f}%, bit-identical: {identical})")
-    if tcp is not None:
-        print(f"tcp over {fleet.hosts} loopback host(s): "
-              f"{tcp.wall_seconds:.2f}s "
-              f"(overhead {tcp_overhead_pct:+.1f}% vs supervised, "
-              f"bit-identical: {tcp_identical})")
     print(f"wrote {path}")
     if not identical:
-        print("ERROR: supervised run diverged from the bare pool")
+        print("ERROR: tcp fleet run diverged from the local executor")
         return 1
     if overhead_pct > MAX_OVERHEAD_PCT:
-        print(f"ERROR: supervision overhead {overhead_pct:.1f}% exceeds "
-              f"the {MAX_OVERHEAD_PCT:.0f}% budget")
+        print(f"ERROR: tcp coordination overhead {overhead_pct:.1f}% "
+              f"exceeds the {MAX_OVERHEAD_PCT:.0f}% budget")
         return 1
-    if tcp is not None:
-        if not tcp_identical:
-            print("ERROR: tcp fleet run diverged from the bare pool")
-            return 1
-        if tcp_overhead_pct > MAX_OVERHEAD_PCT:
-            print(f"ERROR: tcp coordination overhead {tcp_overhead_pct:.1f}% "
-                  f"exceeds the {MAX_OVERHEAD_PCT:.0f}% budget")
-            return 1
     return 0
 
 

@@ -422,7 +422,7 @@ def _resume_command(args: argparse.Namespace, journal_path: str) -> str:
         parts += ["--workers", str(args.workers)]
     if args.timeout is not None:
         parts += ["--timeout", f"{args.timeout:g}"]
-    if args.retries is not None:
+    if args.retries != 2:
         parts += ["--retries", str(args.retries)]
     if args.jitter:
         parts += ["--jitter", f"{args.jitter:g}"]
@@ -540,7 +540,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             chaos=args.chaos, journal=args.journal, resume=args.resume,
             strict=args.strict,
             telemetry=parent_telemetry,
-            supervised=True if args.supervised else None,
             collect_telemetry=collect_telemetry,
             backend=args.backend, fleet=fleet,
         )
@@ -1025,19 +1024,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--verbose", action="store_true")
     sweep.add_argument(
-        "--supervised", action="store_true",
-        help="force the fault-tolerant executor even with no other "
-             "fault-tolerance flags",
-    )
-    sweep.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-point wall-clock budget; overdue workers are killed and "
              "the point retried",
     )
     sweep.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=int, default=2, metavar="N",
         help="retry budget per point before it lands in the error ledger "
-             "(default 2 when supervised)",
+             "(default 2)",
     )
     sweep.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -1083,8 +1077,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="executor backend: local (default), local-fork, local-spawn "
-             "or tcp (shard over `repro sweep-worker` hosts)",
+        help="executor backend: local (supervised worker processes), "
+             "local-fork, local-spawn or tcp (shard over `repro "
+             "sweep-worker` hosts); default: in process for one worker "
+             "with no --timeout or --chaos, local otherwise",
     )
     sweep.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",

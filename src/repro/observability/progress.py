@@ -4,10 +4,9 @@
 callback slot and renders one continuously-rewritten status line on a
 TTY (``\\r`` + erase-to-end), or throttled plain lines on anything else
 (CI logs, pipes).  The line shows completed/total points, throughput,
-an ETA extrapolated from throughput so far, and — when the sweep runs
-supervised with a telemetry registry attached — the harness's retry /
-crash / timeout / failure counters straight from the
-``sweep.supervisor.*`` series.
+an ETA extrapolated from throughput so far, and — when the sweep has
+a telemetry registry attached — the harness's retry / crash / timeout /
+failure counters straight from the ``sweep.supervisor.*`` series.
 
 The reporter observes; it never feeds anything back into the sweep, so
 a run with ``--progress`` is bit-identical to one without.

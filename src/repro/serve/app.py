@@ -469,6 +469,9 @@ class ServiceApp:
         result = run_sweep(
             spec,
             workers=self.config.sweep_workers,
+            # Worker processes even at one worker: a point that crashes
+            # or hangs must cost a retry, never the service.
+            backend="local",
             progress=on_point,
             retries=self.config.sweep_retries,
             journal=None if resuming else str(journal),

@@ -7,8 +7,9 @@ policy, load)" into three declarative pieces:
   axes, enumerated in a stable order (:mod:`repro.sweep.grid`),
 * a registered **target** — the function one grid point runs, looked up
   by name so specs stay picklable (:mod:`repro.sweep.targets`),
-* :func:`~repro.sweep.engine.run_sweep` — the ``multiprocessing`` fan-out
-  with per-point telemetry capture (:mod:`repro.sweep.engine`).
+* :func:`~repro.sweep.engine.run_sweep` — the fan-out over one executor
+  (:mod:`repro.sweep.backends`) with per-point telemetry capture
+  (:mod:`repro.sweep.engine`).
 
 Determinism is the headline contract: every point draws randomness from
 ``spawn(point.index)`` off the sweep seed, so the aggregated result is
@@ -18,14 +19,15 @@ it).  Results persist as ``repro.sweep/v1`` JSON documents
 :mod:`repro.analysis.aggregate`.
 
 Fault tolerance rides on the same contract: the supervised executor
-(:mod:`repro.sweep.supervisor`) detects crashed and hung workers,
-requeues their points under a bounded retry budget, journals every
+(:mod:`repro.sweep.supervisor`), which runs every sweep but a plain
+one-worker one, detects crashed and hung workers and requeues their
+points under a bounded retry budget.  Any run can journal every
 completed point to a crash-consistent JSONL file
-(:mod:`repro.sweep.journal`), and resumes an interrupted sweep —
+(:mod:`repro.sweep.journal`) and resume an interrupted sweep —
 ``run_sweep(spec, resume=path)`` — with a fingerprint bit-identical to
 an uninterrupted run.
 
-Distribution generalises the executor behind pluggable backends
+Distribution is one more executor backend
 (:mod:`repro.sweep.backends`): ``run_sweep(spec, backend="tcp",
 fleet=FleetConfig(...))`` shards the grid over TCP worker hosts
 (``repro sweep-worker``) with heartbeats, dead-host requeue and
@@ -50,7 +52,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".backends": (
         "BACKEND_NAMES", "BaseExecutor", "FleetConfig", "FleetError",
-        "backoff_delay", "create_executor", "register_backend",
+        "PointFailure", "SweepInterrupted", "SweepPointError",
+        "backoff_delay", "create_executor",
     ),
     ".engine": (
         "PointResult", "SweepResult", "SweepSpec", "run_sweep",
@@ -62,10 +65,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".remote_worker": ("run_worker",),
     ".store": ("SCHEMA", "load_sweep", "save_sweep", "sweep_document"),
-    ".supervisor": (
-        "ChaosSpec", "PointFailure", "SupervisorConfig", "SweepInterrupted",
-        "SweepPointError", "parse_chaos",
-    ),
+    ".supervisor": ("ChaosSpec", "SupervisorConfig", "parse_chaos"),
     ".targets": (
         "FABRIC_CONGESTION_VARIANTS", "NAMED_SWEEPS", "TARGETS", "named_sweep",
         "register_target", "resolve_target",
@@ -100,7 +100,6 @@ __all__ = [
     "named_sweep",
     "parse_chaos",
     "point_payload_digest",
-    "register_backend",
     "register_target",
     "resolve_target",
     "run_sweep",

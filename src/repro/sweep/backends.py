@@ -1,27 +1,27 @@
-"""Pluggable sweep executor backends: one interface, local or distributed.
+"""Sweep executors: one interface, in-process, local or distributed.
 
-PR 5's supervised fork-pool hard-codes one execution substrate: child
-processes on this machine, driven over pipes.  This module extracts the
-substrate behind a small interface so ``run_sweep`` can shard the same
-grid over a fleet of TCP worker hosts without the engine, journal or
-fingerprint contract changing:
+Every ``run_sweep`` call drives its points through one executor; the
+engine, journal and fingerprint contract never change with the choice:
 
-* :class:`BaseExecutor` — the shared skeleton every backend inherits:
+* :class:`BaseExecutor` — the shared skeleton every executor inherits:
   harness counters, the pending-task queue with lowest-index-first
   dispatch and retry backoff, and the bounded retry-or-ledger policy.
-* :func:`register_backend` / :func:`resolve_backend` /
-  :func:`create_executor` — the registry.  Built-ins:
+* :class:`InlineExecutor` — runs the points in the calling process.
+  ``run_sweep`` picks it for a one-worker sweep with no ``backend``,
+  ``timeout`` or ``chaos``: nothing there needs a process boundary, and
+  skipping the child's boot and pipe is measurably faster.
+* :func:`create_executor` — every other run, by backend name:
 
-  ========== =========================================================
-  name       substrate
-  ========== =========================================================
-  local      supervised child processes, platform-preferred start
-             method (``fork`` where available) — the PR 5 executor
-  local-fork supervised child processes, ``fork`` start method
+  =========== ========================================================
+  name        substrate
+  =========== ========================================================
+  local       supervised child processes, platform-preferred start
+              method (``fork`` where available) — the default
+  local-fork  supervised child processes, ``fork`` start method
   local-spawn supervised child processes, ``spawn`` start method
-  tcp        a socket coordinator sharding points to remote worker
-             hosts (:mod:`repro.sweep.coordinator`)
-  ========== =========================================================
+  tcp         a socket coordinator sharding points to remote worker
+              hosts (:mod:`repro.sweep.coordinator`)
+  =========== ========================================================
 
 * :func:`backoff_delay` — deterministic retry backoff with optional
   jitter, forked per ``(seed, sweep, index, attempt)`` exactly like
@@ -30,15 +30,15 @@ fingerprint contract changing:
 * :class:`FleetConfig` — the knobs only the ``tcp`` backend reads
   (listen address, minimum hosts, heartbeat cadence, work stealing).
 
-Every backend upholds the same contract: point outcomes are pure
+Every executor upholds the same contract: point outcomes are pure
 functions of ``(seed, sweep name, point index)``, so fingerprints are
-bit-identical across backends, worker counts and host counts.
+bit-identical across executors, worker counts and host counts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
@@ -300,32 +300,11 @@ class BaseExecutor:
         raise NotImplementedError
 
 
-#: Backend registry: name -> factory(spec, config, **context) -> executor.
-BACKENDS: Dict[str, Callable[..., BaseExecutor]] = {}
+#: The start method each local backend pins; ``None`` prefers ``fork``.
+_START_METHODS = {"local": None, "local-fork": "fork", "local-spawn": "spawn"}
 
 #: Names accepted by ``run_sweep(backend=...)`` and ``--backend``.
-BACKEND_NAMES = ("local", "local-fork", "local-spawn", "tcp")
-
-
-def register_backend(name: str):
-    """Decorator registering an executor factory under ``name``."""
-
-    def wrap(factory: Callable[..., BaseExecutor]):
-        BACKENDS[name] = factory
-        return factory
-
-    return wrap
-
-
-def resolve_backend(name: str) -> Callable[..., BaseExecutor]:
-    """Look up a backend factory; unknown names list what is registered."""
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise ConfigurationError(
-            f"unknown sweep backend {name!r}; registered backends: {known}"
-        ) from None
+BACKEND_NAMES = tuple(_START_METHODS) + ("tcp",)
 
 
 def create_executor(
@@ -339,54 +318,77 @@ def create_executor(
     fleet: Optional[FleetConfig] = None,
 ) -> BaseExecutor:
     """Instantiate the executor backend ``name`` (default ``"local"``)."""
-    factory = resolve_backend(name or "local")
-    return factory(
-        spec, config,
+    name = name or "local"
+    context = dict(
         trace_dir=trace_dir, metrics=metrics,
-        collect_telemetry=collect_telemetry, fleet=fleet,
+        collect_telemetry=collect_telemetry,
     )
+    if name == "tcp":
+        from repro.sweep.coordinator import TcpCoordinator
 
-
-def _local(spec, config, start_method=None, *, trace_dir=None, metrics=None,
-           collect_telemetry=False, fleet=None):
-    from dataclasses import replace
-
+        return TcpCoordinator(
+            spec, config, fleet=fleet or FleetConfig(), **context
+        )
+    if name not in _START_METHODS:
+        raise ConfigurationError(
+            f"unknown sweep backend {name!r}; registered backends: "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
     from repro.sweep.supervisor import Supervisor
 
-    if start_method is not None and config.start_method != start_method:
+    start_method = _START_METHODS[name]
+    if start_method is not None:
         config = replace(config, start_method=start_method)
-    return Supervisor(
-        spec, config, trace_dir=trace_dir, metrics=metrics,
-        collect_telemetry=collect_telemetry,
-    )
+    return Supervisor(spec, config, **context)
 
 
-@register_backend("local")
-def _local_default(spec, config, **context):
-    """The PR 5 supervised executor with the platform-preferred start method."""
-    return _local(spec, config, None, **context)
+class InlineExecutor(BaseExecutor):
+    """Runs every point in the calling process, one after another.
 
+    No child to boot and no pipe to cross, so a one-worker sweep runs
+    fastest here.  The price is isolation: a point that kills or hangs
+    the interpreter takes the sweep with it, which is why ``run_sweep``
+    only picks this executor when no ``timeout`` or ``chaos`` asks for a
+    process boundary.  Exceptions still go through the retry budget.
+    """
 
-@register_backend("local-fork")
-def _local_fork(spec, config, **context):
-    """Supervised child processes under the ``fork`` start method."""
-    return _local(spec, config, "fork", **context)
+    def __init__(self, spec, config, trace_dir: Optional[str] = None,
+                 metrics=None, collect_telemetry: bool = False) -> None:
+        super().__init__(spec, config, metrics=metrics)
+        self.trace_dir = trace_dir
+        self.collect_telemetry = collect_telemetry
 
+    def run(self, tasks, on_result, on_failure, strict=False):
+        from repro.sweep.engine import _run_point
 
-@register_backend("local-spawn")
-def _local_spawn(spec, config, **context):
-    """Supervised child processes under the ``spawn`` start method."""
-    return _local(spec, config, "spawn", **context)
-
-
-@register_backend("tcp")
-def _tcp(spec, config, *, trace_dir=None, metrics=None,
-         collect_telemetry=False, fleet=None):
-    """A socket coordinator sharding points to remote worker hosts."""
-    from repro.sweep.coordinator import TcpCoordinator
-
-    return TcpCoordinator(
-        spec, config, fleet=fleet or FleetConfig(),
-        trace_dir=trace_dir, metrics=metrics,
-        collect_telemetry=collect_telemetry,
-    )
+        self._seed_tasks(tasks)
+        try:
+            while self._outstanding > 0:
+                now = time.monotonic()
+                task = self._pop_ready(now)
+                if task is None:
+                    time.sleep(max(0.0, self._next_wake() - now))
+                    continue
+                self.bump("dispatched")
+                try:
+                    result = _run_point((
+                        self.spec.target, self.spec.name, self.spec.seed,
+                        task.index, task.params, self.trace_dir,
+                        self.collect_telemetry,
+                    ))
+                except Exception as error:
+                    self.bump("errors")
+                    self._retry_or_fail(
+                        task, f"{type(error).__name__}: {error}",
+                        time.monotonic(), on_failure, strict,
+                    )
+                    continue
+                self.bump("completed")
+                self._outstanding -= 1
+                on_result(result, task.attempt)
+        except KeyboardInterrupt:
+            raise SweepInterrupted(
+                f"sweep {self.spec.name!r} interrupted; "
+                f"{self._outstanding} point(s) unfinished"
+            ) from None
+        return dict(self.counters)

@@ -551,6 +551,15 @@ class TcpCoordinator(BaseExecutor):
             )
 
     def _shutdown(self) -> None:
+        # Close the listener first: a host that redials the moment its
+        # shutdown frame lands must be refused (and retry), not accepted
+        # into a backlog that is about to be reset.
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+            self._listener = None
         for host in self._hosts:
             try:
                 send_frame(host.sock, {"type": "shutdown"})
@@ -561,9 +570,3 @@ class TcpCoordinator(BaseExecutor):
             except OSError:
                 pass
         self._hosts.clear()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None

@@ -1,7 +1,11 @@
-"""The parallel scenario-sweep engine.
+"""The scenario-sweep engine.
 
-:func:`run_sweep` fans the points of a :class:`SweepSpec` over a
-``multiprocessing`` pool and collects one :class:`PointResult` per point.
+:func:`run_sweep` hands the points of a :class:`SweepSpec` to one
+executor (:mod:`repro.sweep.backends`) and collects one
+:class:`PointResult` per point.  A one-worker sweep with no ``backend``,
+``timeout`` or ``chaos`` runs in the calling process; every other sweep
+runs under the supervisor (:mod:`repro.sweep.supervisor`) or the ``tcp``
+fleet coordinator.
 
 Determinism contract
 --------------------
@@ -12,8 +16,8 @@ make that hold:
   ``RandomSource(seed, name=f"sweep/{spec.name}").spawn(point.index)`` —
   a function of the sweep seed and the point's stable grid index only,
   never of which worker ran it or in what order.
-* Results are reassembled in grid order (``pool.map`` preserves input
-  order), and wall-clock fields are excluded from
+* Results are reassembled in grid order, whatever order they completed
+  in, and wall-clock fields are excluded from
   :meth:`SweepResult.fingerprint`.
 
 Workers resolve the target by *name* inside the child process, so a spec
@@ -21,22 +25,20 @@ is a small picklable value even under the ``spawn`` start method.
 
 Fault tolerance
 ---------------
-Passing any of ``timeout``/``retries``/``chaos``/``journal``/``resume``
-(or ``supervised=True``) routes execution through
-:mod:`repro.sweep.supervisor`: worker crashes and hangs are detected and
-the lost points requeued, every completed point is journalled to an
-append-only crash-consistent JSONL file, and an interrupted sweep resumes
-with ``run_sweep(spec, resume=path)`` — producing a fingerprint
-bit-identical to an uninterrupted run.  By default a sweep with failing
-points **returns** a partial :class:`SweepResult` carrying an error
-ledger (``result.failures``); ``strict=True`` opts back into fail-fast
-raising.
+Every executor shares one policy: a failing point is retried up to
+``retries`` times (default 2) and then lands in the error ledger
+(``result.failures``) of the partial :class:`SweepResult` that
+``run_sweep`` returns; ``strict=True`` opts into fail-fast raising.  The
+supervisor also detects worker crashes and hangs (``timeout``) and
+requeues the lost points.  ``journal=path`` records every completed
+point in an append-only crash-consistent JSONL file, and
+``run_sweep(spec, resume=path)`` finishes an interrupted sweep with a
+fingerprint bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -46,16 +48,15 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.observability import Telemetry, write_jsonl
 from repro.observability.summary import merge_summaries, summarize_telemetry
-from repro.sweep.backends import FleetConfig, create_executor
-from repro.sweep.grid import ParameterGrid, ScenarioPoint
-from repro.sweep.supervisor import (
-    ChaosSpec,
+from repro.sweep.backends import (
+    FleetConfig,
+    InlineExecutor,
     PointFailure,
-    Supervisor,
-    SupervisorConfig,
     SweepInterrupted,
-    parse_chaos,
+    create_executor,
 )
+from repro.sweep.grid import ParameterGrid, ScenarioPoint
+from repro.sweep.supervisor import ChaosSpec, SupervisorConfig, parse_chaos
 from repro.sweep.targets import preload_target, resolve_target
 
 
@@ -196,12 +197,11 @@ def spec_from_request(request: Mapping[str, object]) -> SweepSpec:
 def _run_point(args) -> PointResult:
     """Worker body: run one scenario point (module-level for pickling).
 
-    ``args`` is ``(target, sweep, seed, index, params, trace_dir)`` with
-    an optional trailing ``collect_telemetry`` flag — optional so callers
-    built against the six-element form keep working.
+    ``args`` is ``(target, sweep, seed, index, params, trace_dir,
+    collect_telemetry)``.
     """
-    target_name, sweep_name, seed, index, params, trace_dir, *rest = args
-    collect_telemetry = bool(rest[0]) if rest else False
+    (target_name, sweep_name, seed, index, params, trace_dir,
+     collect_telemetry) = args
     target = resolve_target(target_name)
     rng = RandomSource(seed, name=f"sweep/{sweep_name}").spawn(index)
     telemetry = Telemetry()
@@ -219,8 +219,6 @@ def _run_point(args) -> PointResult:
         if metric.kind == "counter"
     }
     if trace_dir is not None:
-        import pathlib
-
         directory = pathlib.Path(trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
         write_jsonl(telemetry.tracer, directory / f"point-{index:04d}.jsonl")
@@ -232,17 +230,6 @@ def _run_point(args) -> PointResult:
         wall_seconds=wall,
         telemetry=summarize_telemetry(telemetry) if collect_telemetry else None,
     )
-
-
-def _run_point_guarded(args):
-    """Pool worker body for non-strict runs: never raises, tags outcomes."""
-    try:
-        return ("ok", _run_point(args))
-    except Exception as error:
-        return (
-            "error",
-            (args[3], dict(args[4]), f"{type(error).__name__}: {error}"),
-        )
 
 
 def _start_worker(target_name: str) -> None:
@@ -262,21 +249,13 @@ def _start_worker(target_name: str) -> None:
     gc.freeze()
 
 
-def _pool_context():
-    """Prefer ``fork`` (fast, shares the imported tree); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
 def _assemble(
     spec: SweepSpec,
     workers: int,
     completed: Dict[int, PointResult],
     failures: List[PointFailure],
     wall: float,
-    harness: Optional[Dict[str, float]] = None,
+    harness: Dict[str, float],
     collect_telemetry: bool = False,
 ) -> SweepResult:
     points = [completed[index] for index in sorted(completed)]
@@ -296,33 +275,25 @@ def _assemble(
         points=points,
         wall_seconds=wall,
         failures=sorted(failures, key=lambda failure: failure.index),
-        harness=dict(harness or {}),
+        harness=dict(harness),
         telemetry=merged,
     )
 
 
-def _run_supervised(
+def _execute(
     spec: SweepSpec,
-    workers: int,
-    trace_dir: Optional[str],
+    executor,
     progress,
-    timeout: Optional[float],
-    retries: Optional[int],
-    backoff: float,
-    chaos: Optional[ChaosSpec],
     journal: Optional[str],
     resume: Optional[List[str]],
     strict: bool,
-    telemetry: Optional[Telemetry],
-    start_method: Optional[str],
-    started: float,
     collect_telemetry: bool,
-    backend: Optional[str] = None,
-    fleet: Optional[FleetConfig] = None,
-    jitter: float = 0.0,
+    started: float,
 ) -> SweepResult:
+    """Drive ``executor`` over the points ``resume`` has not completed."""
     from repro.sweep.journal import RunJournal, merge_journals
 
+    workers = executor.config.workers
     completed: Dict[int, PointResult] = {}
     foreign: Dict[int, int] = {}
     journal_path = resume[0] if resume else journal
@@ -353,22 +324,8 @@ def _run_supervised(
     if run_journal is not None:
         for index in sorted(foreign):
             run_journal.record_point(completed[index], foreign[index])
-    config = SupervisorConfig(
-        workers=workers,
-        timeout=timeout,
-        retries=2 if retries is None else retries,
-        backoff=backoff,
-        jitter=jitter,
-        chaos=chaos,
-        start_method=start_method,
-    )
-    supervisor = create_executor(
-        backend, spec, config, trace_dir=trace_dir,
-        metrics=telemetry.metrics if telemetry is not None else None,
-        collect_telemetry=collect_telemetry, fleet=fleet,
-    )
     if completed:
-        supervisor.bump("resumed", float(len(completed)))
+        executor.bump("resumed", float(len(completed)))
     failures: List[PointFailure] = []
 
     def on_result(result: PointResult, attempts: int) -> None:
@@ -391,11 +348,11 @@ def _run_supervised(
         if point.index not in completed
     ]
     try:
-        harness = supervisor.run(tasks, on_result, on_failure, strict=strict)
+        harness = executor.run(tasks, on_result, on_failure, strict=strict)
     except SweepInterrupted as interrupt:
         interrupt.partial = _assemble(
             spec, workers, completed, failures,
-            time.perf_counter() - started, supervisor.counters,
+            time.perf_counter() - started, executor.counters,
             collect_telemetry=collect_telemetry,
         )
         raise
@@ -416,8 +373,7 @@ def run_sweep(
     progress=None,
     *,
     timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    backoff: float = 0.05,
+    retries: int = 2,
     jitter: float = 0.0,
     chaos: Union[ChaosSpec, str, None] = None,
     journal: Union[str, pathlib.Path, None] = None,
@@ -425,8 +381,6 @@ def run_sweep(
                   None] = None,
     strict: bool = False,
     telemetry: Optional[Telemetry] = None,
-    supervised: Optional[bool] = None,
-    start_method: Optional[str] = None,
     collect_telemetry: bool = False,
     backend: Optional[str] = None,
     fleet: Optional[FleetConfig] = None,
@@ -436,19 +390,21 @@ def run_sweep(
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` runs inline (no pool, easiest to debug); the
-        aggregated result is bit-identical at any value.
+        Worker processes.  ``1`` with no ``backend``, ``timeout`` or
+        ``chaos`` runs the points in this process (no child, easiest to
+        debug); anything else runs them under the supervisor.  The
+        aggregated result is bit-identical either way and at any value.
     trace_dir:
         When given, each point writes its telemetry trace as
         ``point-NNNN.jsonl`` under this directory.
     progress:
         Optional callable ``progress(point_result)`` invoked as results
-        arrive (grid order on the bare paths; completion order under
-        supervision).
-    timeout / retries / backoff:
-        Supervised fault-tolerance policy: per-point wall-clock budget,
-        bounded re-dispatch budget (default 2 when supervised) and the
-        geometric backoff before each retry.
+        arrive, in completion order.
+    timeout / retries:
+        Fault-tolerance policy: per-point wall-clock budget (needs a
+        worker process, so it selects the supervisor) and the bounded
+        re-dispatch budget of a failing point (default 2), each retry
+        after a geometric backoff.
     chaos:
         A :class:`~repro.sweep.supervisor.ChaosSpec` (or its string form
         ``"crash:0.1,hang:0.05"``) injecting worker crashes/hangs into
@@ -466,13 +422,11 @@ def run_sweep(
     strict:
         ``False`` (default) collects failing points into
         ``result.failures`` and returns the partial result; ``True``
-        restores the raise-on-first-failure behaviour.
+        raises :class:`~repro.sweep.backends.SweepPointError` on the
+        first point that exhausts its retries.
     telemetry:
-        When given, supervisor events are counted on
+        When given, executor events are counted on
         ``telemetry.metrics`` as ``sweep.supervisor.*`` counters.
-    supervised:
-        Force (``True``) or forbid (``False``) the supervised executor;
-        default auto-enables it when any fault-tolerance option is set.
     collect_telemetry:
         When True each point also returns its full telemetry summary
         (``PointResult.telemetry``), the summaries cross the worker
@@ -516,97 +470,22 @@ def run_sweep(
         raise ConfigurationError(
             "fleet= is only meaningful with backend='tcp'"
         )
-    wants_supervision = any(
-        option is not None
-        for option in (timeout, retries, chaos, journal, resume,
-                       start_method, backend)
-    )
-    if supervised is None:
-        supervised = wants_supervision
-    elif not supervised and wants_supervision:
-        raise ConfigurationError(
-            "timeout/retries/chaos/journal/resume/start_method/backend "
-            "require the supervised executor; drop supervised=False"
-        )
     started = time.perf_counter()
-    if supervised:
-        return _run_supervised(
-            spec, workers, trace_dir, progress, timeout, retries, backoff,
-            chaos, journal, resume, strict, telemetry, start_method, started,
-            collect_telemetry, backend=backend, fleet=fleet, jitter=jitter,
-        )
-
-    jobs = [
-        (spec.target, spec.name, spec.seed, point.index, point.params,
-         trace_dir, collect_telemetry)
-        for point in spec.points()
-    ]
-    completed: Dict[int, PointResult] = {}
-    failures: List[PointFailure] = []
-
-    def interrupted() -> SweepInterrupted:
-        return SweepInterrupted(
-            f"sweep {spec.name!r} interrupted; "
-            f"{len(jobs) - len(completed)} point(s) unfinished",
-            partial=_assemble(
-                spec, workers, completed, failures,
-                time.perf_counter() - started,
-                collect_telemetry=collect_telemetry,
-            ),
-        )
-
-    if workers == 1:
-        for job in jobs:
-            try:
-                result = _run_point(job)
-            except KeyboardInterrupt:
-                raise interrupted() from None
-            except Exception as error:
-                if strict:
-                    raise
-                failures.append(
-                    PointFailure(
-                        index=job[3], params=dict(job[4]),
-                        error=f"{type(error).__name__}: {error}", attempts=1,
-                    )
-                )
-                continue
-            if progress is not None:
-                progress(result)
-            completed[result.index] = result
-    else:
-        context = _pool_context()
-        # One point per task: ordered ``imap`` hands back the first result
-        # as soon as point 0 finishes, not after a whole chunk, and the
-        # workers stay balanced to the last point.
-        with context.Pool(
-            processes=workers, initializer=_start_worker,
-            initargs=(spec.target,),
-        ) as pool:
-            try:
-                if strict:
-                    for result in pool.imap(_run_point, jobs):
-                        if progress is not None:
-                            progress(result)
-                        completed[result.index] = result
-                else:
-                    for kind, payload in pool.imap(_run_point_guarded, jobs):
-                        if kind == "ok":
-                            if progress is not None:
-                                progress(payload)
-                            completed[payload.index] = payload
-                        else:
-                            index, params, message = payload
-                            failures.append(
-                                PointFailure(
-                                    index=index, params=params,
-                                    error=message, attempts=1,
-                                )
-                            )
-            except KeyboardInterrupt:
-                pool.terminate()
-                raise interrupted() from None
-    return _assemble(
-        spec, workers, completed, failures, time.perf_counter() - started,
+    config = SupervisorConfig(
+        workers=workers, timeout=timeout, retries=retries, jitter=jitter,
+        chaos=chaos,
+    )
+    context = dict(
+        trace_dir=trace_dir,
+        metrics=telemetry.metrics if telemetry is not None else None,
         collect_telemetry=collect_telemetry,
+    )
+    if backend is None and workers == 1 and timeout is None and chaos is None:
+        executor = InlineExecutor(spec, config, **context)
+    else:
+        executor = create_executor(backend, spec, config, fleet=fleet,
+                                   **context)
+    return _execute(
+        spec, executor, progress, journal, resume, strict,
+        collect_telemetry, started,
     )

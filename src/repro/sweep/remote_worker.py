@@ -50,6 +50,7 @@ from repro.sweep.supervisor import (
     CHAOS_HOST_EXIT_CODE,
     ChaosSpec,
     _supervised_worker,
+    process_context,
 )
 
 __all__ = ["run_worker"]
@@ -76,7 +77,7 @@ class _WorkerHost:
         journal_path: Optional[str],
         trace_dir: Optional[str],
     ) -> None:
-        from repro.sweep.engine import SweepSpec, _pool_context
+        from repro.sweep.engine import SweepSpec
         from repro.sweep.targets import preload_target
 
         self.sock = sock
@@ -105,7 +106,7 @@ class _WorkerHost:
             preload_target(self.spec.target)
         except (KeyError, ImportError):
             pass  # every point then reports the error against itself
-        self._context = _pool_context()
+        self._context = process_context()
         self._common = (
             self.spec.target, self.spec.name, self.spec.seed, trace_dir,
             self.chaos, self.collect_telemetry,

@@ -25,8 +25,8 @@ import pathlib
 from typing import Union
 
 from repro.core.atomicio import atomic_write_text
+from repro.sweep.backends import PointFailure
 from repro.sweep.engine import PointResult, SweepResult
-from repro.sweep.supervisor import PointFailure
 
 #: Schema identifier written into (and required from) every document.
 SCHEMA = "repro.sweep/v1"

@@ -1,11 +1,9 @@
 """Supervised sweep execution: crash detection, timeouts, retries, chaos.
 
-The bare pool in :mod:`repro.sweep.engine` trusts its workers: one point
-that segfaults, calls ``os._exit`` or hangs forever takes the whole sweep
-with it.  The supervisor replaces that trust with an explicit contract —
-each worker is a long-lived child process driven over its own pipe, so
-the parent always knows *which point* a worker is running and for how
-long:
+A sweep point can segfault, call ``os._exit`` or hang forever.  The
+supervisor runs points where that cannot take the sweep down: each
+worker is a long-lived child process driven over its own pipe, so the
+parent always knows *which point* a worker is running and for how long:
 
 * a worker that **dies** (non-zero exit, ``os._exit``, SIGKILL — under
   both ``fork`` and ``spawn`` start methods) is detected as EOF on its
@@ -14,9 +12,12 @@ long:
   replaced, and the point is requeued;
 * every requeue consumes one unit of the point's bounded
   **retry-with-backoff** budget; an exhausted budget lands the point in
-  the sweep's error ledger (:class:`PointFailure`) instead of raising —
-  unless ``strict=True``, which restores fail-fast behaviour via
-  :class:`SweepPointError`.
+  the sweep's error ledger (:class:`~repro.sweep.backends.PointFailure`)
+  instead of raising — unless ``strict=True``, which restores fail-fast
+  behaviour via :class:`~repro.sweep.backends.SweepPointError`.
+
+It is ``run_sweep``'s executor for every run that is not a plain
+one-worker sweep (see :mod:`repro.sweep.backends`).
 
 A built-in **chaos mode** (:class:`ChaosSpec`, CLI ``--chaos
 crash:0.1,hang:0.05``) injects worker crashes and hangs into the harness
@@ -40,27 +41,19 @@ from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.sweep.backends import (  # re-exported for compatibility
-    COUNTERS,
+from repro.sweep.backends import (
     BaseExecutor,
     PointFailure,
     SweepInterrupted,
-    SweepPointError,
     _Task,
-    backoff_delay,
 )
 
 __all__ = [
     "CHAOS_EXIT_CODE",
     "CHAOS_HOST_EXIT_CODE",
-    "COUNTERS",
     "ChaosSpec",
-    "PointFailure",
     "Supervisor",
     "SupervisorConfig",
-    "SweepInterrupted",
-    "SweepPointError",
-    "backoff_delay",
     "parse_chaos",
 ]
 
@@ -69,6 +62,20 @@ CHAOS_EXIT_CODE = 86
 
 #: Exit code a chaos-injected *host* crash dies with (tcp backend).
 CHAOS_HOST_EXIT_CODE = 87
+
+
+def process_context(start_method: Optional[str] = None):
+    """The ``multiprocessing`` context for ``start_method``.
+
+    ``None`` prefers ``fork`` (fast, shares the imported tree) and falls
+    back to ``spawn`` where the platform has no fork.
+    """
+    if start_method is not None:
+        return multiprocessing.get_context(start_method)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
 
 
 def _roll(stream: str, seed: int) -> float:
@@ -229,7 +236,7 @@ def parse_chaos(text: str) -> ChaosSpec:
 
 @dataclass
 class SupervisorConfig:
-    """Fault-tolerance policy for one supervised sweep run."""
+    """Fault-tolerance policy for one sweep run, read by every executor."""
 
     workers: int = 1
     #: Per-point wall-clock budget in seconds; ``None`` disables the kill.
@@ -381,12 +388,7 @@ class Supervisor(BaseExecutor):
         super().__init__(spec, config, metrics=metrics)
         self.trace_dir = trace_dir
         self.collect_telemetry = collect_telemetry
-        if config.start_method is not None:
-            self._context = multiprocessing.get_context(config.start_method)
-        else:
-            from repro.sweep.engine import _pool_context
-
-            self._context = _pool_context()
+        self._context = process_context(config.start_method)
         self._common = (
             spec.target, spec.name, spec.seed, trace_dir, config.chaos,
             collect_telemetry,

@@ -170,8 +170,6 @@ class TestRegistries:
         "from repro.sweep import TARGETS; "
         "assert {'fabric-congestion', 'resilience-churn', "
         "'memory-reliability'} <= set(TARGETS)",
-        "from repro.sweep.backends import BACKEND_NAMES, resolve_backend; "
-        "[resolve_backend(n) for n in BACKEND_NAMES]",
         "from repro.interconnect import CONGESTION_POLICIES, congestion_policy; "
         "[congestion_policy(p) for p in CONGESTION_POLICIES]",
         "from repro.interconnect import TOPOLOGY_KINDS, normalize_topology_kind; "

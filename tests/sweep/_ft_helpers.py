@@ -69,6 +69,20 @@ def ft_always_crash(params, telemetry, rng):
     os._exit(23)
 
 
+@register_target("ft-crash-at")
+def ft_crash_at(params, telemetry, rng):
+    """``os._exit`` the worker on every attempt of one point only."""
+    if int(params["x"]) == int(params.get("crash_at", 1)):
+        os._exit(24)
+    return {"value": float(params["x"])}
+
+
+@register_target("ft-pid")
+def ft_pid(params, telemetry, rng):
+    """Report the process that ran the point."""
+    return {"pid": float(os.getpid())}
+
+
 @register_target("ft-boom")
 def ft_boom(params, telemetry, rng):
     """In-worker exception (no process death) on odd points only."""

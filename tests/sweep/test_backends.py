@@ -1,4 +1,4 @@
-"""The executor-backend registry, fleet config and deterministic backoff."""
+"""Executor selection, fleet config and deterministic backoff."""
 
 import pytest
 
@@ -6,47 +6,32 @@ from repro.core.errors import ConfigurationError
 from repro.sweep import FleetConfig, run_sweep
 from repro.sweep.backends import (
     BACKEND_NAMES,
-    BACKENDS,
     BaseExecutor,
     backoff_delay,
     create_executor,
-    register_backend,
-    resolve_backend,
 )
 from repro.sweep.supervisor import Supervisor, SupervisorConfig
 
 from tests.sweep import _ft_helpers as ft
 
 
-class TestRegistry:
-    def test_every_declared_backend_is_registered(self):
+class TestCreateExecutor:
+    def test_every_declared_backend_builds_an_executor(self):
         for name in BACKEND_NAMES:
-            assert callable(resolve_backend(name))
+            executor = create_executor(
+                name, ft.cheap_spec(), SupervisorConfig(workers=1)
+            )
+            assert isinstance(executor, BaseExecutor)
 
     def test_unknown_backend_lists_what_exists(self):
         with pytest.raises(ConfigurationError, match="local-fork.*tcp"):
-            resolve_backend("mpi")
+            create_executor("mpi", ft.cheap_spec(), SupervisorConfig())
 
     def test_default_backend_is_the_local_supervisor(self):
         executor = create_executor(
             None, ft.cheap_spec(), SupervisorConfig(workers=1)
         )
         assert isinstance(executor, Supervisor)
-
-    def test_custom_backends_can_be_registered(self):
-        @register_backend("test-null")
-        def _null(spec, config, **context):
-            return BaseExecutor(spec, config)
-
-        try:
-            assert isinstance(
-                create_executor(
-                    "test-null", ft.cheap_spec(), SupervisorConfig()
-                ),
-                BaseExecutor,
-            )
-        finally:
-            del BACKENDS["test-null"]
 
     def test_fleet_config_is_rejected_for_local_backends(self):
         with pytest.raises(ConfigurationError, match="tcp"):

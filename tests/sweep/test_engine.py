@@ -114,6 +114,6 @@ class TestWorkerBody:
         TARGETS["_bad"] = lambda params, telemetry, rng: [1, 2]
         try:
             with pytest.raises(TypeError):
-                _run_point(("_bad", "t", 0, 0, {}, None))
+                _run_point(("_bad", "t", 0, 0, {}, None, False))
         finally:
             del TARGETS["_bad"]

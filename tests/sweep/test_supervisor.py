@@ -6,6 +6,7 @@ with a fingerprint bit-identical to an uninterrupted run — demonstrated
 here at ``workers=1`` and ``workers=4``.
 """
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -28,11 +29,11 @@ from repro.sweep import (
     parse_chaos,
     run_sweep,
 )
+from repro.sweep.backends import _Task
 from repro.sweep.supervisor import (
     CHAOS_EXIT_CODE,
     Supervisor,
     SupervisorConfig,
-    _Task,
     _Worker,
 )
 
@@ -124,15 +125,49 @@ class TestSupervisorConfig:
             SupervisorConfig(**kwargs)
 
 
-class TestSupervisedMatchesBare:
-    def test_supervised_fingerprint_equals_unsupervised(self):
-        spec = ft.cheap_spec(n=6)
-        bare = run_sweep(spec)
-        supervised = run_sweep(spec, workers=2, supervised=True)
-        assert supervised.ok
-        assert supervised.fingerprint() == bare.fingerprint()
-        assert supervised.harness["completed"] == 6.0
-        assert supervised.harness["crashes"] == 0.0
+#: A two-worker sweep with no fault-tolerance options whose point 1
+#: ``os._exit``s its worker on every attempt.
+_CRASH_SCRIPT = textwrap.dedent(
+    """
+    import json
+
+    from tests.sweep import _ft_helpers as ft
+    from repro.sweep import run_sweep
+
+    result = run_sweep(ft.cheap_spec(n=4, target="ft-crash-at"), workers=2)
+    print(json.dumps({
+        "points": [point.index for point in result.points],
+        "failures": [[f.index, f.error] for f in result.failures],
+    }))
+    """
+)
+
+
+class TestDefaultExecutor:
+    def test_one_worker_runs_in_process_unless_isolation_is_asked(self):
+        spec = ft.cheap_spec(n=2, target="ft-pid")
+        inline = run_sweep(spec)
+        assert {p.metrics["pid"] for p in inline.points} == {os.getpid()}
+        assert inline.harness["completed"] == 2.0
+        for options in ({"timeout": 30.0}, {"backend": "local"}):
+            isolated = run_sweep(spec, **options)
+            assert os.getpid() not in {p.metrics["pid"] for p in isolated.points}
+
+    def test_crashing_worker_lands_in_the_ledger_instead_of_hanging(self):
+        process = subprocess.run(
+            [sys.executable, "-c", _CRASH_SCRIPT],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert process.returncode == 0, process.stderr
+        outcome = json.loads(process.stdout)
+        assert outcome["points"] == [0, 2, 3]
+        [[index, error]] = outcome["failures"]
+        assert index == 1
+        assert error.startswith("WorkerCrash")
 
 
 class TestCrashRecovery:
@@ -177,7 +212,7 @@ class TestCrashRecovery:
         calm = run_sweep(spec)
         jittered = run_sweep(
             spec, workers=2, chaos=ChaosSpec(crash=0.45), retries=3,
-            backoff=0.02, jitter=0.5,
+            jitter=0.5,
         )
         assert jittered.ok
         assert jittered.fingerprint() == calm.fingerprint()
@@ -251,7 +286,7 @@ class TestReadyHandshake:
 class TestRetryExhaustion:
     def test_exhausted_budget_lands_in_the_error_ledger(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
-        result = run_sweep(spec, workers=1, retries=1)
+        result = run_sweep(spec, backend="local", retries=1)
         assert not result.ok
         assert result.points == []
         assert [f.index for f in result.failures] == [0, 1]
@@ -263,7 +298,7 @@ class TestRetryExhaustion:
     def test_strict_mode_raises_instead(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
         with pytest.raises(SweepPointError, match="after 2 attempt"):
-            run_sweep(spec, workers=1, retries=1, strict=True)
+            run_sweep(spec, backend="local", retries=1, strict=True)
 
     def test_strict_cli_exits_1_with_a_message_not_a_traceback(self, capsys):
         from repro.cli import main
@@ -271,6 +306,7 @@ class TestRetryExhaustion:
         code = main([
             "sweep", "strict-ft", "--target", "ft-always-crash",
             "--axis", "x=0,1", "--retries", "0", "--strict",
+            "--backend", "local",
         ])
         assert code == 1
         err = capsys.readouterr().err
@@ -298,7 +334,7 @@ class TestSpawnStartMethod:
         )
         result = run_sweep(
             spec, workers=1, chaos=ChaosSpec(crash=1.0), retries=1,
-            start_method="spawn",
+            backend="local-spawn",
         )
         assert not result.ok
         assert result.failures[0].attempts == 2
@@ -352,10 +388,6 @@ class TestJournalAndResume:
                 journal=tmp_path / "a.jsonl",
                 resume=tmp_path / "b.jsonl",
             )
-
-    def test_supervised_false_forbids_fault_tolerance_options(self):
-        with pytest.raises(ConfigurationError, match="supervised"):
-            run_sweep(ft.cheap_spec(), timeout=1.0, supervised=False)
 
 
 #: Runs a journalled sweep and SIGKILLs its own parent process the moment
