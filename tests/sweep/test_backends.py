@@ -33,6 +33,17 @@ class TestCreateExecutor:
         )
         assert isinstance(executor, Supervisor)
 
+    @pytest.mark.parametrize("name, start_method", [
+        ("local", None), ("local-fork", "fork"), ("local-spawn", "spawn"),
+    ])
+    def test_each_local_backend_pins_its_start_method(self, name,
+                                                      start_method):
+        config = SupervisorConfig(workers=1)
+        executor = create_executor(name, ft.cheap_spec(), config)
+        assert isinstance(executor, Supervisor)
+        assert executor.config.start_method == start_method
+        assert config.start_method is None  # the caller's config is kept
+
     def test_fleet_config_is_rejected_for_local_backends(self):
         with pytest.raises(ConfigurationError, match="tcp"):
             run_sweep(

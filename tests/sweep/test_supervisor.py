@@ -170,6 +170,33 @@ class TestDefaultExecutor:
         assert error.startswith("WorkerCrash")
 
 
+class TestSupervisedMatchesInline:
+    def test_supervised_fingerprint_equals_in_process(self):
+        spec = ft.cheap_spec(n=6)
+        inline = run_sweep(spec)
+        supervised = run_sweep(spec, workers=2, backend="local")
+        assert supervised.ok
+        assert supervised.fingerprint() == inline.fingerprint()
+        assert supervised.harness["completed"] == 6.0
+        assert supervised.harness["crashes"] == 0.0
+
+    def test_in_process_exceptions_use_the_same_budget(self):
+        spec = ft.cheap_spec(n=4, target="ft-boom")
+        inline = run_sweep(spec, retries=1)
+        supervised = run_sweep(spec, workers=2, retries=1)
+        assert [f.record() for f in inline.failures] == [
+            f.record() for f in supervised.failures
+        ]
+        assert inline.fingerprint() == supervised.fingerprint()
+        assert inline.harness["errors"] == 4.0  # 2 points x 2 attempts
+        assert inline.harness["retries"] == 2.0
+
+    def test_in_process_strict_failure_raises_after_the_budget(self):
+        spec = ft.cheap_spec(n=4, target="ft-boom")
+        with pytest.raises(SweepPointError, match="point 1 failed after 3"):
+            run_sweep(spec, strict=True)
+
+
 class TestCrashRecovery:
     def test_worker_os_exit_is_requeued_to_a_replacement(self, tmp_path):
         spec = ft.cheap_spec(
@@ -388,6 +415,19 @@ class TestJournalAndResume:
                 journal=tmp_path / "a.jsonl",
                 resume=tmp_path / "b.jsonl",
             )
+
+    def test_one_worker_journal_and_resume_run_in_process(self, tmp_path):
+        spec = ft.cheap_spec(n=4, target="ft-pid")
+        journal = tmp_path / "run.jsonl"
+        full = run_sweep(spec, journal=journal)
+        assert {p.metrics["pid"] for p in full.points} == {os.getpid()}
+        assert sorted(load_journal(journal).completed) == [0, 1, 2, 3]
+        lines = journal.read_text().splitlines()
+        journal.write_text("".join(line + "\n" for line in lines[:3]))
+        resumed = run_sweep(spec, resume=journal)
+        assert resumed.harness["resumed"] == 2.0
+        assert resumed.harness["dispatched"] == 2.0
+        assert resumed.fingerprint() == full.fingerprint()
 
 
 #: Runs a journalled sweep and SIGKILLs its own parent process the moment

@@ -52,6 +52,12 @@ class TestMergeDeterminism:
         assert one.telemetry == four.telemetry
         assert one.fingerprint() == four.fingerprint()
 
+    def test_one_supervised_worker_matches_in_process(self):
+        inline = _telemetry_result(1)
+        supervised = _telemetry_result(1, backend="local")
+        assert inline.telemetry == supervised.telemetry
+        assert inline.fingerprint() == supervised.fingerprint()
+
     def test_aggregate_content_is_exact(self):
         result = _telemetry_result(4)
         summary = result.telemetry
