@@ -17,6 +17,7 @@ technologies, not vendor-exact rates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Union
 
@@ -62,22 +63,27 @@ class MemoryReliabilitySpec:
     accumulation_time: float = 14_400.0
 
     def __post_init__(self) -> None:
-        if self.fit_per_gib <= 0:
+        # Negated comparisons, so a NaN (false under every comparison)
+        # is rejected too.
+        if not 0.0 < self.fit_per_gib < math.inf:
             raise ConfigurationError(
-                f"{self.technology}: fit_per_gib must be positive"
+                f"{self.technology}: fit_per_gib must be positive and "
+                f"finite: {self.fit_per_gib!r}"
             )
         if not 0.0 <= self.mbu_fraction <= 1.0:
             raise ConfigurationError(
                 f"{self.technology}: mbu_fraction must be in [0, 1]"
             )
-        if self.mbu_cluster_mean < 2.0:
+        if not 2.0 <= self.mbu_cluster_mean < math.inf:
             raise ConfigurationError(
                 f"{self.technology}: mbu_cluster_mean must be >= 2 "
-                f"(clusters have at least two bits): {self.mbu_cluster_mean}"
+                f"(clusters have at least two bits) and finite: "
+                f"{self.mbu_cluster_mean!r}"
             )
-        if self.accumulation_time <= 0:
+        if not 0.0 < self.accumulation_time < math.inf:
             raise ConfigurationError(
-                f"{self.technology}: accumulation_time must be positive"
+                f"{self.technology}: accumulation_time must be positive "
+                f"and finite: {self.accumulation_time!r}"
             )
 
     def upset_rate(self, capacity_bytes: float) -> float:

@@ -188,7 +188,8 @@ class ProfilingKernelProbe(KernelProbe):
     source lambda, so :func:`~repro.observability.profiler.callback_label`
     and the profiler's dict lookups (the expensive parts of the probe) run
     once per call *site*; the per-event path is two ``perf_counter`` calls,
-    two list updates and a bisect.  ``bench_kernel.py`` gates the result.
+    two list updates and a bisect.
+    ``tests/observability/test_profiler_tax.py`` gates the result.
     """
 
     def __init__(self, telemetry: Telemetry) -> None:

@@ -24,7 +24,7 @@ Overhead contract (DESIGN.md §6): a run without a profiler attached pays
 one ``is not None`` test per instrumented operation; the kernel without
 hooks is bit-identical to the unhooked kernel.  With the profiler
 **enabled** the tax is two ``time.perf_counter`` calls and a dict update
-per scope — gated under 5% by ``benchmarks/bench_kernel.py``.
+per scope — gated under 5% by ``tests/observability/test_profiler_tax.py``.
 
 Exports: :func:`profile_report` (the ``repro.profile/v1`` JSON document
 behind ``python -m repro profile``), :func:`collapsed_stack_lines` /
@@ -187,9 +187,9 @@ class PhaseProfiler:
 
         This runs once per kernel event when profiling is on, so the body
         updates a single merged accumulator list and bisects the latency
-        buckets — bench_kernel.py gates the resulting per-event tax.  The
-        dispatch-phase total is derived from the event accumulators at
-        read time rather than updated here.
+        buckets — ``test_profiler_tax.py`` gates the resulting per-event
+        tax.  The dispatch-phase total is derived from the event
+        accumulators at read time rather than updated here.
         """
         if not self.enabled:
             return

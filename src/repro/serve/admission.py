@@ -91,8 +91,12 @@ class QuotaPolicy:
             raise ValueError(
                 f"bad quota {text!r}; expected RATE:BURST, e.g. '0:2'"
             ) from None
-        if rate < 0 or burst < 0:
-            raise ValueError(f"quota {text!r} must be non-negative")
+        for name, value in (("rate", rate), ("burst", burst)):
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(
+                    f"quota {text!r}: {name} must be non-negative and "
+                    f"finite, got {value!r}"
+                )
         return cls(rate=rate, burst=burst)
 
 

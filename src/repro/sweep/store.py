@@ -1,11 +1,10 @@
 """JSON persistence for sweep results.
 
 One sweep run serialises to a single self-describing JSON document
-(schema id ``repro.sweep/v1``) — the same shape the ``BENCH_*.json``
-artefacts use, so a stored sweep seeds benchmark baselines directly.
-Round-tripping through :func:`save_sweep`/:func:`load_sweep` preserves
-every deterministic field (:meth:`~repro.sweep.engine.SweepResult.fingerprint`
-is stable across the round trip).
+(schema id ``repro.sweep/v1``).  Round-tripping through
+:func:`save_sweep`/:func:`load_sweep` preserves every deterministic field
+(:meth:`~repro.sweep.engine.SweepResult.fingerprint` is stable across the
+round trip).
 
 Robustness contract:
 

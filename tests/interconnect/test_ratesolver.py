@@ -7,17 +7,21 @@ Three concerns, mirroring the RouteCache suite's structure:
   the :class:`ReferenceSolver` ground truth on hand-built corner cases
   (ties, multiplicity, backlog, zero-length paths),
 * end-to-end runs, link flaps and degraded topologies, where both
-  solvers must produce identical ``FlowStats``.
+  solvers must produce identical ``FlowStats``,
+* the synchronized burst, where the indexed solver must also be at
+  least twice as fast as the reference.
 
 None of it needs numpy.
 """
 
 import sys
+import time
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
+from repro.interconnect.congestion import congestion_policy
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
 from repro.interconnect.failures import fail_links, fail_switches
 from repro.interconnect.ratesolver import (
@@ -26,7 +30,11 @@ from repro.interconnect.ratesolver import (
     RateSolver,
     ReferenceSolver,
 )
-from repro.interconnect.topology import build_dragonfly, build_two_tier
+from repro.interconnect.topology import (
+    build_dragonfly,
+    build_topology,
+    build_two_tier,
+)
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -343,6 +351,62 @@ class TestFabricIntegration:
         )
         indexed = FabricSimulator(degraded).run(_uniform_flows(degraded, 25))
         assert _stats_key(reference) == _stats_key(indexed)
+
+
+class TestSynchronizedBurst:
+    """Hundreds of concurrent flows, where water-filling cost explodes.
+
+    Uniform arrivals keep a few dozen flows concurrent, so the solver is
+    a minority of the run.  Here every flow starts within a 320 us
+    window, the solver sees the whole trace at once, and the indexed
+    solver must stay bit-identical while beating the reference loop.
+    """
+
+    FLOWS = 320
+    MIN_SPEEDUP = 2.0
+
+    @staticmethod
+    def _burst(topology, count):
+        rng = RandomSource(seed=7, name="bench/fabric-burst")
+        terminals = list(topology.terminals)
+        trace = []
+        for index in range(count):
+            source, destination = rng.sample(terminals, 2)
+            trace.append(
+                Flow(
+                    source=source, destination=destination, size=2e6,
+                    start_time=index * 1e-6, flow_id=50_000 + index,
+                )
+            )
+        return trace
+
+    def _run(self, topology, solver, count):
+        simulator = FabricSimulator(
+            topology,
+            congestion=congestion_policy("flow"),
+            reroute_adaptively=True,
+            solver=solver,
+        )
+        trace = self._burst(topology, count)
+        begin = time.process_time()
+        stats = simulator.run(trace)
+        return time.process_time() - begin, stats
+
+    def test_indexed_matches_and_doubles_the_reference(self):
+        topology = build_topology(
+            "dragonfly", groups=8, routers_per_group=4, terminals=2
+        )
+        self._run(topology, IndexedSolver(), 64)  # warm the route cache
+        reference_cpu, reference = self._run(
+            topology, ReferenceSolver(), self.FLOWS
+        )
+        indexed_cpu, indexed = self._run(topology, IndexedSolver(), self.FLOWS)
+        assert indexed == reference
+        speedup = reference_cpu / indexed_cpu
+        assert speedup >= self.MIN_SPEEDUP, (
+            f"indexed {indexed_cpu:.2f} s CPU vs reference "
+            f"{reference_cpu:.2f} s: {speedup:.2f}x"
+        )
 
 
 class TestNumpyUnavailable:

@@ -62,6 +62,15 @@ class TestQuotaPolicy:
         with pytest.raises(ValueError):
             QuotaPolicy.parse(text)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [("nan:1", "rate"), ("1:nan", "burst"), ("inf:1", "rate"),
+         ("1:-inf", "burst"), ("nan", "rate")],
+    )
+    def test_parse_rejects_non_finite_naming_the_field(self, text, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            QuotaPolicy.parse(text)
+
 
 class TestAdmissionController:
     def test_queue_gate_sheds_past_the_bound(self):
