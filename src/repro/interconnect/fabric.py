@@ -274,10 +274,7 @@ class FabricSimulator:
         hot_switches = self._hot_switches(saturated)
         contains_hot = hot_switches.__contains__
         for flow_id, path in paths.items():
-            crosses_saturated = saturated and not saturated.isdisjoint(
-                flow_links[flow_id]
-            )
-            if crosses_saturated:
+            if not saturated.isdisjoint(flow_links[flow_id]):
                 rates[flow_id] *= self.congestion.aggressor_rate_factor()
             elif hot_switches:
                 # sum-of-bools keeps per-node multiplicity, unlike a set

@@ -8,11 +8,14 @@ from the simulator behind a small protocol:
 * :class:`RateSolver` — the protocol: ``bind(capacities)`` once per
   topology state, then ``solve(flow_links, remaining_bytes)`` per epoch.
 * :class:`IndexedSolver` — the fabric's solver: the reference's rounds
-  over a link index built once per solve.  Each round takes a C-level
-  ``min`` over the fair shares and updates only the links the fixed flows
-  cross.  An epoch whose flows share no link (most low-concurrency
-  epochs) skips the rounds: each flow gets its path's smallest capacity.
-  Pure Python and stateless between epochs.
+  over a link index that is kept from one contended epoch to the next
+  and patched with the flows that arrived, left or were rerouted.  Each
+  round takes a C-level ``min`` over the fair shares and updates only the
+  links the fixed flows cross; while the minimum is tied, rounds chain
+  through the tied links without rescanning.  An epoch whose flows share
+  no link (most low-concurrency epochs) skips the rounds: each flow gets
+  its path's smallest capacity.  Pure Python; ``bind`` drops the kept
+  index.
 * :class:`ReferenceSolver` — the original pure-Python loop, which
   recounts link users over every unfixed flow each round.  It is the
   oracle :class:`IndexedSolver` is checked against.
@@ -21,7 +24,8 @@ The two are **bit-identical**: the indexed solver replicates the
 reference's round structure, its first-insertion-order bottleneck
 tie-break, its sequential clamped capacity updates and its backlog
 summation order, so rates *and* the saturated-link set agree to the last
-bit (verified by :func:`repro.validate.differential.check_solvers`).
+bit (verified by :func:`repro.validate.differential.check_solvers` and
+``tests/proptest/test_ratesolver_properties.py``).
 
 The fabric rebinds its solver after every topology mutation (link flaps,
 degraded fabrics), the same way the shared
@@ -30,11 +34,17 @@ degraded fabrics), the same way the shared
 
 from __future__ import annotations
 
-from operator import itemgetter
+from bisect import insort
+from operator import itemgetter, truediv
 from typing import Dict, List, Optional, Set, Tuple
 
 #: A directed link, as decomposed from a routed path.
 Link = Tuple[str, str]
+
+#: Contended epochs with fewer flows rebuild the indexed solver's link
+#: index on every solve: listing a handful of flows costs less than
+#: keeping copies of their paths to compare the next epoch against.
+_KEEP_INDEX_MIN_FLOWS = 16
 
 #: Minimum number of flows contending for a link before it can count as
 #: congested. In max-min fairness *every* flow is bottlenecked somewhere, so
@@ -161,54 +171,77 @@ class ReferenceSolver(RateSolver):
 
 
 class IndexedSolver(RateSolver):
-    """Exact pure-Python water-filling over a per-solve link index.
+    """Exact pure-Python water-filling over a link index kept across epochs.
 
     The reference recounts link users over every unfixed flow in every
-    round.  This solver builds the counts once per solve and then pays
-    per round only for what the round changes:
+    round.  This solver keeps a link index and pays per round only for
+    what the round changes:
 
     * first, a scan that stops at the first link traversed twice: when
       there is none, every link has one user and max-min needs no rounds
       (see :meth:`_disjoint_rates`).  A contended epoch reads only the
       prefix of its flows up to the first shared link;
-    * otherwise one pass over ``flow_links`` numbers the links in use and
-      lists each link's flows in admission order, once per traversal, so
-      a list's length is the link's user count with multiplicity;
-      index-aligned capacity, count and fair-share lists follow from it;
-    * each round takes the C-level ``min`` of that list, fixes the
+    * otherwise the link index is brought up to date (see :meth:`_sync`).
+      Each flow has a *slot*, and slots ascend in admission order; each
+      *row* is a link in use and lists its flows' slots in ascending
+      order, once per traversal, so a list's length is the link's user
+      count with multiplicity.  Index-aligned capacity, count and share
+      lists are built from it per solve;
+    * each round takes the C-level ``min`` of the share list, fixes the
       bottleneck's unfixed members, and updates capacity, count and share
       only on the links those flows cross; a drained link's share becomes
-      ``inf`` so it can never win again.
+      ``inf`` so it can never win again;
+    * while the minimum is tied the rounds form a *tie chain*: the next
+      bottleneck is picked from the tied rows, and the share list is
+      scanned again only once no row is left at the tied share, or a
+      touched row newly reaches it or falls below it.
 
     Exactness: every share is the same ``capacity / count`` divide the
     reference performs, and every capacity update the same clamped
     subtraction in the same order (fixed flows in admission order, links
-    in path order, once per traversal).  When the minimum is unique it is
-    the reference's bottleneck; when it is tied the reference's
-    first-insertion-order tie-break is replayed by scanning unfixed flows
-    in admission order and their links in path order.  The congestion
+    in path order, once per traversal).  A unique minimum is the
+    reference's bottleneck.  Among tied minima the reference keeps the
+    link it counted first, scanning unfixed flows in admission order and
+    their links in path order: the tied row whose first unfixed member is
+    earliest, and of those the one first in that member's path.  The
+    first unfixed slot decides it whenever its flow crosses a tied row;
+    otherwise a cursor per row walks its ascending member list to the
+    first unfixed slot.  Within a chain the tied set stays exact: rows no
+    fixed flow crosses keep their shares, each touched row is checked,
+    and a touched row that newly reaches the tied share or falls below
+    it (only rounding can do either) ends the chain.  The congestion
     backlog is summed with ``sum`` over the fixed flows in admission
     order, and rates are inserted in the reference's order.  Rates and
     the saturated set are therefore bit-identical.
 
-    No state survives a solve: :meth:`bind` only stores the capacity map,
-    so topology mutations need no invalidation.
+    The kept index: each solve compares every flow's path *by value* with
+    a private copy, so a path list replaced, or mutated in place, between
+    solves is seen.  Flows that left are unlisted and their slots
+    vacated, new ones get slots at the end, and rerouted ones are relisted
+    at their slot, so the index always equals a fresh build of the same
+    epoch up to slot and row numbering, which no result depends on (ties
+    go by admission order, not by row).  A row whose last flow leaves is
+    dropped, so the share list covers exactly the links in use.  A change
+    of admission order, an epoch of fewer than ``_KEEP_INDEX_MIN_FLOWS``
+    flows, or a patch that would touch more than half as many flows as it
+    keeps rebuilds the index instead; :meth:`bind` drops it.
     """
 
     name = "indexed"
 
     def __init__(self) -> None:
         self._capacities: Dict[Link, float] = {}
+        self._rebuild({})
 
     def bind(self, capacities: Dict[Link, float]) -> None:
         self._capacities = capacities
+        self._rebuild({})
 
     def solve(
         self,
         flow_links: Dict[int, List[Link]],
         remaining_bytes: Optional[Dict[int, float]] = None,
     ) -> Tuple[Dict[int, float], Set[Link]]:
-        saturated: Set[Link] = set()
         # Link-disjoint flows need no rounds (see _disjoint_rates).  The
         # scan stops at the first link traversed twice, so a contended
         # epoch reads only a prefix of its flows here.
@@ -220,59 +253,90 @@ class IndexedSolver(RateSolver):
             if len(seen) != traversals:
                 break
         else:
-            return self._disjoint_rates(flow_links), saturated
+            return self._disjoint_rates(flow_links), set()
+        # The rounds live in their own frame: solve()'s stays small for
+        # the disjoint epochs, most of a low-concurrency run.
+        self._sync(flow_links)
+        return self._water_fill(len(flow_links), remaining_bytes)
+
+    def _water_fill(
+        self, unfixed: int, remaining_bytes: Optional[Dict[int, float]]
+    ) -> Tuple[Dict[int, float], Set[Link]]:
+        """Run the reference's rounds over the link index until all
+        ``unfixed`` flows have a rate."""
+        saturated: Set[Link] = set()
         infinity = float("inf")
         rates: Dict[int, float] = {}
-        # Flows by admission position; links by first use in this solve.
-        flow_ids = list(flow_links)
-        flow_rows: List[List[int]] = []
-        index: Dict[Link, int] = {}
-        links: List[Link] = []
-        members: List[List[int]] = []
-        for position, path in enumerate(flow_links.values()):
-            rows = []
-            for link in path:
-                row = index.get(link)
-                if row is None:
-                    row = index[link] = len(links)
-                    links.append(link)
-                    members.append([position])
-                else:
-                    members[row].append(position)
-                rows.append(row)
-            flow_rows.append(rows)
+        flows = self._flows
+        flow_rows = self._rows
+        links = self._links
+        members = self._members
         capacities = self._capacities
+        caps = list(map(capacities.__getitem__, links))
         counts = list(map(len, members))
-        caps = [capacities[link] for link in links]
-        shares = [cap / count for cap, count in zip(caps, counts)]
-        fixed = [False] * len(flow_ids)
-        unfixed = len(flow_ids)
+        shares = list(map(truediv, caps, counts))
+        fixed = self._vacant[:]  # vacated slots count as fixed
+        cursors: List[int] = []
+        head = 0  # no slot before it is unfixed
+        tied: List[int] = []
+        share = infinity
 
-        while unfixed and shares:
-            share = min(shares)
-            if share == infinity:  # only unconstrained flows remain
-                break
-            row = shares.index(share)
-            if shares.count(share) > 1:
-                row = self._tie_break(share, shares, flow_rows, fixed)
+        while unfixed:
+            if not tied:
+                share = min(shares)
+                if share == infinity:  # only unconstrained flows remain
+                    break
+                row = shares.index(share)
+                ties = shares.count(share)
+                if ties > 1:
+                    tied = [row]
+                    for _ in range(ties - 1):
+                        row = shares.index(share, row + 1)
+                        tied.append(row)
+            if tied:
+                # The reference's counting order: the tied link first seen
+                # scanning unfixed flows in admission order, links in path
+                # order.  Often the first unfixed flow crosses one.
+                while fixed[head]:
+                    head += 1
+                for row in flow_rows[head]:
+                    if shares[row] == share:
+                        break
+                else:
+                    if not cursors:
+                        cursors = [0] * len(links)
+                    first = len(flows)
+                    for candidate in tied:
+                        listed = members[candidate]
+                        at = cursors[candidate]
+                        while fixed[listed[at]]:
+                            at += 1
+                        cursors[candidate] = at
+                        if listed[at] < first:
+                            first = listed[at]
+                    for row in flow_rows[first]:
+                        if shares[row] == share:
+                            break
+                share = shares[row]
             fixed_now = []
-            for position in members[row]:
-                if not fixed[position]:  # a detour lists its flow twice
-                    fixed[position] = True
-                    fixed_now.append(position)
+            for slot in members[row]:
+                if not fixed[slot]:  # a detour lists its flow twice
+                    fixed[slot] = True
+                    fixed_now.append(slot)
             if counts[row] >= MIN_CONTENDERS_FOR_CONGESTION:
                 link = links[row]
                 if remaining_bytes is None:
                     saturated.add(link)
                 else:
                     backlog = sum(
-                        remaining_bytes.get(flow_ids[p], 0.0) for p in fixed_now
+                        remaining_bytes.get(flows[slot], 0.0)
+                        for slot in fixed_now
                     )
                     if backlog / capacities[link] >= CONGESTION_BACKLOG_THRESHOLD:
                         saturated.add(link)
-            for position in fixed_now:
-                rates[flow_ids[position]] = share
-                for touched in flow_rows[position]:
+            for slot in fixed_now:
+                rates[flows[slot]] = share
+                for touched in flow_rows[slot]:
                     cap = caps[touched] - share
                     if not cap > 0.0:  # max(0.0, cap), NaN included
                         cap = 0.0
@@ -281,11 +345,186 @@ class IndexedSolver(RateSolver):
                     counts[touched] = count
                     shares[touched] = cap / count if count else infinity
             unfixed -= len(fixed_now)
+            if tied and unfixed:
+                # The chain goes on while the tied set is exact: untouched
+                # rows keep their shares, and no other touched row may
+                # have reached the tied share or fallen below it.
+                tied = [r for r in tied if shares[r] == share]
+                if tied and any(
+                    shares[touched] <= share and touched not in tied
+                    for slot in fixed_now
+                    for touched in flow_rows[slot]
+                ):
+                    tied = []
         if unfixed:
-            for position, flow_id in enumerate(flow_ids):
-                if not fixed[position]:
+            for slot, flow_id in enumerate(flows):
+                if not fixed[slot]:
                     rates[flow_id] = infinity
         return rates, saturated
+
+    # --- the kept link index -------------------------------------------------
+
+    def _sync(self, flow_links: Dict[int, List[Link]]) -> None:
+        """Bring the link index up to date with ``flow_links``.
+
+        Flows new since the last contended solve take fresh slots at the
+        end, departed ones vacate theirs, and rerouted ones (a path that
+        differs by value from the kept copy) are relisted at their slot.
+        The index is rebuilt instead when admission order has changed
+        (survivors out of slot order, or a known flow after a new one),
+        when fewer than two flows stay as they were per flow that changes,
+        when vacated slots would outnumber kept ones, or when the epoch is
+        too small to be worth keeping.
+        """
+        slot_of = self._slot_of
+        if slot_of and len(flow_links) >= _KEEP_INDEX_MIN_FLOWS:
+            paths = self._paths
+            fresh: List[int] = []
+            moved: List[int] = []
+            last = -1
+            for flow_id, path in flow_links.items():
+                slot = slot_of.get(flow_id)
+                if slot is None:
+                    fresh.append(flow_id)
+                elif fresh or slot < last:
+                    break
+                else:
+                    last = slot
+                    if path != paths[slot]:
+                        moved.append(slot)
+            else:
+                kept = len(flow_links) - len(fresh)
+                departed = len(slot_of) - kept
+                changed = departed + len(moved) + len(fresh)
+                unchanged = kept - len(moved)
+                vacated = len(self._flows) - kept
+                if 2 * changed <= unchanged and vacated <= kept:
+                    self._update(flow_links, fresh, moved, departed)
+                    return
+        self._rebuild(flow_links)
+
+    def _rebuild(self, flow_links: Dict[int, List[Link]]) -> None:
+        """Index ``flow_links`` from scratch: slots in admission order,
+        rows in order of first use."""
+        # The listing is inlined rather than left to _list: epochs below
+        # _KEEP_INDEX_MIN_FLOWS come through here on every solve.
+        flows = list(flow_links)
+        flow_rows: List[List[int]] = []
+        row_of: Dict[Link, int] = {}
+        links: List[Link] = []
+        members: List[List[int]] = []
+        for slot, path in enumerate(flow_links.values()):
+            rows = []
+            for link in path:
+                row = row_of.get(link)
+                if row is None:
+                    row = row_of[link] = len(links)
+                    links.append(link)
+                    members.append([slot])
+                else:
+                    members[row].append(slot)
+                rows.append(row)
+            flow_rows.append(rows)
+        self._flows = flows  # slot -> flow id
+        self._rows = flow_rows  # slot -> row per traversal
+        self._links = links  # row -> link
+        self._row_of = row_of
+        self._members = members  # row -> slots, ascending, per traversal
+        self._vacant = [False] * len(flows)  # slot -> its flow departed
+        # What the next solve compares against, for epochs big enough to
+        # keep their index.
+        keep = len(flows) >= _KEEP_INDEX_MIN_FLOWS
+        self._slot_of = dict(zip(flows, range(len(flows)))) if keep else {}
+        self._paths = list(map(list, flow_links.values())) if keep else []
+
+    def _update(
+        self,
+        flow_links: Dict[int, List[Link]],
+        fresh: List[int],
+        moved: List[int],
+        departed: int,
+    ) -> None:
+        """Apply departures, reroutes and arrivals to the kept index."""
+        flows = self._flows
+        slot_of = self._slot_of
+        paths = self._paths
+        flow_rows = self._rows
+        vacant = self._vacant
+        emptied: Set[int] = set()
+        if departed:
+            for flow_id in [f for f in slot_of if f not in flow_links]:
+                slot = slot_of.pop(flow_id)
+                self._unlist(slot, emptied)
+                paths[slot] = []
+                flow_rows[slot] = []
+                vacant[slot] = True
+        for slot in moved:
+            self._unlist(slot, emptied)
+            path = flow_links[flows[slot]]
+            flow_rows[slot] = self._list(slot, path)
+            paths[slot] = list(path)
+        for flow_id in fresh:
+            slot = slot_of[flow_id] = len(flows)
+            path = flow_links[flow_id]
+            flows.append(flow_id)
+            flow_rows.append(self._list(slot, path))
+            paths.append(list(path))
+            vacant.append(False)
+        if emptied:
+            self._drop_rows(emptied)
+
+    def _list(self, slot: int, path: List[Link]) -> List[int]:
+        """Add a slot to its links' member lists, keeping them ascending,
+        and return its rows."""
+        row_of = self._row_of
+        links = self._links
+        members = self._members
+        rows = []
+        for link in path:
+            row = row_of.get(link)
+            if row is None:
+                row = row_of[link] = len(links)
+                links.append(link)
+                members.append([slot])
+            else:
+                listed = members[row]
+                if not listed or listed[-1] <= slot:
+                    listed.append(slot)
+                else:
+                    insort(listed, slot)
+            rows.append(row)
+        return rows
+
+    def _unlist(self, slot: int, emptied: Set[int]) -> None:
+        """Remove a slot from its links' member lists, once per traversal."""
+        members = self._members
+        for row in self._rows[slot]:
+            listed = members[row]
+            listed.remove(slot)
+            if not listed:
+                emptied.add(row)
+
+    def _drop_rows(self, emptied: Set[int]) -> None:
+        """Drop rows left without members; the last row fills each gap."""
+        links = self._links
+        members = self._members
+        row_of = self._row_of
+        flow_rows = self._rows
+        for row in sorted(emptied, reverse=True):
+            if members[row]:  # listed again after it emptied
+                continue
+            del row_of[links[row]]
+            last = len(links) - 1
+            if row != last:
+                link = links[row] = links[last]
+                row_of[link] = row
+                members[row] = members[last]
+                for slot in set(members[row]):
+                    flow_rows[slot] = [
+                        row if r == last else r for r in flow_rows[slot]
+                    ]
+            links.pop()
+            members.pop()
 
     def _disjoint_rates(
         self, flow_links: Dict[int, List[Link]]
@@ -309,24 +548,3 @@ class IndexedSolver(RateSolver):
         if len(rates) > 1:
             rates = dict(sorted(rates.items(), key=itemgetter(1)))
         return rates
-
-    @staticmethod
-    def _tie_break(
-        share: float,
-        shares: List[float],
-        flow_rows: List[List[int]],
-        fixed: List[bool],
-    ) -> int:
-        """First tied link in the reference's ``link_users`` insertion order.
-
-        The reference counts users by scanning unfixed flows in admission
-        order and each flow's links in path order; among equal minimal
-        shares the first one seen wins its strict ``<`` comparison.
-        """
-        for position, rows in enumerate(flow_rows):
-            if fixed[position]:
-                continue
-            for row in rows:
-                if shares[row] == share:
-                    return row
-        raise AssertionError("tied bottleneck not reachable from any flow")

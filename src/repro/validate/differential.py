@@ -418,9 +418,14 @@ def check_solvers(
     """The indexed rate solver vs the reference loop, bit for bit.
 
     Each trial builds a random small topology, then drives both solvers
-    through ``epochs`` evolving flow-set epochs — arrivals, completions,
-    re-routes and the occasional zero-length path.  Per epoch the rates
-    and the saturated-link set must be ``==`` to the reference's.  One
+    through ``epochs`` evolving flow-set epochs on one live flow map:
+    arrivals, completions, the occasional zero-length path, re-routes (a
+    new path under a surviving flow's key), re-admission of a departed
+    flow id (which moves it to the end of admission order) and a path
+    list rewritten in place — the changes the link index the indexed
+    solver keeps across epochs has to follow.  Per epoch the rates, their
+    insertion order and the saturated-link set must be ``==`` to the
+    reference's.  One
     end-to-end :class:`~repro.interconnect.fabric.FabricSimulator` run per
     trial and solver then compares the
     :class:`~repro.interconnect.fabric.FlowStats` of identical traces with
@@ -452,27 +457,38 @@ def check_solvers(
         solver = IndexedSolver()
         solver.bind(simulator._capacities)
         flow_links: dict = {}
+        departed: list = []
         next_id = trial * 10_000
+
+        def route(flow_id: int) -> list:
+            if rng.uniform(0.0, 1.0) < 0.1:
+                return []  # zero-length path
+            source, destination = rng.sample(terminals, 2)
+            path = simulator._route(
+                Flow(source=source, destination=destination,
+                     size=1e6, flow_id=flow_id)
+            )
+            return simulator._links_of(path)
+
         for epoch in range(epochs):
             for _ in range(rng.integer(1, 6)):
-                if rng.uniform(0.0, 1.0) < 0.1:
-                    flow_links[next_id] = []  # zero-length path
-                else:
-                    source, destination = rng.sample(terminals, 2)
-                    path = simulator._route(
-                        Flow(source=source, destination=destination,
-                             size=1e6, flow_id=next_id)
-                    )
-                    flow_links[next_id] = simulator._links_of(path)
+                flow_links[next_id] = route(next_id)
                 next_id += 1
             if flow_links and rng.uniform(0.0, 1.0) < 0.5:
                 for flow_id in rng.sample(
                     list(flow_links), min(2, len(flow_links))
                 ):
                     del flow_links[flow_id]
+                    departed.append(flow_id)
             if flow_links and rng.uniform(0.0, 1.0) < 0.3:
                 victim = rng.choice(list(flow_links))
-                flow_links[victim] = list(flow_links[victim])  # re-route
+                flow_links[victim] = route(victim)  # re-route
+            if departed and rng.uniform(0.0, 1.0) < 0.2:
+                returning = departed.pop(rng.integer(0, len(departed) - 1))
+                flow_links[returning] = route(returning)  # re-admitted
+            if flow_links and rng.uniform(0.0, 1.0) < 0.2:
+                victim = rng.choice(list(flow_links))
+                flow_links[victim][:] = route(victim)  # rewritten in place
             remaining = None
             if rng.uniform(0.0, 1.0) < 0.6:
                 remaining = {
@@ -487,14 +503,16 @@ def check_solvers(
                     f"{name} on {kind} epoch {epoch}: saturated sets "
                     f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
                 )
-            elif rates != ref_rates:
+            elif list(rates.items()) != list(ref_rates.items()):
                 flow_id = next(
                     (f for f in ref_rates if rates.get(f) != ref_rates[f]),
                     None,
                 )
                 failures.append(
-                    f"{name} on {kind} epoch {epoch}: rate of flow "
-                    f"{flow_id} differs"
+                    f"{name} on {kind} epoch {epoch}: "
+                    + (f"rate of flow {flow_id} differs"
+                       if flow_id is not None
+                       else "rates inserted in another order")
                 )
         # End-to-end: one fabric run per trial under each solver.
         trace_seed = rng.integer(0, 2**31 - 1)

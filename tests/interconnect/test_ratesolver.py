@@ -5,7 +5,8 @@ Three concerns, mirroring the RouteCache suite's structure:
 * the ``RateSolver`` protocol and the fabric's ``solver=`` keyword,
 * bit-exactness of :class:`IndexedSolver` (the fabric's solver) against
   the :class:`ReferenceSolver` ground truth on hand-built corner cases
-  (ties, multiplicity, backlog, zero-length paths),
+  (ties, multiplicity, backlog, zero-length paths), and across scripted
+  epochs that change what the link index it keeps has to follow,
 * end-to-end runs, link flaps and degraded topologies, where both
   solvers must produce identical ``FlowStats``,
 * the synchronized burst, where the indexed solver must also be at
@@ -127,6 +128,22 @@ class TestExactness:
         assert ref[1] == {BC}
         assert ref[0] == {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0, 5: 5.0, 6: 5.0}
 
+    def test_a_link_rounding_onto_the_tied_share_joins_the_tie(self):
+        # T and T2 tie at 0.7/3.  X's share starts a rounding step above
+        # it, and fixing T's flows (one of which crosses X) rounds X's
+        # share down onto the tie.  The reference then finds X before T2
+        # (flow 4 precedes flow 10), so X's flows take their rates first.
+        t, t2, x = ("t", "u"), ("t2", "u2"), ("x", "y")
+        y, z = ("y", "z"), ("z0", "z1")
+        caps = {t: 0.7, t2: 0.7, x: 1.6333333333333333, y: 1e9, z: 1e9}
+        assert caps[x] / 7 > 0.7 / 3 == (caps[x] - 0.7 / 3) / 6
+        flows = {0: [z], 1: [t, x], 2: [t], 3: [t]}
+        flows.update({flow_id: [x, y] for flow_id in range(4, 10)})
+        flows.update({flow_id: [t2] for flow_id in range(10, 13)})
+        (ref, fast) = _solve_both(caps, flows)
+        assert ref == fast
+        assert list(ref[0]) == list(fast[0]) == [*range(1, 13), 0]
+
     def test_multi_round_waterfill(self):
         caps = {AB: 10.0, BC: 30.0}
         flows = {1: [AB, BC], 2: [AB], 3: [BC], 4: [BC]}
@@ -205,6 +222,88 @@ class TestExactness:
                     del flow_links[flow_id]
             epoch = dict(flow_links)
             assert indexed.solve(epoch) == reference.solve(epoch)
+
+
+class TestKeptIndex:
+    """One solver through scripted epochs on a live flow map: the link
+    index it keeps between contended solves must follow every change the
+    fabric, or any caller, makes between them."""
+
+    LINKS = (AB, BC, CD, ("d", "e"), ("e", "f"), ("f", "g"))
+    # Equal capacities for many ties, and one scarce link.
+    CAPS = {**{link: 12.0 for link in LINKS}, ("f", "g"): 2.0}
+
+    def _flows(self, count=18):
+        # Flow 0 alone crosses the last link, which it uses first, so its
+        # row is row 0 of a fresh index.
+        links = self.LINKS
+        flow_links = {0: [links[5], links[0]]}
+        for flow_id in range(1, count):
+            flow_links[flow_id] = [
+                links[flow_id % 5], links[(flow_id + 2) % 5],
+            ]
+        return flow_links
+
+    def _agree(self, solver, flow_links, caps=None):
+        reference = ReferenceSolver()
+        reference.bind(dict(caps or self.CAPS))
+        backlog = {flow_id: 1e9 for flow_id in flow_links}
+        expected = reference.solve(
+            {flow_id: list(path) for flow_id, path in flow_links.items()},
+            backlog,
+        )
+        got = solver.solve(flow_links, backlog)
+        assert got == expected
+        assert list(got[0]) == list(expected[0])
+
+    def _solver(self, flow_links):
+        solver = IndexedSolver()
+        solver.bind(dict(self.CAPS))
+        self._agree(solver, flow_links)
+        return solver
+
+    def test_a_link_losing_its_last_flow_gives_up_its_row(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        del flow_links[0]  # the only user of row 0
+        self._agree(solver, flow_links)
+        flow_links[99] = [self.LINKS[5], self.LINKS[1]]  # and it comes back
+        self._agree(solver, flow_links)
+
+    def test_a_reroute_puts_a_new_list_under_the_key(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        flow_links[4] = [self.LINKS[5], self.LINKS[3], self.LINKS[5]]
+        self._agree(solver, flow_links)
+
+    def test_a_path_edited_in_place_is_seen(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        flow_links[7][1] = self.LINKS[5]
+        self._agree(solver, flow_links)
+        flow_links[7].reverse()  # same links, another path order
+        self._agree(solver, flow_links)
+
+    def test_a_readmitted_flow_moves_to_the_end(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        path = flow_links.pop(3)
+        self._agree(solver, flow_links)
+        flow_links[3] = path
+        self._agree(solver, flow_links)
+
+    def test_a_reordered_epoch_is_rebuilt(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        self._agree(solver, dict(reversed(list(flow_links.items()))))
+
+    def test_bind_drops_the_index(self):
+        flow_links = self._flows()
+        solver = self._solver(flow_links)
+        caps = dict(self.CAPS)
+        caps[AB] = 3.0
+        solver.bind(caps)
+        self._agree(solver, flow_links, caps)
 
 
 class TestLowConcurrencyEpochs:

@@ -3,128 +3,209 @@
 The randomised differential in ``repro.validate`` drives whole fabrics;
 this suite attacks the solver layer directly with adversarial epoch
 streams — arbitrary capacities, zero-length paths, repeated links
-(multiplicity), partial ``remaining_bytes`` maps, and add/remove churn
-across epochs so a solver reused epoch after epoch is exercised, not
-just its first solve.
+(multiplicity), partial ``remaining_bytes`` maps, and churn across epochs
+so the link index :class:`IndexedSolver` keeps from one solve to the next
+is exercised, not just its first solve.  Between solves a stream admits,
+completes and reroutes flows, re-admits departed flow ids (which moves
+them to the end of admission order) and edits path lists in place, all
+on one live ``flow_links`` dict, the way the fabric mutates its own.
 
 Two kinds of property:
 
 * :class:`IndexedSolver`, the fabric's solver, is bit-identical to
   :class:`ReferenceSolver`: equality is ``==`` on the full result tuple,
-  rates and saturated sets, never approx;
+  rates and saturated sets, never approx, and rates are inserted in the
+  same order;
 * its rates satisfy the *definition* of a max-min fair allocation,
   checked without reference to any other implementation.
 """
 
-from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interconnect import ratesolver
 from repro.interconnect.ratesolver import IndexedSolver, ReferenceSolver
+from tests.interconnect._maxmin import assert_max_min_fair
 
-#: A small directed-link population: a square of switches with a chord and
-#: two terminal attachments, enough for shared bottlenecks and detours.
+#: A small directed-link population: a square of switches both ways with
+#: a chord and terminal attachments, enough for shared bottlenecks,
+#: detours and links that lose their last flow.
 LINKS = (
     ("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "s0"),
-    ("s0", "s2"), ("t0", "s0"), ("s3", "t1"),
+    ("s1", "s0"), ("s2", "s1"), ("s3", "s2"), ("s0", "s3"),
+    ("s0", "s2"), ("t0", "s0"), ("s3", "t1"), ("t2", "s1"),
 )
 
-#: Rounding slack of the definition checks: a link's load may exceed its
-#: capacity by accumulated float error only, and a link counts as full
-#: when its leftover is within that error.
-CAPACITY_SLACK = 1e-12
-FULL_SLACK = 1e-9
+#: Link capacities: a few round values, so fair shares tie, or any float.
+CAPACITIES = st.sampled_from((1.0, 2.0, 3.0)) | st.floats(
+    min_value=1.0, max_value=100.0
+)
+
+PATHS = st.lists(st.sampled_from(LINKS), max_size=4)
 
 
 @st.composite
 def epoch_streams(draw):
-    """A capacity map plus a stream of evolving flow-set epochs."""
-    capacities = {
-        link: draw(st.floats(min_value=1.0, max_value=100.0))
-        for link in LINKS
-    }
+    """A capacity map plus a stream of epochs, each a list of changes.
+
+    Changes are applied in order to one live ``flow_links`` dict by
+    :func:`live_epochs`: ``("admit", id, path)`` appends a flow (a
+    departed id comes back at the end of admission order),
+    ``("depart", id)`` completes one, ``("reroute", id, path)`` puts a new
+    list under a surviving key, and ``("edit", id, index, link)`` mutates
+    a path list in place.  A busy epoch completes and admits a batch of
+    flows; a quiet one, like most fabric epochs, makes a single change.
+    """
+    capacities = {link: draw(CAPACITIES) for link in LINKS}
     epochs = []
-    flow_links = {}
+    live = []
+    departed = []
     next_id = 0
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        for flow_id in list(flow_links):  # completions
-            if draw(st.integers(min_value=0, max_value=3)) == 0:
-                del flow_links[flow_id]
-        for _ in range(draw(st.integers(min_value=0, max_value=4))):
-            length = draw(st.integers(min_value=0, max_value=4))
-            flow_links[next_id] = [
-                draw(st.sampled_from(LINKS)) for _ in range(length)
-            ]
-            next_id += 1
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        changes = []
+        if draw(st.booleans()):  # busy
+            for flow_id in list(live):
+                if draw(st.integers(min_value=0, max_value=3)) == 0:
+                    changes.append(("depart", flow_id))
+                    live.remove(flow_id)
+            for _ in range(draw(st.integers(min_value=0, max_value=6))):
+                changes.append(("admit", next_id, draw(PATHS)))
+                live.append(next_id)
+                next_id += 1
+            kinds = sorted(draw(st.sets(st.sampled_from(
+                ("readmit", "reroute", "edit")
+            ))))
+        else:  # quiet
+            kinds = [draw(st.sampled_from(
+                ("admit", "depart", "readmit", "reroute", "edit")
+            ))]
+        for kind in kinds:
+            if kind == "admit":
+                changes.append(("admit", next_id, draw(PATHS)))
+                live.append(next_id)
+                next_id += 1
+            elif kind == "readmit" and departed:
+                flow_id = draw(st.sampled_from(departed))
+                departed.remove(flow_id)
+                changes.append(("admit", flow_id, draw(PATHS)))
+                live.append(flow_id)
+            elif kind == "depart" and live:
+                flow_id = draw(st.sampled_from(live))
+                changes.append(("depart", flow_id))
+                live.remove(flow_id)
+            elif kind == "reroute" and live:
+                changes.append(
+                    ("reroute", draw(st.sampled_from(live)), draw(PATHS))
+                )
+            elif kind == "edit" and live:
+                changes.append((
+                    "edit", draw(st.sampled_from(live)),
+                    draw(st.integers(min_value=0, max_value=3)),
+                    draw(st.sampled_from(LINKS)),
+                ))
+        departed += [change[1] for change in changes if change[0] == "depart"]
         remaining = None
         if draw(st.booleans()):
             remaining = {
                 flow_id: draw(st.floats(min_value=0.0, max_value=1e7))
-                for flow_id in flow_links
+                for flow_id in live
                 if draw(st.booleans())
             }
-        epochs.append((dict(flow_links), remaining))
+        epochs.append((changes, remaining))
     return capacities, epochs
+
+
+def live_epochs(epochs):
+    """Apply each epoch's changes to one live dict and yield it."""
+    flow_links = {}
+    for changes, remaining in epochs:
+        for kind, flow_id, *change in changes:
+            if kind == "depart":
+                del flow_links[flow_id]
+            elif kind == "edit":
+                path = flow_links[flow_id]
+                index, link = change
+                if path:
+                    path[index % len(path)] = link
+                else:
+                    path.append(link)
+            else:  # admit or reroute: a new list under the key
+                flow_links[flow_id] = list(change[0])
+        yield flow_links, remaining
+
+
+def _assert_matches_reference(solver, capacities, flow_links, remaining):
+    """``solver`` on the live epoch equals a fresh reference, bit for bit."""
+    reference = ReferenceSolver()
+    reference.bind(dict(capacities))
+    snapshot = {flow_id: list(path) for flow_id, path in flow_links.items()}
+    expected = reference.solve(snapshot, remaining)
+    got = solver.solve(flow_links, remaining)
+    assert got == expected
+    assert list(got[0]) == list(expected[0])  # rate insertion order too
 
 
 @given(stream=epoch_streams())
 @settings(max_examples=60, deadline=None)
 def test_solvers_bit_identical_over_epoch_streams(stream):
     capacities, epochs = stream
-    reference = ReferenceSolver()
-    reference.bind(dict(capacities))
     solver = IndexedSolver()
     solver.bind(dict(capacities))
-    for flow_links, remaining in epochs:
-        expected = reference.solve(dict(flow_links), remaining)
-        assert solver.solve(dict(flow_links), remaining) == expected
+    for flow_links, remaining in live_epochs(epochs):
+        _assert_matches_reference(solver, capacities, flow_links, remaining)
+
+
+@given(stream=epoch_streams())
+@settings(max_examples=40, deadline=None)
+def test_kept_index_is_exact_at_any_epoch_size(stream):
+    # Small epochs rebuild their index every solve; keep it from the
+    # first flow on so the incremental path sees every kind of change.
+    capacities, epochs = stream
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
+    with mock.patch.object(ratesolver, "_KEEP_INDEX_MIN_FLOWS", 1):
+        for flow_links, remaining in live_epochs(epochs):
+            _assert_matches_reference(
+                solver, capacities, flow_links, remaining
+            )
+
+
+@given(first=epoch_streams(), second=epoch_streams())
+@settings(max_examples=30, deadline=None)
+def test_one_solver_through_unrelated_streams_without_rebind(first, second):
+    # The second stream reuses flow ids with other paths and another
+    # admission order; the kept index must notice without a bind().
+    capacities, _ = first
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
+    with mock.patch.object(ratesolver, "_KEEP_INDEX_MIN_FLOWS", 1):
+        for _, epochs in (first, second):
+            for flow_links, remaining in live_epochs(epochs):
+                _assert_matches_reference(
+                    solver, capacities, flow_links, remaining
+                )
 
 
 @given(stream=epoch_streams())
 @settings(max_examples=20, deadline=None)
 def test_rebind_mid_stream_is_transparent(stream):
     capacities, epochs = stream
-    reference = ReferenceSolver()
-    reference.bind(dict(capacities))
     solver = IndexedSolver()
-    for flow_links, remaining in epochs:
-        expected = reference.solve(dict(flow_links), remaining)
+    for flow_links, remaining in live_epochs(epochs):
         # Rebinding (what the fabric does on topology mutations) must
         # leave results unchanged.
         solver.bind(dict(capacities))
-        assert solver.solve(dict(flow_links), remaining) == expected
+        _assert_matches_reference(solver, capacities, flow_links, remaining)
 
 
 @given(stream=epoch_streams())
 @settings(max_examples=60, deadline=None)
 def test_default_solver_is_max_min_fair(stream):
-    """Feasible, and every flow is bottlenecked where it is the largest.
-
-    A rate vector is max-min fair exactly when no link is over capacity
-    and every flow crosses a full link on which no other flow gets more.
-    Flows with zero-length paths cross nothing and are unconstrained.
-    """
     capacities, epochs = stream
     solver = IndexedSolver()
     solver.bind(dict(capacities))
-    for flow_links, remaining in epochs:
-        rates, _ = solver.solve(dict(flow_links), remaining)
-        assert rates.keys() == flow_links.keys()
-        load = Counter()
-        top = {}
-        for flow_id, links in flow_links.items():
-            for link in links:
-                load[link] += rates[flow_id]
-                top[link] = max(top.get(link, 0.0), rates[flow_id])
-        for link, carried in load.items():
-            assert carried <= capacities[link] * (1 + CAPACITY_SLACK), link
-        for flow_id, links in flow_links.items():
-            if not links:
-                assert rates[flow_id] == float("inf")
-                continue
-            assert any(
-                load[link] >= capacities[link] * (1 - FULL_SLACK)
-                and rates[flow_id] >= top[link] * (1 - FULL_SLACK)
-                for link in links
-            ), (flow_id, links, rates)
+    for flow_links, remaining in live_epochs(epochs):
+        rates, _ = solver.solve(flow_links, remaining)
+        assert_max_min_fair(capacities, flow_links, rates)
