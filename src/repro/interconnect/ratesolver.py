@@ -10,9 +10,11 @@ from the simulator behind a small protocol:
 * :class:`IndexedSolver` — the fabric's solver: the reference's rounds
   over a link index that is kept from one contended epoch to the next
   and patched with the flows that arrived, left or were rerouted.  Each
-  round takes a C-level ``min`` over the fair shares and updates only the
-  links the fixed flows cross; while the minimum is tied, rounds chain
-  through the tied links without rescanning.  An epoch whose flows share
+  round finds the smallest fair share, from a lazy heap of share levels
+  when the solve has at least ``_HEAP_MIN_ROWS`` links and with a C-level
+  ``min`` over the share list below that, and updates only the links the
+  fixed flows cross; while the minimum is tied, rounds chain through the
+  tied links without looking for it again.  An epoch whose flows share
   no link (most low-concurrency epochs) skips the rounds: each flow gets
   its path's smallest capacity.  Pure Python; ``bind`` drops the kept
   index.
@@ -35,6 +37,7 @@ degraded fabrics), the same way the shared
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heapify, heappop, heappush
 from operator import itemgetter, truediv
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -45,6 +48,14 @@ Link = Tuple[str, str]
 #: index on every solve: listing a handful of flows costs less than
 #: keeping copies of their paths to compare the next epoch against.
 _KEEP_INDEX_MIN_FLOWS = 16
+
+#: Solves over at least this many links pick each round's bottleneck
+#: from a heap of share levels; smaller ones take the C-level ``min``
+#: over their share list.  The heap costs a Python-level step per link
+#: to build, per drained link to discard and per touched link to look
+#: for a lowered share, which the ``min`` never pays; on shorter share
+#: lists the scan is the cheaper of the two.
+_HEAP_MIN_ROWS = 160
 
 #: Minimum number of flows contending for a link before it can count as
 #: congested. In max-min fairness *every* flow is bottlenecked somewhere, so
@@ -187,22 +198,39 @@ class IndexedSolver(RateSolver):
       order, once per traversal, so a list's length is the link's user
       count with multiplicity.  Index-aligned capacity, count and share
       lists are built from it per solve;
-    * each round takes the C-level ``min`` of the share list, fixes the
-      bottleneck's unfixed members, and updates capacity, count and share
-      only on the links those flows cross; a drained link's share becomes
-      ``inf`` so it can never win again;
+    * each round finds the smallest share and the rows tied at it, fixes
+      the bottleneck's unfixed members, and updates capacity, count and
+      share only on the links those flows cross.  The bottleneck drains:
+      its share becomes ``inf`` so it can never win again;
+    * below ``_HEAP_MIN_ROWS`` rows the minimum is the C-level ``min`` of
+      the share list, with ``index`` and ``count`` for its rows.  At or
+      above it the minimum comes from a lazy heap of share levels (see
+      :class:`_ShareLevels`): a row's entry lies at or below its share,
+      and is only settled when its level reaches the top, so a round
+      costs about the links it touches rather than a scan of all rows.
+      The heap pays Python-level steps per row and per touched link that
+      a short list's scan does not repay;
     * while the minimum is tied the rounds form a *tie chain*: the next
-      bottleneck is picked from the tied rows, and the share list is
-      scanned again only once no row is left at the tied share, or a
-      touched row newly reaches it or falls below it.
+      bottleneck is picked from the tied rows, and the minimum is looked
+      for again only once no row is left at the tied share, or a touched
+      row newly reaches it or falls below it.  Tied rows taken from the
+      heap go back to it as they leave the chain.
 
     Exactness: every share is the same ``capacity / count`` divide the
     reference performs, and every capacity update the same clamped
     subtraction in the same order (fixed flows in admission order, links
     in path order, once per traversal).  A unique minimum is the
-    reference's bottleneck.  Among tied minima the reference keeps the
-    link it counted first, scanning unfixed flows in admission order and
-    their links in path order: the tied row whose first unfixed member is
+    reference's bottleneck.  Both ways of finding it see the same rows at
+    the same share: the heap's invariant is that every row with a finite
+    share has an entry at or below it.  Water-filling only raises a
+    share, except by rounding, so a row whose share rises keeps its
+    entry, and one whose share falls below its entry (rounding only) is
+    filed again at the end of the round that lowered it.  When a level
+    reaches the top, every row whose share equals it has its entry
+    there, and all of them are taken together, as ``count`` finds them
+    on the list.  Among tied minima the reference keeps the link it
+    counted first, scanning unfixed flows in admission order and their
+    links in path order: the tied row whose first unfixed member is
     earliest, and of those the one first in that member's path.  The
     first unfixed slot decides it whenever its flow crosses a tied row;
     otherwise a cursor per row walks its ascending member list to the
@@ -280,19 +308,27 @@ class IndexedSolver(RateSolver):
         head = 0  # no slot before it is unfixed
         tied: List[int] = []
         share = infinity
+        levels = _ShareLevels(shares) if len(links) >= _HEAP_MIN_ROWS else None
 
         while unfixed:
             if not tied:
-                share = min(shares)
-                if share == infinity:  # only unconstrained flows remain
-                    break
-                row = shares.index(share)
-                ties = shares.count(share)
-                if ties > 1:
-                    tied = [row]
-                    for _ in range(ties - 1):
-                        row = shares.index(share, row + 1)
-                        tied.append(row)
+                if levels is None:
+                    share = min(shares)
+                    if share == infinity:  # only unconstrained flows remain
+                        break
+                    row = shares.index(share)
+                    ties = shares.count(share)
+                    if ties > 1:
+                        tied = [row]
+                        for _ in range(ties - 1):
+                            row = shares.index(share, row + 1)
+                            tied.append(row)
+                else:
+                    share, tied = levels.pop_minimum()
+                    if share == infinity:  # only unconstrained flows remain
+                        break
+                    if len(tied) == 1:
+                        row = tied.pop()
             if tied:
                 # The reference's counting order: the tied link first seen
                 # scanning unfixed flows in admission order, links in path
@@ -334,9 +370,12 @@ class IndexedSolver(RateSolver):
                     )
                     if backlog / capacities[link] >= CONGESTION_BACKLOG_THRESHOLD:
                         saturated.add(link)
+            shares[row] = infinity  # every flow on it is fixed now
             for slot in fixed_now:
                 rates[flows[slot]] = share
                 for touched in flow_rows[slot]:
+                    if touched == row:
+                        continue
                     cap = caps[touched] - share
                     if not cap > 0.0:  # max(0.0, cap), NaN included
                         cap = 0.0
@@ -344,17 +383,24 @@ class IndexedSolver(RateSolver):
                     count = counts[touched] - 1
                     counts[touched] = count
                     shares[touched] = cap / count if count else infinity
+            if levels is not None:
+                levels.enter_lowered(fixed_now, flow_rows)
             unfixed -= len(fixed_now)
             if tied and unfixed:
                 # The chain goes on while the tied set is exact: untouched
                 # rows keep their shares, and no other touched row may
-                # have reached the tied share or fallen below it.
+                # have reached the tied share or fallen below it.  Tied
+                # rows that leave it go back to the heap.
+                if levels is not None:
+                    levels.enter_all([r for r in tied if shares[r] != share])
                 tied = [r for r in tied if shares[r] == share]
                 if tied and any(
                     shares[touched] <= share and touched not in tied
                     for slot in fixed_now
                     for touched in flow_rows[slot]
                 ):
+                    if levels is not None:
+                        levels.enter_all(tied)
                     tied = []
         if unfixed:
             for slot, flow_id in enumerate(flows):
@@ -548,3 +594,96 @@ class IndexedSolver(RateSolver):
         if len(rates) > 1:
             rates = dict(sorted(rates.items(), key=itemgetter(1)))
         return rates
+
+
+class _ShareLevels:
+    """The fair shares of one solve as a lazy min-heap of share levels.
+
+    Each distinct share value is on the heap once, with the rows that
+    have an entry at it in ``rows_at``, so the rows tied at the minimum
+    come off in one pop and filing a row at a level already on the heap
+    is a list append.  ``keys`` maps a row to the level of its live
+    entry, or ``-inf`` while the row is out of the heap (taken at the
+    minimum, or tied).  Water-filling only raises a share, except by
+    rounding, so a live row's key is a floor under its current share: a
+    row whose share rises keeps its entry, and :meth:`enter_lowered`
+    files a row whose share fell below its key before the next minimum
+    is taken.  :meth:`pop_minimum` settles entries lazily as their level
+    comes up.
+    """
+
+    __slots__ = ("heap", "rows_at", "keys", "shares")
+
+    def __init__(self, shares: List[float]) -> None:
+        rows_at: Dict[float, List[int]] = {}
+        for row, share in enumerate(shares):
+            rows = rows_at.get(share)
+            if rows is None:
+                rows_at[share] = [row]
+            else:
+                rows.append(row)
+        self.heap = list(rows_at)
+        heapify(self.heap)
+        self.rows_at = rows_at
+        self.keys = shares[:]
+        self.shares = shares  # the solve's share list, read live
+
+    def enter(self, row: int, share: float) -> None:
+        """File ``row`` at ``share``; any older entry of it goes stale."""
+        self.keys[row] = share
+        rows = self.rows_at.get(share)
+        if rows is None:
+            self.rows_at[share] = [row]
+            heappush(self.heap, share)
+        else:
+            rows.append(row)
+
+    def enter_lowered(
+        self, fixed_now: List[int], flow_rows: List[List[int]]
+    ) -> None:
+        """File each row the ``fixed_now`` slots cross whose share fell
+        below its entry, which only rounding can do."""
+        keys = self.keys
+        shares = self.shares
+        for slot in fixed_now:
+            for row in flow_rows[slot]:
+                if shares[row] < keys[row]:
+                    self.enter(row, shares[row])
+
+    def enter_all(self, rows: List[int]) -> None:
+        """File each of ``rows`` at its current share, unless drained."""
+        shares = self.shares
+        for row in rows:
+            if shares[row] != float("inf"):
+                self.enter(row, shares[row])
+
+    def pop_minimum(self) -> Tuple[float, List[int]]:
+        """Take every row at the smallest share out of the heap.
+
+        Returns that share and its rows; the share is ``inf`` once no row
+        with a finite share is left.  On the way, an entry is valid when
+        its row's share still equals its level; a row whose share rose
+        since is filed again at its current share, and an entry whose row
+        has drained (``inf``), was filed elsewhere, or is already out of
+        the heap is dropped.
+        """
+        heap = self.heap
+        rows_at = self.rows_at
+        keys = self.keys
+        shares = self.shares
+        infinity = float("inf")
+        while heap:
+            level = heappop(heap)
+            taken = []
+            for row in rows_at.pop(level):
+                if keys[row] != level:
+                    continue  # filed elsewhere, or out of the heap
+                share = shares[row]
+                if share == level:
+                    keys[row] = -infinity
+                    taken.append(row)
+                elif share != infinity:  # it rose since
+                    self.enter(row, share)
+            if taken:
+                return level, taken
+        return infinity, []

@@ -33,11 +33,13 @@ and adaptive routes draw from an RNG and are always computed fresh.
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.core.errors import ConfigurationError
 from repro.interconnect.topology import Topology
 
 #: A directed link as traversed by a flow.
@@ -183,12 +185,21 @@ class RouteCache:
         """Per-direction link capacities (full duplex), computed once.
 
         Returns the shared map; callers that mutate capacities during
-        water-filling must copy it first.
+        water-filling must copy it first.  Raises
+        :class:`~repro.core.errors.ConfigurationError` naming the link
+        when an edge's ``bandwidth`` is not positive and finite: a graph
+        built or edited by hand does not pass ``TopologySpec``'s check,
+        and the rate solvers assume real, positive capacities.
         """
         if not self._capacities:
             capacities: Dict[Link, float] = {}
             for u, v, data in self._graph.edges(data=True):
                 bandwidth = float(data["bandwidth"])
+                if not 0.0 < bandwidth < math.inf:
+                    raise ConfigurationError(
+                        f"link ({u!r}, {v!r}) bandwidth must be positive "
+                        f"and finite, got {bandwidth!r}"
+                    )
                 capacities[(u, v)] = bandwidth
                 capacities[(v, u)] = bandwidth
             self._capacities = capacities

@@ -17,6 +17,7 @@ None of it needs numpy.
 
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import congestion_policy
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
+from repro.interconnect import ratesolver
 from repro.interconnect.failures import fail_links, fail_switches
 from repro.interconnect.ratesolver import (
     MIN_CONTENDERS_FOR_CONGESTION,
@@ -62,12 +64,26 @@ def _stats_key(stats):
 
 
 def _solve_both(capacities, flow_links, remaining_bytes=None):
-    """Solve the same epoch with the reference and the indexed solver."""
+    """Solve the same epoch with the reference and the indexed solver.
+
+    The indexed solver runs twice: at its default size gate, which keeps
+    these small epochs on the share-list scan, and with the gate at 1,
+    which forces the heap.  The two must agree bit for bit, insertion
+    order included, before the indexed result is returned.
+    """
+    reference = ReferenceSolver()
+    reference.bind(dict(capacities))
+    expected = reference.solve(dict(flow_links), remaining_bytes)
     outcomes = []
-    for solver in (ReferenceSolver(), IndexedSolver()):
-        solver.bind(dict(capacities))
-        outcomes.append(solver.solve(dict(flow_links), remaining_bytes))
-    return tuple(outcomes)
+    for gate in (ratesolver._HEAP_MIN_ROWS, 1):
+        with mock.patch.object(ratesolver, "_HEAP_MIN_ROWS", gate):
+            solver = IndexedSolver()
+            solver.bind(dict(capacities))
+            outcomes.append(solver.solve(dict(flow_links), remaining_bytes))
+    scanned, heaped = outcomes
+    assert heaped == scanned
+    assert list(heaped[0]) == list(scanned[0])
+    return expected, scanned
 
 
 # A little three-switch line: two directed links everybody contends on.
@@ -143,6 +159,24 @@ class TestExactness:
         (ref, fast) = _solve_both(caps, flows)
         assert ref == fast
         assert list(ref[0]) == list(fast[0]) == [*range(1, 13), 0]
+
+    def test_a_link_rounding_below_the_bottleneck_share_goes_next(self):
+        # T is the bottleneck at 1.93/5.  Three of its flows also cross
+        # X, whose share starts one step above T's, and subtracting T's
+        # share from X three times rounds X's share strictly *below* it.
+        # Z sits at X's old share, so the round after T must pick X, not
+        # Z: the heap has to take X at its lowered share.
+        t, x, y, z = ("t", "u"), ("x", "y"), ("y", "z"), ("z0", "z1")
+        caps = {t: 1.93, x: 2.3160000000000003, y: 1e9, z: 1.1580000000000001}
+        flows = {flow_id: [t, x] for flow_id in (1, 2, 3)}
+        flows.update({4: [t], 5: [t]})
+        flows.update({flow_id: [x, y] for flow_id in (6, 7, 8)})
+        flows.update({flow_id: [z] for flow_id in (9, 10, 11)})
+        assert caps[x] / 6 == caps[z] / 3 > caps[t] / 5
+        (ref, fast) = _solve_both(caps, flows)
+        assert ref == fast
+        assert list(ref[0]) == list(fast[0]) == list(range(1, 12))
+        assert fast[0][6] < fast[0][1] < fast[0][9]
 
     def test_multi_round_waterfill(self):
         caps = {AB: 10.0, BC: 30.0}

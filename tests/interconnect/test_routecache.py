@@ -5,6 +5,7 @@ import gc
 import networkx as nx
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.failures import fail_links, fail_switches
@@ -72,6 +73,18 @@ class TestRouteCache:
         topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
         cache = RouteCache(topology)
         assert cache.link_capacities() is cache.link_capacities()
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -5e9])
+    def test_bad_link_bandwidth_fails_naming_the_link(self, bandwidth):
+        # A hand-edited edge bypasses TopologySpec's link_bandwidth check.
+        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        u, v = next(iter(topology.graph.edges()))
+        topology.graph.edges[u, v]["bandwidth"] = bandwidth
+        with pytest.raises(ConfigurationError) as raised:
+            RouteCache(topology).link_capacities()
+        assert f"link ({u!r}, {v!r}) bandwidth" in str(raised.value)
+        with pytest.raises(ConfigurationError, match="bandwidth must be"):
+            FabricSimulator(topology)
 
     def test_route_cache_for_is_per_topology(self):
         a = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)

@@ -18,6 +18,10 @@ Two kinds of property:
   same order;
 * its rates satisfy the *definition* of a max-min fair allocation,
   checked without reference to any other implementation.
+
+Each property also runs with the size gate of the solver's heap at 1:
+every epoch here is far below it, so the default runs cover the
+share-list scan and the patched ones the heap.
 """
 
 from unittest import mock
@@ -172,6 +176,34 @@ def test_kept_index_is_exact_at_any_epoch_size(stream):
             )
 
 
+@given(stream=epoch_streams())
+@settings(max_examples=60, deadline=None)
+def test_heap_selection_bit_identical_over_epoch_streams(stream):
+    capacities, epochs = stream
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
+    with mock.patch.object(ratesolver, "_HEAP_MIN_ROWS", 1):
+        for flow_links, remaining in live_epochs(epochs):
+            _assert_matches_reference(
+                solver, capacities, flow_links, remaining
+            )
+
+
+@given(stream=epoch_streams())
+@settings(max_examples=40, deadline=None)
+def test_heap_selection_over_the_kept_index(stream):
+    # The fabric's large epochs take both: a kept index and the heap.
+    capacities, epochs = stream
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
+    with mock.patch.object(ratesolver, "_KEEP_INDEX_MIN_FLOWS", 1), \
+            mock.patch.object(ratesolver, "_HEAP_MIN_ROWS", 1):
+        for flow_links, remaining in live_epochs(epochs):
+            _assert_matches_reference(
+                solver, capacities, flow_links, remaining
+            )
+
+
 @given(first=epoch_streams(), second=epoch_streams())
 @settings(max_examples=30, deadline=None)
 def test_one_solver_through_unrelated_streams_without_rebind(first, second):
@@ -209,3 +241,15 @@ def test_default_solver_is_max_min_fair(stream):
     for flow_links, remaining in live_epochs(epochs):
         rates, _ = solver.solve(flow_links, remaining)
         assert_max_min_fair(capacities, flow_links, rates)
+
+
+@given(stream=epoch_streams())
+@settings(max_examples=40, deadline=None)
+def test_heap_selection_is_max_min_fair(stream):
+    capacities, epochs = stream
+    solver = IndexedSolver()
+    solver.bind(dict(capacities))
+    with mock.patch.object(ratesolver, "_HEAP_MIN_ROWS", 1):
+        for flow_links, remaining in live_epochs(epochs):
+            rates, _ = solver.solve(flow_links, remaining)
+            assert_max_min_fair(capacities, flow_links, rates)

@@ -83,6 +83,15 @@ class TestSolverDifferential:
         assert result.passed, result.detail
         assert result.comparisons > 0
 
+    def test_heap_selection_matches_reference(self, monkeypatch):
+        # check_solvers' topologies stay below the heap's size gate.
+        from repro.interconnect import ratesolver
+
+        monkeypatch.setattr(ratesolver, "_HEAP_MIN_ROWS", 1)
+        result = check_solvers()
+        assert result.passed, result.detail
+        assert result.comparisons > 0
+
     def test_trial_count_is_configurable(self):
         small = check_solvers(trials=1, epochs=4)
         assert small.passed, small.detail
