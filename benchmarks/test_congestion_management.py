@@ -31,7 +31,7 @@ from repro.interconnect.congestion import (
     NoCongestionControl,
 )
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_dragonfly
+from repro.interconnect.topology import build_topology
 
 POLICIES = (
     NoCongestionControl(),
@@ -39,10 +39,6 @@ POLICIES = (
     FlowBasedCongestionControl(),
 )
 INCAST_DEGREES = (4, 8, 16)
-
-
-def build_topology():
-    return build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=4)
 
 
 def incast_workload(topology, aggressors):
@@ -75,7 +71,7 @@ def incast_workload(topology, aggressors):
 
 
 def run_experiment():
-    topology = build_topology()
+    topology = build_topology("dragonfly", groups=6, routers_per_group=4, terminals=4)
     rows = []
     for degree in INCAST_DEGREES:
         for policy in POLICIES:

@@ -27,23 +27,18 @@ from repro.analysis.tables import Table
 from repro.core.rng import RandomSource
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.routing import route_demands
-from repro.interconnect.topology import (
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
-    build_torus,
-)
+from repro.interconnect.topology import build_topology
 
 
 def build_instances():
     """Four topologies in the 120-160 terminal range."""
     return {
-        "dragonfly": build_dragonfly(
-            groups=9, routers_per_group=4, terminals_per_router=4
+        "dragonfly": build_topology(
+            "dragonfly", groups=9, routers_per_group=4, terminals=4
         ),  # 144 terminals
-        "hyperx": build_hyperx(dims=(6, 6), terminals_per_switch=4),  # 144
-        "fat-tree": build_fat_tree(k=8),  # 128
-        "torus": build_torus(dims=(6, 6, 4), terminals_per_switch=1),  # 144
+        "hyperx": build_topology("hyperx", dims=(6, 6), terminals=4),  # 144
+        "fat-tree": build_topology("fat-tree", k=8),  # 128
+        "torus": build_topology("torus", dims=(6, 6, 4), terminals=1),  # 144
     }
 
 
@@ -81,7 +76,7 @@ def run_experiment():
 
 
 def routing_ablation():
-    topology = build_dragonfly(groups=6, routers_per_group=3, terminals_per_router=2)
+    topology = build_topology("dragonfly", groups=6, routers_per_group=3, terminals=2)
     graph = topology.graph
     group_of = {
         t: graph.nodes[graph.nodes[t]["attached_to"]]["group"]

@@ -26,11 +26,7 @@ import pytest
 from repro.analysis.tables import Table
 from repro.interconnect.fabric import Flow
 from repro.interconnect.tenancy import SlicedFabric, VirtualNetwork
-from repro.interconnect.topology import build_dragonfly
-
-
-def build_topology():
-    return build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=4)
+from repro.interconnect.topology import build_topology
 
 
 def aggressor_flows(topology):
@@ -70,7 +66,7 @@ def p99(stats):
 
 
 def run_experiment():
-    topology = build_topology()
+    topology = build_topology("dragonfly", groups=6, routers_per_group=4, terminals=4)
     fabric = SlicedFabric(topology)
     fabric.allocate(VirtualNetwork(tenant="aggressor", bandwidth_share=0.5))
     fabric.allocate(VirtualNetwork(tenant="victim", bandwidth_share=0.5))

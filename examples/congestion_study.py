@@ -9,7 +9,7 @@ Run:  python examples/congestion_study.py
 
 import numpy as np
 
-from repro import FabricSimulator, Flow, build_dragonfly
+from repro import FabricSimulator, Flow, build_topology
 from repro.core.units import format_time
 from repro.interconnect import (
     EcnCongestionControl,
@@ -43,7 +43,7 @@ def build_workload(topology, aggressors=12):
 
 
 def main() -> None:
-    topology = build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=4)
+    topology = build_topology("dragonfly", groups=6, routers_per_group=4, terminals=4)
     print(f"Fabric: {topology} (diameter {topology.diameter()})")
     print(f"Workload: 12 x 100 MB incast elephants + latency-sensitive mice\n")
 

@@ -70,10 +70,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".hardware.catalog": ("DeviceCatalog", "default_catalog"),
     ".hardware.precision": ("Precision",),
     ".interconnect.fabric": ("FabricSimulator", "Flow"),
-    ".interconnect.topology": (
-        "Topology", "TopologySpec", "build_dragonfly", "build_fat_tree",
-        "build_hyperx", "build_topology", "build_torus", "build_two_tier",
-    ),
+    ".interconnect.topology": ("Topology", "TopologySpec", "build_topology"),
     ".interconnect.congestion": ("congestion_policy",),
     ".market.exchange": (
         "ComputeExchange", "MarketSimulation", "ResourceClass",
@@ -138,12 +135,7 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "WanLink",
-    "build_dragonfly",
-    "build_fat_tree",
-    "build_hyperx",
     "build_topology",
-    "build_torus",
-    "build_two_tier",
     "cluster_report",
     "congestion_policy",
     "default_catalog",

@@ -203,13 +203,13 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profile_or_fail(experiment_id: str):
+def _profile_or_fail(experiment_id: str):
     """Run one telemetry profile; prints the traceable ids on a bad id."""
-    from repro.profiles import run_profile
+    from repro import profiles
 
     _imports_done()
     try:
-        return run_profile(experiment_id)
+        return profiles.run(experiment_id)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return None
@@ -236,7 +236,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    result = _run_profile_or_fail(args.experiment)
+    result = _profile_or_fail(args.experiment)
     if result is None:
         return 2
     tracer = result.telemetry.tracer
@@ -263,7 +263,7 @@ def _command_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
     from repro.observability.export import counter_rows, histogram_rows
 
-    result = _run_profile_or_fail(args.experiment)
+    result = _profile_or_fail(args.experiment)
     if result is None:
         return 2
     registry = result.telemetry.metrics
@@ -321,7 +321,7 @@ def _command_profile(args: argparse.Namespace) -> int:
         write_profiler_chrome_trace,
         write_prometheus,
     )
-    from repro.profiles import run as run_profile_by_id
+    from repro import profiles
 
     _imports_done()
     overrides = {}
@@ -343,7 +343,7 @@ def _command_profile(args: argparse.Namespace) -> int:
         if sampler is not None:
             sampler.start()
         with profiler.scope(PHASE_RUN):
-            result = run_profile_by_id(args.experiment, telemetry, **overrides)
+            result = profiles.run(args.experiment, telemetry, **overrides)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2

@@ -41,9 +41,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".switch": ("SwitchGeneration", "SwitchSpec"),
     ".tenancy": ("SlicedFabric", "VirtualNetwork", "encryption_overhead"),
     ".topology": (
-        "TOPOLOGY_KINDS", "Topology", "TopologySpec", "build_dragonfly",
-        "build_fat_tree", "build_hyperx", "build_topology", "build_torus",
-        "build_two_tier", "enable_topology_cache", "normalize_topology_kind",
+        "TOPOLOGY_KINDS", "Topology", "TopologySpec", "build_topology",
+        "enable_topology_cache", "normalize_topology_kind",
         "topology_cache_stats",
     ),
 })
@@ -86,12 +85,7 @@ __all__ = [
     "TopologySpec",
     "VirtualNetwork",
     "adaptive_route",
-    "build_dragonfly",
-    "build_fat_tree",
-    "build_hyperx",
     "build_topology",
-    "build_torus",
-    "build_two_tier",
     "electrical_reach",
     "enable_topology_cache",
     "encryption_overhead",

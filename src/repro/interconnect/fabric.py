@@ -232,8 +232,7 @@ class FabricSimulator:
         if self.routing == "minimal":
             return self._route_cache.minimal_route(flow.source, flow.destination)
         return valiant_route(
-            self.topology, flow.source, flow.destination, rng=self.rng,
-            cache=self._route_cache,
+            self.topology, flow.source, flow.destination, rng=self.rng
         )
 
     @staticmethod
@@ -599,8 +598,7 @@ class FabricSimulator:
             if not saturated.isdisjoint(flow_links[flow_id]):
                 source, destination = path[0], path[-1]
                 detour = valiant_route(
-                    self.topology, source, destination, rng=self.rng,
-                    cache=self._route_cache,
+                    self.topology, source, destination, rng=self.rng
                 )
                 if detour != path:
                     paths[flow_id] = detour

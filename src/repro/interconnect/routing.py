@@ -9,15 +9,19 @@ Three classical options, exercised by the topology-comparison experiment:
 * **adaptive** — choose the least-congested of several candidate paths
   using current link utilisation (an idealised version of what dragonfly
   adaptive routing does per packet).
+
+Every minimal leg comes from the topology's shared
+:class:`~repro.interconnect.routecache.RouteCache`, so code that edits a
+``topology.graph`` in place must then call
+:func:`~repro.interconnect.routecache.invalidate_route_cache`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.rng import RandomSource
+from repro.interconnect.routecache import route_cache_for
 from repro.interconnect.topology import Topology
 
 #: A path is a list of node names, endpoints included.
@@ -32,8 +36,8 @@ def _edge_key(u: str, v: str) -> Tuple[str, str]:
 
 
 def minimal_route(topology: Topology, source: str, destination: str) -> Path:
-    """The shortest path from source to destination (hop metric)."""
-    return nx.shortest_path(topology.graph, source, destination)
+    """The shortest path (hop metric), as a fresh list: the cached one is shared."""
+    return list(route_cache_for(topology).minimal_route(source, destination))
 
 
 def valiant_route(
@@ -41,30 +45,20 @@ def valiant_route(
     source: str,
     destination: str,
     rng: Optional[RandomSource] = None,
-    cache: Optional[object] = None,
 ) -> Path:
     """Valiant routing: minimal to a random intermediate switch, then minimal on.
 
     The intermediate is drawn uniformly over switches distinct from the
-    endpoints' attachment points.  ``cache`` may be the topology's
-    :class:`~repro.interconnect.routecache.RouteCache`: the two legs are
-    then served from the memoised shortest paths — bit-identical results
-    (the cache stores exactly ``nx.shortest_path``), the intermediate draw
-    consumes the same single ``rng.choice``.
+    endpoints' attachment points, with a single ``rng.choice``.
     """
     rng = rng or RandomSource(seed=0, name="valiant")
+    cache = route_cache_for(topology)
     candidates = [s for s in topology.switches if s not in (source, destination)]
     if not candidates:
-        if cache is not None:
-            return cache.minimal_route(source, destination)
         return minimal_route(topology, source, destination)
     intermediate = rng.choice(candidates)
-    if cache is not None:
-        first_leg = cache.minimal_route(source, intermediate)
-        second_leg = cache.minimal_route(intermediate, destination)
-    else:
-        first_leg = nx.shortest_path(topology.graph, source, intermediate)
-        second_leg = nx.shortest_path(topology.graph, intermediate, destination)
+    first_leg = cache.minimal_route(source, intermediate)
+    second_leg = cache.minimal_route(intermediate, destination)
     return first_leg + second_leg[1:]
 
 

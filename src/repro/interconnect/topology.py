@@ -12,12 +12,10 @@ Nodes are strings: switches are ``'s<index>'`` (with topology-specific
 attributes) and terminals (compute endpoints) are ``'t<index>'``. Edges
 carry a ``bandwidth`` (bytes/s), ``latency`` (s) and ``optical`` flag.
 
-All families build through one entry point, :func:`build_topology`, which
-takes a :class:`TopologySpec` (or its fields as keywords) with **one**
-terminal-count parameter — ``terminals``, the endpoints per attachment
-switch — instead of the historical ``terminals_per_router`` /
-``terminals_per_switch`` / ``terminals_per_leaf`` trio. The per-family
-``build_*`` functions remain as thin delegating wrappers.
+Every family builds through one entry point, :func:`build_topology`,
+which takes a :class:`TopologySpec` (or its fields as keywords).
+``terminals`` is the one terminal-count field: the endpoints per
+attachment switch, whatever the family calls that switch.
 """
 
 from __future__ import annotations
@@ -194,6 +192,13 @@ def _dragonfly(
     link_latency: float,
     global_links_per_router: Optional[int],
 ) -> Topology:
+    """A dragonfly (Kim et al., ISCA 2008 — the paper's ref [11]).
+
+    Routers within a group are fully connected (electrical, short reach);
+    groups are connected by optical global links distributed round-robin
+    across routers. A balanced dragonfly has ``groups <= a*h + 1`` where
+    ``a`` is routers/group and ``h`` global links per router.
+    """
     if groups < 2 or routers_per_group < 1 or terminals < 1:
         raise ConfigurationError("dragonfly needs >=2 groups and >=1 router/terminal")
     h = global_links_per_router
@@ -245,6 +250,12 @@ def _hyperx(
     link_bandwidth: float,
     link_latency: float,
 ) -> Topology:
+    """A HyperX (Ahn et al., SC 2009 — the paper's ref [12]).
+
+    Switches sit on an integer lattice; along every dimension, all
+    switches sharing the other coordinates are fully connected. Diameter
+    equals the number of dimensions.
+    """
     if not dims or any(d < 2 for d in dims):
         raise ConfigurationError("hyperx dims must each be >= 2")
     graph = nx.Graph()
@@ -283,6 +294,11 @@ def _fat_tree(
     link_bandwidth: float,
     link_latency: float,
 ) -> Topology:
+    """A k-ary fat-tree (classic 3-tier Clos), the datacenter baseline.
+
+    ``k`` must be even: k pods, each with k/2 edge and k/2 aggregation
+    switches; ``(k/2)^2`` core switches; ``k^3/4`` terminals.
+    """
     if k < 2 or k % 2:
         raise ConfigurationError("fat-tree k must be even and >= 2")
     half = k // 2
@@ -325,6 +341,7 @@ def _two_tier(
     link_bandwidth: float,
     link_latency: float,
 ) -> Topology:
+    """A leaf-spine Clos, the rack/row-scale building block of Figure 2."""
     if leaves < 1 or spines < 1:
         raise ConfigurationError("need at least one leaf and one spine")
     graph = nx.Graph()
@@ -355,6 +372,11 @@ def _torus(
     link_bandwidth: float,
     link_latency: float,
 ) -> Topology:
+    """A k-ary n-cube torus, the classic pre-dragonfly HPC topology.
+
+    High diameter but cheap, short, fully electrical links — the foil for
+    the low-diameter argument.
+    """
     if not dims or any(d < 2 for d in dims):
         raise ConfigurationError("torus dims must each be >= 2")
     graph = nx.Graph()
@@ -395,13 +417,6 @@ _KIND_ALIASES = {
     "leafspine": "two-tier",
 }
 
-#: Historical terminal-count parameter names, all meaning ``terminals``.
-_TERMINAL_ALIASES = (
-    "terminals_per_router",
-    "terminals_per_switch",
-    "terminals_per_leaf",
-)
-
 #: Spec fields meaningful per kind (beyond the link parameters, which apply
 #: everywhere). Setting any other field for that kind is an error.
 _KIND_FIELDS = {
@@ -413,8 +428,7 @@ _KIND_FIELDS = {
     "torus": ("terminals", "dims"),
 }
 
-#: Per-kind defaults, chosen so ``build_topology(kind)`` builds exactly what
-#: the corresponding legacy ``build_*()`` call built.
+#: Per-kind defaults: what ``build_topology(kind)`` builds with no fields.
 _KIND_DEFAULTS = {
     "dragonfly": {"terminals": 4, "groups": 9, "routers_per_group": 4,
                   "global_links_per_router": None},
@@ -430,7 +444,7 @@ class TopologySpec:
     """A declarative description of one topology scenario point.
 
     Only ``kind`` is required; every other field is optional and defaults
-    to the family's legacy builder default. ``terminals`` is the unified
+    to the family's entry in ``_KIND_DEFAULTS``. ``terminals`` is the unified
     endpoints-per-attachment-switch count (router for dragonfly, lattice
     switch for HyperX/torus, leaf for two-tier); fat-tree derives it from
     ``k`` and rejects an explicit value. Fields irrelevant to the chosen
@@ -467,10 +481,6 @@ class TopologySpec:
                 f"{self.link_latency!r}"
             )
 
-    def build(self) -> Topology:
-        """Shorthand for ``build_topology(self)``."""
-        return build_topology(self)
-
 
 def normalize_topology_kind(kind: str) -> str:
     """Canonical kind name (aliases resolved); unknown kinds raise."""
@@ -482,24 +492,6 @@ def normalize_topology_kind(kind: str) -> str:
             f"unknown topology kind {kind!r}; known kinds: {known}"
         )
     return name
-
-
-def _resolve_spec(kind: Union[str, TopologySpec], params: Dict[str, object]) -> TopologySpec:
-    for alias in _TERMINAL_ALIASES:
-        if alias in params:
-            value = params.pop(alias)
-            if params.get("terminals", value) != value:
-                raise ConfigurationError(
-                    f"conflicting terminal counts: {alias}={value} "
-                    f"vs terminals={params['terminals']}"
-                )
-            params["terminals"] = value
-    if isinstance(kind, TopologySpec):
-        return dataclasses.replace(kind, **params) if params else kind
-    try:
-        return TopologySpec(kind=kind, **params)
-    except TypeError as error:
-        raise ConfigurationError(f"bad topology parameters: {error}") from None
 
 
 # Opt-in process-level build cache.  ``python -m repro serve`` enables it
@@ -549,12 +541,16 @@ def build_topology(kind: Union[str, TopologySpec], **spec: object) -> Topology:
     ``kind`` is a family name (``'dragonfly'``, ``'hyperx'``,
     ``'fat-tree'``, ``'two-tier'``, ``'torus'``, or an alias such as
     ``'leaf-spine'``) or a ready :class:`TopologySpec`; keyword arguments
-    override spec fields. The historical ``terminals_per_router`` /
-    ``terminals_per_switch`` / ``terminals_per_leaf`` spellings are
-    accepted as aliases for ``terminals``, e.g.
+    override spec fields, e.g.
     ``build_topology("dragonfly", groups=6, terminals=4)``.
     """
-    resolved = _resolve_spec(kind, dict(spec))
+    try:
+        if isinstance(kind, TopologySpec):
+            resolved = dataclasses.replace(kind, **spec) if spec else kind
+        else:
+            resolved = TopologySpec(kind=kind, **spec)
+    except TypeError as error:
+        raise ConfigurationError(f"bad topology parameters: {error}") from None
     name = resolved.kind
     allowed = _KIND_FIELDS[name]
     for field_name in ("terminals", "groups", "routers_per_group",
@@ -590,105 +586,3 @@ def build_topology(kind: Union[str, TopologySpec], **spec: object) -> Topology:
         return built
     return builder(**values)
 
-
-# --- legacy per-family wrappers -------------------------------------------------
-
-
-def build_dragonfly(
-    groups: int = 9,
-    routers_per_group: int = 4,
-    terminals_per_router: int = 4,
-    link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-    link_latency: float = DEFAULT_LINK_LATENCY,
-    global_links_per_router: Optional[int] = None,
-) -> Topology:
-    """A dragonfly network (Kim et al., ISCA 2008 — the paper's ref [11]).
-
-    Routers within a group are fully connected (electrical, short reach);
-    groups are connected by optical global links distributed round-robin
-    across routers. A balanced dragonfly has ``groups <= a*h + 1`` where
-    ``a`` is routers/group and ``h`` global links per router.
-
-    Thin wrapper over :func:`build_topology`.
-    """
-    return build_topology(
-        "dragonfly", groups=groups, routers_per_group=routers_per_group,
-        terminals=terminals_per_router, link_bandwidth=link_bandwidth,
-        link_latency=link_latency,
-        global_links_per_router=global_links_per_router,
-    )
-
-
-def build_hyperx(
-    dims: Tuple[int, ...] = (4, 4),
-    terminals_per_switch: int = 4,
-    link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-    link_latency: float = DEFAULT_LINK_LATENCY,
-) -> Topology:
-    """A HyperX network (Ahn et al., SC 2009 — the paper's ref [12]).
-
-    Switches sit on an integer lattice; along every dimension, all switches
-    sharing the other coordinates are fully connected. Diameter equals the
-    number of dimensions.
-
-    Thin wrapper over :func:`build_topology`.
-    """
-    return build_topology(
-        "hyperx", dims=tuple(dims), terminals=terminals_per_switch,
-        link_bandwidth=link_bandwidth, link_latency=link_latency,
-    )
-
-
-def build_fat_tree(
-    k: int = 4,
-    link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-    link_latency: float = DEFAULT_LINK_LATENCY,
-) -> Topology:
-    """A k-ary fat-tree (classic 3-tier Clos), the datacenter baseline.
-
-    ``k`` must be even: k pods, each with k/2 edge and k/2 aggregation
-    switches; ``(k/2)^2`` core switches; ``k^3/4`` terminals.
-
-    Thin wrapper over :func:`build_topology`.
-    """
-    return build_topology(
-        "fat-tree", k=k,
-        link_bandwidth=link_bandwidth, link_latency=link_latency,
-    )
-
-
-def build_two_tier(
-    leaves: int = 8,
-    spines: int = 4,
-    terminals_per_leaf: int = 8,
-    link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-    link_latency: float = DEFAULT_LINK_LATENCY,
-) -> Topology:
-    """A leaf-spine Clos, the rack/row-scale building block of Figure 2.
-
-    Thin wrapper over :func:`build_topology`.
-    """
-    return build_topology(
-        "two-tier", leaves=leaves, spines=spines,
-        terminals=terminals_per_leaf,
-        link_bandwidth=link_bandwidth, link_latency=link_latency,
-    )
-
-
-def build_torus(
-    dims: Tuple[int, ...] = (4, 4, 4),
-    terminals_per_switch: int = 1,
-    link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-    link_latency: float = DEFAULT_LINK_LATENCY,
-) -> Topology:
-    """A k-ary n-cube torus, the classic pre-dragonfly HPC topology.
-
-    High diameter but cheap, short, fully electrical links — the foil for
-    the low-diameter argument.
-
-    Thin wrapper over :func:`build_topology`.
-    """
-    return build_topology(
-        "torus", dims=tuple(dims), terminals=terminals_per_switch,
-        link_bandwidth=link_bandwidth, link_latency=link_latency,
-    )

@@ -666,8 +666,3 @@ def run(
     )
     result.params = dict(overrides)
     return result
-
-
-def run_profile(experiment_id: str, telemetry: Telemetry = None) -> ProfileResult:
-    """Backwards-compatible alias for :func:`run` (no overrides)."""
-    return run(experiment_id, telemetry)

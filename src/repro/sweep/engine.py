@@ -39,6 +39,7 @@ fingerprint bit-identical to an uninterrupted run.
 from __future__ import annotations
 
 import gc
+import math
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -112,6 +113,33 @@ class PointResult:
         row.update(self.metrics)
         return row
 
+    def payload(self) -> Dict[str, object]:
+        """Index, repr'd params, metrics and counters: the deterministic
+        fields every sweep digest hashes (never wall clock or telemetry)."""
+        return {
+            "index": self.index,
+            "params": {k: repr(v) for k, v in self.params.items()},
+            "metrics": self.metrics,
+            "counters": self.counters,
+        }
+
+
+def finite_values(mapping: Mapping[str, object], where: str) -> Dict[str, float]:
+    """``{k: float(v)}``; a value that is not a number, NaN or infinite
+    raises ``ValueError`` naming ``where[k]``."""
+    values = {}
+    for key, value in mapping.items():
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{where}[{key!r}] is not a number: {value!r}"
+            ) from None
+        if not math.isfinite(number):
+            raise ValueError(f"{where}[{key!r}] is non-finite ({number!r})")
+        values[key] = number
+    return values
+
 
 @dataclass
 class SweepResult:
@@ -154,18 +182,7 @@ class SweepResult:
         import hashlib
         import json
 
-        payload = json.dumps(
-            [
-                {
-                    "index": p.index,
-                    "params": {k: repr(v) for k, v in p.params.items()},
-                    "metrics": p.metrics,
-                    "counters": p.counters,
-                }
-                for p in self.points
-            ],
-            sort_keys=True,
-        )
+        payload = json.dumps([p.payload() for p in self.points], sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -213,11 +230,16 @@ def _run_point(args) -> PointResult:
             f"sweep target {target_name!r} returned {type(metrics).__name__}, "
             "expected a metrics dict"
         )
-    counters = {
-        metric.name: float(metric.total())
-        for metric in telemetry.metrics
-        if metric.kind == "counter"
-    }
+    where = f"sweep target {target_name!r} point {index}"
+    metrics = finite_values(metrics, f"{where} metrics")
+    counters = finite_values(
+        {
+            metric.name: metric.total()
+            for metric in telemetry.metrics
+            if metric.kind == "counter"
+        },
+        f"{where} counters",
+    )
     if trace_dir is not None:
         directory = pathlib.Path(trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -225,7 +247,7 @@ def _run_point(args) -> PointResult:
     return PointResult(
         index=index,
         params=dict(params),
-        metrics={k: float(v) for k, v in metrics.items()},
+        metrics=metrics,
         counters=counters,
         wall_seconds=wall,
         telemetry=summarize_telemetry(telemetry) if collect_telemetry else None,

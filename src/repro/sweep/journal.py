@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.atomicio import fsync_directory
-from repro.sweep.engine import PointResult, SweepSpec
+from repro.sweep.engine import PointResult, SweepSpec, finite_values
 
 #: Journal document schema identifier (the header's ``schema`` field).
 SCHEMA = "repro.sweep.journal/v1"
@@ -97,7 +97,13 @@ class JournalState:
         return None
 
 
-def _point_record(result: PointResult, attempts: int) -> Dict[str, object]:
+def point_record(result: PointResult, attempts: int = 1) -> Dict[str, object]:
+    """The JSON-ready record for one completed point.
+
+    The same encoding serves the journal file and the fleet's ``result``
+    frames, so a worker host's wire payload and its local journal line
+    are byte-for-byte the same JSON object.
+    """
     record = {
         "kind": "point",
         "index": result.index,
@@ -114,30 +120,19 @@ def _point_record(result: PointResult, attempts: int) -> Dict[str, object]:
     return record
 
 
-def point_record(result: PointResult, attempts: int = 1) -> Dict[str, object]:
-    """The JSON-ready record for one completed point.
-
-    The same encoding serves the journal file and the fleet's ``result``
-    frames, so a worker host's wire payload and its local journal line
-    are byte-for-byte the same JSON object.
-    """
-    return _point_record(result, attempts)
-
-
 def point_from_record(record: Dict[str, object]) -> Tuple[PointResult, int]:
     """Decode one ``kind == "point"`` record into ``(result, attempts)``.
 
-    Raises ``KeyError``/``TypeError``/``ValueError`` on malformed input;
-    callers wrap with path/line (journal loads) or host (wire frames)
-    context.
+    Raises ``KeyError``/``TypeError``/``ValueError`` on malformed input,
+    a non-finite metric or counter included; callers wrap with path/line
+    (journal loads) or host (wire frames) context.
     """
     index = int(record["index"])
     result = PointResult(
         index=index,
         params=dict(record["params"]),
-        metrics={k: float(v) for k, v in record["metrics"].items()},
-        counters={k: float(v)
-                  for k, v in record.get("counters", {}).items()},
+        metrics=finite_values(record["metrics"], "metrics"),
+        counters=finite_values(record.get("counters", {}), "counters"),
         wall_seconds=float(record.get("wall_seconds", 0.0)),
         telemetry=record.get("telemetry"),
     )
@@ -147,20 +142,11 @@ def point_from_record(record: Dict[str, object]) -> Tuple[PointResult, int]:
 def point_payload_digest(result: PointResult) -> str:
     """Digest of one point's deterministic payload.
 
-    Covers exactly the fields :meth:`SweepResult.fingerprint` hashes —
-    index, repr'd params, metrics, counters — and none of the
-    run-dependent ones (wall clock, attempts, telemetry), so two records
-    for the same point digest equal iff the determinism contract held.
+    Hashes :meth:`PointResult.payload`, the encoding
+    :meth:`SweepResult.fingerprint` hashes too, so two records for the
+    same point digest equal iff the determinism contract held.
     """
-    payload = json.dumps(
-        {
-            "index": result.index,
-            "params": {k: repr(v) for k, v in result.params.items()},
-            "metrics": result.metrics,
-            "counters": result.counters,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(result.payload(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -370,7 +356,7 @@ class RunJournal:
 
     def record_point(self, result: PointResult, attempts: int = 1) -> None:
         """Durably journal one completed point."""
-        self._append(_point_record(result, attempts))
+        self._append(point_record(result, attempts))
 
     def record_failure(
         self, index: int, error: str, attempts: int

@@ -19,13 +19,12 @@ Robustness contract:
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Union
 
 from repro.core.atomicio import atomic_write_text
 from repro.sweep.backends import PointFailure
-from repro.sweep.engine import PointResult, SweepResult
+from repro.sweep.engine import PointResult, SweepResult, finite_values
 
 #: Schema identifier written into (and required from) every document.
 SCHEMA = "repro.sweep/v1"
@@ -83,25 +82,6 @@ def save_sweep(
     )
 
 
-def _finite_floats(mapping, path, where: str) -> dict:
-    """``{k: float(v)}`` with a named error for any non-finite value."""
-    values = {}
-    for key, value in mapping.items():
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: {where}[{key!r}] is not a number: {value!r}"
-            ) from None
-        if not math.isfinite(number):
-            raise ValueError(
-                f"{path}: {where}[{key!r}] is non-finite ({number!r}); "
-                "artefact is corrupt or was saved from a broken run"
-            )
-        values[key] = number
-    return values
-
-
 def load_sweep(path: Union[str, pathlib.Path]) -> SweepResult:
     """Rebuild a :class:`SweepResult` from a saved document.
 
@@ -149,12 +129,12 @@ def load_sweep(path: Union[str, pathlib.Path]) -> SweepResult:
             PointResult(
                 index=index,
                 params=dict(entry["params"]),
-                metrics=_finite_floats(
-                    entry["metrics"], source, f"points[{position}].metrics"
+                metrics=finite_values(
+                    entry["metrics"], f"{source}: points[{position}].metrics"
                 ),
-                counters=_finite_floats(
-                    entry.get("counters", {}), source,
-                    f"points[{position}].counters",
+                counters=finite_values(
+                    entry.get("counters", {}),
+                    f"{source}: points[{position}].counters",
                 ),
                 wall_seconds=float(entry.get("wall_seconds", 0.0)),
                 telemetry=entry.get("telemetry"),

@@ -5,7 +5,8 @@ and an independent (slower, simpler) reference — and demands agreement:
 
 * :func:`check_routes` — :class:`~repro.interconnect.routecache.RouteCache`
   memoised routes vs uncached :mod:`networkx` shortest paths (node for
-  node, on every canned fabric topology), link decompositions vs plain
+  node, between terminals and switches in every combination, on every
+  canned fabric topology), link decompositions vs plain
   pair-zipping, cached propagation delays vs a manual per-edge latency
   sum (``==``).
 * :func:`check_collectives` — the alpha-beta-gamma closed forms vs
@@ -76,11 +77,14 @@ class DifferentialResult:
 def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     """Cached routing vs uncached networkx on every canned fabric topology.
 
-    For ``pairs`` sampled endpoint pairs per topology kind the cached
-    route must be node for node the path ``nx.shortest_path`` returns (a
-    different path of equal length would still change every golden), its
-    link decomposition must be plain pair-zipping, and its propagation
-    delay must ``==`` a manual left-to-right sum of per-edge latencies.
+    Per topology kind it samples ``pairs`` terminal↔terminal pairs (flow
+    endpoints), ``pairs`` terminal↔switch pairs in alternating direction
+    and ``pairs`` switch↔switch pairs (a Valiant leg starts or ends at a
+    switch). For each, the cached route must be node for node
+    the path ``nx.shortest_path`` returns (a different path of equal
+    length would still change every golden), its link decomposition must
+    be plain pair-zipping, and its propagation delay must ``==`` a manual
+    left-to-right sum of per-edge latencies.
     """
     from repro.interconnect.routecache import route_cache_for
     from repro.interconnect.topology import build_topology
@@ -90,15 +94,24 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
         build_topology(kind, **spec) for kind, spec in _FABRIC_TOPOLOGIES.items()
     ]
     rng = RandomSource(seed=seed, name="validate/routes")
+    switch_rng = RandomSource(seed=seed, name="validate/routes/switches")
     comparisons = 0
     failures: List[str] = []
     for topology in topologies:
         cache = route_cache_for(topology)
         graph = topology.graph
         terminals = topology.terminals
+        switches = topology.switches
         sample = [
             tuple(rng.sample(terminals, 2)) for _ in range(pairs)
         ]
+        for index in range(pairs):
+            terminal = switch_rng.choice(terminals)
+            switch = switch_rng.choice(switches)
+            sample.append((terminal, switch) if index % 2 else (switch, terminal))
+        sample.extend(
+            tuple(switch_rng.sample(switches, 2)) for _ in range(pairs)
+        )
         for source, destination in sample:
             cached = cache.minimal_route(source, destination)
             # Independent reference: a fresh shortest-path computation on
@@ -128,8 +141,8 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
                     f"{reference_delay!r} for {source}->{destination}"
                 )
     detail = (
-        f"{len(topologies)} topologies x {pairs} pairs agree node for node "
-        "with uncached networkx"
+        f"{len(topologies)} topologies x {3 * pairs} terminal/switch pairs "
+        "agree node for node with uncached networkx"
         if not failures
         else "; ".join(failures[:3])
     )
@@ -440,7 +453,7 @@ def check_solvers(
     name = IndexedSolver.name
     specs = [
         ("dragonfly", {"groups": 4, "routers_per_group": 3, "terminals": 2}),
-        ("two-tier", {"leaves": 4, "spines": 2, "terminals_per_leaf": 4}),
+        ("two-tier", {"leaves": 4, "spines": 2, "terminals": 4}),
         ("fat-tree", {"k": 4}),
         ("hyperx", {"dims": (3, 3), "terminals": 2}),
         ("torus", {"dims": (3, 3), "terminals": 1}),

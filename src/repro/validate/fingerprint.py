@@ -80,15 +80,7 @@ def sweep_fingerprint(result) -> Dict[str, object]:
         "target": result.target,
         "seed": result.seed,
         "digest": result.fingerprint(),
-        "points": [
-            {
-                "index": point.index,
-                "params": {k: repr(v) for k, v in point.params.items()},
-                "metrics": dict(point.metrics),
-                "counters": dict(point.counters),
-            }
-            for point in result.points
-        ],
+        "points": [point.payload() for point in result.points],
     }
 
 

@@ -102,8 +102,8 @@ DIRECT_IMPORTERS = {
     "networkx": {
         "datafoundation/lineage.py", "federation/wan.py",
         "interconnect/fabric.py", "interconnect/failures.py",
-        "interconnect/routecache.py", "interconnect/routing.py",
-        "interconnect/topology.py", "validate/differential.py",
+        "interconnect/routecache.py", "interconnect/topology.py",
+        "validate/differential.py",
     },
 }
 

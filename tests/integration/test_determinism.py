@@ -11,7 +11,7 @@ import pytest
 from repro.core.rng import RandomSource
 from repro.federation.sla import QoSClass
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_dragonfly
+from repro.interconnect.topology import build_topology
 from repro.market.agents import BrokerAgent, ConsumerAgent, ProviderAgent
 from repro.market.exchange import ComputeExchange, MarketSimulation, ResourceClass
 from repro.scheduling import MetaScheduler, PlacementPolicy
@@ -72,8 +72,8 @@ class TestSchedulerDeterminism:
 class TestFabricDeterminism:
     def test_fabric_runs_identically(self):
         def run():
-            topology = build_dragonfly(
-                groups=5, routers_per_group=3, terminals_per_router=2
+            topology = build_topology(
+                "dragonfly", groups=5, routers_per_group=3, terminals=2
             )
             terminals = topology.terminals
             flows = [

@@ -17,7 +17,7 @@ from repro.interconnect.congestion import (
     NoCongestionControl,
 )
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_dragonfly
+from repro.interconnect.topology import build_topology
 from repro.scheduling import MetaScheduler, PlacementPolicy
 from repro.workloads import JobTraceGenerator, TraceConfig
 
@@ -27,8 +27,8 @@ SEEDS = (1, 7, 42)
 class TestCongestionOrderingAcrossSeeds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_flow_based_beats_none_for_victims(self, seed):
-        topology = build_dragonfly(
-            groups=5, routers_per_group=3, terminals_per_router=4
+        topology = build_topology(
+            "dragonfly", groups=5, routers_per_group=3, terminals=4
         )
         graph = topology.graph
         rng = RandomSource(seed=seed, name="robust-c1")

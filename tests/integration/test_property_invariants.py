@@ -13,7 +13,7 @@ from repro.core.rng import RandomSource
 from repro.federation.site import Site, SiteKind
 from repro.hardware import default_catalog
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_two_tier
+from repro.interconnect.topology import build_topology
 from repro.market.agents import BrokerAgent, ConsumerAgent, ProviderAgent
 from repro.market.exchange import ComputeExchange, MarketSimulation, ResourceClass
 from repro.scheduling.cluster import ClusterSimulator
@@ -40,7 +40,7 @@ class TestFabricInvariants:
         """No link is ever allocated beyond its capacity by the max-min
         solver (fairness feasibility), and every flow finishes no earlier
         than its line-rate bound."""
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=8)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=8)
         terminals = topology.terminals
         flows = [
             Flow(

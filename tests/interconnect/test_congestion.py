@@ -9,7 +9,7 @@ from repro.interconnect.congestion import (
     NoCongestionControl,
 )
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_dragonfly
+from repro.interconnect.topology import build_topology
 
 
 def incast_workload(topology, aggressors=10, victims=3):
@@ -44,7 +44,7 @@ def incast_workload(topology, aggressors=10, victims=3):
 
 @pytest.fixture
 def topology():
-    return build_dragonfly(groups=5, routers_per_group=3, terminals_per_router=4)
+    return build_topology("dragonfly", groups=5, routers_per_group=3, terminals=4)
 
 
 def victim_p99(topology, congestion):

@@ -12,14 +12,13 @@ from repro.interconnect.congestion import (
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import (
     DEFAULT_LINK_BANDWIDTH,
-    build_dragonfly,
-    build_two_tier,
+    build_topology,
 )
 
 
 @pytest.fixture
 def topology():
-    return build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+    return build_topology("two-tier", leaves=4, spines=2, terminals=4)
 
 
 class TestFlow:
@@ -121,7 +120,7 @@ class TestConservation:
     )
     @settings(max_examples=20, deadline=None)
     def test_all_flows_complete_with_all_bytes(self, sizes):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         terminals = topology.terminals
         sim = FabricSimulator(topology)
         flows = [
@@ -160,7 +159,7 @@ class TestRouting:
             FabricSimulator(topology, routing="magic")
 
     def test_adaptive_rerouting_on_dragonfly(self):
-        topology = build_dragonfly(groups=4, routers_per_group=2, terminals_per_router=2)
+        topology = build_topology("dragonfly", groups=4, routers_per_group=2, terminals=2)
         terminals = topology.terminals
         sim = FabricSimulator(topology, reroute_adaptively=True)
         flows = [

@@ -14,12 +14,12 @@ from repro.interconnect.failures import (
     path_stretch,
     terminal_connectivity,
 )
-from repro.interconnect.topology import build_dragonfly, build_hyperx, build_torus
+from repro.interconnect.topology import build_topology
 
 
 @pytest.fixture
 def topology():
-    return build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=2)
+    return build_topology("dragonfly", groups=6, routers_per_group=4, terminals=2)
 
 
 class TestFailLinks:
@@ -86,8 +86,8 @@ class TestResilienceComparison:
         """Low-diameter families carry enough path diversity to absorb 10%
         link loss with minor stretch."""
         for topology in (
-            build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=2),
-            build_hyperx(dims=(4, 4), terminals_per_switch=2),
+            build_topology("dragonfly", groups=6, routers_per_group=4, terminals=2),
+            build_topology("hyperx", dims=(4, 4), terminals=2),
         ):
             fabric = fail_links(topology, 0.1, rng=RandomSource(seed=6))
             assert terminal_connectivity(fabric) > 0.9
@@ -95,8 +95,8 @@ class TestResilienceComparison:
 
     def test_disconnection_threshold_orders_families(self):
         """The ring-like torus disconnects earlier than the dense HyperX."""
-        hyperx = build_hyperx(dims=(4, 4), terminals_per_switch=1)
-        torus = build_torus(dims=(4, 4), terminals_per_switch=1)
+        hyperx = build_topology("hyperx", dims=(4, 4), terminals=1)
+        torus = build_topology("torus", dims=(4, 4), terminals=1)
         assert disconnection_threshold(hyperx) >= disconnection_threshold(torus)
 
     def test_threshold_validation(self, topology):
@@ -109,18 +109,18 @@ class TestDegenerateConventions:
     connected (1.0), zero terminals means the fabric is gone (0.0)."""
 
     def test_single_terminal_is_fully_connected(self):
-        topology = build_hyperx(dims=(2, 2), terminals_per_switch=1)
+        topology = build_topology("hyperx", dims=(2, 2), terminals=1)
         fabric = fail_switches(topology, 3, rng=RandomSource(seed=7))
         if fabric.topology.terminal_count == 1:
             assert terminal_connectivity(fabric) == 1.0
 
     def test_zero_terminals_is_fully_disconnected(self):
-        topology = build_hyperx(dims=(2, 2), terminals_per_switch=0)
+        topology = build_topology("hyperx", dims=(2, 2), terminals=0)
         fabric = fail_links(topology, 0.0)
         assert terminal_connectivity(fabric) == 0.0
 
     def test_two_terminals_measured_normally(self):
-        topology = build_hyperx(dims=(2, 2), terminals_per_switch=1)
+        topology = build_topology("hyperx", dims=(2, 2), terminals=1)
         fabric = fail_switches(topology, 2, rng=RandomSource(seed=8))
         if fabric.topology.terminal_count == 2:
             assert terminal_connectivity(fabric) in (0.0, 1.0)
@@ -129,8 +129,8 @@ class TestDegenerateConventions:
 class TestConnectivityCurve:
     def test_monotone_non_increasing(self):
         for builder in (
-            lambda: build_hyperx(dims=(4, 4), terminals_per_switch=1),
-            lambda: build_torus(dims=(4, 4), terminals_per_switch=1),
+            lambda: build_topology("hyperx", dims=(4, 4), terminals=1),
+            lambda: build_topology("torus", dims=(4, 4), terminals=1),
         ):
             curve = connectivity_curve(builder(), rng=RandomSource(seed=11))
             for earlier, later in zip(curve.connectivity, curve.connectivity[1:]):
@@ -138,7 +138,7 @@ class TestConnectivityCurve:
 
     def test_starts_fully_connected_and_spans_unit_interval(self):
         curve = connectivity_curve(
-            build_hyperx(dims=(3, 3), terminals_per_switch=1),
+            build_topology("hyperx", dims=(3, 3), terminals=1),
             rng=RandomSource(seed=12),
         )
         assert curve.fractions[0] == 0.0
@@ -147,7 +147,7 @@ class TestConnectivityCurve:
 
     def test_threshold_consistent_with_curve(self):
         curve = connectivity_curve(
-            build_torus(dims=(4, 4), terminals_per_switch=1),
+            build_topology("torus", dims=(4, 4), terminals=1),
             rng=RandomSource(seed=13),
         )
         threshold = curve.threshold(0.9)
@@ -156,7 +156,7 @@ class TestConnectivityCurve:
                 assert value >= 0.9
 
     def test_wrapper_matches_curve_threshold(self):
-        topology = build_hyperx(dims=(4, 4), terminals_per_switch=1)
+        topology = build_topology("hyperx", dims=(4, 4), terminals=1)
         direct = disconnection_threshold(
             topology, target_connectivity=0.9, rng=RandomSource(seed=14)
         )
@@ -166,7 +166,7 @@ class TestConnectivityCurve:
         assert direct == via_curve
 
     def test_seeded_curve_is_reproducible(self):
-        topology = build_torus(dims=(3, 3), terminals_per_switch=1)
+        topology = build_topology("torus", dims=(3, 3), terminals=1)
         a = connectivity_curve(topology, rng=RandomSource(seed=15))
         b = connectivity_curve(topology, rng=RandomSource(seed=15))
         assert a == b

@@ -33,11 +33,7 @@ from repro.interconnect.ratesolver import (
     RateSolver,
     ReferenceSolver,
 )
-from repro.interconnect.topology import (
-    build_dragonfly,
-    build_topology,
-    build_two_tier,
-)
+from repro.interconnect.topology import build_topology
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -229,8 +225,8 @@ class TestExactness:
     def test_randomised_epoch_streams(self):
         # Many epochs over one bound solver pair: adds, removals and
         # reroutes drawn from a fixed stream, rates compared bit-for-bit.
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         probe = FabricSimulator(topology)
         capacities = dict(probe._capacities)
@@ -403,7 +399,7 @@ class TestLowConcurrencyEpochs:
 
 class TestFabricIntegration:
     def test_solver_kwarg_takes_an_instance_or_none(self):
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         assert isinstance(FabricSimulator(topology).solver, IndexedSolver)
         instance = ReferenceSolver()
         assert FabricSimulator(topology, solver=instance).solver is instance
@@ -413,13 +409,13 @@ class TestFabricIntegration:
 
     @pytest.mark.parametrize("bad", ["indexed", 42, ReferenceSolver])
     def test_solver_kwarg_rejects_anything_else(self, bad):
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         with pytest.raises(ConfigurationError, match="solver"):
             FabricSimulator(topology, solver=bad)
 
     def test_runs_identical_across_solvers(self):
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         reference = FabricSimulator(topology, solver=ReferenceSolver()).run(
             _uniform_flows(topology, 40)
@@ -431,8 +427,8 @@ class TestFabricIntegration:
         # Mirrors the RouteCache invalidation contract: a mid-run topology
         # mutation must rebind the solver to the new capacity map and still
         # produce stats bit-identical to the reference solver.
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         switches = [
             node for node, data in topology.graph.nodes(data=True)
@@ -468,8 +464,8 @@ class TestFabricIntegration:
 
     @pytest.mark.parametrize("degrade", ["links", "switches"])
     def test_degraded_topologies_match(self, degrade):
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         if degrade == "links":
             degraded = fail_links(

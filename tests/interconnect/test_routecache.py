@@ -17,11 +17,7 @@ from repro.interconnect.routecache import (
 )
 from repro.interconnect.topology import (
     Topology,
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
     build_topology,
-    build_two_tier,
 )
 from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
@@ -51,7 +47,7 @@ def _stats_key(stats):
 
 class TestRouteCache:
     def test_minimal_route_memoised(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         cache = RouteCache(topology)
         terminals = topology.terminals
         first = cache.minimal_route(terminals[0], terminals[-1])
@@ -60,7 +56,7 @@ class TestRouteCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_links_of_memoised_for_canonical_paths(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         cache = RouteCache(topology)
         terminals = topology.terminals
         path = cache.minimal_route(terminals[0], terminals[-1])
@@ -70,14 +66,14 @@ class TestRouteCache:
         assert cache.links_of(detour) == cache.links_of(path)
 
     def test_link_capacities_shared_map(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         cache = RouteCache(topology)
         assert cache.link_capacities() is cache.link_capacities()
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -5e9])
     def test_bad_link_bandwidth_fails_naming_the_link(self, bandwidth):
         # A hand-edited edge bypasses TopologySpec's link_bandwidth check.
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         u, v = next(iter(topology.graph.edges()))
         topology.graph.edges[u, v]["bandwidth"] = bandwidth
         with pytest.raises(ConfigurationError) as raised:
@@ -87,13 +83,13 @@ class TestRouteCache:
             FabricSimulator(topology)
 
     def test_route_cache_for_is_per_topology(self):
-        a = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
-        b = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        a = build_topology("two-tier", leaves=4, spines=2, terminals=4)
+        b = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         assert route_cache_for(a) is route_cache_for(a)
         assert route_cache_for(a) is not route_cache_for(b)
 
     def test_cache_entry_dies_with_topology(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         route_cache_for(topology)
         before = cached_topology_count()
         del topology
@@ -101,7 +97,7 @@ class TestRouteCache:
         assert cached_topology_count() < before
 
     def test_stats_rendering(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         cache = route_cache_for(topology)
         stats = cache.stats()
         assert set(stats) >= {"routes", "hits", "misses"}
@@ -110,9 +106,9 @@ class TestRouteCache:
 @pytest.mark.parametrize(
     "topology_factory",
     [
-        lambda: build_dragonfly(groups=4, routers_per_group=3, terminals_per_router=2),
-        lambda: build_fat_tree(k=4),
-        lambda: build_hyperx(dims=(3, 3), terminals_per_switch=2),
+        lambda: build_topology("dragonfly", groups=4, routers_per_group=3, terminals=2),
+        lambda: build_topology("fat-tree", k=4),
+        lambda: build_topology("hyperx", dims=(3, 3), terminals=2),
     ],
     ids=["dragonfly", "fat-tree", "hyperx"],
 )
@@ -145,8 +141,8 @@ class TestCachedRunsMatchUncached:
 
 class TestInvalidation:
     def test_degraded_topology_reroutes(self):
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         # Warm the healthy topology's cache.
         FabricSimulator(topology).run(_uniform_flows(topology, 20))
@@ -166,7 +162,7 @@ class TestInvalidation:
                 assert (a, b) in alive or (b, a) in alive
 
     def test_failed_switches_invalidate(self):
-        topology = build_fat_tree(k=4)
+        topology = build_topology("fat-tree", k=4)
         FabricSimulator(topology).run(_uniform_flows(topology, 10))
         degraded = fail_switches(topology, count=1, rng=RandomSource(seed=9))
         assert route_cache_for(degraded.topology).stats()["routes"] == 0
@@ -176,7 +172,7 @@ class TestInvalidation:
         assert stats
 
     def test_explicit_invalidate_clears(self):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         cache = route_cache_for(topology)
         terminals = topology.terminals
         cache.minimal_route(terminals[0], terminals[-1])
@@ -190,7 +186,7 @@ class TestInvalidation:
         """Mutating topology.graph in place leaves the shared cache stale
         (the documented hazard); explicit invalidation reroutes around the
         removed edge."""
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         cache = route_cache_for(topology)
         source, destination = topology.terminals[0], topology.terminals[-1]
         stale = cache.minimal_route(source, destination)
@@ -219,7 +215,7 @@ class TestInvalidation:
     def test_fabric_refresh_rebuilds_after_in_place_mutation(self):
         """FabricSimulator._refresh_link_state invalidates the shared
         cache and rebuilds its capacity map from the mutated graph."""
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         simulator = FabricSimulator(topology)
         before = dict(simulator._capacities)
         victim = next(
@@ -275,12 +271,12 @@ class TestShortestPathPort:
                 assert cache.minimal_route(source, destination) == expected
 
     def test_source_equals_destination(self):
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         node = topology.terminals[0]
         assert RouteCache(topology).minimal_route(node, node) == [node]
 
     def test_unknown_node_raises_node_not_found(self):
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         cache = RouteCache(topology)
         known = topology.terminals[0]
         for source, destination in (("nowhere", known), (known, "nowhere")):
@@ -303,8 +299,8 @@ class TestShortestPathPort:
         assert str(ours.value) == str(theirs.value)
 
     def test_propagation_delay_is_the_per_edge_sum(self):
-        topology = build_dragonfly(
-            groups=4, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
         graph = topology.graph
         cache = RouteCache(topology)
@@ -334,7 +330,7 @@ class TestShortestPathPort:
         assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
     def test_maps_rebuilt_after_a_link_flap(self):
-        topology = build_two_tier(leaves=2, spines=2, terminals_per_leaf=2)
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         graph = topology.graph
         cache = route_cache_for(topology)
         source, destination = topology.terminals[0], topology.terminals[-1]
@@ -375,11 +371,11 @@ class TestShortestPathPort:
 class TestFabricKeywordApi:
     def test_too_many_positionals_raise(self):
         # Configuration is keyword-only: the topology is the one positional.
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         with pytest.raises(TypeError):
             FabricSimulator(topology, None)
 
     def test_keyword_construction_is_silent(self, recwarn):
-        topology = build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         FabricSimulator(topology, routing="minimal")
         assert not [w for w in recwarn if w.category is DeprecationWarning]

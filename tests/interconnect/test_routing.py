@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rng import RandomSource
+from repro.interconnect.routecache import route_cache_for
 from repro.interconnect.routing import (
     adaptive_route,
     apply_path_load,
@@ -11,12 +12,12 @@ from repro.interconnect.routing import (
     route_demands,
     valiant_route,
 )
-from repro.interconnect.topology import build_dragonfly, build_hyperx
+from repro.interconnect.topology import build_topology
 
 
 @pytest.fixture
 def topology():
-    return build_dragonfly(groups=4, routers_per_group=3, terminals_per_router=2)
+    return build_topology("dragonfly", groups=4, routers_per_group=3, terminals=2)
 
 
 def is_valid_path(topology, path, source, destination):
@@ -35,6 +36,24 @@ class TestMinimal:
         node = topology.terminals[0]
         assert minimal_route(topology, node, node) == [node]
 
+    def test_served_by_the_shared_route_cache(self, topology):
+        cache = route_cache_for(topology)
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        hits, misses = cache.hits, cache.misses
+        first = minimal_route(topology, source, destination)
+        second = minimal_route(topology, source, destination)
+        assert first == second == cache.minimal_route(source, destination)
+        assert (cache.hits - hits, cache.misses - misses) == (2, 1)
+
+    def test_returned_path_is_a_copy(self, topology):
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        path = minimal_route(topology, source, destination)
+        expected = list(path)
+        path.reverse()
+        path.append("scribble")
+        assert minimal_route(topology, source, destination) == expected
+        assert route_cache_for(topology).minimal_route(source, destination) == expected
+
 
 class TestValiant:
     def test_path_valid(self, topology):
@@ -52,6 +71,29 @@ class TestValiant:
             for _ in range(20)
         ]
         assert sum(lengths) / len(lengths) >= minimal_length
+
+    def test_legs_are_the_cached_minimal_routes(self, topology):
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        path = valiant_route(topology, source, destination, rng=RandomSource(seed=9))
+        intermediate = RandomSource(seed=9).choice(topology.switches)
+        cache = route_cache_for(topology)
+        assert path == (
+            cache.minimal_route(source, intermediate)
+            + cache.minimal_route(intermediate, destination)[1:]
+        )
+
+    def test_mutating_a_route_leaves_the_cache_intact(self, topology):
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        cache = route_cache_for(topology)
+        rng = RandomSource(seed=3)
+        switches = list(topology.switches)
+        for _ in range(10):
+            path = valiant_route(topology, source, destination, rng=rng)
+            path.clear()
+        for switch in switches:
+            leg = cache.minimal_route(source, switch)
+            assert leg[0] == source and leg[-1] == switch
+            assert is_valid_path(topology, leg, source, switch)
 
 
 class TestAdaptive:
@@ -112,8 +154,8 @@ class TestRouteDemands:
         and minimal routing piles everything onto the single A-B global
         link. Valiant detours via random intermediate groups, so its worst
         *global-link* load must be lower (load balancing, §II.B)."""
-        topology = build_dragonfly(
-            groups=6, routers_per_group=3, terminals_per_router=2
+        topology = build_topology(
+            "dragonfly", groups=6, routers_per_group=3, terminals=2
         )
         graph = topology.graph
         group_of = {

@@ -10,12 +10,12 @@ from repro.interconnect.tenancy import (
     VirtualNetwork,
     encryption_overhead,
 )
-from repro.interconnect.topology import build_dragonfly
+from repro.interconnect.topology import build_topology
 
 
 @pytest.fixture
 def topology():
-    return build_dragonfly(groups=5, routers_per_group=3, terminals_per_router=4)
+    return build_topology("dragonfly", groups=5, routers_per_group=3, terminals=4)
 
 
 def aggressor_flows(topology, count=10):

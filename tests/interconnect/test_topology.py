@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 from repro.core.errors import ConfigurationError
 from repro.interconnect.topology import (
     Topology,
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
-    build_torus,
-    build_two_tier,
+    build_topology,
 )
 
 ALL_BUILDERS = [
-    lambda: build_dragonfly(groups=5, routers_per_group=3, terminals_per_router=2),
-    lambda: build_hyperx(dims=(3, 3), terminals_per_switch=2),
-    lambda: build_fat_tree(k=4),
-    lambda: build_two_tier(leaves=4, spines=2, terminals_per_leaf=4),
-    lambda: build_torus(dims=(3, 3), terminals_per_switch=1),
+    lambda: build_topology("dragonfly", groups=5, routers_per_group=3, terminals=2),
+    lambda: build_topology("hyperx", dims=(3, 3), terminals=2),
+    lambda: build_topology("fat-tree", k=4),
+    lambda: build_topology("two-tier", leaves=4, spines=2, terminals=4),
+    lambda: build_topology("torus", dims=(3, 3), terminals=1),
 ]
 
 
@@ -56,16 +52,16 @@ class TestCommonInvariants:
 class TestDragonfly:
     def test_diameter_at_most_three(self):
         """Dragonfly's defining property: <= 3 switch hops (l-g-l)."""
-        topology = build_dragonfly(groups=9, routers_per_group=4, terminals_per_router=2)
+        topology = build_topology("dragonfly", groups=9, routers_per_group=4, terminals=2)
         assert topology.diameter() <= 3
 
     def test_counts(self):
-        topology = build_dragonfly(groups=5, routers_per_group=3, terminals_per_router=2)
+        topology = build_topology("dragonfly", groups=5, routers_per_group=3, terminals=2)
         assert topology.switch_count == 15
         assert topology.terminal_count == 30
 
     def test_intra_group_is_full_mesh(self):
-        topology = build_dragonfly(groups=3, routers_per_group=4, terminals_per_router=1)
+        topology = build_topology("dragonfly", groups=3, routers_per_group=4, terminals=1)
         group0 = [s for s in topology.switches if topology.graph.nodes[s]["group"] == 0]
         for u in group0:
             for v in group0:
@@ -73,7 +69,7 @@ class TestDragonfly:
                     assert topology.graph.has_edge(u, v)
 
     def test_global_links_are_optical(self):
-        topology = build_dragonfly(groups=4, routers_per_group=2, terminals_per_router=1)
+        topology = build_topology("dragonfly", groups=4, routers_per_group=2, terminals=1)
         cross_group = [
             data["optical"]
             for u, v, data in topology.graph.edges(data=True)
@@ -85,65 +81,65 @@ class TestDragonfly:
 
     def test_unreachable_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_dragonfly(groups=20, routers_per_group=2, global_links_per_router=1)
+            build_topology("dragonfly", groups=20, routers_per_group=2, global_links_per_router=1)
 
     def test_too_few_groups_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_dragonfly(groups=1)
+            build_topology("dragonfly", groups=1)
 
 
 class TestHyperX:
     def test_diameter_equals_dimensions(self):
-        assert build_hyperx(dims=(4, 4)).diameter() == 2
-        assert build_hyperx(dims=(3, 3, 3)).diameter() == 3
+        assert build_topology("hyperx", dims=(4, 4)).diameter() == 2
+        assert build_topology("hyperx", dims=(3, 3, 3)).diameter() == 3
 
     def test_switch_count_is_product(self):
-        assert build_hyperx(dims=(3, 4)).switch_count == 12
+        assert build_topology("hyperx", dims=(3, 4)).switch_count == 12
 
     def test_rejects_degenerate_dims(self):
         with pytest.raises(ConfigurationError):
-            build_hyperx(dims=(1, 4))
+            build_topology("hyperx", dims=(1, 4))
 
 
 class TestFatTree:
     def test_terminal_count_k_cubed_over_four(self):
-        topology = build_fat_tree(k=4)
+        topology = build_topology("fat-tree", k=4)
         assert topology.terminal_count == 4**3 // 4
 
     def test_switch_count(self):
         # k^2/4 core + k pods x k switches = 4 + 16 = 20 for k=4.
-        assert build_fat_tree(k=4).switch_count == 20
+        assert build_topology("fat-tree", k=4).switch_count == 20
 
     def test_odd_k_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_fat_tree(k=3)
+            build_topology("fat-tree", k=3)
 
     def test_diameter_larger_than_dragonfly(self):
         """The paper's low-diameter argument (§II.B)."""
-        fat_tree = build_fat_tree(k=4)
-        dragonfly = build_dragonfly(groups=5, routers_per_group=2, terminals_per_router=2)
+        fat_tree = build_topology("fat-tree", k=4)
+        dragonfly = build_topology("dragonfly", groups=5, routers_per_group=2, terminals=2)
         assert fat_tree.diameter() > dragonfly.diameter()
 
 
 class TestTorus:
     def test_diameter_grows_with_size(self):
-        small = build_torus(dims=(3, 3))
-        large = build_torus(dims=(6, 6))
+        small = build_topology("torus", dims=(3, 3))
+        large = build_topology("torus", dims=(6, 6))
         assert large.diameter() > small.diameter()
 
     def test_degree_is_2n_plus_terminals(self):
-        topology = build_torus(dims=(4, 4, 4), terminals_per_switch=1)
+        topology = build_topology("torus", dims=(4, 4, 4), terminals=1)
         assert topology.max_switch_degree() == 2 * 3 + 1
 
 
 class TestMetrics:
     def test_bisection_positive(self):
-        topology = build_hyperx(dims=(3, 3))
+        topology = build_topology("hyperx", dims=(3, 3))
         assert topology.bisection_bandwidth() > 0
 
     def test_optical_links_raise_cost(self):
-        dragonfly = build_dragonfly(groups=5, routers_per_group=3, terminals_per_router=2)
-        torus = build_torus(dims=(4, 4), terminals_per_switch=2)
+        dragonfly = build_topology("dragonfly", groups=5, routers_per_group=3, terminals=2)
+        torus = build_topology("torus", dims=(4, 4), terminals=2)
         # Same ballpark of switches; the dragonfly's optical global links
         # must make its per-link cost higher on average.
         dragonfly_link_cost = (
@@ -155,7 +151,7 @@ class TestMetrics:
     @given(groups=st.integers(3, 8), routers=st.integers(2, 4))
     @settings(max_examples=15, deadline=None)
     def test_dragonfly_always_low_diameter(self, groups, routers):
-        topology = build_dragonfly(
-            groups=groups, routers_per_group=routers, terminals_per_router=1
+        topology = build_topology(
+            "dragonfly", groups=groups, routers_per_group=routers, terminals=1
         )
         assert topology.diameter() <= 3

@@ -1,4 +1,4 @@
-"""Tests for the unified build_topology API and its legacy wrappers."""
+"""Tests for build_topology, the one topology constructor."""
 
 import networkx as nx
 import pytest
@@ -7,12 +7,7 @@ from repro.core.errors import ConfigurationError
 from repro.interconnect.topology import (
     TOPOLOGY_KINDS,
     TopologySpec,
-    build_dragonfly,
-    build_fat_tree,
-    build_hyperx,
     build_topology,
-    build_torus,
-    build_two_tier,
     normalize_topology_kind,
 )
 
@@ -26,44 +21,23 @@ def _same_topology(a, b) -> bool:
     )
 
 
-class TestLegacyEquivalence:
-    """Every legacy builder call builds exactly what build_topology builds."""
+#: (switches, terminals, switch-to-switch links) of ``build_topology(kind)``.
+DEFAULT_COUNTS = {
+    "dragonfly": (36, 144, 90),
+    "hyperx": (16, 64, 48),
+    "fat-tree": (20, 16, 32),
+    "two-tier": (12, 64, 32),
+    "torus": (64, 64, 192),
+}
 
-    def test_dragonfly(self):
-        legacy = build_dragonfly(groups=6, routers_per_group=4, terminals_per_router=2)
-        unified = build_topology(
-            "dragonfly", groups=6, routers_per_group=4, terminals=2
-        )
-        assert _same_topology(legacy, unified)
 
-    def test_hyperx(self):
-        legacy = build_hyperx(dims=(3, 4), terminals_per_switch=2)
-        unified = build_topology("hyperx", dims=(3, 4), terminals=2)
-        assert _same_topology(legacy, unified)
-
-    def test_fat_tree(self):
-        assert _same_topology(build_fat_tree(k=6), build_topology("fat-tree", k=6))
-
-    def test_two_tier(self):
-        legacy = build_two_tier(leaves=6, spines=3, terminals_per_leaf=4)
-        unified = build_topology("two-tier", leaves=6, spines=3, terminals=4)
-        assert _same_topology(legacy, unified)
-
-    def test_torus(self):
-        legacy = build_torus(dims=(3, 3), terminals_per_switch=2)
-        unified = build_topology("torus", dims=(3, 3), terminals=2)
-        assert _same_topology(legacy, unified)
-
+class TestDefaults:
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
-    def test_defaults_match_legacy_defaults(self, kind):
-        legacy = {
-            "dragonfly": build_dragonfly,
-            "hyperx": build_hyperx,
-            "fat-tree": build_fat_tree,
-            "two-tier": build_two_tier,
-            "torus": build_torus,
-        }[kind]()
-        assert _same_topology(legacy, build_topology(kind))
+    def test_default_counts_are_pinned(self, kind):
+        topology = build_topology(kind)
+        assert (
+            topology.switch_count, topology.terminal_count, topology.link_count
+        ) == DEFAULT_COUNTS[kind]
 
 
 class TestKindNormalisation:
@@ -87,21 +61,6 @@ class TestKindNormalisation:
             normalize_topology_kind("mesh")
 
 
-class TestTerminalAliases:
-    def test_legacy_spellings_accepted(self):
-        a = build_topology("dragonfly", groups=6, terminals_per_router=2)
-        b = build_topology("dragonfly", groups=6, terminals=2)
-        assert _same_topology(a, b)
-
-    def test_conflicting_terminal_counts_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting"):
-            build_topology("dragonfly", terminals=2, terminals_per_router=4)
-
-    def test_agreeing_duplicates_tolerated(self):
-        topology = build_topology("torus", terminals=2, terminals_per_switch=2)
-        assert topology.terminal_count > 0
-
-
 class TestFieldValidation:
     def test_irrelevant_field_rejected(self):
         with pytest.raises(ConfigurationError, match="does not take"):
@@ -112,8 +71,13 @@ class TestFieldValidation:
             build_topology("fat-tree", terminals=4)
 
     def test_unknown_parameter_rejected(self):
+        for kind in ("dragonfly", TopologySpec(kind="dragonfly")):
+            with pytest.raises(ConfigurationError, match="bad topology parameters"):
+                build_topology(kind, wings=2)
+
+    def test_old_terminal_spelling_rejected(self):
         with pytest.raises(ConfigurationError, match="bad topology parameters"):
-            build_topology("dragonfly", wings=2)
+            build_topology("dragonfly", terminals_per_router=4)
 
 
 #: Link parameters every builder must reject, with the field each names.
@@ -138,14 +102,14 @@ class TestLinkValidation:
             build_topology(kind, **{field: value})
 
     @pytest.mark.parametrize("field,value", BAD_LINKS)
-    def test_legacy_wrapper_rejects(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            build_dragonfly(**{field: value})
-
-    @pytest.mark.parametrize("field,value", BAD_LINKS)
     def test_spec_rejects(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             TopologySpec(kind="torus", **{field: value})
+
+    @pytest.mark.parametrize("field,value", BAD_LINKS)
+    def test_spec_override_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            build_topology(TopologySpec(kind="dragonfly"), **{field: value})
 
     def test_zero_latency_allowed(self):
         topology = build_topology("two-tier", link_latency=0.0)
@@ -157,7 +121,8 @@ class TestTopologySpec:
     def test_spec_builds(self):
         spec = TopologySpec(kind="two-tier", leaves=4, spines=2, terminals=4)
         assert _same_topology(
-            spec.build(), build_two_tier(leaves=4, spines=2, terminals_per_leaf=4)
+            build_topology(spec),
+            build_topology("two-tier", leaves=4, spines=2, terminals=4),
         )
 
     def test_spec_normalises_kind_and_dims(self):
@@ -169,7 +134,7 @@ class TestTopologySpec:
     def test_spec_with_overrides(self):
         spec = TopologySpec(kind="dragonfly", groups=6)
         bigger = build_topology(spec, groups=9)
-        assert _same_topology(bigger, build_dragonfly(groups=9))
+        assert _same_topology(bigger, build_topology("dragonfly", groups=9))
 
     def test_link_parameters_flow_through(self):
         topology = build_topology("two-tier", link_bandwidth=1e9, link_latency=1e-6)

@@ -7,7 +7,7 @@ from repro.federation.bursting import BurstingPolicy
 from repro.federation.site import Site, SiteKind
 from repro.federation.wan import WanLink, WanNetwork
 from repro.interconnect.fabric import FabricSimulator, Flow
-from repro.interconnect.topology import build_fat_tree
+from repro.interconnect.topology import build_topology
 from repro.observability.probes import (
     CATEGORY_JOB,
     CATEGORY_QUEUE,
@@ -167,7 +167,7 @@ class TestBurstingTelemetry:
 
 class TestFabricTelemetry:
     def test_flow_spans_fct_histogram_and_link_bytes(self):
-        topology = build_fat_tree(k=4)
+        topology = build_topology("fat-tree", k=4)
         telemetry = Telemetry()
         fabric = FabricSimulator(topology, telemetry=telemetry)
         terminals = topology.terminals
@@ -188,7 +188,7 @@ class TestFabricTelemetry:
         assert telemetry.metrics.get("fabric.link_bytes").total() >= 3e6
 
     def test_untelemetered_fabric_matches_telemetered_results(self):
-        topology = build_fat_tree(k=4)
+        topology = build_topology("fat-tree", k=4)
         terminals = topology.terminals
         flows = lambda: [  # noqa: E731 - tiny local factory
             Flow(source=terminals[0], destination=terminals[-1], size=1e6),

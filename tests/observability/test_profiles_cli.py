@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.profiles import PROFILES, run_profile
+from repro.profiles import PROFILES, run
 
 
 class TestRunProfiles:
     def test_unknown_id_lists_traceable_ids(self):
         with pytest.raises(KeyError, match="C1"):
-            run_profile("nope")
+            run("nope")
 
     def test_id_is_case_insensitive(self):
-        result = run_profile("c1")
+        result = run("c1")
         assert result.experiment_id == "C1"
 
     def test_every_profile_id_is_a_known_experiment(self):
@@ -23,14 +23,14 @@ class TestRunProfiles:
         assert set(PROFILES) <= set(EXPERIMENTS)
 
     def test_c1_profile_produces_congestion_telemetry(self):
-        result = run_profile("C1")
+        result = run("C1")
         assert len(result.telemetry.tracer) > 0
         metrics = result.telemetry.metrics
         assert metrics.get("fabric.flow_bytes").total() > 0
         assert dict(result.summary)["flows finished"] > 0
 
     def test_c9_profile_stages_bytes_over_the_wan(self):
-        result = run_profile("C9")
+        result = run("C9")
         assert result.telemetry.metrics.get("wan.transfer_bytes").total() > 0
 
 

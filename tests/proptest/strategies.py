@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.rng import RandomSource
 from repro.hardware import Precision
-from repro.interconnect.topology import TopologySpec
+from repro.interconnect.topology import TopologySpec, build_topology
 from repro.resilience.faults import (
     FailureProcess,
     FaultCampaign,
@@ -95,7 +95,7 @@ def topology_specs(
 
 def topologies(**kwargs) -> st.SearchStrategy:
     """Built :class:`~repro.interconnect.topology.Topology` objects."""
-    return topology_specs(**kwargs).map(lambda spec: spec.build())
+    return topology_specs(**kwargs).map(build_topology)
 
 
 # --- workloads ------------------------------------------------------------------

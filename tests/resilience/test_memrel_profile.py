@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cli import main
-from repro.profiles import run, run_profile
+from repro.profiles import run
 
 
 @pytest.fixture(scope="module")
 def c17():
-    return run_profile("C17")
+    return run("C17")
 
 
 class TestC17Profile:
@@ -35,7 +35,7 @@ class TestC17Profile:
         assert corrected.total() == summary["mem corrected"]
 
     def test_run_is_deterministic(self, c17):
-        again = run_profile("C17")
+        again = run("C17")
         assert dict(again.summary) == dict(c17.summary)
 
     def test_chipkill_override_changes_the_mix(self, c17):

@@ -5,12 +5,17 @@ import json
 import pytest
 
 from repro.sweep import (
+    TARGETS,
     PointResult,
     RunJournal,
     SweepSpec,
     load_journal,
+    load_sweep,
     merge_journals,
     point_payload_digest,
+    register_target,
+    run_sweep,
+    save_sweep,
 )
 from repro.sweep.journal import SCHEMA, grid_digest, journal_header
 
@@ -305,3 +310,35 @@ class TestSpecMatching:
             pass
         mismatch = load_journal(path).matches(ft.cheap_spec(seed=2))
         assert mismatch is not None and "seed" in mismatch
+
+
+class TestNonFiniteMetrics:
+    """A NaN metric must fail its point, never be saved or resumed."""
+
+    def test_run_fails_the_point_and_resume_refuses_the_nan(self, tmp_path):
+        @register_target("_nan-target")
+        def nan_target(params, telemetry, rng):
+            return {"x": float("nan") if params["i"] == 1 else 1.0}
+
+        try:
+            spec = SweepSpec(name="nan", target="_nan-target",
+                             grid={"i": [0, 1, 2]})
+            result = run_sweep(spec, retries=0)
+        finally:
+            del TARGETS["_nan-target"]
+        assert not result.ok
+        assert [failure.index for failure in result.failures] == [1]
+        error = result.failures[0].error
+        assert "'_nan-target'" in error and "metrics['x'] is non-finite" in error
+        assert sorted(p.index for p in result.points) == [0, 2]
+        # What is saved loads back.
+        assert load_sweep(save_sweep(result, tmp_path / "s.json")).points
+
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_point(_point(0), attempts=1)
+            journal.record_point(_point(1, value=float("nan")), attempts=1)
+        with pytest.raises(
+            ValueError, match=r"line 3: metrics\['value'\] is non-finite"
+        ):
+            load_journal(path)

@@ -15,11 +15,32 @@ class TestRoutesDifferential:
     def test_cached_routes_agree_with_uncached_networkx(self):
         result = check_routes()
         assert result.passed, result.detail
-        assert result.comparisons == 240  # 5 topologies x 48 pairs
+        # 5 topologies x 48 pairs x (terminal-terminal, terminal-switch,
+        # switch-switch)
+        assert result.comparisons == 720
 
     def test_sampling_is_seeded(self):
         assert check_routes(seed=7).passed
-        assert check_routes(pairs=8).comparisons == 40
+        assert check_routes(pairs=8).comparisons == 120
+
+    def test_a_wrong_route_through_a_switch_fails(self, monkeypatch):
+        # Terminal-to-terminal routes stay right; only a leg that starts
+        # or ends at a switch (as Valiant's do) is swapped.
+        import networkx as nx
+
+        from repro.interconnect.routecache import RouteCache
+
+        original = RouteCache._shortest_path
+
+        def swapped(self, source, target):
+            if source.startswith("t") and target.startswith("t"):
+                return original(self, source, target)
+            return list(nx.all_shortest_paths(self._graph, source, target))[-1]
+
+        monkeypatch.setattr(RouteCache, "_shortest_path", swapped)
+        result = check_routes(pairs=8)
+        assert not result.passed
+        assert "networkx says" in result.detail
 
     def test_an_equal_length_different_path_fails(self, monkeypatch):
         # Hop count, endpoints and edge existence all still hold; only
