@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import pathlib
 
-from repro.sweep import FleetConfig, named_sweep, run_sweep
+from repro.sweep import FleetConfig, SupervisorConfig, named_sweep, run_sweep
 
 #: CI gate: tcp wall time may exceed the local executor's by this much.
 MAX_OVERHEAD_PCT = 5.0
@@ -96,7 +96,7 @@ class _TcpFleet:
 
     def run(self, spec):
         return run_sweep(
-            spec, backend="tcp", timeout=600.0,
+            spec, backend="tcp", config=SupervisorConfig(timeout=600.0),
             fleet=FleetConfig(
                 listen=f"127.0.0.1:{self.port}",
                 min_hosts=self.hosts, wait_for_hosts=60.0,

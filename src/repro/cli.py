@@ -297,6 +297,44 @@ def _parse_axis_value(text: str):
     return text
 
 
+def _axis_clause(text: str):
+    """``--axis NAME=V1,V2`` -> ``(name, [v1, v2])``."""
+    name, separator, values = text.partition("=")
+    if not separator or not name:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=V1,V2,..., got {text!r}"
+        )
+    items = values.split(",")
+    if not all(items):
+        raise argparse.ArgumentTypeError(
+            f"axis {name!r} has an empty value in {text!r}"
+        )
+    return name, [_parse_axis_value(item) for item in items]
+
+
+def _set_clause(text: str):
+    """``--set KEY=VALUE`` -> ``(key, value)``."""
+    key, separator, value = text.partition("=")
+    if not separator or not key:
+        raise argparse.ArgumentTypeError(
+            f"expected KEY=VALUE, got {text!r}"
+        )
+    return key, _parse_axis_value(value)
+
+
+def _preload(modules: List[str]) -> bool:
+    """Import every ``--preload`` module; print why one fails."""
+    import importlib
+
+    for module in modules:
+        try:
+            importlib.import_module(module)
+        except ImportError as error:
+            print(f"cannot preload {module!r}: {error}", file=sys.stderr)
+            return False
+    return True
+
+
 def _command_profile(args: argparse.Namespace) -> int:
     """Run an experiment profile under the wall-clock profiler.
 
@@ -324,13 +362,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     from repro import profiles
 
     _imports_done()
-    overrides = {}
-    for clause in args.set or []:
-        if "=" not in clause:
-            print(f"bad --set {clause!r}; expected key=value", file=sys.stderr)
-            return 2
-        key, _, value = clause.partition("=")
-        overrides[key] = _parse_axis_value(value)
+    overrides = dict(args.set)
 
     profiler = PhaseProfiler(detail=bool(args.chrome))
     sampler = (
@@ -402,38 +434,36 @@ def _command_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resume_command(args: argparse.Namespace, journal_path: str) -> str:
-    """The exact ``repro sweep`` invocation that finishes this sweep.
+def _is_flag(token: str, flag: str) -> bool:
+    """True when ``token`` is ``flag`` or an abbreviation argparse took."""
+    return len(token) > 2 and token.startswith("--") and flag.startswith(token)
 
-    Printed in the Ctrl-C hint so resuming is one copy-paste: the same
-    spec-defining and policy flags the interrupted run had, plus
-    ``--resume`` pointing at the flushed journal.
+
+def _resume_command(argv: List[str], journal_path: str) -> str:
+    """The exact ``repro`` invocation that finishes this sweep.
+
+    Printed in the Ctrl-C hint so resuming is one copy-paste: the
+    interrupted command's own arguments, with ``--journal``/``--resume``
+    replaced by ``--resume`` at the flushed journal and the
+    ``--auth-token`` value replaced by a placeholder.
     """
     import shlex
 
-    parts = ["repro", "sweep", shlex.quote(args.name)]
-    if args.target:
-        parts += ["--target", shlex.quote(args.target)]
-        for axis in args.axis:
-            parts += ["--axis", shlex.quote(axis)]
-    if args.seed is not None:
-        parts += ["--seed", str(args.seed)]
-    if args.workers != 1:
-        parts += ["--workers", str(args.workers)]
-    if args.timeout is not None:
-        parts += ["--timeout", f"{args.timeout:g}"]
-    if args.retries != 2:
-        parts += ["--retries", str(args.retries)]
-    if args.jitter:
-        parts += ["--jitter", f"{args.jitter:g}"]
-    if args.chaos:
-        parts += ["--chaos", shlex.quote(args.chaos)]
-    if args.strict:
-        parts.append("--strict")
-    if args.backend is not None:
-        parts += ["--backend", args.backend]
-    parts += ["--resume", shlex.quote(str(journal_path))]
-    return " ".join(parts)
+    parts: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, inline, _ = token.partition("=")
+        dropped = _is_flag(flag, "--journal") or _is_flag(flag, "--resume")
+        secret = _is_flag(flag, "--auth-token")
+        if not (dropped or secret):
+            parts.append(token)
+            continue
+        if not inline:
+            next(tokens, None)
+        if secret:
+            parts += ["--auth-token", "<SECRET>"]
+    parts += ["--resume", str(journal_path)]
+    return "repro " + shlex.join(parts)
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
@@ -449,6 +479,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
         NAMED_SWEEPS,
         FleetError,
+        SupervisorConfig,
         SweepInterrupted,
         SweepPointError,
         SweepSpec,
@@ -463,16 +494,8 @@ def _command_sweep(args: argparse.Namespace) -> int:
             print("--target needs at least one --axis name=v1,v2,...",
                   file=sys.stderr)
             return 2
-        grid = {}
-        for axis in args.axis:
-            if "=" not in axis:
-                print(f"bad --axis {axis!r}; expected name=v1,v2,...",
-                      file=sys.stderr)
-                return 2
-            name, _, values = axis.partition("=")
-            grid[name] = [_parse_axis_value(v) for v in values.split(",")]
         spec = SweepSpec(
-            name=args.name, target=args.target, grid=grid,
+            name=args.name, target=args.target, grid=dict(args.axis),
             seed=args.seed if args.seed is not None else 0,
         )
     else:
@@ -488,6 +511,33 @@ def _command_sweep(args: argparse.Namespace) -> int:
         resolve_target(spec.target)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
+        return 2
+
+    fleet = None
+    try:
+        config = SupervisorConfig(
+            timeout=args.timeout, retries=args.retries, jitter=args.jitter,
+            chaos=args.chaos, strict=args.strict,
+        )
+        if args.backend == "tcp":
+            from repro.sweep import FleetConfig
+
+            def announce(host: str, port: int) -> None:
+                print(f"fleet coordinator listening on {host}:{port}",
+                      flush=True)
+
+            fleet = FleetConfig(
+                listen=args.listen,
+                min_hosts=args.min_hosts,
+                heartbeat_interval=args.heartbeat_interval,
+                heartbeat_timeout=args.heartbeat_timeout,
+                steal=not args.no_steal,
+                wait_for_hosts=args.wait_for_hosts,
+                auth_token=args.auth_token,
+                on_listen=announce,
+            )
+    except ConfigurationError as error:
+        print(str(error), file=sys.stderr)
         return 2
 
     total = len(spec.grid)
@@ -508,59 +558,27 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
         reporter = SweepProgressReporter(total, telemetry=parent_telemetry)
 
-    fleet = None
-    if args.backend == "tcp":
-        from repro.sweep import FleetConfig
-
-        def announce(host: str, port: int) -> None:
-            print(f"fleet coordinator listening on {host}:{port}",
-                  flush=True)
-
-        try:
-            fleet = FleetConfig(
-                listen=args.listen,
-                min_hosts=args.min_hosts,
-                heartbeat_interval=args.heartbeat_interval,
-                heartbeat_timeout=args.heartbeat_timeout,
-                steal=not args.no_steal,
-                wait_for_hosts=args.wait_for_hosts,
-                auth_token=args.auth_token,
-                on_listen=announce,
-            )
-        except ConfigurationError as error:
-            print(str(error), file=sys.stderr)
-            return 2
     try:
-        result = run_sweep(
-            spec, workers=args.workers, trace_dir=args.trace_dir,
-            progress=reporter if reporter is not None
-            else (report if args.verbose else None),
-            timeout=args.timeout, retries=args.retries,
-            jitter=args.jitter,
-            chaos=args.chaos, journal=args.journal, resume=args.resume,
-            strict=args.strict,
-            telemetry=parent_telemetry,
-            collect_telemetry=collect_telemetry,
-            backend=args.backend, fleet=fleet,
-        )
+        try:
+            result = run_sweep(
+                spec, workers=args.workers, trace_dir=args.trace_dir,
+                progress=reporter if reporter is not None
+                else (report if args.verbose else None),
+                config=config, journal=args.journal, resume=args.resume,
+                telemetry=parent_telemetry,
+                collect_telemetry=collect_telemetry,
+                backend=args.backend, fleet=fleet,
+            )
+        finally:
+            if reporter is not None:
+                reporter.close()
     except ConfigurationError as error:
-        if reporter is not None:
-            reporter.close()
         print(str(error), file=sys.stderr)
         return 2
-    except SweepPointError as error:
-        if reporter is not None:
-            reporter.close()
-        print(str(error), file=sys.stderr)
-        return 1
-    except FleetError as error:
-        if reporter is not None:
-            reporter.close()
+    except (SweepPointError, FleetError) as error:
         print(str(error), file=sys.stderr)
         return 1
     except SweepInterrupted as interrupt:
-        if reporter is not None:
-            reporter.close()
         partial = interrupt.partial
         done = len(partial.points) if partial is not None else 0
         remaining = total - done
@@ -571,19 +589,19 @@ def _command_sweep(args: argparse.Namespace) -> int:
             print(f"journal flushed to {journal_path}; finish the "
                   f"remaining {remaining} point(s) with:",
                   file=sys.stderr)
-            print(f"  {_resume_command(args, journal_path)}",
+            print(f"  {_resume_command(args.argv, journal_path)}",
                   file=sys.stderr)
         else:
             print("no journal was kept (pass --journal PATH to make "
                   "sweeps resumable)", file=sys.stderr)
         return 130
-    if reporter is not None:
-        reporter.close()
-    if args.pivot:
+    # With no completed point there is nothing to tabulate; the error
+    # ledger below says why every point failed.
+    if result.points and args.pivot:
         rows_axis, columns_axis, value = args.pivot
         pivot(result, rows_axis, columns_axis, value,
               title=f"Sweep {result.name}: {value}").print()
-    else:
+    elif result.points:
         summary_table(
             result, title=f"Sweep {result.name} ({result.target}, "
                           f"{len(result.points)} points, "
@@ -653,17 +671,11 @@ def _command_sweep_worker(args: argparse.Namespace) -> int:
     Exit codes: 0 orderly shutdown, 1 coordinator connection lost
     mid-sweep, 2 bad arguments or unreachable coordinator.
     """
-    import importlib
-
     from repro.sweep import FleetError
     from repro.sweep.remote_worker import run_worker
 
-    for module in args.preload:
-        try:
-            importlib.import_module(module)
-        except ImportError as error:
-            print(f"cannot preload {module!r}: {error}", file=sys.stderr)
-            return 2
+    if not _preload(args.preload):
+        return 2
     _imports_done()
     try:
         return run_worker(
@@ -695,12 +707,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve import QuotaPolicy, ServeConfig, ServiceApp
     from repro.serve.app import REQUEST_PATH
 
-    for module in args.preload:
-        try:
-            importlib.import_module(module)
-        except ImportError as error:
-            print(f"cannot preload {module!r}: {error}", file=sys.stderr)
-            return 2
+    if not _preload(args.preload):
+        return 2
     # Load what a request runs through before binding, so a 200 on
     # /healthz means the first cache miss already runs at full speed.
     for module in REQUEST_PATH:
@@ -769,33 +777,15 @@ def _command_serve_request(args: argparse.Namespace) -> int:
             print("serve-request profile needs a profile id",
                   file=sys.stderr)
             return 2
-        params = {}
-        for clause in args.set:
-            key, separator, value = clause.partition("=")
-            if not separator:
-                print(f"bad --set {clause!r}; expected key=value",
-                      file=sys.stderr)
-                return 2
-            params[key] = _parse_axis_value(value)
         method, target = "POST", "/v1/profile"
-        payload = {"profile": args.id, "params": params}
+        payload = {"profile": args.id, "params": dict(args.set)}
     else:  # sweep
         method, target = "POST", "/v1/sweep"
         if args.axis:
-            axes = {}
-            for axis in args.axis:
-                name, separator, values = axis.partition("=")
-                if not separator or not values:
-                    print(f"bad --axis {axis!r}; expected name=v1,v2,...",
-                          file=sys.stderr)
-                    return 2
-                axes[name] = [
-                    _parse_axis_value(v) for v in values.split(",")
-                ]
             if args.target is None:
                 print("--axis needs --target NAME", file=sys.stderr)
                 return 2
-            payload = {"target": args.target, "axes": axes}
+            payload = {"target": args.target, "axes": dict(args.axis)}
             if args.id is not None:
                 payload["name"] = args.id
         elif args.id is not None:
@@ -901,7 +891,31 @@ def _command_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _add_axis_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--axis", action="append", default=[], type=_axis_clause,
+        metavar="NAME=V1,V2", help=help,
+    )
+
+
+def _add_set_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--set", action="append", default=[], type=_set_clause,
+        metavar="KEY=VALUE", help=help,
+    )
+
+
+def _add_preload_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--preload", action="append", default=[], metavar="MODULE",
+        help="import MODULE before serving (registers custom sweep "
+             "targets; repeatable)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sweep.backends import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Diversified heterogeneous HPC simulation framework "
@@ -955,10 +969,9 @@ def build_parser() -> argparse.ArgumentParser:
              "where host time went",
     )
     profile.add_argument("experiment", help="experiment id (e.g. F1, C16)")
-    profile.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a profile parameter, e.g. --set max_jobs=50 "
-             "(repeatable)",
+    _add_set_flag(
+        profile, "override a profile parameter, e.g. --set max_jobs=50 "
+                 "(repeatable)",
     )
     profile.add_argument(
         "--output", default=None,
@@ -1005,10 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep a registered target (e.g. fabric-congestion, profile:C1) "
              "over custom --axis values instead of a named sweep",
     )
-    sweep.add_argument(
-        "--axis", action="append", default=[], metavar="NAME=V1,V2",
-        help="a grid axis for --target sweeps (repeatable)",
-    )
+    _add_axis_flag(sweep, "a grid axis for --target sweeps (repeatable)")
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument(
@@ -1076,11 +1086,11 @@ def build_parser() -> argparse.ArgumentParser:
              "deterministically per (seed, sweep, point, attempt)",
     )
     sweep.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="executor backend: local (supervised worker processes), "
-             "local-fork, local-spawn or tcp (shard over `repro "
-             "sweep-worker` hosts); default: in process for one worker "
-             "with no --timeout or --chaos, local otherwise",
+        "--backend", default=None, choices=BACKEND_NAMES,
+        help="executor backend: local (supervised worker processes) or "
+             "tcp (shard over `repro sweep-worker` hosts); default: in "
+             "process for one worker with no --timeout or --chaos, local "
+             "otherwise",
     )
     sweep.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -1144,11 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir", default=None,
         help="write one telemetry JSONL per point under this directory",
     )
-    worker.add_argument(
-        "--preload", action="append", default=[], metavar="MODULE",
-        help="import MODULE before serving (registers custom sweep "
-             "targets; repeatable)",
-    )
+    _add_preload_flag(worker)
     worker.add_argument(
         "--connect-timeout", type=float, default=30.0, metavar="SECONDS",
         help="keep retrying the initial dial this long (the coordinator "
@@ -1205,11 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(memory entry dropped, disk file unlinked, request "
              "recomputed); default never",
     )
-    serve.add_argument(
-        "--preload", action="append", default=[], metavar="MODULE",
-        help="import MODULE before serving (registers custom sweep "
-             "targets; repeatable)",
-    )
+    _add_preload_flag(serve)
 
     serve_request = subparsers.add_parser(
         "serve-request",
@@ -1227,17 +1229,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile id (C1...) or named sweep (congestion, smoke, "
              "resilience, reliability); optional sweep name with --target",
     )
-    serve_request.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="profile parameter override (repeatable)",
-    )
+    _add_set_flag(serve_request, "profile parameter override (repeatable)")
     serve_request.add_argument(
         "--target", default=None, metavar="NAME",
         help="custom sweep target (with --axis)",
     )
-    serve_request.add_argument(
-        "--axis", action="append", default=[], metavar="NAME=V1,V2",
-        help="custom sweep axis (repeatable, with --target)",
+    _add_axis_flag(
+        serve_request, "custom sweep axis (repeatable, with --target)"
     )
     serve_request.add_argument(
         "--seed", type=int, default=None, help="sweep seed override"
@@ -1325,8 +1323,9 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     return _HANDLERS[args.command](args)
 
 

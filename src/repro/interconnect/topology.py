@@ -81,8 +81,20 @@ class Topology:
         )
 
     def switch_graph(self) -> nx.Graph:
-        """The switch-only subgraph."""
-        return self.graph.subgraph(self._switches).copy()
+        """The switch-only subgraph, its nodes in build order.
+
+        ``graph.subgraph(...)`` would order them by a set, i.e. by the
+        hash seed, and Kernighan-Lin (``bisection_bandwidth``) follows
+        node order.
+        """
+        graph = self.graph.__class__()
+        graph.add_nodes_from((s, self.graph.nodes[s]) for s in self._switches)
+        graph.add_edges_from(
+            (u, v, data)
+            for u, v, data in self.graph.edges(self._switches, data=True)
+            if u in graph and v in graph
+        )
+        return graph
 
     def max_switch_degree(self) -> int:
         """Largest switch radix consumed (switch-to-switch + terminal ports)."""

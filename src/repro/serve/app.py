@@ -448,7 +448,7 @@ class ServiceApp:
         return document, kernel_events
 
     def _execute_sweep(self, canonical, fingerprint: str, progress):
-        from repro.sweep import run_sweep, spec_from_request
+        from repro.sweep import SupervisorConfig, run_sweep, spec_from_request
         from repro.validate.fingerprint import sweep_fingerprint
 
         spec = spec_from_request(canonical)
@@ -473,10 +473,11 @@ class ServiceApp:
             # or hangs must cost a retry, never the service.
             backend="local",
             progress=on_point,
-            retries=self.config.sweep_retries,
+            config=SupervisorConfig(
+                retries=self.config.sweep_retries, strict=True
+            ),
             journal=None if resuming else str(journal),
             resume=[str(journal)] if resuming else None,
-            strict=True,
             telemetry=self.telemetry,
         )
         return sweep_fingerprint(result), executed_events[0]

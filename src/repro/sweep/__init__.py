@@ -18,16 +18,19 @@ it).  Results persist as ``repro.sweep/v1`` JSON documents
 (:mod:`repro.sweep.store`) and aggregate into tables via
 :mod:`repro.analysis.aggregate`.
 
-Fault tolerance rides on the same contract: the supervised executor
-(:mod:`repro.sweep.supervisor`), which runs every sweep but a plain
-one-worker one, detects crashed and hung workers and requeues their
-points under a bounded retry budget.  Any run can journal every
-completed point to a crash-consistent JSONL file
+Fault tolerance rides on the same contract.  One
+:class:`~repro.sweep.supervisor.SupervisorConfig` —
+``run_sweep(spec, config=SupervisorConfig(timeout=..., retries=...,
+chaos=..., strict=...))`` — is the whole policy every executor reads.
+The supervised executor (:mod:`repro.sweep.supervisor`), which runs
+every sweep but a plain one-worker one, detects crashed and hung
+workers and requeues their points under the bounded retry budget.  Any
+run can journal every completed point to a crash-consistent JSONL file
 (:mod:`repro.sweep.journal`) and resume an interrupted sweep —
 ``run_sweep(spec, resume=path)`` — with a fingerprint bit-identical to
 an uninterrupted run.
 
-Distribution is one more executor backend
+Distribution is the other executor backend
 (:mod:`repro.sweep.backends`): ``run_sweep(spec, backend="tcp",
 fleet=FleetConfig(...))`` shards the grid over TCP worker hosts
 (``repro sweep-worker``) with heartbeats, dead-host requeue and

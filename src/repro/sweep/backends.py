@@ -1,24 +1,25 @@
 """Sweep executors: one interface, in-process, local or distributed.
 
-Every ``run_sweep`` call drives its points through one executor; the
-engine, journal and fingerprint contract never change with the choice:
+Every ``run_sweep`` call drives its points through the one executor
+:func:`create_executor` picks; the engine, journal and fingerprint
+contract never change with the choice:
 
 * :class:`BaseExecutor` — the shared skeleton every executor inherits:
   harness counters, the pending-task queue with lowest-index-first
-  dispatch and retry backoff, and the bounded retry-or-ledger policy.
-* :class:`InlineExecutor` — runs the points in the calling process.
-  ``run_sweep`` picks it for a one-worker sweep with no ``backend``,
-  ``timeout`` or ``chaos``: nothing there needs a process boundary, and
+  dispatch and retry backoff, and the bounded retry-or-ledger policy of
+  the run's :class:`~repro.sweep.supervisor.SupervisorConfig`.
+* :class:`InlineExecutor` — runs the points in the calling process, for
+  a one-worker sweep with no ``backend``, ``timeout``, ``chaos`` or
+  ``start_method``: nothing there needs a process boundary, and
   skipping the child's boot and pipe is measurably faster.
-* :func:`create_executor` — every other run, by backend name:
+* every other run, by backend name:
 
   =========== ========================================================
   name        substrate
   =========== ========================================================
-  local       supervised child processes, platform-preferred start
-              method (``fork`` where available) — the default
-  local-fork  supervised child processes, ``fork`` start method
-  local-spawn supervised child processes, ``spawn`` start method
+  local       supervised child processes
+              (:mod:`repro.sweep.supervisor`), started by the config's
+              ``start_method`` (``fork`` where available by default)
   tcp         a socket coordinator sharding points to remote worker
               hosts (:mod:`repro.sweep.coordinator`)
   =========== ========================================================
@@ -38,14 +39,14 @@ bit-identical across executors, worker counts and host counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
 
 
 class SweepPointError(ReproError):
-    """A point exhausted its retry budget under ``strict=True``."""
+    """A point exhausted its retry budget in a fail-fast run."""
 
 
 class FleetError(ReproError):
@@ -104,27 +105,32 @@ COUNTERS = (
 FLEET_COUNTERS = ("hosts_seen", "hosts_lost", "stolen", "cancelled")
 
 
+#: Backoff before a point's first retry; each further retry doubles it.
+RETRY_BACKOFF = 0.05
+
+
 def backoff_delay(config, seed: int, sweep_name: str, index: int,
                   attempt: int) -> float:
-    """The backoff before dispatching ``attempt`` of one point.
+    """The backoff before dispatching ``attempt`` (1-based) of one point.
 
-    The base schedule is the config's geometric
-    :meth:`~repro.sweep.supervisor.SupervisorConfig.delay_before`;
+    The base schedule is geometric: nothing before the first attempt,
+    :data:`RETRY_BACKOFF` before the second, doubling after that.
     ``config.jitter > 0`` stretches it by up to ``jitter`` of itself,
     drawn from ``RandomSource(seed).fork(f"backoff/{sweep}/{index}/{attempt}")``
     — a pure function of the sweep seed, point and attempt, never of the
     host or worker running it, so retry timelines reproduce at any fleet
     shape.
     """
-    base = config.delay_before(attempt)
-    jitter = getattr(config, "jitter", 0.0)
-    if base <= 0.0 or jitter <= 0.0:
+    if attempt <= 1:
+        return 0.0
+    base = RETRY_BACKOFF * 2.0 ** (attempt - 2)
+    if config.jitter <= 0.0:
         return base
     # Imported here so a sweep-worker host starts without numpy.
     from repro.core.rng import RandomSource
 
     rng = RandomSource(seed).fork(f"backoff/{sweep_name}/{index}/{attempt}")
-    return base * (1.0 + jitter * rng.uniform())
+    return base * (1.0 + config.jitter * rng.uniform())
 
 
 @dataclass
@@ -149,9 +155,6 @@ class FleetConfig:
     min_hosts: int = 1
     heartbeat_interval: float = 0.5
     heartbeat_timeout: Optional[float] = None
-    #: Points a host may hold per slot (1 running + the rest queued
-    #: host-side) — the fleet analogue of the supervisor's pipeline depth.
-    host_depth: int = 2
     #: Reclaim unstarted points from loaded hosts for idle ones.
     steal: bool = True
     wait_for_hosts: float = 60.0
@@ -172,10 +175,6 @@ class FleetConfig:
                 "heartbeat_timeout must exceed heartbeat_interval "
                 f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
             )
-        if self.host_depth < 1:
-            raise ConfigurationError(
-                f"host_depth must be >= 1: {self.host_depth}"
-            )
         if self.wait_for_hosts <= 0:
             raise ConfigurationError(
                 f"wait_for_hosts must be positive: {self.wait_for_hosts}"
@@ -193,18 +192,25 @@ class BaseExecutor:
 
     Owns the harness counters, the pending queue (lowest grid index
     first, honouring per-task retry backoff) and the bounded
-    retry-or-error-ledger policy.  Subclasses implement :meth:`run` —
+    retry-or-error-ledger policy.  :meth:`run` binds the result and
+    failure callbacks for the run; subclasses implement :meth:`_loop` —
     the event loop that moves tasks to their substrate — and call
-    :meth:`_retry_or_fail` when an attempt is lost.
+    :meth:`_complete` or :meth:`_retry_or_fail` as attempts end.
     """
 
-    def __init__(self, spec, config, metrics=None) -> None:
+    def __init__(self, spec, config, trace_dir: Optional[str] = None,
+                 metrics=None, collect_telemetry: bool = False) -> None:
         self.spec = spec
         self.config = config
+        self.trace_dir = trace_dir
         self.metrics = metrics
+        self.collect_telemetry = collect_telemetry
         self.counters: Dict[str, float] = {name: 0.0 for name in COUNTERS}
         self._pending: List[_Task] = []
         self._outstanding = 0
+        #: The running sweep's callbacks, bound by :meth:`run`.
+        self._on_result: Optional[Callable[[object, int], None]] = None
+        self._on_failure: Optional[Callable[[PointFailure], None]] = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -220,15 +226,6 @@ class BaseExecutor:
                     f"sweep.fleet.{name}",
                     "per-host sweep fleet event count",
                 ).inc(amount, **labels)
-
-    def _seed_tasks(
-        self, tasks: List[Tuple[int, Dict[str, object]]]
-    ) -> None:
-        self._pending = [
-            _Task(index=index, params=dict(params), attempt=1)
-            for index, params in tasks
-        ]
-        self._outstanding = len(self._pending)
 
     def _pop_ready(self, now: float) -> Optional[_Task]:
         """The lowest-index pending task whose backoff has expired."""
@@ -248,14 +245,13 @@ class BaseExecutor:
             return None
         return min(task.not_before for task in self._pending)
 
-    def _retry_or_fail(
-        self,
-        task: _Task,
-        error: str,
-        now: float,
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _complete(self, result, attempt: int, **labels) -> None:
+        """One point finished: count it and hand it to the run."""
+        self.bump("completed", **labels)
+        self._outstanding -= 1
+        self._on_result(result, attempt)
+
+    def _retry_or_fail(self, task: _Task, error: str, now: float) -> None:
         """Requeue a lost attempt, or move the point to the error ledger."""
         if task.attempt <= self.config.retries:
             self.bump("retries")
@@ -274,14 +270,15 @@ class BaseExecutor:
             return
         self._outstanding -= 1
         self.bump("failed")
-        failure = PointFailure(
-            index=task.index,
-            params=dict(task.params),
-            error=error,
-            attempts=task.attempt,
+        self._on_failure(
+            PointFailure(
+                index=task.index,
+                params=dict(task.params),
+                error=error,
+                attempts=task.attempt,
+            )
         )
-        on_failure(failure)
-        if strict:
+        if self.config.strict:
             raise SweepPointError(
                 f"sweep {self.spec.name!r} point {task.index} failed after "
                 f"{task.attempt} attempt(s): {error}"
@@ -294,52 +291,90 @@ class BaseExecutor:
         tasks: List[Tuple[int, Dict[str, object]]],
         on_result: Callable[[object, int], None],
         on_failure: Callable[[PointFailure], None],
-        strict: bool = False,
     ) -> Dict[str, float]:
-        """Run every (index, params) task; returns the harness counters."""
+        """Run every (index, params) task; returns the harness counters.
+
+        ``on_result(point_result, attempts)`` fires as points complete
+        (completion order, not grid order); ``on_failure(point_failure)``
+        fires when a point exhausts its retry budget.
+        """
+        self._on_result = on_result
+        self._on_failure = on_failure
+        self._pending = [
+            _Task(index=index, params=dict(params), attempt=1)
+            for index, params in tasks
+        ]
+        self._outstanding = len(self._pending)
+        if not self._pending:
+            return dict(self.counters)
+        try:
+            self._loop()
+        except KeyboardInterrupt:
+            raise SweepInterrupted(
+                f"sweep {self.spec.name!r} interrupted; "
+                f"{self._outstanding} point(s) unfinished"
+            ) from None
+        finally:
+            self._shutdown()
+        return dict(self.counters)
+
+    def _loop(self) -> None:
+        """Drive the pending tasks until none is outstanding."""
         raise NotImplementedError
 
+    def _shutdown(self) -> None:
+        """Release the substrate; runs however :meth:`_loop` ended."""
 
-#: The start method each local backend pins; ``None`` prefers ``fork``.
-_START_METHODS = {"local": None, "local-fork": "fork", "local-spawn": "spawn"}
 
 #: Names accepted by ``run_sweep(backend=...)`` and ``--backend``.
-BACKEND_NAMES = tuple(_START_METHODS) + ("tcp",)
+BACKEND_NAMES = ("local", "tcp")
 
 
 def create_executor(
-    name: Optional[str],
+    backend: Optional[str],
     spec,
     config,
     *,
-    trace_dir: Optional[str] = None,
-    metrics=None,
-    collect_telemetry: bool = False,
+    workers: int = 1,
     fleet: Optional[FleetConfig] = None,
+    **context,
 ) -> BaseExecutor:
-    """Instantiate the executor backend ``name`` (default ``"local"``)."""
-    name = name or "local"
-    context = dict(
-        trace_dir=trace_dir, metrics=metrics,
-        collect_telemetry=collect_telemetry,
-    )
-    if name == "tcp":
+    """The executor for one run of ``spec`` under ``config``.
+
+    ``backend=None`` runs a one-worker sweep with no ``timeout``,
+    ``chaos`` or ``start_method`` in process (:class:`InlineExecutor`)
+    and every other one on ``local``.  ``context`` is
+    :class:`BaseExecutor`'s keywords (``trace_dir``, ``metrics``,
+    ``collect_telemetry``).
+    """
+    if backend is not None and backend not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown sweep backend {backend!r}; registered backends: "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    if backend == "tcp":
         from repro.sweep.coordinator import TcpCoordinator
 
         return TcpCoordinator(
             spec, config, fleet=fleet or FleetConfig(), **context
         )
-    if name not in _START_METHODS:
+    if fleet is not None:
         raise ConfigurationError(
-            f"unknown sweep backend {name!r}; registered backends: "
-            f"{', '.join(BACKEND_NAMES)}"
+            "fleet= is only meaningful with backend='tcp'"
         )
+    if config.chaos is not None and config.chaos.fleet_clauses:
+        raise ConfigurationError(
+            f"chaos clause(s) {', '.join(config.chaos.fleet_clauses)} "
+            "inject host and network faults, which only the tcp backend has"
+        )
+    if backend is None and workers == 1 and (
+        config.timeout is None and config.chaos is None
+        and config.start_method is None
+    ):
+        return InlineExecutor(spec, config, **context)
     from repro.sweep.supervisor import Supervisor
 
-    start_method = _START_METHODS[name]
-    if start_method is not None:
-        config = replace(config, start_method=start_method)
-    return Supervisor(spec, config, **context)
+    return Supervisor(spec, config, workers=workers, **context)
 
 
 class InlineExecutor(BaseExecutor):
@@ -347,48 +382,33 @@ class InlineExecutor(BaseExecutor):
 
     No child to boot and no pipe to cross, so a one-worker sweep runs
     fastest here.  The price is isolation: a point that kills or hangs
-    the interpreter takes the sweep with it, which is why ``run_sweep``
-    only picks this executor when no ``timeout`` or ``chaos`` asks for a
-    process boundary.  Exceptions still go through the retry budget.
+    the interpreter takes the sweep with it, which is why
+    :func:`create_executor` only picks this executor when nothing asks
+    for a process boundary.  Exceptions still go through the retry
+    budget.
     """
 
-    def __init__(self, spec, config, trace_dir: Optional[str] = None,
-                 metrics=None, collect_telemetry: bool = False) -> None:
-        super().__init__(spec, config, metrics=metrics)
-        self.trace_dir = trace_dir
-        self.collect_telemetry = collect_telemetry
-
-    def run(self, tasks, on_result, on_failure, strict=False):
+    def _loop(self) -> None:
         from repro.sweep.engine import _run_point
 
-        self._seed_tasks(tasks)
-        try:
-            while self._outstanding > 0:
-                now = time.monotonic()
-                task = self._pop_ready(now)
-                if task is None:
-                    time.sleep(max(0.0, self._next_wake() - now))
-                    continue
-                self.bump("dispatched")
-                try:
-                    result = _run_point((
-                        self.spec.target, self.spec.name, self.spec.seed,
-                        task.index, task.params, self.trace_dir,
-                        self.collect_telemetry,
-                    ))
-                except Exception as error:
-                    self.bump("errors")
-                    self._retry_or_fail(
-                        task, f"{type(error).__name__}: {error}",
-                        time.monotonic(), on_failure, strict,
-                    )
-                    continue
-                self.bump("completed")
-                self._outstanding -= 1
-                on_result(result, task.attempt)
-        except KeyboardInterrupt:
-            raise SweepInterrupted(
-                f"sweep {self.spec.name!r} interrupted; "
-                f"{self._outstanding} point(s) unfinished"
-            ) from None
-        return dict(self.counters)
+        while self._outstanding > 0:
+            now = time.monotonic()
+            task = self._pop_ready(now)
+            if task is None:
+                time.sleep(max(0.0, self._next_wake() - now))
+                continue
+            self.bump("dispatched")
+            try:
+                result = _run_point((
+                    self.spec.target, self.spec.name, self.spec.seed,
+                    task.index, task.params, self.trace_dir,
+                    self.collect_telemetry,
+                ))
+            except Exception as error:
+                self.bump("errors")
+                self._retry_or_fail(
+                    task, f"{type(error).__name__}: {error}",
+                    time.monotonic(),
+                )
+                continue
+            self._complete(result, task.attempt)

@@ -61,16 +61,13 @@ import socket
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.errors import ConfigurationError
 from repro.sweep.backends import (
     FLEET_COUNTERS,
     BaseExecutor,
     FleetConfig,
     FleetError,
-    PointFailure,
-    SweepInterrupted,
     _Task,
 )
 from repro.sweep.frames import (
@@ -82,6 +79,10 @@ from repro.sweep.frames import (
 )
 
 __all__ = ["TcpCoordinator"]
+
+#: Points a host may hold per slot (1 running + the rest queued
+#: host-side) — the fleet analogue of the supervisor's pipeline depth.
+HOST_DEPTH = 2
 
 
 @dataclass
@@ -100,38 +101,23 @@ class _Host:
     stealing: bool = False
 
     @property
-    def capacity(self) -> int:
-        return self.slots  # multiplied by host_depth at dispatch
-
-    @property
     def unstarted(self) -> List[int]:
         return [i for i in self.tasks if i not in self.deadlines]
 
 
 class TcpCoordinator(BaseExecutor):
-    """Drives one sweep's points through a fleet of TCP worker hosts."""
+    """Drives one sweep's points through a fleet of TCP worker hosts.
 
-    def __init__(
-        self,
-        spec,
-        config,
-        fleet: Optional[FleetConfig] = None,
-        trace_dir: Optional[str] = None,
-        metrics=None,
-        collect_telemetry: bool = False,
-    ) -> None:
-        super().__init__(spec, config, metrics=metrics)
+    ``context`` is :class:`~repro.sweep.backends.BaseExecutor`'s keywords
+    (``trace_dir``, ``metrics``, ``collect_telemetry``).
+    """
+
+    def __init__(self, spec, config, fleet: Optional[FleetConfig] = None,
+                 **context) -> None:
+        super().__init__(spec, config, **context)
         self.fleet = fleet or FleetConfig()
-        self.trace_dir = trace_dir
-        self.collect_telemetry = collect_telemetry
         for name in FLEET_COUNTERS:
             self.counters.setdefault(name, 0.0)
-        chaos = config.chaos
-        if chaos is not None and chaos.drop > 0 and config.timeout is None:
-            raise ConfigurationError(
-                "chaos drop injection needs a per-point timeout, or dropped "
-                "result frames would stall the sweep forever"
-            )
         self._listener: Optional[socket.socket] = None
         self._hosts: List[_Host] = []
         #: True once min_hosts was reached and dispatch opened.
@@ -223,14 +209,7 @@ class TcpCoordinator(BaseExecutor):
         )
         self.bump("hosts_seen", host=name)
 
-    def _drop_host(
-        self,
-        host: _Host,
-        reason: str,
-        now: float,
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _drop_host(self, host: _Host, reason: str, now: float) -> None:
         """A host died: requeue its work, charging only started points."""
         if host not in self._hosts:
             return
@@ -244,9 +223,7 @@ class TcpCoordinator(BaseExecutor):
             if index in host.deadlines:
                 # Started points died mid-execution: one attempt consumed.
                 self.bump("requeued")
-                self._retry_or_fail(
-                    task, f"HostLost: {reason}", now, on_failure, strict
-                )
+                self._retry_or_fail(task, f"HostLost: {reason}", now)
             else:
                 # Queued points never started; back untouched.
                 self._pending.append(task)
@@ -259,7 +236,7 @@ class TcpCoordinator(BaseExecutor):
         """Feed ready tasks to hosts, breadth-first across slot layers."""
         if not self._opened:
             return
-        for depth in range(1, self.fleet.host_depth + 1):
+        for depth in range(1, HOST_DEPTH + 1):
             for host in list(self._hosts):
                 while len(host.tasks) < depth * host.slots:
                     task = self._pop_ready(now)
@@ -274,8 +251,7 @@ class TcpCoordinator(BaseExecutor):
                     except OSError:
                         self._pending.append(task)
                         self._drop_host(
-                            host, "connection lost during assign", now,
-                            self._on_failure, self._strict,
+                            host, "connection lost during assign", now
                         )
                         break
                     host.tasks[task.index] = task
@@ -304,23 +280,19 @@ class TcpCoordinator(BaseExecutor):
         try:
             send_frame(donor.sock, {"type": "revoke", "count": count})
         except OSError:
-            self._drop_host(
-                donor, "connection lost during revoke", now,
-                self._on_failure, self._strict,
-            )
+            self._drop_host(donor, "connection lost during revoke", now)
             return
         donor.stealing = True
 
-    def _check_deadlines(
-        self,
-        now: float,
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _check_deadlines(self, now: float) -> None:
         for host in list(self._hosts):
             for index, deadline in list(host.deadlines.items()):
                 if now < deadline:
                     continue
+                error = (
+                    f"TimeoutError: point exceeded {self.config.timeout:g}s "
+                    "wall-clock budget"
+                )
                 task = host.tasks.pop(index)
                 del host.deadlines[index]
                 self.bump("timeouts", host=host.name)
@@ -330,49 +302,27 @@ class TcpCoordinator(BaseExecutor):
                 except OSError:
                     # Requeue this point first (retry consumed), then let
                     # the host teardown recycle the rest of its queue.
-                    self._retry_or_fail(
-                        task,
-                        f"TimeoutError: point exceeded "
-                        f"{self.config.timeout:g}s wall-clock budget",
-                        now, on_failure, strict,
-                    )
+                    self._retry_or_fail(task, error, now)
                     self._drop_host(
-                        host, "connection lost during cancel", now,
-                        on_failure, strict,
+                        host, "connection lost during cancel", now
                     )
                     break
-                self._retry_or_fail(
-                    task,
-                    f"TimeoutError: point exceeded "
-                    f"{self.config.timeout:g}s wall-clock budget",
-                    now, on_failure, strict,
-                )
+                self._retry_or_fail(task, error, now)
 
-    def _check_heartbeats(
-        self,
-        now: float,
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _check_heartbeats(self, now: float) -> None:
         deadline = self.fleet.effective_heartbeat_timeout
         for host in list(self._hosts):
             if now - host.last_seen > deadline:
                 self._drop_host(
                     host,
                     f"no frame from host {host.name!r} for {deadline:g}s",
-                    now, on_failure, strict,
+                    now,
                 )
 
     # -- frame handling ---------------------------------------------------
 
     def _handle_frame(
-        self,
-        host: _Host,
-        frame: Dict[str, object],
-        now: float,
-        on_result: Callable[[object, int], None],
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
+        self, host: _Host, frame: Dict[str, object], now: float
     ) -> None:
         kind = frame.get("type")
         if kind == "heartbeat":
@@ -405,12 +355,10 @@ class TcpCoordinator(BaseExecutor):
                     task,
                     f"FrameError: host {host.name!r} sent a malformed "
                     f"result for point {index}: {error}",
-                    now, on_failure, strict,
+                    now,
                 )
                 return
-            self.bump("completed", host=host.name)
-            self._outstanding -= 1
-            on_result(result, task.attempt)
+            self._complete(result, task.attempt, host=host.name)
             return
         if kind in ("error", "crashed"):
             index = int(frame["index"])
@@ -424,8 +372,7 @@ class TcpCoordinator(BaseExecutor):
             self.bump("crashes" if kind == "crashed" else "errors",
                       host=host.name)
             self._retry_or_fail(
-                task, str(frame.get("error", "unknown remote failure")),
-                now, on_failure, strict,
+                task, str(frame.get("error", "unknown remote failure")), now
             )
             return
         if kind == "revoked":
@@ -446,57 +393,36 @@ class TcpCoordinator(BaseExecutor):
 
     # -- the event loop ---------------------------------------------------
 
-    def run(
-        self,
-        tasks: List[Tuple[int, Dict[str, object]]],
-        on_result: Callable[[object, int], None],
-        on_failure: Callable[[PointFailure], None],
-        strict: bool = False,
-    ) -> Dict[str, float]:
-        """Run every (index, params) task across the fleet."""
-        self._seed_tasks(tasks)
-        self._on_failure = on_failure
-        self._strict = strict
-        if not self._pending:
-            return dict(self.counters)
+    def _loop(self) -> None:
         self._bind()
         started_wait = time.monotonic()
-        try:
-            while self._outstanding > 0:
-                now = time.monotonic()
-                if not self._opened:
-                    if len(self._hosts) >= self.fleet.min_hosts:
-                        self._opened = True
-                    elif now - started_wait > self.fleet.wait_for_hosts:
-                        raise FleetError(
-                            f"waited {self.fleet.wait_for_hosts:g}s for "
-                            f"{self.fleet.min_hosts} worker host(s); only "
-                            f"{len(self._hosts)} connected"
-                        )
-                if self._opened and not self._hosts:
-                    if self._starved_since is None:
-                        self._starved_since = now
-                    elif now - self._starved_since > self.fleet.wait_for_hosts:
-                        raise FleetError(
-                            f"all worker hosts lost and none reconnected "
-                            f"within {self.fleet.wait_for_hosts:g}s; "
-                            f"{self._outstanding} point(s) unfinished"
-                        )
-                else:
-                    self._starved_since = None
-                self._check_heartbeats(now, on_failure, strict)
-                self._check_deadlines(now, on_failure, strict)
-                self._dispatch(now)
-                self._steal(now)
-                self._wait(on_result, on_failure, strict)
-        except KeyboardInterrupt:
-            raise SweepInterrupted(
-                f"sweep {self.spec.name!r} interrupted; "
-                f"{self._outstanding} point(s) unfinished"
-            ) from None
-        finally:
-            self._shutdown()
-        return dict(self.counters)
+        while self._outstanding > 0:
+            now = time.monotonic()
+            if not self._opened:
+                if len(self._hosts) >= self.fleet.min_hosts:
+                    self._opened = True
+                elif now - started_wait > self.fleet.wait_for_hosts:
+                    raise FleetError(
+                        f"waited {self.fleet.wait_for_hosts:g}s for "
+                        f"{self.fleet.min_hosts} worker host(s); only "
+                        f"{len(self._hosts)} connected"
+                    )
+            if self._opened and not self._hosts:
+                if self._starved_since is None:
+                    self._starved_since = now
+                elif now - self._starved_since > self.fleet.wait_for_hosts:
+                    raise FleetError(
+                        f"all worker hosts lost and none reconnected "
+                        f"within {self.fleet.wait_for_hosts:g}s; "
+                        f"{self._outstanding} point(s) unfinished"
+                    )
+            else:
+                self._starved_since = None
+            self._check_heartbeats(now)
+            self._check_deadlines(now)
+            self._dispatch(now)
+            self._steal(now)
+            self._wait()
 
     def _wait_timeout(self, now: float) -> float:
         horizons = [now + self.fleet.heartbeat_interval]
@@ -514,12 +440,7 @@ class TcpCoordinator(BaseExecutor):
             horizons.append(wake)
         return max(0.0, min(horizons) - now)
 
-    def _wait(
-        self,
-        on_result: Callable[[object, int], None],
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _wait(self) -> None:
         now = time.monotonic()
         watched: List[object] = [self._listener]
         by_sock = {host.sock: host for host in self._hosts}
@@ -538,17 +459,13 @@ class TcpCoordinator(BaseExecutor):
             except (FrameError, OSError) as error:
                 # A host dying mid-frame surfaces as FrameError (torn
                 # frame) or raw OSError (RST); both mean the host is gone.
-                self._drop_host(host, str(error), now, on_failure, strict)
+                self._drop_host(host, str(error), now)
                 continue
             if frame is None:
-                self._drop_host(
-                    host, "connection closed", now, on_failure, strict
-                )
+                self._drop_host(host, "connection closed", now)
                 continue
             host.last_seen = now
-            self._handle_frame(
-                host, frame, now, on_result, on_failure, strict
-            )
+            self._handle_frame(host, frame, now)
 
     def _shutdown(self) -> None:
         # Close the listener first: a host that redials the moment its

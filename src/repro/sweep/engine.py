@@ -1,11 +1,11 @@
 """The scenario-sweep engine.
 
 :func:`run_sweep` hands the points of a :class:`SweepSpec` to one
-executor (:mod:`repro.sweep.backends`) and collects one
-:class:`PointResult` per point.  A one-worker sweep with no ``backend``,
-``timeout`` or ``chaos`` runs in the calling process; every other sweep
-runs under the supervisor (:mod:`repro.sweep.supervisor`) or the ``tcp``
-fleet coordinator.
+executor (:func:`repro.sweep.backends.create_executor`) and collects one
+:class:`PointResult` per point.  A one-worker sweep with no ``backend``
+that needs no process boundary runs in the calling process; every other
+sweep runs under the supervisor (:mod:`repro.sweep.supervisor`) or the
+``tcp`` fleet coordinator.
 
 Determinism contract
 --------------------
@@ -25,11 +25,12 @@ is a small picklable value even under the ``spawn`` start method.
 
 Fault tolerance
 ---------------
-Every executor shares one policy: a failing point is retried up to
-``retries`` times (default 2) and then lands in the error ledger
+One :class:`~repro.sweep.supervisor.SupervisorConfig` holds the policy
+every executor follows: a failing point is retried up to ``retries``
+times (default 2) and then lands in the error ledger
 (``result.failures``) of the partial :class:`SweepResult` that
-``run_sweep`` returns; ``strict=True`` opts into fail-fast raising.  The
-supervisor also detects worker crashes and hangs (``timeout``) and
+``run_sweep`` returns, or raises at once when the config is ``strict``.
+The supervisor also detects worker crashes and hangs (``timeout``) and
 requeues the lost points.  ``journal=path`` records every completed
 point in an append-only crash-consistent JSONL file, and
 ``run_sweep(spec, resume=path)`` finishes an interrupted sweep with a
@@ -51,13 +52,12 @@ from repro.observability import Telemetry, write_jsonl
 from repro.observability.summary import merge_summaries, summarize_telemetry
 from repro.sweep.backends import (
     FleetConfig,
-    InlineExecutor,
     PointFailure,
     SweepInterrupted,
     create_executor,
 )
 from repro.sweep.grid import ParameterGrid, ScenarioPoint
-from repro.sweep.supervisor import ChaosSpec, SupervisorConfig, parse_chaos
+from repro.sweep.supervisor import SupervisorConfig
 from repro.sweep.targets import preload_target, resolve_target
 
 
@@ -305,17 +305,16 @@ def _assemble(
 def _execute(
     spec: SweepSpec,
     executor,
+    workers: int,
     progress,
     journal: Optional[str],
     resume: Optional[List[str]],
-    strict: bool,
     collect_telemetry: bool,
     started: float,
 ) -> SweepResult:
     """Drive ``executor`` over the points ``resume`` has not completed."""
     from repro.sweep.journal import RunJournal, merge_journals
 
-    workers = executor.config.workers
     completed: Dict[int, PointResult] = {}
     foreign: Dict[int, int] = {}
     journal_path = resume[0] if resume else journal
@@ -370,7 +369,7 @@ def _execute(
         if point.index not in completed
     ]
     try:
-        harness = executor.run(tasks, on_result, on_failure, strict=strict)
+        harness = executor.run(tasks, on_result, on_failure)
     except SweepInterrupted as interrupt:
         interrupt.partial = _assemble(
             spec, workers, completed, failures,
@@ -394,14 +393,10 @@ def run_sweep(
     trace_dir: Optional[str] = None,
     progress=None,
     *,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    jitter: float = 0.0,
-    chaos: Union[ChaosSpec, str, None] = None,
+    config: Optional[SupervisorConfig] = None,
     journal: Union[str, pathlib.Path, None] = None,
     resume: Union[str, pathlib.Path, Sequence[Union[str, pathlib.Path]],
                   None] = None,
-    strict: bool = False,
     telemetry: Optional[Telemetry] = None,
     collect_telemetry: bool = False,
     backend: Optional[str] = None,
@@ -412,25 +407,25 @@ def run_sweep(
     Parameters
     ----------
     workers:
-        Worker processes.  ``1`` with no ``backend``, ``timeout`` or
-        ``chaos`` runs the points in this process (no child, easiest to
-        debug); anything else runs them under the supervisor.  The
-        aggregated result is bit-identical either way and at any value.
+        Worker processes.  ``1`` with no ``backend``, and a ``config``
+        with no ``timeout``, ``chaos`` or ``start_method``, runs the
+        points in this process (no child, easiest to debug); anything
+        else runs them under the supervisor.  The aggregated result is
+        bit-identical either way and at any value.
     trace_dir:
         When given, each point writes its telemetry trace as
         ``point-NNNN.jsonl`` under this directory.
     progress:
         Optional callable ``progress(point_result)`` invoked as results
         arrive, in completion order.
-    timeout / retries:
-        Fault-tolerance policy: per-point wall-clock budget (needs a
-        worker process, so it selects the supervisor) and the bounded
-        re-dispatch budget of a failing point (default 2), each retry
-        after a geometric backoff.
-    chaos:
-        A :class:`~repro.sweep.supervisor.ChaosSpec` (or its string form
-        ``"crash:0.1,hang:0.05"``) injecting worker crashes/hangs into
-        the harness to exercise recovery.
+    config:
+        The fault-tolerance policy
+        (:class:`~repro.sweep.supervisor.SupervisorConfig`, default
+        ``SupervisorConfig()``): per-point ``timeout``, the ``retries``
+        budget and its backoff ``jitter``, injected ``chaos``,
+        ``strict`` fail-fast raising
+        (:class:`~repro.sweep.backends.SweepPointError`) instead of an
+        error ledger, and the local ``start_method``.
     journal / resume:
         ``journal=path`` starts a fresh crash-consistent run journal at
         ``path``; ``resume=path`` loads one, skips its completed points
@@ -441,11 +436,6 @@ def run_sweep(
         first-listed path becoming the journal the resumed run appends
         to (foreign records are copied in, so it ends self-contained).
         The resumed result is bit-identical to an uninterrupted run.
-    strict:
-        ``False`` (default) collects failing points into
-        ``result.failures`` and returns the partial result; ``True``
-        raises :class:`~repro.sweep.backends.SweepPointError` on the
-        first point that exhausts its retries.
     telemetry:
         When given, executor events are counted on
         ``telemetry.metrics`` as ``sweep.supervisor.*`` counters.
@@ -456,14 +446,10 @@ def run_sweep(
         ``SweepResult.telemetry`` — bit-identical at any worker count,
         and journalled so a resumed run reconstructs the same aggregate.
     backend / fleet:
-        ``backend`` picks the executor substrate (``local`` —
-        the default — ``local-fork``, ``local-spawn`` or ``tcp``; see
-        :mod:`repro.sweep.backends`); ``fleet`` carries the ``tcp``
+        ``backend`` picks the executor substrate (``local`` or ``tcp``;
+        see :mod:`repro.sweep.backends`); ``fleet`` carries the ``tcp``
         backend's :class:`~repro.sweep.backends.FleetConfig` (listen
         address, heartbeats, work stealing).
-    jitter:
-        Deterministic retry-backoff jitter fraction (see
-        :func:`repro.sweep.backends.backoff_delay`).
 
     The target is resolved once up front, with every module its points
     import, so an unknown name fails fast and forked workers inherit the
@@ -472,8 +458,6 @@ def run_sweep(
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     preload_target(spec.target)
-    if isinstance(chaos, str):
-        chaos = parse_chaos(chaos)
     if isinstance(resume, (str, pathlib.Path)):
         resume = [str(resume)]
     elif resume is not None:
@@ -488,26 +472,14 @@ def run_sweep(
             "different paths"
         )
     journal = None if journal is None else str(journal)
-    if backend != "tcp" and fleet is not None:
-        raise ConfigurationError(
-            "fleet= is only meaningful with backend='tcp'"
-        )
     started = time.perf_counter()
-    config = SupervisorConfig(
-        workers=workers, timeout=timeout, retries=retries, jitter=jitter,
-        chaos=chaos,
-    )
-    context = dict(
-        trace_dir=trace_dir,
+    executor = create_executor(
+        backend, spec, config or SupervisorConfig(),
+        workers=workers, fleet=fleet, trace_dir=trace_dir,
         metrics=telemetry.metrics if telemetry is not None else None,
         collect_telemetry=collect_telemetry,
     )
-    if backend is None and workers == 1 and timeout is None and chaos is None:
-        executor = InlineExecutor(spec, config, **context)
-    else:
-        executor = create_executor(backend, spec, config, fleet=fleet,
-                                   **context)
     return _execute(
-        spec, executor, progress, journal, resume, strict,
+        spec, executor, workers, progress, journal, resume,
         collect_telemetry, started,
     )

@@ -13,11 +13,13 @@ parent always knows *which point* a worker is running and for how long:
 * every requeue consumes one unit of the point's bounded
   **retry-with-backoff** budget; an exhausted budget lands the point in
   the sweep's error ledger (:class:`~repro.sweep.backends.PointFailure`)
-  instead of raising — unless ``strict=True``, which restores fail-fast
-  behaviour via :class:`~repro.sweep.backends.SweepPointError`.
+  instead of raising, unless the :class:`SupervisorConfig` asks for
+  fail-fast behaviour (:class:`~repro.sweep.backends.SweepPointError`).
 
-It is ``run_sweep``'s executor for every run that is not a plain
-one-worker sweep (see :mod:`repro.sweep.backends`).
+:class:`SupervisorConfig` is a sweep's whole fault-tolerance policy,
+read by every executor.  The supervisor is ``run_sweep``'s executor for
+every local run that is not a plain one-worker sweep (see
+:func:`repro.sweep.backends.create_executor`).
 
 A built-in **chaos mode** (:class:`ChaosSpec`, CLI ``--chaos
 crash:0.1,hang:0.05``) injects worker crashes and hangs into the harness
@@ -38,15 +40,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
-from repro.sweep.backends import (
-    BaseExecutor,
-    PointFailure,
-    SweepInterrupted,
-    _Task,
-)
+from repro.sweep.backends import BaseExecutor, _Task
 
 __all__ = [
     "CHAOS_EXIT_CODE",
@@ -62,6 +59,13 @@ CHAOS_EXIT_CODE = 86
 
 #: Exit code a chaos-injected *host* crash dies with (tcp backend).
 CHAOS_HOST_EXIT_CODE = 87
+
+#: Points a worker may hold at once (1 running + the rest queued in its
+#: pipe).  Depth 2 hides the parent's scheduling latency — the worker
+#: starts its next point the instant it sends a result — without
+#: loosening the accounting: the parent still knows exactly which points
+#: each worker holds.
+PIPELINE_DEPTH = 2
 
 
 def process_context(start_method: Optional[str] = None):
@@ -98,10 +102,10 @@ class ChaosSpec:
     pure function of the sweep seed, point and attempt — so chaos runs
     are reproducible and a retried attempt rolls fresh dice.
 
-    The fleet faults only fire under the ``tcp`` backend (local workers
-    have no host or network to lose) and draw from their own forks of the
-    same ``(seed, sweep, index, attempt)`` tuple, so a chaos run's fault
-    schedule is identical at any host count:
+    The fleet faults only exist under the ``tcp`` backend (local workers
+    have no host or network to lose; other backends reject them) and draw
+    from their own forks of the same ``(seed, sweep, index, attempt)``
+    tuple, so a chaos run's fault schedule is identical at any host count:
 
     * ``host_crash`` — the whole worker *host* ``os._exit``\\ s instead of
       dispatching the point (exercises dead-host detection + requeue);
@@ -142,16 +146,14 @@ class ChaosSpec:
             )
 
     @property
-    def active(self) -> bool:
-        return (
-            self.crash > 0.0 or self.hang > 0.0 or self.host_crash > 0.0
-            or self.drop > 0.0 or self.delay > 0.0
+    def fleet_clauses(self) -> Tuple[str, ...]:
+        """The armed tcp-only faults, by clause name (``host-crash``,
+        ``drop``, ``delay``)."""
+        armed = (
+            ("host-crash", self.host_crash), ("drop", self.drop),
+            ("delay", self.delay),
         )
-
-    @property
-    def fleet_active(self) -> bool:
-        """True when any tcp-only fault (host crash, drop, delay) is armed."""
-        return self.host_crash > 0.0 or self.drop > 0.0 or self.delay > 0.0
+        return tuple(clause for clause, value in armed if value > 0.0)
 
     def draw(
         self, seed: int, sweep_name: str, index: int, attempt: int
@@ -236,65 +238,57 @@ def parse_chaos(text: str) -> ChaosSpec:
 
 @dataclass
 class SupervisorConfig:
-    """Fault-tolerance policy for one sweep run, read by every executor."""
+    """A sweep's fault-tolerance policy, read by every executor."""
 
-    workers: int = 1
     #: Per-point wall-clock budget in seconds; ``None`` disables the kill.
     timeout: Optional[float] = None
     #: How many times a failed point is re-dispatched before the ledger.
     retries: int = 2
-    #: First retry delay; each further retry multiplies by ``backoff_factor``.
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
     #: Deterministic backoff jitter: each retry delay is stretched by up
     #: to this fraction of itself, drawn per ``(seed, sweep, index,
     #: attempt)`` (see :func:`repro.sweep.backends.backoff_delay`) so
     #: retry timelines decorrelate without losing reproducibility.
     jitter: float = 0.0
-    chaos: Optional[ChaosSpec] = None
-    #: ``fork``/``spawn``/``forkserver``; ``None`` prefers ``fork``.
+    #: Harness faults to inject; the string form (``"crash:0.1"``) is
+    #: parsed with :func:`parse_chaos`.
+    chaos: Union[ChaosSpec, str, None] = None
+    #: Raise :class:`~repro.sweep.backends.SweepPointError` on the first
+    #: point that exhausts its retries instead of returning a partial
+    #: result with an error ledger.
+    strict: bool = False
+    #: Local worker start method (``fork``/``spawn``/``forkserver``);
+    #: ``None`` prefers ``fork``.
     start_method: Optional[str] = None
-    #: Points a worker may hold at once (1 running + the rest queued in
-    #: its pipe).  Depth 2 hides the parent's scheduling latency — the
-    #: worker starts its next point the instant it sends a result —
-    #: without loosening the accounting: the parent still knows exactly
-    #: which points each worker holds.
-    pipeline_depth: int = 2
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("supervisor needs workers >= 1")
-        if self.pipeline_depth < 1:
-            raise ConfigurationError(
-                f"pipeline_depth must be >= 1: {self.pipeline_depth}"
-            )
+        if isinstance(self.chaos, str):
+            self.chaos = parse_chaos(self.chaos)
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(
                 f"per-point timeout must be positive: {self.timeout}"
             )
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0: {self.retries}")
-        if self.backoff < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                "need backoff >= 0 and backoff_factor >= 1"
-            )
         if self.jitter < 0:
             raise ConfigurationError(f"jitter must be >= 0: {self.jitter}")
-        if (
-            self.chaos is not None
-            and self.chaos.hang > 0
-            and self.timeout is None
-        ):
+        methods = multiprocessing.get_all_start_methods()
+        if self.start_method is not None and self.start_method not in methods:
             raise ConfigurationError(
-                "chaos hang injection needs a per-point timeout, or hung "
-                "workers would stall the sweep forever"
+                f"unknown start method {self.start_method!r}; this platform "
+                f"has: {', '.join(methods)}"
             )
-
-    def delay_before(self, attempt: int) -> float:
-        """Backoff before dispatching ``attempt`` (attempts are 1-based)."""
-        if attempt <= 1:
-            return 0.0
-        return self.backoff * self.backoff_factor ** (attempt - 2)
+        for clause, stalled in (
+            ("hang", "hung workers"), ("drop", "dropped result frames"),
+        ):
+            if (
+                self.timeout is None
+                and self.chaos is not None
+                and getattr(self.chaos, clause) > 0
+            ):
+                raise ConfigurationError(
+                    f"chaos {clause} injection needs a per-point timeout, "
+                    f"or {stalled} would stall the sweep forever"
+                )
 
 
 def _supervised_worker(conn, common: Tuple) -> None:
@@ -375,23 +369,20 @@ class _Worker:
 
 
 class Supervisor(BaseExecutor):
-    """Drives one sweep's points through supervised worker processes."""
+    """Drives one sweep's points through ``workers`` supervised processes.
 
-    def __init__(
-        self,
-        spec,
-        config: SupervisorConfig,
-        trace_dir: Optional[str] = None,
-        metrics=None,
-        collect_telemetry: bool = False,
-    ) -> None:
-        super().__init__(spec, config, metrics=metrics)
-        self.trace_dir = trace_dir
-        self.collect_telemetry = collect_telemetry
+    ``context`` is :class:`~repro.sweep.backends.BaseExecutor`'s keywords
+    (``trace_dir``, ``metrics``, ``collect_telemetry``).
+    """
+
+    def __init__(self, spec, config: SupervisorConfig, workers: int = 1,
+                 **context) -> None:
+        super().__init__(spec, config, **context)
+        self.workers = workers
         self._context = process_context(config.start_method)
         self._common = (
-            spec.target, spec.name, spec.seed, trace_dir, config.chaos,
-            collect_telemetry,
+            spec.target, spec.name, spec.seed, self.trace_dir, config.chaos,
+            self.collect_telemetry,
         )
         self._workers: List[_Worker] = []
 
@@ -423,13 +414,7 @@ class Supervisor(BaseExecutor):
             self._workers.remove(worker)
 
     def _handle_loss(
-        self,
-        worker: _Worker,
-        error: str,
-        kind: str,
-        now: float,
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
+        self, worker: _Worker, error: str, kind: str, now: float
     ) -> None:
         """A worker died or was killed mid-point: requeue and replace."""
         running = worker.tasks[0] if worker.tasks else None
@@ -438,52 +423,27 @@ class Supervisor(BaseExecutor):
         self._discard_worker(worker)
         if running is not None:
             self.bump("requeued")
-            self._retry_or_fail(running, error, now, on_failure, strict)
+            self._retry_or_fail(running, error, now)
         # Queued points never started, so they go back untouched — the
         # loss consumes no part of their retry budget.
         self._pending.extend(queued)
         # Replace the worker only if there is (or will be) work to run.
-        if self._pending and len(self._workers) < self.config.workers:
+        if self._pending and len(self._workers) < self.workers:
             self.bump("workers_replaced")
             self._spawn_worker()
 
     # -- the event loop ---------------------------------------------------
 
-    def run(
-        self,
-        tasks: List[Tuple[int, Dict[str, object]]],
-        on_result: Callable[[object, int], None],
-        on_failure: Callable[[PointFailure], None],
-        strict: bool = False,
-    ) -> Dict[str, float]:
-        """Run every (index, params) task; returns the harness counters.
+    def _loop(self) -> None:
+        for _ in range(min(self.workers, len(self._pending))):
+            self._spawn_worker()
+        while self._outstanding > 0:
+            self._step()
 
-        ``on_result(point_result, attempts)`` fires as points complete
-        (completion order, not grid order); ``on_failure(point_failure)``
-        fires when a point exhausts its retry budget.
-        """
-        self._seed_tasks(tasks)
-        if not self._pending:
-            return dict(self.counters)
-        pool_size = min(self.config.workers, len(self._pending))
-        try:
-            for _ in range(pool_size):
-                self._spawn_worker()
-            while self._outstanding > 0:
-                self._step(on_result, on_failure, strict)
-        except KeyboardInterrupt:
-            raise SweepInterrupted(
-                f"sweep {self.spec.name!r} interrupted; "
-                f"{self._outstanding} point(s) unfinished"
-            ) from None
-        finally:
-            self._shutdown()
-        return dict(self.counters)
-
-    def _dispatch_ready(self, now, on_failure, strict) -> None:
+    def _dispatch_ready(self, now: float) -> None:
         # Breadth-first: top every worker up to one task before any
         # worker gets its pipelined second, so early points spread out.
-        for depth in range(1, self.config.pipeline_depth + 1):
+        for depth in range(1, PIPELINE_DEPTH + 1):
             for worker in list(self._workers):
                 if len(worker.tasks) >= depth:
                     continue
@@ -499,7 +459,7 @@ class Supervisor(BaseExecutor):
                     self._pending.append(task)
                     self._handle_loss(
                         worker, "WorkerCrash: worker process died",
-                        "crashes", now, on_failure, strict,
+                        "crashes", now,
                     )
                     continue
                 if not worker.tasks:
@@ -513,12 +473,7 @@ class Supervisor(BaseExecutor):
                 worker.tasks.append(task)
                 self.bump("dispatched")
 
-    def _step(
-        self,
-        on_result: Callable[[object, int], None],
-        on_failure: Callable[[PointFailure], None],
-        strict: bool,
-    ) -> None:
+    def _step(self) -> None:
         now = time.monotonic()
         # 1. Kill anything past its per-point deadline.
         timeout_s = self.config.timeout
@@ -528,10 +483,10 @@ class Supervisor(BaseExecutor):
                     worker,
                     f"TimeoutError: point exceeded {timeout_s:g}s wall-clock "
                     "budget",
-                    "timeouts", now, on_failure, strict,
+                    "timeouts", now,
                 )
         # 2. Hand work to idle workers (respecting retry backoff).
-        self._dispatch_ready(now, on_failure, strict)
+        self._dispatch_ready(now)
         busy = [w for w in self._workers if w.tasks]
         if not busy:
             if self._pending:
@@ -541,7 +496,7 @@ class Supervisor(BaseExecutor):
         # 3. Sleep until a message, a death, a deadline or a backoff expiry.
         horizons = [w.deadline for w in busy if w.deadline is not None]
         spare_depth = any(
-            len(w.tasks) < self.config.pipeline_depth for w in self._workers
+            len(w.tasks) < PIPELINE_DEPTH for w in self._workers
         )
         if self._pending and spare_depth:
             horizons.append(min(task.not_before for task in self._pending))
@@ -563,7 +518,7 @@ class Supervisor(BaseExecutor):
                 self._handle_loss(
                     worker,
                     f"WorkerCrash: worker process died (exit code {code})",
-                    "crashes", now, on_failure, strict,
+                    "crashes", now,
                 )
                 continue
             kind, _index, attempt, payload = message
@@ -581,12 +536,10 @@ class Supervisor(BaseExecutor):
                 else None
             )
             if kind == "ok":
-                self.bump("completed")
-                self._outstanding -= 1
-                on_result(payload, attempt)
+                self._complete(payload, attempt)
             else:
                 self.bump("errors")
-                self._retry_or_fail(task, payload, now, on_failure, strict)
+                self._retry_or_fail(task, payload, now)
 
     def _shutdown(self) -> None:
         for worker in list(self._workers):

@@ -587,7 +587,12 @@ def check_distributed(hosts: int = 2) -> DifferentialResult:
     """
     import multiprocessing
 
-    from repro.sweep import FleetConfig, named_sweep, run_sweep
+    from repro.sweep import (
+        FleetConfig,
+        SupervisorConfig,
+        named_sweep,
+        run_sweep,
+    )
     from repro.sweep.backends import FleetError
 
     spec = named_sweep("smoke")
@@ -614,7 +619,8 @@ def check_distributed(hosts: int = 2) -> DifferentialResult:
     )
     try:
         sharded = run_sweep(
-            spec, backend="tcp", fleet=fleet, timeout=60.0
+            spec, backend="tcp", fleet=fleet,
+            config=SupervisorConfig(timeout=60.0),
         )
     except FleetError as error:
         return DifferentialResult(

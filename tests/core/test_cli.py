@@ -95,3 +95,69 @@ class TestExperimentRegistry:
         }
         registered = {target for _, target in EXPERIMENTS.values()}
         assert registered == on_disk
+
+
+class TestSweepCommand:
+    def test_every_point_failing_prints_the_ledger_not_a_traceback(
+        self, capsys
+    ):
+        code = main([
+            "sweep", "x", "--target", "fabric-congestion",
+            "--axis", "topology=nosuch", "--axis", "flows=4",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "1 point(s) failed after retries" in err
+        assert "unknown topology kind 'nosuch'" in err
+
+    @pytest.mark.parametrize("clause", ["host-crash", "drop", "delay"])
+    def test_fleet_chaos_outside_tcp_exits_2_naming_the_clause(
+        self, capsys, clause
+    ):
+        code = main([
+            "sweep", "smoke", "--workers", "2", "--timeout", "5",
+            "--chaos", f"{clause}:0.5",
+        ])
+        assert code == 2
+        assert f"chaos clause(s) {clause} " in capsys.readouterr().err
+
+
+class TestRepeatedFlags:
+    """``--axis``, ``--set`` and ``--preload`` parse alike everywhere."""
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "x", "--target", "fabric-congestion"],
+        ["serve-request", "http://127.0.0.1:9", "sweep",
+         "--target", "fabric-congestion"],
+    ])
+    @pytest.mark.parametrize("axis", ["load=", "load=0.5,,0.9"])
+    def test_empty_axis_value_exits_2_naming_the_axis(
+        self, capsys, command, axis
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--axis", axis])
+        assert exit_info.value.code == 2
+        assert "axis 'load' has an empty value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["profile", "C1"],
+        ["serve-request", "http://127.0.0.1:9", "profile", "C1"],
+    ])
+    def test_set_without_a_value_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--set", "max_jobs"])
+        assert exit_info.value.code == 2
+        assert "expected KEY=VALUE" in capsys.readouterr().err
+
+    def test_axis_and_set_values_are_typed(self):
+        parser = build_parser()
+        sweep = parser.parse_args(
+            ["sweep", "x", "--axis", "load=0.5,8,flow", "--axis", "k=1"]
+        )
+        assert sweep.axis == [("load", [0.5, 8, "flow"]), ("k", [1])]
+        profile = parser.parse_args(["profile", "C1", "--set", "max_jobs=50"])
+        assert profile.set == [("max_jobs", 50)]
+
+    def test_serve_with_an_unimportable_preload_exits_2(self, capsys):
+        assert main(["serve", "--preload", "no.such.module"]) == 2
+        assert "cannot preload 'no.such.module'" in capsys.readouterr().err

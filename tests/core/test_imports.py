@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import repro
-from repro.sweep import SweepSpec, named_sweep, run_sweep
+from repro.sweep import SupervisorConfig, SweepSpec, named_sweep, run_sweep
 from repro.sweep.targets import TARGETS
 
 #: The ``src`` directory this ``repro`` was imported from.
@@ -225,12 +225,15 @@ class TestWorkerFreeze:
         assert gc.get_freeze_count() == before
         assert pooled.fingerprint() == run_sweep(spec, workers=1).fingerprint()
 
-    @pytest.mark.parametrize("options", [{}, {"backend": "local-fork"}])
+    @pytest.mark.parametrize("options", [
+        {"config": SupervisorConfig(strict=True)},
+        {"config": SupervisorConfig(strict=True, start_method="fork")},
+    ])
     def test_forked_workers_start_frozen(self, freeze_probe, options):
         spec = SweepSpec(name="freeze", target=freeze_probe,
                          grid={"i": [0, 1, 2, 3]})
         before = gc.get_freeze_count()
-        result = run_sweep(spec, workers=2, strict=True, **options)
+        result = run_sweep(spec, workers=2, **options)
         assert gc.get_freeze_count() == before
         # Each worker froze the heap it inherited, on top of anything the
         # calling process had frozen itself.

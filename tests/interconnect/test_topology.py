@@ -1,5 +1,10 @@
 """Tests for topology generators and their structural metrics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,8 @@ from repro.interconnect.topology import (
     Topology,
     build_topology,
 )
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 ALL_BUILDERS = [
     lambda: build_topology("dragonfly", groups=5, routers_per_group=3, terminals=2),
@@ -136,6 +143,35 @@ class TestMetrics:
     def test_bisection_positive(self):
         topology = build_topology("hyperx", dims=(3, 3))
         assert topology.bisection_bandwidth() > 0
+
+    def test_switch_graph_keeps_build_order(self):
+        topology = build_topology("dragonfly", groups=5, routers_per_group=3,
+                                  terminals=2)
+        switch_graph = topology.switch_graph()
+        assert list(switch_graph.nodes) == topology.switches
+        assert nx.utils.graphs_equal(
+            switch_graph, topology.graph.subgraph(topology.switches)
+        )
+
+    def test_bisection_does_not_depend_on_the_hash_seed(self):
+        """C2's dragonfly read 0.5 or 0.55 TB/s by ``PYTHONHASHSEED``
+        while the switch graph's node order followed a set."""
+        script = (
+            "from repro.interconnect.topology import build_topology\n"
+            "t = build_topology('dragonfly', groups=9, routers_per_group=4,"
+            " terminals=4)\n"
+            "print(t.bisection_bandwidth())\n"
+        )
+        readings = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            process = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                     "PYTHONPATH": str(REPO_ROOT / "src")},
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            readings.add(float(process.stdout))
+        assert readings == {0.55e12}
 
     def test_optical_links_raise_cost(self):
         dragonfly = build_topology("dragonfly", groups=5, routers_per_group=3, terminals=2)

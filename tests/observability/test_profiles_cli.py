@@ -66,11 +66,20 @@ class TestTraceCommand:
 
 
 class TestMetricsCommand:
-    def test_prints_counter_and_histogram_tables(self, capsys):
-        code = main(["metrics", "C1"])
+    @pytest.mark.parametrize("experiment, expected", [
+        pytest.param("C1", [
+            "Counters and gauges: C1", "fabric.flow_bytes",
+            "Histograms: C1", "fabric.fct_seconds",
+        ], id="C1"),
+        pytest.param("C17", [
+            "Run summary: C17", "mem DUE", "Counters and gauges: C17",
+            "resilience.memerrors.corrected",
+        ], id="C17"),
+    ])
+    def test_prints_counter_and_histogram_tables(self, capsys, experiment,
+                                                 expected):
+        code = main(["metrics", experiment])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Counters and gauges: C1" in out
-        assert "fabric.flow_bytes" in out
-        assert "Histograms: C1" in out
-        assert "fabric.fct_seconds" in out
+        for line in expected:
+            assert line in out

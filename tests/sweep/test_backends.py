@@ -6,7 +6,9 @@ from repro.core.errors import ConfigurationError
 from repro.sweep import FleetConfig, run_sweep
 from repro.sweep.backends import (
     BACKEND_NAMES,
+    RETRY_BACKOFF,
     BaseExecutor,
+    InlineExecutor,
     backoff_delay,
     create_executor,
 )
@@ -19,30 +21,33 @@ class TestCreateExecutor:
     def test_every_declared_backend_builds_an_executor(self):
         for name in BACKEND_NAMES:
             executor = create_executor(
-                name, ft.cheap_spec(), SupervisorConfig(workers=1)
+                name, ft.cheap_spec(), SupervisorConfig()
             )
             assert isinstance(executor, BaseExecutor)
 
     def test_unknown_backend_lists_what_exists(self):
-        with pytest.raises(ConfigurationError, match="local-fork.*tcp"):
+        with pytest.raises(ConfigurationError, match="local, tcp"):
             create_executor("mpi", ft.cheap_spec(), SupervisorConfig())
 
-    def test_default_backend_is_the_local_supervisor(self):
-        executor = create_executor(
-            None, ft.cheap_spec(), SupervisorConfig(workers=1)
-        )
-        assert isinstance(executor, Supervisor)
-
-    @pytest.mark.parametrize("name, start_method", [
-        ("local", None), ("local-fork", "fork"), ("local-spawn", "spawn"),
+    @pytest.mark.parametrize("workers, config, expected", [
+        (1, SupervisorConfig(), InlineExecutor),
+        (2, SupervisorConfig(), Supervisor),
+        (1, SupervisorConfig(timeout=5.0), Supervisor),
+        (1, SupervisorConfig(chaos="crash:0.1"), Supervisor),
+        (1, SupervisorConfig(start_method="spawn"), Supervisor),
     ])
-    def test_each_local_backend_pins_its_start_method(self, name,
-                                                      start_method):
-        config = SupervisorConfig(workers=1)
-        executor = create_executor(name, ft.cheap_spec(), config)
+    def test_default_backend_runs_in_process_unless_isolation_is_asked(
+        self, workers, config, expected
+    ):
+        executor = create_executor(
+            None, ft.cheap_spec(), config, workers=workers
+        )
+        assert type(executor) is expected
+
+    def test_local_backend_always_supervises(self):
+        executor = create_executor("local", ft.cheap_spec(), SupervisorConfig())
         assert isinstance(executor, Supervisor)
-        assert executor.config.start_method == start_method
-        assert config.start_method is None  # the caller's config is kept
+        assert executor.workers == 1
 
     def test_fleet_config_is_rejected_for_local_backends(self):
         with pytest.raises(ConfigurationError, match="tcp"):
@@ -50,12 +55,23 @@ class TestCreateExecutor:
                 ft.cheap_spec(n=2), backend="local", fleet=FleetConfig()
             )
 
+    @pytest.mark.parametrize("backend", [None, "local"])
+    def test_fleet_chaos_is_rejected_outside_tcp(self, backend):
+        config = SupervisorConfig(
+            chaos="crash:0.1,host-crash:0.1,drop:0.5", timeout=5.0
+        )
+        with pytest.raises(ConfigurationError, match="host-crash, drop"):
+            run_sweep(ft.cheap_spec(n=2), workers=2, config=config,
+                      backend=backend)
+
 
 class TestStartMethodBackends:
     def test_fork_backend_agrees_with_serial(self):
         spec = ft.cheap_spec(n=4)
         serial = run_sweep(spec, workers=1)
-        forked = run_sweep(spec, workers=2, backend="local-fork")
+        forked = run_sweep(
+            spec, workers=2, config=SupervisorConfig(start_method="fork")
+        )
         assert forked.ok
         assert forked.fingerprint() == serial.fingerprint()
 
@@ -74,23 +90,25 @@ class TestStartMethodBackends:
             seed=5,
         )
         serial = run_sweep(spec, workers=1)
-        spawned = run_sweep(spec, workers=2, backend="local-spawn")
+        spawned = run_sweep(
+            spec, workers=2, config=SupervisorConfig(start_method="spawn")
+        )
         assert spawned.ok
         assert spawned.fingerprint() == serial.fingerprint()
 
 
 class TestBackoffDelay:
     def _config(self, jitter):
-        return SupervisorConfig(
-            backoff=0.1, backoff_factor=2.0, jitter=jitter
-        )
+        return SupervisorConfig(jitter=jitter)
+
+    def _base(self, attempt):
+        return backoff_delay(self._config(0.0), 7, "ft", 0, attempt)
 
     def test_zero_jitter_is_the_plain_geometric_schedule(self):
-        config = self._config(0.0)
-        for attempt in range(1, 5):
-            assert backoff_delay(config, 7, "ft", 0, attempt) == (
-                config.delay_before(attempt)
-            )
+        delays = [self._base(attempt) for attempt in range(1, 6)]
+        assert delays[:2] == [0.0, RETRY_BACKOFF]
+        for before, after in zip(delays[1:], delays[2:]):
+            assert after == pytest.approx(2.0 * before)
 
     def test_jittered_delay_is_deterministic(self):
         config = self._config(0.5)
@@ -110,7 +128,7 @@ class TestBackoffDelay:
         config = self._config(0.5)
         for index in range(8):
             for attempt in range(2, 6):
-                base = config.delay_before(attempt)
+                base = self._base(attempt)
                 delay = backoff_delay(config, 7, "ft", index, attempt)
                 assert base <= delay <= base * 1.5
 
@@ -121,8 +139,7 @@ class TestBackoffDelay:
         }
         assert len(draws) > 1
         chains = {
-            backoff_delay(config, 7, "ft", 0, attempt)
-            / config.delay_before(attempt)
+            backoff_delay(config, 7, "ft", 0, attempt) / self._base(attempt)
             for attempt in range(2, 8)
         }
         assert len(chains) > 1
@@ -152,7 +169,6 @@ class TestFleetConfig:
             {"min_hosts": 0},
             {"heartbeat_interval": 0.0},
             {"heartbeat_interval": 1.0, "heartbeat_timeout": 0.5},
-            {"host_depth": 0},
             {"wait_for_hosts": 0.0},
         ],
     )

@@ -5,6 +5,7 @@ import pathlib
 import re
 import shlex
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -83,6 +84,46 @@ class TestInterruptHint:
         assert resume_code == 0
         assert "8 points" in capsys.readouterr().out
 
+    def test_hint_keeps_tcp_flags_and_masks_the_token(self, tmp_path):
+        """An interrupted fleet run resumes on the same address, host
+        count and auth demand; the token itself is never printed."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        journal = tmp_path / "fleet.jsonl"
+        code, _out, err = _run_cli_until_sigint(
+            ["sweep", "hint-ft", "--target", "ft-cheap",
+             "--axis", "x=0,1,2", "--backend", "tcp",
+             "--listen", f"127.0.0.1:{port}", "--min-hosts", "2",
+             "--auth-token", "s3cret", "--journal", str(journal)],
+            journal, min_lines=1,
+        )
+        assert code == 130, err
+        hint = next(
+            line.strip() for line in err.splitlines()
+            if line.strip().startswith("repro sweep")
+        )
+        assert shlex.split(hint)[1:] == [
+            "sweep", "hint-ft", "--target", "ft-cheap",
+            "--axis", "x=0,1,2", "--backend", "tcp",
+            "--listen", f"127.0.0.1:{port}", "--min-hosts", "2",
+            "--auth-token", "<SECRET>", "--resume", str(journal),
+        ]
+        assert "s3cret" not in err
+
+    def test_hint_rewrites_abbreviated_and_inline_flags(self):
+        from repro.cli import _resume_command
+
+        hint = _resume_command(
+            ["sweep", "smoke", "--jour=old.jsonl", "--auth=s3cret",
+             "--resume", "a.jsonl", "--resume", "b.jsonl", "--retries", "3"],
+            "a.jsonl",
+        )
+        assert hint == (
+            "repro sweep smoke --auth-token '<SECRET>' --retries 3 "
+            "--resume a.jsonl"
+        )
+
     def test_no_journal_hint_suggests_keeping_one(self, capsys):
         code = main([
             "sweep", "hint-ft", "--target", "ft-interrupt",
@@ -139,18 +180,26 @@ class TestSweepWorkerCommand:
 
 class TestBackendFlag:
     def test_unknown_backend_is_rejected_with_the_known_list(self, capsys):
-        code = main([
-            "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
-            "--backend", "mpi",
-        ])
-        assert code == 2
-        assert "registered backends" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
+                "--backend", "mpi",
+            ])
+        assert exit_info.value.code == 2
+        assert "choose from 'local', 'tcp'" in capsys.readouterr().err
 
-    def test_local_fork_backend_runs_from_the_cli(self, capsys):
+    @pytest.mark.parametrize("name", ["local-fork", "local-spawn"])
+    def test_start_method_names_are_not_backends(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "smoke", "--backend", name])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
+    def test_local_backend_runs_from_the_cli(self, capsys):
         code = main([
             "sweep", "ft", "--target", "ft-cheap",
             "--axis", "x=0,1,2", "--seed", "77",
-            "--backend", "local-fork", "--workers", "2",
+            "--backend", "local", "--workers", "2",
         ])
         assert code == 0
         assert "3 points" in capsys.readouterr().out

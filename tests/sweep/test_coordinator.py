@@ -105,9 +105,12 @@ def fleet_cleanup():
         fleet.join()
 
 
-def _tcp_sweep(spec, fleet, **kwargs):
-    kwargs.setdefault("timeout", 30.0)
-    return run_sweep(spec, backend="tcp", fleet=fleet.config(), **kwargs)
+def _tcp_sweep(spec, fleet, **policy):
+    policy.setdefault("timeout", 30.0)
+    return run_sweep(
+        spec, backend="tcp", fleet=fleet.config(),
+        config=SupervisorConfig(**policy),
+    )
 
 
 class TestFleetMatchesSerial:
@@ -151,7 +154,7 @@ class TestFleetMatchesSerial:
         chaos = ChaosSpec(hang=0.35, hang_seconds=30.0)
         baseline = run_sweep(spec, workers=1)
         hung = run_sweep(
-            spec, workers=1, chaos=chaos, timeout=0.5, retries=3
+            spec, config=SupervisorConfig(chaos=chaos, timeout=0.5, retries=3)
         )
         assert hung.ok
         assert hung.fingerprint() == baseline.fingerprint()
@@ -221,12 +224,13 @@ class TestHostDeath:
             thread.start()
             mute["thread"] = thread
 
-        config = FleetConfig(
+        fleet_config = FleetConfig(
             min_hosts=2, heartbeat_interval=0.1, heartbeat_timeout=0.4,
             wait_for_hosts=30.0, on_listen=connect_mute_host,
         )
         result = run_sweep(
-            spec, backend="tcp", fleet=config, timeout=30.0, retries=2
+            spec, backend="tcp", fleet=fleet_config,
+            config=SupervisorConfig(timeout=30.0),
         )
         mute["thread"].join(timeout=5.0)
         mute["sock"].close()
@@ -246,7 +250,7 @@ class TestHostDeath:
         try:
             with pytest.raises(FleetError, match="all worker hosts lost"):
                 run_sweep(
-                    spec, backend="tcp", timeout=30.0,
+                    spec, backend="tcp", config=SupervisorConfig(timeout=30.0),
                     fleet=fleet.config(wait_for_hosts=1.0),
                 )
         finally:
@@ -255,7 +259,8 @@ class TestHostDeath:
     def test_no_hosts_at_all_raises_fleet_error(self):
         with pytest.raises(FleetError, match="waited .*for 1 worker"):
             run_sweep(
-                ft.cheap_spec(n=2), backend="tcp", timeout=30.0,
+                ft.cheap_spec(n=2), backend="tcp",
+                config=SupervisorConfig(timeout=30.0),
                 fleet=FleetConfig(
                     wait_for_hosts=0.3, heartbeat_interval=0.1
                 ),
@@ -271,8 +276,10 @@ class TestChaosFaults:
         fleet = _Fleet(2, resilient=True)
         fleet_cleanup(fleet)
         result = run_sweep(
-            spec, backend="tcp", timeout=30.0, retries=4,
-            chaos=ChaosSpec(host_crash=0.2),
+            spec, backend="tcp",
+            config=SupervisorConfig(
+                timeout=30.0, retries=4, chaos=ChaosSpec(host_crash=0.2),
+            ),
             fleet=fleet.config(
                 heartbeat_interval=0.1, wait_for_hosts=30.0
             ),
@@ -301,10 +308,7 @@ class TestChaosFaults:
         from repro.core.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="timeout"):
-            run_sweep(
-                ft.cheap_spec(n=2), backend="tcp",
-                chaos=ChaosSpec(drop=0.3), fleet=FleetConfig(),
-            )
+            SupervisorConfig(chaos=ChaosSpec(drop=0.3))
 
     def test_delayed_result_frames_only_cost_wall_clock(self, fleet_cleanup):
         spec = ft.cheap_spec(n=6, seed=53)
@@ -324,7 +328,8 @@ def _coordinator_main(spec, port_file, journal, fleet_kwargs):
         pathlib.Path(port_file).write_text(str(port))
 
     run_sweep(
-        spec, backend="tcp", journal=journal, timeout=30.0, retries=2,
+        spec, backend="tcp", journal=journal,
+        config=SupervisorConfig(timeout=30.0),
         fleet=FleetConfig(on_listen=on_listen, **fleet_kwargs),
     )
 
@@ -432,7 +437,7 @@ class TestWorkStealing:
 
     def _coordinator(self, spec):
         return TcpCoordinator(
-            spec, SupervisorConfig(workers=1, retries=1),
+            spec, SupervisorConfig(retries=1),
             fleet=FleetConfig(),
         )
 
@@ -441,8 +446,6 @@ class TestWorkStealing:
 
         spec = ft.cheap_spec(n=8)
         coordinator = self._coordinator(spec)
-        coordinator._on_failure = lambda failure: None
-        coordinator._strict = False
         idle_sock, _idle_peer = socket.socketpair()
         loaded_sock, loaded_peer = socket.socketpair()
         idle = _Host(sock=idle_sock, name="idle", slots=1)
@@ -456,8 +459,7 @@ class TestWorkStealing:
         assert recv_frame(loaded_peer) == {"type": "revoke", "count": 1}
         # The donor's revoked reply returns the points to pending.
         coordinator._handle_frame(
-            loaded, {"type": "revoked", "indices": [3]}, time.monotonic(),
-            lambda *a: None, lambda *a: None, False,
+            loaded, {"type": "revoked", "indices": [3]}, time.monotonic()
         )
         assert loaded.stealing is False
         assert [task.index for task in coordinator._pending] == [3]
@@ -518,7 +520,7 @@ class TestFleetAuth:
         processes = []
         try:
             result = run_sweep(
-                spec, backend="tcp", timeout=30.0,
+                spec, backend="tcp", config=SupervisorConfig(timeout=30.0),
                 fleet=FleetConfig(
                     min_hosts=2, wait_for_hosts=30.0,
                     auth_token="s3cret",
@@ -545,7 +547,7 @@ class TestFleetAuth:
         processes = []
         try:
             result = run_sweep(
-                spec, backend="tcp", timeout=30.0,
+                spec, backend="tcp", config=SupervisorConfig(timeout=30.0),
                 fleet=FleetConfig(
                     min_hosts=1, wait_for_hosts=30.0,
                     auth_token="s3cret",

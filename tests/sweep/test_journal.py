@@ -8,6 +8,7 @@ from repro.sweep import (
     TARGETS,
     PointResult,
     RunJournal,
+    SupervisorConfig,
     SweepSpec,
     load_journal,
     load_sweep,
@@ -323,7 +324,7 @@ class TestNonFiniteMetrics:
         try:
             spec = SweepSpec(name="nan", target="_nan-target",
                              grid={"i": [0, 1, 2]})
-            result = run_sweep(spec, retries=0)
+            result = run_sweep(spec, config=SupervisorConfig(retries=0))
         finally:
             del TARGETS["_nan-target"]
         assert not result.ok

@@ -5,7 +5,13 @@ import os
 
 import pytest
 
-from repro.sweep import SweepSpec, load_sweep, run_sweep, save_sweep
+from repro.sweep import (
+    SupervisorConfig,
+    SweepSpec,
+    load_sweep,
+    run_sweep,
+    save_sweep,
+)
 from repro.sweep.store import SCHEMA, sweep_document
 
 from tests.sweep import _ft_helpers  # noqa: F401  (registers ft-* targets)
@@ -62,7 +68,7 @@ class TestStore:
             grid={"x": [0, 1]},
             seed=3,
         )
-        result = run_sweep(spec, workers=1, retries=0)
+        result = run_sweep(spec, config=SupervisorConfig(retries=0))
         assert not result.ok
         loaded = load_sweep(save_sweep(result, tmp_path / "partial.json"))
         assert not loaded.ok

@@ -29,7 +29,7 @@ from repro.sweep import (
     parse_chaos,
     run_sweep,
 )
-from repro.sweep.backends import _Task
+from repro.sweep.backends import _Task, backoff_delay
 from repro.sweep.supervisor import (
     CHAOS_EXIT_CODE,
     Supervisor,
@@ -80,7 +80,8 @@ class TestChaosSpec:
     def test_fleet_clauses_parse_and_validate(self):
         spec = parse_chaos("host-crash:0.1,drop:0.2,delay:0.3")
         assert spec == ChaosSpec(host_crash=0.1, drop=0.2, delay=0.3)
-        assert spec.fleet_active
+        assert spec.fleet_clauses == ("host-crash", "drop", "delay")
+        assert ChaosSpec(crash=0.5).fleet_clauses == ()
         assert parse_chaos("delay:0.5,delay-seconds:0.2").delay_seconds == 0.2
         with pytest.raises(ConfigurationError, match="exceed 1"):
             ChaosSpec(drop=0.6, delay=0.6)
@@ -104,20 +105,19 @@ class TestChaosSpec:
 
 class TestSupervisorConfig:
     def test_backoff_schedule_is_geometric(self):
-        config = SupervisorConfig(backoff=0.1, backoff_factor=2.0)
-        assert config.delay_before(1) == 0.0
-        assert config.delay_before(2) == pytest.approx(0.1)
-        assert config.delay_before(3) == pytest.approx(0.2)
-        assert config.delay_before(4) == pytest.approx(0.4)
+        config = SupervisorConfig()
+        delays = [
+            backoff_delay(config, 7, "ft", 0, attempt)
+            for attempt in range(1, 5)
+        ]
+        assert delays == pytest.approx([0.0, 0.05, 0.1, 0.2])
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
             {"timeout": 0.0},
             {"retries": -1},
-            {"backoff": -0.1},
-            {"backoff_factor": 0.5},
+            {"start_method": "teleport"},
         ],
     )
     def test_bad_policy_is_rejected(self, kwargs):
@@ -149,7 +149,11 @@ class TestDefaultExecutor:
         inline = run_sweep(spec)
         assert {p.metrics["pid"] for p in inline.points} == {os.getpid()}
         assert inline.harness["completed"] == 2.0
-        for options in ({"timeout": 30.0}, {"backend": "local"}):
+        for options in (
+            {"config": SupervisorConfig(timeout=30.0)},
+            {"config": SupervisorConfig(start_method="fork")},
+            {"backend": "local"},
+        ):
             isolated = run_sweep(spec, **options)
             assert os.getpid() not in {p.metrics["pid"] for p in isolated.points}
 
@@ -182,8 +186,9 @@ class TestSupervisedMatchesInline:
 
     def test_in_process_exceptions_use_the_same_budget(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
-        inline = run_sweep(spec, retries=1)
-        supervised = run_sweep(spec, workers=2, retries=1)
+        config = SupervisorConfig(retries=1)
+        inline = run_sweep(spec, config=config)
+        supervised = run_sweep(spec, workers=2, config=config)
         assert [f.record() for f in inline.failures] == [
             f.record() for f in supervised.failures
         ]
@@ -194,7 +199,7 @@ class TestSupervisedMatchesInline:
     def test_in_process_strict_failure_raises_after_the_budget(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
         with pytest.raises(SweepPointError, match="point 1 failed after 3"):
-            run_sweep(spec, strict=True)
+            run_sweep(spec, config=SupervisorConfig(strict=True))
 
 
 class TestCrashRecovery:
@@ -202,7 +207,7 @@ class TestCrashRecovery:
         spec = ft.cheap_spec(
             n=4, target="ft-crash-once", marker_dir=[str(tmp_path)]
         )
-        result = run_sweep(spec, workers=2, retries=2)
+        result = run_sweep(spec, workers=2)
         assert result.ok
         assert [p.metrics["value"] for p in result.points] == [0.0, 1.0, 2.0, 3.0]
         assert result.harness["crashes"] == 4.0
@@ -213,7 +218,7 @@ class TestCrashRecovery:
         spec = ft.cheap_spec(
             n=3, target="ft-sigkill-once", marker_dir=[str(tmp_path)]
         )
-        result = run_sweep(spec, workers=2, retries=2)
+        result = run_sweep(spec, workers=2)
         assert result.ok
         assert result.harness["crashes"] == 3.0
 
@@ -221,7 +226,8 @@ class TestCrashRecovery:
         spec = ft.cheap_spec(n=8)
         calm = run_sweep(spec)
         chaotic = run_sweep(
-            spec, workers=2, chaos=ChaosSpec(crash=0.45), retries=3
+            spec, workers=2,
+            config=SupervisorConfig(chaos=ChaosSpec(crash=0.45), retries=3),
         )
         assert chaotic.ok
         assert chaotic.fingerprint() == calm.fingerprint()
@@ -238,8 +244,10 @@ class TestCrashRecovery:
         spec = ft.cheap_spec(n=8)
         calm = run_sweep(spec)
         jittered = run_sweep(
-            spec, workers=2, chaos=ChaosSpec(crash=0.45), retries=3,
-            jitter=0.5,
+            spec, workers=2,
+            config=SupervisorConfig(
+                chaos=ChaosSpec(crash=0.45), retries=3, jitter=0.5,
+            ),
         )
         assert jittered.ok
         assert jittered.fingerprint() == calm.fingerprint()
@@ -247,7 +255,10 @@ class TestCrashRecovery:
 
     def test_chaos_accepts_the_cli_string_form(self):
         spec = ft.cheap_spec(n=8)
-        result = run_sweep(spec, workers=2, chaos="crash:0.45", retries=3)
+        result = run_sweep(
+            spec, workers=2,
+            config=SupervisorConfig(chaos="crash:0.45", retries=3),
+        )
         assert result.ok
         assert result.harness["crashes"] == 5.0
 
@@ -257,7 +268,7 @@ class TestTimeoutRecovery:
         spec = ft.cheap_spec(
             n=2, target="ft-hang-once", marker_dir=[str(tmp_path)]
         )
-        result = run_sweep(spec, workers=1, timeout=0.4, retries=2)
+        result = run_sweep(spec, config=SupervisorConfig(timeout=0.4))
         assert result.ok
         assert [p.metrics["value"] for p in result.points] == [0.0, 1.0]
         assert result.harness["timeouts"] == 2.0
@@ -271,7 +282,7 @@ class TestReadyHandshake:
         billed to the first point's wall-clock budget — the deadline only
         starts once the child's ready handshake arrives."""
         supervisor = Supervisor(
-            ft.cheap_spec(n=1), SupervisorConfig(workers=1, timeout=5.0)
+            ft.cheap_spec(n=1), SupervisorConfig(timeout=5.0)
         )
         parent_conn, child_conn = multiprocessing.Pipe()
         worker = _Worker(process=None, conn=parent_conn)
@@ -280,16 +291,12 @@ class TestReadyHandshake:
         supervisor._outstanding = 1
         try:
             before = time.monotonic()
-            supervisor._dispatch_ready(
-                before, lambda failure: None, strict=False
-            )
+            supervisor._dispatch_ready(before)
             assert [task.index for task in worker.tasks] == [0]
             assert worker.ready is False
             assert worker.deadline is None  # no clock while still booting
             child_conn.send(("ready", -1, 0, None))
-            supervisor._step(
-                lambda *args: None, lambda failure: None, strict=False
-            )
+            supervisor._step()
             assert worker.ready is True
             assert worker.deadline is not None
             assert worker.deadline >= before + 5.0
@@ -304,7 +311,9 @@ class TestReadyHandshake:
         spec = ft.cheap_spec(
             n=3, target="ft-crash-once", marker_dir=[str(tmp_path)]
         )
-        result = run_sweep(spec, workers=2, retries=2, timeout=2.0)
+        result = run_sweep(
+            spec, workers=2, config=SupervisorConfig(timeout=2.0)
+        )
         assert result.ok
         assert result.harness["timeouts"] == 0.0
         assert result.harness["crashes"] == 3.0
@@ -313,7 +322,9 @@ class TestReadyHandshake:
 class TestRetryExhaustion:
     def test_exhausted_budget_lands_in_the_error_ledger(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
-        result = run_sweep(spec, backend="local", retries=1)
+        result = run_sweep(
+            spec, backend="local", config=SupervisorConfig(retries=1)
+        )
         assert not result.ok
         assert result.points == []
         assert [f.index for f in result.failures] == [0, 1]
@@ -325,7 +336,10 @@ class TestRetryExhaustion:
     def test_strict_mode_raises_instead(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
         with pytest.raises(SweepPointError, match="after 2 attempt"):
-            run_sweep(spec, backend="local", retries=1, strict=True)
+            run_sweep(
+                spec, backend="local",
+                config=SupervisorConfig(retries=1, strict=True),
+            )
 
     def test_strict_cli_exits_1_with_a_message_not_a_traceback(self, capsys):
         from repro.cli import main
@@ -341,7 +355,9 @@ class TestRetryExhaustion:
 
     def test_in_worker_exceptions_use_the_same_budget(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
-        result = run_sweep(spec, workers=2, retries=1)
+        result = run_sweep(
+            spec, workers=2, config=SupervisorConfig(retries=1)
+        )
         assert [f.index for f in result.failures] == [1, 3]
         assert all("boom" in f.error for f in result.failures)
         assert [p.index for p in result.points] == [0, 2]
@@ -360,8 +376,10 @@ class TestSpawnStartMethod:
             seed=5,
         )
         result = run_sweep(
-            spec, workers=1, chaos=ChaosSpec(crash=1.0), retries=1,
-            backend="local-spawn",
+            spec,
+            config=SupervisorConfig(
+                chaos=ChaosSpec(crash=1.0), retries=1, start_method="spawn",
+            ),
         )
         assert not result.ok
         assert result.failures[0].attempts == 2
@@ -492,7 +510,8 @@ class TestTelemetryCounters:
         telemetry = Telemetry()
         spec = ft.cheap_spec(n=8)
         run_sweep(
-            spec, workers=2, chaos=ChaosSpec(crash=0.45), retries=3,
+            spec, workers=2,
+            config=SupervisorConfig(chaos=ChaosSpec(crash=0.45), retries=3),
             telemetry=telemetry,
         )
         metrics = telemetry.metrics

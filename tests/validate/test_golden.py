@@ -46,7 +46,9 @@ class TestCommittedGoldens:
         drifts = store.check(profile_fingerprint(result))
         assert drifts == [], "\n".join(drifts)
 
-    @pytest.mark.parametrize("sweep_name", ["smoke", "resilience"])
+    @pytest.mark.parametrize(
+        "sweep_name", ["smoke", "resilience", "reliability"]
+    )
     def test_sweep_matches_golden(self, store, sweep_name):
         document = sweep_fingerprint(
             run_sweep(named_sweep(sweep_name), workers=1)
