@@ -342,12 +342,14 @@ def _command_profile(args: argparse.Namespace) -> int:
     item 1's question — where does *host* wall-clock time go — with
     deterministic phase attribution, per-event-type latency tables, an
     optional sampling stack profiler, and a ``repro.profile/v1`` report
-    JSON.  Exit codes: 0 ok, 2 bad profile id or override.
+    JSON.  Exit codes: 0 ok, 2 bad profile id or override (the message
+    names the field).
     """
     import json as json_module
     import pathlib
 
     from repro.analysis.tables import Table
+    from repro.core.errors import ConfigurationError
     from repro.observability import (
         PHASE_RUN,
         PhaseProfiler,
@@ -355,8 +357,9 @@ def _command_profile(args: argparse.Namespace) -> int:
         Telemetry,
         prometheus_lines,
         profile_report,
+        timed,
+        write_chrome_trace,
         write_collapsed,
-        write_profiler_chrome_trace,
         write_prometheus,
     )
     from repro import profiles
@@ -374,12 +377,13 @@ def _command_profile(args: argparse.Namespace) -> int:
     try:
         if sampler is not None:
             sampler.start()
-        with profiler.scope(PHASE_RUN):
-            result = profiles.run(args.experiment, telemetry, **overrides)
+        result = timed(profiler, PHASE_RUN, lambda: profiles.run(
+            args.experiment, telemetry, **overrides
+        ))()
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    except TypeError as error:
+    except (ConfigurationError, TypeError, ValueError) as error:
         print(f"bad override for {args.experiment}: {error}", file=sys.stderr)
         return 2
     finally:
@@ -423,7 +427,7 @@ def _command_profile(args: argparse.Namespace) -> int:
         path = write_collapsed(sampler, args.collapsed)
         print(f"wrote collapsed stacks (flamegraph input) to {path}")
     if args.chrome:
-        path = write_profiler_chrome_trace(profiler, args.chrome)
+        path = write_chrome_trace(profiler.tracer, args.chrome)
         print(f"wrote wall-clock Chrome trace to {path}")
     if args.prometheus:
         path = write_prometheus(telemetry.metrics, args.prometheus)
@@ -489,6 +493,9 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.sweep.store import save_sweep
 
     _imports_done()
+    if args.axis and not args.target:
+        print("--axis needs --target NAME", file=sys.stderr)
+        return 2
     if args.target:
         if not args.axis:
             print("--target needs at least one --axis name=v1,v2,...",
@@ -998,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--chrome", default=None, metavar="PATH",
-        help="write a wall-clock Chrome trace of profiled phase scopes here",
+        help="write a wall-clock Chrome trace of the timed phases here",
     )
     profile.add_argument(
         "--prometheus", default=None, metavar="PATH",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,6 +49,7 @@ from repro.observability.profiler import (
     PHASE_CONGESTION,
     PHASE_ROUTING,
     PHASE_TELEMETRY,
+    timed,
 )
 
 #: Bucket bounds (seconds) for the flow-completion-time histogram:
@@ -205,13 +205,6 @@ class FabricSimulator:
         self.reroute_adaptively = reroute_adaptively
         self.rng = rng or RandomSource(seed=11, name="fabric")
         self.telemetry = telemetry
-        # Wall-clock phase attribution: None unless the run's telemetry
-        # carries an *enabled* PhaseProfiler, so the hot paths pay one
-        # `is not None` test when profiling is off.
-        profiler = getattr(self.telemetry, "profiler", None)
-        self._profiler = (
-            profiler if profiler is not None and profiler.enabled else None
-        )
         self._route_cache: RouteCache = route_cache_for(topology)
         self._capacities = self._route_cache.link_capacities()
         self.solver: RateSolver = solver
@@ -220,15 +213,6 @@ class FabricSimulator:
     # --- routing ----------------------------------------------------------------
 
     def _route(self, flow: Flow) -> Path:
-        if self._profiler is None:
-            return self._route_impl(flow)
-        start = time.perf_counter()
-        try:
-            return self._route_impl(flow)
-        finally:
-            self._profiler.add(PHASE_ROUTING, time.perf_counter() - start)
-
-    def _route_impl(self, flow: Flow) -> Path:
         if self.routing == "minimal":
             return self._route_cache.minimal_route(flow.source, flow.destination)
         return valiant_route(
@@ -321,39 +305,30 @@ class FabricSimulator:
         # Hot attributes as locals.  The route cache is read through
         # ``self`` (a link event replaces it mid-run).
         infinity = float("inf")
-        profiler = self._profiler
-        clock = time.perf_counter
+        # Wall-clock phase attribution: with no profiler, `timed` hands
+        # each hot call back untouched.
+        profiler = getattr(self.telemetry, "profiler", None)
         ledger = (
             _RunTelemetry(self.telemetry)
             if self.telemetry is not None
             else None
         )
-        route = self._route
+        route = timed(profiler, PHASE_ROUTING, self._route)
         congestion = self.congestion
         reroute_adaptively = self.reroute_adaptively
 
-        def charged(method, phase=PHASE_TELEMETRY):
-            """``method``, with its wall time charged to a profiler phase."""
-            if profiler is None:
-                return method
-
-            def timed(*args):
-                start = clock()
-                try:
-                    return method(*args)
-                finally:
-                    profiler.add(phase, clock() - start)
-
-            return timed
-
-        adjusted_rates = charged(self._policy_adjusted_rates, PHASE_CONGESTION)
+        adjusted_rates = timed(
+            profiler, PHASE_CONGESTION, self._policy_adjusted_rates
+        )
         if ledger is not None:
-            offer = charged(ledger.offer)
-            record_drop = charged(ledger.drop)
-            record_congestion = charged(ledger.congestion)
-            carry = charged(ledger.carry)
-            finish = charged(ledger.finish)
-            flush = charged(ledger.flush)
+            offer = timed(profiler, PHASE_TELEMETRY, ledger.offer)
+            record_drop = timed(profiler, PHASE_TELEMETRY, ledger.drop)
+            record_congestion = timed(
+                profiler, PHASE_TELEMETRY, ledger.congestion
+            )
+            carry = timed(profiler, PHASE_TELEMETRY, ledger.carry)
+            finish = timed(profiler, PHASE_TELEMETRY, ledger.finish)
+            flush = timed(profiler, PHASE_TELEMETRY, ledger.flush)
 
         def drop_flow(flow_id: int) -> None:
             flow = active.pop(flow_id)

@@ -12,8 +12,8 @@ time go?" — for any run of the framework:
   instrumented subsystems accept, kernel hooks and sampler attachments,
 * :mod:`~repro.observability.profiler` — wall-clock phase attribution
   (:class:`PhaseProfiler`), a sampling stack profiler
-  (:class:`StackSampler`), collapsed-stack/flamegraph and wall-clock
-  Chrome-trace exports, and the ``repro.profile/v1`` report,
+  (:class:`StackSampler`), the one timing wrapper (:func:`timed`), the
+  collapsed-stack/flamegraph export and the ``repro.profile/v1`` report,
 * :mod:`~repro.observability.summary` — picklable telemetry summaries
   that merge deterministically across sweep worker processes,
 * :mod:`~repro.observability.progress` — the TTY-aware live sweep
@@ -47,16 +47,16 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "attach_cluster_sampler", "attach_kernel_sampler",
     ),
     ".profiler": (
-        "NULL_PROFILER", "PHASE_CONGESTION", "PHASE_DISPATCH", "PHASE_ROUTING",
-        "PHASE_RUN", "PHASE_TELEMETRY", "PhaseProfiler", "StackSampler",
-        "callback_label", "collapsed_stack_lines", "parse_collapsed",
-        "profile_report", "profiler_chrome_trace", "write_collapsed",
-        "write_profiler_chrome_trace",
+        "PHASE_CONGESTION", "PHASE_DISPATCH", "PHASE_ROUTING", "PHASE_RUN",
+        "PHASE_TELEMETRY", "PhaseProfiler", "StackSampler", "callback_label",
+        "collapsed_stack_lines", "parse_collapsed", "profile_report", "timed",
+        "write_collapsed",
     ),
     ".progress": ("SweepProgressReporter",),
     ".summary": (
-        "host_breakdown", "merge_summaries", "parse_label_string",
-        "registry_from_summary", "summarize_telemetry", "summary_totals",
+        "host_breakdown", "label_string", "merge_summaries",
+        "parse_label_string", "registry_from_summary", "summarize_telemetry",
+        "summary_totals",
     ),
     ".tracer": (
         "NULL_TRACER", "CounterRecord", "InstantRecord", "SpanRecord",
@@ -72,7 +72,6 @@ __all__ = [
     "InstantRecord",
     "KernelProbe",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
     "PHASE_CONGESTION",
     "PHASE_DISPATCH",
@@ -97,21 +96,21 @@ __all__ = [
     "histogram_rows",
     "host_breakdown",
     "jsonl_lines",
+    "label_string",
     "load_jsonl",
     "merge_summaries",
     "parse_collapsed",
     "parse_label_string",
     "parse_prometheus",
     "profile_report",
-    "profiler_chrome_trace",
     "prometheus_lines",
     "registry_from_summary",
     "summarize_telemetry",
     "summary_totals",
+    "timed",
     "top_time_sinks",
     "write_chrome_trace",
     "write_collapsed",
     "write_jsonl",
-    "write_profiler_chrome_trace",
     "write_prometheus",
 ]

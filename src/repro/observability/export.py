@@ -23,6 +23,7 @@ import math
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.observability.summary import label_string
 from repro.observability.tracer import (
     CounterRecord,
     InstantRecord,
@@ -244,8 +245,9 @@ def counter_rows(registry) -> List[Tuple[str, str, float]]:
         if metric.kind not in ("counter", "gauge"):
             continue
         for labels in metric.label_sets():
-            rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            rows.append((metric.name, rendered, metric.value(**labels)))
+            rows.append(
+                (metric.name, label_string(labels), metric.value(**labels))
+            )
     return rows
 
 
@@ -256,7 +258,7 @@ def histogram_rows(registry) -> List[Tuple[str, str, str, int, float]]:
         if metric.kind != "histogram":
             continue
         for labels in metric.label_sets():
-            rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+            rendered = label_string(labels)
             counts = metric.counts(**labels)
             bounds = [f"<= {b:g}" for b in metric.buckets] + ["+inf"]
             mean = metric.mean(**labels)

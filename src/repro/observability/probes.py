@@ -23,10 +23,12 @@ from typing import Callable, Optional
 from repro.core.events import Event, Simulation, SimulationHooks
 from repro.observability.metrics import MetricsRegistry, PeriodicSampler
 from repro.observability.profiler import (
+    LATENCY_BUCKETS,
     PHASE_DISPATCH,
     PHASE_TELEMETRY,
     PhaseProfiler,
     callback_label,
+    timed,
 )
 from repro.observability.tracer import Tracer
 
@@ -51,7 +53,8 @@ class Telemetry:
     tracer / metrics:
         Pre-built components to share; fresh ones are created by default.
     profiler:
-        An optional :class:`~repro.observability.profiler.PhaseProfiler`.
+        An optional :class:`~repro.observability.profiler.PhaseProfiler`;
+        None (the default) is the only way to switch profiling off.
         When given, the kernel probe also brackets every event callback
         with ``time.perf_counter`` and charges the wall latency to the
         profiler's dispatch phase, keyed by the callback's qualified
@@ -79,7 +82,7 @@ class Telemetry:
             simulation.set_hooks(self._make_probe())
 
     def _make_probe(self) -> "KernelProbe":
-        if self.profiler is not None and self.profiler.enabled:
+        if self.profiler is not None:
             return ProfilingKernelProbe(self)
         return KernelProbe(self)
 
@@ -124,19 +127,7 @@ class Telemetry:
         charged to the ``telemetry`` phase so self-observation shows up
         in the profile instead of polluting the dispatch numbers.
         """
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            inner = fn
-
-            def fn(now: float, _inner=inner, _profiler=profiler) -> None:
-                start = time.perf_counter()
-                try:
-                    _inner(now)
-                finally:
-                    _profiler.add(
-                        PHASE_TELEMETRY, time.perf_counter() - start
-                    )
-
+        fn = timed(self.profiler, PHASE_TELEMETRY, fn)
         sampler = PeriodicSampler(simulation, period, fn, keepalive=keepalive)
         sampler.start(delay=delay)
         self._samplers.append(sampler)
@@ -199,7 +190,6 @@ class ProfilingKernelProbe(KernelProbe):
         self._profiler = telemetry.profiler
         self._start = 0.0
         self._clock = time.perf_counter
-        self._bounds = self._profiler.latency_buckets
         self._slots: dict = {}
         self._generation = self._profiler.generation
 
@@ -228,7 +218,7 @@ class ProfilingKernelProbe(KernelProbe):
             )
         slot[0] += elapsed
         slot[1] += 1
-        slot[2 + bisect_left(self._bounds, elapsed)] += 1
+        slot[2 + bisect_left(LATENCY_BUCKETS, elapsed)] += 1
         if profiler.detail:
             profiler._record(PHASE_DISPATCH, elapsed)
         self._fired.inc()

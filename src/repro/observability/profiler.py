@@ -1,35 +1,42 @@
 """Wall-clock profiler: deterministic phase attribution + stack sampling.
 
 The tracer (:mod:`repro.observability.tracer`) answers "where does
-*simulated* time go"; this module answers the complementary question that
-ROADMAP item 1 blocks on — "where does *host wall-clock* time go" when a
-profile or sweep runs.  Two instruments, both off by default:
+*simulated* time go"; this module answers the complementary question —
+"where does *host wall-clock* time go" when a profile or sweep runs.  Two
+instruments, both off by default:
 
-* :class:`PhaseProfiler` — timed scopes with **deterministic phase
-  attribution**: the instrumented subsystems charge wall seconds to a
-  small set of named phases (kernel event dispatch, fabric congestion
-  re-solves, routing/RouteCache lookups, telemetry recording itself).
-  Attribution is deterministic because the *set of scopes entered* is a
-  pure function of the workload — only the measured seconds vary run to
-  run.  Per-event-type latency histograms ride along: every kernel
-  callback's wall latency lands in a fixed-bucket histogram keyed by the
-  callback's qualified name.
+* :class:`PhaseProfiler` — wall seconds charged to a small set of named
+  phases (kernel event dispatch, fabric congestion re-solves,
+  routing/RouteCache lookups, telemetry recording itself).  Attribution
+  is deterministic because the *set of calls timed* is a pure function
+  of the workload — only the measured seconds vary run to run.
+  Per-event-type latency histograms ride along: every kernel callback's
+  wall latency lands in a fixed-bucket histogram keyed by the callback's
+  qualified name.
 * :class:`StackSampler` — an optional sampling stack profiler: a daemon
   thread snapshots the profiled thread's Python stack every ``interval``
   seconds via :func:`sys._current_frames`, accumulating collapsed
   (flamegraph-ready) stack counts.  Sampling is wall-clock driven and
   therefore not deterministic; it never perturbs simulation state.
 
-Overhead contract (DESIGN.md §6): a run without a profiler attached pays
-one ``is not None`` test per instrumented operation; the kernel without
-hooks is bit-identical to the unhooked kernel.  With the profiler
-**enabled** the tax is two ``time.perf_counter`` calls and a dict update
-per scope — gated under 5% by ``tests/observability/test_profiler_tax.py``.
+Every instrumented call site goes through one wrapper, :func:`timed`,
+except the kernel probe's per-event path
+(:class:`~repro.observability.probes.ProfilingKernelProbe`).
+
+Overhead contract (DESIGN.md §6): ``profiler=None`` is the only off
+switch.  A run without a profiler pays one ``is not None`` test where
+each instrumented function is bound (``timed`` hands the function back
+untouched) and the kernel gets the plain counting probe.  With a
+profiler the tax is two ``time.perf_counter`` calls and a list update
+per timed call — gated under 5% by
+``tests/observability/test_profiler_tax.py``.
 
 Exports: :func:`profile_report` (the ``repro.profile/v1`` JSON document
-behind ``python -m repro profile``), :func:`collapsed_stack_lines` /
-:func:`parse_collapsed` (folded-stack round trip) and
-:func:`profiler_chrome_trace` (wall-clock Chrome ``trace_event`` JSON).
+behind ``python -m repro profile``) and :func:`collapsed_stack_lines` /
+:func:`parse_collapsed` (folded-stack round trip).  With ``detail=True``
+the profiler's :attr:`PhaseProfiler.tracer` holds one span per timed
+call on the wall clock, written as Chrome ``trace_event`` JSON by
+:func:`repro.observability.export.write_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -38,11 +45,11 @@ import pathlib
 import sys
 import threading
 import time
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 from repro.observability.metrics import exponential_buckets
+from repro.observability.tracer import Tracer
 
 #: Phase names charged by the built-in instrumentation.
 PHASE_DISPATCH = "kernel.dispatch"
@@ -54,8 +61,15 @@ PHASE_RUN = "profile.run"
 #: Profile-report document schema identifier.
 REPORT_SCHEMA = "repro.profile/v1"
 
-#: Default event-latency bucket bounds (seconds): 1 us .. 1 s in decades.
-DEFAULT_LATENCY_BUCKETS = exponential_buckets(1e-6, 10.0, 7)
+#: Event-latency histogram bounds (seconds): 1 us .. 1 s in decades.
+LATENCY_BUCKETS = exponential_buckets(1e-6, 10.0, 7)
+
+#: Most detail spans one profiler keeps; later ones only bump
+#: :attr:`PhaseProfiler.records_dropped`.
+MAX_DETAIL_RECORDS = 200_000
+
+#: Deepest stack, in frames, one :class:`StackSampler` sample keeps.
+MAX_STACK_DEPTH = 128
 
 
 def callback_label(callback: object) -> str:
@@ -76,39 +90,30 @@ def callback_label(callback: object) -> str:
     return type(callback).__name__
 
 
-class _Scope:
-    """Context manager charging its ``with`` body to one phase."""
+def timed(
+    profiler: Optional[PhaseProfiler], phase: str, fn: Callable
+) -> Callable:
+    """``fn`` with the wall time of every call charged to ``phase``.
 
-    __slots__ = ("_profiler", "_phase", "_start")
+    Returns ``fn`` itself when ``profiler`` is None, so an unprofiled
+    run calls the original with no wrapper in between.  A call that
+    raises is still charged.  The wrapper passes positional arguments
+    only: it sits on the fabric's per-epoch path, where a ``**kwargs``
+    dict per call would be measurable.
+    """
+    if profiler is None:
+        return fn
+    add = profiler.add
+    clock = time.perf_counter
 
-    def __init__(self, profiler: "PhaseProfiler", phase: str) -> None:
-        self._profiler = profiler
-        self._phase = phase
-        self._start = 0.0
+    def call(*args):
+        start = clock()
+        try:
+            return fn(*args)
+        finally:
+            add(phase, clock() - start)
 
-    def __enter__(self) -> "_Scope":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._profiler.add(
-            self._phase, time.perf_counter() - self._start
-        )
-
-
-class _NullScope:
-    """The scope handed out by a disabled profiler: enters and exits free."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
+    return call
 
 
 class PhaseProfiler:
@@ -116,36 +121,17 @@ class PhaseProfiler:
 
     Parameters
     ----------
-    enabled:
-        When False every record method is a no-op and :meth:`scope`
-        returns a shared null context manager.
     detail:
-        When True each scope and each dispatched event also appends one
-        ``(name, start, end)`` record (seconds relative to the profiler's
-        creation), capped at ``max_detail_records`` — the raw material
-        for :func:`profiler_chrome_trace`.  Off by default: aggregate
-        attribution needs no per-record allocation.
-    latency_buckets:
-        Strictly-increasing upper bounds (seconds) for the per-event-type
-        latency histograms (default :data:`DEFAULT_LATENCY_BUCKETS`).
+        When True each timed call and each dispatched event also records
+        one span, category = phase, into :attr:`tracer` on wall-clock
+        seconds since the profiler's creation (at most
+        :data:`MAX_DETAIL_RECORDS`; the rest are counted in
+        :attr:`records_dropped`).  Off by default: aggregate attribution
+        needs no per-call allocation.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        detail: bool = False,
-        latency_buckets: Optional[List[float]] = None,
-        max_detail_records: int = 200_000,
-    ) -> None:
-        bounds = list(latency_buckets or DEFAULT_LATENCY_BUCKETS)
-        if any(b >= c for b, c in zip(bounds, bounds[1:])) or not bounds:
-            raise ConfigurationError(
-                "latency_buckets must be non-empty and strictly increasing"
-            )
-        self.enabled = enabled
+    def __init__(self, detail: bool = False) -> None:
         self.detail = detail
-        self.max_detail_records = max_detail_records
-        self.latency_buckets = bounds
         self.origin = time.perf_counter()
         #: Bumped by :meth:`clear` so holders of :meth:`event_slot`
         #: accumulators know to re-fetch.
@@ -158,22 +144,14 @@ class PhaseProfiler:
         #: — totals and the latency histogram share one list so one event
         #: dispatch touches a single cache line.
         self._events: Dict[str, List[float]] = {}
-        #: (name, start, end) wall seconds relative to ``origin``
-        self.records: List[Tuple[str, float, float]] = []
+        #: Detail spans on wall-clock seconds relative to ``origin``.
+        self.tracer = Tracer()
         self.records_dropped = 0
 
     # --- recording --------------------------------------------------------------
 
-    def scope(self, phase: str):
-        """Context manager charging the ``with`` body to ``phase``."""
-        if not self.enabled:
-            return _NULL_SCOPE
-        return _Scope(self, phase)
-
     def add(self, phase: str, seconds: float, calls: int = 1) -> None:
         """Charge ``seconds`` of wall time (and ``calls`` entries) to a phase."""
-        if not self.enabled:
-            return
         bucket = self._phases.get(phase)
         if bucket is None:
             bucket = self._phases[phase] = [0.0, 0]
@@ -181,28 +159,6 @@ class PhaseProfiler:
         bucket[1] += calls
         if self.detail:
             self._record(phase, seconds)
-
-    def observe_event(self, label: str, seconds: float) -> None:
-        """Charge one kernel event dispatch: phase total + per-type latency.
-
-        This runs once per kernel event when profiling is on, so the body
-        updates a single merged accumulator list and bisects the latency
-        buckets — ``test_profiler_tax.py`` gates the resulting per-event
-        tax.  The dispatch-phase total is derived from the event
-        accumulators at read time rather than updated here.
-        """
-        if not self.enabled:
-            return
-        slot = self._events.get(label)
-        if slot is None:
-            slot = self._events[label] = (
-                [0.0, 0] + [0] * (len(self.latency_buckets) + 1)
-            )
-        slot[0] += seconds
-        slot[1] += 1
-        slot[2 + bisect_left(self.latency_buckets, seconds)] += 1
-        if self.detail:
-            self._record(PHASE_DISPATCH, seconds)
 
     def event_slot(self, label: str) -> List[float]:
         """The live accumulator list for one event type:
@@ -217,13 +173,13 @@ class PhaseProfiler:
         slot = self._events.get(label)
         if slot is None:
             slot = self._events[label] = (
-                [0.0, 0] + [0] * (len(self.latency_buckets) + 1)
+                [0.0, 0] + [0] * (len(LATENCY_BUCKETS) + 1)
             )
         return slot
 
     def _dispatch_bucket(self) -> List[float]:
         """The dispatch phase ``[seconds, calls]``: any directly-charged
-        time (via :meth:`add`/:meth:`scope`) plus every observed event."""
+        time (via :meth:`add`) plus every dispatched event."""
         direct = self._phases.get(PHASE_DISPATCH)
         seconds = direct[0] if direct is not None else 0.0
         calls = direct[1] if direct is not None else 0
@@ -232,12 +188,13 @@ class PhaseProfiler:
             calls += slot[1]
         return [seconds, calls]
 
-    def _record(self, name: str, seconds: float) -> None:
-        if len(self.records) >= self.max_detail_records:
+    def _record(self, phase: str, seconds: float) -> None:
+        """One detail span for ``phase``, ending now and ``seconds`` long."""
+        if len(self.tracer.spans) >= MAX_DETAIL_RECORDS:
             self.records_dropped += 1
             return
         end = time.perf_counter() - self.origin
-        self.records.append((name, end - seconds, end))
+        self.tracer.complete(phase, phase, end - seconds, end)
 
     # --- queries ----------------------------------------------------------------
 
@@ -299,21 +256,17 @@ class PhaseProfiler:
         """Per-bucket latency counts for one event type (overflow last)."""
         slot = self._events.get(label)
         if slot is None:
-            return [0] * (len(self.latency_buckets) + 1)
+            return [0] * (len(LATENCY_BUCKETS) + 1)
         return [int(count) for count in slot[2:]]
 
     def clear(self) -> None:
         """Drop every accumulated phase, event type and detail record."""
         self._phases.clear()
         self._events.clear()
-        self.records.clear()
+        self.tracer.clear()
         self.records_dropped = 0
         self.origin = time.perf_counter()
         self.generation += 1
-
-
-#: A permanently-disabled profiler instrumented code can hold unconditionally.
-NULL_PROFILER = PhaseProfiler(enabled=False)
 
 
 class StackSampler:
@@ -325,13 +278,12 @@ class StackSampler:
     root-first frame tuples to the number of samples that observed them.
     """
 
-    def __init__(self, interval: float = 0.005, max_depth: int = 128) -> None:
+    def __init__(self, interval: float = 0.005) -> None:
         if interval <= 0:
             raise ConfigurationError(
                 f"sampler interval must be positive: {interval}"
             )
         self.interval = interval
-        self.max_depth = max_depth
         self.counts: Dict[Tuple[str, ...], int] = {}
         self.samples = 0
         self._stop = threading.Event()
@@ -371,7 +323,7 @@ class StackSampler:
                 continue
             stack: List[str] = []
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < MAX_STACK_DEPTH:
                 code = frame.f_code
                 stack.append(
                     f"{pathlib.Path(code.co_filename).name}:{code.co_name}"
@@ -456,54 +408,6 @@ def write_collapsed(
     return output
 
 
-def profiler_chrome_trace(profiler: PhaseProfiler) -> dict:
-    """The profiler's detail records as Chrome ``trace_event`` JSON.
-
-    Needs a profiler built with ``detail=True`` — each recorded scope
-    and dispatched event becomes a complete (``"ph": "X"``) event on a
-    per-phase track, timestamped in wall-clock microseconds since the
-    profiler's creation.
-    """
-    tracks: Dict[str, int] = {}
-    events: List[dict] = []
-    for name, start, end in profiler.records:
-        phase = name.split("/", 1)[0]
-        tid = tracks.setdefault(phase, len(tracks) + 1)
-        events.append(
-            {
-                "name": name,
-                "cat": phase,
-                "ph": "X",
-                "ts": start * 1e6,
-                "dur": (end - start) * 1e6,
-                "pid": 0,
-                "tid": tid,
-            }
-        )
-    metadata = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": tid,
-            "args": {"name": phase},
-        }
-        for phase, tid in tracks.items()
-    ]
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
-
-
-def write_profiler_chrome_trace(
-    profiler: PhaseProfiler, path: Union[str, pathlib.Path]
-) -> pathlib.Path:
-    """Write the wall-clock Chrome trace; returns the path written."""
-    import json
-
-    output = pathlib.Path(path)
-    output.write_text(json.dumps(profiler_chrome_trace(profiler), indent=1))
-    return output
-
-
 def profile_report(
     profiler: PhaseProfiler,
     sampler: Optional[StackSampler] = None,
@@ -539,7 +443,7 @@ def profile_report(
             }
             for label, seconds, calls, mean in profiler.event_table()[:top]
         ],
-        "event_latency_buckets": list(profiler.latency_buckets),
+        "event_latency_buckets": list(LATENCY_BUCKETS),
         "event_latency": {
             label: profiler.event_latency(label)
             for label, _, _, _ in profiler.event_table()[:top]

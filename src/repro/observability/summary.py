@@ -31,13 +31,13 @@ from repro.observability.metrics import MetricsRegistry
 SCHEMA = "repro.telemetry.summary/v1"
 
 
-def _label_string(labels: Mapping[str, object]) -> str:
+def label_string(labels: Mapping[str, object]) -> str:
     """Canonical ``k=v,k2=v2`` form (sorted; empty string when unlabelled)."""
     return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
 def parse_label_string(text: str) -> Dict[str, str]:
-    """Invert :func:`_label_string` (label values must not contain ``,``/``=``)."""
+    """Invert :func:`label_string` (label values must not contain ``,``/``=``)."""
     if not text:
         return {}
     labels: Dict[str, str] = {}
@@ -63,7 +63,7 @@ def summarize_telemetry(telemetry) -> dict:
             counters[metric.name] = {
                 "help": metric.description,
                 "series": {
-                    _label_string(labels): metric.value(**labels)
+                    label_string(labels): metric.value(**labels)
                     for labels in metric.label_sets()
                 },
             }
@@ -72,7 +72,7 @@ def summarize_telemetry(telemetry) -> dict:
                 "help": metric.description,
                 "buckets": list(metric.buckets),
                 "series": {
-                    _label_string(labels): {
+                    label_string(labels): {
                         "counts": metric.counts(**labels),
                         "sum": metric.sum(**labels),
                     }
@@ -116,8 +116,8 @@ def host_breakdown(
         if not name.startswith(prefix):
             continue
         event = name[len(prefix):]
-        for label_string, value in entry.get("series", {}).items():
-            labels = parse_label_string(label_string)
+        for rendered, value in entry.get("series", {}).items():
+            labels = parse_label_string(rendered)
             host = labels.get("host")
             if host is None:
                 continue

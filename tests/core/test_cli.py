@@ -121,6 +121,23 @@ class TestSweepCommand:
         assert code == 2
         assert f"chaos clause(s) {clause} " in capsys.readouterr().err
 
+    def test_axis_without_a_target_exits_2(self, capsys):
+        assert main(["sweep", "smoke", "--axis", "bogus=1"]) == 2
+        assert "--axis needs --target NAME" in capsys.readouterr().err
+
+    def test_merged_telemetry_exports_prometheus(self, tmp_path, capsys):
+        from repro.observability import parse_prometheus
+
+        path = tmp_path / "sweep_smoke.prom"
+        code = main([
+            "sweep", "smoke", "--workers", "2", "--telemetry",
+            "--prometheus", str(path),
+        ])
+        assert code == 0
+        samples = parse_prometheus(path.read_text())
+        assert samples[("fabric_flow_bytes", 'tag="flow"')] > 0
+        assert "merged telemetry from 8 point(s)" in capsys.readouterr().out
+
 
 class TestRepeatedFlags:
     """``--axis``, ``--set`` and ``--preload`` parse alike everywhere."""

@@ -13,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -27,11 +28,14 @@ HEAVY = ("numpy", "networkx")
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter from an empty directory outside the
+    checkout, so only ``PYTHONPATH`` can put ``repro`` on its path."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env,
-        timeout=120,
-    )
+    with tempfile.TemporaryDirectory() as cwd:
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env,
+            timeout=120, cwd=cwd,
+        )
 
 
 def _run(code: str) -> str:

@@ -7,9 +7,8 @@ import time
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.events import Simulation
+from repro.core.events import Event, Simulation
 from repro.observability import (
-    NULL_PROFILER,
     PHASE_DISPATCH,
     PHASE_RUN,
     PHASE_TELEMETRY,
@@ -22,11 +21,56 @@ from repro.observability import (
     collapsed_stack_lines,
     parse_collapsed,
     profile_report,
-    profiler_chrome_trace,
+    timed,
+    write_chrome_trace,
     write_collapsed,
-    write_profiler_chrome_trace,
 )
-from repro.observability.profiler import REPORT_SCHEMA
+from repro.observability import profiler as profiler_module
+from repro.observability.profiler import LATENCY_BUCKETS, REPORT_SCHEMA
+
+
+def _dispatch(profiler, label, seconds):
+    """Fire one event labelled ``label`` through the profiling kernel
+    probe, with a stub clock that makes its callback take ``seconds``."""
+    probe = ProfilingKernelProbe(Telemetry(profiler=profiler))
+    ticks = iter((0.0, seconds))
+    probe._clock = lambda: next(ticks)
+
+    def callback():
+        pass
+
+    callback.__qualname__ = label
+    event = Event(time=0.0, sequence=0, callback=callback)
+    probe.on_fire_start(None, event)
+    probe.on_fire(None, event)
+
+
+class TestTimed:
+    def test_no_profiler_returns_the_function_itself(self):
+        def work():
+            pass
+
+        assert timed(None, PHASE_RUN, work) is work
+
+    def test_charges_each_call_and_passes_arguments_through(self):
+        profiler = PhaseProfiler()
+        sleep = timed(profiler, PHASE_RUN, lambda seconds, scale=1: (
+            time.sleep(seconds * scale) or "done"
+        ))
+        assert sleep(0.001, 2) == "done"
+        assert sleep(0.0) == "done"
+        assert profiler.seconds(PHASE_RUN) >= 0.002
+        assert profiler.calls(PHASE_RUN) == 2
+
+    def test_charges_even_when_the_call_raises(self):
+        profiler = PhaseProfiler()
+
+        def risky():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            timed(profiler, "risky", risky)()
+        assert profiler.calls("risky") == 1
 
 
 class TestPhaseProfiler:
@@ -39,25 +83,11 @@ class TestPhaseProfiler:
         assert profiler.seconds("never") == 0.0
         assert profiler.calls("never") == 0
 
-    def test_scope_charges_its_body(self):
+    def test_dispatched_events_feed_the_derived_dispatch_phase(self):
         profiler = PhaseProfiler()
-        with profiler.scope(PHASE_RUN):
-            time.sleep(0.002)
-        assert profiler.seconds(PHASE_RUN) >= 0.002
-        assert profiler.calls(PHASE_RUN) == 1
-
-    def test_scope_charges_even_when_the_body_raises(self):
-        profiler = PhaseProfiler()
-        with pytest.raises(RuntimeError):
-            with profiler.scope("risky"):
-                raise RuntimeError("boom")
-        assert profiler.calls("risky") == 1
-
-    def test_observe_event_feeds_the_derived_dispatch_phase(self):
-        profiler = PhaseProfiler()
-        profiler.observe_event("A.tick", 0.1)
-        profiler.observe_event("A.tick", 0.2)
-        profiler.observe_event("B.fire", 0.4)
+        _dispatch(profiler, "A.tick", 0.1)
+        _dispatch(profiler, "A.tick", 0.2)
+        _dispatch(profiler, "B.fire", 0.4)
         assert profiler.seconds(PHASE_DISPATCH) == pytest.approx(0.7)
         assert profiler.calls(PHASE_DISPATCH) == 3
         assert profiler.phases[PHASE_DISPATCH] == (pytest.approx(0.7), 3)
@@ -68,9 +98,9 @@ class TestPhaseProfiler:
 
     def test_event_table_ranks_hottest_first(self):
         profiler = PhaseProfiler()
-        profiler.observe_event("cold", 0.1)
-        profiler.observe_event("hot", 0.4)
-        profiler.observe_event("hot", 0.4)
+        _dispatch(profiler, "cold", 0.1)
+        _dispatch(profiler, "hot", 0.4)
+        _dispatch(profiler, "hot", 0.4)
         table = profiler.event_table()
         assert [row[0] for row in table] == ["hot", "cold"]
         name, seconds, calls, mean = table[0]
@@ -85,58 +115,51 @@ class TestPhaseProfiler:
         assert [row[0] for row in profiler.phase_table()] == ["a", "b"]
 
     def test_event_latency_histogram_buckets_by_bound(self):
-        profiler = PhaseProfiler(latency_buckets=[0.001, 0.01, 0.1])
-        for seconds in (0.0005, 0.005, 0.05, 0.5):
-            profiler.observe_event("x", seconds)
-        assert profiler.event_latency("x") == [1, 1, 1, 1]
-        assert profiler.event_latency("missing") == [0, 0, 0, 0]
+        profiler = PhaseProfiler()
+        # One event per bucket: half of each bound, then past the last.
+        for seconds in [b / 2 for b in LATENCY_BUCKETS] + [2.0]:
+            _dispatch(profiler, "x", seconds)
+        assert profiler.event_latency("x") == [1] * (len(LATENCY_BUCKETS) + 1)
+        assert profiler.event_latency("missing") == (
+            [0] * (len(LATENCY_BUCKETS) + 1)
+        )
 
     def test_event_slot_is_the_live_accumulator(self):
-        profiler = PhaseProfiler(latency_buckets=[0.001])
+        profiler = PhaseProfiler()
         slot = profiler.event_slot("x")
         slot[0] += 0.25
         slot[1] += 1
         slot[2] += 1
         assert profiler.seconds(PHASE_DISPATCH) == pytest.approx(0.25)
-        assert profiler.event_latency("x") == [1, 0]
+        assert profiler.event_latency("x")[0] == 1
         assert profiler.event_slot("x") is slot
 
     def test_clear_resets_and_bumps_the_generation(self):
         profiler = PhaseProfiler(detail=True)
         profiler.add("solve", 0.5)
-        profiler.observe_event("x", 0.1)
+        _dispatch(profiler, "x", 0.1)
         generation = profiler.generation
         profiler.clear()
         assert profiler.generation == generation + 1
         assert profiler.phases == {}
         assert profiler.event_table() == []
-        assert profiler.records == []
+        assert profiler.tracer.spans == []
 
-    def test_disabled_profiler_records_nothing(self):
-        profiler = PhaseProfiler(enabled=False)
-        profiler.add("solve", 1.0)
-        profiler.observe_event("x", 1.0)
-        with profiler.scope("solve"):
-            pass
-        assert profiler.phases == {}
-        scope = profiler.scope("solve")
-        assert scope is profiler.scope("other")  # shared null scope
-
-    def test_null_profiler_is_disabled(self):
-        assert NULL_PROFILER.enabled is False
-
-    def test_latency_buckets_must_strictly_increase(self):
-        with pytest.raises(ConfigurationError, match="strictly increasing"):
-            PhaseProfiler(latency_buckets=[0.1, 0.1])
-        # An empty list means "use the defaults", not an error.
-        assert PhaseProfiler(latency_buckets=[]).latency_buckets
-
-    def test_detail_records_are_capped(self):
-        profiler = PhaseProfiler(detail=True, max_detail_records=2)
+    def test_detail_records_are_capped(self, monkeypatch):
+        monkeypatch.setattr(profiler_module, "MAX_DETAIL_RECORDS", 2)
+        profiler = PhaseProfiler(detail=True)
         for _ in range(5):
             profiler.add("solve", 0.001)
-        assert len(profiler.records) == 2
+        assert len(profiler.tracer.spans) == 2
         assert profiler.records_dropped == 3
+        profiler.clear()
+        assert profiler.records_dropped == 0
+
+    def test_without_detail_nothing_is_recorded(self):
+        profiler = PhaseProfiler()
+        profiler.add("solve", 0.001)
+        _dispatch(profiler, "x", 0.001)
+        assert profiler.tracer.spans == []
 
 
 class TestCallbackLabel:
@@ -174,11 +197,9 @@ class TestProfilingKernelProbe:
         telemetry = Telemetry(simulation=simulation, profiler=PhaseProfiler())
         assert isinstance(simulation._hooks, ProfilingKernelProbe)
 
-    def test_disabled_profiler_selects_the_plain_probe(self):
+    def test_no_profiler_selects_the_plain_probe(self):
         simulation = Simulation()
-        telemetry = Telemetry(
-            simulation=simulation, profiler=PhaseProfiler(enabled=False)
-        )
+        Telemetry(simulation=simulation, profiler=None)
         assert type(simulation._hooks) is KernelProbe
 
     def test_events_are_timed_and_counted(self):
@@ -220,6 +241,13 @@ class TestProfilingKernelProbe:
         simulation.run()
         assert len(seen) >= 3
         assert profiler.calls(PHASE_TELEMETRY) == len(seen)
+
+    def test_sampler_without_a_profiler_runs_the_function_itself(self):
+        simulation = Simulation()
+        telemetry = Telemetry(simulation=simulation)
+        seen = []
+        sampler = telemetry.sample_every(simulation, 1.0, seen.append)
+        assert sampler.fn == seen.append
 
 
 def _busy_wait(seconds):
@@ -274,24 +302,28 @@ class TestCollapsedStacks:
 
 
 class TestChromeTrace:
-    def test_detail_records_become_complete_events(self, tmp_path):
+    def test_detail_records_become_per_phase_complete_events(self, tmp_path):
         profiler = PhaseProfiler(detail=True)
-        with profiler.scope("fabric.congestion_solve"):
-            time.sleep(0.001)
-        profiler.observe_event("A.tick", 0.002)
-        trace = profiler_chrome_trace(profiler)
-        events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert len(events) == 2
-        assert all(e["dur"] >= 0 for e in events)
-        path = write_profiler_chrome_trace(profiler, tmp_path / "wall.json")
-        assert json.loads(path.read_text())["traceEvents"]
+        timed(profiler, "fabric.congestion_solve", time.sleep)(0.001)
+        _dispatch(profiler, "A.tick", 0.002)
+        path = write_chrome_trace(profiler.tracer, tmp_path / "wall.json")
+        trace = json.loads(path.read_text())["traceEvents"]
+        events = [e for e in trace if e["ph"] == "X"]
+        assert [e["cat"] for e in events] == [
+            "fabric.congestion_solve", PHASE_DISPATCH,
+        ]
+        assert events[0]["dur"] >= 1000  # microseconds
+        assert events[1]["dur"] == pytest.approx(2000)
+        assert len({e["tid"] for e in events}) == 2
+        tracks = {e["args"]["name"] for e in trace if e["ph"] == "M"}
+        assert tracks == {"fabric.congestion_solve", PHASE_DISPATCH}
 
 
 class TestProfileReport:
     def test_report_names_phases_events_and_latency(self):
-        profiler = PhaseProfiler(latency_buckets=[0.01, 0.1])
+        profiler = PhaseProfiler()
         profiler.add(PHASE_RUN, 1.0)
-        profiler.observe_event("A.tick", 0.05)
+        _dispatch(profiler, "A.tick", 0.05)
         sampler = StackSampler(interval=0.001)
         with sampler:
             _busy_wait(0.02)
@@ -303,7 +335,8 @@ class TestProfileReport:
             PHASE_RUN, PHASE_DISPATCH,
         ]
         assert report["event_types"][0]["name"] == "A.tick"
-        assert report["event_latency"]["A.tick"] == [0, 1, 0]
+        assert report["event_latency_buckets"] == LATENCY_BUCKETS
+        assert report["event_latency"]["A.tick"] == [0, 0, 0, 0, 0, 1, 0, 0]
         assert report["sample_interval_seconds"] == 0.001
         assert report["stack_samples"] == sampler.samples
         json.dumps(report)
