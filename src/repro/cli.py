@@ -1,4 +1,4 @@
-"""Command-line interface: inspect devices, topologies and the roadmap.
+"""Command-line interface: a thin parser over the library.
 
 Run as ``python -m repro <command>``:
 
@@ -6,17 +6,23 @@ Run as ``python -m repro <command>``:
 * ``topology``   — build a topology family and print its metrics,
 * ``roadmap``    — the technology-scaling table (C13's data),
 * ``experiments``— the experiment index with bench targets,
+* ``report``     — assemble the bench result tables into one report,
 * ``trace``      — run a profiled experiment, write a Chrome trace,
-* ``metrics``    — run a profiled experiment, print its counter tables,
+* ``metrics``    — run a profiled experiment, print its counter tables
+  (``metrics C16`` is the fault-injection campaign),
 * ``profile``    — run an experiment under the wall-clock profiler and
   report where host time went (phases, event types, top frames),
 * ``sweep``      — fan a scenario sweep over worker processes (or, with
   ``--backend tcp``, over a fleet of worker hosts),
 * ``sweep-worker`` — serve one worker host for a tcp-backend sweep,
-* ``faults``     — run the fault-injection profile (C16) and report
-  goodput, retries and conservation,
+* ``serve`` / ``serve-request`` — the simulation service and its client,
 * ``validate``   — run invariants, differential checks and golden-
   fingerprint comparisons (``--record`` refreshes the goldens).
+
+``--set KEY=VALUE`` is the one override spelling (for a profile or
+``build_topology``).  A flag that names a library field (of
+``SupervisorConfig``, ``FleetConfig``, ``ServeConfig``, ``run_worker`` or
+``validate``) reaches it only when given: the library holds the defaults.
 """
 
 from __future__ import annotations
@@ -26,8 +32,13 @@ import gc
 import sys
 from typing import List, Optional
 
+from repro.core.errors import ConfigurationError
+
 # The simulator is imported inside the handlers that use it: building the
 # parser, ``--help`` and ``serve-request`` load neither numpy nor networkx.
+
+#: What the library raises on a bad ``--set`` value, naming the field.
+_BAD_INPUT = (ConfigurationError, TypeError, ValueError)
 
 #: Experiment registry: id -> (claim anchor, bench target).
 EXPERIMENTS = {
@@ -54,25 +65,6 @@ EXPERIMENTS = {
     "C18": ("SIII.A/D: human-in-the-loop balance", "benchmarks/test_control_automation.py"),
     "C19": ("SIII.F: accounting and settlement", "benchmarks/test_federated_accounting.py"),
     "C20": ("SIV: horizontal federation smoothing", "benchmarks/test_horizontal_federation.py"),
-}
-
-#: CLI argument names per topology kind, mapped onto build_topology specs.
-_TOPOLOGY_ARGS = {
-    "dragonfly": lambda args: {
-        "groups": args.groups, "routers_per_group": args.routers,
-        "terminals": args.terminals,
-    },
-    "hyperx": lambda args: {
-        "dims": tuple(args.dims), "terminals": args.terminals,
-    },
-    "fat-tree": lambda args: {"k": args.k},
-    "two-tier": lambda args: {
-        "leaves": args.leaves, "spines": args.spines,
-        "terminals": args.terminals,
-    },
-    "torus": lambda args: {
-        "dims": tuple(args.dims), "terminals": args.terminals,
-    },
 }
 
 
@@ -106,7 +98,7 @@ def _command_catalog(args: argparse.Namespace) -> int:
     for device in catalog:
         try:
             timing = format_time(device.time_for(kernel))
-        except Exception:
+        except ConfigurationError:  # the device lacks the kernel's precision
             timing = "n/a"
         table.add_row(
             device.name, device.kind.value, device.spec.tdp,
@@ -120,8 +112,11 @@ def _command_topology(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
     from repro.interconnect.topology import build_topology
 
-    spec = _TOPOLOGY_ARGS[args.family](args)
-    topology = build_topology(args.family, **spec)
+    try:
+        topology = build_topology(args.family, **dict(args.set))
+    except _BAD_INPUT as error:
+        print(f"bad topology: {error}", file=sys.stderr)
+        return 2
     table = Table(f"Topology metrics: {topology.name}", ["metric", "value"])
     table.add_row("switches", topology.switch_count)
     table.add_row("terminals", topology.terminal_count)
@@ -173,10 +168,13 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    """Assemble benchmarks/results/*.txt into one report file."""
+    """Assemble the checkout's benchmarks/results/*.txt into REPORT.md."""
     import pathlib
 
-    results_dir = pathlib.Path(args.results_dir)
+    checkout = pathlib.Path(__file__).resolve().parents[2]
+    results_dir = pathlib.Path(
+        args.results_dir or checkout / "benchmarks" / "results"
+    )
     if not results_dir.is_dir():
         print(
             f"no results at {results_dir}; run "
@@ -197,22 +195,34 @@ def _command_report(args: argparse.Namespace) -> int:
     if not found:
         print(f"no result files in {results_dir}", file=sys.stderr)
         return 1
-    output = pathlib.Path(args.output)
+    output = pathlib.Path(args.output or checkout / "REPORT.md")
     output.write_text("\n".join(chunks))
     print(f"wrote {found} experiment tables to {output}")
     return 0
 
 
-def _profile_or_fail(experiment_id: str):
-    """Run one telemetry profile; prints the traceable ids on a bad id."""
+def _run_profile(args: argparse.Namespace, telemetry=None):
+    """Run ``args.experiment`` with its ``--set`` overrides.
+
+    A telemetry's profiler charges the run to the ``profile.run`` phase.
+    On a bad id or override, prints why and returns None (exit 2).
+    """
     from repro import profiles
+    from repro.observability.profiler import PHASE_RUN, timed
 
     _imports_done()
+    profiler = telemetry.profiler if telemetry is not None else None
     try:
-        return profiles.run(experiment_id)
+        return timed(profiler, PHASE_RUN, lambda: profiles.run(
+            args.experiment, telemetry, **dict(args.set)
+        ))()
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
-        return None
+    except _BAD_INPUT as error:
+        given = ", ".join(f"{key}={value!r}" for key, value in args.set)
+        print(f"bad override for {args.experiment} ({given}): {error}",
+              file=sys.stderr)
+    return None
 
 
 def _print_summary(result) -> None:
@@ -236,7 +246,7 @@ def _command_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    result = _profile_or_fail(args.experiment)
+    result = _run_profile(args)
     if result is None:
         return 2
     tracer = result.telemetry.tracer
@@ -263,7 +273,7 @@ def _command_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
     from repro.observability.export import counter_rows, histogram_rows
 
-    result = _profile_or_fail(args.experiment)
+    result = _run_profile(args)
     if result is None:
         return 2
     registry = result.telemetry.metrics
@@ -297,29 +307,45 @@ def _parse_axis_value(text: str):
     return text
 
 
+def _key_values(text: str, expected: str):
+    """``'KEY=V1,V2'`` -> ``('KEY', [v1, v2])``, each item typed."""
+    key, separator, values = text.partition("=")
+    if not separator or not key:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return key, [_parse_axis_value(item) for item in values.split(",")]
+
+
 def _axis_clause(text: str):
     """``--axis NAME=V1,V2`` -> ``(name, [v1, v2])``."""
-    name, separator, values = text.partition("=")
-    if not separator or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=V1,V2,..., got {text!r}"
-        )
-    items = values.split(",")
-    if not all(items):
+    name, values = _key_values(text, "NAME=V1,V2,...")
+    if "" in values:
         raise argparse.ArgumentTypeError(
             f"axis {name!r} has an empty value in {text!r}"
         )
-    return name, [_parse_axis_value(item) for item in items]
+    return name, values
 
 
 def _set_clause(text: str):
-    """``--set KEY=VALUE`` -> ``(key, value)``."""
-    key, separator, value = text.partition("=")
-    if not separator or not key:
-        raise argparse.ArgumentTypeError(
-            f"expected KEY=VALUE, got {text!r}"
-        )
-    return key, _parse_axis_value(value)
+    """``--set KEY=VALUE`` -> ``(key, value)``; ``KEY=V1,V2`` gives a list."""
+    key, values = _key_values(text, "KEY=VALUE")
+    return key, values if len(values) > 1 else values[0]
+
+
+def _given(args: argparse.Namespace, target) -> dict:
+    """The flags given on the command line for ``target``'s fields.
+
+    ``target`` is a dataclass or a function.  Flags that name one of its
+    fields default to ``argparse.SUPPRESS``, so a flag left out is not in
+    ``args`` and ``target`` keeps its own default.
+    """
+    import dataclasses
+    import inspect
+
+    if dataclasses.is_dataclass(target):
+        names = [field.name for field in dataclasses.fields(target)]
+    else:
+        names = list(inspect.signature(target).parameters)
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _preload(modules: List[str]) -> bool:
@@ -348,24 +374,19 @@ def _command_profile(args: argparse.Namespace) -> int:
     import json as json_module
     import pathlib
 
+    # Import the profiles before the sampler starts, so it samples the run.
+    from repro import profiles  # noqa: F401
     from repro.analysis.tables import Table
-    from repro.core.errors import ConfigurationError
     from repro.observability import (
-        PHASE_RUN,
         PhaseProfiler,
         StackSampler,
         Telemetry,
         prometheus_lines,
         profile_report,
-        timed,
         write_chrome_trace,
         write_collapsed,
         write_prometheus,
     )
-    from repro import profiles
-
-    _imports_done()
-    overrides = dict(args.set)
 
     profiler = PhaseProfiler(detail=bool(args.chrome))
     sampler = (
@@ -377,18 +398,12 @@ def _command_profile(args: argparse.Namespace) -> int:
     try:
         if sampler is not None:
             sampler.start()
-        result = timed(profiler, PHASE_RUN, lambda: profiles.run(
-            args.experiment, telemetry, **overrides
-        ))()
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    except (ConfigurationError, TypeError, ValueError) as error:
-        print(f"bad override for {args.experiment}: {error}", file=sys.stderr)
-        return 2
+        result = _run_profile(args, telemetry)
     finally:
         if sampler is not None:
             sampler.stop()
+    if result is None:
+        return 2
 
     _print_summary(result)
     phases = Table(
@@ -479,15 +494,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
     """
     from repro.analysis.aggregate import pivot, summary_table
     from repro.analysis.tables import Table
-    from repro.core.errors import ConfigurationError
     from repro.sweep import (
         NAMED_SWEEPS,
+        FleetConfig,
         FleetError,
         SupervisorConfig,
         SweepInterrupted,
         SweepPointError,
         SweepSpec,
         named_sweep,
+        resolve_target,
         run_sweep,
     )
     from repro.sweep.store import save_sweep
@@ -513,41 +529,25 @@ def _command_sweep(args: argparse.Namespace) -> int:
             return 2
         spec = named_sweep(args.name, seed=args.seed)
     try:
-        from repro.sweep import resolve_target
-
         resolve_target(spec.target)
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
 
+    def announce(host: str, port: int) -> None:
+        print(f"fleet coordinator listening on {host}:{port}", flush=True)
+
     fleet = None
     try:
-        config = SupervisorConfig(
-            timeout=args.timeout, retries=args.retries, jitter=args.jitter,
-            chaos=args.chaos, strict=args.strict,
-        )
+        config = SupervisorConfig(**_given(args, SupervisorConfig))
         if args.backend == "tcp":
-            from repro.sweep import FleetConfig
-
-            def announce(host: str, port: int) -> None:
-                print(f"fleet coordinator listening on {host}:{port}",
-                      flush=True)
-
-            fleet = FleetConfig(
-                listen=args.listen,
-                min_hosts=args.min_hosts,
-                heartbeat_interval=args.heartbeat_interval,
-                heartbeat_timeout=args.heartbeat_timeout,
-                steal=not args.no_steal,
-                wait_for_hosts=args.wait_for_hosts,
-                auth_token=args.auth_token,
-                on_listen=announce,
-            )
+            fleet = FleetConfig(**_given(args, FleetConfig), on_listen=announce)
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
         return 2
 
     total = len(spec.grid)
+    journal = getattr(args, "journal", None)
 
     def report(point) -> None:
         print(f"  point {point.index + 1}/{total} done "
@@ -568,10 +568,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     try:
         try:
             result = run_sweep(
-                spec, workers=args.workers, trace_dir=args.trace_dir,
+                spec, workers=args.workers,
+                trace_dir=getattr(args, "trace_dir", None),
                 progress=reporter if reporter is not None
                 else (report if args.verbose else None),
-                config=config, journal=args.journal, resume=args.resume,
+                config=config, journal=journal, resume=args.resume,
                 telemetry=parent_telemetry,
                 collect_telemetry=collect_telemetry,
                 backend=args.backend, fleet=fleet,
@@ -589,7 +590,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         partial = interrupt.partial
         done = len(partial.points) if partial is not None else 0
         remaining = total - done
-        journal_path = args.resume[0] if args.resume else args.journal
+        journal_path = args.resume[0] if args.resume else journal
         print(f"\ninterrupted: {done}/{total} point(s) completed "
               f"before Ctrl-C; {remaining} remaining", file=sys.stderr)
         if journal_path:
@@ -685,15 +686,7 @@ def _command_sweep_worker(args: argparse.Namespace) -> int:
         return 2
     _imports_done()
     try:
-        return run_worker(
-            args.connect,
-            slots=args.slots,
-            name=args.name,
-            journal=args.journal,
-            trace_dir=args.trace_dir,
-            connect_timeout=args.connect_timeout,
-            auth_token=args.auth_token,
-        )
+        return run_worker(**_given(args, run_worker))
     except (FleetError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -721,26 +714,11 @@ def _command_serve(args: argparse.Namespace) -> int:
     for module in REQUEST_PATH:
         importlib.import_module(module)
     _imports_done()
-    quota = None
-    if args.quota is not None:
-        try:
-            quota = QuotaPolicy.parse(args.quota)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+    config = _given(args, ServeConfig)
     try:
-        app = ServiceApp(
-            ServeConfig(
-                host=args.host,
-                port=args.port,
-                store=args.store,
-                sweep_workers=args.sweep_workers,
-                job_workers=args.job_workers,
-                max_queue=args.max_queue,
-                quota=quota,
-                cache_ttl=args.cache_ttl,
-            )
-        )
+        if "quota" in config:
+            config["quota"] = QuotaPolicy.parse(config["quota"])
+        app = ServiceApp(ServeConfig(**config))
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -834,90 +812,22 @@ def _command_serve_request(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_faults(args: argparse.Namespace) -> int:
-    """Run the resilience profile and print the fault/recovery summary.
-
-    Exit codes: 0 success, 2 invalid campaign spec (the message names
-    the offending field).
-    """
-    from repro.analysis.tables import Table
-    from repro.core.errors import ConfigurationError
-    from repro.observability.export import counter_rows
-    from repro.profiles import run
-
-    _imports_done()
-    overrides = {}
-    if args.nodes is not None:
-        overrides["nodes"] = args.nodes
-    if args.node_mtbf is not None:
-        overrides["node_mtbf"] = args.node_mtbf
-    if args.repair_time is not None:
-        overrides["repair_time"] = args.repair_time
-    if args.max_jobs is not None:
-        overrides["max_jobs"] = args.max_jobs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        result = run("C16", **overrides)
-    except (ConfigurationError, ValueError) as error:
-        # An invalid campaign spec (negative MTBF, zero nodes, ...) is a
-        # usage error, not a crash: the message already names the
-        # offending field and value.
-        print(f"invalid fault campaign: {error}", file=sys.stderr)
-        return 2
-    _print_summary(result)
-    counters = Table(
-        "Fault and recovery counters", ["metric", "labels", "value"]
-    )
-    for name, labels, value in sorted(counter_rows(result.telemetry.metrics)):
-        if name.startswith(("resilience.", "cluster.jobs", "cluster.nodes")):
-            counters.add_row(name, labels or "-", value)
-    counters.print()
-    return 0
-
-
 def _command_validate(args: argparse.Namespace) -> int:
     """Run the validation pipeline; exit 0 only if everything holds."""
-    from repro.core.errors import ConfigurationError
-    from repro.validate import DEFAULT_RTOL, validate
+    from repro.validate import validate
 
     _imports_done()
     try:
         report = validate(
             mode="record" if args.record else "check",
-            profiles=args.profiles,
-            sweeps=args.sweeps,
-            golden_dir=args.golden_dir,
-            rtol=args.rtol if args.rtol is not None else DEFAULT_RTOL,
             differential=not args.skip_differential,
+            **_given(args, validate),
         )
     except (KeyError, ConfigurationError) as error:
         print(error.args[0], file=sys.stderr)
         return 2
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _add_axis_flag(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument(
-        "--axis", action="append", default=[], type=_axis_clause,
-        metavar="NAME=V1,V2", help=help,
-    )
-
-
-def _add_set_flag(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument(
-        "--set", action="append", default=[], type=_set_clause,
-        metavar="KEY=VALUE", help=help,
-    )
-
-
-def _add_preload_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--preload", action="append", default=[], metavar="MODULE",
-        help="import MODULE before serving (registers custom sweep "
-             "targets; repeatable)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -930,6 +840,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # Flag groups that several subcommands share (``parents=[...]``).
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument(
+        "--set", action="append", default=[], type=_set_clause,
+        metavar="KEY=VALUE",
+        help="override a field, e.g. --set max_jobs=50; V1,V2 gives a "
+             "list (repeatable)",
+    )
+    experiment = argparse.ArgumentParser(add_help=False, parents=[overrides])
+    experiment.add_argument("experiment", help="experiment id (e.g. F1, C16)")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument(
+        "--target", default=None, metavar="NAME",
+        help="sweep a registered target (e.g. fabric-congestion, profile:C1) "
+             "over --axis values instead of a named sweep",
+    )
+    target.add_argument(
+        "--axis", action="append", default=[], type=_axis_clause,
+        metavar="NAME=V1,V2", help="a grid axis for --target (repeatable)",
+    )
+    target.add_argument("--seed", type=int, default=None, help="sweep seed")
+    # run_worker parameters (--auth-token is a FleetConfig field too): a
+    # flag left out leaves the library's default.
+    fleet = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS
+    )
+    fleet.add_argument(
+        "--journal", metavar="PATH",
+        help="journal every completed point to this crash-consistent JSONL "
+             "file (a worker host's journal merges into `repro sweep "
+             "--resume`)",
+    )
+    fleet.add_argument(
+        "--trace-dir",
+        help="write one telemetry JSONL per point under this directory",
+    )
+    fleet.add_argument(
+        "--auth-token", metavar="SECRET",
+        help="tcp backend: the shared secret of every worker hello "
+             "(compared constant-time; a mismatch is rejected with an "
+             "explicit frame)",
+    )
+    preload = argparse.ArgumentParser(add_help=False)
+    preload.add_argument(
+        "--preload", action="append", default=[], metavar="MODULE",
+        help="import MODULE before serving (registers custom sweep "
+             "targets; repeatable)",
+    )
+
     subparsers.add_parser("catalog", help="show the device catalog")
     subparsers.add_parser("roadmap", help="show the technology roadmap")
     subparsers.add_parser("experiments", help="list paper experiments")
@@ -937,23 +896,28 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="assemble experiment tables into one report"
     )
-    report.add_argument("--results-dir", default="benchmarks/results")
-    report.add_argument("--output", default="REPORT.md")
+    report.add_argument(
+        "--results-dir", default=None,
+        help="(default: benchmarks/results of the checkout)",
+    )
+    report.add_argument(
+        "--output", default=None, help="(default: REPORT.md of the checkout)"
+    )
 
-    topology = subparsers.add_parser("topology", help="build and measure a topology")
-    topology.add_argument("family", choices=sorted(_TOPOLOGY_ARGS))
-    topology.add_argument("--groups", type=int, default=9)
-    topology.add_argument("--routers", type=int, default=4)
-    topology.add_argument("--terminals", type=int, default=4)
-    topology.add_argument("--dims", type=int, nargs="+", default=[4, 4])
-    topology.add_argument("--k", type=int, default=8)
-    topology.add_argument("--leaves", type=int, default=8)
-    topology.add_argument("--spines", type=int, default=4)
+    topology = subparsers.add_parser(
+        "topology", parents=[overrides],
+        help="build and measure a topology",
+    )
+    topology.add_argument(
+        "family",
+        help="dragonfly, hyperx, fat-tree, two-tier or torus; --set "
+             "overrides a field, e.g. --set dims=3,3",
+    )
 
     trace = subparsers.add_parser(
-        "trace", help="run an experiment profile and export a Chrome trace"
+        "trace", parents=[experiment],
+        help="run an experiment profile and export a Chrome trace",
     )
-    trace.add_argument("experiment", help="experiment id (e.g. F1, C1)")
     trace.add_argument(
         "--output", default=None,
         help="Chrome trace JSON path (default: trace_<id>.json)",
@@ -965,20 +929,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10, help="how many time-sink rows to print"
     )
 
-    metrics = subparsers.add_parser(
-        "metrics", help="run an experiment profile and print metric tables"
+    subparsers.add_parser(
+        "metrics", parents=[experiment],
+        help="run an experiment profile and print metric tables",
     )
-    metrics.add_argument("experiment", help="experiment id (e.g. F1, C1)")
 
     profile = subparsers.add_parser(
-        "profile",
+        "profile", parents=[experiment],
         help="run an experiment under the wall-clock profiler and report "
              "where host time went",
-    )
-    profile.add_argument("experiment", help="experiment id (e.g. F1, C16)")
-    _add_set_flag(
-        profile, "override a profile parameter, e.g. --set max_jobs=50 "
-                 "(repeatable)",
     )
     profile.add_argument(
         "--output", default=None,
@@ -1013,27 +972,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = subparsers.add_parser(
-        "sweep", help="run a scenario sweep over a worker pool"
+        "sweep", parents=[target, fleet],
+        help="run a scenario sweep over a worker pool",
     )
     sweep.add_argument(
         "name",
         help="named sweep (congestion, smoke, resilience, reliability) "
              "or a label for --target sweeps",
     )
-    sweep.add_argument(
-        "--target", default=None,
-        help="sweep a registered target (e.g. fabric-congestion, profile:C1) "
-             "over custom --axis values instead of a named sweep",
-    )
-    _add_axis_flag(sweep, "a grid axis for --target sweeps (repeatable)")
     sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument(
         "--output", default=None, help="write repro.sweep/v1 JSON here"
-    )
-    sweep.add_argument(
-        "--trace-dir", default=None,
-        help="write one telemetry JSONL per point under this directory",
     )
     sweep.add_argument(
         "--pivot", nargs=3, metavar=("ROWS", "COLS", "VALUE"), default=None,
@@ -1041,36 +990,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--verbose", action="store_true")
     sweep.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock budget; overdue workers are killed and "
-             "the point retried",
-    )
-    sweep.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="retry budget per point before it lands in the error ledger "
-             "(default 2)",
-    )
-    sweep.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="journal every completed point to this crash-consistent "
-             "JSONL file",
-    )
-    sweep.add_argument(
         "--resume", action="append", default=None, metavar="PATH",
         help="resume from a journal: skip its completed points, append "
              "new ones (fingerprint matches an uninterrupted run); "
              "repeatable — extra paths (worker-host journals of an "
              "interrupted fleet run) are merged into the first",
-    )
-    sweep.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject harness faults, e.g. crash:0.1,hang:0.05 "
-             "(hang needs --timeout)",
-    )
-    sweep.add_argument(
-        "--strict", action="store_true",
-        help="raise on the first exhausted point instead of returning a "
-             "partial result with an error ledger",
     )
     sweep.add_argument(
         "--progress", action="store_true",
@@ -1088,55 +1012,76 @@ def build_parser() -> argparse.ArgumentParser:
              "exposition here (implies --telemetry)",
     )
     sweep.add_argument(
-        "--jitter", type=float, default=0.0, metavar="FRACTION",
-        help="stretch each retry backoff by up to this fraction, drawn "
-             "deterministically per (seed, sweep, point, attempt)",
-    )
-    sweep.add_argument(
         "--backend", default=None, choices=BACKEND_NAMES,
         help="executor backend: local (supervised worker processes) or "
              "tcp (shard over `repro sweep-worker` hosts); default: in "
              "process for one worker with no --timeout or --chaos, local "
              "otherwise",
     )
-    sweep.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="tcp backend: coordinator listen address (port 0 = "
-             "ephemeral; the bound address is printed)",
+    # SupervisorConfig and FleetConfig fields: left out, the library decides.
+    policy = sweep.add_argument_group(
+        "fault tolerance", argument_default=argparse.SUPPRESS
     )
-    sweep.add_argument(
-        "--min-hosts", type=int, default=1, metavar="N",
-        help="tcp backend: wait for N connected worker hosts before "
-             "dispatching any point",
+    policy.add_argument(
+        "--timeout", type=float, metavar="SECONDS",
+        help="per-point wall-clock budget; overdue workers are killed and "
+             "the point retried",
     )
-    sweep.add_argument(
-        "--heartbeat-interval", type=float, default=0.5, metavar="SECONDS",
-        help="tcp backend: expected worker heartbeat cadence",
+    policy.add_argument(
+        "--retries", type=int, metavar="N",
+        help="retry budget per point before it lands in the error ledger",
     )
-    sweep.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
-        help="tcp backend: declare a silent host dead after this long "
-             "(default 10x the heartbeat interval)",
+    policy.add_argument(
+        "--jitter", type=float, metavar="FRACTION",
+        help="stretch each retry backoff by up to this fraction, drawn "
+             "deterministically per (seed, sweep, point, attempt)",
     )
-    sweep.add_argument(
-        "--wait-for-hosts", type=float, default=60.0, metavar="SECONDS",
-        help="tcp backend: give up (FleetError) after this long with "
-             "zero usable hosts",
+    policy.add_argument(
+        "--chaos", metavar="SPEC",
+        help="inject harness faults, e.g. crash:0.1,hang:0.05 "
+             "(hang needs --timeout)",
     )
-    sweep.add_argument(
-        "--no-steal", action="store_true",
-        help="tcp backend: disable work stealing (idle hosts reclaiming "
-             "unstarted points from loaded ones)",
+    policy.add_argument(
+        "--strict", action="store_true",
+        help="raise on the first exhausted point instead of returning a "
+             "partial result with an error ledger",
     )
-    sweep.add_argument(
-        "--auth-token", default=None, metavar="SECRET",
-        help="tcp backend: demand this shared secret in every worker "
-             "hello (compared constant-time; mismatches are rejected "
-             "with an explicit frame)",
+    tcp = sweep.add_argument_group(
+        "tcp backend", argument_default=argparse.SUPPRESS
+    )
+    tcp.add_argument(
+        "--listen", metavar="HOST:PORT",
+        help="coordinator listen address (port 0 = ephemeral; the bound "
+             "address is printed)",
+    )
+    tcp.add_argument(
+        "--min-hosts", type=int, metavar="N",
+        help="wait for N connected worker hosts before dispatching any "
+             "point",
+    )
+    tcp.add_argument(
+        "--heartbeat-interval", type=float, metavar="SECONDS",
+        help="expected worker heartbeat cadence",
+    )
+    tcp.add_argument(
+        "--heartbeat-timeout", type=float, metavar="SECONDS",
+        help="declare a silent host dead after this long (unset: 10x the "
+             "heartbeat interval)",
+    )
+    tcp.add_argument(
+        "--wait-for-hosts", type=float, metavar="SECONDS",
+        help="give up (FleetError) after this long with zero usable hosts",
+    )
+    tcp.add_argument(
+        "--no-steal", dest="steal", action="store_false",
+        help="disable work stealing (idle hosts reclaiming unstarted "
+             "points from loaded ones)",
     )
 
+    # Every flag but --preload is a run_worker parameter.
     worker = subparsers.add_parser(
-        "sweep-worker",
+        "sweep-worker", parents=[fleet, preload],
+        argument_default=argparse.SUPPRESS,
         help="serve one sweep worker host for a tcp-backend coordinator",
     )
     worker.add_argument(
@@ -1145,83 +1090,62 @@ def build_parser() -> argparse.ArgumentParser:
              "`repro sweep --backend tcp`)",
     )
     worker.add_argument(
-        "--slots", type=int, default=1, metavar="N",
+        "--slots", type=int, metavar="N",
         help="points this host runs concurrently (one child process each)",
     )
     worker.add_argument(
-        "--name", default=None,
-        help="host label in fleet telemetry (default hostname:pid)",
+        "--name", help="host label in fleet telemetry (unset: hostname:pid)",
     )
     worker.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="journal completed points locally before sending them — "
-             "mergeable into a resume via `repro sweep --resume`",
-    )
-    worker.add_argument(
-        "--trace-dir", default=None,
-        help="write one telemetry JSONL per point under this directory",
-    )
-    _add_preload_flag(worker)
-    worker.add_argument(
-        "--connect-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--connect-timeout", type=float, metavar="SECONDS",
         help="keep retrying the initial dial this long (the coordinator "
              "may boot late)",
     )
-    worker.add_argument(
-        "--auth-token", default=None, metavar="SECRET",
-        help="shared secret sent in the hello frame; must match the "
-             "coordinator's --auth-token when the fleet demands one",
-    )
 
+    # Every flag but --preload is a ServeConfig field.
     serve = subparsers.add_parser(
-        "serve",
+        "serve", parents=[preload], argument_default=argparse.SUPPRESS,
         help="run the long-running simulation service (HTTP/JSON API "
              "with fingerprint-keyed caching and admission control)",
     )
+    serve.add_argument("--host", help="listen address")
     serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="listen address (default 127.0.0.1)",
+        "--port", type=int, metavar="PORT",
+        help="listen port; 0 picks an ephemeral port and prints it",
     )
     serve.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="listen port; 0 (default) picks an ephemeral port and "
-             "prints it",
-    )
-    serve.add_argument(
-        "--store", default=".repro-serve", metavar="DIR",
+        "--store", metavar="DIR",
         help="artefact store directory — cached results and in-flight "
              "sweep journals; point a restarted service at the same "
              "store to resume interrupted sweeps",
     )
     serve.add_argument(
-        "--sweep-workers", type=int, default=2, metavar="N",
-        help="worker processes per sweep request (default 2)",
+        "--sweep-workers", type=int, metavar="N",
+        help="worker processes per sweep request",
     )
     serve.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="concurrent simulation jobs (default 1 — topology/route "
-             "caches are shared, which assumes sequential jobs)",
+        "--job-workers", type=int, metavar="N",
+        help="concurrent simulation jobs (topology/route caches are "
+             "shared, which assumes sequential jobs)",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=8, metavar="N",
-        help="in-flight cold requests before load shedding with 429 "
-             "(default 8)",
+        "--max-queue", type=int, metavar="N",
+        help="in-flight cold requests before load shedding with 429",
     )
     serve.add_argument(
-        "--quota", default=None, metavar="RATE:BURST",
+        "--quota", metavar="RATE:BURST",
         help="per-tenant token-bucket quota, e.g. 1:8 (1 req/s, burst "
-             "8) or 0:2 (hard budget of 2); default unlimited",
+             "8) or 0:2 (hard budget of 2); unset: unlimited",
     )
     serve.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
+        "--cache-ttl", type=float, metavar="SECONDS",
         help="age cached artefacts out of the store after this long "
              "(memory entry dropped, disk file unlinked, request "
-             "recomputed); default never",
+             "recomputed); unset: never",
     )
-    _add_preload_flag(serve)
 
     serve_request = subparsers.add_parser(
-        "serve-request",
+        "serve-request", parents=[overrides, target],
         help="send one request to a running serve process",
     )
     serve_request.add_argument(
@@ -1236,17 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile id (C1...) or named sweep (congestion, smoke, "
              "resilience, reliability); optional sweep name with --target",
     )
-    _add_set_flag(serve_request, "profile parameter override (repeatable)")
-    serve_request.add_argument(
-        "--target", default=None, metavar="NAME",
-        help="custom sweep target (with --axis)",
-    )
-    _add_axis_flag(
-        serve_request, "custom sweep axis (repeatable, with --target)"
-    )
-    serve_request.add_argument(
-        "--seed", type=int, default=None, help="sweep seed override"
-    )
     serve_request.add_argument(
         "--tenant", default=None,
         help="tenant name for quota accounting (X-Tenant header)",
@@ -1260,51 +1173,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket timeout (default 300)",
     )
 
-    faults = subparsers.add_parser(
-        "faults",
-        help="run the fault-injection profile and report goodput/recovery",
-    )
-    faults.add_argument("--nodes", type=int, default=None)
-    faults.add_argument(
-        "--node-mtbf", type=float, default=None,
-        help="per-node MTBF in seconds (site rate is node_mtbf / nodes)",
-    )
-    faults.add_argument("--repair-time", type=float, default=None)
-    faults.add_argument("--max-jobs", type=int, default=None)
-    faults.add_argument("--seed", type=int, default=None)
-
+    # --golden-dir, --profiles, --sweeps and --rtol are validate() fields.
     validate = subparsers.add_parser(
-        "validate",
+        "validate", argument_default=argparse.SUPPRESS,
         help="check invariants, differentials and golden fingerprints",
     )
     mode = validate.add_mutually_exclusive_group()
     mode.add_argument(
-        "--check", action="store_true",
+        "--check", action="store_true", default=False,
         help="compare against committed goldens (the default)",
     )
     mode.add_argument(
-        "--record", action="store_true",
+        "--record", action="store_true", default=False,
         help="(re)write the golden fingerprints from this build",
     )
     validate.add_argument(
-        "--golden-dir", default=None,
-        help="golden fingerprint directory (default: tests/golden of the "
+        "--golden-dir",
+        help="golden fingerprint directory (unset: tests/golden of the "
              "checkout repro runs from)",
     )
     validate.add_argument(
-        "--profiles", nargs="*", default=None, metavar="ID",
-        help="profile subset (default: all; pass none to skip profiles)",
+        "--profiles", nargs="*", metavar="ID",
+        help="profile subset (unset: all; pass none to skip profiles)",
     )
     validate.add_argument(
-        "--sweeps", nargs="*", default=None, metavar="NAME",
-        help="named-sweep subset (default: all; pass none to skip sweeps)",
+        "--sweeps", nargs="*", metavar="NAME",
+        help="named-sweep subset (unset: all; pass none to skip sweeps)",
     )
     validate.add_argument(
-        "--rtol", type=float, default=None,
-        help="relative tolerance for numeric drift (default: 1e-6)",
+        "--rtol", type=float, help="relative tolerance for numeric drift",
     )
     validate.add_argument(
-        "--skip-differential", action="store_true",
+        "--skip-differential", action="store_true", default=False,
         help="skip the differential model checks",
     )
     return parser
@@ -1323,7 +1223,6 @@ _HANDLERS = {
     "sweep-worker": _command_sweep_worker,
     "serve": _command_serve,
     "serve-request": _command_serve_request,
-    "faults": _command_faults,
     "validate": _command_validate,
 }
 

@@ -59,13 +59,10 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral; the bound port is printed/returned
     store: str = ".repro-serve"
     sweep_workers: int = 2
-    sweep_retries: int = 2
     job_workers: int = 1
     max_queue: int = 8
     quota: Optional[QuotaPolicy] = None  # None = unlimited
-    retry_after_cap: float = 60.0
     max_body: int = 1_000_000
-    share_topologies: bool = True
     #: Artefact max-age in seconds; ``None`` keeps artefacts forever.
     cache_ttl: Optional[float] = None
     clock: Callable[[], float] = time.monotonic
@@ -95,7 +92,6 @@ class ServiceApp:
             max_queue=self.config.max_queue,
             quota=self.config.quota,
             clock=self.config.clock,
-            retry_after_cap=self.config.retry_after_cap,
         )
         self.telemetry = Telemetry()
         #: Fingerprint -> future of the currently-running identical job.
@@ -105,10 +101,11 @@ class ServiceApp:
             thread_name_prefix="repro-serve-job",
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        if self.config.share_topologies:
-            from repro.interconnect.topology import enable_topology_cache
+        # Requests for one topology spec share a single built Topology and
+        # its route cache, which assumes sequential jobs (job_workers=1).
+        from repro.interconnect.topology import enable_topology_cache
 
-            enable_topology_cache(True)
+        enable_topology_cache(True)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -135,10 +132,9 @@ class ServiceApp:
     def close(self) -> None:
         """Release process-level resources (idempotent)."""
         self._executor.shutdown(wait=True)
-        if self.config.share_topologies:
-            from repro.interconnect.topology import enable_topology_cache
+        from repro.interconnect.topology import enable_topology_cache
 
-            enable_topology_cache(False)
+        enable_topology_cache(False)
 
     # -- metrics -----------------------------------------------------------
 
@@ -272,7 +268,7 @@ class ServiceApp:
             )
             retry_after = decision.retry_after
             if not math.isfinite(retry_after):
-                retry_after = self.config.retry_after_cap
+                retry_after = self.admission.retry_after_cap
             return http.error_response(
                 429,
                 f"request shed ({decision.reason}); retry later",
@@ -473,9 +469,7 @@ class ServiceApp:
             # or hangs must cost a retry, never the service.
             backend="local",
             progress=on_point,
-            config=SupervisorConfig(
-                retries=self.config.sweep_retries, strict=True
-            ),
+            config=SupervisorConfig(strict=True),
             journal=None if resuming else str(journal),
             resume=[str(journal)] if resuming else None,
             telemetry=self.telemetry,

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import re
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, _given, build_parser, main
+from repro.serve import ServeConfig
+from repro.sweep import FleetConfig, SupervisorConfig
+from repro.sweep.remote_worker import run_worker
 
 
 class TestParser:
@@ -34,26 +40,97 @@ class TestCommands:
         for experiment_id in EXPERIMENTS:
             assert experiment_id in out
 
-    def test_topology_dragonfly(self, capsys):
-        assert main(["topology", "dragonfly", "--groups", "5",
-                     "--routers", "3", "--terminals", "2"]) == 0
+
+def _table_value(out: str, metric: str) -> str:
+    match = re.search(rf"^{re.escape(metric)}\s+(\S+(?: \S+)?)\s*$", out,
+                      re.MULTILINE)
+    assert match, f"no {metric!r} row in:\n{out}"
+    return match.group(1)
+
+
+class TestCatalogCommand:
+    #: The reference-kernel column; only the wafer-scale engine lacks INT8
+    #: and reads n/a, while analog-dpe and optical-mvm time the kernel.
+    TIMINGS = {
+        "epyc-class-cpu": "1.17 ms", "hpc-gpu": "32.9 us",
+        "tpu-like": "41.9 us", "wafer-scale-engine": "n/a",
+        "datacenter-fpga": "1 s", "analog-dpe": "83.6 us",
+        "optical-mvm": "211 us", "edge-npu": "472 us",
+    }
+
+    def test_reference_timings_are_unchanged(self, capsys):
+        assert main(["catalog"]) == 0
+        rows = {
+            line.split()[0]: line.rstrip().rsplit("  ", 1)[-1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in self.TIMINGS
+        }
+        assert rows == self.TIMINGS
+
+    def test_an_unexpected_device_error_propagates(self, monkeypatch):
+        from repro.hardware.device import Device
+
+        def broken(self, kernel):
+            raise RuntimeError("device model bug")
+
+        monkeypatch.setattr(Device, "time_for", broken)
+        with pytest.raises(RuntimeError, match="device model bug"):
+            main(["catalog"])
+
+
+class TestTopologyCommand:
+    @pytest.mark.parametrize("family", [
+        "dragonfly", "hyperx", "fat-tree", "two-tier", "torus",
+    ])
+    def test_defaults_are_build_topologys(self, capsys, family):
+        from repro.interconnect.topology import build_topology
+
+        expected = build_topology(family)
+        assert main(["topology", family]) == 0
         out = capsys.readouterr().out
-        assert "diameter" in out
+        assert int(_table_value(out, "switches")) == expected.switch_count
+        assert int(_table_value(out, "terminals")) == expected.terminal_count
 
-    def test_topology_hyperx_dims(self, capsys):
-        assert main(["topology", "hyperx", "--dims", "3", "3"]) == 0
-        assert "hyperx" in capsys.readouterr().out
+    @pytest.mark.parametrize("family", ["hyperx", "torus"])
+    def test_comma_separated_dims_build_a_3x3_lattice(self, capsys, family):
+        assert main(["topology", family, "--set", "dims=3,3"]) == 0
+        out = capsys.readouterr().out
+        assert f"{family}(3, 3)" in out
+        assert int(_table_value(out, "switches")) == 9
 
-    def test_topology_fat_tree(self, capsys):
-        assert main(["topology", "fat-tree", "--k", "4"]) == 0
-        assert "fat-tree" in capsys.readouterr().out
+    def test_set_overrides_several_fields(self, capsys):
+        assert main([
+            "topology", "dragonfly", "--set", "groups=5",
+            "--set", "routers_per_group=3", "--set", "terminals=2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert int(_table_value(out, "switches")) == 15
+        assert int(_table_value(out, "terminals")) == 30
 
-    def test_topology_torus(self, capsys):
-        assert main(["topology", "torus", "--dims", "3", "3"]) == 0
-        assert "torus" in capsys.readouterr().out
+    def test_inapplicable_field_exits_2_naming_it(self, capsys):
+        assert main(["topology", "dragonfly", "--set", "k=4"]) == 2
+        err = capsys.readouterr().err
+        assert "does not take 'k'" in err
+        assert "Traceback" not in err
+
+    def test_unknown_family_exits_2_listing_the_known_ones(self, capsys):
+        assert main(["topology", "moebius"]) == 2
+        assert "known kinds: dragonfly" in capsys.readouterr().err
 
 
 class TestReport:
+    def test_default_results_resolve_against_the_checkout(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """From any directory, the committed results give REPORT.md."""
+        checkout = pathlib.Path(__file__).resolve().parents[2]
+        empty = tmp_path / "elsewhere"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        output = tmp_path / "R.md"
+        assert main(["report", "--output", str(output)]) == 0
+        assert output.read_bytes() == (checkout / "REPORT.md").read_bytes()
+
     def test_report_assembles_results(self, tmp_path, capsys):
         results = tmp_path / "results"
         results.mkdir()
@@ -158,6 +235,9 @@ class TestRepeatedFlags:
 
     @pytest.mark.parametrize("command", [
         ["profile", "C1"],
+        ["trace", "C1"],
+        ["metrics", "C1"],
+        ["topology", "dragonfly"],
         ["serve-request", "http://127.0.0.1:9", "profile", "C1"],
     ])
     def test_set_without_a_value_exits_2(self, capsys, command):
@@ -174,7 +254,38 @@ class TestRepeatedFlags:
         assert sweep.axis == [("load", [0.5, 8, "flow"]), ("k", [1])]
         profile = parser.parse_args(["profile", "C1", "--set", "max_jobs=50"])
         assert profile.set == [("max_jobs", 50)]
+        topology = parser.parse_args(
+            ["topology", "hyperx", "--set", "dims=3,3", "--set", "mode=a,0.5"]
+        )
+        assert topology.set == [("dims", [3, 3]), ("mode", ["a", 0.5])]
 
     def test_serve_with_an_unimportable_preload_exits_2(self, capsys):
         assert main(["serve", "--preload", "no.such.module"]) == 2
         assert "cannot preload 'no.such.module'" in capsys.readouterr().err
+
+
+class TestLibraryDefaults:
+    """A flag that maps onto a library field reaches it only when given."""
+
+    @pytest.mark.parametrize("argv, targets, expected", [
+        (["sweep", "smoke"], (SupervisorConfig, FleetConfig), {}),
+        (["serve"], (ServeConfig,), {}),
+        (["sweep-worker", "--connect", "127.0.0.1:9"], (run_worker,),
+         {"connect": "127.0.0.1:9"}),
+    ])
+    def test_flags_left_out_leave_the_library_defaults(
+        self, argv, targets, expected
+    ):
+        args = build_parser().parse_args(argv)
+        for target in targets:
+            assert _given(args, target) == expected
+
+    def test_given_flags_reach_their_fields(self):
+        args = build_parser().parse_args([
+            "sweep", "smoke", "--retries", "3", "--strict", "--no-steal",
+            "--auth-token", "s3cret",
+        ])
+        assert _given(args, SupervisorConfig) == {"retries": 3, "strict": True}
+        assert _given(args, FleetConfig) == {
+            "steal": False, "auth_token": "s3cret",
+        }

@@ -157,11 +157,13 @@ class TestLazyAttributes:
 
         assert repro.Flow is Flow is defined
 
-    def test_cli_topology_choices_match_the_builder(self):
-        from repro import cli
+    def test_cli_topology_help_names_every_builder_kind(self):
+        from repro.cli import build_parser
         from repro.interconnect.topology import TOPOLOGY_KINDS
 
-        assert sorted(cli._TOPOLOGY_ARGS) == sorted(TOPOLOGY_KINDS)
+        subparsers = build_parser()._subparsers._group_actions[0]
+        help_text = " ".join(subparsers.choices["topology"].format_help().split())
+        assert all(kind in help_text for kind in TOPOLOGY_KINDS)
 
 
 class TestRegistries:

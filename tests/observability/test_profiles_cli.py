@@ -1,6 +1,7 @@
 """Tests for the run profiles and the trace/metrics/profile CLI subcommands."""
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,31 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         for line in expected:
             assert line in out
+
+
+class TestOverrides:
+    """``trace`` and ``metrics`` take ``--set`` like ``profile`` does."""
+
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_set_runs_the_override(self, tmp_path, monkeypatch, capsys,
+                                   command):
+        monkeypatch.chdir(tmp_path)
+        expected = dict(run("C16", max_jobs=40).summary)["jobs submitted"]
+        assert expected != dict(run("C16").summary)["jobs submitted"]
+        assert main([command, "C16", "--set", "max_jobs=40"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"^jobs submitted\s+{expected}\s*$", out,
+                         re.MULTILINE)
+
+    @pytest.mark.parametrize("command", ["trace", "metrics"])
+    def test_unknown_field_exits_2_naming_it(self, tmp_path, monkeypatch,
+                                             capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "C16", "--set", "bogus=1"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProfileCommand:

@@ -1,4 +1,4 @@
-"""The C17 memory-reliability profile and the faults CLI surface."""
+"""The C17 memory-reliability profile and the C16 fault-campaign CLI."""
 
 import pytest
 
@@ -47,12 +47,24 @@ class TestC17Profile:
 
 
 class TestFaultsCli:
+    """The fault campaign runs as ``repro metrics C16 --set ...``."""
+
+    def test_churn_profile_prints_fault_counters(self, capsys):
+        assert main([
+            "metrics", "C16", "--set", "max_jobs=40", "--set", "seed=11",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "faults injected" in out
+        assert "resilience.faults.injected" in out
+
     def test_invalid_campaign_spec_exits_2_naming_the_field(self, capsys):
-        assert main(["faults", "--node-mtbf", "-5"]) == 2
+        assert main(["metrics", "C16", "--set", "node_mtbf=-5"]) == 2
         err = capsys.readouterr().err
-        assert "invalid fault campaign" in err
+        assert "bad override for C16" in err
         assert "node_mtbf" in err
 
-    def test_zero_nodes_exits_2(self, capsys):
-        assert main(["faults", "--nodes", "0"]) == 2
-        assert "invalid fault campaign" in capsys.readouterr().err
+    def test_zero_nodes_exits_2_naming_the_field(self, capsys):
+        assert main(["metrics", "C16", "--set", "nodes=0"]) == 2
+        err = capsys.readouterr().err
+        assert "bad override for C16" in err
+        assert "nodes=0" in err
