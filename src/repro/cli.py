@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import List, Optional
 
@@ -1232,7 +1233,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv
-    return _HANDLERS[args.command](args)
+    try:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``repro metrics C16 | head``): point
+        # stdout at /dev/null so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -143,6 +143,25 @@ class LinkEvent:
     up: bool = False
 
 
+def _restore_link(
+    graph, u: str, v: str, attrs: Dict[str, object],
+    neighbour_order: Dict[str, List[str]],
+) -> None:
+    """Re-add a failed link where it sat in both endpoints' adjacency.
+
+    ``add_edge`` appends the neighbour, and shortest paths break ties by
+    adjacency order, so without the reorder a repaired fabric routes
+    differently from a fresh build of the same topology.
+    """
+    graph.add_edge(u, v, **attrs)
+    for node in (u, v):
+        rank = {n: i for i, n in enumerate(neighbour_order[node])}
+        adjacency = graph._adj[node]
+        ordered = sorted(adjacency.items(), key=lambda item: rank[item[0]])
+        adjacency.clear()
+        adjacency.update(ordered)
+
+
 class FabricSimulator:
     """Progressive-filling flow simulator over a :class:`Topology`.
 
@@ -302,6 +321,8 @@ class FabricSimulator:
         event_count = len(events)
         event_index = 0
         down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
+        # Each failed link's endpoints' neighbour order before any failure.
+        neighbour_order: Dict[str, List[str]] = {}
         # Hot attributes as locals.  The route cache is read through
         # ``self`` (a link event replaces it mid-run).
         infinity = float("inf")
@@ -359,10 +380,12 @@ class FabricSimulator:
                 attrs = down_links.pop(key, None)
                 if attrs is None:
                     return  # link was never down
-                graph.add_edge(u, v, **attrs)
+                _restore_link(graph, u, v, attrs, neighbour_order)
             else:
                 if key in down_links or not graph.has_edge(u, v):
                     return  # already down or never existed
+                for node in (u, v):
+                    neighbour_order.setdefault(node, list(graph.adj[node]))
                 down_links[key] = dict(graph.edges[u, v])
                 graph.remove_edge(u, v)
             self._refresh_link_state()
@@ -544,7 +567,7 @@ class FabricSimulator:
             # The workload drained before every link came back; undo the
             # in-place mutations so the shared topology is left intact.
             for (u, v), attrs in down_links.items():
-                self.topology.graph.add_edge(u, v, **attrs)
+                _restore_link(self.topology.graph, u, v, attrs, neighbour_order)
             down_links.clear()
             self._refresh_link_state()
         return results

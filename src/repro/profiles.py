@@ -21,8 +21,9 @@ scheduling, interconnect and federation freely, while the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.errors import ConfigurationError
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
 from repro.economics.energy import EnergyCarbonModel
@@ -39,13 +40,17 @@ from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
 from repro.observability import Telemetry, attach_cluster_sampler
 from repro.resilience import (
+    NO_SCRUB,
     CheckpointPlan,
     FailureProcess,
     FaultCampaign,
+    FaultEvent,
     FaultInjector,
     MemoryErrorCampaign,
     MemoryErrorSpec,
+    MemoryErrorStats,
     NodeFaultSpec,
+    ResilienceReport,
     RetryPolicy,
     ScrubPolicy,
     bind_cluster,
@@ -57,8 +62,9 @@ from repro.resilience import (
 from repro.scheduling import MetaScheduler, PlacementPolicy
 from repro.scheduling.checkpointing import FailureModel, fabric_pm_target
 from repro.scheduling.cluster import ClusterSimulator
+from repro.scheduling.runtime import estimate_job
 from repro.workloads import JobTraceGenerator, TraceConfig
-from repro.workloads.base import JobClass, make_single_kernel_job
+from repro.workloads.base import Job, JobClass, make_single_kernel_job
 
 
 @dataclass
@@ -301,7 +307,201 @@ def _profile_f3(
     )
 
 
+# --- the cluster-churn scenario ------------------------------------------------
+#
+# One single-site cluster under a fault campaign with checkpoint-restart,
+# optionally memory errors and carbon scoring.  C16, C17 and the
+# ``resilience-churn``/``memory-reliability`` sweep targets all build and
+# run it through these functions and differ only in the values they pass.
+
+
+def churn_site(name: str, kind: SiteKind, nodes: int) -> Site:
+    """A site of ``nodes`` identical CPU nodes for the churn scenario."""
+    if nodes < 1:
+        raise ConfigurationError(f"nodes must be at least 1, got {nodes!r}")
+    cpu = default_catalog().get("epyc-class-cpu")
+    return Site(name=name, kind=kind, devices={cpu: nodes})
+
+
+def _churn_device(site: Site):
+    (device,) = site.devices
+    return device
+
+
+def calibrated_jobs(
+    site: Site, prefix: str, count: int, *, work: float, arrival_gap: float,
+    ranks: int = 1,
+) -> List[Job]:
+    """``count`` identical FP64 jobs, ``arrival_gap`` apart, each
+    estimated to run ``work`` seconds on ``site``.
+
+    Kernel flops are calibrated from one probe job — compute-bound
+    kernels scale linearly, so the runtime estimate hits ``work``.
+    """
+    device = _churn_device(site)
+
+    def make_job(index: int, flops: float) -> Job:
+        job = make_single_kernel_job(
+            name=f"{prefix}-{index}", job_class=JobClass.SIMULATION,
+            flops=flops, bytes_moved=1e6, precision=Precision.FP64, ranks=ranks,
+        )
+        job.arrival_time = index * arrival_gap
+        return job
+
+    probe_time = estimate_job(make_job(0, 1e15), device, site).time
+    flops = 1e15 * work / probe_time
+    return [make_job(index, flops) for index in range(count)]
+
+
+def node_fault_campaign(
+    site: Site, *, mtbf: float, repair_time: float, horizon: float
+) -> FaultCampaign:
+    """Exponential node failures at ``site`` (aggregate ``mtbf``)."""
+    faults = NodeFaultSpec(site.name, FailureProcess(mtbf), repair_time=repair_time)
+    return FaultCampaign(horizon=horizon, node_faults=(faults,))
+
+
+def memory_plan(
+    site: Site, *, fit_per_gib: float, ecc: str, scrub_interval: float,
+    node_mtbf: float, checkpoint_bytes: float,
+) -> Tuple[MemoryErrorSpec, FailureModel, CheckpointPlan]:
+    """The site's DRAM error process and the checkpoint plan it implies.
+
+    FIT -> MTBF -> Young/Daly: the effective node MTBF folds the memory
+    DUE hazard into ``node_mtbf``, and the fabric-PM checkpoint interval
+    follows from it rather than from a hand-set MTBF.
+    ``scrub_interval=0`` turns patrol scrubbing off (:data:`NO_SCRUB`) —
+    a JSON request cannot say ``inf``.
+    """
+    device = _churn_device(site)
+    nodes = site.count(device)
+    footprint = device.spec.memory_capacity          # per-node DRAM
+    spec = MemoryErrorSpec(
+        device=device.name, region=site.name, capacity_bytes=footprint * nodes,
+        fit_per_gib=fit_per_gib, ecc=ecc_policy(ecc),
+        scrub=NO_SCRUB if scrub_interval == 0 else ScrubPolicy(scrub_interval),
+    )
+    failures = memory_failure_model(
+        footprint, spec, nodes=nodes, node_mtbf=node_mtbf
+    )
+    plan = CheckpointPlan.from_target(fabric_pm_target(), checkpoint_bytes, failures)
+    return spec, failures, plan
+
+
+@dataclass
+class ChurnRun:
+    """What one churn run leaves for its caller to report."""
+
+    report: ResilienceReport
+    injected: int
+    timeline: List[FaultEvent]
+    memory: MemoryErrorStats
+
+
+def run_churn(
+    telemetry: Telemetry, rng: RandomSource, site: Site, jobs: Sequence[Job],
+    campaign, *, retry_policy: RetryPolicy,
+    checkpoint: Optional[CheckpointPlan] = None,
+    sampler_period: Optional[float] = None,
+) -> ChurnRun:
+    """Run ``jobs`` on ``site`` under ``campaign`` and report the outcome.
+
+    ``campaign`` is a :class:`FaultCampaign` or a
+    :class:`MemoryErrorCampaign`; node faults kill devices and memory
+    DUEs kill jobs, both through the checkpoint-restart and retry path.
+    Every draw forks from ``rng`` by name (``cluster``, ``faults``,
+    ``memvictim``), so the run is a function of the seed alone.  With a
+    ``sampler_period`` the cluster's queue and occupancy are sampled.
+    """
+    cluster = ClusterSimulator(
+        site=site, device=_churn_device(site), telemetry=telemetry,
+        retry_policy=retry_policy, checkpoint=checkpoint,
+        rng=rng.fork("cluster"),
+    )
+    telemetry.bind_simulation(cluster.simulation)
+    if sampler_period is not None:
+        attach_cluster_sampler(telemetry, cluster, period=sampler_period)
+    for job in jobs:
+        cluster.submit(job)
+    faults = rng.fork("faults")
+    timeline = campaign.timeline(faults)
+    injector = FaultInjector(
+        cluster.simulation, campaign, faults,
+        telemetry=telemetry, timeline=timeline,
+    )
+    bind_cluster(injector, cluster)
+    memory = bind_memory(
+        injector, cluster, rng=rng.fork("memvictim"), region=site.name
+    )
+    injector.install()
+    cluster.run()
+    return ChurnRun(cluster_report(cluster), injector.injected, timeline, memory)
+
+
+def carbon_report(
+    site: Site, report: ResilienceReport, memory: MemoryErrorSpec
+) -> Dict[str, float]:
+    """Energy, dollars and carbon of a finished churn run.
+
+    The site's nodes sit in one direct-liquid-cooled rack; patrol
+    scrubbing of ``memory`` adds its standing power.  Adds
+    ``energy_cost`` (dollars) to
+    :meth:`~repro.economics.energy.EnergyCarbonModel.run_report`'s keys.
+    """
+    device = _churn_device(site)
+    rack = RackPowerModel(
+        cooling=CoolingTechnology.DIRECT_LIQUID,
+        devices=[device.spec] * site.count(device),
+    )
+    datacenter = DatacenterPowerModel(racks=[rack])
+    carbon = EnergyCarbonModel().run_report(
+        it_power=datacenter.it_power(), pue=datacenter.pue(),
+        dwell_seconds=report.makespan, completed_jobs=report.completed,
+        memory_bytes=memory.capacity_bytes,
+        extra_it_power=memory.scrub.scrub_power(memory.capacity_bytes),
+    )
+    carbon["energy_cost"] = datacenter.energy_cost(carbon["facility_joules"])
+    return carbon
+
+
 # --- resilience-family profiles -------------------------------------------------
+
+
+#: Both churn profiles requeue killed jobs with the same bounded backoff.
+_PROFILE_RETRY = RetryPolicy(max_retries=8, base_delay=5.0, jitter=0.0)
+
+
+def _trace_jobs(
+    rng: RandomSource, nodes: int, arrival_rate: float, duration: float, max_jobs: int
+) -> List[Job]:
+    """The mixed trace, less the jobs wider than the cluster."""
+    trace = JobTraceGenerator(
+        TraceConfig(arrival_rate=arrival_rate, duration=duration, max_jobs=max_jobs),
+        rng=rng.fork("trace"),
+    ).generate()
+    return [job for job in trace if job.ranks <= nodes]
+
+
+def _churn_summary(
+    run: ChurnRun, memory_rows: Sequence[Tuple[str, object]] = ()
+) -> List[Tuple[str, object]]:
+    report = run.report
+    return [
+        ("jobs submitted", report.submitted),
+        ("jobs finished", report.completed),
+        ("jobs dead", report.dead),
+        ("job kills", report.kills),
+        ("retries", report.retries),
+        ("faults injected", run.injected),
+        *memory_rows,
+        ("goodput", report.goodput),
+        ("utilization", report.utilization),
+        ("wasted device-seconds", report.wasted_device_seconds),
+        # Fault-free runs have infinite MTTI; keep the row readable and
+        # out of the numeric metrics dict (JSON cannot carry inf).
+        ("MTTI (s)", report.mtti if report.kills else "inf"),
+        ("makespan (s)", report.makespan),
+    ]
 
 
 def _profile_c16(
@@ -325,65 +525,26 @@ def _profile_c16(
     interval and requeue under a bounded-backoff retry policy. The summary
     separates goodput from raw utilisation — the gap is the fault tax.
     """
-    catalog = default_catalog()
-    cpu = catalog.get("epyc-class-cpu")
-    site = Site(name="churn", kind=SiteKind.SUPERCOMPUTER, devices={cpu: nodes})
-    simulation = Simulation()
-    telemetry.bind_simulation(simulation)
+    site = churn_site("churn", SiteKind.SUPERCOMPUTER, nodes)
     rng = RandomSource(seed=seed, name="c16-profile")
     failures = FailureModel(node_mtbf=node_mtbf, nodes=nodes)
-    plan = CheckpointPlan.from_target(
-        fabric_pm_target(), checkpoint_bytes, failures
-    )
-    cluster = ClusterSimulator(
-        site=site, device=cpu, simulation=simulation, telemetry=telemetry,
-        retry_policy=RetryPolicy(max_retries=8, base_delay=5.0, jitter=0.0),
-        checkpoint=plan, rng=rng.fork("cluster"),
-    )
-    attach_cluster_sampler(telemetry, cluster, period=500.0)
-    trace = JobTraceGenerator(
-        TraceConfig(arrival_rate=arrival_rate, duration=duration, max_jobs=max_jobs),
-        rng=rng.fork("trace"),
-    ).generate()
-    for job in trace:
-        if job.ranks <= cluster.nominal_capacity:
-            cluster.submit(job)
     # The fault window outlives the arrival window: the drain phase is
     # where a busy cluster takes most of its kills.
-    campaign = FaultCampaign(
-        horizon=horizon,
-        node_faults=(
-            NodeFaultSpec(
-                site=site.name,
-                process=FailureProcess(mtbf=failures.system_mtbf),
-                repair_time=repair_time,
-            ),
+    run = run_churn(
+        telemetry, rng, site,
+        _trace_jobs(rng, nodes, arrival_rate, duration, max_jobs),
+        node_fault_campaign(
+            site, mtbf=failures.system_mtbf, repair_time=repair_time, horizon=horizon
         ),
+        retry_policy=_PROFILE_RETRY,
+        checkpoint=CheckpointPlan.from_target(
+            fabric_pm_target(), checkpoint_bytes, failures
+        ),
+        sampler_period=500.0,
     )
-    injector = FaultInjector(
-        simulation, campaign, rng.fork("faults"), telemetry=telemetry
-    )
-    bind_cluster(injector, cluster)
-    injector.install()
-    cluster.run()
-    report = cluster_report(cluster)
     return ProfileResult(
         "C16", "fabric-PM checkpoint-restart under node churn", telemetry,
-        summary=[
-            ("jobs submitted", report.submitted),
-            ("jobs finished", report.completed),
-            ("jobs dead", report.dead),
-            ("job kills", report.kills),
-            ("retries", report.retries),
-            ("faults injected", injector.injected),
-            ("goodput", report.goodput),
-            ("utilization", report.utilization),
-            ("wasted device-seconds", report.wasted_device_seconds),
-            # Fault-free runs have infinite MTTI; keep the row readable and
-            # out of the numeric metrics dict (JSON cannot carry inf).
-            ("MTTI (s)", report.mtti if report.kills else "inf"),
-            ("makespan (s)", report.makespan),
-        ],
+        summary=_churn_summary(run),
     )
 
 
@@ -408,122 +569,56 @@ def _profile_c17(
     The C16 churn scenario with memory as a failure domain: a FIT-rate
     upset process over the site's DRAM (``fit_per_gib`` is accelerated
     well above field rates so a 60 ks window shows the statistics) is
-    classified by the node ECC and patrol-scrub policy; DUEs kill the
-    owning job through the same checkpoint-restart path node faults use.
-    The checkpoint interval is *derived* from the FIT rate — effective
-    node MTBF folds the memory DUE hazard into the hardware MTBF before
-    Young/Daly — and the run is scored in energy and carbon so scrub
-    aggressiveness shows up on both sides of the ledger.
+    classified by the node ECC and patrol-scrub policy
+    (``scrub_interval=0`` turns scrubbing off); DUEs kill the owning job
+    through the same checkpoint-restart path node faults use.  The
+    checkpoint interval is *derived* from the FIT rate (see
+    :func:`memory_plan`) and the run is scored in energy and carbon so
+    scrub aggressiveness shows up on both sides of the ledger.
     """
-    catalog = default_catalog()
-    cpu = catalog.get("epyc-class-cpu")
-    site = Site(name="memrel", kind=SiteKind.SUPERCOMPUTER, devices={cpu: nodes})
-    simulation = Simulation()
-    telemetry.bind_simulation(simulation)
+    site = churn_site("memrel", SiteKind.SUPERCOMPUTER, nodes)
     rng = RandomSource(seed=seed, name="c17-profile")
-
-    footprint = cpu.spec.memory_capacity          # per-node DRAM
-    pool_capacity = footprint * nodes             # whole-site DRAM
-    mem_spec = MemoryErrorSpec(
-        device=cpu.name, region=site.name, capacity_bytes=pool_capacity,
-        fit_per_gib=fit_per_gib, ecc=ecc_policy(ecc),
-        scrub=ScrubPolicy(interval=scrub_interval),
+    spec, failures, plan = memory_plan(
+        site, fit_per_gib=fit_per_gib, ecc=ecc,
+        scrub_interval=scrub_interval, node_mtbf=node_mtbf,
+        checkpoint_bytes=checkpoint_bytes,
     )
-    # FIT -> MTBF -> Young/Daly: the plan's interval comes from the
-    # memory-error process, not a hand-set MTBF.
-    failures = memory_failure_model(
-        footprint, mem_spec, nodes=nodes, node_mtbf=node_mtbf
-    )
-    plan = CheckpointPlan.from_target(
-        fabric_pm_target(), checkpoint_bytes, failures
-    )
-    cluster = ClusterSimulator(
-        site=site, device=cpu, simulation=simulation, telemetry=telemetry,
-        retry_policy=RetryPolicy(max_retries=8, base_delay=5.0, jitter=0.0),
-        checkpoint=plan, rng=rng.fork("cluster"),
-    )
-    attach_cluster_sampler(telemetry, cluster, period=500.0)
-    trace = JobTraceGenerator(
-        TraceConfig(arrival_rate=arrival_rate, duration=duration, max_jobs=max_jobs),
-        rng=rng.fork("trace"),
-    ).generate()
-    for job in trace:
-        if job.ranks <= cluster.nominal_capacity:
-            cluster.submit(job)
     campaign = MemoryErrorCampaign(
-        horizon=horizon,
-        memory=(mem_spec,),
-        base=FaultCampaign(
-            horizon=horizon,
-            node_faults=(
-                NodeFaultSpec(
-                    site=site.name,
-                    process=FailureProcess(
-                        mtbf=FailureModel(
-                            node_mtbf=node_mtbf, nodes=nodes
-                        ).system_mtbf
-                    ),
-                    repair_time=repair_time,
-                ),
-            ),
+        horizon=horizon, memory=(spec,),
+        base=node_fault_campaign(
+            site,
+            mtbf=FailureModel(node_mtbf=node_mtbf, nodes=nodes).system_mtbf,
+            repair_time=repair_time, horizon=horizon,
         ),
     )
-    injector = FaultInjector(
-        simulation, campaign, rng.fork("faults"), telemetry=telemetry
+    run = run_churn(
+        telemetry, rng, site,
+        _trace_jobs(rng, nodes, arrival_rate, duration, max_jobs),
+        campaign,
+        retry_policy=_PROFILE_RETRY, checkpoint=plan, sampler_period=500.0,
     )
-    bind_cluster(injector, cluster)
-    mem_stats = bind_memory(
-        injector, cluster, rng=rng.fork("memvictim"), region=site.name
-    )
-    injector.install()
-    cluster.run()
-    report = cluster_report(cluster)
-
-    rack = RackPowerModel(
-        cooling=CoolingTechnology.DIRECT_LIQUID,
-        devices=[cpu.spec] * nodes,
-    )
-    datacenter = DatacenterPowerModel(racks=[rack])
-    carbon = EnergyCarbonModel().run_report(
-        it_power=datacenter.it_power(),
-        pue=datacenter.pue(),
-        dwell_seconds=report.makespan,
-        completed_jobs=report.completed,
-        memory_bytes=pool_capacity,
-        extra_it_power=mem_spec.scrub.scrub_power(pool_capacity),
-    )
+    memory = run.memory
+    carbon = carbon_report(site, run.report, spec)
+    summary = _churn_summary(run, memory_rows=[
+        ("mem upsets", memory.total),
+        ("mem corrected", memory.corrected),
+        ("mem DUE", memory.due),
+        ("mem silent", memory.silent),
+        ("mem kills", memory.kills),
+        ("effective node MTBF (s)", failures.node_mtbf),
+        ("checkpoint interval (s)", plan.interval),
+    ])
+    summary += [
+        ("energy (kWh)", carbon["energy_kwh"]),
+        ("energy cost ($)", carbon["energy_cost"]),
+        ("carbon total (kg)", carbon["total_kg"]),
+        # Idle runs complete nothing; keep inf out of numeric metrics.
+        ("gCO2e per job", carbon["gco2e_per_job"] if run.report.completed else "inf"),
+        ("carbon per GiB (kg)", carbon["carbon_per_gib"]),
+    ]
     return ProfileResult(
         "C17", "memory-error reliability with ECC/scrub and carbon accounting",
-        telemetry,
-        summary=[
-            ("jobs submitted", report.submitted),
-            ("jobs finished", report.completed),
-            ("jobs dead", report.dead),
-            ("job kills", report.kills),
-            ("retries", report.retries),
-            ("faults injected", injector.injected),
-            ("mem upsets", mem_stats.total),
-            ("mem corrected", mem_stats.corrected),
-            ("mem DUE", mem_stats.due),
-            ("mem silent", mem_stats.silent),
-            ("mem kills", mem_stats.kills),
-            ("effective node MTBF (s)", failures.node_mtbf),
-            ("checkpoint interval (s)", plan.interval),
-            ("goodput", report.goodput),
-            ("utilization", report.utilization),
-            ("wasted device-seconds", report.wasted_device_seconds),
-            ("MTTI (s)", report.mtti if report.kills else "inf"),
-            ("makespan (s)", report.makespan),
-            ("energy (kWh)", carbon["energy_kwh"]),
-            ("energy cost ($)", datacenter.energy_cost(carbon["facility_joules"])),
-            ("carbon total (kg)", carbon["total_kg"]),
-            # Idle runs complete nothing; keep inf out of numeric metrics.
-            (
-                "gCO2e per job",
-                carbon["gco2e_per_job"] if report.completed else "inf",
-            ),
-            ("carbon per GiB (kg)", carbon["carbon_per_gib"]),
-        ],
+        telemetry, summary=summary,
     )
 
 

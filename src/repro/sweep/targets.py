@@ -60,6 +60,13 @@ def preload_target(name: str) -> SweepTarget:
     return target
 
 
+#: Modules a target imports inside its body, by target name.
+_TARGET_IMPORTS: Dict[str, Tuple[str, ...]] = {
+    "resilience-churn": ("repro.profiles",),
+    "memory-reliability": ("repro.profiles",),
+}
+
+
 def resolve_target(name: str) -> SweepTarget:
     """Look up a target by name.
 
@@ -190,35 +197,10 @@ def fabric_congestion(
     }
 
 
-# --- the resilience churn target ----------------------------------------------
-
-
-#: What the cluster targets import in their bodies, by defining module.
-_CLUSTER_IMPORTS = (
-    "repro.federation.site",
-    "repro.hardware.catalog",
-    "repro.hardware.precision",
-    "repro.resilience.faults",
-    "repro.resilience.injector",
-    "repro.resilience.metrics",
-    "repro.resilience.recovery",
-    "repro.resilience.retry",
-    "repro.scheduling.cluster",
-    "repro.scheduling.runtime",
-    "repro.workloads.base",
-)
-
-#: Modules a target imports inside its body, by target name; see
-#: :func:`preload_target`.
-_TARGET_IMPORTS: Dict[str, Tuple[str, ...]] = {
-    "resilience-churn": _CLUSTER_IMPORTS,
-    "memory-reliability": _CLUSTER_IMPORTS + (
-        "repro.economics.energy",
-        "repro.hardware.power",
-        "repro.resilience.memerrors",
-        "repro.scheduling.checkpointing",
-    ),
-}
+# --- the cluster-churn targets -----------------------------------------------
+#
+# Both build and run the churn scenario through repro.profiles, imported in
+# their bodies so a fabric-only sweep never loads the cluster stack.
 
 
 @register_target("resilience-churn")
@@ -254,116 +236,53 @@ def resilience_churn(
         checkpointing entirely.
     ``max_retries`` / ``base_delay``
         Retry policy bounds (defaults 10 and 5 s; jitter stays 0 so only
-        the named forks below consume randomness).
+        the named forks consume randomness).
     ``arrival_gap``
         Seconds between job arrivals (default 60).
     """
-    from repro.federation import Site, SiteKind
-    from repro.hardware import Precision, default_catalog
-    from repro.resilience import (
-        CheckpointPlan,
-        FailureProcess,
-        FaultCampaign,
-        FaultInjector,
-        NodeFaultSpec,
-        RetryPolicy,
-        bind_cluster,
-        check_conservation,
-        cluster_report,
-    )
-    from repro.scheduling.cluster import ClusterSimulator
-    from repro.scheduling.runtime import estimate_job
-    from repro.workloads.base import JobClass, make_single_kernel_job
+    from repro import profiles
+    from repro.federation import SiteKind
+    from repro.resilience import CheckpointPlan
 
-    nodes = int(params.get("nodes", 8))
     jobs = int(params.get("jobs", 24))
-    ranks = int(params.get("ranks", 1))
     work = float(params.get("work", 900.0))
-    mtbf = float(params.get("mtbf", 4_000.0))
-    repair_time = float(params.get("repair_time", 120.0))
-    interval = float(params.get("checkpoint_interval", 0.0))
-    cost = float(params.get("checkpoint_cost", 30.0))
-    restart_time = float(params.get("restart_time", 30.0))
-    max_retries = int(params.get("max_retries", 10))
-    base_delay = float(params.get("base_delay", 5.0))
     arrival_gap = float(params.get("arrival_gap", 60.0))
-
-    catalog = default_catalog()
-    device = catalog.get("epyc-class-cpu")
-    site = Site(
-        name="churn", kind=SiteKind.ON_PREMISE, devices={device: nodes}
+    interval = float(params.get("checkpoint_interval", 0.0))
+    site = profiles.churn_site(
+        "churn", SiteKind.ON_PREMISE, int(params.get("nodes", 8))
     )
-
-    def make_job(index: int, flops: float):
-        job = make_single_kernel_job(
-            name=f"churn-{index}",
-            job_class=JobClass.SIMULATION,
-            flops=flops,
-            bytes_moved=1e6,
-            precision=Precision.FP64,
-            ranks=ranks,
-        )
-        job.arrival_time = index * arrival_gap
-        return job
-
-    # Calibrate kernel flops so the runtime estimate hits ``work`` —
-    # compute-bound kernels scale linearly.
-    probe = make_job(0, 1e15)
-    probe_time = estimate_job(probe, device, site).time
-    flops = 1e15 * work / probe_time
-
-    checkpoint = (
-        CheckpointPlan(interval=interval, cost=cost, restart_time=restart_time)
-        if interval > 0 else None
-    )
-    cluster = ClusterSimulator(
-        site=site, device=device, telemetry=telemetry,
-        retry_policy=RetryPolicy(
-            max_retries=max_retries, base_delay=base_delay, jitter=0.0
+    run = profiles.run_churn(
+        telemetry, rng, site,
+        profiles.calibrated_jobs(
+            site, "churn", jobs, work=work, arrival_gap=arrival_gap,
+            ranks=int(params.get("ranks", 1)),
         ),
-        checkpoint=checkpoint, rng=rng.fork("cluster"),
-    )
-    telemetry.bind_simulation(cluster.simulation)
-    for index in range(jobs):
-        cluster.submit(make_job(index, flops))
-    horizon = float(
-        params.get("horizon", 2.0 * (jobs * arrival_gap + 20.0 * work))
-    )
-    campaign = FaultCampaign(
-        horizon=horizon,
-        node_faults=(
-            NodeFaultSpec(
-                site=site.name,
-                process=FailureProcess(mtbf=mtbf),
-                repair_time=repair_time,
-            ),
+        profiles.node_fault_campaign(
+            site,
+            mtbf=float(params.get("mtbf", 4_000.0)),
+            repair_time=float(params.get("repair_time", 120.0)),
+            horizon=_horizon(params, jobs, arrival_gap, work),
         ),
+        retry_policy=_retry_policy(params),
+        checkpoint=CheckpointPlan(
+            interval=interval,
+            cost=float(params.get("checkpoint_cost", 30.0)),
+            restart_time=float(params.get("restart_time", 30.0)),
+        ) if interval > 0 else None,
     )
-    timeline = campaign.timeline(rng.fork("faults"))
-    injector = FaultInjector(
-        cluster.simulation, campaign, rng.fork("faults"),
-        telemetry=telemetry, timeline=timeline,
-    )
-    bind_cluster(injector, cluster)
-    injector.install()
-    cluster.run()
-    report = cluster_report(cluster)
-    check_conservation(cluster)
+    report = run.report
     return {
         "completed": float(report.completed),
         "dead": float(report.dead),
         "kills": float(report.kills),
         "retries_total": float(report.retries),
-        "faults_injected": float(injector.injected),
+        "faults_injected": float(run.injected),
         "goodput": report.goodput,
         "utilization": report.utilization,
         "wasted_device_seconds": report.wasted_device_seconds,
         "makespan_s": report.makespan,
-        "fault_time_sum": sum(event.time for event in timeline),
+        "fault_time_sum": sum(event.time for event in run.timeline),
     }
-
-
-# --- the memory-reliability target --------------------------------------------
 
 
 @register_target("memory-reliability")
@@ -378,10 +297,9 @@ def memory_reliability(
     upset process over the site's DRAM is classified by the swept ECC
     and patrol-scrub policies; DUEs kill jobs through the
     checkpoint-restart path, and the checkpoint interval itself is
-    derived from the FIT rate via
-    :func:`~repro.resilience.memerrors.memory_failure_model`.  Each
-    point is scored in goodput *and* carbon (operational + embodied per
-    completed job), so the sweep trades scrub aggressiveness and ECC
+    derived from the FIT rate via :func:`~repro.profiles.memory_plan`.
+    Each point is scored in goodput *and* carbon (operational + embodied
+    per completed job), so the sweep trades scrub aggressiveness and ECC
     strength against gCO2e directly.  ``upset_time_sum`` lands in the
     metrics so a perturbed upset timeline changes the sweep fingerprint.
 
@@ -405,126 +323,48 @@ def memory_reliability(
     """
     import math
 
-    from repro.economics import EnergyCarbonModel
-    from repro.federation import Site, SiteKind
-    from repro.hardware import Precision, default_catalog
-    from repro.hardware.power import (
-        CoolingTechnology,
-        DatacenterPowerModel,
-        RackPowerModel,
-    )
-    from repro.resilience import (
-        CheckpointPlan,
-        FaultInjector,
-        MemoryErrorCampaign,
-        MemoryErrorSpec,
-        NO_SCRUB,
-        RetryPolicy,
-        ScrubPolicy,
-        bind_memory,
-        check_conservation,
-        cluster_report,
-        ecc_policy,
-        memory_failure_model,
-    )
-    from repro.scheduling.checkpointing import fabric_pm_target
-    from repro.scheduling.cluster import ClusterSimulator
-    from repro.scheduling.runtime import estimate_job
-    from repro.workloads.base import JobClass, make_single_kernel_job
+    from repro import profiles
+    from repro.federation import SiteKind
+    from repro.resilience import MemoryErrorCampaign
 
-    ecc = ecc_policy(str(params.get("ecc", "sec-ded")))
-    scrub_interval = float(params.get("scrub_interval", 900.0))
-    scrub = ScrubPolicy(scrub_interval) if scrub_interval > 0 else NO_SCRUB
-    fit_per_gib = float(params.get("fit_per_gib", 4e6))
-    nodes = int(params.get("nodes", 8))
     jobs = int(params.get("jobs", 24))
     work = float(params.get("work", 900.0))
     arrival_gap = float(params.get("arrival_gap", 60.0))
-    node_mtbf = float(params.get("node_mtbf", 30_000.0))
-    max_retries = int(params.get("max_retries", 10))
-    base_delay = float(params.get("base_delay", 5.0))
-
-    catalog = default_catalog()
-    device = catalog.get("epyc-class-cpu")
-    site = Site(
-        name="memrel", kind=SiteKind.ON_PREMISE, devices={device: nodes}
+    site = profiles.churn_site(
+        "memrel", SiteKind.ON_PREMISE, int(params.get("nodes", 8))
     )
-    footprint = device.spec.memory_capacity
-    pool_capacity = footprint * nodes
-    mem_spec = MemoryErrorSpec(
-        device=device.name, region=site.name, capacity_bytes=pool_capacity,
-        fit_per_gib=fit_per_gib, ecc=ecc, scrub=scrub,
+    spec, _, plan = profiles.memory_plan(
+        site,
+        fit_per_gib=float(params.get("fit_per_gib", 4e6)),
+        ecc=str(params.get("ecc", "sec-ded")),
+        scrub_interval=float(params.get("scrub_interval", 900.0)),
+        node_mtbf=float(params.get("node_mtbf", 30_000.0)),
+        checkpoint_bytes=2e11,
     )
-    failures = memory_failure_model(
-        footprint, mem_spec, nodes=nodes, node_mtbf=node_mtbf
-    )
-    plan = CheckpointPlan.from_target(fabric_pm_target(), 2e11, failures)
-
-    def make_job(index: int, flops: float):
-        job = make_single_kernel_job(
-            name=f"memrel-{index}",
-            job_class=JobClass.SIMULATION,
-            flops=flops,
-            bytes_moved=1e6,
-            precision=Precision.FP64,
-            ranks=1,
-        )
-        job.arrival_time = index * arrival_gap
-        return job
-
-    probe = make_job(0, 1e15)
-    probe_time = estimate_job(probe, device, site).time
-    flops = 1e15 * work / probe_time
-
-    cluster = ClusterSimulator(
-        site=site, device=device, telemetry=telemetry,
-        retry_policy=RetryPolicy(
-            max_retries=max_retries, base_delay=base_delay, jitter=0.0
+    run = profiles.run_churn(
+        telemetry, rng, site,
+        profiles.calibrated_jobs(
+            site, "memrel", jobs, work=work, arrival_gap=arrival_gap
         ),
-        checkpoint=plan, rng=rng.fork("cluster"),
+        MemoryErrorCampaign(
+            horizon=_horizon(params, jobs, arrival_gap, work),
+            memory=(spec,),
+        ),
+        retry_policy=_retry_policy(params),
+        checkpoint=plan,
     )
-    telemetry.bind_simulation(cluster.simulation)
-    for index in range(jobs):
-        cluster.submit(make_job(index, flops))
-    horizon = float(
-        params.get("horizon", 2.0 * (jobs * arrival_gap + 20.0 * work))
-    )
-    campaign = MemoryErrorCampaign(horizon=horizon, memory=(mem_spec,))
-    timeline = campaign.timeline(rng.fork("faults"))
-    injector = FaultInjector(
-        cluster.simulation, campaign, rng.fork("faults"),
-        telemetry=telemetry, timeline=timeline,
-    )
-    stats = bind_memory(
-        injector, cluster, rng=rng.fork("memvictim"), region=site.name
-    )
-    injector.install()
-    cluster.run()
-    report = cluster_report(cluster)
-    check_conservation(cluster)
-
-    rack = RackPowerModel(
-        cooling=CoolingTechnology.DIRECT_LIQUID, devices=[device.spec] * nodes
-    )
-    datacenter = DatacenterPowerModel(racks=[rack])
-    carbon = EnergyCarbonModel().run_report(
-        it_power=datacenter.it_power(),
-        pue=datacenter.pue(),
-        dwell_seconds=report.makespan,
-        completed_jobs=report.completed,
-        memory_bytes=pool_capacity,
-        extra_it_power=mem_spec.scrub.scrub_power(pool_capacity),
-    )
+    report, memory = run.report, run.memory
+    carbon = profiles.carbon_report(site, report, spec)
     gco2e_per_job = carbon["gco2e_per_job"]
     return {
         "completed": float(report.completed),
         "dead": float(report.dead),
         "kills": float(report.kills),
         "retries_total": float(report.retries),
-        "mem_corrected": float(stats.corrected),
-        "mem_due": float(stats.due),
-        "mem_silent": float(stats.silent),
-        "mem_kills": float(stats.kills),
+        "mem_corrected": float(memory.corrected),
+        "mem_due": float(memory.due),
+        "mem_silent": float(memory.silent),
+        "mem_kills": float(memory.kills),
         "checkpoint_interval_s": plan.interval,
         "goodput": report.goodput,
         "utilization": report.utilization,
@@ -534,8 +374,24 @@ def memory_reliability(
         # Runs completing nothing have no per-job carbon; JSON cannot
         # carry inf, so the sentinel is 0 alongside completed == 0.
         "gco2e_per_job": 0.0 if math.isinf(gco2e_per_job) else gco2e_per_job,
-        "upset_time_sum": sum(event.time for event in timeline),
+        "upset_time_sum": sum(event.time for event in run.timeline),
     }
+
+
+def _horizon(params, jobs: int, arrival_gap: float, work: float) -> float:
+    """The fault window: ``horizon`` if given, else twice the arrival
+    window plus twenty job lengths."""
+    return float(params.get("horizon", 2.0 * (jobs * arrival_gap + 20.0 * work)))
+
+
+def _retry_policy(params):
+    from repro.resilience import RetryPolicy
+
+    return RetryPolicy(
+        max_retries=int(params.get("max_retries", 10)),
+        base_delay=float(params.get("base_delay", 5.0)),
+        jitter=0.0,
+    )
 
 
 # --- named sweeps -------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +13,19 @@ from repro.cli import EXPERIMENTS, _given, build_parser, main
 from repro.serve import ServeConfig
 from repro.sweep import FleetConfig, SupervisorConfig
 from repro.sweep.remote_worker import run_worker
+
+CHECKOUT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _repro(*args, **kwargs):
+    """Run ``python -m repro ARGS`` from the checkout, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=CHECKOUT,
+        env={**os.environ, "PYTHONPATH": str(CHECKOUT / "src")},
+        timeout=120,
+        **kwargs,
+    )
 
 
 class TestParser:
@@ -46,6 +63,23 @@ def _table_value(out: str, metric: str) -> str:
                       re.MULTILINE)
     assert match, f"no {metric!r} row in:\n{out}"
     return match.group(1)
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_without_a_traceback(self):
+        """``repro metrics C16 | head`` must not end in a traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes a byte
+        try:
+            process = _repro(
+                "metrics", "C16", "--set", "seed=11",
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert process.returncode == 1
+        assert "Traceback" not in process.stderr
+        assert "BrokenPipeError" not in process.stderr
 
 
 class TestCatalogCommand:
@@ -197,6 +231,28 @@ class TestSweepCommand:
         ])
         assert code == 2
         assert f"chaos clause(s) {clause} " in capsys.readouterr().err
+
+    def test_chaos_smoke_recovers_the_golden_fingerprint(self, tmp_path):
+        """Injected worker crashes and hangs are retried away: the smoke
+        sweep still reproduces its golden fingerprint."""
+        from repro.sweep import load_sweep
+
+        output = tmp_path / "sweep_chaos.json"
+        process = _repro(
+            "sweep", "smoke", "--workers", "2",
+            "--chaos", "crash:0.15,hang:0.05", "--timeout", "2",
+            "--retries", "4", "--journal", str(tmp_path / "chaos_run.jsonl"),
+            "--output", str(output),
+            capture_output=True, text=True,
+        )
+        assert process.returncode == 0, process.stderr
+        golden = json.loads(
+            (CHECKOUT / "tests" / "golden" / "sweep_smoke.json").read_text()
+        )
+        stored = load_sweep(output)
+        assert stored.ok, stored.failures
+        assert stored.fingerprint() == golden["digest"]
+        assert stored.harness["crashes"] + stored.harness["timeouts"] > 0
 
     def test_axis_without_a_target_exits_2(self, capsys):
         assert main(["sweep", "smoke", "--axis", "bogus=1"]) == 2

@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
-from repro.interconnect.topology import Topology
+from repro.interconnect.routing import minimal_route
+from repro.interconnect.topology import Topology, build_topology
 from repro.observability import Telemetry
 
 BANDWIDTH = 25e9
@@ -131,3 +132,47 @@ class TestTopologyIntegrity:
         # And a fresh run on the same topology uses the short path again.
         follow_up = run_flaps([], topology=topology)
         assert follow_up.path_hops == 4
+
+    @pytest.mark.parametrize("kind, spec", [
+        ("dragonfly", {"groups": 6, "routers_per_group": 4, "terminals": 4}),
+        ("fat-tree", {"k": 6}),
+    ])
+    def test_flapped_fabric_routes_like_a_fresh_build(self, kind, spec):
+        """A repaired link returns to its place in each endpoint's
+        neighbour order, so shortest paths break ties exactly as on a
+        fresh build: mid-run repairs and the end-of-run restore alike."""
+        topology = build_topology(kind, **spec)
+        switches = set(topology.switches)
+        hub = topology.switches[0]
+        spokes = [n for n in topology.graph.adj[hub] if n in switches][:3]
+        spread = [
+            (u, v) for u, v in topology.graph.edges
+            if u in switches and v in switches and hub not in (u, v)
+        ][::7][:3]
+        events = [
+            # Three overlapping outages on one switch, repaired out of
+            # order; the last is still down when the workload drains.
+            LinkEvent(0.010, (hub, spokes[0])),
+            LinkEvent(0.020, (hub, spokes[1])),
+            LinkEvent(0.030, (hub, spokes[2])),
+            LinkEvent(0.050, (hub, spokes[1]), up=True),
+            LinkEvent(0.060, (hub, spokes[0]), up=True),
+        ]
+        for index, link in enumerate(spread):
+            events.append(LinkEvent(0.012 + 0.01 * index, link))
+            events.append(LinkEvent(0.045 + 0.01 * index, link, up=True))
+        terminals = topology.terminals
+        FabricSimulator(topology).run(
+            [Flow(source=terminals[0], destination=terminals[-1], size=5e9)],
+            link_events=events,
+        )
+
+        fresh = build_topology(kind, **spec)
+        for node in fresh.graph:
+            assert list(topology.graph.adj[node]) == list(fresh.graph.adj[node])
+        for source in terminals:
+            for destination in terminals:
+                if source != destination:
+                    assert minimal_route(topology, source, destination) == (
+                        minimal_route(fresh, source, destination)
+                    )

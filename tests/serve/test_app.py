@@ -44,6 +44,16 @@ class TestRouting:
         assert b"/v1/profile" in response.body
 
 
+class TestProfileRequests:
+    def test_c17_with_scrubbing_off_is_served(self, client):
+        """JSON cannot carry ``inf``; 0 is a request's "scrubbing off"."""
+        response = client.post("/v1/profile", {
+            "profile": "C17",
+            "params": {"scrub_interval": 0, "max_jobs": 20},
+        })
+        assert response.status == 200, response.body
+
+
 class TestProfileCaching:
     def test_cold_then_cached_byte_identical_zero_simulation(self, client):
         app = client.app
