@@ -16,9 +16,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError
+from repro.interconnect.graph import (
+    DiGraph,
+    NetworkXNoPath,
+    NodeNotFound,
+    ancestors,
+    descendants,
+    is_directed_acyclic_graph,
+    shortest_path,
+)
 
 _transformation_ids = itertools.count()
 
@@ -58,7 +65,7 @@ class LineageGraph:
     """A DAG over dataset names and transformation steps."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         self._transformations: Dict[int, Transformation] = {}
 
     # --- recording -------------------------------------------------------------
@@ -87,7 +94,7 @@ class LineageGraph:
         for output_name in transformation.outputs:
             self._graph.add_node(("data", output_name))
             self._graph.add_edge(step_node, ("data", output_name))
-        if not nx.is_directed_acyclic_graph(self._graph):  # defensive; cannot
+        if not is_directed_acyclic_graph(self._graph):  # defensive; cannot
             # happen given the immutability check, but provenance integrity
             # is worth the O(V+E) verification.
             raise ConfigurationError("lineage graph became cyclic")
@@ -120,16 +127,19 @@ class LineageGraph:
         node = ("data", dataset)
         if node not in self._graph:
             raise KeyError(f"unknown dataset {dataset!r}")
-        ancestors = nx.ancestors(self._graph, node)
-        return {name for kind, name in ancestors if kind == "data"}
+        return {
+            name for kind, name in ancestors(self._graph, node) if kind == "data"
+        }
 
     def descendants(self, dataset: str) -> Set[str]:
         """All datasets derived (transitively) from this one."""
         node = ("data", dataset)
         if node not in self._graph:
             raise KeyError(f"unknown dataset {dataset!r}")
-        downstream = nx.descendants(self._graph, node)
-        return {name for kind, name in downstream if kind == "data"}
+        return {
+            name for kind, name in descendants(self._graph, node)
+            if kind == "data"
+        }
 
     def derivation_path(self, ancestor: str, descendant: str) -> List[Transformation]:
         """The ordered chain of transformations from ancestor to descendant.
@@ -139,8 +149,8 @@ class LineageGraph:
         source = ("data", ancestor)
         target = ("data", descendant)
         try:
-            nodes = nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            nodes = shortest_path(self._graph, source, target)
+        except (NetworkXNoPath, NodeNotFound):
             raise ConfigurationError(
                 f"{descendant!r} is not derived from {ancestor!r}"
             ) from None

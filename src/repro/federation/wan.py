@@ -7,7 +7,7 @@ networking' context that is foreign to the traditional HPC world".
 
 :class:`WanNetwork` is a graph of sites with per-link bandwidth, latency
 and $/GB egress cost; transfer-time queries route over the cheapest or
-fastest multi-hop path using :mod:`networkx`.
+fastest multi-hop path (a weighted shortest path over the site graph).
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError
 from repro.federation.site import Site
+from repro.interconnect.graph import Graph, has_path, shortest_path
 from repro.observability.probes import CATEGORY_WAN, Telemetry
 
 
@@ -66,7 +65,7 @@ class WanNetwork:
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
-        self._graph = nx.Graph()
+        self._graph = Graph()
         self.telemetry = telemetry
 
     def add_site(self, site: Site) -> None:
@@ -92,13 +91,13 @@ class WanNetwork:
     def are_connected(self, a: Site, b: Site) -> bool:
         if a.name == b.name:
             return True
-        return nx.has_path(self._graph, a.name, b.name)
+        return has_path(self._graph, a.name, b.name)
 
     def _path(self, a: Site, b: Site, weight: str) -> List[Tuple[WanLink, str, str]]:
         """Links along the best path by a weight function name."""
         if a.name == b.name:
             return []
-        if not nx.has_path(self._graph, a.name, b.name):
+        if not has_path(self._graph, a.name, b.name):
             raise ConfigurationError(f"no WAN path between {a.name} and {b.name}")
 
         def edge_weight(u: str, v: str, data: Dict) -> float:
@@ -107,7 +106,7 @@ class WanNetwork:
                 return link.latency + 1.0 / link.bandwidth
             return link.cost_per_gb + 1e-12
 
-        nodes = nx.shortest_path(self._graph, a.name, b.name, weight=edge_weight)
+        nodes = shortest_path(self._graph, a.name, b.name, weight=edge_weight)
         return [
             (self._graph.edges[u, v]["link"], u, v) for u, v in zip(nodes, nodes[1:])
         ]

@@ -4,7 +4,9 @@ This subpackage reproduces the paper's interconnect discussion (§II.B and
 §III.C):
 
 * **Topologies** — low-diameter networks (dragonfly, HyperX) versus
-  fat-tree and torus baselines (:mod:`repro.interconnect.topology`).
+  fat-tree and torus baselines (:mod:`repro.interconnect.topology`), built
+  on the package's own insertion-ordered graph type
+  (:mod:`repro.interconnect.graph`).
 * **Switches** — high-radix switch generations, the SerDes area wall, and
   the "one more natural step" from 12.8 to 25.6 Tbps
   (:mod:`repro.interconnect.switch`).
@@ -36,7 +38,10 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".memfabric": ("AccessKind", "MemoryFabric", "MemoryPool", "MemoryTier"),
     ".photonics": ("PhotonicsCostModel", "electrical_reach"),
-    ".routecache": ("RouteCache", "invalidate_route_cache", "route_cache_for"),
+    ".graph": (
+        "DiGraph", "Graph", "GraphError", "NetworkXNoPath", "NodeNotFound",
+    ),
+    ".routecache": ("RouteCache", "route_cache_for"),
     ".routing": ("adaptive_route", "minimal_route", "valiant_route"),
     ".switch": ("SwitchGeneration", "SwitchSpec"),
     ".tenancy": ("SlicedFabric", "VirtualNetwork", "encryption_overhead"),
@@ -52,6 +57,7 @@ __all__ = [
     "CONGESTION_POLICIES",
     "CollectiveModel",
     "CongestionManager",
+    "DiGraph",
     "congestion_policy",
     "ConnectivityCurve",
     "connectivity_curve",
@@ -67,11 +73,15 @@ __all__ = [
     "Flow",
     "FlowBasedCongestionControl",
     "FlowStats",
+    "Graph",
+    "GraphError",
     "IndexedSolver",
     "LinkEvent",
     "MemoryFabric",
     "MemoryPool",
     "MemoryTier",
+    "NetworkXNoPath",
+    "NodeNotFound",
     "NoCongestionControl",
     "PhotonicsCostModel",
     "RateSolver",
@@ -89,7 +99,6 @@ __all__ = [
     "electrical_reach",
     "enable_topology_cache",
     "encryption_overhead",
-    "invalidate_route_cache",
     "minimal_route",
     "normalize_topology_kind",
     "route_cache_for",

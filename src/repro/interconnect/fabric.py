@@ -25,17 +25,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import CongestionManager, NoCongestionControl
+from repro.interconnect.graph import NetworkXNoPath, NodeNotFound
 from repro.interconnect.ratesolver import IndexedSolver, RateSolver
-from repro.interconnect.routecache import (
-    RouteCache,
-    invalidate_route_cache,
-    route_cache_for,
-)
+from repro.interconnect.routecache import RouteCache, route_cache_for
 from repro.interconnect.routing import Path, valiant_route
 from repro.interconnect.topology import Topology
 from repro.observability.metrics import Counter, Histogram, exponential_buckets
@@ -298,14 +293,18 @@ class FabricSimulator:
         """Simulate all flows to completion and return their statistics.
 
         ``link_events`` replays mid-run link failures and repairs: when a
-        link goes down its capacity disappears, the shared route cache is
-        invalidated (see :func:`~repro.interconnect.routecache.invalidate_route_cache`),
+        link goes down its capacity disappears, the shared route cache
+        drops its routes (it sees the graph's ``mutations`` count move),
         and every in-flight flow crossing it is re-routed over the
         surviving fabric — or dropped (``FlowStats.dropped``) when no path
         remains, keeping the bytes delivered so far on the record.
         """
         if not flows:
             return []
+        if self._capacities is not self._route_cache.link_capacities():
+            # Another simulator's link events on this shared topology
+            # rebuilt the capacity map since this one was bound.
+            self._refresh_link_state()
         arrivals = sorted(flows, key=lambda f: f.start_time)
         arrival_count = len(arrivals)
         now = arrivals[0].start_time
@@ -323,8 +322,7 @@ class FabricSimulator:
         down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
         # Each failed link's endpoints' neighbour order before any failure.
         neighbour_order: Dict[str, List[str]] = {}
-        # Hot attributes as locals.  The route cache is read through
-        # ``self`` (a link event replaces it mid-run).
+        # Hot attributes as locals.
         infinity = float("inf")
         # Wall-clock phase attribution: with no profiler, `timed` hands
         # each hot call back untouched.
@@ -404,7 +402,7 @@ class FabricSimulator:
                 flow = active[flow_id]
                 try:
                     new_path = route(flow)
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
+                except (NetworkXNoPath, NodeNotFound):
                     drop_flow(flow_id)
                     continue
                 paths[flow_id] = new_path
@@ -441,7 +439,7 @@ class FabricSimulator:
                 for flow in admitted:
                     try:
                         path = route(flow)
-                    except (nx.NetworkXNoPath, nx.NodeNotFound):
+                    except (NetworkXNoPath, NodeNotFound):
                         # No path at admission: dead on arrival.
                         stats = FlowStats(
                             flow_id=flow.flow_id, tag=flow.tag, size=flow.size,
@@ -573,9 +571,7 @@ class FabricSimulator:
         return results
 
     def _refresh_link_state(self) -> None:
-        """Rebuild routes and capacities after an in-place graph mutation."""
-        invalidate_route_cache(self.topology)
-        self._route_cache = route_cache_for(self.topology)
+        """Rebind the solver to the capacities of the mutated graph."""
         self._capacities = self._route_cache.link_capacities()
         self.solver.bind(self._capacities)
 

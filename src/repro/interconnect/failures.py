@@ -19,11 +19,14 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-from repro.interconnect.routecache import invalidate_route_cache
+from repro.interconnect.graph import (
+    Graph,
+    NetworkXNoPath,
+    connected_components,
+    shortest_path_length,
+)
 from repro.interconnect.topology import Topology
 
 #: Seed behind every default rng in this module. All public functions accept
@@ -48,7 +51,7 @@ class DegradedFabric:
     failed_switches: Tuple[str, ...]
 
     @property
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         return self.topology.graph
 
 
@@ -76,9 +79,6 @@ def fail_links(
     failed = rng.sample(switch_links, count) if count else []
     graph.remove_edges_from(failed)
     degraded = Topology(f"{topology.name}[-{count}links]", graph)
-    # The degraded topology is a fresh object with an empty route cache, but
-    # invalidate explicitly so stale routes can never survive derivation.
-    invalidate_route_cache(degraded)
     return DegradedFabric(
         topology=degraded,
         failed_links=tuple(failed),
@@ -109,7 +109,6 @@ def fail_switches(
         graph.remove_nodes_from(terminals)
         graph.remove_node(switch)
     degraded = Topology(f"{topology.name}[-{count}switches]", graph)
-    invalidate_route_cache(degraded)
     return DegradedFabric(
         topology=degraded,
         failed_links=(),
@@ -133,7 +132,7 @@ def terminal_connectivity(fabric: DegradedFabric, sample: int = 200,
     if len(terminals) == 1:
         return 1.0
     graph = fabric.graph
-    components = list(nx.connected_components(graph))
+    components = list(connected_components(graph))
     component_of = {}
     for index, component in enumerate(components):
         for node in component:
@@ -169,10 +168,10 @@ def path_stretch(
     stretches: List[float] = []
     for a, b in pairs:
         try:
-            degraded_hops = nx.shortest_path_length(fabric.graph, a, b)
-        except nx.NetworkXNoPath:
+            degraded_hops = shortest_path_length(fabric.graph, a, b)
+        except NetworkXNoPath:
             continue
-        original_hops = nx.shortest_path_length(original.graph, a, b)
+        original_hops = shortest_path_length(original.graph, a, b)
         if original_hops > 0:
             stretches.append(degraded_hops / original_hops)
     if not stretches:
@@ -250,7 +249,7 @@ def connectivity_curve(
             graph.remove_edge(*order[removed])
             removed += 1
         component_of = {}
-        for comp_index, component in enumerate(nx.connected_components(graph)):
+        for comp_index, component in enumerate(connected_components(graph)):
             for node in component:
                 component_of[node] = comp_index
         if pairs:

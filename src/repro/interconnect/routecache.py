@@ -4,8 +4,8 @@ Profiling the scenario-sweep workloads shows :class:`FabricSimulator`
 spends most of its time in three places: shortest-path routing at flow
 admission, decomposing paths into directed links for every water-filling
 round, and re-reading per-edge attributes (latency, bandwidth) from the
-:mod:`networkx` graph. All three are pure functions of the topology, so
-this module memoises them **per topology object**:
+:class:`~repro.interconnect.graph.Graph`. All three are pure functions of
+the topology, so this module memoises them **per topology object**:
 
 * :func:`route_cache_for` returns the (lazily created) :class:`RouteCache`
   of a topology; every simulator built on the same :class:`Topology`
@@ -15,17 +15,20 @@ this module memoises them **per topology object**:
   so a derived topology (a :class:`~repro.interconnect.failures.DegradedFabric`
   after ``fail_links``/``fail_switches``, or a tenant slice from
   :class:`~repro.interconnect.tenancy.SlicedFabric`) starts from an empty
-  cache and can never see its parent's routes. Derivation sites call
-  :func:`invalidate_route_cache` anyway, as defence in depth.
-* A miss does not go through :func:`networkx.shortest_path`: the cache
-  runs its own port of networkx's bidirectional BFS over neighbour lists
-  it takes from the graph once, in ``graph.adj`` order, so it returns the
-  same node list without networkx's per-call dispatch and view
-  construction.  Propagation delays sum a per-link latency map, also
-  built once, in the same left-to-right order as per-edge reads.
-* Code that mutates a ``topology.graph`` **in place** must call
-  :func:`invalidate_route_cache` afterwards — the cache cannot observe
-  in-place edits (its neighbour lists and latency map included).
+  cache and can never see its parent's routes.
+* A miss runs :func:`~repro.interconnect.graph.bidirectional_shortest_path`
+  (networkx's bidirectional BFS) over neighbour lists taken from the graph
+  once, in ``graph.adj`` order, so it returns networkx's node list without
+  building adjacency views per call.  Propagation delays sum a per-link
+  latency map, also built once, in the same left-to-right order as
+  per-edge reads.
+* The cache remembers the graph's ``mutations`` count.  When a node or
+  edge is added or removed in place (a link flap), the count moves and
+  the next lookup first drops every memoised route, neighbour list,
+  latency and capacity; on a hit this costs one integer compare.  An
+  attribute edited in place (``graph.edges[u, v]["bandwidth"]``) does
+  not move the count: :meth:`RouteCache.clear` drops what was derived
+  from the old value.
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
@@ -35,11 +38,10 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Tuple
 
 from repro.core.errors import ConfigurationError
+from repro.interconnect.graph import NodeNotFound, bidirectional_shortest_path
 from repro.interconnect.topology import Topology
 
 #: A directed link as traversed by a flow.
@@ -62,12 +64,13 @@ class RouteCache:
     value that referenced its own key would keep the entry alive forever.
     """
 
-    __slots__ = ("_graph", "_name", "_paths", "_links", "_delays",
-                 "_capacities", "_successors", "_predecessors", "_latencies",
-                 "hits", "misses")
+    __slots__ = ("_graph", "_mutations", "_name", "_paths", "_links",
+                 "_delays", "_capacities", "_successors", "_predecessors",
+                 "_latencies", "hits", "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._graph = topology.graph
+        self._mutations = self._graph.mutations
         self._name = topology.name
         self._paths: Dict[Tuple[str, str], List[str]] = {}
         self._links: Dict[Tuple[str, str], List[Link]] = {}
@@ -83,6 +86,8 @@ class RouteCache:
 
     def minimal_route(self, source: str, destination: str) -> List[str]:
         """Shortest path, memoised by endpoint pair."""
+        if self._graph.mutations != self._mutations:
+            self.clear()
         key = (source, destination)
         path = self._paths.get(key)
         if path is None:
@@ -94,17 +99,13 @@ class RouteCache:
         return path
 
     def _shortest_path(self, source: str, target: str) -> List[str]:
-        """``nx.shortest_path(graph, source, target)``, node for node.
+        """networkx's ``shortest_path(graph, source, target)``, node for node.
 
-        A port of networkx's unweighted bidirectional BFS
-        (``bidirectional_shortest_path`` and ``_bidirectional_pred_succ``)
-        over plain neighbour lists taken once from ``graph.adj`` (``pred``
-        and ``succ`` for a directed graph) in the graph's own order.
-        Visiting neighbours in the same order expands the same fringes and
-        meets at the same node, so the path is the one networkx returns;
-        the exceptions and messages are networkx's too.  It skips the
-        per-call dispatch and adjacency-view construction that dominate a
-        cold lookup.
+        The bidirectional BFS runs over plain neighbour lists taken once
+        from ``graph.adj`` (``pred`` too for a directed graph) in the
+        graph's own order, so it expands the same fringes and meets at
+        the same node as networkx; the exceptions and messages are
+        networkx's too.
         """
         succ_of = self._successors
         if not succ_of:
@@ -118,25 +119,12 @@ class RouteCache:
                     for node, neighbours in graph.pred.items()
                 )
         if source not in succ_of:
-            raise nx.NodeNotFound(f"Source {source} is not in G")
+            raise NodeNotFound(f"Source {source} is not in G")
         if target not in succ_of:
-            raise nx.NodeNotFound(f"Target {target} is not in G")
-        if target == source:
-            return [source]
-        pred, succ, meet = _bidirectional_pred_succ(
+            raise NodeNotFound(f"Target {target} is not in G")
+        return bidirectional_shortest_path(
             succ_of, self._predecessors or succ_of, source, target
         )
-        path = []
-        node = meet
-        while node is not None:
-            path.append(node)
-            node = pred[node]
-        path.reverse()
-        node = succ[path[-1]]
-        while node is not None:
-            path.append(node)
-            node = succ[node]
-        return path
 
     def links_of(self, path: List[str]) -> List[Link]:
         """Directed link decomposition, memoised by endpoint pair.
@@ -144,6 +132,8 @@ class RouteCache:
         Only minimal paths are memoised (one canonical path per endpoint
         pair); detour paths fall through to a fresh decomposition.
         """
+        if self._graph.mutations != self._mutations:
+            self.clear()
         key = (path[0], path[-1]) if path else ("", "")
         cached = self._links.get(key)
         if cached is not None and self._paths.get(key) is path:
@@ -155,6 +145,8 @@ class RouteCache:
 
     def propagation_delay(self, path: List[str]) -> float:
         """Sum of per-hop latencies, memoised for canonical minimal paths."""
+        if self._graph.mutations != self._mutations:
+            self.clear()
         key = (path[0], path[-1]) if path else ("", "")
         if self._paths.get(key) is path:
             delay = self._delays.get(key)
@@ -191,6 +183,8 @@ class RouteCache:
         built or edited by hand does not pass ``TopologySpec``'s check,
         and the rate solvers assume real, positive capacities.
         """
+        if self._graph.mutations != self._mutations:
+            self.clear()
         if not self._capacities:
             capacities: Dict[Link, float] = {}
             for u, v, data in self._graph.edges(data=True):
@@ -209,7 +203,9 @@ class RouteCache:
 
     def clear(self) -> None:
         """Drop every memoised route, link, capacity, neighbour list and
-        latency (stats are kept)."""
+        latency, and adopt the graph's current ``mutations`` count (stats
+        are kept)."""
+        self._mutations = self._graph.mutations
         self._paths.clear()
         self._links.clear()
         self._delays.clear()
@@ -233,47 +229,6 @@ class RouteCache:
         )
 
 
-def _bidirectional_pred_succ(
-    succ_of: Dict[str, List[str]],
-    pred_of: Dict[str, List[str]],
-    source: str,
-    target: str,
-) -> Tuple[Dict[str, Optional[str]], Dict[str, Optional[str]], str]:
-    """networkx's ``_bidirectional_pred_succ`` over neighbour lists.
-
-    Breadth-first from both ends, always expanding the smaller fringe
-    (the forward one on a tie), until a node reached from one side is
-    known to the other.  Returns the predecessor map towards ``source``,
-    the successor map towards ``target`` and the meeting node.
-    """
-    pred: Dict[str, Optional[str]] = {source: None}
-    succ: Dict[str, Optional[str]] = {target: None}
-    forward_fringe = [source]
-    reverse_fringe = [target]
-    while forward_fringe and reverse_fringe:
-        if len(forward_fringe) <= len(reverse_fringe):
-            this_level = forward_fringe
-            forward_fringe = []
-            for v in this_level:
-                for w in succ_of[v]:
-                    if w not in pred:
-                        forward_fringe.append(w)
-                        pred[w] = v
-                    if w in succ:
-                        return pred, succ, w
-        else:
-            this_level = reverse_fringe
-            reverse_fringe = []
-            for v in this_level:
-                for w in pred_of[v]:
-                    if w not in succ:
-                        succ[w] = v
-                        reverse_fringe.append(w)
-                    if w in pred:
-                        return pred, succ, w
-    raise nx.NetworkXNoPath(f"No path between {source} and {target}.")
-
-
 def route_cache_for(topology: Topology) -> RouteCache:
     """The shared :class:`RouteCache` of a topology (created on first use)."""
     cache = _CACHES.get(topology)
@@ -281,18 +236,6 @@ def route_cache_for(topology: Topology) -> RouteCache:
         cache = RouteCache(topology)
         _CACHES[topology] = cache
     return cache
-
-
-def invalidate_route_cache(topology: Topology) -> None:
-    """Drop a topology's cached routes (no-op if it has none).
-
-    Call after mutating ``topology.graph`` in place; derivation helpers
-    (``fail_links``, ``fail_switches``, tenant slicing) call it on the
-    topologies they produce.
-    """
-    cache = _CACHES.pop(topology, None)
-    if cache is not None:
-        cache.clear()
 
 
 def cached_topology_count() -> int:

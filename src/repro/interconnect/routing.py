@@ -11,9 +11,9 @@ Three classical options, exercised by the topology-comparison experiment:
   adaptive routing does per packet).
 
 Every minimal leg comes from the topology's shared
-:class:`~repro.interconnect.routecache.RouteCache`, so code that edits a
-``topology.graph`` in place must then call
-:func:`~repro.interconnect.routecache.invalidate_route_cache`.
+:class:`~repro.interconnect.routecache.RouteCache`, which notices nodes
+and edges added to or removed from ``topology.graph`` by itself; an edge
+attribute edited in place needs ``route_cache_for(topology).clear()``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.errors import CapacityError, ConfigurationError
 from repro.interconnect.congestion import CongestionManager, NoCongestionControl
 from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats
-from repro.interconnect.routecache import invalidate_route_cache
 from repro.interconnect.topology import Topology
 
 
@@ -124,10 +123,7 @@ class SlicedFabric:
             data["bandwidth"] = data["bandwidth"] * slice_.effective_share
             if slice_.encrypted:
                 data["latency"] = data["latency"] + slice_.encryption_hop_latency
-        sliced = Topology(f"{self.topology.name}/{slice_.tenant}", graph)
-        # Fresh object, but make cache invalidation on derivation explicit.
-        invalidate_route_cache(sliced)
-        return sliced
+        return Topology(f"{self.topology.name}/{slice_.tenant}", graph)
 
     def run_isolated(
         self, flows_by_tenant: Dict[str, Sequence[Flow]]

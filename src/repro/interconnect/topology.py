@@ -3,10 +3,11 @@
 The paper (§II.B): "low-diameter networks such as dragonfly and HyperX
 provide a path to low system latency and high global bandwidth." This module
 builds those topologies (plus fat-tree, two-tier leaf/spine and torus
-baselines) as :mod:`networkx` graphs wrapped in a :class:`Topology` object
-that computes the structural metrics the paper argues about: diameter,
-average shortest-path length, bisection bandwidth, switch/link counts and a
-cost estimate split into electrical and optical links.
+baselines) as :class:`~repro.interconnect.graph.Graph` objects wrapped in a
+:class:`Topology` object that computes the structural metrics the paper
+argues about: diameter, average shortest-path length, bisection bandwidth,
+switch/link counts and a cost estimate split into electrical and optical
+links.
 
 Nodes are strings: switches are ``'s<index>'`` (with topology-specific
 attributes) and terminals (compute endpoints) are ``'t<index>'``. Edges
@@ -26,9 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError
+from repro.interconnect.graph import (
+    Graph,
+    average_shortest_path_length,
+    diameter,
+    kernighan_lin_bisection,
+)
 
 #: Default per-link bandwidth: a 200 Gbps link in bytes/s ("the
 #: current-generation 200 Gbps links", §II.B).
@@ -44,7 +49,7 @@ DEFAULT_ELECTRICAL_REACH = 3.0
 class Topology:
     """A network topology with switches and terminal (compute) nodes."""
 
-    def __init__(self, name: str, graph: nx.Graph) -> None:
+    def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
         self.graph = graph
         self._switches = [n for n, d in graph.nodes(data=True) if d.get("role") == "switch"]
@@ -80,21 +85,10 @@ class Topology:
             and self.graph.nodes[v].get("role") == "switch"
         )
 
-    def switch_graph(self) -> nx.Graph:
-        """The switch-only subgraph, its nodes in build order.
-
-        ``graph.subgraph(...)`` would order them by a set, i.e. by the
-        hash seed, and Kernighan-Lin (``bisection_bandwidth``) follows
-        node order.
-        """
-        graph = self.graph.__class__()
-        graph.add_nodes_from((s, self.graph.nodes[s]) for s in self._switches)
-        graph.add_edges_from(
-            (u, v, data)
-            for u, v, data in self.graph.edges(self._switches, data=True)
-            if u in graph and v in graph
-        )
-        return graph
+    def switch_graph(self) -> Graph:
+        """The switch-only subgraph, its nodes in build order (Kernighan-Lin
+        in ``bisection_bandwidth`` follows node order)."""
+        return self.graph.subgraph(self._switches)
 
     def max_switch_degree(self) -> int:
         """Largest switch radix consumed (switch-to-switch + terminal ports)."""
@@ -104,11 +98,11 @@ class Topology:
 
     def diameter(self) -> int:
         """Hop diameter of the switch-only graph."""
-        return nx.diameter(self.switch_graph())
+        return diameter(self.switch_graph())
 
     def average_shortest_path(self) -> float:
         """Mean switch-to-switch hop count."""
-        return nx.average_shortest_path_length(self.switch_graph())
+        return average_shortest_path_length(self.switch_graph())
 
     def bisection_bandwidth(self) -> float:
         """Approximate worst-equal-cut bandwidth in bytes/s.
@@ -119,9 +113,7 @@ class Topology:
         switch_graph = self.switch_graph()
         if switch_graph.number_of_nodes() < 2:
             return 0.0
-        part_a, part_b = nx.algorithms.community.kernighan_lin_bisection(
-            switch_graph, seed=7
-        )
+        part_a, part_b = kernighan_lin_bisection(switch_graph, seed=7)
         crossing = 0.0
         for u, v, data in switch_graph.edges(data=True):
             if (u in part_a) != (v in part_a):
@@ -161,14 +153,14 @@ class Topology:
         )
 
 
-def _add_switch(graph: nx.Graph, index: int, **attrs: object) -> str:
+def _add_switch(graph: Graph, index: int, **attrs: object) -> str:
     node = f"s{index}"
     graph.add_node(node, role="switch", **attrs)
     return node
 
 
 def _attach_terminals(
-    graph: nx.Graph,
+    graph: Graph,
     switch: str,
     count: int,
     start_index: int,
@@ -186,7 +178,7 @@ def _attach_terminals(
 
 
 def _link(
-    graph: nx.Graph,
+    graph: Graph,
     u: str,
     v: str,
     bandwidth: float,
@@ -222,7 +214,7 @@ def _dragonfly(
             f"< groups-1 = {groups - 1}"
         )
 
-    graph = nx.Graph()
+    graph = Graph()
     routers: Dict[int, List[str]] = {}
     index = 0
     for group in range(groups):
@@ -270,7 +262,7 @@ def _hyperx(
     """
     if not dims or any(d < 2 for d in dims):
         raise ConfigurationError("hyperx dims must each be >= 2")
-    graph = nx.Graph()
+    graph = Graph()
     coords = list(itertools.product(*(range(d) for d in dims)))
     switch_of: Dict[Tuple[int, ...], str] = {}
     for index, coordinate in enumerate(coords):
@@ -314,7 +306,7 @@ def _fat_tree(
     if k < 2 or k % 2:
         raise ConfigurationError("fat-tree k must be even and >= 2")
     half = k // 2
-    graph = nx.Graph()
+    graph = Graph()
     index = 0
 
     core = []
@@ -356,7 +348,7 @@ def _two_tier(
     """A leaf-spine Clos, the rack/row-scale building block of Figure 2."""
     if leaves < 1 or spines < 1:
         raise ConfigurationError("need at least one leaf and one spine")
-    graph = nx.Graph()
+    graph = Graph()
     index = 0
     leaf_nodes = []
     for _ in range(leaves):
@@ -391,7 +383,7 @@ def _torus(
     """
     if not dims or any(d < 2 for d in dims):
         raise ConfigurationError("torus dims must each be >= 2")
-    graph = nx.Graph()
+    graph = Graph()
     coords = list(itertools.product(*(range(d) for d in dims)))
     switch_of: Dict[Tuple[int, ...], str] = {}
     for index, coordinate in enumerate(coords):

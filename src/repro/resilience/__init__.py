@@ -35,8 +35,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "conservation",
     ),
     ".recovery": (
-        "CheckpointPlan", "bind_cluster", "bind_metascheduler",
-        "link_events_from_timeline",
+        "CheckpointPlan", "bind_cluster", "link_events_from_timeline",
     ),
     ".retry": ("RetryPolicy",),
 })
@@ -71,7 +70,6 @@ __all__ = [
     "RetryPolicy",
     "CheckpointPlan",
     "bind_cluster",
-    "bind_metascheduler",
     "link_events_from_timeline",
     "ResilienceReport",
     "conservation",

@@ -8,9 +8,9 @@ keep a drained simulation alive — while each applied fault's repair is a
 regular event: recovery is pending work that queued jobs may be waiting on,
 so the run cannot end in the middle of an outage.
 
-Subsystems subscribe with :meth:`FaultInjector.on`; the binding helpers in
-:mod:`repro.resilience.recovery` wire the standard cluster/metascheduler
-reactions so most callers never register handlers by hand.
+Subsystems subscribe with :meth:`FaultInjector.on`;
+:func:`~repro.resilience.recovery.bind_cluster` wires the cluster's
+standard reaction so most callers never register handlers by hand.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ writes, and how much progress survives a kill. The same
 both models via :meth:`CheckpointPlan.from_target`, so simulated and
 analytical results are directly comparable.
 
-The ``bind_*`` helpers wire a :class:`~repro.resilience.injector.FaultInjector`
-to the standard subsystem reactions (node faults -> cluster kill/repair,
-site outages -> metascheduler failover) with duck-typed callbacks, keeping
-the import graph acyclic: the scheduling layer never imports resilience.
+:func:`bind_cluster` wires a :class:`~repro.resilience.injector.FaultInjector`
+to the cluster's reaction (node faults -> kill/repair) with duck-typed
+callbacks, keeping the import graph acyclic: the scheduling layer never
+imports resilience.
 """
 
 from __future__ import annotations
@@ -127,24 +127,6 @@ def bind_cluster(injector: FaultInjector, cluster) -> None:
             cluster.fail_node()
 
     injector.on(FaultKind.NODE, react)
-
-
-def bind_metascheduler(injector: FaultInjector, scheduler) -> None:
-    """Route SITE outages to metascheduler failover/restore.
-
-    ``scheduler`` duck-types :class:`~repro.scheduling.metascheduler.MetaScheduler`:
-    it needs ``fail_site(name)`` and ``restore_site(name)``. NODE faults
-    inside one pool are bound separately with :func:`bind_cluster` against
-    the pool of interest.
-    """
-
-    def react(event: FaultEvent, repaired: bool) -> None:
-        if repaired:
-            scheduler.restore_site(event.target)
-        else:
-            scheduler.fail_site(event.target)
-
-    injector.on(FaultKind.SITE, react)
 
 
 def link_events_from_timeline(timeline: List[FaultEvent]):

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.errors import ConfigurationError
 from repro.observability import Telemetry
 from repro.serve import http
 from repro.serve.admission import AdmissionController, QuotaPolicy
@@ -223,12 +224,10 @@ class ServiceApp:
         try:
             canonical = canonical_request(payload)
         except ValueError as error:
-            self.counter("serve.bad_requests").inc(1, kind=kind)
-            return http.error_response(400, str(error))
+            return self._bad_request(kind, str(error))
         if canonical["kind"] != kind:
-            self.counter("serve.bad_requests").inc(1, kind=kind)
-            return http.error_response(
-                400,
+            return self._bad_request(
+                kind,
                 f"/v1/{kind} got a {canonical['kind']} request — "
                 f"use /v1/{canonical['kind']}",
             )
@@ -254,7 +253,10 @@ class ServiceApp:
             self.counter("serve.requests").inc(
                 1, kind=kind, cache="coalesced"
             )
-            body = await asyncio.shield(existing)
+            try:
+                body = await asyncio.shield(existing)
+            except (ConfigurationError, ValueError) as error:
+                return self._bad_request(kind, str(error))
             headers["X-Cache"] = "coalesced"
             if stream:
                 return self._stream_cached(fingerprint, body, headers)
@@ -285,10 +287,19 @@ class ServiceApp:
             return self._stream_cold(canonical, fingerprint, kind)
         # Shielded: the job keeps running (and publishes to the cache)
         # even if this client disconnects mid-simulation.
-        body = await asyncio.shield(
-            self._start_job(canonical, fingerprint, progress=None)
-        )
+        try:
+            body = await asyncio.shield(
+                self._start_job(canonical, fingerprint, progress=None)
+            )
+        except (ConfigurationError, ValueError) as error:
+            # The run rejected a parameter value the canonical form
+            # cannot check (``nodes: 0``); its message names the field.
+            return self._bad_request(kind, str(error))
         return http.Response(200, body, headers=headers)
+
+    def _bad_request(self, kind: str, message: str):
+        self.counter("serve.bad_requests").inc(1, kind=kind)
+        return http.error_response(400, message)
 
     def _stream_cached(self, fingerprint: str, body: bytes, headers):
         async def events():

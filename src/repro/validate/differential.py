@@ -8,7 +8,8 @@ and an independent (slower, simpler) reference — and demands agreement:
   node, between terminals and switches in every combination, on every
   canned fabric topology), link decompositions vs plain
   pair-zipping, cached propagation delays vs a manual per-edge latency
-  sum (``==``).
+  sum (``==``).  networkx is the oracle, installed with the ``test``
+  extra; without it the check fails and says so.
 * :func:`check_collectives` — the alpha-beta-gamma closed forms vs
   step-by-step round loops that accumulate one message at a time.
 * :func:`check_checkpointing` — the Young/Daly interval vs a numeric grid
@@ -49,8 +50,6 @@ import pathlib
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-import networkx as nx
-
 from repro.core.rng import RandomSource
 
 
@@ -74,6 +73,26 @@ class DifferentialResult:
 # --- routes ---------------------------------------------------------------------
 
 
+def networkx_twin(graph):
+    """``graph`` as a networkx graph with the same node, neighbour and edge
+    order (attribute dicts shared, not copied).
+
+    networkx is imported here, not at module level, because it is a test
+    dependency.  Adding the edges one by one would reorder neighbours, so
+    the adjacency dicts are filled directly.
+    """
+    import networkx as nx
+
+    twin = nx.DiGraph() if graph.is_directed() else nx.Graph()
+    twin.add_nodes_from(graph.nodes(data=True))
+    for node, nbrs in graph.adj.items():
+        twin._adj[node].update(nbrs)
+    if graph.is_directed():
+        for node, nbrs in graph.pred.items():
+            twin._pred[node].update(nbrs)
+    return twin
+
+
 def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     """Cached routing vs uncached networkx on every canned fabric topology.
 
@@ -86,6 +105,14 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     be plain pair-zipping, and its propagation delay must ``==`` a manual
     left-to-right sum of per-edge latencies.
     """
+    try:
+        import networkx as nx
+    except ImportError:
+        return DifferentialResult(
+            "routes", False, 0,
+            "networkx, the reference, is not installed; install the test "
+            "extra: pip install -e '.[test]'",
+        )
     from repro.interconnect.routecache import route_cache_for
     from repro.interconnect.topology import build_topology
     from repro.sweep.targets import _FABRIC_TOPOLOGIES
@@ -100,6 +127,7 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     for topology in topologies:
         cache = route_cache_for(topology)
         graph = topology.graph
+        reference_graph = networkx_twin(graph)
         terminals = topology.terminals
         switches = topology.switches
         sample = [
@@ -116,7 +144,7 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
             cached = cache.minimal_route(source, destination)
             # Independent reference: a fresh shortest-path computation on
             # the raw graph, no cache involved.
-            reference = nx.shortest_path(graph, source, destination)
+            reference = nx.shortest_path(reference_graph, source, destination)
             comparisons += 1
             if cached != reference:
                 failures.append(

@@ -1,9 +1,10 @@
 """Import hygiene: a process loads only what its run uses.
 
 The package inits are lazy (PEP 562), so ``import repro`` and the CLI's
-parser load neither numpy nor networkx.  Fresh interpreters check this;
-the in-process tests cover the lazy attribute protocol and the sweep
-workers' frozen heap.
+parser load neither numpy nor networkx, and no runtime path loads
+networkx at all: it is the test-side oracle of the graph ports.  Fresh
+interpreters check this; the in-process tests cover the lazy attribute
+protocol and the sweep workers' frozen heap.
 """
 
 import ast
@@ -101,15 +102,59 @@ class TestColdImports:
 
 
 #: The only modules that import numpy / networkx at all (docs/architecture.md).
+#: networkx appears only inside ``check_routes``, as the routes oracle.
 DIRECT_IMPORTERS = {
     "numpy": {"core/rng.py", "analysis/metrics.py", "market/exchange.py"},
-    "networkx": {
-        "datafoundation/lineage.py", "federation/wan.py",
-        "interconnect/fabric.py", "interconnect/failures.py",
-        "interconnect/routecache.py", "interconnect/topology.py",
-        "validate/differential.py",
-    },
+    "networkx": {"validate/differential.py"},
 }
+
+#: Runs ``python -m repro`` with the arguments after ``-c`` while a
+#: meta-path finder refuses every networkx import.
+WITHOUT_NETWORKX = """
+import runpy, sys
+
+class RefuseNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "networkx":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, RefuseNetworkx())
+sys.argv = ["repro", *sys.argv[1:]]
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+#: Host-second figures (``0.005675``, ``5.675e-03``) in a profile's
+#: wall-clock tables.
+_SECONDS = re.compile(r"\b\d+\.\d{6}\b|\b\d\.\d{3}e[-+]\d{2}\b")
+
+
+def _without_wall_clock(stdout: str) -> list:
+    """Stdout up to the wall-clock tables, then their rows with the
+    timings masked, sorted (rows are ordered hottest first)."""
+    head, marker, timed = stdout.partition("Wall-clock phases")
+    rows = sorted(_SECONDS.sub("#", line).rstrip()
+                  for line in timed.splitlines())
+    return head.splitlines() + [marker] + rows
+
+
+class TestNetworkxFreeRuntime:
+    @pytest.mark.parametrize("argv", [
+        ["profile", "C2"],
+        ["topology", "dragonfly"],
+    ])
+    def test_fabric_commands_run_without_networkx(self, argv):
+        plain = _python("-X", "importtime", "-m", "repro", *argv)
+        assert plain.returncode == 0, plain.stderr[-2000:]
+        modules = _imported(plain)
+        assert "repro.interconnect.topology" in modules
+        assert [m for m in modules if m.partition(".")[0] == "networkx"] == []
+        blocked = _python("-c", WITHOUT_NETWORKX, *argv)
+        assert blocked.returncode == 0, blocked.stderr[-2000:]
+        assert "Run summary" in plain.stdout or "Topology" in plain.stdout
+        assert _without_wall_clock(blocked.stdout) == (
+            _without_wall_clock(plain.stdout)
+        )
 
 
 def test_heavy_dependencies_stay_in_their_modules():

@@ -7,12 +7,12 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-from repro.interconnect.fabric import FabricSimulator, Flow
+from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
 from repro.interconnect.failures import fail_links, fail_switches
+from repro.interconnect.graph import DiGraph, Graph, NetworkXNoPath, NodeNotFound
 from repro.interconnect.routecache import (
     RouteCache,
     cached_topology_count,
-    invalidate_route_cache,
     route_cache_for,
 )
 from repro.interconnect.topology import (
@@ -20,6 +20,7 @@ from repro.interconnect.topology import (
     build_topology,
 )
 from repro.sweep.targets import _FABRIC_TOPOLOGIES
+from repro.validate.differential import networkx_twin
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -117,7 +118,7 @@ class TestCachedRunsMatchUncached:
         # Every flow's hops and propagation delay are those of the
         # uncached networkx route, its latencies summed left to right.
         topology = topology_factory()
-        graph = topology.graph
+        graph = networkx_twin(topology.graph)
         flows = {f.flow_id: f for f in _uniform_flows(topology, 40)}
         stats = FabricSimulator(topology).run(list(flows.values()))
         assert sorted(s.flow_id for s in stats) == sorted(flows)
@@ -171,21 +172,10 @@ class TestInvalidation:
         )
         assert stats
 
-    def test_explicit_invalidate_clears(self):
-        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
-        cache = route_cache_for(topology)
-        terminals = topology.terminals
-        cache.minimal_route(terminals[0], terminals[-1])
-        assert cache.stats()["routes"] == 1
-        invalidate_route_cache(topology)
-        assert cache.stats()["routes"] == 0
-        # The registry handed out a fresh entry on next access.
-        assert route_cache_for(topology).stats()["routes"] == 0
-
-    def test_in_place_edge_removal_requires_invalidation(self):
-        """Mutating topology.graph in place leaves the shared cache stale
-        (the documented hazard); explicit invalidation reroutes around the
-        removed edge."""
+    def test_in_place_edge_removal_is_noticed(self):
+        """Mutating topology.graph in place moves its mutation count; the
+        shared cache drops its routes and reroutes around the removed
+        edge on the next lookup."""
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         cache = route_cache_for(topology)
         source, destination = topology.terminals[0], topology.terminals[-1]
@@ -196,25 +186,27 @@ class TestInvalidation:
             if a in topology.switches and b in topology.switches
         )
         topology.graph.remove_edge(u, v)
-        try:
-            # Stale cache: still hands back the route over the dead edge.
-            assert cache.minimal_route(source, destination) is stale
-            invalidate_route_cache(topology)
-            fresh = route_cache_for(topology).minimal_route(
-                source, destination
-            )
-            hops = list(zip(fresh, fresh[1:]))
-            assert (u, v) not in hops and (v, u) not in hops
-            assert all(
-                topology.graph.has_edge(a, b) for a, b in hops
-            )
-        finally:
-            topology.graph.add_edge(u, v, **{"latency": 5e-7,
-                                             "bandwidth": 5e10})
+        fresh = cache.minimal_route(source, destination)
+        assert fresh is not stale
+        hops = list(zip(fresh, fresh[1:]))
+        assert (u, v) not in hops and (v, u) not in hops
+        assert all(topology.graph.has_edge(a, b) for a, b in hops)
+        assert route_cache_for(topology) is cache
+        assert cache.misses == 2
+
+    def test_unchanged_graph_keeps_its_routes(self):
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        cache = route_cache_for(topology)
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        first = cache.minimal_route(source, destination)
+        # Attribute reads and edits are not structural changes.
+        topology.graph.nodes[source]["note"] = "read"
+        assert cache.minimal_route(source, destination) is first
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_fabric_refresh_rebuilds_after_in_place_mutation(self):
-        """FabricSimulator._refresh_link_state invalidates the shared
-        cache and rebuilds its capacity map from the mutated graph."""
+        """FabricSimulator._refresh_link_state rebinds the solver to a
+        capacity map rebuilt from the mutated graph."""
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         simulator = FabricSimulator(topology)
         before = dict(simulator._capacities)
@@ -230,13 +222,44 @@ class TestInvalidation:
             assert victim not in simulator._capacities
             assert victim[::-1] not in simulator._capacities
             assert len(simulator._capacities) == len(before) - 2
-            # The registry's cache was replaced, not just cleared.
             assert simulator._route_cache is route_cache_for(topology)
             stats = simulator.run(_uniform_flows(topology, 10))
             assert stats
         finally:
             topology.graph.add_edge(*victim, **attrs)
-            invalidate_route_cache(topology)
+
+
+    def test_simulator_bound_before_another_ones_flaps_still_runs(self):
+        # Both simulators share the topology's cache; a link event in the
+        # first rebuilds the capacity map the second was bound to.
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        early = FabricSimulator(topology)
+        flapping = FabricSimulator(topology)
+        victim = next(
+            (u, v) for u, v in topology.graph.edges()
+            if u in topology.switches and v in topology.switches
+        )
+        flows = _uniform_flows(topology, 10)
+        flapping.run(flows, link_events=[LinkEvent(time=0.0, link=victim)])
+        fresh = FabricSimulator(topology).run(flows)
+        assert _stats_key(early.run(flows)) == _stats_key(fresh)
+
+    def test_attribute_edit_is_seen_after_clear(self):
+        # An attribute edited in place does not move ``mutations``;
+        # clear() makes the next run read the new bandwidths.
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        simulator = FabricSimulator(topology)
+        flows = _uniform_flows(topology, 10)
+        before = simulator.run(flows)
+        for _, _, attrs in topology.graph.edges(data=True):
+            attrs["bandwidth"] /= 10
+        route_cache_for(topology).clear()
+        after = simulator.run(flows)
+        reference = FabricSimulator(
+            Topology(topology.name, topology.graph.copy())
+        ).run(flows)
+        assert _stats_key(after) == _stats_key(reference)
+        assert after[0].finish_time > before[0].finish_time
 
 
 class TestShortestPathPort:
@@ -246,7 +269,7 @@ class TestShortestPathPort:
     @pytest.mark.parametrize("kind", sorted(_FABRIC_TOPOLOGIES))
     def test_all_pairs_match_networkx(self, kind):
         topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
-        graph = topology.graph
+        graph = networkx_twin(topology.graph)
         cache = RouteCache(topology)
         nodes = list(graph.nodes)
         for source in nodes:
@@ -256,16 +279,19 @@ class TestShortestPathPort:
                 ), (source, destination)
 
     def test_directed_graph_matches_networkx(self):
-        graph = nx.gnp_random_graph(24, 0.12, seed=5, directed=True)
-        nx.set_node_attributes(graph, "switch", "role")
-        topology = Topology("random-digraph", graph)
+        random_graph = nx.gnp_random_graph(24, 0.12, seed=5, directed=True)
+        digraph = DiGraph()
+        digraph.add_nodes_from(random_graph, role="switch")
+        digraph.add_edges_from(random_graph.edges)
+        graph = networkx_twin(digraph)
+        topology = Topology("random-digraph", digraph)
         cache = RouteCache(topology)
         for source in graph:
             for destination in graph:
                 try:
                     expected = nx.shortest_path(graph, source, destination)
                 except nx.NetworkXNoPath:
-                    with pytest.raises(nx.NetworkXNoPath):
+                    with pytest.raises(NetworkXNoPath):
                         cache.minimal_route(source, destination)
                     continue
                 assert cache.minimal_route(source, destination) == expected
@@ -280,22 +306,24 @@ class TestShortestPathPort:
         cache = RouteCache(topology)
         known = topology.terminals[0]
         for source, destination in (("nowhere", known), (known, "nowhere")):
-            with pytest.raises(nx.NodeNotFound) as ours:
+            with pytest.raises(NodeNotFound) as ours:
                 cache.minimal_route(source, destination)
             with pytest.raises(nx.NodeNotFound) as theirs:
-                nx.shortest_path(topology.graph, source, destination)
+                nx.shortest_path(
+                    networkx_twin(topology.graph), source, destination
+                )
             assert str(ours.value) == str(theirs.value)
 
     def test_disconnected_pair_raises_no_path(self):
-        graph = nx.Graph()
+        graph = Graph()
+        graph.add_nodes_from("abcd", role="switch")
         graph.add_edge("a", "b", bandwidth=1e9, latency=1e-6)
         graph.add_edge("c", "d", bandwidth=1e9, latency=1e-6)
-        nx.set_node_attributes(graph, "switch", "role")
         cache = RouteCache(Topology("split", graph))
-        with pytest.raises(nx.NetworkXNoPath) as ours:
+        with pytest.raises(NetworkXNoPath) as ours:
             cache.minimal_route("a", "d")
         with pytest.raises(nx.NetworkXNoPath) as theirs:
-            nx.shortest_path(graph, "a", "d")
+            nx.shortest_path(networkx_twin(graph), "a", "d")
         assert str(ours.value) == str(theirs.value)
 
     def test_propagation_delay_is_the_per_edge_sum(self):
@@ -317,12 +345,12 @@ class TestShortestPathPort:
     def test_propagation_delay_sums_left_to_right(self):
         # Float addition is order dependent: (0.1 + 0.2) + 0.3 differs
         # from 0.3 + 0.2 + 0.1 in the last bit.
-        graph = nx.Graph()
+        graph = Graph()
+        graph.add_nodes_from("abcd", role="switch")
         for (u, v), latency in zip(
             [("a", "b"), ("b", "c"), ("c", "d")], [0.1, 0.2, 0.3]
         ):
             graph.add_edge(u, v, bandwidth=1e9, latency=latency)
-        nx.set_node_attributes(graph, "switch", "role")
         cache = RouteCache(Topology("line", graph))
         path = cache.minimal_route("a", "d")
         assert cache.propagation_delay(path) == 0.1 + 0.2 + 0.3
@@ -342,30 +370,21 @@ class TestShortestPathPort:
         )
         attrs = dict(graph.edges[u, v])
         graph.remove_edge(u, v)
-        try:
-            invalidate_route_cache(topology)
-            # The dropped cache let go of its adjacency and latency maps.
-            assert not cache._successors and not cache._latencies
-            fresh = route_cache_for(topology)
-            after = fresh.minimal_route(source, destination)
-            assert after == nx.shortest_path(graph, source, destination)
-            assert (u, v) not in zip(after, after[1:])
-            assert v not in fresh._successors[u]
-            assert fresh.propagation_delay(after) == sum(
-                float(graph.edges[a, b]["latency"])
-                for a, b in zip(after, after[1:])
-            )
-            assert (u, v) not in fresh._latencies
-            # Repair the link in place: the next cache sees it again.
-            graph.add_edge(u, v, **attrs)
-            invalidate_route_cache(topology)
-            repaired = route_cache_for(topology)
-            assert repaired.minimal_route(source, destination) == before
-            assert v in repaired._successors[u]
-        finally:
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v, **attrs)
-            invalidate_route_cache(topology)
+        after = cache.minimal_route(source, destination)
+        assert after == nx.shortest_path(
+            networkx_twin(graph), source, destination
+        )
+        assert (u, v) not in zip(after, after[1:])
+        assert v not in cache._successors[u]
+        assert cache.propagation_delay(after) == sum(
+            float(graph.edges[a, b]["latency"])
+            for a, b in zip(after, after[1:])
+        )
+        assert (u, v) not in cache._latencies
+        # Repair the link in place: the cache sees it again.
+        graph.add_edge(u, v, **attrs)
+        assert cache.minimal_route(source, destination) == before
+        assert v in cache._successors[u]
 
 
 class TestFabricKeywordApi:

@@ -10,13 +10,16 @@ from repro.interconnect.topology import (
     build_topology,
     normalize_topology_kind,
 )
+from repro.validate.differential import networkx_twin
 
 
 def _same_topology(a, b) -> bool:
     return (
         a.name == b.name
         and sorted(a.graph.nodes()) == sorted(b.graph.nodes())
-        and nx.utils.graphs_equal(a.graph, b.graph)
+        and nx.utils.graphs_equal(
+            networkx_twin(a.graph), networkx_twin(b.graph)
+        )
         and a.terminals == b.terminals
     )
 

@@ -1,9 +1,9 @@
 """Tests for mid-run link flaps in the fabric simulator."""
 
-import networkx as nx
 import pytest
 
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
+from repro.interconnect.graph import Graph
 from repro.interconnect.routing import minimal_route
 from repro.interconnect.topology import Topology, build_topology
 from repro.observability import Telemetry
@@ -20,7 +20,7 @@ def diamond_topology():
     cutting (b, d) forces the long way round; cutting (c, e) as well
     disconnects the terminals entirely.
     """
-    graph = nx.Graph()
+    graph = Graph()
     for switch in "abced":
         graph.add_node(switch, role="switch")
     for terminal, switch in (("ta", "a"), ("td", "d")):

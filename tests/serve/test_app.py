@@ -104,6 +104,30 @@ class TestProfileCaching:
         assert b"bananas" in response.body
         assert client.app.counter("serve.bad_requests").total() == 1
 
+    def test_bad_value_rejected_by_the_run_is_a_400_naming_it(self, client):
+        # ``nodes`` is a known parameter, so canonicalisation passes it;
+        # only the run itself can reject 0.
+        request = {"profile": "C16", "params": {"nodes": 0}}
+        for _ in range(2):  # the failed run is not cached
+            response = client.post("/v1/profile", request)
+            assert response.status == 400, response.body
+            assert b"nodes must be at least 1" in response.body
+        app = client.app
+        assert app.counter("serve.bad_requests").total() == 2
+        assert app.counter("serve.errors").total() == 0
+        assert not app.inflight
+
+    def test_internal_fault_stays_a_500(self, client, monkeypatch):
+        def broken(canonical):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(client.app, "_execute_profile", broken)
+        response = client.post("/v1/profile", SMALL_PROFILE)
+        assert response.status == 500
+        assert b"disk on fire" in response.body
+        assert client.app.counter("serve.errors").total() == 1
+        assert client.app.counter("serve.bad_requests").total() == 0
+
 
 class TestSweepCaching:
     def test_sweep_cold_then_cached(self, client):

@@ -1,5 +1,7 @@
 """The tier-1 differential checks: fast paths vs independent references."""
 
+import sys
+
 from repro.validate import (
     check_checkpointing,
     check_collectives,
@@ -9,6 +11,7 @@ from repro.validate import (
     check_sweep,
     run_differential_checks,
 )
+from repro.validate.differential import networkx_twin
 
 
 class TestRoutesDifferential:
@@ -35,7 +38,9 @@ class TestRoutesDifferential:
         def swapped(self, source, target):
             if source.startswith("t") and target.startswith("t"):
                 return original(self, source, target)
-            return list(nx.all_shortest_paths(self._graph, source, target))[-1]
+            return list(nx.all_shortest_paths(
+                networkx_twin(self._graph), source, target
+            ))[-1]
 
         monkeypatch.setattr(RouteCache, "_shortest_path", swapped)
         result = check_routes(pairs=8)
@@ -51,13 +56,22 @@ class TestRoutesDifferential:
 
         monkeypatch.setattr(
             RouteCache, "_shortest_path",
-            lambda self, source, target: list(
-                nx.all_shortest_paths(self._graph, source, target)
-            )[-1],
+            lambda self, source, target: list(nx.all_shortest_paths(
+                networkx_twin(self._graph), source, target
+            ))[-1],
         )
         result = check_routes(pairs=8)
         assert not result.passed
         assert "networkx says" in result.detail
+
+    def test_missing_networkx_fails_naming_the_test_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        result = check_routes(pairs=8)
+        assert not result.passed
+        assert result.comparisons == 0
+        assert "networkx" in result.detail
+        assert "'.[test]'" in result.detail
+        assert "Traceback" not in str(result)
 
 
 class TestCollectivesDifferential:
