@@ -159,7 +159,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
     from repro.analysis.tables import Table
 
     table = Table(
-        "Experiment index (run: pytest <bench> --benchmark-only)",
+        "Experiment index (run: pytest <bench>)",
         ["id", "claim", "bench target"],
     )
     for experiment_id, (claim, target) in EXPERIMENTS.items():
@@ -179,7 +179,7 @@ def _command_report(args: argparse.Namespace) -> int:
     if not results_dir.is_dir():
         print(
             f"no results at {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only` first",
+            "`pytest benchmarks` first",
             file=sys.stderr,
         )
         return 1
@@ -500,7 +500,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         FleetConfig,
         FleetError,
         SupervisorConfig,
-        SweepInterrupted,
         SweepPointError,
         SweepSpec,
         named_sweep,
@@ -587,8 +586,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except (SweepPointError, FleetError) as error:
         print(str(error), file=sys.stderr)
         return 1
-    except SweepInterrupted as interrupt:
-        partial = interrupt.partial
+    except KeyboardInterrupt as interrupt:
+        # A Ctrl-C before the executor took over (say, while the journal
+        # header was being written) carries no partial result.
+        partial = getattr(interrupt, "partial", None)
         done = len(partial.points) if partial is not None else 0
         remaining = total - done
         journal_path = args.resume[0] if args.resume else journal

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
+from repro.analysis.metrics import mean, std
 from repro.core.errors import MarketError
 from repro.core.rng import RandomSource
 from repro.market.agents import Agent, MarketView
@@ -157,9 +156,9 @@ class MarketSimulation:
         if len(prices) < window:
             return None
         for end in range(window, len(prices) + 1):
-            segment = np.asarray(prices[end - window:end])
-            mean = float(segment.mean())
-            if mean > 0 and float(segment.std()) / mean <= tolerance:
+            segment = [float(p) for p in prices[end - window:end]]
+            centre = mean(segment)
+            if centre > 0 and std(segment) / centre <= tolerance:
                 return end - window
         return None
 
@@ -167,7 +166,7 @@ class MarketSimulation:
         prices = self.price_history[-last:] if last else self.price_history
         if not prices:
             raise MarketError("no trades occurred")
-        return float(np.mean(prices))
+        return mean([float(p) for p in prices])
 
     def fill_rate(self, offered_per_round: float) -> float:
         """Mean traded volume over offered capacity per round — the market's
@@ -176,4 +175,4 @@ class MarketSimulation:
             raise MarketError("offered_per_round must be positive")
         if not self.volume_history:
             return 0.0
-        return float(np.mean(self.volume_history)) / offered_per_round
+        return mean([float(v) for v in self.volume_history]) / offered_per_round

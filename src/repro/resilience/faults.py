@@ -91,7 +91,7 @@ class FailureProcess:
         if self.shape == 1.0:
             return rng.exponential(self.mtbf)
         scale = self.mtbf / math.gamma(1.0 + 1.0 / self.shape)
-        return float(scale * rng.numpy.weibull(self.shape))
+        return scale * rng.weibull(self.shape)
 
 
 @dataclass(frozen=True)

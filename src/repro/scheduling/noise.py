@@ -98,12 +98,14 @@ class NoiseModel:
             raise ValueError("ranks must be >= 1")
         if nominal_time < 0:
             raise ValueError("nominal_time must be non-negative")
-        if ranks == 1 and self.heavy_tail_probability == 0:
-            return nominal_time * max(0.0, 1.0 + rng.normal(0.0, self.noise_cv))
+        draws = rng.normals(0.0, self.noise_cv, ranks)
+        if not self.heavy_tail_probability:
+            # ``1 + noise`` rounds monotonically, so the largest draw is
+            # the slowest rank.
+            return nominal_time * max(0.0, 1.0 + max(draws))
         worst = 0.0
-        draws = rng.numpy.normal(0.0, self.noise_cv, size=ranks)
         for noise in draws:
-            factor = max(0.0, 1.0 + float(noise))
+            factor = max(0.0, 1.0 + noise)
             if self.heavy_tail_probability and rng.bernoulli(self.heavy_tail_probability):
                 factor *= self.heavy_tail_magnitude
             worst = max(worst, factor)

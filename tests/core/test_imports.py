@@ -1,10 +1,11 @@
 """Import hygiene: a process loads only what its run uses.
 
-The package inits are lazy (PEP 562), so ``import repro`` and the CLI's
-parser load neither numpy nor networkx, and no runtime path loads
-networkx at all: it is the test-side oracle of the graph ports.  Fresh
-interpreters check this; the in-process tests cover the lazy attribute
-protocol and the sweep workers' frozen heap.
+The runtime needs nothing outside the standard library.  numpy and
+networkx are test-side oracles (of the random streams and statistics, and
+of the graph ports), so no runtime path loads either, and the package
+inits are lazy (PEP 562), so ``import repro`` and the CLI's parser load
+only what they use.  Fresh interpreters check this; the in-process tests
+cover the lazy attribute protocol and the sweep workers' frozen heap.
 """
 
 import ast
@@ -104,22 +105,22 @@ class TestColdImports:
 #: The only modules that import numpy / networkx at all (docs/architecture.md).
 #: networkx appears only inside ``check_routes``, as the routes oracle.
 DIRECT_IMPORTERS = {
-    "numpy": {"core/rng.py", "analysis/metrics.py", "market/exchange.py"},
+    "numpy": set(),
     "networkx": {"validate/differential.py"},
 }
 
 #: Runs ``python -m repro`` with the arguments after ``-c`` while a
-#: meta-path finder refuses every networkx import.
-WITHOUT_NETWORKX = """
+#: meta-path finder refuses every numpy and networkx import.
+WITHOUT_HEAVY = """
 import runpy, sys
 
-class RefuseNetworkx:
+class RefuseHeavy:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "networkx":
+        if name.partition(".")[0] in ("numpy", "networkx"):
             raise ModuleNotFoundError(f"No module named {name!r}")
         return None
 
-sys.meta_path.insert(0, RefuseNetworkx())
+sys.meta_path.insert(0, RefuseHeavy())
 sys.argv = ["repro", *sys.argv[1:]]
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
@@ -127,31 +128,62 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 #: Host-second figures (``0.005675``, ``5.675e-03``) in a profile's
 #: wall-clock tables.
 _SECONDS = re.compile(r"\b\d+\.\d{6}\b|\b\d\.\d{3}e[-+]\d{2}\b")
+#: A sweep's elapsed time (``swept 8 points in 0.06s``).
+_ELAPSED = re.compile(r" in \d+\.\d+s ")
 
 
 def _without_wall_clock(stdout: str) -> list:
-    """Stdout up to the wall-clock tables, then their rows with the
-    timings masked, sorted (rows are ordered hottest first)."""
+    """Stdout up to the wall-clock tables with elapsed times masked, then
+    their rows with the timings masked, sorted (rows are ordered hottest
+    first)."""
     head, marker, timed = stdout.partition("Wall-clock phases")
     rows = sorted(_SECONDS.sub("#", line).rstrip()
                   for line in timed.splitlines())
-    return head.splitlines() + [marker] + rows
+    return [_ELAPSED.sub(" in #s ", line) for line in head.splitlines()] + (
+        [marker] + rows
+    )
 
 
-class TestNetworkxFreeRuntime:
+def _third_party(modules) -> list:
+    """The modules that are neither the standard library nor repro,
+    skipping aliases such as ``__mp_main__`` (multiprocessing's name for
+    ``__main__``)."""
+    return sorted(
+        m for m in modules
+        if m.partition(".")[0] not in sys.stdlib_module_names
+        and m.partition(".")[0] != "repro" and not m.startswith("__")
+    )
+
+
+class TestStdlibOnlyRuntime:
+    # The package inits are lazy, so the sweep and serve entries name the
+    # modules that do the work.
+    @pytest.mark.parametrize("module", [
+        "repro.interconnect.fabric", "repro.profiles", "repro.sweep.engine",
+        "repro.sweep.targets", "repro.serve.app",
+    ])
+    def test_runtime_modules_load_no_third_party_module(self, module):
+        loaded = _run(
+            "import sys; before = set(sys.modules); "
+            f"import {module}; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        ).split()
+        assert module in loaded
+        assert _third_party(loaded) == []
+
     @pytest.mark.parametrize("argv", [
         ["profile", "C2"],
+        ["profile", "C17"],
+        ["sweep", "smoke"],
         ["topology", "dragonfly"],
     ])
-    def test_fabric_commands_run_without_networkx(self, argv):
+    def test_commands_run_with_numpy_and_networkx_refused(self, argv):
         plain = _python("-X", "importtime", "-m", "repro", *argv)
         assert plain.returncode == 0, plain.stderr[-2000:]
-        modules = _imported(plain)
-        assert "repro.interconnect.topology" in modules
-        assert [m for m in modules if m.partition(".")[0] == "networkx"] == []
-        blocked = _python("-c", WITHOUT_NETWORKX, *argv)
+        assert plain.stdout.strip()
+        assert _heavy(_imported(plain)) == []
+        blocked = _python("-c", WITHOUT_HEAVY, *argv)
         assert blocked.returncode == 0, blocked.stderr[-2000:]
-        assert "Run summary" in plain.stdout or "Topology" in plain.stdout
         assert _without_wall_clock(blocked.stdout) == (
             _without_wall_clock(plain.stdout)
         )

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.federation import Site, SiteKind
-from repro.hardware import Precision, default_catalog
+from repro.hardware import default_catalog
+from repro.profiles import calibrated_jobs
 from repro.scheduling.cluster import ClusterSimulator
-from repro.scheduling.runtime import estimate_job
-from repro.workloads.base import JobClass, make_single_kernel_job
 
 CPU = default_catalog().get("epyc-class-cpu")
 
@@ -17,17 +16,11 @@ def make_site(name="testsite", nodes=4):
 
 def make_job(work, *, name="job", ranks=1, arrival=0.0):
     """A compute-bound job whose runtime estimate is ~``work`` seconds."""
-    probe = make_single_kernel_job(
-        name="probe", job_class=JobClass.SIMULATION, flops=1e15,
-        bytes_moved=1e6, precision=Precision.FP64, ranks=ranks,
+    (job,) = calibrated_jobs(
+        make_site(nodes=max(ranks, 1)), name, 1, work=work, arrival_gap=0.0,
+        ranks=ranks,
     )
-    site = make_site(nodes=max(ranks, 1))
-    probe_time = estimate_job(probe, CPU, site).time
-    job = make_single_kernel_job(
-        name=name, job_class=JobClass.SIMULATION,
-        flops=1e15 * work / probe_time,
-        bytes_moved=1e6, precision=Precision.FP64, ranks=ranks,
-    )
+    job.name = name
     job.arrival_time = arrival
     return job
 

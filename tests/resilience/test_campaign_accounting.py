@@ -2,7 +2,8 @@
 
 from repro.core.rng import RandomSource
 from repro.federation import Site, SiteKind
-from repro.hardware import Precision, default_catalog
+from repro.hardware import default_catalog
+from repro.profiles import calibrated_jobs
 from repro.resilience import (
     FailureProcess,
     FaultCampaign,
@@ -14,8 +15,6 @@ from repro.resilience import (
 )
 from repro.resilience.recovery import bind_cluster
 from repro.scheduling.cluster import ClusterSimulator
-from repro.scheduling.runtime import estimate_job
-from repro.workloads.base import JobClass, make_single_kernel_job
 
 
 def test_twelve_jobs_under_node_churn_are_all_accounted_for():
@@ -36,17 +35,7 @@ def test_twelve_jobs_under_node_churn_are_all_accounted_for():
     )
     bind_cluster(injector, cluster)
     injector.install()
-    probe = make_single_kernel_job(
-        name="probe", job_class=JobClass.SIMULATION, flops=1e15,
-        bytes_moved=1e6, precision=Precision.FP64,
-    )
-    scale = 1e15 / estimate_job(probe, device, site).time
-    for index in range(12):
-        job = make_single_kernel_job(
-            name=f"job{index}", job_class=JobClass.SIMULATION,
-            flops=scale * 400.0, bytes_moved=1e6, precision=Precision.FP64,
-        )
-        job.arrival_time = index * 100.0
+    for job in calibrated_jobs(site, "job", 12, work=400.0, arrival_gap=100.0):
         cluster.submit(job)
     cluster.run()
 

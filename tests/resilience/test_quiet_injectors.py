@@ -42,6 +42,7 @@ SITE = Site(name=SITE_NAME, kind=SiteKind.ON_PREMISE, devices={DEVICE: NODES})
 
 def _jobs():
     """A seeded trace of single-rank compute-bound jobs, ~100 s each."""
+    # Each job's work is drawn at random, which calibrated_jobs cannot do.
     probe = make_single_kernel_job(
         name="probe", job_class=JobClass.SIMULATION, flops=1e15,
         bytes_moved=1e6, precision=Precision.FP64,

@@ -2,6 +2,8 @@
 
 import sys
 
+import pytest
+
 from repro.validate import (
     check_checkpointing,
     check_collectives,
@@ -126,6 +128,18 @@ class TestSolverDifferential:
         result = check_solvers()
         assert result.passed, result.detail
         assert result.comparisons > 0
+
+    @pytest.mark.parametrize("heap_min_rows", [None, 1])
+    def test_long_epoch_streams_match_reference(self, monkeypatch, heap_min_rows):
+        """40 trials of 30 epochs on both selection paths: scanned (the
+        gate as shipped) and heaped (the gate lowered to one row)."""
+        from repro.interconnect import ratesolver
+
+        if heap_min_rows is not None:
+            monkeypatch.setattr(ratesolver, "_HEAP_MIN_ROWS", heap_min_rows)
+        result = check_solvers(trials=40, epochs=30)
+        assert result.passed, result.detail
+        assert result.comparisons > check_solvers().comparisons
 
     def test_trial_count_is_configurable(self):
         small = check_solvers(trials=1, epochs=4)
