@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -33,7 +34,7 @@ from repro.interconnect.ratesolver import IndexedSolver, RateSolver
 from repro.interconnect.routecache import RouteCache, route_cache_for
 from repro.interconnect.routing import Path, valiant_route
 from repro.interconnect.topology import Topology
-from repro.observability.metrics import Counter, Histogram, exponential_buckets
+from repro.observability.metrics import Histogram, bucket_index, exponential_buckets
 from repro.observability.probes import (
     CATEGORY_CONGESTION,
     CATEGORY_FAULT,
@@ -46,6 +47,7 @@ from repro.observability.profiler import (
     PHASE_TELEMETRY,
     timed,
 )
+from repro.observability.tracer import CounterRecord, span_record
 
 #: Bucket bounds (seconds) for the flow-completion-time histogram:
 #: 1 us .. 100 s in decades, covering mice on a rack and elephants on a WAN.
@@ -327,11 +329,7 @@ class FabricSimulator:
         # Wall-clock phase attribution: with no profiler, `timed` hands
         # each hot call back untouched.
         profiler = getattr(self.telemetry, "profiler", None)
-        ledger = (
-            _RunTelemetry(self.telemetry)
-            if self.telemetry is not None
-            else None
-        )
+        ledger = link_bytes = None
         route = timed(profiler, PHASE_ROUTING, self._route)
         congestion = self.congestion
         reroute_adaptively = self.reroute_adaptively
@@ -339,15 +337,16 @@ class FabricSimulator:
         adjusted_rates = timed(
             profiler, PHASE_CONGESTION, self._policy_adjusted_rates
         )
-        if ledger is not None:
+        if self.telemetry is not None:
+            ledger = _RunTelemetry(self.telemetry)
+            link_bytes = ledger.link_bytes
             offer = timed(profiler, PHASE_TELEMETRY, ledger.offer)
             record_drop = timed(profiler, PHASE_TELEMETRY, ledger.drop)
             record_congestion = timed(
                 profiler, PHASE_TELEMETRY, ledger.congestion
             )
-            carry = timed(profiler, PHASE_TELEMETRY, ledger.carry)
             finish = timed(profiler, PHASE_TELEMETRY, ledger.finish)
-            flush = timed(profiler, PHASE_TELEMETRY, ledger.flush)
+            publish = timed(profiler, PHASE_TELEMETRY, ledger.publish)
 
         def drop_flow(flow_id: int) -> None:
             flow = active.pop(flow_id)
@@ -515,22 +514,23 @@ class FabricSimulator:
             step = min(next_completion, next_arrival, next_link_event)
             if step == infinity:
                 if ledger is not None:
-                    flush()
+                    publish()
                 raise SimulationError("fabric deadlock: no progress possible")
             step = max(step, 0.0)
 
             # Advance.  ``remaining`` holds exactly the active flows, in
-            # admission order.
+            # admission order; the same pass adds up the link bytes.
             now += step
             rate_of = rates.get
             finished: List[int] = []
             for flow_id, left in remaining.items():
-                left -= rate_of(flow_id, 0.0) * step
-                remaining[flow_id] = left
+                moved = rate_of(flow_id, 0.0) * step
+                remaining[flow_id] = left = left - moved
                 if left <= 1e-9:
                     finished.append(flow_id)
-            if ledger is not None:
-                carry(remaining, flow_links, rate_of, step)
+                if link_bytes is not None and moved > 0:
+                    for link in flow_links[flow_id]:
+                        link_bytes[link] += moved
             if not finished:
                 continue
             done: List[FlowStats] = []
@@ -556,10 +556,10 @@ class FabricSimulator:
                 finish(done)
         else:
             if ledger is not None:
-                flush()
+                publish()
             raise SimulationError("fabric simulation exceeded max_iterations")
         if ledger is not None:
-            flush()
+            publish()
 
         if down_links:
             # The workload drained before every link came back; undo the
@@ -604,40 +604,43 @@ class FabricSimulator:
 class _RunTelemetry:
     """One :meth:`FabricSimulator.run`'s telemetry recording.
 
-    Each instrument is fetched from the registry once per run, the first
-    time the run records into it, so a run creates exactly the metrics it
-    records into, in the order it first records into them.  Link bytes
-    accumulate per directed link in a plain dict and are published by
-    :meth:`flush` once per run: per-label totals are added in the same
-    chronological order, and a counter starting at 0.0 satisfies
-    ``0.0 + x == x``, so the published values are bit-identical to
-    per-epoch increments.
+    Offered and delivered bytes and FCTs per tag, and bytes per directed
+    link, add up in plain dicts that :meth:`publish` writes once per run.
+    That is bit-identical to per-event ``inc``/``observe`` calls.  A
+    metric is fetched (so created) at its first use.  A tag's total
+    starts from the series' value at that point and takes the same
+    additions in the same order: nothing else writes these series
+    mid-run, and a shared ``Telemetry`` keeps its earlier totals.  The
+    dicts keep first-use order, which is the order new label sets reach
+    the registry.  Link bytes are a per-run total per link, added to the
+    counter once; the epoch loop adds them up in its advance pass.
     """
 
-    __slots__ = ("telemetry", "tracer", "link_bytes", "_counters", "_fct")
+    __slots__ = ("telemetry", "tracer", "offered", "delivered", "fcts",
+                 "link_bytes", "_fct")
 
     def __init__(self, telemetry: Telemetry) -> None:
         self.telemetry = telemetry
         self.tracer = telemetry.tracer
-        self.link_bytes: Dict[Tuple[str, str], float] = {}
-        self._counters: Dict[str, Counter] = {}
+        self.offered: Dict[str, float] = {}
+        self.delivered: Dict[str, float] = {}
+        self.fcts: Dict[str, list] = {}  # tag -> [bucket counts, sum]
+        self.link_bytes: Dict[Tuple[str, str], float] = defaultdict(float)
         self._fct: Optional[Histogram] = None
 
-    def _counter(self, name: str, description: str = "") -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.telemetry.counter(
-                name, description
-            )
-        return counter
+    def _add(self, totals: Dict[str, float], tag: str, amount: float,
+             *counter: str) -> None:
+        """Add to a tag's run total, started from the counter's value."""
+        if tag not in totals:
+            totals[tag] = self.telemetry.counter(*counter).value(tag=tag)
+        totals[tag] += amount
 
     def offer(self, flows: Sequence[Flow]) -> None:
         """Account the bytes of newly admitted flows (the offered ledger)."""
-        inc = self._counter(
-            "fabric.flow_bytes_offered", "bytes injected at flow admission"
-        ).inc
         for flow in flows:
-            inc(flow.size, tag=flow.tag or "flow")
+            self._add(self.offered, flow.tag or "flow", flow.size,
+                      "fabric.flow_bytes_offered",
+                      "bytes injected at flow admission")
 
     def finish(self, done: Sequence[FlowStats]) -> None:
         """Account finished flows: FCT histogram, bytes and a trace span."""
@@ -645,32 +648,36 @@ class _RunTelemetry:
             self._fct = self.telemetry.histogram(
                 "fabric.fct_seconds", FCT_BUCKETS, "flow completion time"
             )
-        observe = self._fct.observe
-        inc = self._counter("fabric.flow_bytes").inc
-        complete = self.tracer.complete
+        fct, fcts = self._fct, self.fcts
+        spans = self.tracer.spans if self.tracer.enabled else None
         for stats in done:
             tag = stats.tag or "flow"
-            observe(stats.completion_time, tag=tag)
-            inc(stats.size, tag=tag)
-            complete(
-                f"flow:{tag}", CATEGORY_FLOW, stats.start_time,
-                stats.finish_time, flow_id=stats.flow_id, bytes=stats.size,
-                hops=stats.path_hops,
-            )
+            seconds = stats.completion_time
+            series = fcts.get(tag)
+            if series is None:
+                series = fcts[tag] = [fct.counts(tag=tag), fct.sum(tag=tag)]
+            series[0][bucket_index(FCT_BUCKETS, seconds)] += 1
+            series[1] += seconds
+            self._add(self.delivered, tag, stats.size, "fabric.flow_bytes")
+            if spans is not None:
+                spans.append(span_record(
+                    f"flow:{tag}", CATEGORY_FLOW, stats.start_time,
+                    stats.finish_time, {"flow_id": stats.flow_id,
+                                        "bytes": stats.size,
+                                        "hops": stats.path_hops},
+                ))
 
     def drop(self, stats: FlowStats) -> None:
         """Account one dropped flow (no FCT sample — it never completed)."""
         tag = stats.tag or "flow"
-        self._counter(
+        self.telemetry.counter(
             "fabric.flows.dropped", "flows killed by link failures"
         ).inc(tag=tag)
         if stats.delivered_bytes > 0:
-            self._counter("fabric.flow_bytes").inc(
-                stats.delivered_bytes, tag=tag
-            )
+            self._add(self.delivered, tag, stats.delivered_bytes, "fabric.flow_bytes")
         lost = stats.size - stats.delivered_bytes
         if lost > 0:
-            self._counter(
+            self.telemetry.counter(
                 "fabric.flow_bytes_lost",
                 "offered bytes that never reached their destination",
             ).inc(lost, tag=tag)
@@ -681,37 +688,27 @@ class _RunTelemetry:
 
     def rerouted(self, tag: str) -> None:
         """Count one in-flight flow re-routed around a dead link."""
-        self._counter(
+        self.telemetry.counter(
             "fabric.flows.rerouted",
             "in-flight flows re-routed around a dead link",
         ).inc(tag=tag or "flow")
 
-    def carry(
-        self,
-        remaining: Dict[int, float],
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        rate_of,
-        step: float,
-    ) -> None:
-        """Add one interval's bytes to every link each active flow crosses."""
-        carried = self.link_bytes
-        get = carried.get
-        for flow_id in remaining:
-            moved = rate_of(flow_id, 0.0) * step
-            if moved > 0:
-                for link in flow_links[flow_id]:
-                    carried[link] = get(link, 0.0) + moved
-
-    def flush(self) -> None:
-        """Publish the accumulated per-link byte totals."""
-        if not self.link_bytes:
-            return
-        link_bytes = self._counter(
-            "fabric.link_bytes", "bytes carried per directed link"
-        )
-        for (u, v), total in self.link_bytes.items():
-            link_bytes.inc(total, link=f"{u}->{v}")
-        self.link_bytes = {}
+    def publish(self) -> None:
+        """Write the run's totals into the registry (metrics exist by now)."""
+        counter = self.telemetry.counter
+        if self.offered:
+            counter("fabric.flow_bytes_offered").publish("tag", self.offered)
+        if self.fcts:
+            self._fct.publish("tag", self.fcts)
+        if self.delivered:
+            counter("fabric.flow_bytes").publish("tag", self.delivered)
+        if self.link_bytes:
+            links = counter("fabric.link_bytes", "bytes carried per directed link")
+            totals = {}
+            for (u, v), carried in self.link_bytes.items():
+                link = f"{u}->{v}"
+                totals[link] = links.value(link=link) + carried
+            links.publish("link", totals)
 
     def congestion(
         self,
@@ -720,10 +717,12 @@ class _RunTelemetry:
         congested_before: Set[Tuple[str, str]],
         active_flows: int,
     ) -> Set[Tuple[str, str]]:
-        """Mark congestion onsets (newly-saturated links) in the trace."""
-        onsets = saturated - congested_before
+        """Mark congestion onsets (newly-saturated links) in the trace and
+        return the solver's fresh ``saturated`` set, uncopied."""
+        onsets = (saturated - congested_before
+                  if saturated and congested_before else saturated)
         if onsets:
-            events = self._counter(
+            events = self.telemetry.counter(
                 "fabric.congestion_events", "congestion onsets per link"
             )
             for u, v in sorted(onsets):
@@ -732,8 +731,9 @@ class _RunTelemetry:
                     "congestion_onset", CATEGORY_CONGESTION, now,
                     link=f"{u}->{v}", active_flows=active_flows,
                 )
-        self.tracer.sample(
-            "fabric.active_flows", now, flows=active_flows,
-            congested_links=len(saturated),
-        )
-        return set(saturated)
+        if self.tracer.enabled:
+            self.tracer.counters.append(CounterRecord(
+                "fabric.active_flows", now,
+                {"flows": active_flows, "congested_links": len(saturated)},
+            ))
+        return saturated

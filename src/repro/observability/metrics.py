@@ -14,7 +14,18 @@ never the reverse.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import math
+from bisect import bisect_left
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.errors import ConfigurationError
 from repro.core.events import Simulation
@@ -28,6 +39,18 @@ def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
         ((key, value),) = labels.items()
         return ((key, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def bucket_index(bounds: Sequence[float], value: float) -> int:
+    """The histogram bucket ``value`` falls in (``le`` semantics).
+
+    The first bound ``>= value``; ``len(bounds)`` (the overflow bucket)
+    above the last bound, and for NaN, which compares false with every
+    bound and which a bare ``bisect_left`` would put in bucket 0.
+    """
+    if value <= bounds[-1]:
+        return bisect_left(bounds, value)
+    return len(bounds)
 
 
 class Metric:
@@ -59,11 +82,32 @@ class Counter(Metric):
         self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Add ``amount`` (must be non-negative) to the labelled series."""
-        if amount < 0:
-            raise ConfigurationError(f"{self.name}: counters only go up")
+        """Add ``amount`` (non-negative and finite) to the labelled series."""
+        if not 0.0 <= amount < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: counters only go up by a finite amount, "
+                f"got {amount!r}"
+            )
         key = _label_key(labels) if labels else _NO_LABELS
         self._values[key] = self._values.get(key, 0.0) + amount
+
+    def publish(self, label: str, totals: Mapping[str, float]) -> None:
+        """Write run totals for single-label series, ``{label: total}``.
+
+        For a writer that accumulates a whole run locally and publishes
+        once.  Each total must be finite and no lower than the series'
+        current count; a series not seen before is created, in the
+        order of ``totals``.
+        """
+        values = self._values
+        for value, total in totals.items():
+            key = ((label, str(value)),)
+            if not values.get(key, 0.0) <= total < math.inf:
+                raise ConfigurationError(
+                    f"{self.name}: counters only go up by a finite amount, "
+                    f"got a total of {total!r} for {label}={value}"
+                )
+            values[key] = total
 
     def value(self, **labels: object) -> float:
         """Current count for one label set (0 if never incremented)."""
@@ -137,13 +181,28 @@ class Histogram(Metric):
         """Add one observation to the labelled series."""
         key = _label_key(labels) if labels else _NO_LABELS
         counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
+        counts[bucket_index(self.buckets, value)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + value
+
+    def publish(
+        self, label: str, series: Mapping[str, Tuple[List[int], float]]
+    ) -> None:
+        """Write run totals for single-label series, ``{label: (counts, sum)}``.
+
+        The :meth:`Counter.publish` of histograms: ``counts`` has one
+        entry per bucket plus the overflow bucket, as :meth:`counts`
+        returns them.
+        """
+        width = len(self.buckets) + 1
+        for value, (counts, total) in series.items():
+            if len(counts) != width:
+                raise ConfigurationError(
+                    f"{self.name}: {label}={value} has {len(counts)} bucket "
+                    f"counts, expected {width}"
+                )
+            key = ((label, str(value)),)
+            self._counts[key] = list(counts)
+            self._sums[key] = total
 
     def counts(self, **labels: object) -> List[int]:
         """Per-bucket counts (last entry is the +inf overflow bucket)."""

@@ -71,6 +71,21 @@ class CounterRecord:
     values: Dict[str, float] = field(default_factory=dict)
 
 
+def span_record(
+    name: str, category: str, start: float, end: float, args: Dict[str, Any]
+) -> SpanRecord:
+    """A :class:`SpanRecord`, refused when it ends before it starts.
+
+    :meth:`Tracer.complete` without the keyword-argument round trip, for
+    a recorder that appends to an enabled tracer's ``spans`` itself.
+    """
+    if end < start:
+        raise ConfigurationError(
+            f"span {name!r} ends before it starts ({end} < {start})"
+        )
+    return SpanRecord(name, category, start, end, args)
+
+
 class _OpenSpan:
     """Handle returned by :meth:`Tracer.begin`; close with :meth:`Tracer.end`."""
 
@@ -133,11 +148,7 @@ class Tracer:
         """Record a finished span with explicit endpoints."""
         if not self.enabled:
             return
-        if end < start:
-            raise ConfigurationError(
-                f"span {name!r} ends before it starts ({end} < {start})"
-            )
-        self.spans.append(SpanRecord(name, category, start, end, args))
+        self.spans.append(span_record(name, category, start, end, args))
 
     def begin(
         self,

@@ -1,5 +1,7 @@
 """Tests for counters, gauges, histograms, the registry and samplers."""
 
+import math
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -10,6 +12,7 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     PeriodicSampler,
+    bucket_index,
     exponential_buckets,
 )
 
@@ -33,6 +36,29 @@ class TestCounter:
         with pytest.raises(ConfigurationError):
             Counter("jobs").inc(-1.0)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_increment_raises_naming_the_metric(self, amount):
+        counter = Counter("bytes")
+        with pytest.raises(ConfigurationError, match="bytes"):
+            counter.inc(amount, tag="flow")
+        assert counter.label_sets() == []
+
+    def test_publish_writes_totals_in_order(self):
+        counter = Counter("bytes")
+        counter.inc(2.0, tag="b")
+        counter.publish("tag", {"a": 1.5, "b": 3.0})
+        assert counter.label_sets() == [{"tag": "b"}, {"tag": "a"}]
+        assert counter.value(tag="a") == 1.5
+        assert counter.value(tag="b") == 3.0
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, 1.0])
+    def test_publish_refuses_a_non_finite_or_falling_total(self, total):
+        counter = Counter("bytes")
+        counter.inc(2.0, tag="a")
+        with pytest.raises(ConfigurationError, match="bytes"):
+            counter.publish("tag", {"a": total})
+        assert counter.value(tag="a") == 2.0
+
 
 class TestGauge:
     def test_set_overwrites_and_add_adjusts(self):
@@ -55,6 +81,30 @@ class TestHistogramBucketEdges:
         hist = Histogram("lat", buckets=[1.0, 10.0])
         hist.observe(10.0001)
         assert hist.counts() == [0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "value, bucket",
+        [(0.5, 0), (-math.inf, 0), (1.0, 0), (5.0, 1), (10.0, 1),
+         (10.0001, 2), (math.inf, 2), (math.nan, 2)],
+    )
+    def test_bucket_index(self, value, bucket):
+        assert bucket_index([1.0, 10.0], value) == bucket
+        hist = Histogram("lat", buckets=[1.0, 10.0])
+        hist.observe(value)
+        assert hist.counts().index(1) == bucket
+
+    def test_publish_writes_counts_and_sum(self):
+        hist = Histogram("lat", buckets=[1.0, 10.0])
+        hist.observe(2.0, tag="a")
+        hist.publish("tag", {"b": ([1, 0, 0], 0.5), "a": ([0, 2, 0], 5.0)})
+        assert hist.label_sets() == [{"tag": "a"}, {"tag": "b"}]
+        assert hist.counts(tag="a") == [0, 2, 0]
+        assert hist.sum(tag="b") == 0.5
+
+    def test_publish_refuses_the_wrong_bucket_count(self):
+        hist = Histogram("lat", buckets=[1.0, 10.0])
+        with pytest.raises(ConfigurationError, match="lat"):
+            hist.publish("tag", {"a": ([1, 0], 0.5)})
 
     def test_counts_has_one_overflow_entry(self):
         hist = Histogram("lat", buckets=[1.0, 2.0, 3.0])
