@@ -98,8 +98,8 @@ def scaling_exponent(rows, device, sizes=SIZES):
     )
 
 
-def test_c4_accelerator_specialization(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c4_accelerator_specialization(record):
+    rows = run_experiment()
 
     table = Table(
         "C4 (SIII.B): N x N matrix-vector multiply across accelerator classes",

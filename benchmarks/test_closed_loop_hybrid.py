@@ -63,8 +63,8 @@ def run_experiment():
     return baseline, rows
 
 
-def test_c5_closed_loop_hybrid(benchmark, record):
-    baseline, rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c5_closed_loop_hybrid(record):
+    baseline, rows = run_experiment()
 
     table = Table(
         "C5 (SIII.B): closed-loop sim+AI speedup vs surrogate acceptance rate",

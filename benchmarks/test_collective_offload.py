@@ -60,8 +60,8 @@ def training_impact():
     return host, offloaded
 
 
-def test_c12_collective_offload(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c12_collective_offload(record):
+    rows = run_experiment()
 
     table = Table(
         "C12 (SIII.C): all-reduce time by implementation (ms)",

@@ -126,10 +126,8 @@ def run_experiment():
     return run_equilibrium(), run_liquidity_ablation(), run_staircase()
 
 
-def test_c10_compute_exchange(benchmark, record):
-    equilibrium, liquidity, staircase = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_c10_compute_exchange(record):
+    equilibrium, liquidity, staircase = run_experiment()
 
     table = Table(
         "C10 (SIII.F): Open Compute Exchange — equilibrium convergence",

@@ -94,8 +94,8 @@ def run_experiment():
     return rows
 
 
-def test_c1_congestion_management(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c1_congestion_management(record):
+    rows = run_experiment()
 
     table = Table(
         "C1 (SII.B): victim tail latency under incast, by congestion policy",

@@ -106,8 +106,8 @@ def run_experiment():
     return rows
 
 
-def test_c9_data_gravity(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c9_data_gravity(record):
+    rows = run_experiment()
 
     table = Table(
         "C9 (SIII.F): gravity-weight sweep, 20 data-heavy jobs over 3 sites",

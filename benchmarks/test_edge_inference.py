@@ -78,8 +78,8 @@ def run_experiment():
     return rows, npu_throughput
 
 
-def test_c6_edge_inference(benchmark, record):
-    rows, npu_throughput = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c6_edge_inference(record):
+    rows, npu_throughput = run_experiment()
 
     table = Table(
         "C6 (SIII.A): backhaul vs in-situ inference for a light-source "

@@ -135,10 +135,8 @@ def run_experiment():
     return ledger, balances, transfers, result, savings
 
 
-def test_c19_federated_accounting(benchmark, record):
-    ledger, balances, transfers, procurement, savings = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_c19_federated_accounting(record):
+    ledger, balances, transfers, procurement, savings = run_experiment()
 
     table = Table(
         "C19 (SIII.F): inter-site accounting over a 120-job federated trace",

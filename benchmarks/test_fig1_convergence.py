@@ -67,8 +67,8 @@ def run_experiment():
     return results
 
 
-def test_fig1_convergence(benchmark, record):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig1_convergence(record):
+    results = run_experiment()
 
     table = Table(
         "F1 (Figure 1): mixed HPC/analytics/AI trace, CPU-only vs heterogeneous",

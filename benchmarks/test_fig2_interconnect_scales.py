@@ -51,8 +51,8 @@ def rack_gap():
     return pcie / cxl
 
 
-def test_fig2_interconnect_scales(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig2_interconnect_scales(record):
+    rows = run_experiment()
 
     table = Table(
         "F2 (Figure 2): memory/network access across device, rack, system scales",

@@ -129,8 +129,8 @@ def run_experiment():
     return rows, kinds
 
 
-def test_fig3_delivery_models(benchmark, record):
-    rows, kinds = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig3_delivery_models(record):
+    rows, kinds = run_experiment()
 
     table = Table(
         "F3 (Figure 3): portfolio served within deadline, by delivery model",

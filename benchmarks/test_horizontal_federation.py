@@ -125,8 +125,8 @@ def run_experiment():
     }
 
 
-def test_c20_horizontal_federation(benchmark, record):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c20_horizontal_federation(record):
+    results = run_experiment()
 
     table = Table(
         "C20 (SIV): anti-phase diurnal demand, isolated vs federated sites",

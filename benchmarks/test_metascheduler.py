@@ -82,8 +82,8 @@ def run_experiment():
     return rows
 
 
-def test_c8_metascheduler(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c8_metascheduler(record):
+    rows = run_experiment()
 
     table = Table(
         "C8 (SIII.F): placement policy comparison, 150-job mixed trace",

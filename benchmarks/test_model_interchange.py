@@ -69,10 +69,8 @@ def run_experiment():
     return rows, latency_winner, energy_winner
 
 
-def test_c17_model_interchange(benchmark, record):
-    rows, latency_winner, energy_winner = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
+def test_c17_model_interchange(record):
+    rows, latency_winner, energy_winner = run_experiment()
 
     table = Table(
         "C17 (SIII.D): one portable model compiled for every silicon class",

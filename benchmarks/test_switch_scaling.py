@@ -47,8 +47,8 @@ def run_experiment():
     return rows
 
 
-def test_c3_switch_scaling(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c3_switch_scaling(record):
+    rows = run_experiment()
 
     table = Table(
         "C3 (SII.B): switch ASIC roadmap vs the reticle limit "

@@ -113,8 +113,8 @@ def run_experiment():
     return rows
 
 
-def test_c14_taskgraph_mapping(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c14_taskgraph_mapping(record):
+    rows = run_experiment()
 
     table = Table(
         "C14 (SIII.D): data-centric pipeline mapping on a CPU+GPU+TPU node",

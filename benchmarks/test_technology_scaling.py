@@ -54,8 +54,8 @@ def run_experiment():
     return rows
 
 
-def test_c13_technology_scaling(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c13_technology_scaling(record):
+    rows = run_experiment()
 
     table = Table(
         "C13 (SI/SII.A): process roadmap, dark silicon, and the case for "

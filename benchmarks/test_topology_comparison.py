@@ -98,8 +98,8 @@ def routing_ablation():
     return rows
 
 
-def test_c2_topology_comparison(benchmark, record):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_c2_topology_comparison(record):
+    rows = run_experiment()
 
     table = Table(
         "C2 (SII.B): topology family comparison at ~140 terminals",

@@ -300,9 +300,19 @@ class FabricSimulator:
         and every in-flight flow crossing it is re-routed over the
         surviving fabric — or dropped (``FlowStats.dropped``) when no path
         remains, keeping the bytes delivered so far on the record.
+
+        Flow ids must be unique within one run: results are keyed by them.
         """
         if not flows:
             return []
+        seen: Set[int] = set()
+        for flow in flows:
+            if flow.flow_id in seen:
+                raise ConfigurationError(
+                    f"flow_id {flow.flow_id} is given to more than one flow "
+                    "in the same run"
+                )
+            seen.add(flow.flow_id)
         if self._capacities is not self._route_cache.link_capacities():
             # Another simulator's link events on this shared topology
             # rebuilt the capacity map since this one was bound.

@@ -13,12 +13,13 @@ the same messages.  ``tests/proptest/test_graph_differential.py`` checks
 each of them against networkx.
 
 Every method that adds or removes a node or an edge bumps
-``graph.mutations``.  State derived from a graph -- the
-:class:`~repro.interconnect.routecache.RouteCache` -- remembers the count
-it was built at and rebuilds when the count has moved.  Attribute dicts
-edited in place through ``nodes[n]`` or ``edges[u, v]`` are not counted:
-after such an edit, ``route_cache_for(topology).clear()`` drops what the
-cache derived from the old values.
+``graph.mutations``, and so does every write to an edge's attribute dict
+(``graph.edges[u, v]["bandwidth"] /= 10``): edge attributes are kept in
+a ``dict`` subclass that counts its writes on its graph.  State derived
+from a graph -- the :class:`~repro.interconnect.routecache.RouteCache`
+-- remembers the count it was built at and rebuilds when the count has
+moved.  Node attribute dicts are plain and uncounted; nothing derived
+from the graph reads them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,44 @@ class NodeNotFound(GraphError):
 
 class NetworkXNoPath(GraphError):
     """No path joins the two nodes (networkx's exception of that name)."""
+
+
+# --- edge attributes ------------------------------------------------------------
+
+
+class _EdgeAttrs(dict):
+    """An edge's attribute dict: each write through it bumps its graph's
+    ``mutations``, so what was derived from the old values is rebuilt."""
+
+    __slots__ = ("_graph",)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild it whole, without counting.
+        return (_edge_attrs, (self._graph, dict(self)))
+
+
+def _edge_attrs(graph: "Graph", attrs: dict) -> _EdgeAttrs:
+    """A counted attribute dict of ``graph`` holding ``attrs``."""
+    counted = _EdgeAttrs(attrs)
+    counted._graph = graph
+    return counted
+
+
+def _counted(name: str):
+    write = getattr(dict, name)
+
+    def counted(self, *args, **kwargs):
+        result = write(self, *args, **kwargs)
+        self._graph.mutations += 1
+        return result
+
+    counted.__name__ = name
+    return counted
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(_EdgeAttrs, _name, _counted(_name))
 
 
 # --- views ----------------------------------------------------------------------
@@ -229,8 +268,12 @@ class Graph:
             self._new_node(u)
         if v not in self._node:
             self._new_node(v)
-        attrs = self._adj[u].get(v, {})
-        attrs.update(attr)
+        attrs = self._adj[u].get(v)
+        if attrs is None:
+            attrs = _EdgeAttrs(attr)
+            attrs._graph = self
+        else:  # the caller counts the call once
+            dict.update(attrs, attr)
         self._adj[u][v] = attrs
         self._pred[v][u] = attrs
 

@@ -14,10 +14,12 @@ from the simulator behind a small protocol:
   when the solve has at least ``_HEAP_MIN_ROWS`` links and with a C-level
   ``min`` over the share list below that, and updates only the links the
   fixed flows cross; while the minimum is tied, rounds chain through the
-  tied links without looking for it again.  An epoch whose flows share
-  no link (most low-concurrency epochs) skips the rounds: each flow gets
-  its path's smallest capacity.  Pure Python; ``bind`` drops the kept
-  index.
+  tied links without looking for it again.  A solve on the kept index
+  first replays the rounds of the last contended solve that the flows
+  which arrived, left or moved since cannot affect.  An epoch whose flows
+  share no link (most low-concurrency epochs) skips the rounds: each flow
+  gets its path's smallest capacity.  Pure Python; ``bind`` drops the
+  kept index.
 * :class:`ReferenceSolver` — the original pure-Python loop, which
   recounts link users over every unfixed flow each round.  It is the
   oracle :class:`IndexedSolver` is checked against.
@@ -208,13 +210,19 @@ class IndexedSolver(RateSolver):
       :class:`_ShareLevels`): a row's entry lies at or below its share,
       and is only settled when its level reaches the top, so a round
       costs about the links it touches rather than a scan of all rows.
-      The heap pays Python-level steps per row and per touched link that
-      a short list's scan does not repay;
+      The heap pays Python-level steps per row, to file and to discard
+      it, that a short list's scan does not repay;
     * while the minimum is tied the rounds form a *tie chain*: the next
       bottleneck is picked from the tied rows, and the minimum is looked
       for again only once no row is left at the tied share, or a touched
       row newly reaches it or falls below it.  Tied rows taken from the
-      heap go back to it as they leave the chain.
+      heap go back to it as they leave the chain;
+    * a solve on the kept index starts with a *prefix replay* (see
+      :meth:`_replay`): each contended solve logs its rounds as
+      ``(bottleneck link, share, fixed slots)``, and the next one repeats
+      them, without looking for any minimum, up to the first round the
+      epoch's changes can affect.  Then it builds its share list once and
+      runs the remaining rounds as above.
 
     Exactness: every share is the same ``capacity / count`` divide the
     reference performs, and every capacity update the same clamped
@@ -225,7 +233,7 @@ class IndexedSolver(RateSolver):
     share has an entry at or below it.  Water-filling only raises a
     share, except by rounding, so a row whose share rises keeps its
     entry, and one whose share falls below its entry (rounding only) is
-    filed again at the end of the round that lowered it.  When a level
+    filed again as the update loop writes the lowered share.  When a level
     reaches the top, every row whose share equals it has its entry
     there, and all of them are taken together, as ``count`` finds them
     on the list.  Among tied minima the reference keeps the link it
@@ -253,6 +261,27 @@ class IndexedSolver(RateSolver):
     of admission order, an epoch of fewer than ``_KEEP_INDEX_MIN_FLOWS``
     flows, or a patch that would touch more than half as many flows as it
     keeps rebuilds the index instead; :meth:`bind` drops it.
+
+    The replay is exact.  A *changed* row is a link of a flow that
+    arrived, left or was rerouted since the logged solve (old and new
+    links of a reroute both count).  Every other row has the same members
+    in the same slots, hence the same capacity and count before each
+    logged round, as long as the rounds before it were the same.  The
+    replay takes a logged round only if its bottleneck is such an
+    unchanged row and every changed row with unfixed members has a share
+    strictly above the round's, computed on the replayed state.  Then the
+    round's minimum is the logged share: unchanged rows sit where they sat
+    in the logged solve, whose minimum it was, and changed rows are above
+    it, so they can neither win the round nor tie it.  Among the
+    unchanged rows tied with it the logged bottleneck still comes first
+    in the reference's counting order: their unfixed members are the same
+    flows in the same admission order, since new flows cross only changed
+    rows and are admitted last.  So the round fixes the same flows at the
+    same share, with the same subtractions in the same order; its
+    saturation test is taken again against this epoch's backlog, and the
+    log is kept by link, so rows renumbered by a departure do not matter.
+    :meth:`_rebuild` drops the log.  ``rounds_replayed`` and
+    ``rounds_solved`` count the rounds each way.
     """
 
     name = "indexed"
@@ -260,6 +289,9 @@ class IndexedSolver(RateSolver):
     def __init__(self) -> None:
         self._capacities: Dict[Link, float] = {}
         self._rebuild({})
+        #: Rounds taken from the last solve's log, and rounds run afresh.
+        self.rounds_replayed = 0
+        self.rounds_solved = 0
 
     def bind(self, capacities: Dict[Link, float]) -> None:
         self._capacities = capacities
@@ -291,7 +323,8 @@ class IndexedSolver(RateSolver):
         self, unfixed: int, remaining_bytes: Optional[Dict[int, float]]
     ) -> Tuple[Dict[int, float], Set[Link]]:
         """Run the reference's rounds over the link index until all
-        ``unfixed`` flows have a rate."""
+        ``unfixed`` flows have a rate, after replaying the rounds of the
+        last contended solve that this epoch's changes cannot affect."""
         saturated: Set[Link] = set()
         infinity = float("inf")
         rates: Dict[int, float] = {}
@@ -299,16 +332,31 @@ class IndexedSolver(RateSolver):
         flow_rows = self._rows
         links = self._links
         members = self._members
-        capacities = self._capacities
-        caps = list(map(capacities.__getitem__, links))
+        caps = list(map(self._capacities.__getitem__, links))
         counts = list(map(len, members))
-        shares = list(map(truediv, caps, counts))
         fixed = self._vacant[:]  # vacated slots count as fixed
+        log = self._replay(caps, counts, fixed, rates, saturated, remaining_bytes)
+        replayed = len(log)
+        if replayed:
+            unfixed -= len(rates)
+            # Rows drained by the replay have a count of 0.
+            shares = [
+                cap / count if count else infinity
+                for cap, count in zip(caps, counts)
+            ]
+        else:
+            shares = list(map(truediv, caps, counts))
         cursors: List[int] = []
         head = 0  # no slot before it is unfixed
         tied: List[int] = []
         share = infinity
-        levels = _ShareLevels(shares) if len(links) >= _HEAP_MIN_ROWS else None
+        if len(links) >= _HEAP_MIN_ROWS:
+            levels = _ShareLevels(shares)
+            keys = levels.keys
+            enter = levels.enter
+        else:
+            levels = None
+            keys = [-infinity] * len(links)  # no share falls below these
 
         while unfixed:
             if not tied:
@@ -359,18 +407,14 @@ class IndexedSolver(RateSolver):
                 if not fixed[slot]:  # a detour lists its flow twice
                     fixed[slot] = True
                     fixed_now.append(slot)
-            if counts[row] >= MIN_CONTENDERS_FOR_CONGESTION:
-                link = links[row]
-                if remaining_bytes is None:
-                    saturated.add(link)
-                else:
-                    backlog = sum(
-                        remaining_bytes.get(flows[slot], 0.0)
-                        for slot in fixed_now
-                    )
-                    if backlog / capacities[link] >= CONGESTION_BACKLOG_THRESHOLD:
-                        saturated.add(link)
+            link = links[row]
+            log.append((link, share, fixed_now))
+            if counts[row] >= MIN_CONTENDERS_FOR_CONGESTION and self._backlogged(
+                link, fixed_now, remaining_bytes
+            ):
+                saturated.add(link)
             shares[row] = infinity  # every flow on it is fixed now
+            low = False  # a touched row reached the share or fell below it
             for slot in fixed_now:
                 rates[flows[slot]] = share
                 for touched in flow_rows[slot]:
@@ -382,9 +426,12 @@ class IndexedSolver(RateSolver):
                     caps[touched] = cap
                     count = counts[touched] - 1
                     counts[touched] = count
-                    shares[touched] = cap / count if count else infinity
-            if levels is not None:
-                levels.enter_lowered(fixed_now, flow_rows)
+                    level = cap / count if count else infinity
+                    shares[touched] = level
+                    if level <= share and (level < share or touched not in tied):
+                        low = True
+                    if level < keys[touched]:  # lowered by rounding
+                        enter(touched, level)
             unfixed -= len(fixed_now)
             if tied and unfixed:
                 # The chain goes on while the tied set is exact: untouched
@@ -394,11 +441,7 @@ class IndexedSolver(RateSolver):
                 if levels is not None:
                     levels.enter_all([r for r in tied if shares[r] != share])
                 tied = [r for r in tied if shares[r] == share]
-                if tied and any(
-                    shares[touched] <= share and touched not in tied
-                    for slot in fixed_now
-                    for touched in flow_rows[slot]
-                ):
+                if tied and low:
                     if levels is not None:
                         levels.enter_all(tied)
                     tied = []
@@ -406,7 +449,86 @@ class IndexedSolver(RateSolver):
             for slot, flow_id in enumerate(flows):
                 if not fixed[slot]:
                     rates[flow_id] = infinity
+        self.rounds_replayed += replayed
+        self.rounds_solved += len(log) - replayed
+        self._log = log if self._slot_of else []
         return rates, saturated
+
+    def _replay(
+        self,
+        caps: List[float],
+        counts: List[int],
+        fixed: List[bool],
+        rates: Dict[int, float],
+        saturated: Set[Link],
+        remaining_bytes: Optional[Dict[int, float]],
+    ) -> List[Tuple[Link, float, List[int]]]:
+        """Replay the last contended solve's rounds up to the first one
+        this epoch's changes can affect; return the rounds replayed.
+
+        A round is replayed as the loop ran it: its bottleneck row is
+        drained (count 0), its fixed slots' rows take the same clamped
+        subtractions in the same order, and the saturation test is taken
+        again against this epoch's ``remaining_bytes``.  The replay stops
+        at a round whose link is no longer a row or is a changed one, or
+        once some changed row in use is not strictly above its share.
+        """
+        log = self._log
+        if not log:
+            return []
+        row_of = self._row_of
+        flows = self._flows
+        flow_rows = self._rows
+        changed = {row_of[link] for link in self._changed if link in row_of}
+        floor = min(
+            [caps[row] / counts[row] for row in changed], default=float("inf")
+        )
+        replayed = 0
+        for link, share, fixed_now in log:
+            row = row_of.get(link)
+            if row is None or row in changed or not floor > share:
+                break
+            for slot in fixed_now:
+                fixed[slot] = True
+            if counts[row] >= MIN_CONTENDERS_FOR_CONGESTION and self._backlogged(
+                link, fixed_now, remaining_bytes
+            ):
+                saturated.add(link)
+            counts[row] = 0
+            moved_floor = False
+            for slot in fixed_now:
+                rates[flows[slot]] = share
+                for touched in flow_rows[slot]:
+                    if touched == row:
+                        continue
+                    cap = caps[touched] - share
+                    if not cap > 0.0:
+                        cap = 0.0
+                    caps[touched] = cap
+                    counts[touched] -= 1
+                    if touched in changed:
+                        moved_floor = True
+            if moved_floor:
+                floor = min(
+                    [caps[r] / counts[r] for r in changed if counts[r]],
+                    default=float("inf"),
+                )
+            replayed += 1
+        return log[:replayed]
+
+    def _backlogged(
+        self,
+        link: Link,
+        fixed_now: List[int],
+        remaining_bytes: Optional[Dict[int, float]],
+    ) -> bool:
+        """The reference's backlog test for a bottleneck whose unfixed
+        flows are the ``fixed_now`` slots (passed without backlogs)."""
+        if remaining_bytes is None:
+            return True
+        flows = self._flows
+        backlog = sum(remaining_bytes.get(flows[slot], 0.0) for slot in fixed_now)
+        return backlog / self._capacities[link] >= CONGESTION_BACKLOG_THRESHOLD
 
     # --- the kept link index -------------------------------------------------
 
@@ -482,6 +604,10 @@ class IndexedSolver(RateSolver):
         keep = len(flows) >= _KEEP_INDEX_MIN_FLOWS
         self._slot_of = dict(zip(flows, range(len(flows)))) if keep else {}
         self._paths = list(map(list, flow_links.values())) if keep else []
+        # The last contended solve's rounds, (link, share, fixed slots),
+        # and the links whose members changed since.
+        self._log: List[Tuple[Link, float, List[int]]] = []
+        self._changed: Set[Link] = set()
 
     def _update(
         self,
@@ -497,21 +623,26 @@ class IndexedSolver(RateSolver):
         flow_rows = self._rows
         vacant = self._vacant
         emptied: Set[int] = set()
+        changed = self._changed = set()
         if departed:
             for flow_id in [f for f in slot_of if f not in flow_links]:
                 slot = slot_of.pop(flow_id)
                 self._unlist(slot, emptied)
+                changed.update(paths[slot])
                 paths[slot] = []
                 flow_rows[slot] = []
                 vacant[slot] = True
         for slot in moved:
             self._unlist(slot, emptied)
+            changed.update(paths[slot])
             path = flow_links[flows[slot]]
+            changed.update(path)
             flow_rows[slot] = self._list(slot, path)
             paths[slot] = list(path)
         for flow_id in fresh:
             slot = slot_of[flow_id] = len(flows)
             path = flow_links[flow_id]
+            changed.update(path)
             flows.append(flow_id)
             flow_rows.append(self._list(slot, path))
             paths.append(list(path))
@@ -604,19 +735,22 @@ class _ShareLevels:
     come off in one pop and filing a row at a level already on the heap
     is a list append.  ``keys`` maps a row to the level of its live
     entry, or ``-inf`` while the row is out of the heap (taken at the
-    minimum, or tied).  Water-filling only raises a share, except by
-    rounding, so a live row's key is a floor under its current share: a
-    row whose share rises keeps its entry, and :meth:`enter_lowered`
-    files a row whose share fell below its key before the next minimum
-    is taken.  :meth:`pop_minimum` settles entries lazily as their level
-    comes up.
+    minimum, or tied); a drained row (``inf``) never gets an entry.
+    Water-filling only raises a share, except by rounding, so a live
+    row's key is a floor under its current share: a row whose share rises
+    keeps its entry, and the solve's update loop files a row whose share
+    fell below its key as it writes the share.  :meth:`pop_minimum`
+    settles entries lazily as their level comes up.
     """
 
     __slots__ = ("heap", "rows_at", "keys", "shares")
 
     def __init__(self, shares: List[float]) -> None:
         rows_at: Dict[float, List[int]] = {}
+        infinity = float("inf")
         for row, share in enumerate(shares):
+            if share == infinity:  # drained
+                continue
             rows = rows_at.get(share)
             if rows is None:
                 rows_at[share] = [row]
@@ -637,18 +771,6 @@ class _ShareLevels:
             heappush(self.heap, share)
         else:
             rows.append(row)
-
-    def enter_lowered(
-        self, fixed_now: List[int], flow_rows: List[List[int]]
-    ) -> None:
-        """File each row the ``fixed_now`` slots cross whose share fell
-        below its entry, which only rounding can do."""
-        keys = self.keys
-        shares = self.shares
-        for slot in fixed_now:
-            for row in flow_rows[slot]:
-                if shares[row] < keys[row]:
-                    self.enter(row, shares[row])
 
     def enter_all(self, rows: List[int]) -> None:
         """File each of ``rows`` at its current share, unless drained."""

@@ -23,12 +23,10 @@ the topology, so this module memoises them **per topology object**:
   latency map, also built once, in the same left-to-right order as
   per-edge reads.
 * The cache remembers the graph's ``mutations`` count.  When a node or
-  edge is added or removed in place (a link flap), the count moves and
-  the next lookup first drops every memoised route, neighbour list,
-  latency and capacity; on a hit this costs one integer compare.  An
-  attribute edited in place (``graph.edges[u, v]["bandwidth"]``) does
-  not move the count: :meth:`RouteCache.clear` drops what was derived
-  from the old value.
+  edge is added or removed in place (a link flap), or an edge attribute
+  is written (``graph.edges[u, v]["bandwidth"] /= 10``), the count moves
+  and the next lookup first drops every memoised route, neighbour list,
+  latency and capacity; on a hit this costs one integer compare.
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.

@@ -12,8 +12,8 @@ Three classical options, exercised by the topology-comparison experiment:
 
 Every minimal leg comes from the topology's shared
 :class:`~repro.interconnect.routecache.RouteCache`, which notices nodes
-and edges added to or removed from ``topology.graph`` by itself; an edge
-attribute edited in place needs ``route_cache_for(topology).clear()``.
+and edges added to or removed from ``topology.graph``, and edge
+attributes edited in place, by itself.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A *run profile* is a small, deterministic rendition of one of the paper
 experiments (see ``python -m repro experiments``) that runs with telemetry
 attached, so ``python -m repro trace <id>`` and ``python -m repro metrics
 <id>`` can show where simulated time, bytes and dollars go without the
-pytest-benchmark harness. Profiles are sized to finish in seconds — the
+pytest experiment harness. Profiles are sized to finish in seconds — the
 full-size experiments stay in ``benchmarks/``.
 
 Profiles are part of the public API: :func:`run` executes one by id with

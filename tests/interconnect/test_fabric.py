@@ -14,6 +14,7 @@ from repro.interconnect.topology import (
     DEFAULT_LINK_BANDWIDTH,
     build_topology,
 )
+from repro.observability import Telemetry
 
 
 @pytest.fixture
@@ -63,6 +64,26 @@ class TestSingleFlow:
 
     def test_empty_flow_list(self, topology):
         assert FabricSimulator(topology).run([]) == []
+
+    def test_duplicate_flow_ids_are_rejected_before_admission(self):
+        # Results are keyed by flow id: the second flow used to replace
+        # the first, whose bytes the offered ledger had already counted.
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        terminals = topology.terminals
+        telemetry = Telemetry()
+        sim = FabricSimulator(topology, telemetry=telemetry)
+        flows = [
+            Flow(source=terminals[0], destination=terminals[-1], size=1e6,
+                 flow_id=7),
+            Flow(source=terminals[1], destination=terminals[-2], size=1e6,
+                 start_time=1e-6, flow_id=7),
+        ]
+        with pytest.raises(ConfigurationError, match="flow_id 7"):
+            sim.run(flows)
+        assert telemetry.metrics.counter("fabric.flow_bytes_offered").total() == 0
+        flows[1] = Flow(source=terminals[1], destination=terminals[-2],
+                        size=1e6, start_time=1e-6, flow_id=8)
+        assert [s.flow_id for s in sim.run(flows)] == [7, 8]
 
     def test_slowdown_is_one_when_alone(self, topology):
         terminals = topology.terminals

@@ -336,6 +336,145 @@ class TestKeptIndex:
         self._agree(solver, flow_links, caps)
 
 
+class TestPrefixReplay:
+    """The indexed solver replays its last contended solve's rounds up to
+    the first one the epoch's change can affect.  One base epoch of five
+    rounds (A at share 1, B at 2, C at 3, D at 4, E at 6; every flow also
+    crosses Z), then one change per test: both solves must equal the
+    reference's, on the scan and on the heap path, and the second must
+    replay exactly the rounds the change leaves alone."""
+
+    A, B, C, D, E = ("a", "a'"), ("b", "b'"), ("c", "c'"), ("d", "d'"), ("e", "e'")
+    Z, W, V, Y = ("z", "z'"), ("w", "w'"), ("v", "v'"), ("y", "y'")
+    CAPS = {A: 2.0, B: 6.0, C: 12.0, D: 20.0, E: 30.0,
+            Z: 80.0, W: 1000.0, V: 1000.0, Y: 3.0}
+    BASE_ROUNDS = 5
+
+    def _flows(self):
+        # Admission order is not share order: D's flows come before C's.
+        groups = [(self.A, 2), (self.B, 3), (self.D, 5), (self.C, 4),
+                  (self.E, 5)]
+        flow_links = {}
+        for link, flows in groups:
+            for _ in range(flows):
+                flow_links[len(flow_links)] = [link, self.Z]
+        # Private links of the last two flows: W's row is not the last.
+        flow_links[17].append(self.W)
+        flow_links[18].append(self.V)
+        return flow_links
+
+    def _agree(self, solver, flow_links, backlog):
+        reference = ReferenceSolver()
+        reference.bind(dict(self.CAPS))
+        expected = reference.solve(
+            {flow_id: list(path) for flow_id, path in flow_links.items()},
+            backlog,
+        )
+        got = solver.solve(flow_links, backlog)
+        assert got == expected
+        assert list(got[0]) == list(expected[0])
+        return got
+
+    def _replay(self, change):
+        """Solve the base epoch, let ``change`` edit the live flow map (or
+        return new backlogs), solve again; return the second solve's
+        replayed and solved rounds and its result."""
+        outcomes = []
+        for gate in (ratesolver._HEAP_MIN_ROWS, 1):
+            with mock.patch.object(ratesolver, "_HEAP_MIN_ROWS", gate):
+                flow_links = self._flows()
+                backlog = {flow_id: 1e9 for flow_id in flow_links}
+                solver = IndexedSolver()
+                solver.bind(dict(self.CAPS))
+                self._agree(solver, flow_links, backlog)
+                assert solver.rounds_solved == self.BASE_ROUNDS
+                backlog = change(flow_links, backlog) or backlog
+                got = self._agree(solver, flow_links, backlog)
+                outcomes.append((
+                    solver.rounds_replayed,
+                    solver.rounds_solved - self.BASE_ROUNDS,
+                    got,
+                ))
+        scanned, heaped = outcomes
+        assert scanned == heaped
+        return scanned
+
+    def test_an_arrival_on_round_zeros_link_replays_nothing(self):
+        def change(flow_links, backlog):
+            flow_links[100] = [self.A, self.Z]
+            backlog[100] = 1e9
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed == 0 and solved == self.BASE_ROUNDS
+
+    def test_a_changed_row_rising_above_the_shares_lets_replay_go_on(self):
+        def change(flow_links, backlog):
+            # Z's share starts at 80/20 = 4, level with D's round, and
+            # climbs ahead of every round as the replay fixes its flows.
+            flow_links[100] = [self.Z]
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed == self.BASE_ROUNDS and solved == 1
+
+    def test_a_backlog_only_change_replays_every_round(self):
+        def change(flow_links, backlog):
+            # D's flows turn into mice: D must leave the saturated set.
+            return {**backlog, **{flow_id: 1e-6 for flow_id in range(5, 10)}}
+
+        replayed, solved, (_, saturated) = self._replay(change)
+        assert replayed == self.BASE_ROUNDS and solved == 0
+        assert saturated == {self.B, self.C, self.E}
+
+    def test_departure_of_a_round_zero_flow(self):
+        def change(flow_links, backlog):
+            del flow_links[0]  # A's share rises to tie with B's
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed == 0
+
+    def test_a_path_edited_in_place(self):
+        def change(flow_links, backlog):
+            flow_links[16][0] = self.D  # from E to D: both change
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed == 3  # A, B and C
+
+    def test_a_departure_that_renumbers_rows(self):
+        def change(flow_links, backlog):
+            del flow_links[17]  # W's row goes, V's takes its number
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed == 4  # every round but E's
+
+    def test_a_changed_row_tied_at_the_share_stops_the_replay(self):
+        def change(flow_links, backlog):
+            # Flow 5 leaves D for Y, whose share 3/1 ties C's round.  Flow
+            # 5 precedes C's flows, so the reference takes Y there.
+            flow_links[5] = [self.Y, self.Z]
+
+        replayed, solved, (rates, _) = self._replay(change)
+        assert replayed == 2  # A and B
+        order = list(rates)
+        assert order.index(5) < order.index(10)
+
+    def test_a_burst_replays_a_third_of_its_rounds(self):
+        topology = build_topology(
+            "dragonfly", groups=8, routers_per_group=4, terminals=2
+        )
+        trace = TestSynchronizedBurst._burst(topology, 200)
+        solver = IndexedSolver()
+        runs = []
+        for rate_solver in (solver, ReferenceSolver()):
+            simulator = FabricSimulator(
+                topology, congestion=congestion_policy("flow"),
+                reroute_adaptively=True, solver=rate_solver,
+            )
+            runs.append(simulator.run(trace))
+        assert runs[0] == runs[1]
+        rounds = solver.rounds_replayed + solver.rounds_solved
+        assert solver.rounds_replayed / rounds >= 0.35
+
+
 class TestLowConcurrencyEpochs:
     """Tiny epochs, where ``"indexed"`` takes its link-disjoint shortcut
     or falls back to the rounds: rates, their insertion order and the

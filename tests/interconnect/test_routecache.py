@@ -1,6 +1,8 @@
 """Tests for the topology-keyed route cache and its fabric integration."""
 
+import copy
 import gc
+import pickle
 
 import networkx as nx
 import pytest
@@ -245,8 +247,7 @@ class TestInvalidation:
         assert _stats_key(early.run(flows)) == _stats_key(fresh)
 
     def test_attribute_edit_is_seen_after_clear(self):
-        # An attribute edited in place does not move ``mutations``;
-        # clear() makes the next run read the new bandwidths.
+        # An explicit clear() after an attribute edit stays harmless.
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         simulator = FabricSimulator(topology)
         flows = _uniform_flows(topology, 10)
@@ -260,6 +261,44 @@ class TestInvalidation:
         ).run(flows)
         assert _stats_key(after) == _stats_key(reference)
         assert after[0].finish_time > before[0].finish_time
+
+    def test_attribute_edit_is_seen_without_clear(self):
+        # A write to an edge's attribute dict moves ``mutations``: the
+        # same simulator and a new one both read the new bandwidths.
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        terminals = topology.terminals
+        flows = [Flow(source=terminals[0], destination=terminals[-1],
+                      size=1e6, flow_id=1)]
+        simulator = FabricSimulator(topology)
+        [before] = simulator.run(flows)
+        count = topology.graph.mutations
+        for _, _, attrs in topology.graph.edges(data=True):
+            attrs["bandwidth"] /= 10
+        assert topology.graph.mutations > count
+        [reference] = FabricSimulator(
+            Topology(topology.name, topology.graph.copy())
+        ).run(flows)
+        [after] = simulator.run(flows)
+        [fresh] = FabricSimulator(topology).run(flows)
+        assert before.finish_time == pytest.approx(4.12e-05, rel=1e-3)
+        assert reference.finish_time == pytest.approx(4.01e-04, rel=1e-3)
+        assert _stats_key([after]) == _stats_key([reference])
+        assert _stats_key([fresh]) == _stats_key([reference])
+
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, lambda graph: pickle.loads(pickle.dumps(graph)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copied_attribute_dicts_count_on_their_own_graph(self, copier):
+        graph = build_topology(
+            "two-tier", leaves=2, spines=2, terminals=2
+        ).graph
+        twin = copier(graph)
+        ours, theirs = graph.mutations, twin.mutations
+        u, v = next(iter(twin.edges))
+        twin.edges[u, v]["bandwidth"] = 1.0
+        twin.edges[u, v].update(latency=1e-6)
+        assert (graph.mutations, twin.mutations) == (ours, theirs + 2)
+        assert graph.edges[u, v]["bandwidth"] != 1.0
 
 
 class TestShortestPathPort:
