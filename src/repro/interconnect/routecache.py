@@ -16,7 +16,7 @@ the topology, so this module memoises them **per topology object**:
   after ``fail_links``/``fail_switches``, or a tenant slice from
   :class:`~repro.interconnect.tenancy.SlicedFabric`) starts from an empty
   cache and can never see its parent's routes.
-* A miss runs :func:`~repro.interconnect.graph.bidirectional_shortest_path`
+* A search runs :func:`~repro.interconnect.graph.bidirectional_shortest_path`
   (networkx's bidirectional BFS) over neighbour lists taken from the graph
   once, in ``graph.adj`` order, so it returns networkx's node list without
   building adjacency views per call.  Propagation delays sum a per-link
@@ -28,6 +28,39 @@ the topology, so this module memoises them **per topology object**:
   and the next lookup first drops every memoised route, neighbour list,
   latency and capacity; on a hit this costs one integer compare.
 
+**One search per switch pair.**  Every terminal of the five topology
+families is a leaf: its one link goes to its attachment switch.  For
+leaves ``s`` and ``t`` of an undirected graph, attached to ``a`` and
+``b``, networkx's ``_bidirectional_pred_succ`` returns ``[s] + core +
+[t]`` with a ``core`` that depends on ``(a, b)`` alone, and ``[s, a, t]``
+when ``a == b``.  The search first steps from ``s`` to ``a`` and then
+expands ``a``, which reaches all of ``a``'s neighbours, ``s``'s sibling
+leaves included: from then on the forward side holds the same node set
+for every leaf of ``a``, and its fringe differs only in which sibling
+leaf it carries.  A leaf adds nothing when expanded (its one neighbour is
+already reached), and the other side can reach it only through ``a``,
+which ends the search on the spot.  So every fringe-size comparison,
+every predecessor of a non-leaf node, and the meeting point up to the
+end leaf are the same for any two leaf pairs on ``(a, b)``; the reverse
+side is the mirror image.  A lookup therefore searches once per switch
+pair and builds every other leaf pair's route from the stored core.  A
+pair that breaks the premise searches on its own: directed graphs, an
+end whose degree is not 1, and ``s == t``.  (Two leaves joined to each
+other, ``a == t`` and ``b == s``, are the only pair on their switch
+pair, so their empty core is never reused.)
+``tests/interconnect/test_routecache.py`` compares every ordered
+terminal pair of the sweep topologies with ``nx.shortest_path``.
+
+Cores are shared across topologies of one spec.  :func:`build_topology`
+stamps each topology with its canonical spec key and its graph's
+``mutations`` count; while the count holds, the cache reads and writes
+a process-wide table of cores for that key, so every topology a worker
+builds from one spec reuses the others' searches.  At most
+``_MAX_SPECS`` tables are kept, the oldest dropped first.  A topology
+whose graph was edited, or that was not built from a spec, keeps its
+cores to itself.  Terminal-pair routes, links and delays always stay in
+the topology's own cache.
+
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
 """
@@ -35,8 +68,9 @@ and adaptive routes draw from an RNG and are always computed fresh.
 from __future__ import annotations
 
 import math
+import threading
 import weakref
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.interconnect.graph import NodeNotFound, bidirectional_shortest_path
@@ -48,6 +82,30 @@ Link = Tuple[str, str]
 _CACHES: "weakref.WeakKeyDictionary[Topology, RouteCache]" = (
     weakref.WeakKeyDictionary()
 )
+
+#: Most spec tables of switch-pair cores one process keeps.
+_MAX_SPECS = 8
+#: Canonical spec key -> ``{(a, b): core}``, oldest spec first.
+_SPEC_CORES: Dict[object, Dict[Tuple[str, str], Tuple[str, ...]]] = {}
+_SPEC_CORES_LOCK = threading.Lock()
+
+
+def _cores_for(
+    built_as: Optional[Tuple[object, int]], mutations: int
+) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+    """The spec's shared core table while its graph is unedited, else a
+    private one.  (Writers to one table need no lock: each stores the
+    same core for a switch pair.)"""
+    if built_as is None or mutations != built_as[1]:
+        return {}
+    key = built_as[0]
+    with _SPEC_CORES_LOCK:
+        cores = _SPEC_CORES.get(key)
+        if cores is None:
+            if len(_SPEC_CORES) >= _MAX_SPECS:
+                del _SPEC_CORES[next(iter(_SPEC_CORES))]
+            cores = _SPEC_CORES[key] = {}
+    return cores
 
 
 class RouteCache:
@@ -62,14 +120,16 @@ class RouteCache:
     value that referenced its own key would keep the entry alive forever.
     """
 
-    __slots__ = ("_graph", "_mutations", "_name", "_paths", "_links",
-                 "_delays", "_capacities", "_successors", "_predecessors",
-                 "_latencies", "hits", "misses")
+    __slots__ = ("_graph", "_mutations", "_name", "_built_as", "_cores",
+                 "_paths", "_links", "_delays", "_capacities", "_successors",
+                 "_predecessors", "_latencies", "hits", "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._graph = topology.graph
         self._mutations = self._graph.mutations
         self._name = topology.name
+        self._built_as = topology._built_as
+        self._cores = _cores_for(self._built_as, self._mutations)
         self._paths: Dict[Tuple[str, str], List[str]] = {}
         self._links: Dict[Tuple[str, str], List[Link]] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
@@ -83,28 +143,50 @@ class RouteCache:
     # --- routes --------------------------------------------------------------
 
     def minimal_route(self, source: str, destination: str) -> List[str]:
-        """Shortest path, memoised by endpoint pair."""
+        """Shortest path, memoised by endpoint pair.
+
+        ``misses`` counts the lookups that ran a search; ``hits`` counts
+        the others, answered from the pair's memo, a switch pair's core
+        or the shared attachment switch."""
         if self._graph.mutations != self._mutations:
             self.clear()
         key = (source, destination)
         path = self._paths.get(key)
         if path is None:
-            self.misses += 1
-            path = self._shortest_path(source, destination)
-            self._paths[key] = path
+            path = self._paths[key] = self._route(source, destination)
         else:
             self.hits += 1
         return path
 
-    def _shortest_path(self, source: str, target: str) -> List[str]:
-        """networkx's ``shortest_path(graph, source, target)``, node for node.
+    def _route(self, source: str, destination: str) -> List[str]:
+        """A route not memoised yet: built from the switch pair's core
+        when both ends are leaves (see the module docstring), searched
+        otherwise."""
+        succ_of = self._neighbours()
+        first = succ_of.get(source)
+        last = succ_of.get(destination)
+        # Only a directed graph has predecessor lists.
+        if (first is not None and last is not None and len(first) == 1
+                and len(last) == 1 and source != destination
+                and not self._predecessors):
+            a, b = first[0], last[0]
+            if a == b:
+                self.hits += 1
+                return [source, a, destination]
+            core = self._cores.get((a, b))
+            if core is not None:
+                self.hits += 1
+                return [source, *core, destination]
+            self.misses += 1
+            path = self._shortest_path(source, destination)
+            self._cores[(a, b)] = tuple(path[1:-1])
+            return path
+        self.misses += 1
+        return self._shortest_path(source, destination)
 
-        The bidirectional BFS runs over plain neighbour lists taken once
-        from ``graph.adj`` (``pred`` too for a directed graph) in the
-        graph's own order, so it expands the same fringes and meets at
-        the same node as networkx; the exceptions and messages are
-        networkx's too.
-        """
+    def _neighbours(self) -> Dict[str, List[str]]:
+        """Neighbour lists in ``graph.adj`` order, taken once (``pred``
+        too for a directed graph)."""
         succ_of = self._successors
         if not succ_of:
             graph = self._graph
@@ -116,6 +198,17 @@ class RouteCache:
                     (node, list(neighbours))
                     for node, neighbours in graph.pred.items()
                 )
+        return succ_of
+
+    def _shortest_path(self, source: str, target: str) -> List[str]:
+        """networkx's ``shortest_path(graph, source, target)``, node for node.
+
+        The bidirectional BFS runs over the cache's neighbour lists, in
+        the graph's own order, so it expands the same fringes and meets
+        at the same node as networkx; the exceptions and messages are
+        networkx's too.
+        """
+        succ_of = self._neighbours()
         if source not in succ_of:
             raise NodeNotFound(f"Source {source} is not in G")
         if target not in succ_of:
@@ -202,8 +295,10 @@ class RouteCache:
     def clear(self) -> None:
         """Drop every memoised route, link, capacity, neighbour list and
         latency, and adopt the graph's current ``mutations`` count (stats
-        are kept)."""
+        are kept).  The spec's shared cores stay shared only while the
+        count is the one the topology was built at."""
         self._mutations = self._graph.mutations
+        self._cores = _cores_for(self._built_as, self._mutations)
         self._paths.clear()
         self._links.clear()
         self._delays.clear()

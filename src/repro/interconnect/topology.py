@@ -49,6 +49,12 @@ DEFAULT_ELECTRICAL_REACH = 3.0
 class Topology:
     """A network topology with switches and terminal (compute) nodes."""
 
+    #: ``(canonical spec key, graph.mutations)`` of a topology that
+    #: :func:`build_topology` built, ``None`` otherwise: while the count
+    #: holds, the graph is the spec's, and the route cache may share
+    #: searches with other topologies of that spec.
+    _built_as: Optional[Tuple[object, int]] = None
+
     def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
         self.graph = graph
@@ -500,11 +506,12 @@ def normalize_topology_kind(kind: str) -> str:
 
 # Opt-in process-level build cache.  ``python -m repro serve`` enables it
 # so every request for the same canonical spec shares one built Topology
-# object — and, because :func:`repro.interconnect.routecache.route_cache_for`
-# memoises per Topology *object*, the shortest-path route cache is shared
-# for free.  Off by default: batch callers sometimes mutate topologies
-# (fault campaigns flap links mid-run), which is only safe to share when
-# runs are sequential, as they are on the serve job executor.
+# object, and with it the build and the per-object route cache
+# (:func:`repro.interconnect.routecache.route_cache_for`).  The
+# shortest-path searches themselves are shared per spec either way.  Off
+# by default: batch callers sometimes mutate topologies (fault campaigns
+# flap links mid-run), which is only safe to share when runs are
+# sequential, as they are on the serve job executor.
 _BUILD_CACHE: Dict[object, "Topology"] = {}
 _BUILD_CACHE_STATS = {"hits": 0, "misses": 0}
 _BUILD_CACHE_ENABLED = False
@@ -578,15 +585,16 @@ def build_topology(kind: Union[str, TopologySpec], **spec: object) -> Topology:
         "two-tier": _two_tier,
         "torus": _torus,
     }[name]
+    key = _cache_key(name, values)
     if _BUILD_CACHE_ENABLED:
-        key = _cache_key(name, values)
         cached = _BUILD_CACHE.get(key)
         if cached is not None:
             _BUILD_CACHE_STATS["hits"] += 1
             return cached
         _BUILD_CACHE_STATS["misses"] += 1
-        built = builder(**values)
+    built = builder(**values)
+    built._built_as = (key, built.graph.mutations)
+    if _BUILD_CACHE_ENABLED:
         _BUILD_CACHE[key] = built
-        return built
-    return builder(**values)
+    return built
 

@@ -419,8 +419,15 @@ def profile_report(
     Phases and event types are ranked hottest-first with per-phase
     seconds, call counts and means; when a :class:`StackSampler` ran, its
     inclusive top frames and total sample count ride along.
+    ``wall_seconds_attributed`` is the ``profile.run`` root's time when
+    it ran, since every other phase nests inside it, and the phases'
+    sum otherwise.
     """
-    wall = sum(seconds for _, (seconds, _) in profiler.phases.items())
+    phases = profiler.phases
+    if PHASE_RUN in phases:
+        wall = phases[PHASE_RUN][0]
+    else:
+        wall = sum(seconds for seconds, _ in phases.values())
     document = {
         "schema": REPORT_SCHEMA,
         "name": name,

@@ -6,10 +6,12 @@ and an independent (slower, simpler) reference — and demands agreement:
 * :func:`check_routes` — :class:`~repro.interconnect.routecache.RouteCache`
   memoised routes vs uncached :mod:`networkx` shortest paths (node for
   node, between terminals and switches in every combination, on every
-  canned fabric topology), link decompositions vs plain
-  pair-zipping, cached propagation delays vs a manual per-edge latency
-  sum (``==``).  networkx is the oracle, installed with the ``test``
-  extra; without it the check fails and says so.
+  canned fabric topology, on a second topology of each spec whose
+  terminal routes come from the first one's switch-pair searches), link
+  decompositions vs plain pair-zipping, cached propagation delays vs a
+  manual per-edge latency sum (``==``).  networkx is the oracle,
+  installed with the ``test`` extra; without it the check fails and says
+  so.
 * :func:`check_collectives` — the alpha-beta-gamma closed forms vs
   step-by-step round loops that accumulate one message at a time.
 * :func:`check_checkpointing` — the Young/Daly interval vs a numeric grid
@@ -99,11 +101,15 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     Per topology kind it samples ``pairs`` terminal↔terminal pairs (flow
     endpoints), ``pairs`` terminal↔switch pairs in alternating direction
     and ``pairs`` switch↔switch pairs (a Valiant leg starts or ends at a
-    switch). For each, the cached route must be node for node
-    the path ``nx.shortest_path`` returns (a different path of equal
-    length would still change every golden), its link decomposition must
-    be plain pair-zipping, and its propagation delay must ``==`` a manual
-    left-to-right sum of per-edge latencies.
+    switch). They are routed on the second of two topologies built from
+    the kind's spec, after the first has routed between the last
+    terminals of every two switches: each terminal pair is then built
+    from a switch-pair search the first topology ran. For each, the
+    cached route must be node for node the path ``nx.shortest_path``
+    returns (a different path of equal length would still change every
+    golden), its link decomposition must be plain pair-zipping, and its
+    propagation delay must ``==`` a manual left-to-right sum of
+    per-edge latencies.
     """
     try:
         import networkx as nx
@@ -117,9 +123,18 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
     from repro.interconnect.topology import build_topology
     from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
-    topologies = [
-        build_topology(kind, **spec) for kind, spec in _FABRIC_TOPOLOGIES.items()
-    ]
+    topologies = []
+    for kind, spec in _FABRIC_TOPOLOGIES.items():
+        warmed = build_topology(kind, **spec)
+        last_terminal = {
+            warmed.graph.nodes[terminal]["attached_to"]: terminal
+            for terminal in warmed.terminals
+        }
+        warm = route_cache_for(warmed)
+        for source in last_terminal.values():
+            for destination in last_terminal.values():
+                warm.minimal_route(source, destination)
+        topologies.append(build_topology(kind, **spec))
     rng = RandomSource(seed=seed, name="validate/routes")
     switch_rng = RandomSource(seed=seed, name="validate/routes/switches")
     comparisons = 0
@@ -170,7 +185,8 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
                 )
     detail = (
         f"{len(topologies)} topologies x {3 * pairs} terminal/switch pairs "
-        "agree node for node with uncached networkx"
+        "agree node for node with uncached networkx, routed on a second "
+        "topology of each spec after a first warmed its switch-pair cores"
         if not failures
         else "; ".join(failures[:3])
     )

@@ -3,6 +3,8 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
 from repro.interconnect.failures import fail_links, fail_switches
+from repro.interconnect import routecache
 from repro.interconnect.graph import DiGraph, Graph, NetworkXNoPath, NodeNotFound
 from repro.interconnect.routecache import (
     RouteCache,
@@ -23,6 +26,18 @@ from repro.interconnect.topology import (
 )
 from repro.sweep.targets import _FABRIC_TOPOLOGIES
 from repro.validate.differential import networkx_twin
+
+
+#: The perfbench ``fabric_burst`` dragonfly.
+_BURST_DRAGONFLY = {"groups": 8, "routers_per_group": 4, "terminals": 2}
+
+
+@pytest.fixture(autouse=True)
+def cold_spec_cores(monkeypatch):
+    """Each test starts from an empty process-wide table of switch-pair
+    cores, so its search counts do not depend on the tests before it."""
+    monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+    return routecache._SPEC_CORES
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -57,6 +72,15 @@ class TestRouteCache:
         second = cache.minimal_route(terminals[0], terminals[-1])
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
+        # Siblings on the same switch pair reuse the search's core, and
+        # two terminals of one leaf need none.
+        assert cache.minimal_route(terminals[1], terminals[-2]) == (
+            [terminals[1]] + first[1:-1] + [terminals[-2]]
+        )
+        assert cache.minimal_route(terminals[0], terminals[1]) == [
+            terminals[0], first[1], terminals[1],
+        ]
+        assert cache.hits == 3 and cache.misses == 1
 
     def test_links_of_memoised_for_canonical_paths(self):
         topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
@@ -194,7 +218,12 @@ class TestInvalidation:
         assert (u, v) not in hops and (v, u) not in hops
         assert all(topology.graph.has_edge(a, b) for a, b in hops)
         assert route_cache_for(topology) is cache
-        assert cache.misses == 2
+        assert (cache.hits, cache.misses) == (0, 2)
+        # The sibling pair reuses the edited graph's core, not the one
+        # searched before the cut.
+        sibling = cache.minimal_route(topology.terminals[1], topology.terminals[-2])
+        assert sibling[1:-1] == fresh[1:-1]
+        assert (cache.hits, cache.misses) == (1, 2)
 
     def test_unchanged_graph_keeps_its_routes(self):
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
@@ -204,7 +233,10 @@ class TestInvalidation:
         # Attribute reads and edits are not structural changes.
         topology.graph.nodes[source]["note"] = "read"
         assert cache.minimal_route(source, destination) is first
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.minimal_route(topology.terminals[1], destination)[1:] == (
+            first[1:]
+        )
+        assert (cache.hits, cache.misses) == (2, 1)
 
     def test_fabric_refresh_rebuilds_after_in_place_mutation(self):
         """FabricSimulator._refresh_link_state rebinds the solver to a
@@ -424,6 +456,187 @@ class TestShortestPathPort:
         graph.add_edge(u, v, **attrs)
         assert cache.minimal_route(source, destination) == before
         assert v in cache._successors[u]
+
+
+_CORE_SPECS = [
+    (kind, _FABRIC_TOPOLOGIES[kind]) for kind in sorted(_FABRIC_TOPOLOGIES)
+] + [("dragonfly", _BURST_DRAGONFLY)]
+
+
+def _routes_and_delays(topology, pairs):
+    cache = route_cache_for(topology)
+    routes = {}
+    for pair in pairs:
+        path = cache.minimal_route(*pair)
+        routes[pair] = (list(path), cache.propagation_delay(path))
+    return routes
+
+
+class TestSwitchPairCores:
+    """Leaf pairs on one switch pair share one search, across every
+    topology built from a spec, and still route node for node like
+    networkx."""
+
+    @pytest.mark.parametrize(
+        "kind, spec", _CORE_SPECS,
+        ids=sorted(_FABRIC_TOPOLOGIES) + ["perfbench-dragonfly"],
+    )
+    def test_every_terminal_pair_matches_networkx_on_a_second_topology(
+        self, kind, spec
+    ):
+        first = build_topology(kind, **spec)
+        terminals = first.terminals
+        warm = route_cache_for(first)
+        for source in terminals:
+            for destination in terminals:
+                warm.minimal_route(source, destination)
+        second = build_topology(kind, **spec)
+        graph = networkx_twin(second.graph)
+        cache = route_cache_for(second)
+        for source in terminals:
+            for destination in terminals:
+                assert cache.minimal_route(source, destination) == (
+                    nx.shortest_path(graph, source, destination)
+                ), (source, destination)
+        # Only the source == destination lookups went to the search.
+        assert cache.misses == len(terminals)
+        assert cache.hits == len(terminals) * (len(terminals) - 1)
+
+    def test_pairs_off_the_premise_search_on_their_own(self):
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        cache = route_cache_for(topology)
+        leaf, other_leaf, spine, _ = topology.switches
+        t0, t1, t2, t3 = topology.terminals
+        assert topology.graph.has_edge(t0, leaf)
+        assert topology.graph.has_edge(t2, other_leaf)
+        # Terminal <-> switch and switch <-> switch pairs.
+        for pair in [(t0, other_leaf), (t1, other_leaf), (other_leaf, t0),
+                     (other_leaf, t1), (leaf, other_leaf), (spine, other_leaf)]:
+            assert cache.minimal_route(*pair) == nx.shortest_path(
+                networkx_twin(topology.graph), *pair
+            )
+        assert (cache.hits, cache.misses) == (0, 6)
+        # A multi-homed terminal: t0 gains a link to the other leaf.
+        cache.minimal_route(t1, t3)
+        topology.graph.add_edge(t0, other_leaf, bandwidth=25e9,
+                                latency=300e-9, optical=False)
+        graph = networkx_twin(topology.graph)
+        for pair in [(t1, t3), (t0, t2), (t2, t0), (t1, t2)]:
+            assert cache.minimal_route(*pair) == nx.shortest_path(graph, *pair)
+        assert cache.minimal_route(t0, t2) == [t0, other_leaf, t2]
+        # (t1, t2) reuses the edited graph's (t1, t3) search.
+        assert (cache.hits, cache.misses) == (2, 10)
+        # The spec's table kept the unedited graph's core.
+        rebuilt = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        fresh = route_cache_for(rebuilt)
+        assert fresh.minimal_route(t0, t2) == nx.shortest_path(
+            networkx_twin(rebuilt.graph), t0, t2
+        )
+        assert (fresh.hits, fresh.misses) == (1, 0)
+
+    @pytest.mark.parametrize("edit", ["remove-edge", "bandwidth"])
+    def test_an_in_place_edit_stays_with_its_topology(self, edit):
+        spec = {"groups": 4, "routers_per_group": 3, "terminals": 2}
+        edited = build_topology("dragonfly", **spec)
+        other = build_topology("dragonfly", **spec)
+        pristine = networkx_twin(other.graph)
+        capacities = dict(route_cache_for(other).link_capacities())
+        terminals = edited.terminals
+        pairs = [(s, t) for s in terminals for t in terminals if s != t]
+        _routes_and_delays(edited, pairs)
+        # An intra-group link on the route from t0 to t2.
+        link = tuple(edited.switches[:2])
+        assert route_cache_for(edited).minimal_route(
+            terminals[0], terminals[2]
+        )[1:3] == list(link)
+
+        def edit_in_place(graph):
+            if edit == "remove-edge":
+                graph.remove_edge(*link)
+            else:
+                for _, _, attrs in graph.edges(data=True):
+                    attrs["bandwidth"] /= 10
+
+        edit_in_place(edited.graph)
+        # ``graph.copy()`` reorders neighbours, as networkx's does, so the
+        # reference is a fresh build given the same edit.
+        fresh = build_topology("dragonfly", **spec)
+        edit_in_place(fresh.graph)
+        routes = _routes_and_delays(edited, pairs)
+        assert routes == _routes_and_delays(fresh, pairs)
+        graph = networkx_twin(edited.graph)
+        for (source, destination), (path, _) in routes.items():
+            assert path == nx.shortest_path(graph, source, destination)
+        assert route_cache_for(edited).link_capacities() == (
+            route_cache_for(fresh).link_capacities()
+        )
+        # The other topology, and one built after the edit, stay on the
+        # unedited graph's routes, delays and capacities.
+        for topology in (other, build_topology("dragonfly", **spec)):
+            for (source, destination), (path, delay) in _routes_and_delays(
+                topology, pairs
+            ).items():
+                assert path == nx.shortest_path(pristine, source, destination)
+                assert delay == sum(
+                    float(pristine.edges[u, v]["latency"])
+                    for u, v in zip(path, path[1:])
+                )
+            assert route_cache_for(topology).link_capacities() == capacities
+        if edit == "remove-edge":
+            assert _routes_and_delays(other, pairs) != routes
+
+    def test_threads_sharing_a_spec_table_route_like_networkx(self):
+        spec = {"groups": 4, "routers_per_group": 3, "terminals": 2}
+        reference = build_topology("dragonfly", **spec)
+        graph = networkx_twin(reference.graph)
+        terminals = reference.terminals
+        expected = {(s, t): nx.shortest_path(graph, s, t)
+                    for s in terminals for t in terminals}
+        wrong = []
+
+        def route_everything(offset):
+            topology = build_topology("dragonfly", **spec)
+            cache = route_cache_for(topology)
+            pairs = list(expected)
+            for pair in pairs[offset:] + pairs[:offset]:
+                if cache.minimal_route(*pair) != expected[pair]:
+                    wrong.append(pair)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=route_everything,
+                                        args=(index * 97,))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_the_registry_bound_evicts_the_oldest_spec(self, cold_spec_cores):
+        bound = routecache._MAX_SPECS
+        specs = [{"leaves": 2 + index, "spines": 2, "terminals": 2}
+                 for index in range(bound + 1)]
+        keys = []
+        for spec in specs:
+            topology = build_topology("two-tier", **spec)
+            route_cache_for(topology).minimal_route(
+                topology.terminals[0], topology.terminals[-1]
+            )
+            keys.append(topology._built_as[0])
+        assert list(cold_spec_cores) == keys[1:]
+        # A kept spec's next topology reuses the search; the evicted
+        # spec's searches again and now evicts the next-oldest.
+        for spec, misses in ((specs[-1], 0), (specs[0], 1)):
+            topology = build_topology("two-tier", **spec)
+            cache = route_cache_for(topology)
+            cache.minimal_route(topology.terminals[0], topology.terminals[-1])
+            assert cache.misses == misses
+        assert list(cold_spec_cores) == keys[2:] + keys[:1]
 
 
 class TestFabricKeywordApi:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rng import RandomSource
+from repro.interconnect import routecache
 from repro.interconnect.routecache import route_cache_for
 from repro.interconnect.routing import (
     adaptive_route,
@@ -36,14 +37,19 @@ class TestMinimal:
         node = topology.terminals[0]
         assert minimal_route(topology, node, node) == [node]
 
-    def test_served_by_the_shared_route_cache(self, topology):
+    def test_served_by_the_shared_route_cache(self, topology, monkeypatch):
+        # An empty spec table: the pair's switch pair has not been searched.
+        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
         cache = route_cache_for(topology)
         source, destination = topology.terminals[0], topology.terminals[-1]
-        hits, misses = cache.hits, cache.misses
         first = minimal_route(topology, source, destination)
         second = minimal_route(topology, source, destination)
         assert first == second == cache.minimal_route(source, destination)
-        assert (cache.hits - hits, cache.misses - misses) == (2, 1)
+        # The sibling terminals on the same two routers need no search.
+        sibling = minimal_route(topology, topology.terminals[1],
+                                topology.terminals[-2])
+        assert sibling[1:-1] == first[1:-1]
+        assert (cache.hits, cache.misses) == (3, 1)
 
     def test_returned_path_is_a_copy(self, topology):
         source, destination = topology.terminals[0], topology.terminals[-1]

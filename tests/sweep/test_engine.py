@@ -117,3 +117,29 @@ class TestWorkerBody:
                 _run_point(("_bad", "t", 0, 0, {}, None, False))
         finally:
             del TARGETS["_bad"]
+
+
+class TestPointOrderIndependence:
+    def test_congestion_points_in_reverse_order_match_run_sweep(
+        self, monkeypatch
+    ):
+        # A point's result must not depend on which points ran before it
+        # in the same process, now that topologies of one spec share
+        # their switch-pair route searches.
+        from repro.interconnect import routecache
+
+        spec = named_sweep("congestion")
+        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+        backwards = {}
+        for point in reversed(spec.points()):
+            result = _run_point((spec.target, spec.name, spec.seed,
+                                 point.index, point.params, None, False))
+            backwards[point.index] = result.payload()
+        # One table per topology kind, warmed by the other points.
+        assert len(routecache._SPEC_CORES) == 4
+        assert all(routecache._SPEC_CORES.values())
+        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+        forwards = run_sweep(spec, workers=1)
+        assert forwards.ok and len(forwards.points) == 64
+        for point in forwards.points:
+            assert backwards[point.index] == point.payload()

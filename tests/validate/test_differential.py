@@ -16,6 +16,16 @@ from repro.validate import (
 from repro.validate.differential import networkx_twin
 
 
+@pytest.fixture
+def cold_spec_cores(monkeypatch):
+    """An empty process-wide table of switch-pair cores for the test, so a
+    patched search neither reads earlier tests' cores nor leaves its own
+    to later tests."""
+    from repro.interconnect import routecache
+
+    monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+
+
 class TestRoutesDifferential:
     def test_cached_routes_agree_with_uncached_networkx(self):
         result = check_routes()
@@ -28,7 +38,38 @@ class TestRoutesDifferential:
         assert check_routes(seed=7).passed
         assert check_routes(pairs=8).comparisons == 120
 
-    def test_a_wrong_route_through_a_switch_fails(self, monkeypatch):
+    def test_terminal_pairs_come_from_the_warmed_cores(
+        self, monkeypatch, cold_spec_cores
+    ):
+        # Terminal pairs search only while the first topology of each
+        # spec warms: once per ordered pair of distinct switches.
+        from repro.interconnect.routecache import RouteCache
+        from repro.interconnect.topology import build_topology
+        from repro.sweep.targets import _FABRIC_TOPOLOGIES
+
+        original = RouteCache._shortest_path
+        searched = []
+
+        def counted(self, source, target):
+            if source != target and source.startswith("t") and (
+                target.startswith("t")
+            ):
+                searched.append((source, target))
+            return original(self, source, target)
+
+        monkeypatch.setattr(RouteCache, "_shortest_path", counted)
+        assert check_routes(pairs=8).passed
+        expected = 0
+        for kind, spec in _FABRIC_TOPOLOGIES.items():
+            topology = build_topology(kind, **spec)
+            switches = {topology.graph.nodes[terminal]["attached_to"]
+                        for terminal in topology.terminals}
+            expected += len(switches) * (len(switches) - 1)
+        assert len(searched) == expected
+
+    def test_a_wrong_route_through_a_switch_fails(
+        self, monkeypatch, cold_spec_cores
+    ):
         # Terminal-to-terminal routes stay right; only a leg that starts
         # or ends at a switch (as Valiant's do) is swapped.
         import networkx as nx
@@ -49,7 +90,9 @@ class TestRoutesDifferential:
         assert not result.passed
         assert "networkx says" in result.detail
 
-    def test_an_equal_length_different_path_fails(self, monkeypatch):
+    def test_an_equal_length_different_path_fails(
+        self, monkeypatch, cold_spec_cores
+    ):
         # Hop count, endpoints and edge existence all still hold; only
         # node-for-node identity with networkx catches the swap.
         import networkx as nx
