@@ -1127,8 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-workers", type=int, metavar="N",
-        help="concurrent simulation jobs (topology/route caches are "
-             "shared, which assumes sequential jobs)",
+        help="concurrent simulation jobs (each builds its own topology)",
     )
     serve.add_argument(
         "--max-queue", type=int, metavar="N",

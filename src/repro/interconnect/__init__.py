@@ -47,8 +47,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".tenancy": ("SlicedFabric", "VirtualNetwork", "encryption_overhead"),
     ".topology": (
         "TOPOLOGY_KINDS", "Topology", "TopologySpec", "build_topology",
-        "enable_topology_cache", "normalize_topology_kind",
-        "topology_cache_stats",
+        "normalize_topology_kind",
     ),
 })
 
@@ -97,12 +96,10 @@ __all__ = [
     "adaptive_route",
     "build_topology",
     "electrical_reach",
-    "enable_topology_cache",
     "encryption_overhead",
     "minimal_route",
     "normalize_topology_kind",
     "route_cache_for",
-    "topology_cache_stats",
     "training_step_communication",
     "valiant_route",
 ]

@@ -125,6 +125,36 @@ class FlowStats:
         return self.completion_time / ideal
 
 
+def _flow_stats(
+    flow: Flow,
+    finish_time: float,
+    path_hops: int,
+    propagation_delay: float,
+    extra_queueing: float,
+    dropped: bool = False,
+    delivered: float = -1.0,
+) -> FlowStats:
+    """``FlowStats`` of ``flow``, equal to the constructor's.
+
+    Fills the instance ``__dict__`` in field order instead of paying the
+    frozen ``__init__``'s ten ``object.__setattr__`` calls; the run loop
+    builds one per flow.  Keep it in step with the fields above.
+    """
+    stats = object.__new__(FlowStats)
+    fields = stats.__dict__
+    fields["flow_id"] = flow.flow_id
+    fields["tag"] = flow.tag
+    fields["size"] = flow.size
+    fields["start_time"] = flow.start_time
+    fields["finish_time"] = finish_time
+    fields["path_hops"] = path_hops
+    fields["propagation_delay"] = propagation_delay
+    fields["extra_queueing"] = extra_queueing
+    fields["dropped"] = dropped
+    fields["delivered"] = delivered
+    return stats
+
+
 @dataclass(frozen=True)
 class LinkEvent:
     """A scheduled link state change for :meth:`FabricSimulator.run`.
@@ -363,17 +393,9 @@ class FabricSimulator:
             path = paths.pop(flow_id)
             del flow_links[flow_id]
             left = remaining.pop(flow_id)
-            stats = FlowStats(
-                flow_id=flow.flow_id,
-                tag=flow.tag,
-                size=flow.size,
-                start_time=flow.start_time,
-                finish_time=max(now, flow.start_time),
-                path_hops=len(path) - 1,
-                propagation_delay=0.0,
-                extra_queueing=queueing.pop(flow_id, 0.0),
-                dropped=True,
-                delivered=max(0.0, flow.size - left),
+            stats = _flow_stats(
+                flow, max(now, flow.start_time), len(path) - 1, 0.0,
+                queueing.pop(flow_id, 0.0), True, max(0.0, flow.size - left),
             )
             results.append(stats)
             if ledger is not None:
@@ -450,12 +472,9 @@ class FabricSimulator:
                         path = route(flow)
                     except (NetworkXNoPath, NodeNotFound):
                         # No path at admission: dead on arrival.
-                        stats = FlowStats(
-                            flow_id=flow.flow_id, tag=flow.tag, size=flow.size,
-                            start_time=flow.start_time,
-                            finish_time=max(now, flow.start_time),
-                            path_hops=0, propagation_delay=0.0,
-                            extra_queueing=0.0, dropped=True, delivered=0.0,
+                        stats = _flow_stats(
+                            flow, max(now, flow.start_time), 0, 0.0, 0.0,
+                            True, 0.0,
                         )
                         results.append(stats)
                         if ledger is not None:
@@ -551,15 +570,9 @@ class FabricSimulator:
                 del remaining[flow_id]
                 propagation = self._route_cache.propagation_delay(path)
                 extra = queueing.pop(flow_id, 0.0)
-                done.append(FlowStats(
-                    flow_id=flow.flow_id,
-                    tag=flow.tag,
-                    size=flow.size,
-                    start_time=flow.start_time,
-                    finish_time=now + propagation + extra,
-                    path_hops=len(path) - 1,
-                    propagation_delay=propagation,
-                    extra_queueing=extra,
+                done.append(_flow_stats(
+                    flow, now + propagation + extra, len(path) - 1,
+                    propagation, extra,
                 ))
             results.extend(done)
             if ledger is not None:

@@ -51,15 +51,18 @@ pair, so their empty core is never reused.)
 ``tests/interconnect/test_routecache.py`` compares every ordered
 terminal pair of the sweep topologies with ``nx.shortest_path``.
 
-Cores are shared across topologies of one spec.  :func:`build_topology`
-stamps each topology with its canonical spec key and its graph's
-``mutations`` count; while the count holds, the cache reads and writes
-a process-wide table of cores for that key, so every topology a worker
-builds from one spec reuses the others' searches.  At most
-``_MAX_SPECS`` tables are kept, the oldest dropped first.  A topology
-whose graph was edited, or that was not built from a spec, keeps its
-cores to itself.  Terminal-pair routes, links and delays always stay in
-the topology's own cache.
+Cores and link maps are shared across topologies of one spec.
+:func:`build_topology` stamps each topology with its canonical spec key
+and its graph's ``mutations`` count; while the count holds, the cache
+uses a process-wide table for that key, so every topology a worker
+builds from one spec reuses the others' searches, link capacities,
+neighbour lists and latency map.  A map is published only once built
+whole, since serve's job threads may read it, and
+:meth:`RouteCache.clear` rebinds the cache's maps, never empties them.
+At most ``_MAX_SPECS`` tables are kept, the oldest dropped first.  A
+topology whose graph was edited, or that was not built from a spec,
+keeps its cores and maps to itself.  Terminal-pair routes, links and
+delays always stay in the topology's own cache.
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
@@ -70,7 +73,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.errors import ConfigurationError
 from repro.interconnect.graph import NodeNotFound, bidirectional_shortest_path
@@ -78,34 +81,39 @@ from repro.interconnect.topology import Topology
 
 #: A directed link as traversed by a flow.
 Link = Tuple[str, str]
+#: Neighbour lists by node.
+Adjacency = Dict[str, List[str]]
+T = TypeVar("T")
 
 _CACHES: "weakref.WeakKeyDictionary[Topology, RouteCache]" = (
     weakref.WeakKeyDictionary()
 )
 
-#: Most spec tables of switch-pair cores one process keeps.
+#: Most spec tables one process keeps.
 _MAX_SPECS = 8
-#: Canonical spec key -> ``{(a, b): core}``, oldest spec first.
-_SPEC_CORES: Dict[object, Dict[Tuple[str, str], Tuple[str, ...]]] = {}
-_SPEC_CORES_LOCK = threading.Lock()
+#: Canonical spec key -> the maps its unedited topologies share, oldest
+#: spec first: ``"cores"`` (``{(a, b): core}``) from the start, and
+#: ``"capacities"``, ``"neighbours"`` and ``"latencies"`` once built.
+_SPEC_MAPS: Dict[object, Dict[str, object]] = {}
+_SPEC_MAPS_LOCK = threading.Lock()
 
 
-def _cores_for(
+def _spec_maps(
     built_as: Optional[Tuple[object, int]], mutations: int
-) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-    """The spec's shared core table while its graph is unedited, else a
-    private one.  (Writers to one table need no lock: each stores the
-    same core for a switch pair.)"""
+) -> Optional[Dict[str, object]]:
+    """The spec's shared table while its graph is unedited, else None.
+    (Writers to one core table need no lock: each stores the same core
+    for a switch pair.)"""
     if built_as is None or mutations != built_as[1]:
-        return {}
+        return None
     key = built_as[0]
-    with _SPEC_CORES_LOCK:
-        cores = _SPEC_CORES.get(key)
-        if cores is None:
-            if len(_SPEC_CORES) >= _MAX_SPECS:
-                del _SPEC_CORES[next(iter(_SPEC_CORES))]
-            cores = _SPEC_CORES[key] = {}
-    return cores
+    with _SPEC_MAPS_LOCK:
+        maps = _SPEC_MAPS.get(key)
+        if maps is None:
+            if len(_SPEC_MAPS) >= _MAX_SPECS:
+                del _SPEC_MAPS[next(iter(_SPEC_MAPS))]
+            maps = _SPEC_MAPS[key] = {"cores": {}}
+    return maps
 
 
 class RouteCache:
@@ -120,25 +128,45 @@ class RouteCache:
     value that referenced its own key would keep the entry alive forever.
     """
 
-    __slots__ = ("_graph", "_mutations", "_name", "_built_as", "_cores",
-                 "_paths", "_links", "_delays", "_capacities", "_successors",
-                 "_predecessors", "_latencies", "hits", "misses")
+    __slots__ = ("_graph", "_mutations", "_name", "_built_as", "_spec",
+                 "_cores", "_paths", "_links", "_delays", "_capacities",
+                 "_successors", "_predecessors", "_latencies", "hits",
+                 "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._graph = topology.graph
-        self._mutations = self._graph.mutations
         self._name = topology.name
         self._built_as = topology._built_as
-        self._cores = _cores_for(self._built_as, self._mutations)
         self._paths: Dict[Tuple[str, str], List[str]] = {}
         self._links: Dict[Tuple[str, str], List[Link]] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
-        self._capacities: Dict[Link, float] = {}
-        self._successors: Dict[str, List[str]] = {}
-        self._predecessors: Dict[str, List[str]] = {}
-        self._latencies: Dict[Link, float] = {}
+        self._adopt_graph()
         self.hits = 0
         self.misses = 0
+
+    def _adopt_graph(self) -> None:
+        """Take the graph's ``mutations`` count, the spec's table while
+        it applies, and unset link maps (fetched on first use)."""
+        self._mutations = self._graph.mutations
+        self._spec = _spec_maps(self._built_as, self._mutations)
+        self._cores = {} if self._spec is None else self._spec["cores"]
+        self._capacities: Optional[Dict[Link, float]] = None
+        self._successors: Optional[Adjacency] = None
+        self._predecessors: Optional[Adjacency] = None
+        self._latencies: Optional[Dict[Link, float]] = None
+
+    def _shared(self, name: str, build: Callable[[], T]) -> T:
+        """The spec table's map ``name``, built and published on first
+        use; ``build()`` alone when the cache has no table.  A racing
+        thread may build it too, but only one map is published whole
+        and both return it."""
+        maps = self._spec
+        if maps is None:
+            return build()
+        found = maps.get(name)
+        if found is None:
+            found = maps.setdefault(name, build())
+        return found
 
     # --- routes --------------------------------------------------------------
 
@@ -184,21 +212,23 @@ class RouteCache:
         self.misses += 1
         return self._shortest_path(source, destination)
 
-    def _neighbours(self) -> Dict[str, List[str]]:
+    def _neighbours(self) -> Adjacency:
         """Neighbour lists in ``graph.adj`` order, taken once (``pred``
-        too for a directed graph)."""
+        too for a directed graph, else empty)."""
         succ_of = self._successors
-        if not succ_of:
-            graph = self._graph
-            succ_of.update(
-                (node, list(neighbours)) for node, neighbours in graph.adj.items()
+        if succ_of is None:
+            succ_of, self._predecessors = self._shared(
+                "neighbours", self._build_neighbours
             )
-            if graph.is_directed():
-                self._predecessors.update(
-                    (node, list(neighbours))
-                    for node, neighbours in graph.pred.items()
-                )
+            self._successors = succ_of
         return succ_of
+
+    def _build_neighbours(self) -> Tuple[Adjacency, Adjacency]:
+        graph = self._graph
+        succ_of = {node: list(nodes) for node, nodes in graph.adj.items()}
+        if not graph.is_directed():
+            return succ_of, {}
+        return succ_of, {node: list(nodes) for node, nodes in graph.pred.items()}
 
     def _shortest_path(self, source: str, target: str) -> List[str]:
         """networkx's ``shortest_path(graph, source, target)``, node for node.
@@ -251,24 +281,32 @@ class RouteCache:
         # The same ``sum`` over the same per-hop floats, left to right, as
         # reading ``graph.edges[u, v]["latency"]`` hop by hop.
         latencies = self._latencies
-        if not latencies:
-            graph = self._graph
-            directed = graph.is_directed()
-            for u, v, data in graph.edges(data=True):
-                if "latency" in data:
-                    latency = float(data["latency"])
-                    latencies[(u, v)] = latency
-                    if not directed:
-                        latencies[(v, u)] = latency
+        if latencies is None:
+            latencies = self._latencies = self._shared(
+                "latencies", self._build_latencies
+            )
         return sum(map(latencies.__getitem__, zip(path, path[1:])))
+
+    def _build_latencies(self) -> Dict[Link, float]:
+        graph = self._graph
+        directed = graph.is_directed()
+        latencies: Dict[Link, float] = {}
+        for u, v, data in graph.edges(data=True):
+            if "latency" in data:
+                latency = float(data["latency"])
+                latencies[(u, v)] = latency
+                if not directed:
+                    latencies[(v, u)] = latency
+        return latencies
 
     # --- capacities ----------------------------------------------------------
 
     def link_capacities(self) -> Dict[Link, float]:
         """Per-direction link capacities (full duplex), computed once.
 
-        Returns the shared map; callers that mutate capacities during
-        water-filling must copy it first.  Raises
+        Returns the shared map (the spec's, while the graph is unedited);
+        callers that mutate capacities during water-filling must copy it
+        first.  Raises
         :class:`~repro.core.errors.ConfigurationError` naming the link
         when an edge's ``bandwidth`` is not positive and finite: a graph
         built or edited by hand does not pass ``TopologySpec``'s check,
@@ -276,36 +314,38 @@ class RouteCache:
         """
         if self._graph.mutations != self._mutations:
             self.clear()
-        if not self._capacities:
-            capacities: Dict[Link, float] = {}
-            for u, v, data in self._graph.edges(data=True):
-                bandwidth = float(data["bandwidth"])
-                if not 0.0 < bandwidth < math.inf:
-                    raise ConfigurationError(
-                        f"link ({u!r}, {v!r}) bandwidth must be positive "
-                        f"and finite, got {bandwidth!r}"
-                    )
-                capacities[(u, v)] = bandwidth
-                capacities[(v, u)] = bandwidth
-            self._capacities = capacities
-        return self._capacities
+        capacities = self._capacities
+        if capacities is None:
+            capacities = self._capacities = self._shared(
+                "capacities", self._build_capacities
+            )
+        return capacities
+
+    def _build_capacities(self) -> Dict[Link, float]:
+        capacities: Dict[Link, float] = {}
+        for u, v, data in self._graph.edges(data=True):
+            bandwidth = float(data["bandwidth"])
+            if not 0.0 < bandwidth < math.inf:
+                raise ConfigurationError(
+                    f"link ({u!r}, {v!r}) bandwidth must be positive "
+                    f"and finite, got {bandwidth!r}"
+                )
+            capacities[(u, v)] = bandwidth
+            capacities[(v, u)] = bandwidth
+        return capacities
 
     # --- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every memoised route, link, capacity, neighbour list and
         latency, and adopt the graph's current ``mutations`` count (stats
-        are kept).  The spec's shared cores stay shared only while the
-        count is the one the topology was built at."""
-        self._mutations = self._graph.mutations
-        self._cores = _cores_for(self._built_as, self._mutations)
+        are kept).  The spec's shared cores and maps stay shared only
+        while the count is the one the topology was built at; they are
+        let go, never emptied."""
         self._paths.clear()
         self._links.clear()
         self._delays.clear()
-        self._capacities.clear()
-        self._successors.clear()
-        self._predecessors.clear()
-        self._latencies.clear()
+        self._adopt_graph()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters plus current cache population."""

@@ -52,7 +52,7 @@ class Topology:
     #: ``(canonical spec key, graph.mutations)`` of a topology that
     #: :func:`build_topology` built, ``None`` otherwise: while the count
     #: holds, the graph is the spec's, and the route cache may share
-    #: searches with other topologies of that spec.
+    #: searches and link maps with other topologies of that spec.
     _built_as: Optional[Tuple[object, int]] = None
 
     def __init__(self, name: str, graph: Graph) -> None:
@@ -504,39 +504,7 @@ def normalize_topology_kind(kind: str) -> str:
     return name
 
 
-# Opt-in process-level build cache.  ``python -m repro serve`` enables it
-# so every request for the same canonical spec shares one built Topology
-# object, and with it the build and the per-object route cache
-# (:func:`repro.interconnect.routecache.route_cache_for`).  The
-# shortest-path searches themselves are shared per spec either way.  Off
-# by default: batch callers sometimes mutate topologies (fault campaigns
-# flap links mid-run), which is only safe to share when runs are
-# sequential, as they are on the serve job executor.
-_BUILD_CACHE: Dict[object, "Topology"] = {}
-_BUILD_CACHE_STATS = {"hits": 0, "misses": 0}
-_BUILD_CACHE_ENABLED = False
-
-
-def enable_topology_cache(enabled: bool = True) -> None:
-    """Turn the process-level ``build_topology`` memo on or off.
-
-    Disabling also clears the cache and its hit/miss statistics, so test
-    suites can toggle it without leaking state across cases.
-    """
-    global _BUILD_CACHE_ENABLED
-    _BUILD_CACHE_ENABLED = bool(enabled)
-    if not enabled:
-        _BUILD_CACHE.clear()
-        _BUILD_CACHE_STATS["hits"] = 0
-        _BUILD_CACHE_STATS["misses"] = 0
-
-
-def topology_cache_stats() -> Dict[str, int]:
-    """Entries/hits/misses of the build cache (all zero when disabled)."""
-    return {"entries": len(_BUILD_CACHE), **_BUILD_CACHE_STATS}
-
-
-def _cache_key(name: str, values: Dict[str, object]):
+def _spec_key(name: str, values: Dict[str, object]):
     return (
         name,
         tuple(
@@ -585,16 +553,7 @@ def build_topology(kind: Union[str, TopologySpec], **spec: object) -> Topology:
         "two-tier": _two_tier,
         "torus": _torus,
     }[name]
-    key = _cache_key(name, values)
-    if _BUILD_CACHE_ENABLED:
-        cached = _BUILD_CACHE.get(key)
-        if cached is not None:
-            _BUILD_CACHE_STATS["hits"] += 1
-            return cached
-        _BUILD_CACHE_STATS["misses"] += 1
     built = builder(**values)
-    built._built_as = (key, built.graph.mutations)
-    if _BUILD_CACHE_ENABLED:
-        _BUILD_CACHE[key] = built
+    built._built_as = (_spec_key(name, values), built.graph.mutations)
     return built
 

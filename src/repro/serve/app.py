@@ -102,11 +102,6 @@ class ServiceApp:
             thread_name_prefix="repro-serve-job",
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        # Requests for one topology spec share a single built Topology and
-        # its route cache, which assumes sequential jobs (job_workers=1).
-        from repro.interconnect.topology import enable_topology_cache
-
-        enable_topology_cache(True)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -133,9 +128,6 @@ class ServiceApp:
     def close(self) -> None:
         """Release process-level resources (idempotent)."""
         self._executor.shutdown(wait=True)
-        from repro.interconnect.topology import enable_topology_cache
-
-        enable_topology_cache(False)
 
     # -- metrics -----------------------------------------------------------
 
@@ -144,14 +136,10 @@ class ServiceApp:
 
     def refresh_gauges(self) -> None:
         """Mirror point-in-time state into gauges before a scrape."""
-        from repro.interconnect.topology import topology_cache_stats
-
         registry = self.telemetry.metrics
         registry.gauge("serve.inflight").set(float(self.admission.inflight))
         for key, value in self.cache.stats.items():
             registry.gauge(f"serve.cache.{key}").set(float(value))
-        for key, value in topology_cache_stats().items():
-            registry.gauge(f"serve.topology_cache.{key}").set(float(value))
 
     # -- connection & dispatch ---------------------------------------------
 

@@ -48,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-from repro.observability import Telemetry, write_jsonl
+from repro.observability import Telemetry, Tracer, write_jsonl
 from repro.observability.summary import merge_summaries, summarize_telemetry
 from repro.sweep.backends import (
     FleetConfig,
@@ -221,7 +221,9 @@ def _run_point(args) -> PointResult:
      collect_telemetry) = args
     target = resolve_target(target_name)
     rng = RandomSource(seed, name=f"sweep/{sweep_name}").spawn(index)
-    telemetry = Telemetry()
+    # Only trace files and telemetry summaries read the trace.
+    tracer = Tracer(enabled=trace_dir is not None or collect_telemetry)
+    telemetry = Telemetry(tracer=tracer)
     started = time.perf_counter()
     metrics = target(dict(params), telemetry, rng)
     wall = time.perf_counter() - started

@@ -1,5 +1,8 @@
 """Tests for the flow-level fabric simulator."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from repro.interconnect.congestion import (
     FlowBasedCongestionControl,
     NoCongestionControl,
 )
-from repro.interconnect.fabric import FabricSimulator, Flow
+from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats, LinkEvent
 from repro.interconnect.topology import (
     DEFAULT_LINK_BANDWIDTH,
     build_topology,
@@ -90,6 +93,45 @@ class TestSingleFlow:
         sim = FabricSimulator(topology)
         [stats] = sim.run([Flow(source=terminals[0], destination=terminals[-1], size=1e9)])
         assert stats.slowdown(DEFAULT_LINK_BANDWIDTH) == pytest.approx(1.0, rel=1e-6)
+
+
+class TestFlowStatsContract:
+    """The run loop's ``FlowStats`` behave like constructor-built ones:
+    completed flows, flows dropped mid-run and flows dead on arrival."""
+
+    @pytest.fixture
+    def stats(self):
+        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+        t0, t1, t2, t3 = topology.terminals
+        [leaf] = topology.graph.adj[t3]
+        flows = [
+            Flow(source=t0, destination=t2, size=1e9, flow_id=1, tag="done"),
+            Flow(source=t0, destination=t3, size=1e9, flow_id=2, tag="cut"),
+            Flow(source=t1, destination=t3, size=1e9, start_time=2e-6,
+                 flow_id=3, tag="doa"),
+        ]
+        stats = FabricSimulator(topology).run(
+            flows, link_events=[LinkEvent(time=1e-6, link=(t3, leaf))]
+        )
+        assert sorted((s.tag, s.dropped) for s in stats) == [
+            ("cut", True), ("doa", True), ("done", False),
+        ]
+        return stats
+
+    def test_fields_are_frozen(self, stats):
+        for record in stats:
+            for field in dataclasses.fields(FlowStats):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, field.name, 0)
+
+    def test_equal_to_a_constructor_built_twin(self, stats):
+        for record in stats:
+            twin = FlowStats(**dataclasses.asdict(record))
+            assert record == twin and hash(record) == hash(twin)
+            assert repr(record) == repr(twin)
+            assert list(vars(record).items()) == list(vars(twin).items())
+            assert pickle.dumps(record) == pickle.dumps(twin)
+            assert pickle.loads(pickle.dumps(record)) == twin
 
 
 class TestSharing:

@@ -33,11 +33,11 @@ _BURST_DRAGONFLY = {"groups": 8, "routers_per_group": 4, "terminals": 2}
 
 
 @pytest.fixture(autouse=True)
-def cold_spec_cores(monkeypatch):
-    """Each test starts from an empty process-wide table of switch-pair
-    cores, so its search counts do not depend on the tests before it."""
-    monkeypatch.setattr(routecache, "_SPEC_CORES", {})
-    return routecache._SPEC_CORES
+def cold_spec_maps(monkeypatch):
+    """Each test starts from an empty process-wide table of spec maps, so
+    its search counts do not depend on the tests before it."""
+    monkeypatch.setattr(routecache, "_SPEC_MAPS", {})
+    return routecache._SPEC_MAPS
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -108,6 +108,11 @@ class TestRouteCache:
         assert f"link ({u!r}, {v!r}) bandwidth" in str(raised.value)
         with pytest.raises(ConfigurationError, match="bandwidth must be"):
             FabricSimulator(topology)
+        # The edited graph's failed build published nothing to its spec.
+        sibling = build_topology("two-tier", leaves=4, spines=2, terminals=4)
+        assert set(route_cache_for(sibling).link_capacities().values()) == {
+            25e9
+        }
 
     def test_route_cache_for_is_per_topology(self):
         a = build_topology("two-tier", leaves=4, spines=2, terminals=4)
@@ -592,15 +597,28 @@ class TestSwitchPairCores:
         terminals = reference.terminals
         expected = {(s, t): nx.shortest_path(graph, s, t)
                     for s in terminals for t in terminals}
+        # A topology not built from a spec keeps its maps to itself.
+        private = route_cache_for(Topology("private", reference.graph))
+        expected_delays = {pair: private.propagation_delay(path)
+                           for pair, path in expected.items()}
+        expected_capacities = private.link_capacities()
         wrong = []
+        # Every thread asks for the spec's maps at once.
+        start = threading.Barrier(6, timeout=60)
 
         def route_everything(offset):
             topology = build_topology("dragonfly", **spec)
             cache = route_cache_for(topology)
+            start.wait()
+            if cache.link_capacities() != expected_capacities:
+                wrong.append("capacities")
             pairs = list(expected)
             for pair in pairs[offset:] + pairs[:offset]:
-                if cache.minimal_route(*pair) != expected[pair]:
+                path = cache.minimal_route(*pair)
+                if path != expected[pair]:
                     wrong.append(pair)
+                if cache.propagation_delay(path) != expected_delays[pair]:
+                    wrong.append(("delay", pair))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -616,8 +634,13 @@ class TestSwitchPairCores:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        # Every thread's topology published or found the same maps.
+        maps = routecache._SPEC_MAPS[reference._built_as[0]]
+        assert maps["capacities"] == expected_capacities
+        assert maps["neighbours"] == (private._neighbours(), {})
+        assert maps["latencies"] == private._latencies
 
-    def test_the_registry_bound_evicts_the_oldest_spec(self, cold_spec_cores):
+    def test_the_registry_bound_evicts_the_oldest_spec(self, cold_spec_maps):
         bound = routecache._MAX_SPECS
         specs = [{"leaves": 2 + index, "spines": 2, "terminals": 2}
                  for index in range(bound + 1)]
@@ -628,7 +651,7 @@ class TestSwitchPairCores:
                 topology.terminals[0], topology.terminals[-1]
             )
             keys.append(topology._built_as[0])
-        assert list(cold_spec_cores) == keys[1:]
+        assert list(cold_spec_maps) == keys[1:]
         # A kept spec's next topology reuses the search; the evicted
         # spec's searches again and now evicts the next-oldest.
         for spec, misses in ((specs[-1], 0), (specs[0], 1)):
@@ -636,7 +659,71 @@ class TestSwitchPairCores:
             cache = route_cache_for(topology)
             cache.minimal_route(topology.terminals[0], topology.terminals[-1])
             assert cache.misses == misses
-        assert list(cold_spec_cores) == keys[2:] + keys[:1]
+        assert list(cold_spec_maps) == keys[2:] + keys[:1]
+
+
+class TestSpecLinkMaps:
+    """Capacities, neighbour lists and latencies are built once per spec
+    and shared while a topology's graph is unedited."""
+
+    SPEC = {"groups": 4, "routers_per_group": 3, "terminals": 2}
+
+    @staticmethod
+    def _warm(topology):
+        cache = route_cache_for(topology)
+        path = cache.minimal_route(topology.terminals[0], topology.terminals[-1])
+        cache.propagation_delay(path)
+        cache.link_capacities()
+        return cache
+
+    @staticmethod
+    def _maps(cache):
+        return (cache.link_capacities(), cache._successors, cache._latencies)
+
+    @staticmethod
+    def _published(shared):
+        return (shared["capacities"], shared["neighbours"][0],
+                shared["latencies"])
+
+    def test_an_edited_topology_takes_private_maps(self, cold_spec_maps):
+        edited = build_topology("dragonfly", **self.SPEC)
+        sibling = build_topology("dragonfly", **self.SPEC)
+        for topology in (edited, sibling):
+            self._warm(topology)
+        shared = cold_spec_maps[edited._built_as[0]]
+        published = self._published(shared)
+        for topology in (edited, sibling):
+            for built, map_ in zip(self._maps(route_cache_for(topology)),
+                                   published):
+                assert built is map_
+        pristine = copy.deepcopy(published)
+        u, v = edited.switches[:2]
+        edited.graph.remove_edge(u, v)
+        private = self._maps(self._warm(edited))
+        for built, map_ in zip(private, published):
+            assert built is not map_
+        assert (u, v) not in private[0] and v not in private[1][u]
+        assert (u, v) not in private[2]
+        for built, map_ in zip(self._maps(route_cache_for(sibling)),
+                               published):
+            assert built is map_
+        assert self._published(shared) == pristine
+
+    def test_clear_leaves_the_shared_table_intact(self, cold_spec_maps):
+        topology = build_topology("dragonfly", **self.SPEC)
+        cache = self._warm(topology)
+        shared = cold_spec_maps[topology._built_as[0]]
+        before = {name: (value, copy.deepcopy(value))
+                  for name, value in shared.items()}
+        cache.clear()
+        assert cache._successors is None and cache._latencies is None
+        assert shared.keys() == before.keys()
+        for name, (value, snapshot) in before.items():
+            assert shared[name] is value and value == snapshot, name
+        # Still unedited: the cache picks the shared maps up again.
+        for built, map_ in zip(self._maps(self._warm(topology)),
+                               self._published(shared)):
+            assert built is map_
 
 
 class TestFabricKeywordApi:

@@ -39,7 +39,7 @@ class TestMinimal:
 
     def test_served_by_the_shared_route_cache(self, topology, monkeypatch):
         # An empty spec table: the pair's switch pair has not been searched.
-        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+        monkeypatch.setattr(routecache, "_SPEC_MAPS", {})
         cache = route_cache_for(topology)
         source, destination = topology.terminals[0], topology.terminals[-1]
         first = minimal_route(topology, source, destination)

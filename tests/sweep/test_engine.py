@@ -1,5 +1,8 @@
 """Tests for the parallel sweep engine: determinism is the contract."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -107,6 +110,59 @@ class TestNamedSweeps:
         assert named_sweep("smoke", seed=99).seed == 99
 
 
+#: sha256 of the ``smoke`` sweep's ``trace_dir`` files, concatenated in
+#: point order; taken when every point recorded a trace.
+SMOKE_TRACE_SHA256 = (
+    "72fb96108862e36d97a209c3169a41091d0b9de4d05db8f54ce6d69bef057943"
+)
+
+
+class TestPointTrace:
+    """A point records a trace only when the caller reads one."""
+
+    @pytest.fixture
+    def trace_counting_target(self):
+        from repro.sweep.targets import TARGETS
+
+        def target(params, telemetry, rng):
+            metrics = TARGETS["fabric-congestion"](params, telemetry, rng)
+            metrics["trace_records"] = len(telemetry.tracer)
+            return metrics
+
+        TARGETS["_trace_counting"] = target
+        yield "_trace_counting"
+        del TARGETS["_trace_counting"]
+
+    def test_a_plain_point_records_no_trace(self, trace_counting_target,
+                                            tmp_path):
+        params = named_sweep("smoke").points()[0].params
+        records = {}
+        for trace_dir, collect in [(None, False), (str(tmp_path), False),
+                                   (None, True)]:
+            result = _run_point((trace_counting_target, "t", 0, 0, params,
+                                 trace_dir, collect))
+            records[trace_dir, collect] = result.metrics.pop("trace_records")
+            assert result.metrics["flows_finished"] > 0
+        assert records[None, False] == 0
+        assert records[str(tmp_path), False] > 0
+        assert records[None, True] == records[str(tmp_path), False]
+
+    def test_smoke_trace_files_are_pinned(self, tmp_path, monkeypatch):
+        # Default flow ids come from a process-wide counter; the pin was
+        # taken from a fresh one.
+        from repro.interconnect import fabric
+
+        monkeypatch.setattr(fabric, "_flow_ids", itertools.count())
+        run_sweep(named_sweep("smoke"), workers=1, trace_dir=str(tmp_path))
+        written = sorted(tmp_path.glob("point-*.jsonl"))
+        assert len(written) == 8
+        assert all(path.stat().st_size > 0 for path in written)
+        digest = hashlib.sha256()
+        for path in written:
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == SMOKE_TRACE_SHA256
+
+
 class TestWorkerBody:
     def test_run_point_rejects_non_dict_metrics(self):
         from repro.sweep.targets import TARGETS
@@ -129,16 +185,16 @@ class TestPointOrderIndependence:
         from repro.interconnect import routecache
 
         spec = named_sweep("congestion")
-        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+        monkeypatch.setattr(routecache, "_SPEC_MAPS", {})
         backwards = {}
         for point in reversed(spec.points()):
             result = _run_point((spec.target, spec.name, spec.seed,
                                  point.index, point.params, None, False))
             backwards[point.index] = result.payload()
         # One table per topology kind, warmed by the other points.
-        assert len(routecache._SPEC_CORES) == 4
-        assert all(routecache._SPEC_CORES.values())
-        monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+        assert len(routecache._SPEC_MAPS) == 4
+        assert all(maps["cores"] for maps in routecache._SPEC_MAPS.values())
+        monkeypatch.setattr(routecache, "_SPEC_MAPS", {})
         forwards = run_sweep(spec, workers=1)
         assert forwards.ok and len(forwards.points) == 64
         for point in forwards.points:

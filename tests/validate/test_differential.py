@@ -17,13 +17,13 @@ from repro.validate.differential import networkx_twin
 
 
 @pytest.fixture
-def cold_spec_cores(monkeypatch):
-    """An empty process-wide table of switch-pair cores for the test, so a
+def cold_spec_maps(monkeypatch):
+    """An empty process-wide table of spec maps for the test, so a
     patched search neither reads earlier tests' cores nor leaves its own
     to later tests."""
     from repro.interconnect import routecache
 
-    monkeypatch.setattr(routecache, "_SPEC_CORES", {})
+    monkeypatch.setattr(routecache, "_SPEC_MAPS", {})
 
 
 class TestRoutesDifferential:
@@ -39,7 +39,7 @@ class TestRoutesDifferential:
         assert check_routes(pairs=8).comparisons == 120
 
     def test_terminal_pairs_come_from_the_warmed_cores(
-        self, monkeypatch, cold_spec_cores
+        self, monkeypatch, cold_spec_maps
     ):
         # Terminal pairs search only while the first topology of each
         # spec warms: once per ordered pair of distinct switches.
@@ -68,7 +68,7 @@ class TestRoutesDifferential:
         assert len(searched) == expected
 
     def test_a_wrong_route_through_a_switch_fails(
-        self, monkeypatch, cold_spec_cores
+        self, monkeypatch, cold_spec_maps
     ):
         # Terminal-to-terminal routes stay right; only a leg that starts
         # or ends at a switch (as Valiant's do) is swapped.
@@ -91,7 +91,7 @@ class TestRoutesDifferential:
         assert "networkx says" in result.detail
 
     def test_an_equal_length_different_path_fails(
-        self, monkeypatch, cold_spec_cores
+        self, monkeypatch, cold_spec_maps
     ):
         # Hop count, endpoints and edge existence all still hold; only
         # node-for-node identity with networkx catches the swap.
