@@ -18,8 +18,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
@@ -30,10 +29,10 @@ class Event:
 
     A ``__slots__`` class with a hand-rolled comparison key rather than a
     ``@dataclass(order=True)``: the kernel allocates one of these per
-    scheduled callback and the heap compares them on every push/pop, so
-    skipping the per-instance ``__dict__`` and the generated tuple-building
-    comparators measurably speeds the dispatch loop.  Ordering semantics
-    are unchanged: events compare by ``(time, sequence)`` and nothing else.
+    scheduled callback, so skipping the per-instance ``__dict__`` speeds
+    the dispatch loop.  The kernel's heap orders ``(time, sequence,
+    event)`` tuples and never compares events; for everyone else, events
+    compare by ``(time, sequence)`` and nothing else.
 
     Attributes
     ----------
@@ -47,7 +46,7 @@ class Event:
     cancelled:
         Set by :meth:`Simulation.cancel`; cancelled events are skipped.
     fired:
-        Set by :meth:`Simulation.step` just before the callback runs;
+        Set by the kernel just before the callback runs;
         fired events cannot be cancelled.
     daemon:
         Daemon events (periodic telemetry samplers) never keep the
@@ -139,20 +138,39 @@ class SimulationHooks:
         """Called when a live event is cancelled (not for no-op cancels)."""
 
 
+def _time_error(time: float, now: float) -> SimulationError:
+    """The error for a time that is NaN or before the clock."""
+    if time != time:
+        return SimulationError(f"cannot schedule at a NaN time ({time})")
+    return SimulationError(f"cannot schedule at {time} before current time {now}")
+
+
 class Simulation:
     """Discrete-event simulation clock and event queue.
 
     The simulation starts at time ``0.0`` and advances only when events are
-    processed. Scheduling into the past raises :class:`SimulationError`.
+    processed. Scheduling into the past, or at a NaN time, raises
+    :class:`SimulationError`.
+
+    The queue is a heap of ``(time, sequence, event)`` tuples, so every
+    heap comparison runs in C (sequences are unique, so an :class:`Event`
+    is never compared).  The kernel counts its own scheduled, fired and
+    cancelled events as plain ints (:attr:`event_counts`); a publisher set
+    with :meth:`set_publisher` is called each time :meth:`run` or
+    :meth:`step` returns, which is how telemetry turns the counts into
+    ``sim.events.*`` counters without a per-event hook.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
-        self._sequence = itertools.count()
+        self._queue: List[Tuple[float, int, Event]] = []
+        # Events scheduled so far; also the next event's sequence number.
+        self._scheduled = 0
         self._processed = 0
+        self._cancelled = 0
         self._live = 0
         self._hooks: Optional[SimulationHooks] = None
+        self._publisher: Optional[Callable[["Simulation"], None]] = None
 
     @property
     def now(self) -> float:
@@ -178,10 +196,30 @@ class Simulation:
         """Attach (or detach, with ``None``) a lifecycle observer."""
         self._hooks = hooks
 
+    def set_publisher(
+        self, publisher: Optional[Callable[["Simulation"], None]]
+    ) -> None:
+        """Set (or clear, with ``None``) the call made when a run returns.
+
+        ``publisher(simulation)`` runs each time :meth:`run` or
+        :meth:`step` returns, also when an event callback raised.  One
+        slot: setting a publisher replaces the previous one.
+        """
+        self._publisher = publisher
+
     @property
     def processed(self) -> int:
         """Number of events fired so far."""
         return self._processed
+
+    @property
+    def event_counts(self) -> Tuple[int, int, int]:
+        """``(scheduled, fired, cancelled)`` events so far, daemons included.
+
+        Cancelled counts live events only: cancelling a fired or an
+        already-cancelled event is a no-op.
+        """
+        return self._scheduled, self._processed, self._cancelled
 
     def schedule(
         self, delay: float, callback: Callable[[], None], daemon: bool = False
@@ -190,7 +228,9 @@ class Simulation:
 
         Returns the :class:`Event`, which can be passed to :meth:`cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
+            if delay != delay:
+                raise SimulationError(f"cannot schedule at a NaN delay ({delay})")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, daemon=daemon)
 
@@ -204,15 +244,12 @@ class Simulation:
         they do not count towards :attr:`pending` and an unbounded
         :meth:`run` stops as soon as only daemon events remain.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        event = Event(
-            time=time, sequence=next(self._sequence), callback=callback,
-            daemon=daemon,
-        )
-        heapq.heappush(self._queue, event)
+        if not time >= self._now:  # also rejects NaN
+            raise _time_error(time, self._now)
+        sequence = self._scheduled
+        self._scheduled = sequence + 1
+        event = Event(time, sequence, callback, False, False, daemon)
+        heappush(self._queue, (time, sequence, event))
         if not daemon:
             self._live += 1
         if self._hooks is not None:
@@ -234,32 +271,29 @@ class Simulation:
         are appended and the whole heap re-heapified in ``O(n + m)``, which
         beats ``m`` pushes at ``O(m log(n + m))``.  Trace generators and
         link-event replays that front-load thousands of arrivals hit this
-        path.  Validation is all-or-nothing: a past timestamp anywhere in
-        the batch raises before any event is queued.
+        path.  Validation is all-or-nothing: a past or NaN timestamp
+        anywhere in the batch raises before any event is queued.
         """
+        now = self._now
+        sequence = self._scheduled
         events: List[Event] = []
         for time, callback in entries:
-            if time < self._now:
-                raise SimulationError(
-                    f"cannot schedule at {time} before current time {self._now}"
-                )
-            events.append(
-                Event(
-                    time=time, sequence=next(self._sequence),
-                    callback=callback, daemon=daemon,
-                )
-            )
+            if not time >= now:
+                raise _time_error(time, now)
+            events.append(Event(time, sequence, callback, False, False, daemon))
+            sequence += 1
         if not events:
             return events
+        self._scheduled = sequence
         queue = self._queue
         total = len(queue) + len(events)
         # heapify is O(total); pushes are O(len(events) * log2(total)).
         if len(events) * max(1, total.bit_length()) >= total:
-            queue.extend(events)
-            heapq.heapify(queue)
+            queue.extend([(event.time, event.sequence, event) for event in events])
+            heapify(queue)
         else:
             for event in events:
-                heapq.heappush(queue, event)
+                heappush(queue, (event.time, event.sequence, event))
         if not daemon:
             self._live += len(events)
         if self._hooks is not None:
@@ -272,6 +306,7 @@ class Simulation:
         if event.cancelled or event.fired:
             return
         event.cancelled = True
+        self._cancelled += 1
         if not event.daemon:
             self._live -= 1
         if self._hooks is not None:
@@ -279,8 +314,17 @@ class Simulation:
 
     def step(self) -> bool:
         """Fire the next event. Returns ``False`` when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        try:
+            return self._fire_next()
+        finally:
+            if self._publisher is not None:
+                self._publisher(self)
+
+    def _fire_next(self) -> bool:
+        """Pop and fire the next live event; ``False`` when none is left."""
+        queue = self._queue
+        while queue:
+            event = heappop(queue)[2]
             if event.cancelled:
                 continue
             event.fired = True
@@ -305,20 +349,25 @@ class Simulation:
         daemon events remain, so self-rescheduling samplers cannot keep a
         drained simulation alive. Returns the final simulated time.
         """
+        queue = self._queue
         fired = 0
-        while self._queue:
-            if until is None and self._live == 0:
-                break
-            next_event = self._queue[0]
-            if next_event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and next_event.time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            self.step()
-            fired += 1
+        try:
+            while queue:
+                if until is None and self._live == 0:
+                    break
+                time, _, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
+                    break
+                if max_events is not None and fired >= max_events:
+                    break
+                self._fire_next()
+                fired += 1
+        finally:
+            if self._publisher is not None:
+                self._publisher(self)
         if until is not None and self._now < until:
             self._now = until
         return self._now

@@ -43,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "exponential_buckets",
     ),
     ".probes": (
-        "KernelProbe", "ProfilingKernelProbe", "Telemetry",
+        "ProfilingKernelProbe", "Telemetry",
         "attach_cluster_sampler", "attach_kernel_sampler",
     ),
     ".profiler": (
@@ -70,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "InstantRecord",
-    "KernelProbe",
     "MetricsRegistry",
     "NULL_TRACER",
     "PHASE_CONGESTION",

@@ -91,6 +91,15 @@ class Counter(Metric):
         key = _label_key(labels) if labels else _NO_LABELS
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def series(self, **labels: object) -> "CounterSeries":
+        """A handle on one labelled series, for a hot call site.
+
+        ``series.inc(amount)`` is ``counter.inc(amount, **labels)`` with
+        the label key built once.  Creating the handle records nothing:
+        the series appears at its first increment.
+        """
+        return CounterSeries(self, _label_key(labels) if labels else _NO_LABELS)
+
     def publish(self, label: str, totals: Mapping[str, float]) -> None:
         """Write run totals for single-label series, ``{label: total}``.
 
@@ -120,6 +129,34 @@ class Counter(Metric):
 
     def _keys(self):
         return iter(self._values)
+
+
+class CounterSeries:
+    """One label set of a :class:`Counter`, from :meth:`Counter.series`.
+
+    Writes into the counter it came from, so it is only valid while that
+    counter is registered (a :meth:`MetricsRegistry.reset` drops it).
+    """
+
+    __slots__ = ("_name", "_values", "_key")
+
+    def __init__(
+        self, counter: Counter, key: Tuple[Tuple[str, str], ...]
+    ) -> None:
+        self._name = counter.name
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (non-negative and finite) to the series."""
+        if not 0.0 <= amount < math.inf:
+            raise ConfigurationError(
+                f"{self._name}: counters only go up by a finite amount, "
+                f"got {amount!r}"
+            )
+        values = self._values
+        key = self._key
+        values[key] = values.get(key, 0.0) + amount
 
 
 class Gauge(Metric):

@@ -8,9 +8,12 @@ holding ``telemetry=None`` pays exactly one ``is not None`` test per
 instrumented operation; the simulation kernel with no hooks attached
 behaves bit-identically to the unhooked seed kernel.
 
-:class:`KernelProbe` implements the kernel's
-:class:`~repro.core.events.SimulationHooks` protocol and counts
-schedule/fire/cancel; attach helpers wire periodic samplers for the three
+The kernel counts its own scheduled, fired and cancelled events;
+:class:`Telemetry` publishes them as ``sim.events.*`` counters each time
+the bound simulation's ``run()``/``step()`` returns, so a plain run pays
+no per-event hook.  :class:`ProfilingKernelProbe` implements the
+kernel's :class:`~repro.core.events.SimulationHooks` protocol to time
+every callback; attach helpers wire periodic samplers for the three
 instrumented layers (cluster queues, fabric links, federation WAN).
 """
 
@@ -48,14 +51,17 @@ class Telemetry:
     Parameters
     ----------
     simulation:
-        When given, the tracer's clock reads ``simulation.now`` and a
-        :class:`KernelProbe` is attached to the kernel's hooks.
+        When given, the tracer's clock reads ``simulation.now`` and the
+        kernel's event counts are published as ``sim.events.scheduled``,
+        ``.fired`` and ``.cancelled`` each time its ``run()`` or
+        ``step()`` returns (counting from the binding on).
     tracer / metrics:
         Pre-built components to share; fresh ones are created by default.
     profiler:
         An optional :class:`~repro.observability.profiler.PhaseProfiler`;
         None (the default) is the only way to switch profiling off.
-        When given, the kernel probe also brackets every event callback
+        When given, a :class:`ProfilingKernelProbe` is attached to the
+        kernel's hooks: it brackets every event callback
         with ``time.perf_counter`` and charges the wall latency to the
         profiler's dispatch phase, keyed by the callback's qualified
         name; periodic samplers started through :meth:`sample_every`
@@ -79,15 +85,15 @@ class Telemetry:
         self.simulation = simulation
         self._samplers: list[PeriodicSampler] = []
         if simulation is not None:
-            simulation.set_hooks(self._make_probe())
+            self._observe(simulation)
 
-    def _make_probe(self) -> "KernelProbe":
+    def _observe(self, simulation: Simulation) -> None:
+        simulation.set_publisher(_KernelCounts(self.metrics, simulation))
         if self.profiler is not None:
-            return ProfilingKernelProbe(self)
-        return KernelProbe(self)
+            simulation.set_hooks(ProfilingKernelProbe(self))
 
     def bind_simulation(self, simulation: Simulation) -> None:
-        """Late-bind a simulation: sets the tracer clock and kernel hooks.
+        """Late-bind a simulation: sets the tracer clock and kernel counts.
 
         No-op if a simulation is already bound — the first binding wins,
         so a telemetry object shared across components observes one clock.
@@ -97,7 +103,7 @@ class Telemetry:
         self.simulation = simulation
         if self.tracer.clock is None:
             self.tracer.clock = lambda: simulation.now
-        simulation.set_hooks(self._make_probe())
+        self._observe(simulation)
 
     # --- convenience pass-throughs ---------------------------------------------
 
@@ -139,40 +145,47 @@ class Telemetry:
             sampler.stop()
 
 
-class KernelProbe(SimulationHooks):
-    """Counts kernel lifecycle events into ``sim.events.*`` counters."""
+class _KernelCounts:
+    """Publishes a kernel's own event counts as ``sim.events.*`` counters.
 
-    def __init__(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
-        metrics = telemetry.metrics
-        self._scheduled = metrics.counter(
-            "sim.events.scheduled", "events pushed onto the kernel queue"
+    The bound simulation calls it whenever ``run()``/``step()`` returns;
+    it adds what the kernel counted since the last call.  The counters
+    are created at binding, as the per-event probe this replaces did, and
+    a series first appears with its first non-zero count.
+    """
+
+    __slots__ = ("counters", "published")
+
+    def __init__(self, metrics: MetricsRegistry, simulation: Simulation) -> None:
+        self.counters = (
+            metrics.counter(
+                "sim.events.scheduled", "events pushed onto the kernel queue"
+            ),
+            metrics.counter("sim.events.fired", "events whose callback ran"),
+            metrics.counter(
+                "sim.events.cancelled", "live events cancelled before firing"
+            ),
         )
-        self._fired = metrics.counter(
-            "sim.events.fired", "events whose callback ran"
-        )
-        self._cancelled = metrics.counter(
-            "sim.events.cancelled", "live events cancelled before firing"
-        )
+        self.published = simulation.event_counts
 
-    def on_schedule(self, simulation: Simulation, event: Event) -> None:
-        self._scheduled.inc()
-
-    def on_fire(self, simulation: Simulation, event: Event) -> None:
-        self._fired.inc()
-
-    def on_cancel(self, simulation: Simulation, event: Event) -> None:
-        self._cancelled.inc()
+    def __call__(self, simulation: Simulation) -> None:
+        counts = simulation.event_counts
+        for counter, count, published in zip(
+            self.counters, counts, self.published
+        ):
+            if count != published:
+                counter.inc(count - published)
+        self.published = counts
 
 
-class ProfilingKernelProbe(KernelProbe):
-    """A :class:`KernelProbe` that also times every event callback.
+class ProfilingKernelProbe(SimulationHooks):
+    """Kernel hooks that time every event callback.
 
     :meth:`on_fire_start` captures ``time.perf_counter`` just before the
     kernel runs the callback; :meth:`on_fire` measures the elapsed wall
     time *first* (so label computation never inflates the interval), then
     charges it to the profiler's dispatch phase under the callback's
-    qualified name and falls through to the counting probe.
+    qualified name.  It counts nothing: the kernel counts its own events.
 
     Accumulator slots are cached by the callback's code object — the
     thousand distinct lambdas a run schedules share one code object per
@@ -184,7 +197,6 @@ class ProfilingKernelProbe(KernelProbe):
     """
 
     def __init__(self, telemetry: Telemetry) -> None:
-        super().__init__(telemetry)
         if telemetry.profiler is None:
             raise ValueError("ProfilingKernelProbe requires telemetry.profiler")
         self._profiler = telemetry.profiler
@@ -221,7 +233,6 @@ class ProfilingKernelProbe(KernelProbe):
         slot[2 + bisect_left(LATENCY_BUCKETS, elapsed)] += 1
         if profiler.detail:
             profiler._record(PHASE_DISPATCH, elapsed)
-        self._fired.inc()
 
 
 def attach_cluster_sampler(

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
+from repro.observability.metrics import CounterSeries
 from repro.observability.probes import CATEGORY_FAULT, Telemetry
 from repro.resilience.faults import FaultCampaign, FaultEvent, FaultKind
 
@@ -73,6 +74,17 @@ class FaultInjector:
         self.injected = 0
         self.repaired = 0
         self._installed = False
+        #: (counter name, kind) -> series, resolved at first use.
+        self._series: Dict[Tuple[str, FaultKind], CounterSeries] = {}
+
+    def _count(self, name: str, description: str, kind: FaultKind) -> None:
+        """Add one to the ``kind`` series of counter ``name``."""
+        series = self._series.get((name, kind))
+        if series is None:
+            series = self._series[name, kind] = self.telemetry.counter(
+                name, description
+            ).series(kind=kind.value)
+        series.inc()
 
     def on(self, kind: FaultKind, handler: FaultHandler) -> None:
         """Subscribe ``handler`` to faults (and repairs) of ``kind``."""
@@ -108,9 +120,10 @@ class FaultInjector:
     def _fire(self, event: FaultEvent) -> None:
         self.injected += 1
         if self.telemetry is not None:
-            self.telemetry.counter(
-                "resilience.faults.injected", "faults applied by the injector"
-            ).inc(kind=event.kind.value)
+            self._count(
+                "resilience.faults.injected", "faults applied by the injector",
+                event.kind,
+            )
             self.telemetry.tracer.instant(
                 f"fault:{event.kind.value}", CATEGORY_FAULT,
                 self.simulation.now, target=event.target,
@@ -125,9 +138,9 @@ class FaultInjector:
     def _repair(self, event: FaultEvent) -> None:
         self.repaired += 1
         if self.telemetry is not None:
-            self.telemetry.counter(
-                "resilience.faults.repaired", "faults repaired"
-            ).inc(kind=event.kind.value)
+            self._count(
+                "resilience.faults.repaired", "faults repaired", event.kind
+            )
             self.telemetry.tracer.instant(
                 f"repair:{event.kind.value}", CATEGORY_FAULT,
                 self.simulation.now, target=event.target,

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.hardware.reliability import MemoryReliabilitySpec, reliability_for
+from repro.observability.metrics import CounterSeries
 from repro.resilience.faults import FaultCampaign, FaultEvent, FaultKind
 from repro.resilience.injector import FaultInjector
 from repro.scheduling.checkpointing import FailureModel
@@ -478,6 +479,8 @@ def bind_memory(
     """
     stats = MemoryErrorStats()
     telemetry = injector.telemetry
+    # (outcome, region) -> counter series, resolved at first use.
+    series: Dict[Tuple[str, str], CounterSeries] = {}
 
     def react(event: FaultEvent, repaired: bool) -> None:
         if repaired or not isinstance(event, MemoryUpset):
@@ -486,10 +489,14 @@ def bind_memory(
             return
         stats.counts[event.outcome] += 1
         if telemetry is not None:
-            telemetry.counter(
-                f"resilience.memerrors.{event.outcome}",
-                "memory upsets by ECC outcome",
-            ).inc(region=event.target)
+            key = (event.outcome, event.target)
+            counted = series.get(key)
+            if counted is None:
+                counted = series[key] = telemetry.counter(
+                    f"resilience.memerrors.{event.outcome}",
+                    "memory upsets by ECC outcome",
+                ).series(region=event.target)
+            counted.inc()
         if event.outcome != DUE:
             return
         running = cluster.running_jobs()

@@ -27,6 +27,7 @@ from repro.core.events import Event, Simulation
 from repro.core.rng import RandomSource
 from repro.federation.site import Site
 from repro.hardware.device import Device
+from repro.observability.metrics import CounterSeries
 from repro.observability.probes import (
     CATEGORY_FAULT,
     CATEGORY_JOB,
@@ -190,6 +191,17 @@ class ClusterSimulator:
         self._restart_prefix: Dict[int, float] = {}
         #: job_id -> (work, restart_overhead) for the queued attempt.
         self._attempt_meta: Dict[int, Tuple[float, float]] = {}
+        #: counter name -> this cluster's series, resolved at first use.
+        self._series: Dict[str, CounterSeries] = {}
+
+    def _count(self, name: str, amount: float = 1.0) -> None:
+        """Add to this cluster's series (site and device labels) of ``name``."""
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = self.telemetry.counter(name).series(
+                site=self.site.name, device=self.device.name
+            )
+        series.inc(amount)
 
     @property
     def queue_depth(self) -> int:
@@ -253,9 +265,7 @@ class ClusterSimulator:
         self._remaining_work[job.job_id] = estimate.time
         self._restart_prefix[job.job_id] = 0.0
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.submitted").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.submitted")
         ready_time = job.arrival_time + transfer_time
         delay = max(0.0, ready_time - self.simulation.now)
         self._schedule_enqueue(record, delay)
@@ -311,9 +321,7 @@ class ClusterSimulator:
             work=work, restart_overhead=prefix,
         )
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.started").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.started")
             ready = record.ready_time
             if ready is not None and record.start_time > ready:
                 self.telemetry.tracer.complete(
@@ -340,9 +348,7 @@ class ClusterSimulator:
         self._remaining_work.pop(job_id, None)
         self._restart_prefix.pop(job_id, None)
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.finished").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.finished")
             self.telemetry.tracer.complete(
                 f"run:{record.job.job_class.value}", CATEGORY_JOB,
                 record.start_time, record.finish_time,
@@ -372,9 +378,7 @@ class ClusterSimulator:
         record = running.record
         record.preemptions += 1
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.preemptions").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.preemptions")
             self.telemetry.tracer.complete(
                 f"run:{record.job.job_class.value}", CATEGORY_JOB,
                 record.start_time, now,
@@ -431,9 +435,7 @@ class ClusterSimulator:
             self.checkpoint.restart_time if self.checkpoint is not None else 0.0
         )
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.killed").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.killed")
             self.telemetry.tracer.complete(
                 f"run:{record.job.job_class.value}", CATEGORY_JOB,
                 record.start_time, now,
@@ -448,9 +450,7 @@ class ClusterSimulator:
             self._remaining_work.pop(job_id, None)
             self._restart_prefix.pop(job_id, None)
             if self.telemetry is not None:
-                self.telemetry.counter("cluster.jobs.dead").inc(
-                    site=self.site.name, device=self.device.name
-                )
+                self._count("cluster.jobs.dead")
             self._dispatch()
             return record
         record.retries += 1
@@ -459,9 +459,7 @@ class ClusterSimulator:
             if policy is not None else 0.0
         )
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.retried").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.retried")
         self._schedule_enqueue(record, delay)
         self._dispatch()
         return record
@@ -480,9 +478,7 @@ class ClusterSimulator:
         self.capacity -= 1
         self.failed_nodes += 1
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.nodes.failed").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.nodes.failed")
         if self._free > 0:
             self._free -= 1
             return None
@@ -505,9 +501,7 @@ class ClusterSimulator:
         self.capacity += 1
         self._free += 1
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.nodes.repaired").inc(
-                site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.nodes.repaired")
         self._dispatch()
 
     def evacuate(self) -> List[Job]:
@@ -551,9 +545,7 @@ class ClusterSimulator:
             displace(record)
         self._pending_enqueues.clear()
         if self.telemetry is not None:
-            self.telemetry.counter("cluster.jobs.evacuated").inc(
-                len(displaced), site=self.site.name, device=self.device.name
-            )
+            self._count("cluster.jobs.evacuated", len(displaced))
             self.telemetry.tracer.instant(
                 "evacuate", CATEGORY_FAULT, now,
                 site=self.site.name, displaced=len(displaced),

@@ -172,12 +172,12 @@ def fabric_congestion(
     mean_gap = flow_size / (load * 25e9)
     clock = 0.0
     trace = []
-    for _ in range(flow_count):
+    for index in range(flow_count):
         source, destination = rng.sample(terminals, 2)
         trace.append(
             Flow(
                 source=source, destination=destination,
-                size=flow_size, start_time=clock,
+                size=flow_size, start_time=clock, flow_id=index,
             )
         )
         clock += rng.exponential(mean_gap)

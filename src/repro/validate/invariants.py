@@ -4,9 +4,9 @@ Every simulator in the library obeys laws that hold regardless of
 parameters, seeds or faults:
 
 * **kernel** — event time is monotone non-decreasing, the clock never goes
-  negative, and the event ledger balances (an observer that saw every
-  schedule can never see more fires + cancels than schedules; the live
-  count never goes negative).
+  negative, and the event ledger balances (the kernel's own counts never
+  show more fires + cancels than schedules; the live count never goes
+  negative).
 * **cluster** — ``submitted == completed + dead + in_flight + evacuated``
   (the :func:`~repro.resilience.metrics.conservation` identity), and
   goodput never exceeds utilization.
@@ -23,8 +23,8 @@ raising at the first failure, so one run reports *all* broken laws;
 :class:`InvariantViolation` (a :class:`~repro.core.errors.SimulationError`).
 
 The kernel checks attach through :class:`KernelInvariantHooks`, which
-*chains*: the kernel has a single hooks slot, and telemetry's
-:class:`~repro.observability.probes.KernelProbe` usually occupies it, so
+*chains*: the kernel has a single hooks slot, which a profiled run's
+:class:`~repro.observability.probes.ProfilingKernelProbe` occupies, so
 the invariant hooks wrap whatever is installed and delegate to it after
 checking. Attaching the checker never changes what telemetry observes.
 """
@@ -71,10 +71,12 @@ class InvariantViolation(SimulationError):
 class KernelInvariantHooks(SimulationHooks):
     """Chaining kernel observer: checks each event, then delegates.
 
-    Wraps whatever hooks were installed before it (usually telemetry's
-    ``KernelProbe``) so both observers see every schedule/fire/cancel.
-    Violations are recorded on the owning :class:`InvariantChecker`; the
-    hot path stays assertion-free so a clean run pays only comparisons.
+    Wraps whatever hooks were installed before it (a profiled run's
+    ``ProfilingKernelProbe``, or none) so both observers see every
+    schedule/fire/cancel.  It counts nothing: the ledger law reads the
+    kernel's own counts.  Violations are recorded on the owning
+    :class:`InvariantChecker`; the hot path stays assertion-free so a
+    clean run pays only comparisons.
     """
 
     def __init__(
@@ -86,13 +88,9 @@ class KernelInvariantHooks(SimulationHooks):
         self.checker = checker
         self.subject = subject
         self.inner = inner
-        self.scheduled = 0
-        self.fired = 0
-        self.cancelled = 0
         self.last_fire_time: Optional[float] = None
 
     def on_schedule(self, simulation: Simulation, event: Event) -> None:
-        self.scheduled += 1
         if event.time < simulation.now - TIME_EPSILON:
             self.checker.fail(
                 "kernel.causality", self.subject,
@@ -109,7 +107,6 @@ class KernelInvariantHooks(SimulationHooks):
             self.inner.on_fire_start(simulation, event)
 
     def on_fire(self, simulation: Simulation, event: Event) -> None:
-        self.fired += 1
         now = simulation.now
         if now < 0.0:
             self.checker.fail(
@@ -134,7 +131,6 @@ class KernelInvariantHooks(SimulationHooks):
             self.inner.on_fire(simulation, event)
 
     def on_cancel(self, simulation: Simulation, event: Event) -> None:
-        self.cancelled += 1
         if self.inner is not None:
             self.inner.on_cancel(simulation, event)
 
@@ -185,7 +181,7 @@ class InvariantChecker:
     ) -> KernelInvariantHooks:
         """Chain invariant hooks in front of the simulation's observer.
 
-        The previously installed hooks (telemetry's ``KernelProbe`` or
+        The previously installed hooks (a ``ProfilingKernelProbe`` or
         anything else) keep receiving every callback via delegation.
         """
         hooks = KernelInvariantHooks(self, subject, inner=simulation.hooks)
@@ -207,12 +203,12 @@ class InvariantChecker:
                     f"final live-event count is negative: "
                     f"{simulation.pending}",
                 )
-            observed = hooks.fired + hooks.cancelled
-            if observed > hooks.scheduled:
+            scheduled, fired, cancelled = simulation.event_counts
+            if fired + cancelled > scheduled:
                 self.fail(
                     "kernel.ledger", hooks.subject,
-                    f"fired+cancelled ({hooks.fired}+{hooks.cancelled}) "
-                    f"exceeds scheduled ({hooks.scheduled}) — events "
+                    f"fired+cancelled ({fired}+{cancelled}) "
+                    f"exceeds scheduled ({scheduled}) — events "
                     "materialised out of nowhere",
                 )
 

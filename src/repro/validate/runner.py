@@ -3,7 +3,7 @@
 :func:`run_validated` runs one profile with an :class:`InvariantChecker`
 wired in: a :class:`_ValidatingTelemetry` subclass intercepts
 ``bind_simulation`` so the checker's chaining kernel hooks install at the
-same moment telemetry's probe does — every profile gets kernel invariants
+same moment telemetry binds the kernel — every profile gets kernel invariants
 without the profiles themselves knowing validation exists. Fabric-only
 profiles (no simulation) still get the post-run telemetry ledger checks.
 
@@ -41,8 +41,8 @@ class _ValidatingTelemetry(Telemetry):
 
     ``bind_simulation`` is first-binding-wins in the base class; the
     checker attaches only on the binding that actually took, *after* the
-    base installed its ``KernelProbe``, so the invariant hooks wrap the
-    probe and both observe every event.
+    base bound the kernel (and installed its profiling probe, if any), so
+    the invariant hooks wrap the probe and both observe every event.
     """
 
     def __init__(self, checker: InvariantChecker) -> None:

@@ -11,7 +11,7 @@ accelerators exploit "model sparsity" (§III.B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.hardware.device import KernelProfile
@@ -50,10 +50,10 @@ class LayerShape:
 
 @dataclass
 class AIModel:
-    """A neural network as an ordered list of GEMM layers."""
+    """A neural network as an ordered sequence of GEMM layers."""
 
     name: str
-    layers: List[LayerShape]
+    layers: Sequence[LayerShape]
     sparsity: float = 0.0  # fraction of zero weights exploitable by hardware
 
     def __post_init__(self) -> None:

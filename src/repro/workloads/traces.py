@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
@@ -18,7 +19,13 @@ from repro.core.rng import RandomSource
 if TYPE_CHECKING:  # imported lazily to keep workloads below federation
     from repro.federation.sla import QoSClass
 from repro.hardware.precision import Precision
-from repro.workloads.ai import build_cnn, build_mlp, build_transformer
+from repro.workloads.ai import (
+    AIModel,
+    LayerShape,
+    build_cnn,
+    build_mlp,
+    build_transformer,
+)
 from repro.workloads.base import Job, JobClass, make_single_kernel_job
 from repro.workloads.hpc import (
     dense_linear_algebra,
@@ -27,6 +34,18 @@ from repro.workloads.hpc import (
     spectral_transform,
     stencil,
 )
+
+
+@lru_cache(maxsize=4)  # the three training builders and the inference MLP
+def _shared_layers(
+    builder: Callable[..., AIModel], **shape: int
+) -> Tuple[LayerShape, ...]:
+    """The layers of ``builder(**shape)``, built once per process.
+
+    A job is a function of its model's name and layer dimensions only, so
+    every generated model shares these frozen layers under its own name.
+    """
+    return tuple(builder(**shape).layers)
 
 
 @dataclass
@@ -168,7 +187,7 @@ class JobTraceGenerator:
 
     def _make_training(self, index: int, scale: float) -> Job:
         builder = self.rng.choice([build_mlp, build_cnn, build_transformer])
-        model = builder(name=f"model-{index}")
+        model = AIModel(f"model-{index}", _shared_layers(builder))
         steps = max(10, int(500 * scale))
         ranks = int(self.rng.choice([1, 2, 4, 8]))
         return model.training_job(
@@ -180,7 +199,9 @@ class JobTraceGenerator:
         )
 
     def _make_inference(self, index: int, scale: float) -> Job:
-        model = build_mlp(name=f"serve-{index}", hidden_dim=2048, depth=3)
+        model = AIModel(
+            f"serve-{index}", _shared_layers(build_mlp, hidden_dim=2048, depth=3)
+        )
         return model.inference_job(
             requests=max(1, int(100_000 * scale)),
             batch=32,

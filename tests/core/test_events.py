@@ -37,6 +37,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_times_raise_naming_the_value(self):
+        sim = Simulation()
+        nan = float("nan")
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_many([(1.0, lambda: None), (nan, lambda: None)])
+        # Nothing was queued or counted; the clock stays a number.
+        assert sim.pending == 0
+        assert sim.event_counts == (0, 0, 0)
+        sim.schedule(1.0, lambda: None)
+        assert sim.run() == 1.0
+        assert sim.processed == 1
+
     def test_events_fire_in_time_order(self):
         sim = Simulation()
         order = []

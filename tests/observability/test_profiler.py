@@ -12,7 +12,6 @@ from repro.observability import (
     PHASE_DISPATCH,
     PHASE_RUN,
     PHASE_TELEMETRY,
-    KernelProbe,
     PhaseProfiler,
     ProfilingKernelProbe,
     StackSampler,
@@ -197,10 +196,12 @@ class TestProfilingKernelProbe:
         telemetry = Telemetry(simulation=simulation, profiler=PhaseProfiler())
         assert isinstance(simulation._hooks, ProfilingKernelProbe)
 
-    def test_no_profiler_selects_the_plain_probe(self):
-        simulation = Simulation()
-        Telemetry(simulation=simulation, profiler=None)
-        assert type(simulation._hooks) is KernelProbe
+    def test_no_profiler_times_nothing_and_still_counts(self):
+        telemetry, fired = self._run(None)
+        assert fired == [1, 1, 1, 2]
+        assert telemetry.simulation.hooks is None  # no per-event hook
+        assert telemetry.metrics.get("sim.events.fired").total() == 4.0
+        assert telemetry.metrics.get("sim.events.scheduled").total() == 4.0
 
     def test_events_are_timed_and_counted(self):
         profiler = PhaseProfiler()

@@ -1,10 +1,14 @@
 """Tests for the parallel sweep engine: determinism is the contract."""
 
 import hashlib
-import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.errors import ConfigurationError
 from repro.sweep import SweepSpec, named_sweep, run_sweep
 from repro.sweep.engine import _run_point
@@ -111,10 +115,20 @@ class TestNamedSweeps:
 
 
 #: sha256 of the ``smoke`` sweep's ``trace_dir`` files, concatenated in
-#: point order; taken when every point recorded a trace.
+#: point order; each point numbers its flows from 0.
 SMOKE_TRACE_SHA256 = (
-    "72fb96108862e36d97a209c3169a41091d0b9de4d05db8f54ce6d69bef057943"
+    "17cc32a80130be75f9c130e27fdaeef088dcef8568be46fdeaebdd0426767ee5"
 )
+
+
+def _smoke_trace_digest(trace_dir) -> str:
+    written = sorted(pathlib.Path(trace_dir).glob("point-*.jsonl"))
+    assert len(written) == 8
+    assert all(path.stat().st_size > 0 for path in written)
+    digest = hashlib.sha256()
+    for path in written:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class TestPointTrace:
@@ -147,20 +161,29 @@ class TestPointTrace:
         assert records[str(tmp_path), False] > 0
         assert records[None, True] == records[str(tmp_path), False]
 
-    def test_smoke_trace_files_are_pinned(self, tmp_path, monkeypatch):
-        # Default flow ids come from a process-wide counter; the pin was
-        # taken from a fresh one.
-        from repro.interconnect import fabric
-
-        monkeypatch.setattr(fabric, "_flow_ids", itertools.count())
+    def test_smoke_trace_files_are_pinned(self, tmp_path):
         run_sweep(named_sweep("smoke"), workers=1, trace_dir=str(tmp_path))
-        written = sorted(tmp_path.glob("point-*.jsonl"))
-        assert len(written) == 8
-        assert all(path.stat().st_size > 0 for path in written)
-        digest = hashlib.sha256()
-        for path in written:
-            digest.update(path.read_bytes())
-        assert digest.hexdigest() == SMOKE_TRACE_SHA256
+        assert _smoke_trace_digest(tmp_path) == SMOKE_TRACE_SHA256
+
+    def test_trace_files_do_not_depend_on_earlier_sweeps(self, tmp_path):
+        # A point's trace is a function of (seed, spec): the same in a
+        # fresh process as in one where another sweep made flows first.
+        fresh = tmp_path / "fresh"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from repro.sweep import named_sweep, run_sweep\n"
+             "run_sweep(named_sweep('smoke'), workers=1, "
+             "trace_dir=sys.argv[1])\n",
+             str(fresh)],
+            env={**os.environ,
+                 "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+            check=True,
+        )
+        run_sweep(named_sweep("smoke"), workers=1)
+        again = tmp_path / "again"
+        run_sweep(named_sweep("smoke"), workers=1, trace_dir=str(again))
+        assert _smoke_trace_digest(again) == _smoke_trace_digest(fresh)
 
 
 class TestWorkerBody:

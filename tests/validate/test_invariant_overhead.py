@@ -1,9 +1,9 @@
 """The invariant checker's cost gate: under 5% of an event-heavy profile.
 
 The cost is attributed, not raced (see ``tests/_timing.py``).  It is the
-per-callback cost of :class:`KernelInvariantHooks` chained in front of
-telemetry's :class:`KernelProbe`, over the bare probe, times the
-schedules, fires and cancels a validated run makes, plus the end-of-run
+whole per-callback cost of :class:`KernelInvariantHooks` (a plain
+telemetry run calls no kernel hook), times the schedules, fires and
+cancels a validated run makes, plus the end-of-run
 ``check_kernel``/``check_telemetry``.  It is divided by the CPU time of
 the same profile run without the checker.
 """
@@ -12,7 +12,7 @@ import pytest
 
 from repro import profiles
 from repro.core.events import Event, Simulation
-from repro.observability import KernelProbe, Telemetry
+from repro.observability import Telemetry
 from repro.validate import InvariantChecker, KernelInvariantHooks, run_validated
 from tests._timing import min_cpu_seconds, seconds_per_call
 
@@ -31,17 +31,12 @@ CALLS = {
 def _hook_tax_seconds(metrics) -> float:
     simulation = Simulation()
     event = Event(time=0.0, sequence=0, callback=lambda: None)
-    plain = KernelProbe(Telemetry())
-    hooked = KernelInvariantHooks(
-        InvariantChecker(), "simulation", inner=KernelProbe(Telemetry())
-    )
+    hooks = KernelInvariantHooks(InvariantChecker(), "simulation")
     tax = 0.0
     for name, counter in CALLS.items():
-        extra = seconds_per_call(
-            getattr(hooked, name), simulation, event
-        ) - seconds_per_call(getattr(plain, name), simulation, event)
+        per_call = seconds_per_call(getattr(hooks, name), simulation, event)
         calls = metrics.get(counter).total() if counter in metrics else 0.0
-        tax += max(0.0, extra) * calls
+        tax += per_call * calls
     return tax
 
 

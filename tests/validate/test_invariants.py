@@ -4,9 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.events import Simulation
+from repro.core.events import Simulation, SimulationHooks
 from repro.interconnect.fabric import FlowStats
-from repro.observability import Telemetry
+from repro.observability import (
+    PHASE_DISPATCH,
+    PhaseProfiler,
+    ProfilingKernelProbe,
+    Telemetry,
+)
 from repro.profiles import PROFILES
 from repro.validate import (
     InvariantChecker,
@@ -28,16 +33,41 @@ def _flow(**overrides):
     return FlowStats(**base)
 
 
+class _RecordingHooks(SimulationHooks):
+    """An inner observer that logs every callback the kernel hands it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_schedule(self, simulation, event):
+        self.calls.append(("schedule", event.sequence))
+
+    def on_fire_start(self, simulation, event):
+        self.calls.append(("fire_start", event.sequence))
+
+    def on_fire(self, simulation, event):
+        self.calls.append(("fire", event.sequence))
+
+    def on_cancel(self, simulation, event):
+        self.calls.append(("cancel", event.sequence))
+
+
 class TestKernelHookChaining:
     def test_attach_wraps_and_delegates_to_kernel_probe(self):
-        """After attach, both the invariant hooks and telemetry's probe see
-        every schedule/fire/cancel — chaining must not eat callbacks."""
+        """After attach, a profiled run's ProfilingKernelProbe still times
+        every fired event and telemetry still counts every schedule/fire/
+        cancel once — chaining must not eat callbacks, and the invariant
+        hooks count nothing of their own."""
         simulation = Simulation()
-        telemetry = Telemetry()
+        profiler = PhaseProfiler()
+        telemetry = Telemetry(profiler=profiler)
         telemetry.bind_simulation(simulation)
+        probe = simulation.hooks
+        assert isinstance(probe, ProfilingKernelProbe)
         checker = InvariantChecker("chain")
         hooks = checker.attach(simulation)
         assert isinstance(simulation.hooks, KernelInvariantHooks)
+        assert hooks.inner is probe
 
         events = [
             simulation.schedule(float(i), lambda: None) for i in range(5)
@@ -45,12 +75,35 @@ class TestKernelHookChaining:
         simulation.cancel(events[4])
         simulation.run()
 
-        assert (hooks.scheduled, hooks.fired, hooks.cancelled) == (5, 4, 1)
+        assert simulation.event_counts == (5, 4, 1)
+        assert profiler.calls(PHASE_DISPATCH) == 4
         registry = telemetry.metrics
         assert registry.get("sim.events.scheduled").total() == 5
         assert registry.get("sim.events.fired").total() == 4
         assert registry.get("sim.events.cancelled").total() == 1
 
+        checker.check_kernel()
+        assert checker.ok
+
+    def test_attach_delegates_every_callback_in_order(self):
+        simulation = Simulation()
+        recorder = _RecordingHooks()
+        simulation.set_hooks(recorder)
+        checker = InvariantChecker("chain")
+        assert checker.attach(simulation).inner is recorder
+
+        events = [
+            simulation.schedule(float(i), lambda: None) for i in range(3)
+        ]
+        simulation.cancel(events[2])
+        simulation.run()
+
+        assert recorder.calls == [
+            ("schedule", 0), ("schedule", 1), ("schedule", 2),
+            ("cancel", 2),
+            ("fire_start", 0), ("fire", 0),
+            ("fire_start", 1), ("fire", 1),
+        ]
         checker.check_kernel()
         assert checker.ok
 
@@ -93,8 +146,8 @@ class TestKernelViolationDetection:
     def test_event_ledger_imbalance_is_flagged_at_run_end(self):
         simulation = Simulation()
         checker = InvariantChecker()
-        hooks = checker.attach(simulation)
-        hooks.fired = 3  # forged: more fires than schedules
+        checker.attach(simulation)
+        simulation._processed = 3  # forged: more fires than schedules
         checker.check_kernel()
         assert any(v.check == "kernel.ledger" for v in checker.violations)
 

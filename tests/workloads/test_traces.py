@@ -1,11 +1,18 @@
 """Tests for the job trace generator."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
+from repro.workloads.ai import build_cnn, build_mlp, build_transformer
 from repro.workloads.base import JobClass
-from repro.workloads.traces import JobTraceGenerator, TraceConfig
+from repro.workloads.traces import (
+    JobTraceGenerator,
+    TraceConfig,
+    _shared_layers,
+)
 
 
 class TestTraceConfig:
@@ -116,3 +123,69 @@ class TestGeneration:
 
         with pytest.raises(ConfigurationError):
             TraceConfig(qos_mix={QoSClass.PREMIUM: 0.0})
+
+
+class _FreshModels(JobTraceGenerator):
+    """The generator as it was before model shapes were shared: a whole
+    fresh model per job, named after the job."""
+
+    def _make_training(self, index, scale):
+        builder = self.rng.choice([build_mlp, build_cnn, build_transformer])
+        model = builder(name=f"model-{index}")
+        steps = max(10, int(500 * scale))
+        ranks = int(self.rng.choice([1, 2, 4, 8]))
+        return model.training_job(
+            batch=256, steps=steps, ranks=ranks,
+            input_dataset=f"dataset-{index % 20}", input_bytes=10e9 * scale,
+        )
+
+    def _make_inference(self, index, scale):
+        model = build_mlp(name=f"serve-{index}", hidden_dim=2048, depth=3)
+        return model.inference_job(
+            requests=max(1, int(100_000 * scale)), batch=32,
+        )
+
+
+def _job_fields(job):
+    """Every field but the process-wide ``job_id``."""
+    return {f.name: getattr(job, f.name) for f in fields(job)
+            if f.name != "job_id"}
+
+
+class TestSharedModelShapes:
+    CONFIG = dict(arrival_rate=0.05, duration=2_000.0, max_jobs=40, mix={
+        JobClass.SIMULATION: 0.25, JobClass.ANALYTICS: 0.25,
+        JobClass.ML_TRAINING: 0.25, JobClass.ML_INFERENCE: 0.25,
+    })
+
+    def _trace(self, cls, seed):
+        return cls(
+            TraceConfig(**self.CONFIG), rng=RandomSource(seed=seed)
+        ).generate()
+
+    def test_jobs_equal_those_from_fresh_models(self):
+        seen = set()
+        for seed in range(20):
+            shared = self._trace(JobTraceGenerator, seed)
+            fresh = self._trace(_FreshModels, seed)
+            assert len(shared) == len(fresh) > 0
+            for ours, theirs in zip(shared, fresh):
+                assert _job_fields(ours) == _job_fields(theirs)
+            seen.update(job.job_class for job in shared)
+        assert seen == set(self.CONFIG["mix"])  # every class it can build
+
+    def test_shared_layers_cannot_be_mutated_through_jobs(self):
+        reference = [_job_fields(job)
+                     for job in self._trace(_FreshModels, 5)]
+        for job in self._trace(JobTraceGenerator, 5):
+            for task in job.tasks:
+                task.phases.clear()
+            job.tasks.clear()
+        again = [_job_fields(job)
+                 for job in self._trace(JobTraceGenerator, 5)]
+        assert again == reference
+        for builder in (build_mlp, build_cnn, build_transformer):
+            layers = _shared_layers(builder)
+            assert isinstance(layers, tuple)
+            with pytest.raises(FrozenInstanceError):
+                layers[0].k = 1
