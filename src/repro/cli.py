@@ -12,17 +12,15 @@ Run as ``python -m repro <command>``:
   (``metrics C16`` is the fault-injection campaign),
 * ``profile``    — run an experiment under the wall-clock profiler and
   report where host time went (phases, event types, top frames),
-* ``sweep``      — fan a scenario sweep over worker processes (or, with
-  ``--backend tcp``, over a fleet of worker hosts),
-* ``sweep-worker`` — serve one worker host for a tcp-backend sweep,
+* ``sweep``      — fan a scenario sweep over worker processes,
 * ``serve`` / ``serve-request`` — the simulation service and its client,
 * ``validate``   — run invariants, differential checks and golden-
   fingerprint comparisons (``--record`` refreshes the goldens).
 
 ``--set KEY=VALUE`` is the one override spelling (for a profile or
 ``build_topology``).  A flag that names a library field (of
-``SupervisorConfig``, ``FleetConfig``, ``ServeConfig``, ``run_worker`` or
-``validate``) reaches it only when given: the library holds the defaults.
+``SupervisorConfig``, ``ServeConfig`` or ``validate``) reaches it only
+when given: the library holds the defaults.
 """
 
 from __future__ import annotations
@@ -464,8 +462,7 @@ def _resume_command(argv: List[str], journal_path: str) -> str:
 
     Printed in the Ctrl-C hint so resuming is one copy-paste: the
     interrupted command's own arguments, with ``--journal``/``--resume``
-    replaced by ``--resume`` at the flushed journal and the
-    ``--auth-token`` value replaced by a placeholder.
+    replaced by ``--resume`` at the flushed journal.
     """
     import shlex
 
@@ -473,15 +470,10 @@ def _resume_command(argv: List[str], journal_path: str) -> str:
     tokens = iter(argv)
     for token in tokens:
         flag, inline, _ = token.partition("=")
-        dropped = _is_flag(flag, "--journal") or _is_flag(flag, "--resume")
-        secret = _is_flag(flag, "--auth-token")
-        if not (dropped or secret):
+        if not (_is_flag(flag, "--journal") or _is_flag(flag, "--resume")):
             parts.append(token)
-            continue
-        if not inline:
+        elif not inline:
             next(tokens, None)
-        if secret:
-            parts += ["--auth-token", "<SECRET>"]
     parts += ["--resume", str(journal_path)]
     return "repro " + shlex.join(parts)
 
@@ -493,12 +485,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
     --strict point failure), 2 bad arguments, 130 interrupted (journal
     flushed; resume with --resume).
     """
+    if args.resume is not None and len(args.resume) > 1:
+        print("--resume takes one journal; merging journals went with the "
+              "tcp fleet", file=sys.stderr)
+        return 2
+    resume = args.resume[0] if args.resume else None
+
     from repro.analysis.aggregate import pivot, summary_table
-    from repro.analysis.tables import Table
     from repro.sweep import (
         NAMED_SWEEPS,
-        FleetConfig,
-        FleetError,
         SupervisorConfig,
         SweepPointError,
         SweepSpec,
@@ -534,20 +529,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
         print(error.args[0], file=sys.stderr)
         return 2
 
-    def announce(host: str, port: int) -> None:
-        print(f"fleet coordinator listening on {host}:{port}", flush=True)
-
-    fleet = None
     try:
         config = SupervisorConfig(**_given(args, SupervisorConfig))
-        if args.backend == "tcp":
-            fleet = FleetConfig(**_given(args, FleetConfig), on_listen=announce)
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
         return 2
 
     total = len(spec.grid)
-    journal = getattr(args, "journal", None)
 
     def report(point) -> None:
         print(f"  point {point.index + 1}/{total} done "
@@ -568,14 +556,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
     try:
         try:
             result = run_sweep(
-                spec, workers=args.workers,
-                trace_dir=getattr(args, "trace_dir", None),
+                spec, workers=args.workers, trace_dir=args.trace_dir,
                 progress=reporter if reporter is not None
                 else (report if args.verbose else None),
-                config=config, journal=journal, resume=args.resume,
+                config=config, journal=args.journal, resume=resume,
                 telemetry=parent_telemetry,
                 collect_telemetry=collect_telemetry,
-                backend=args.backend, fleet=fleet,
+                backend=args.backend,
             )
         finally:
             if reporter is not None:
@@ -583,7 +570,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
         return 2
-    except (SweepPointError, FleetError) as error:
+    except SweepPointError as error:
         print(str(error), file=sys.stderr)
         return 1
     except KeyboardInterrupt as interrupt:
@@ -592,7 +579,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         partial = getattr(interrupt, "partial", None)
         done = len(partial.points) if partial is not None else 0
         remaining = total - done
-        journal_path = args.resume[0] if args.resume else journal
+        journal_path = resume or args.journal
         print(f"\ninterrupted: {done}/{total} point(s) completed "
               f"before Ctrl-C; {remaining} remaining", file=sys.stderr)
         if journal_path:
@@ -636,19 +623,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         for failure in result.failures:
             print(f"  point {failure.index} ({failure.attempts} attempts): "
                   f"{failure.error}", file=sys.stderr)
-    if args.backend == "tcp" and parent_telemetry is not None:
-        from repro.observability import host_breakdown, summarize_telemetry
-
-        per_host = host_breakdown(summarize_telemetry(parent_telemetry))
-        if per_host:
-            events = sorted({e for ev in per_host.values() for e in ev})
-            fleet_table = Table("Fleet hosts", ["host"] + events)
-            for host_name, values in per_host.items():
-                fleet_table.add_row(
-                    host_name,
-                    *(f"{values.get(event, 0.0):g}" for event in events),
-                )
-            fleet_table.print()
     if collect_telemetry and result.telemetry is not None:
         spans = sum(
             entry.get("count", 0)
@@ -673,27 +647,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         path = save_sweep(result, args.output)
         print(f"wrote sweep results to {path}")
     return 0 if result.ok else 1
-
-
-def _command_sweep_worker(args: argparse.Namespace) -> int:
-    """Serve one sweep worker host until its coordinator releases it.
-
-    Exit codes: 0 orderly shutdown, 1 coordinator connection lost
-    mid-sweep, 2 bad arguments or unreachable coordinator.
-    """
-    from repro.sweep import FleetError
-    from repro.sweep.remote_worker import run_worker
-
-    if not _preload(args.preload):
-        return 2
-    _imports_done()
-    try:
-        return run_worker(**_given(args, run_worker))
-    except (FleetError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 130
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -863,27 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=V1,V2", help="a grid axis for --target (repeatable)",
     )
     target.add_argument("--seed", type=int, default=None, help="sweep seed")
-    # run_worker parameters (--auth-token is a FleetConfig field too): a
-    # flag left out leaves the library's default.
-    fleet = argparse.ArgumentParser(
-        add_help=False, argument_default=argparse.SUPPRESS
-    )
-    fleet.add_argument(
-        "--journal", metavar="PATH",
-        help="journal every completed point to this crash-consistent JSONL "
-             "file (a worker host's journal merges into `repro sweep "
-             "--resume`)",
-    )
-    fleet.add_argument(
-        "--trace-dir",
-        help="write one telemetry JSONL per point under this directory",
-    )
-    fleet.add_argument(
-        "--auth-token", metavar="SECRET",
-        help="tcp backend: the shared secret of every worker hello "
-             "(compared constant-time; a mismatch is rejected with an "
-             "explicit frame)",
-    )
     preload = argparse.ArgumentParser(add_help=False)
     preload.add_argument(
         "--preload", action="append", default=[], metavar="MODULE",
@@ -974,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = subparsers.add_parser(
-        "sweep", parents=[target, fleet],
+        "sweep", parents=[target],
         help="run a scenario sweep over a worker pool",
     )
     sweep.add_argument(
@@ -992,11 +924,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--verbose", action="store_true")
     sweep.add_argument(
+        "--journal", default=None, metavar="PATH",
+        help="journal every completed point to this crash-consistent JSONL "
+             "file",
+    )
+    # Appended so that a second --resume is an error, not a silent override.
+    sweep.add_argument(
         "--resume", action="append", default=None, metavar="PATH",
         help="resume from a journal: skip its completed points, append "
-             "new ones (fingerprint matches an uninterrupted run); "
-             "repeatable — extra paths (worker-host journals of an "
-             "interrupted fleet run) are merged into the first",
+             "new ones (fingerprint matches an uninterrupted run)",
+    )
+    sweep.add_argument(
+        "--trace-dir", default=None,
+        help="write one telemetry JSONL per point under this directory",
     )
     sweep.add_argument(
         "--progress", action="store_true",
@@ -1015,12 +955,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend", default=None, choices=BACKEND_NAMES,
-        help="executor backend: local (supervised worker processes) or "
-             "tcp (shard over `repro sweep-worker` hosts); default: in "
-             "process for one worker with no --timeout or --chaos, local "
-             "otherwise",
+        help="executor backend: local (supervised worker processes); "
+             "default: in process for one worker with no --timeout or "
+             "--chaos, local otherwise",
     )
-    # SupervisorConfig and FleetConfig fields: left out, the library decides.
+    # SupervisorConfig fields: left out, the library decides.
     policy = sweep.add_argument_group(
         "fault tolerance", argument_default=argparse.SUPPRESS
     )
@@ -1048,62 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="raise on the first exhausted point instead of returning a "
              "partial result with an error ledger",
     )
-    tcp = sweep.add_argument_group(
-        "tcp backend", argument_default=argparse.SUPPRESS
-    )
-    tcp.add_argument(
-        "--listen", metavar="HOST:PORT",
-        help="coordinator listen address (port 0 = ephemeral; the bound "
-             "address is printed)",
-    )
-    tcp.add_argument(
-        "--min-hosts", type=int, metavar="N",
-        help="wait for N connected worker hosts before dispatching any "
-             "point",
-    )
-    tcp.add_argument(
-        "--heartbeat-interval", type=float, metavar="SECONDS",
-        help="expected worker heartbeat cadence",
-    )
-    tcp.add_argument(
-        "--heartbeat-timeout", type=float, metavar="SECONDS",
-        help="declare a silent host dead after this long (unset: 10x the "
-             "heartbeat interval)",
-    )
-    tcp.add_argument(
-        "--wait-for-hosts", type=float, metavar="SECONDS",
-        help="give up (FleetError) after this long with zero usable hosts",
-    )
-    tcp.add_argument(
-        "--no-steal", dest="steal", action="store_false",
-        help="disable work stealing (idle hosts reclaiming unstarted "
-             "points from loaded ones)",
-    )
-
-    # Every flag but --preload is a run_worker parameter.
-    worker = subparsers.add_parser(
-        "sweep-worker", parents=[fleet, preload],
-        argument_default=argparse.SUPPRESS,
-        help="serve one sweep worker host for a tcp-backend coordinator",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator's address (as printed by "
-             "`repro sweep --backend tcp`)",
-    )
-    worker.add_argument(
-        "--slots", type=int, metavar="N",
-        help="points this host runs concurrently (one child process each)",
-    )
-    worker.add_argument(
-        "--name", help="host label in fleet telemetry (unset: hostname:pid)",
-    )
-    worker.add_argument(
-        "--connect-timeout", type=float, metavar="SECONDS",
-        help="keep retrying the initial dial this long (the coordinator "
-             "may boot late)",
-    )
-
     # Every flag but --preload is a ServeConfig field.
     serve = subparsers.add_parser(
         "serve", parents=[preload], argument_default=argparse.SUPPRESS,
@@ -1221,7 +1104,6 @@ _HANDLERS = {
     "metrics": _command_metrics,
     "profile": _command_profile,
     "sweep": _command_sweep,
-    "sweep-worker": _command_sweep_worker,
     "serve": _command_serve,
     "serve-request": _command_serve_request,
     "validate": _command_validate,

@@ -160,9 +160,7 @@ class LinkEvent:
     """A scheduled link state change for :meth:`FabricSimulator.run`.
 
     The undirected ``link`` (an ``(u, v)`` edge of the topology) goes down
-    (``up=False``) or comes back (``up=True``) at ``time``. Build these by
-    hand or from a fault campaign via
-    :func:`repro.resilience.recovery.link_events_from_timeline`.
+    (``up=False``) or comes back (``up=True``) at ``time``.
     """
 
     time: float

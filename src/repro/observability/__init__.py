@@ -54,9 +54,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".progress": ("SweepProgressReporter",),
     ".summary": (
-        "host_breakdown", "label_string", "merge_summaries",
-        "parse_label_string", "registry_from_summary", "summarize_telemetry",
-        "summary_totals",
+        "label_string", "merge_summaries", "parse_label_string",
+        "registry_from_summary", "summarize_telemetry", "summary_totals",
     ),
     ".tracer": (
         "NULL_TRACER", "CounterRecord", "InstantRecord", "SpanRecord",
@@ -93,7 +92,6 @@ __all__ = [
     "counter_rows",
     "exponential_buckets",
     "histogram_rows",
-    "host_breakdown",
     "jsonl_lines",
     "label_string",
     "load_jsonl",

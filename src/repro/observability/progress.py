@@ -28,13 +28,6 @@ _HARNESS_COUNTERS = (
     ("failed", "fail"),
 )
 
-#: Fleet counters (tcp backend) worth surfacing on the same line.
-_FLEET_COUNTERS = (
-    ("hosts_seen", "hosts"),
-    ("hosts_lost", "lost"),
-    ("stolen", "stolen"),
-)
-
 
 class SweepProgressReporter:
     """Renders sweep progress as results arrive.
@@ -93,35 +86,25 @@ class SweepProgressReporter:
         ):
             self._emit(now)
 
+    def _harness(self) -> dict:
+        """The non-zero ``sweep.supervisor.*`` totals, by counter name."""
+        harness = {}
+        if self.telemetry is not None:
+            registry = self.telemetry.metrics
+            for counter, _ in _HARNESS_COUNTERS:
+                name = f"sweep.supervisor.{counter}"
+                if name in registry:
+                    value = registry.get(name).total()
+                    if value:
+                        harness[counter] = value
+        return harness
+
     def _harness_suffix(self) -> str:
-        if self.telemetry is None:
-            return ""
-        registry = self.telemetry.metrics
-        parts = []
-        for counter, label in _HARNESS_COUNTERS:
-            name = f"sweep.supervisor.{counter}"
-            if name in registry:
-                value = registry.get(name).total()
-                if value:
-                    parts.append(f"{label}={value:g}")
-        # Fleet counters only exist under the tcp backend; ``hosts``
-        # shows live connected hosts (seen minus lost), so an operator
-        # watching the line sees the fleet shrink and recover.
-        for counter, label in _FLEET_COUNTERS:
-            name = f"sweep.supervisor.{counter}"
-            if name not in registry:
-                continue
-            value = registry.get(name).total()
-            if counter == "hosts_seen":
-                lost_name = "sweep.supervisor.hosts_lost"
-                lost = (
-                    registry.get(lost_name).total()
-                    if lost_name in registry else 0.0
-                )
-                if value:
-                    parts.append(f"{label}={value - lost:g}/{value:g}")
-            elif value:
-                parts.append(f"{label}={value:g}")
+        harness = self._harness()
+        parts = [
+            f"{label}={harness[counter]:g}"
+            for counter, label in _HARNESS_COUNTERS if counter in harness
+        ]
         return f" [{' '.join(parts)}]" if parts else ""
 
     def line(self, now: Optional[float] = None) -> str:
@@ -147,26 +130,17 @@ class SweepProgressReporter:
         This is the machine-readable twin of :meth:`line`, streamed as
         NDJSON ``progress`` events by ``python -m repro serve``.  The
         ``harness`` map carries the non-zero ``sweep.supervisor.*``
-        counter totals (retries, crashes, timeouts, fleet churn) so a
+        counter totals (retries, crashes, timeouts, failures) so a
         streaming client sees the same recovery story a TTY watcher
         would.
         """
         now = self.clock() if now is None else now
         elapsed = max(now - self._started, 1e-9)
-        harness = {}
-        if self.telemetry is not None:
-            registry = self.telemetry.metrics
-            for counter, _ in _HARNESS_COUNTERS + _FLEET_COUNTERS:
-                name = f"sweep.supervisor.{counter}"
-                if name in registry:
-                    value = registry.get(name).total()
-                    if value:
-                        harness[counter] = value
         return {
             "done": self.done,
             "total": self.total,
             "rate_pts_per_s": self.done / elapsed,
-            "harness": harness,
+            "harness": self._harness(),
         }
 
     def _emit(self, now: float) -> None:

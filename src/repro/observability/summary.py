@@ -99,36 +99,6 @@ def summarize_telemetry(telemetry) -> dict:
     }
 
 
-def host_breakdown(
-    summary: dict, prefix: str = "sweep.fleet."
-) -> Dict[str, Dict[str, float]]:
-    """Per-host fleet event counts from a summary's labelled counters.
-
-    The distributed sweep coordinator labels every ``sweep.fleet.*``
-    counter increment with ``host=<name>``; this folds those series into
-    ``{host: {event: value}}`` — e.g. ``{"h0": {"dispatched": 6.0,
-    "completed": 6.0}}`` — for fleet dashboards and the CLI's post-sweep
-    per-host table.  Hosts and events come back sorted so the rendering
-    is stable.
-    """
-    hosts: Dict[str, Dict[str, float]] = {}
-    for name, entry in summary.get("counters", {}).items():
-        if not name.startswith(prefix):
-            continue
-        event = name[len(prefix):]
-        for rendered, value in entry.get("series", {}).items():
-            labels = parse_label_string(rendered)
-            host = labels.get("host")
-            if host is None:
-                continue
-            events = hosts.setdefault(host, {})
-            events[event] = events.get(event, 0.0) + float(value)
-    return {
-        host: dict(sorted(events.items()))
-        for host, events in sorted(hosts.items())
-    }
-
-
 def merge_summaries(summaries: Iterable[Optional[dict]]) -> dict:
     """Fold summaries (in the given order) into one aggregate summary.
 

@@ -34,9 +34,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "ResilienceReport", "check_conservation", "cluster_report",
         "conservation",
     ),
-    ".recovery": (
-        "CheckpointPlan", "bind_cluster", "link_events_from_timeline",
-    ),
+    ".recovery": ("CheckpointPlan", "bind_cluster"),
     ".retry": ("RetryPolicy",),
 })
 
@@ -70,7 +68,6 @@ __all__ = [
     "RetryPolicy",
     "CheckpointPlan",
     "bind_cluster",
-    "link_events_from_timeline",
     "ResilienceReport",
     "conservation",
     "check_conservation",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.errors import ConfigurationError
 from repro.resilience.faults import FaultEvent, FaultKind
@@ -127,24 +126,3 @@ def bind_cluster(injector: FaultInjector, cluster) -> None:
             cluster.fail_node()
 
     injector.on(FaultKind.NODE, react)
-
-
-def link_events_from_timeline(timeline: List[FaultEvent]):
-    """Convert a timeline's LINK faults into fabric ``LinkEvent`` pairs.
-
-    Each flap becomes a down event at its time and an up event after its
-    repair duration, ready to pass to
-    :meth:`~repro.interconnect.fabric.FabricSimulator.run` as
-    ``link_events=``.
-    """
-    from repro.interconnect.fabric import LinkEvent
-
-    events = []
-    for fault in timeline:
-        if fault.kind is not FaultKind.LINK:
-            continue
-        link = fault.link
-        events.append(LinkEvent(time=fault.time, link=link, up=False))
-        events.append(LinkEvent(time=fault.time + fault.duration, link=link, up=True))
-    events.sort(key=lambda e: e.time)
-    return events

@@ -470,7 +470,7 @@ class ServiceApp:
             progress=on_point,
             config=SupervisorConfig(strict=True),
             journal=None if resuming else str(journal),
-            resume=[str(journal)] if resuming else None,
+            resume=str(journal) if resuming else None,
             telemetry=self.telemetry,
         )
         return sweep_fingerprint(result), executed_events[0]

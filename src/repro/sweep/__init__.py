@@ -30,16 +30,6 @@ run can journal every completed point to a crash-consistent JSONL file
 ``run_sweep(spec, resume=path)`` — with a fingerprint bit-identical to
 an uninterrupted run.
 
-Distribution is the other executor backend
-(:mod:`repro.sweep.backends`): ``run_sweep(spec, backend="tcp",
-fleet=FleetConfig(...))`` shards the grid over TCP worker hosts
-(``repro sweep-worker``) with heartbeats, dead-host requeue and
-work-stealing (:mod:`repro.sweep.coordinator`,
-:mod:`repro.sweep.remote_worker`); killing any subset of hosts and
-resuming from the merged journals
-(:func:`~repro.sweep.journal.merge_journals`) still reproduces the
-single-process fingerprint.
-
 Quickstart
 ----------
 >>> from repro.sweep import SweepSpec, run_sweep
@@ -54,19 +44,15 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".backends": (
-        "BACKEND_NAMES", "BaseExecutor", "FleetConfig", "FleetError",
-        "PointFailure", "SweepInterrupted", "SweepPointError",
-        "backoff_delay", "create_executor",
+        "BACKEND_NAMES", "BaseExecutor", "PointFailure", "SweepInterrupted",
+        "SweepPointError", "backoff_delay", "create_executor",
     ),
     ".engine": (
         "PointResult", "SweepResult", "SweepSpec", "run_sweep",
         "spec_from_request",
     ),
     ".grid": ("ParameterGrid", "ScenarioPoint"),
-    ".journal": (
-        "RunJournal", "load_journal", "merge_journals", "point_payload_digest",
-    ),
-    ".remote_worker": ("run_worker",),
+    ".journal": ("RunJournal", "load_journal"),
     ".store": ("SCHEMA", "load_sweep", "save_sweep", "sweep_document"),
     ".supervisor": ("ChaosSpec", "SupervisorConfig", "parse_chaos"),
     ".targets": (
@@ -80,8 +66,6 @@ __all__ = [
     "BaseExecutor",
     "ChaosSpec",
     "FABRIC_CONGESTION_VARIANTS",
-    "FleetConfig",
-    "FleetError",
     "NAMED_SWEEPS",
     "ParameterGrid",
     "PointFailure",
@@ -99,14 +83,11 @@ __all__ = [
     "create_executor",
     "load_journal",
     "load_sweep",
-    "merge_journals",
     "named_sweep",
     "parse_chaos",
-    "point_payload_digest",
     "register_target",
     "resolve_target",
     "run_sweep",
-    "run_worker",
     "save_sweep",
     "spec_from_request",
     "sweep_document",

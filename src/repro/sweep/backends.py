@@ -1,4 +1,4 @@
-"""Sweep executors: one interface, in-process, local or distributed.
+"""Sweep executors: one interface, in process or in supervised workers.
 
 Every ``run_sweep`` call drives its points through the one executor
 :func:`create_executor` picks; the engine, journal and fingerprint
@@ -12,28 +12,18 @@ contract never change with the choice:
   a one-worker sweep with no ``backend``, ``timeout``, ``chaos`` or
   ``start_method``: nothing there needs a process boundary, and
   skipping the child's boot and pipe is measurably faster.
-* every other run, by backend name:
-
-  =========== ========================================================
-  name        substrate
-  =========== ========================================================
-  local       supervised child processes
-              (:mod:`repro.sweep.supervisor`), started by the config's
-              ``start_method`` (``fork`` where available by default)
-  tcp         a socket coordinator sharding points to remote worker
-              hosts (:mod:`repro.sweep.coordinator`)
-  =========== ========================================================
+* every other run goes to the ``local`` backend: supervised child
+  processes (:mod:`repro.sweep.supervisor`), started by the config's
+  ``start_method`` (``fork`` where available by default).
 
 * :func:`backoff_delay` — deterministic retry backoff with optional
   jitter, forked per ``(seed, sweep, index, attempt)`` exactly like
   :class:`~repro.sweep.supervisor.ChaosSpec` draws, so retry timelines
-  are reproducible at any worker or host count.
-* :class:`FleetConfig` — the knobs only the ``tcp`` backend reads
-  (listen address, minimum hosts, heartbeat cadence, work stealing).
+  are reproducible at any worker count.
 
 Every executor upholds the same contract: point outcomes are pure
 functions of ``(seed, sweep name, point index)``, so fingerprints are
-bit-identical across executors, worker counts and host counts.
+bit-identical across executors and worker counts.
 """
 
 from __future__ import annotations
@@ -43,14 +33,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
+from repro.core.rng import RandomSource
 
 
 class SweepPointError(ReproError):
     """A point exhausted its retry budget in a fail-fast run."""
-
-
-class FleetError(ReproError):
-    """The distributed fleet cannot make progress (no usable hosts)."""
 
 
 class SweepInterrupted(KeyboardInterrupt):
@@ -94,15 +81,11 @@ class _Task:
 
 
 #: Counter names every backend maintains (all also exported as
-#: ``sweep.supervisor.<name>`` observability counters).  The ``tcp``
-#: backend adds the fleet counters on top.
+#: ``sweep.supervisor.<name>`` observability counters).
 COUNTERS = (
     "dispatched", "completed", "retries", "requeued", "crashes",
     "timeouts", "errors", "failed", "workers_replaced", "resumed",
 )
-
-#: Extra counters only the distributed coordinator maintains.
-FLEET_COUNTERS = ("hosts_seen", "hosts_lost", "stolen", "cancelled")
 
 
 #: Backoff before a point's first retry; each further retry doubles it.
@@ -118,73 +101,15 @@ def backoff_delay(config, seed: int, sweep_name: str, index: int,
     ``config.jitter > 0`` stretches it by up to ``jitter`` of itself,
     drawn from ``RandomSource(seed).fork(f"backoff/{sweep}/{index}/{attempt}")``
     — a pure function of the sweep seed, point and attempt, never of the
-    host or worker running it, so retry timelines reproduce at any fleet
-    shape.
+    worker running it, so retry timelines reproduce at any worker count.
     """
     if attempt <= 1:
         return 0.0
     base = RETRY_BACKOFF * 2.0 ** (attempt - 2)
     if config.jitter <= 0.0:
         return base
-    # Imported here so a sweep-worker host starts without numpy.
-    from repro.core.rng import RandomSource
-
     rng = RandomSource(seed).fork(f"backoff/{sweep_name}/{index}/{attempt}")
     return base * (1.0 + config.jitter * rng.uniform())
-
-
-@dataclass
-class FleetConfig:
-    """Knobs for the ``tcp`` backend's coordinator.
-
-    ``listen`` is ``host:port`` (port ``0`` binds an ephemeral port);
-    ``on_listen(host, port)`` fires once the socket is bound — the CLI
-    prints the address, tests use it to spawn loopback workers against
-    the real port.  ``min_hosts`` hosts must be connected before any
-    point is dispatched.  A host that has not been heard from for
-    ``heartbeat_timeout`` seconds (default ``10 x heartbeat_interval``)
-    is declared dead and its points reassigned.  ``wait_for_hosts``
-    bounds how long the coordinator waits with zero usable hosts before
-    raising :class:`FleetError` instead of stalling forever.
-    ``auth_token`` (optional) demands a matching shared secret in every
-    worker hello, compared constant-time; a mismatch is rejected with an
-    explicit frame so the worker fails cleanly instead of hanging.
-    """
-
-    listen: str = "127.0.0.1:0"
-    min_hosts: int = 1
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: Optional[float] = None
-    #: Reclaim unstarted points from loaded hosts for idle ones.
-    steal: bool = True
-    wait_for_hosts: float = 60.0
-    auth_token: Optional[str] = None
-    on_listen: Optional[Callable[[str, int], None]] = None
-
-    def __post_init__(self) -> None:
-        if self.min_hosts < 1:
-            raise ConfigurationError("fleet needs min_hosts >= 1")
-        if self.heartbeat_interval <= 0:
-            raise ConfigurationError(
-                f"heartbeat interval must be positive: {self.heartbeat_interval}"
-            )
-        if self.heartbeat_timeout is not None and (
-            self.heartbeat_timeout <= self.heartbeat_interval
-        ):
-            raise ConfigurationError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
-            )
-        if self.wait_for_hosts <= 0:
-            raise ConfigurationError(
-                f"wait_for_hosts must be positive: {self.wait_for_hosts}"
-            )
-
-    @property
-    def effective_heartbeat_timeout(self) -> float:
-        if self.heartbeat_timeout is not None:
-            return self.heartbeat_timeout
-        return 10.0 * self.heartbeat_interval
 
 
 class BaseExecutor:
@@ -214,18 +139,13 @@ class BaseExecutor:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def bump(self, name: str, amount: float = 1.0, **labels) -> None:
+    def bump(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + amount
         if self.metrics is not None:
             self.metrics.counter(
                 f"sweep.supervisor.{name}",
                 "sweep supervisor harness event count",
             ).inc(amount)
-            if labels:
-                self.metrics.counter(
-                    f"sweep.fleet.{name}",
-                    "per-host sweep fleet event count",
-                ).inc(amount, **labels)
 
     def _pop_ready(self, now: float) -> Optional[_Task]:
         """The lowest-index pending task whose backoff has expired."""
@@ -245,9 +165,9 @@ class BaseExecutor:
             return None
         return min(task.not_before for task in self._pending)
 
-    def _complete(self, result, attempt: int, **labels) -> None:
+    def _complete(self, result, attempt: int) -> None:
         """One point finished: count it and hand it to the run."""
-        self.bump("completed", **labels)
+        self.bump("completed")
         self._outstanding -= 1
         self._on_result(result, attempt)
 
@@ -327,7 +247,7 @@ class BaseExecutor:
 
 
 #: Names accepted by ``run_sweep(backend=...)`` and ``--backend``.
-BACKEND_NAMES = ("local", "tcp")
+BACKEND_NAMES = ("local",)
 
 
 def create_executor(
@@ -336,7 +256,6 @@ def create_executor(
     config,
     *,
     workers: int = 1,
-    fleet: Optional[FleetConfig] = None,
     **context,
 ) -> BaseExecutor:
     """The executor for one run of ``spec`` under ``config``.
@@ -351,21 +270,6 @@ def create_executor(
         raise ConfigurationError(
             f"unknown sweep backend {backend!r}; registered backends: "
             f"{', '.join(BACKEND_NAMES)}"
-        )
-    if backend == "tcp":
-        from repro.sweep.coordinator import TcpCoordinator
-
-        return TcpCoordinator(
-            spec, config, fleet=fleet or FleetConfig(), **context
-        )
-    if fleet is not None:
-        raise ConfigurationError(
-            "fleet= is only meaningful with backend='tcp'"
-        )
-    if config.chaos is not None and config.chaos.fleet_clauses:
-        raise ConfigurationError(
-            f"chaos clause(s) {', '.join(config.chaos.fleet_clauses)} "
-            "inject host and network faults, which only the tcp backend has"
         )
     if backend is None and workers == 1 and (
         config.timeout is None and config.chaos is None

@@ -4,8 +4,7 @@
 executor (:func:`repro.sweep.backends.create_executor`) and collects one
 :class:`PointResult` per point.  A one-worker sweep with no ``backend``
 that needs no process boundary runs in the calling process; every other
-sweep runs under the supervisor (:mod:`repro.sweep.supervisor`) or the
-``tcp`` fleet coordinator.
+sweep runs under the supervisor (:mod:`repro.sweep.supervisor`).
 
 Determinism contract
 --------------------
@@ -50,12 +49,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.observability import Telemetry, Tracer, write_jsonl
 from repro.observability.summary import merge_summaries, summarize_telemetry
-from repro.sweep.backends import (
-    FleetConfig,
-    PointFailure,
-    SweepInterrupted,
-    create_executor,
-)
+from repro.sweep.backends import PointFailure, SweepInterrupted, create_executor
 from repro.sweep.grid import ParameterGrid, ScenarioPoint
 from repro.sweep.supervisor import SupervisorConfig
 from repro.sweep.targets import preload_target, resolve_target
@@ -310,33 +304,24 @@ def _execute(
     workers: int,
     progress,
     journal: Optional[str],
-    resume: Optional[List[str]],
+    resume: Optional[str],
     collect_telemetry: bool,
     started: float,
 ) -> SweepResult:
     """Drive ``executor`` over the points ``resume`` has not completed."""
-    from repro.sweep.journal import RunJournal, merge_journals
+    from repro.sweep.journal import RunJournal, load_journal
 
     completed: Dict[int, PointResult] = {}
-    foreign: Dict[int, int] = {}
-    journal_path = resume[0] if resume else journal
+    journal_path = resume or journal
     if resume:
-        state = merge_journals(resume)
+        state = load_journal(resume)
         mismatch = state.matches(spec)
         if mismatch is not None:
             raise ConfigurationError(
-                f"cannot resume sweep {spec.name!r} from {resume[0]}: "
+                f"cannot resume sweep {spec.name!r} from {resume}: "
                 f"{mismatch}"
             )
         completed.update(state.completed)
-        # Records merged in from secondary journals (worker hosts of an
-        # interrupted fleet run) get copied into the primary below, so
-        # the primary is self-contained for any later resume.
-        foreign = {
-            index: state.attempts.get(index, 1)
-            for index in state.completed
-            if state.origin.get(index) != str(pathlib.Path(resume[0]))
-        }
     run_journal = (
         RunJournal(
             journal_path, spec,
@@ -344,9 +329,6 @@ def _execute(
         )
         if journal_path is not None else None
     )
-    if run_journal is not None:
-        for index in sorted(foreign):
-            run_journal.record_point(completed[index], foreign[index])
     if completed:
         executor.bump("resumed", float(len(completed)))
     failures: List[PointFailure] = []
@@ -397,12 +379,10 @@ def run_sweep(
     *,
     config: Optional[SupervisorConfig] = None,
     journal: Union[str, pathlib.Path, None] = None,
-    resume: Union[str, pathlib.Path, Sequence[Union[str, pathlib.Path]],
-                  None] = None,
+    resume: Union[str, pathlib.Path, None] = None,
     telemetry: Optional[Telemetry] = None,
     collect_telemetry: bool = False,
     backend: Optional[str] = None,
-    fleet: Optional[FleetConfig] = None,
 ) -> SweepResult:
     """Run every point of ``spec`` and return the assembled result.
 
@@ -431,13 +411,8 @@ def run_sweep(
     journal / resume:
         ``journal=path`` starts a fresh crash-consistent run journal at
         ``path``; ``resume=path`` loads one, skips its completed points
-        and appends to it.  ``resume`` also accepts a *sequence* of
-        paths — an interrupted fleet run's coordinator journal plus its
-        worker-host journals — which are merged
-        (:func:`repro.sweep.journal.merge_journals`) with the
-        first-listed path becoming the journal the resumed run appends
-        to (foreign records are copied in, so it ends self-contained).
-        The resumed result is bit-identical to an uninterrupted run.
+        and appends to it.  The resumed result is bit-identical to an
+        uninterrupted run.
     telemetry:
         When given, executor events are counted on
         ``telemetry.metrics`` as ``sweep.supervisor.*`` counters.
@@ -447,11 +422,9 @@ def run_sweep(
         pipes, and the parent merges them in point-index order into
         ``SweepResult.telemetry`` — bit-identical at any worker count,
         and journalled so a resumed run reconstructs the same aggregate.
-    backend / fleet:
-        ``backend`` picks the executor substrate (``local`` or ``tcp``;
-        see :mod:`repro.sweep.backends`); ``fleet`` carries the ``tcp``
-        backend's :class:`~repro.sweep.backends.FleetConfig` (listen
-        address, heartbeats, work stealing).
+    backend:
+        ``"local"`` runs supervised workers even at ``workers=1``
+        (see :mod:`repro.sweep.backends`).
 
     The target is resolved once up front, with every module its points
     import, so an unknown name fails fast and forked workers inherit the
@@ -460,24 +433,24 @@ def run_sweep(
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     preload_target(spec.target)
-    if isinstance(resume, (str, pathlib.Path)):
-        resume = [str(resume)]
-    elif resume is not None:
-        resume = [str(path) for path in resume]
-        if not resume:
-            resume = None
+    if resume is not None and not isinstance(resume, (str, pathlib.Path)):
+        raise ConfigurationError(
+            "resume= takes one journal path; merging journals went with "
+            "the tcp fleet"
+        )
     if resume and journal is not None and (
-        pathlib.Path(resume[0]) != pathlib.Path(journal)
+        pathlib.Path(resume) != pathlib.Path(journal)
     ):
         raise ConfigurationError(
             "pass either journal= (fresh) or resume= (continue), not two "
             "different paths"
         )
     journal = None if journal is None else str(journal)
+    resume = None if resume is None else str(resume)
     started = time.perf_counter()
     executor = create_executor(
         backend, spec, config or SupervisorConfig(),
-        workers=workers, fleet=fleet, trace_dir=trace_dir,
+        workers=workers, trace_dir=trace_dir,
         metrics=telemetry.metrics if telemetry is not None else None,
         collect_telemetry=collect_telemetry,
     )

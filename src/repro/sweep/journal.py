@@ -13,14 +13,6 @@ points and re-attempt failed ones; the resumed result's fingerprint is
 bit-identical to an uninterrupted run because every point's outcome is a
 pure function of ``(seed, sweep name, point index)`` — never of which
 run, attempt or worker produced it.
-
-Distributed sweeps write *several* journals — the coordinator's primary
-plus one per worker host — and :func:`merge_journals` folds them back
-into one resume state: the first-listed journal wins duplicate indices,
-and a duplicate whose payload digest disagrees raises ``ValueError``
-naming the offending path and point index (two journals claiming
-different outcomes for the same point means the determinism contract was
-broken, which must never be papered over).
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.atomicio import fsync_directory
 from repro.sweep.engine import PointResult, SweepSpec, finite_values
@@ -78,9 +70,6 @@ class JournalState:
     failed: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: Attempts recorded per completed point index.
     attempts: Dict[int, int] = field(default_factory=dict)
-    #: Which journal file each completed record came from (meaningful for
-    #: :func:`merge_journals`; single-file loads point every index here).
-    origin: Dict[int, str] = field(default_factory=dict)
     #: True when the final line was torn (a crash mid-append) and dropped.
     torn_tail: bool = False
 
@@ -98,12 +87,7 @@ class JournalState:
 
 
 def point_record(result: PointResult, attempts: int = 1) -> Dict[str, object]:
-    """The JSON-ready record for one completed point.
-
-    The same encoding serves the journal file and the fleet's ``result``
-    frames, so a worker host's wire payload and its local journal line
-    are byte-for-byte the same JSON object.
-    """
+    """The JSON-ready record for one completed point."""
     record = {
         "kind": "point",
         "index": result.index,
@@ -124,8 +108,8 @@ def point_from_record(record: Dict[str, object]) -> Tuple[PointResult, int]:
     """Decode one ``kind == "point"`` record into ``(result, attempts)``.
 
     Raises ``KeyError``/``TypeError``/``ValueError`` on malformed input,
-    a non-finite metric or counter included; callers wrap with path/line
-    (journal loads) or host (wire frames) context.
+    a non-finite metric or counter included; :func:`load_journal` wraps
+    it with the path and line.
     """
     index = int(record["index"])
     result = PointResult(
@@ -137,17 +121,6 @@ def point_from_record(record: Dict[str, object]) -> Tuple[PointResult, int]:
         telemetry=record.get("telemetry"),
     )
     return result, int(record.get("attempts", 1))
-
-
-def point_payload_digest(result: PointResult) -> str:
-    """Digest of one point's deterministic payload.
-
-    Hashes :meth:`PointResult.payload`, the encoding
-    :meth:`SweepResult.fingerprint` hashes too, so two records for the
-    same point digest equal iff the determinism contract held.
-    """
-    payload = json.dumps(result.payload(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def load_journal(path: Union[str, pathlib.Path]) -> JournalState:
@@ -206,7 +179,6 @@ def load_journal(path: Union[str, pathlib.Path]) -> JournalState:
                 ) from None
             state.completed[result.index] = result
             state.attempts[result.index] = attempts
-            state.origin[result.index] = str(source)
             state.failed.pop(result.index, None)
             continue
         if kind == "failure":
@@ -227,72 +199,6 @@ def load_journal(path: Union[str, pathlib.Path]) -> JournalState:
         raise ValueError(f"{source}: journal has no header record")
     state.torn_tail = torn_tail
     return state
-
-
-#: Header fields every journal in a merge set must agree on.
-_HEADER_KEYS = ("schema", "name", "target", "seed", "points", "grid_digest")
-
-
-def merge_journals(
-    paths: Iterable[Union[str, pathlib.Path]]
-) -> JournalState:
-    """Merge one or more journals of the same sweep into one resume state.
-
-    Duplicate point indices keep the record from the **first-listed**
-    journal that completed them; a later journal's record for the same
-    index is checked against the kept one via
-    :func:`point_payload_digest`, and a disagreement raises ``ValueError``
-    naming the offending path and index (the records claim different
-    deterministic outcomes, so neither can be trusted).  Headers must
-    all describe the same spec — same name, target, seed and
-    ``grid_digest``.  Failure records survive only for indices no journal
-    completed.  ``origin`` maps each kept index to the file it came from,
-    which lets a resumed run copy foreign records into its primary
-    journal.
-    """
-    ordered = [pathlib.Path(p) for p in paths]
-    if not ordered:
-        raise ValueError("merge_journals needs at least one journal path")
-    merged: Optional[JournalState] = None
-    digests: Dict[int, Tuple[str, pathlib.Path]] = {}
-    first = ordered[0]
-    for path in ordered:
-        state = load_journal(path)
-        if merged is None:
-            merged = JournalState(header=state.header,
-                                  torn_tail=state.torn_tail)
-        else:
-            for key in _HEADER_KEYS:
-                if state.header.get(key) != merged.header.get(key):
-                    raise ValueError(
-                        f"{path}: journal {key} {state.header.get(key)!r} "
-                        f"does not match {first}'s "
-                        f"{merged.header.get(key)!r}"
-                    )
-            merged.torn_tail = merged.torn_tail or state.torn_tail
-        for index in sorted(state.completed):
-            result = state.completed[index]
-            digest = point_payload_digest(result)
-            if index in digests:
-                kept_digest, kept_path = digests[index]
-                if digest != kept_digest:
-                    raise ValueError(
-                        f"{path}: conflicting record for point {index}: "
-                        f"payload digest {digest[:16]} disagrees with "
-                        f"{kept_path}'s {kept_digest[:16]}"
-                    )
-                continue
-            digests[index] = (digest, path)
-            merged.completed[index] = result
-            merged.attempts[index] = state.attempts.get(index, 1)
-            merged.origin[index] = str(path)
-        for index, record in state.failed.items():
-            if index not in merged.failed:
-                merged.failed[index] = record
-    for index in list(merged.failed):
-        if index in merged.completed:
-            del merged.failed[index]
-    return merged
 
 
 class RunJournal:

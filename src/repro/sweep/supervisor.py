@@ -43,11 +43,11 @@ from multiprocessing import connection
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ConfigurationError
+from repro.core.rng import RandomSource
 from repro.sweep.backends import BaseExecutor, _Task
 
 __all__ = [
     "CHAOS_EXIT_CODE",
-    "CHAOS_HOST_EXIT_CODE",
     "ChaosSpec",
     "Supervisor",
     "SupervisorConfig",
@@ -56,9 +56,6 @@ __all__ = [
 
 #: Exit code chaos-injected crashes die with (visible in crash messages).
 CHAOS_EXIT_CODE = 86
-
-#: Exit code a chaos-injected *host* crash dies with (tcp backend).
-CHAOS_HOST_EXIT_CODE = 87
 
 #: Points a worker may hold at once (1 running + the rest queued in its
 #: pipe).  Depth 2 hides the parent's scheduling latency — the worker
@@ -82,15 +79,6 @@ def process_context(start_method: Optional[str] = None):
         return multiprocessing.get_context("spawn")
 
 
-def _roll(stream: str, seed: int) -> float:
-    """One uniform draw from ``RandomSource(seed).fork(stream)``."""
-    # Imported here so a sweep-worker host starts without numpy; every
-    # process that draws has loaded it with its sweep target already.
-    from repro.core.rng import RandomSource
-
-    return RandomSource(seed).fork(stream).uniform()
-
-
 @dataclass(frozen=True)
 class ChaosSpec:
     """Harness-fault injection probabilities, drawn per (point, attempt).
@@ -98,33 +86,17 @@ class ChaosSpec:
     ``crash`` is the probability a worker ``os._exit``\\ s instead of
     running the point; ``hang`` the probability it sleeps
     ``hang_seconds`` first (long past any sane timeout).  Draws come from
-    ``RandomSource(seed, name=f"chaos/{sweep}/{index}/{attempt}")`` — a
+    ``RandomSource(seed).fork(f"chaos/{sweep}/{index}/{attempt}")`` — a
     pure function of the sweep seed, point and attempt — so chaos runs
     are reproducible and a retried attempt rolls fresh dice.
-
-    The fleet faults only exist under the ``tcp`` backend (local workers
-    have no host or network to lose; other backends reject them) and draw
-    from their own forks of the same ``(seed, sweep, index, attempt)``
-    tuple, so a chaos run's fault schedule is identical at any host count:
-
-    * ``host_crash`` — the whole worker *host* ``os._exit``\\ s instead of
-      dispatching the point (exercises dead-host detection + requeue);
-    * ``drop`` — the host computes the point but never sends the result
-      frame (recovered by the per-point timeout, hence requires one);
-    * ``delay`` — the result frame is delayed ``delay_seconds`` before
-      sending (exercises heartbeat/ordering tolerance).
     """
 
     crash: float = 0.0
     hang: float = 0.0
     hang_seconds: float = 3600.0
-    host_crash: float = 0.0
-    drop: float = 0.0
-    delay: float = 0.0
-    delay_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("crash", "hang", "host_crash", "drop", "delay"):
+        for name in ("crash", "hang"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
@@ -135,84 +107,31 @@ class ChaosSpec:
                 "chaos crash + hang probabilities exceed 1 "
                 f"({self.crash} + {self.hang})"
             )
-        if self.drop + self.delay > 1.0:
-            raise ConfigurationError(
-                "chaos drop + delay probabilities exceed 1 "
-                f"({self.drop} + {self.delay})"
-            )
-        if self.delay_seconds < 0:
-            raise ConfigurationError(
-                f"chaos delay_seconds must be >= 0: {self.delay_seconds}"
-            )
-
-    @property
-    def fleet_clauses(self) -> Tuple[str, ...]:
-        """The armed tcp-only faults, by clause name (``host-crash``,
-        ``drop``, ``delay``)."""
-        armed = (
-            ("host-crash", self.host_crash), ("drop", self.drop),
-            ("delay", self.delay),
-        )
-        return tuple(clause for clause, value in armed if value > 0.0)
 
     def draw(
         self, seed: int, sweep_name: str, index: int, attempt: int
     ) -> Optional[str]:
         """``"crash"``, ``"hang"`` or ``None`` for this (point, attempt)."""
-        roll = _roll(f"chaos/{sweep_name}/{index}/{attempt}", seed)
+        roll = RandomSource(seed).fork(
+            f"chaos/{sweep_name}/{index}/{attempt}"
+        ).uniform()
         if roll < self.crash:
             return "crash"
         if roll < self.crash + self.hang:
             return "hang"
         return None
 
-    def draw_host(
-        self, seed: int, sweep_name: str, index: int, attempt: int
-    ) -> Optional[str]:
-        """``"crash"`` (whole host dies) or ``None`` for this attempt."""
-        if self.host_crash <= 0.0:
-            return None
-        roll = _roll(f"chaos-host/{sweep_name}/{index}/{attempt}", seed)
-        return "crash" if roll < self.host_crash else None
 
-    def draw_net(
-        self, seed: int, sweep_name: str, index: int, attempt: int
-    ) -> Optional[str]:
-        """``"drop"``, ``"delay"`` or ``None`` for this result frame."""
-        if self.drop <= 0.0 and self.delay <= 0.0:
-            return None
-        roll = _roll(f"chaos-net/{sweep_name}/{index}/{attempt}", seed)
-        if roll < self.drop:
-            return "drop"
-        if roll < self.drop + self.delay:
-            return "delay"
-        return None
-
-    def to_wire(self) -> Dict[str, float]:
-        """JSON-ready form for the coordinator's welcome frame."""
-        return {
-            "crash": self.crash, "hang": self.hang,
-            "hang_seconds": self.hang_seconds,
-            "host_crash": self.host_crash,
-            "drop": self.drop, "delay": self.delay,
-            "delay_seconds": self.delay_seconds,
-        }
-
-
-#: CLI clause name -> ChaosSpec field; starred fields are probabilities.
+#: CLI clause name -> ChaosSpec field.
 _CHAOS_CLAUSES = {
     "crash": "crash",
     "hang": "hang",
     "hang-seconds": "hang_seconds",
-    "host-crash": "host_crash",
-    "drop": "drop",
-    "delay": "delay",
-    "delay-seconds": "delay_seconds",
 }
 
 
 def parse_chaos(text: str) -> ChaosSpec:
-    """Parse ``crash:0.1,hang:0.05,host-crash:0.1,drop:0.05,delay:0.1``."""
+    """Parse ``crash:0.1,hang:0.05,hang-seconds:30``."""
     values: Dict[str, float] = {}
     for part in text.split(","):
         part = part.strip()
@@ -277,18 +196,13 @@ class SupervisorConfig:
                 f"unknown start method {self.start_method!r}; this platform "
                 f"has: {', '.join(methods)}"
             )
-        for clause, stalled in (
-            ("hang", "hung workers"), ("drop", "dropped result frames"),
+        if self.timeout is None and self.chaos is not None and (
+            self.chaos.hang > 0
         ):
-            if (
-                self.timeout is None
-                and self.chaos is not None
-                and getattr(self.chaos, clause) > 0
-            ):
-                raise ConfigurationError(
-                    f"chaos {clause} injection needs a per-point timeout, "
-                    f"or {stalled} would stall the sweep forever"
-                )
+            raise ConfigurationError(
+                "chaos hang injection needs a per-point timeout, or hung "
+                "workers would stall the sweep forever"
+            )
 
 
 def _supervised_worker(conn, common: Tuple) -> None:

@@ -19,7 +19,7 @@ This package is the regression net that catches them:
   references: :class:`~repro.interconnect.routecache.RouteCache` vs
   uncached shortest paths, collective closed forms vs step-by-step loops,
   Young/Daly vs a numeric grid optimum, the sweep fork-pool vs serial,
-  the tcp fleet sharded over loopback hosts vs serial.
+  a resumed sweep vs an uninterrupted one.
 * :func:`validate` / ``python -m repro validate`` — the orchestrator with
   ``--record`` and ``--check`` modes that ties all three together.
 
@@ -32,9 +32,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".differential": (
         "DifferentialResult", "check_checkpointing", "check_collectives",
-        "check_distributed", "check_memerrors", "check_resume", "check_routes",
-        "check_serve", "check_solvers", "check_sweep",
-        "run_differential_checks",
+        "check_memerrors", "check_resume", "check_routes", "check_serve",
+        "check_solvers", "check_sweep", "run_differential_checks",
     ),
     ".fingerprint": (
         "DEFAULT_RTOL", "REQUEST_SCHEMA", "SCHEMA", "GoldenStore",
@@ -66,7 +65,6 @@ __all__ = [
     "Violation",
     "check_checkpointing",
     "check_collectives",
-    "check_distributed",
     "check_memerrors",
     "check_resume",
     "check_routes",

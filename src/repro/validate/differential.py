@@ -31,9 +31,6 @@ and an independent (slower, simpler) reference — and demands agreement:
   completions, reroutes, zero-length paths), plus one end-to-end fabric
   run per topology family: rates, saturated-link sets and ``FlowStats``
   must be ``==`` (bit-identical).
-* :func:`check_distributed` — the ``tcp`` backend sharding the smoke
-  sweep over loopback worker hosts vs serial execution: fingerprints
-  must be bit-identical (the fleet analogue of :func:`check_sweep`).
 * :func:`check_memerrors` — the injected memory-error simulation vs the
   analytic FIT/MTBF closed form: empirical corrected/DUE/silent splits
   within a stated sigma band of
@@ -607,97 +604,6 @@ def check_solvers(
     return DifferentialResult("solvers", not failures, comparisons, detail)
 
 
-# --- distributed sweep ----------------------------------------------------------
-
-
-def _distributed_worker_main(port: int, name: str) -> None:
-    """Entry point for a loopback worker host process."""
-    import sys
-
-    from repro.sweep.remote_worker import run_worker
-
-    sys.exit(run_worker(f"127.0.0.1:{port}", slots=1, name=name))
-
-
-def check_distributed(hosts: int = 2) -> DifferentialResult:
-    """TCP fleet sweep vs serial execution of the same spec.
-
-    Runs the smoke sweep once serially, then again under
-    ``backend="tcp"`` with ``hosts`` loopback worker processes forked the
-    moment the coordinator's socket binds (``FleetConfig.on_listen``).
-    The sharded run must hash bit-identically to the serial one and the
-    coordinator must have seen every host — the distributed form of the
-    bit-identical-at-any-worker-count contract.
-    """
-    import multiprocessing
-
-    from repro.sweep import (
-        FleetConfig,
-        SupervisorConfig,
-        named_sweep,
-        run_sweep,
-    )
-    from repro.sweep.backends import FleetError
-
-    spec = named_sweep("smoke")
-    serial = run_sweep(spec, workers=1)
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    workers: List[object] = []
-
-    def on_listen(host: str, port: int) -> None:
-        for rank in range(hosts):
-            # Not daemonic: worker hosts fork their own point children.
-            process = context.Process(
-                target=_distributed_worker_main,
-                args=(port, f"loop{rank}"),
-            )
-            process.start()
-            workers.append(process)
-
-    fleet = FleetConfig(
-        listen="127.0.0.1:0", min_hosts=hosts,
-        on_listen=on_listen, wait_for_hosts=30.0,
-    )
-    try:
-        sharded = run_sweep(
-            spec, backend="tcp", fleet=fleet,
-            config=SupervisorConfig(timeout=60.0),
-        )
-    except FleetError as error:
-        return DifferentialResult(
-            "sweep-distributed", False, 0, f"fleet failed to form: {error}"
-        )
-    finally:
-        for process in workers:
-            process.join(timeout=10.0)
-            if process.is_alive():  # type: ignore[attr-defined]
-                process.kill()  # type: ignore[attr-defined]
-    serial_print = serial.fingerprint()
-    sharded_print = sharded.fingerprint()
-    hosts_seen = sharded.harness.get("hosts_seen", 0.0)
-    passed = (
-        serial_print == sharded_print
-        and sharded.ok
-        and hosts_seen >= float(hosts)
-    )
-    detail = (
-        f"smoke sweep fingerprint {serial_print[:12]} identical serially "
-        f"and sharded over {hosts} tcp hosts"
-        if passed
-        else (
-            f"distributed sweep diverged: serial {serial_print[:12]} vs "
-            f"{hosts}-host tcp {sharded_print[:12]} "
-            f"(hosts_seen {hosts_seen:g}, {len(sharded.failures)} failures)"
-        )
-    )
-    return DifferentialResult(
-        "sweep-distributed", passed, len(serial.points), detail
-    )
-
-
 # --- the serve cache ------------------------------------------------------------
 
 
@@ -939,6 +845,5 @@ def run_differential_checks(
         check_sweep(workers=sweep_workers),
         check_resume(),
         check_solvers(),
-        check_distributed(),
         check_serve(),
     ]

@@ -13,6 +13,15 @@ gen_api_docs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen_api_docs)
 
 
+def test_committed_reference_is_current():
+    """docs/API.md is what the generator renders today: a public name
+    added or removed without regenerating it fails here."""
+    committed = _TOOL_PATH.parent.parent / "docs" / "API.md"
+    assert gen_api_docs.render() == committed.read_text(), (
+        "docs/API.md is stale; regenerate with python tools/gen_api_docs.py"
+    )
+
+
 class TestRender:
     def test_every_subpackage_sectioned(self):
         content = gen_api_docs.render()

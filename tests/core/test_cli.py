@@ -11,8 +11,7 @@ import pytest
 
 from repro.cli import EXPERIMENTS, _given, build_parser, main
 from repro.serve import ServeConfig
-from repro.sweep import FleetConfig, SupervisorConfig
-from repro.sweep.remote_worker import run_worker
+from repro.sweep import SupervisorConfig
 
 CHECKOUT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -221,8 +220,10 @@ class TestSweepCommand:
         assert "1 point(s) failed after retries" in err
         assert "unknown topology kind 'nosuch'" in err
 
-    @pytest.mark.parametrize("clause", ["host-crash", "drop", "delay"])
-    def test_fleet_chaos_outside_tcp_exits_2_naming_the_clause(
+    @pytest.mark.parametrize(
+        "clause", ["host-crash", "drop", "delay", "delay-seconds"]
+    )
+    def test_retired_chaos_clause_exits_2_naming_it_and_the_survivors(
         self, capsys, clause
     ):
         code = main([
@@ -230,7 +231,11 @@ class TestSweepCommand:
             "--chaos", f"{clause}:0.5",
         ])
         assert code == 2
-        assert f"chaos clause(s) {clause} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"bad chaos clause '{clause}:0.5'" in err
+        assert (
+            "expected clauses from: crash:<p>, hang:<p>, hang-seconds:<p>"
+        ) in err
 
     def test_chaos_smoke_recovers_the_golden_fingerprint(self, tmp_path):
         """Injected worker crashes and hangs are retried away: the smoke
@@ -324,10 +329,8 @@ class TestLibraryDefaults:
     """A flag that maps onto a library field reaches it only when given."""
 
     @pytest.mark.parametrize("argv, targets, expected", [
-        (["sweep", "smoke"], (SupervisorConfig, FleetConfig), {}),
+        (["sweep", "smoke"], (SupervisorConfig,), {}),
         (["serve"], (ServeConfig,), {}),
-        (["sweep-worker", "--connect", "127.0.0.1:9"], (run_worker,),
-         {"connect": "127.0.0.1:9"}),
     ])
     def test_flags_left_out_leave_the_library_defaults(
         self, argv, targets, expected
@@ -338,10 +341,6 @@ class TestLibraryDefaults:
 
     def test_given_flags_reach_their_fields(self):
         args = build_parser().parse_args([
-            "sweep", "smoke", "--retries", "3", "--strict", "--no-steal",
-            "--auth-token", "s3cret",
+            "sweep", "smoke", "--retries", "3", "--strict",
         ])
         assert _given(args, SupervisorConfig) == {"retries": 3, "strict": True}
-        assert _given(args, FleetConfig) == {
-            "steal": False, "auth_token": "s3cret",
-        }

@@ -71,7 +71,6 @@ class TestColdImports:
     @pytest.mark.parametrize("argv", [
         ["--help"],
         ["serve-request", "--help"],
-        ["sweep-worker", "--help"],
     ])
     def test_cli_help_loads_no_numpy_or_networkx(self, argv):
         result = _python("-X", "importtime", "-m", "repro", *argv)
@@ -90,16 +89,6 @@ class TestColdImports:
             f"for n in {names!r}))"
         )
         assert resolved == "True"
-
-    def test_sweep_worker_host_starts_without_numpy(self):
-        loaded = _run(
-            "import sys; "
-            "from repro.sweep import FleetError; "
-            "from repro.sweep.remote_worker import run_worker; "
-            "print(' '.join(m for m in sys.modules "
-            "if m.partition('.')[0] in ('numpy', 'networkx')))"
-        )
-        assert loaded == ""
 
 
 #: The only modules that import numpy / networkx at all (docs/architecture.md).

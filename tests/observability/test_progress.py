@@ -60,6 +60,30 @@ class TestLineContent:
         assert reporter.line().endswith("[retry=2 crash=1]")
 
 
+class TestSnapshot:
+    def test_counts_and_rate(self):
+        reporter, _, clock = _reporter(total=4)
+        clock.now += 2.0
+        reporter(None)
+        snapshot = reporter.snapshot()
+        assert snapshot == {
+            "done": 1, "total": 4, "rate_pts_per_s": 0.5, "harness": {},
+        }
+
+    def test_harness_holds_the_nonzero_counters_the_line_shows(self):
+        telemetry = Telemetry()
+        reporter, _, _ = _reporter(total=4, telemetry=telemetry)
+        telemetry.metrics.counter("sweep.supervisor.timeouts").inc(3)
+        telemetry.metrics.counter("sweep.supervisor.failed").inc()
+        telemetry.metrics.counter("sweep.supervisor.retries")  # stays zero
+        # Counted by the supervisor, but not one the line surfaces.
+        telemetry.metrics.counter("sweep.supervisor.dispatched").inc(5)
+        assert reporter.snapshot()["harness"] == {
+            "timeouts": 3.0, "failed": 1.0,
+        }
+        assert reporter.line().endswith("[timeout=3 fail=1]")
+
+
 class TestEmission:
     def test_tty_rewrites_every_event_and_close_ends_the_line(self):
         reporter, stream, _ = _reporter(total=3, stream=_Tty())

@@ -1,14 +1,19 @@
-"""Executor selection, fleet config and deterministic backoff."""
+"""Executor selection, the shared executor skeleton and deterministic
+backoff."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.sweep import FleetConfig, run_sweep
+from repro.sweep import run_sweep
 from repro.sweep.backends import (
     BACKEND_NAMES,
+    COUNTERS,
     RETRY_BACKOFF,
     BaseExecutor,
     InlineExecutor,
+    SweepInterrupted,
+    SweepPointError,
+    _Task,
     backoff_delay,
     create_executor,
 )
@@ -26,7 +31,9 @@ class TestCreateExecutor:
             assert isinstance(executor, BaseExecutor)
 
     def test_unknown_backend_lists_what_exists(self):
-        with pytest.raises(ConfigurationError, match="local, tcp"):
+        with pytest.raises(
+            ConfigurationError, match="registered backends: local$"
+        ):
             create_executor("mpi", ft.cheap_spec(), SupervisorConfig())
 
     @pytest.mark.parametrize("workers, config, expected", [
@@ -48,21 +55,6 @@ class TestCreateExecutor:
         executor = create_executor("local", ft.cheap_spec(), SupervisorConfig())
         assert isinstance(executor, Supervisor)
         assert executor.workers == 1
-
-    def test_fleet_config_is_rejected_for_local_backends(self):
-        with pytest.raises(ConfigurationError, match="tcp"):
-            run_sweep(
-                ft.cheap_spec(n=2), backend="local", fleet=FleetConfig()
-            )
-
-    @pytest.mark.parametrize("backend", [None, "local"])
-    def test_fleet_chaos_is_rejected_outside_tcp(self, backend):
-        config = SupervisorConfig(
-            chaos="crash:0.1,host-crash:0.1,drop:0.5", timeout=5.0
-        )
-        with pytest.raises(ConfigurationError, match="host-crash, drop"):
-            run_sweep(ft.cheap_spec(n=2), workers=2, config=config,
-                      backend=backend)
 
 
 class TestStartMethodBackends:
@@ -152,26 +144,216 @@ class TestBackoffDelay:
             SupervisorConfig(jitter=-0.1)
 
 
-class TestFleetConfig:
-    def test_defaults_are_valid(self):
-        fleet = FleetConfig()
-        assert fleet.effective_heartbeat_timeout == pytest.approx(
-            10.0 * fleet.heartbeat_interval
+class _ScriptedExecutor(BaseExecutor):
+    """A substrate-free executor: ``_loop`` runs a scripted callable."""
+
+    def __init__(self, script=None, config=None, **context):
+        super().__init__(ft.cheap_spec(n=4), config or SupervisorConfig(),
+                         **context)
+        self.script = script
+        self.shutdowns = 0
+        self.results = []
+        self.failures = []
+
+    def _loop(self):
+        self.script(self)
+
+    def _shutdown(self):
+        self.shutdowns += 1
+
+    def start(self, tasks):
+        """Bind callbacks and queue ``tasks`` the way :meth:`run` does."""
+        self._on_result = lambda result, attempt: self.results.append(
+            (result, attempt)
         )
+        self._on_failure = self.failures.append
+        self._pending = [
+            _Task(index=index, params=dict(params), attempt=1)
+            for index, params in tasks
+        ]
+        self._outstanding = len(self._pending)
 
-    def test_explicit_heartbeat_timeout_wins(self):
-        fleet = FleetConfig(heartbeat_interval=0.1, heartbeat_timeout=2.0)
-        assert fleet.effective_heartbeat_timeout == 2.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_hosts": 0},
-            {"heartbeat_interval": 0.0},
-            {"heartbeat_interval": 1.0, "heartbeat_timeout": 0.5},
-            {"wait_for_hosts": 0.0},
-        ],
-    )
-    def test_bad_knobs_are_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            FleetConfig(**kwargs)
+class TestPendingQueue:
+    def test_lowest_ready_index_is_dispatched_first(self):
+        executor = _ScriptedExecutor()
+        executor.start([(3, {}), (1, {}), (2, {})])
+        order = [executor._pop_ready(0.0).index for _ in range(3)]
+        assert order == [1, 2, 3]
+        assert executor._pop_ready(0.0) is None
+
+    def test_a_task_in_backoff_waits_its_turn(self):
+        executor = _ScriptedExecutor()
+        executor.start([(0, {}), (5, {})])
+        executor._pending[0].not_before = 10.0
+        assert executor._pop_ready(5.0).index == 5
+        assert executor._pop_ready(5.0) is None
+        assert executor._pop_ready(10.0).index == 0
+
+    def test_next_wake_is_the_earliest_backoff_expiry(self):
+        executor = _ScriptedExecutor()
+        executor.start([])
+        assert executor._next_wake() is None
+        executor.start([(0, {}), (1, {}), (2, {})])
+        for task, wake in zip(executor._pending, (4.0, 2.5, 7.0)):
+            task.not_before = wake
+        assert executor._next_wake() == 2.5
+
+
+class TestRetryOrFail:
+    @pytest.mark.parametrize("attempt", [1, 2, 3])
+    def test_a_lost_attempt_within_budget_is_requeued_with_backoff(
+        self, attempt
+    ):
+        config = SupervisorConfig(retries=3)
+        executor = _ScriptedExecutor(config=config)
+        executor.start([])
+        executor._outstanding = 1
+        task = _Task(index=2, params={"x": 2}, attempt=attempt)
+        executor._retry_or_fail(task, "RuntimeError: boom", now=100.0)
+        [retry] = executor._pending
+        assert (retry.index, retry.params, retry.attempt) == (
+            2, {"x": 2}, attempt + 1
+        )
+        assert retry.not_before == 100.0 + backoff_delay(
+            config, executor.spec.seed, executor.spec.name, 2, attempt + 1
+        )
+        assert executor._outstanding == 1
+        assert executor.counters["retries"] == 1.0
+        assert executor.failures == []
+
+    def test_an_exhausted_budget_goes_to_the_ledger(self):
+        executor = _ScriptedExecutor(config=SupervisorConfig(retries=1))
+        executor.start([])
+        executor._outstanding = 1
+        task = _Task(index=3, params={"x": 3}, attempt=2)
+        executor._retry_or_fail(task, "WorkerCrash: gone", now=0.0)
+        assert executor._pending == []
+        assert executor._outstanding == 0
+        assert executor.counters["failed"] == 1.0
+        assert executor.counters["retries"] == 0.0
+        [failure] = executor.failures
+        assert failure.record() == {
+            "index": 3, "params": {"x": 3}, "error": "WorkerCrash: gone",
+            "attempts": 2,
+        }
+
+    def test_zero_retries_ledger_the_first_failure(self):
+        executor = _ScriptedExecutor(config=SupervisorConfig(retries=0))
+        executor.start([])
+        executor._outstanding = 1
+        executor._retry_or_fail(_Task(index=0, params={}, attempt=1),
+                                "boom", now=0.0)
+        assert [failure.attempts for failure in executor.failures] == [1]
+
+    def test_strict_raises_after_recording_the_failure(self):
+        executor = _ScriptedExecutor(
+            config=SupervisorConfig(retries=0, strict=True)
+        )
+        executor.start([])
+        executor._outstanding = 1
+        with pytest.raises(SweepPointError,
+                           match="sweep 'ft' point 4 failed after 1 attempt"):
+            executor._retry_or_fail(_Task(index=4, params={}, attempt=1),
+                                    "boom", now=0.0)
+        assert [failure.index for failure in executor.failures] == [4]
+
+
+class TestRunContract:
+    def test_no_tasks_return_zero_counters_without_a_loop(self):
+        executor = _ScriptedExecutor(script=lambda ex: pytest.fail("ran"))
+        counters = executor.run([], lambda *_: None, lambda _: None)
+        assert counters == {name: 0.0 for name in COUNTERS}
+        assert executor.shutdowns == 0
+
+    def test_ctrl_c_becomes_sweep_interrupted_after_shutdown(self):
+        def script(executor):
+            executor._complete("first", 1)
+            raise KeyboardInterrupt
+
+        executor = _ScriptedExecutor(script=script)
+        seen = []
+        with pytest.raises(SweepInterrupted,
+                           match="'ft' interrupted; 2 point"):
+            executor.run([(0, {}), (1, {}), (2, {})],
+                         lambda result, attempt: seen.append(result),
+                         lambda _: None)
+        assert seen == ["first"]
+        assert executor.shutdowns == 1
+
+    def test_shutdown_runs_when_the_loop_raises(self):
+        def script(executor):
+            raise RuntimeError("substrate lost")
+
+        executor = _ScriptedExecutor(script=script)
+        with pytest.raises(RuntimeError, match="substrate lost"):
+            executor.run([(0, {})], lambda *_: None, lambda _: None)
+        assert executor.shutdowns == 1
+
+    def test_returned_counters_are_a_copy(self):
+        def script(executor):
+            executor._complete("done", 1)
+
+        executor = _ScriptedExecutor(script=script)
+        counters = executor.run([(0, {})], lambda *_: None, lambda _: None)
+        counters["completed"] = 99.0
+        assert executor.counters["completed"] == 1.0
+
+    def test_tasks_hold_their_own_copy_of_the_params(self):
+        params = {"x": 1}
+        executor = _ScriptedExecutor()
+        executor.start([(0, params)])
+        params["x"] = 2
+        assert executor._pending[0].params == {"x": 1}
+
+    def test_bump_publishes_supervisor_counters(self):
+        from repro.observability import Telemetry
+
+        telemetry = Telemetry()
+        executor = _ScriptedExecutor(metrics=telemetry.metrics)
+        executor.bump("crashes")
+        executor.bump("resumed", 3.0)
+        assert executor.counters["crashes"] == 1.0
+        assert executor.counters["resumed"] == 3.0
+        assert telemetry.metrics.counter(
+            "sweep.supervisor.resumed"
+        ).total() == 3.0
+
+    def test_interrupt_is_a_keyboard_interrupt_with_no_partial_yet(self):
+        interrupt = SweepInterrupted("stopped")
+        assert isinstance(interrupt, KeyboardInterrupt)
+        assert interrupt.partial is None
+
+
+class TestCreateExecutorContext:
+    @pytest.mark.parametrize("backend, workers", [
+        (None, 1), (None, 3), ("local", 1), ("local", 3),
+    ])
+    def test_context_and_worker_count_reach_the_executor(
+        self, tmp_path, backend, workers
+    ):
+        from repro.observability import Telemetry
+
+        metrics = Telemetry().metrics
+        executor = create_executor(
+            backend, ft.cheap_spec(), SupervisorConfig(), workers=workers,
+            trace_dir=str(tmp_path), metrics=metrics, collect_telemetry=True,
+        )
+        assert executor.trace_dir == str(tmp_path)
+        assert executor.metrics is metrics
+        assert executor.collect_telemetry is True
+        if isinstance(executor, Supervisor):
+            assert executor.workers == workers
+
+
+class TestBackoffSchedule:
+    @pytest.mark.parametrize("attempt", [2, 3, 4, 5, 6])
+    def test_attempt_n_waits_the_base_doubled_n_minus_2_times(self, attempt):
+        delay = backoff_delay(SupervisorConfig(), 7, "ft", 0, attempt)
+        assert delay == RETRY_BACKOFF * 2 ** (attempt - 2)
+
+    def test_jitter_draws_depend_on_the_seed_and_sweep(self):
+        config = SupervisorConfig(jitter=1.0)
+        delay = backoff_delay(config, 7, "ft", 0, 2)
+        assert backoff_delay(config, 8, "ft", 0, 2) != delay
+        assert backoff_delay(config, 7, "other", 0, 2) != delay

@@ -1,11 +1,11 @@
-"""CLI surface of the fleet work: resume hints, sweep-worker, backends."""
+"""CLI surface of ``repro sweep``: resume hints, one-journal resume,
+backend names."""
 
 import os
 import pathlib
 import re
 import shlex
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -84,44 +84,29 @@ class TestInterruptHint:
         assert resume_code == 0
         assert "8 points" in capsys.readouterr().out
 
-    def test_hint_keeps_tcp_flags_and_masks_the_token(self, tmp_path):
-        """An interrupted fleet run resumes on the same address, host
-        count and auth demand; the token itself is never printed."""
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        journal = tmp_path / "fleet.jsonl"
-        code, _out, err = _run_cli_until_sigint(
-            ["sweep", "hint-ft", "--target", "ft-cheap",
-             "--axis", "x=0,1,2", "--backend", "tcp",
-             "--listen", f"127.0.0.1:{port}", "--min-hosts", "2",
-             "--auth-token", "s3cret", "--journal", str(journal)],
-            journal, min_lines=1,
-        )
-        assert code == 130, err
-        hint = next(
-            line.strip() for line in err.splitlines()
-            if line.strip().startswith("repro sweep")
-        )
-        assert shlex.split(hint)[1:] == [
-            "sweep", "hint-ft", "--target", "ft-cheap",
-            "--axis", "x=0,1,2", "--backend", "tcp",
-            "--listen", f"127.0.0.1:{port}", "--min-hosts", "2",
-            "--auth-token", "<SECRET>", "--resume", str(journal),
-        ]
-        assert "s3cret" not in err
-
     def test_hint_rewrites_abbreviated_and_inline_flags(self):
         from repro.cli import _resume_command
 
         hint = _resume_command(
-            ["sweep", "smoke", "--jour=old.jsonl", "--auth=s3cret",
-             "--resume", "a.jsonl", "--resume", "b.jsonl", "--retries", "3"],
+            ["sweep", "smoke", "--jour=old.jsonl", "--resume", "a.jsonl",
+             "--retries", "3"],
             "a.jsonl",
         )
-        assert hint == (
-            "repro sweep smoke --auth-token '<SECRET>' --retries 3 "
-            "--resume a.jsonl"
+        assert hint == "repro sweep smoke --retries 3 --resume a.jsonl"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep", "smoke", "--journal", "j.jsonl"], "repro sweep smoke"),
+        (["sweep", "smoke", "--journal=j.jsonl", "--workers", "2"],
+         "repro sweep smoke --workers 2"),
+        (["sweep", "smoke", "--res", "j.jsonl"], "repro sweep smoke"),
+        (["sweep", "my sweep", "--target", "ft-cheap", "--journal", "j.jsonl"],
+         "repro sweep 'my sweep' --target ft-cheap"),
+    ])
+    def test_hint_swaps_the_journal_flag_for_resume(self, argv, expected):
+        from repro.cli import _resume_command
+
+        assert _resume_command(argv, "j.jsonl") == (
+            expected + " --resume j.jsonl"
         )
 
     def test_no_journal_hint_suggests_keeping_one(self, capsys):
@@ -135,47 +120,64 @@ class TestInterruptHint:
         assert "no journal was kept" in err
 
 
-class TestRepeatableResume:
-    def test_multiple_resume_journals_are_merged(self, tmp_path, capsys):
+class TestOneJournalResume:
+    def test_a_second_resume_exits_2_naming_the_flag(self, tmp_path, capsys):
         spec = ft.cheap_spec(n=6)
         from repro.sweep import RunJournal, run_sweep
 
         full = run_sweep(spec, workers=1)
-        primary = tmp_path / "coord.jsonl"
-        secondary = tmp_path / "host.jsonl"
-        with RunJournal(primary, spec) as journal:
-            journal.record_point(full.points[0])
-        with RunJournal(secondary, spec) as journal:
-            journal.record_point(full.points[1])
+        first = tmp_path / "a.jsonl"
+        second = tmp_path / "b.jsonl"
+        for path, point in ((first, full.points[0]), (second, full.points[1])):
+            with RunJournal(path, spec) as journal:
+                journal.record_point(point)
+        before = [path.read_text() for path in (first, second)]
         code = main([
             "sweep", "ft", "--target", "ft-cheap",
             "--axis", "x=0,1,2,3,4,5", "--seed", "77",
-            "--resume", str(primary), "--resume", str(secondary),
+            "--resume", str(first), "--resume", str(second),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--resume takes one journal" in captured.err
+        assert "merging journals went with the tcp fleet" in captured.err
+        assert "points" not in captured.out
+        # Nothing ran: neither journal gained a record.
+        assert [path.read_text() for path in (first, second)] == before
+
+    def test_resume_with_a_different_journal_exits_2(self, tmp_path, capsys):
+        journal = tmp_path / "a.jsonl"
+        assert main([
+            "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
+            "--seed", "77", "--journal", str(journal),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
+            "--seed", "77", "--resume", str(journal),
+            "--journal", str(tmp_path / "b.jsonl"),
+        ])
+        assert code == 2
+        assert "not two different paths" in capsys.readouterr().err
+
+    def test_one_resume_journal_finishes_the_sweep(self, tmp_path, capsys):
+        spec = ft.cheap_spec(n=6)
+        from repro.sweep import RunJournal, load_journal, run_sweep
+
+        full = run_sweep(spec, workers=1)
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_point(full.points[0])
+        code = main([
+            "sweep", "ft", "--target", "ft-cheap",
+            "--axis", "x=0,1,2,3,4,5", "--seed", "77",
+            "--resume", str(path),
         ])
         assert code == 0
-        assert "6 points" in capsys.readouterr().out
-
-
-class TestSweepWorkerCommand:
-    def test_unreachable_coordinator_exits_2(self, capsys):
-        code = main([
-            "sweep-worker", "--connect", "127.0.0.1:9",
-            "--connect-timeout", "0.2",
-        ])
-        assert code == 2
-        assert "could not reach" in capsys.readouterr().err
-
-    def test_bad_preload_module_exits_2(self, capsys):
-        code = main([
-            "sweep-worker", "--connect", "127.0.0.1:9",
-            "--preload", "no.such.module",
-        ])
-        assert code == 2
-        assert "no.such.module" in capsys.readouterr().err
-
-    def test_connect_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep-worker"])
+        out = capsys.readouterr().out
+        assert "6 points" in out
+        assert f"fingerprint {full.fingerprint()[:12]}" in out
+        assert sorted(load_journal(path).completed) == list(range(6))
 
 
 class TestBackendFlag:
@@ -186,7 +188,7 @@ class TestBackendFlag:
                 "--backend", "mpi",
             ])
         assert exit_info.value.code == 2
-        assert "choose from 'local', 'tcp'" in capsys.readouterr().err
+        assert "choose from 'local')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["local-fork", "local-spawn"])
     def test_start_method_names_are_not_backends(self, capsys, name):
@@ -203,12 +205,3 @@ class TestBackendFlag:
         ])
         assert code == 0
         assert "3 points" in capsys.readouterr().out
-
-    def test_tcp_backend_times_out_without_workers(self, capsys):
-        code = main([
-            "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
-            "--backend", "tcp", "--wait-for-hosts", "0.3",
-            "--heartbeat-interval", "0.1",
-        ])
-        assert code == 1
-        assert "worker host" in capsys.readouterr().err

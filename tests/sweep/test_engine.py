@@ -11,7 +11,12 @@ import pytest
 import repro
 from repro.core.errors import ConfigurationError
 from repro.sweep import SweepSpec, named_sweep, run_sweep
-from repro.sweep.engine import _run_point
+from repro.sweep.engine import (
+    PointResult,
+    SweepResult,
+    _run_point,
+    finite_values,
+)
 
 
 def _smoke_spec(**kwargs):
@@ -222,3 +227,44 @@ class TestPointOrderIndependence:
         assert forwards.ok and len(forwards.points) == 64
         for point in forwards.points:
             assert backwards[point.index] == point.payload()
+
+
+class TestResultFields:
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_finite_values_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match=r"m\['k'\] is non-finite"):
+            finite_values({"k": value}, "m")
+
+    def test_finite_values_converts_numbers_and_numeric_strings(self):
+        assert finite_values({"a": 1, "b": True, "c": "2.5"}, "m") == {
+            "a": 1.0, "b": 1.0, "c": 2.5,
+        }
+
+    def test_fingerprint_ignores_wall_clock_and_telemetry(self):
+        def result(wall, telemetry):
+            point = PointResult(index=0, params={"x": 1}, metrics={"v": 2.0},
+                                wall_seconds=wall, telemetry=telemetry)
+            return SweepResult(name="t", target="x", seed=0, workers=1,
+                               points=[point], wall_seconds=wall)
+
+        assert result(0.1, None).fingerprint() == result(
+            9.0, {"counters": {}}
+        ).fingerprint()
+
+    def test_payload_reprs_params_so_types_count(self):
+        ints = PointResult(index=0, params={"x": 1}, metrics={})
+        floats = PointResult(index=0, params={"x": 1.0}, metrics={})
+        assert ints.payload()["params"] == {"x": "1"}
+        assert ints.payload() != floats.payload()
+
+
+class TestJournalResumeSamePath:
+    def test_journal_and_resume_may_name_the_same_file(self, tmp_path):
+        spec = _smoke_spec()
+        journal = tmp_path / "run.jsonl"
+        full = run_sweep(spec, journal=journal)
+        again = run_sweep(spec, journal=str(journal), resume=journal)
+        assert again.harness["resumed"] == 4.0
+        assert again.fingerprint() == full.fingerprint()

@@ -1,4 +1,4 @@
-"""Crash-consistent journal: round-trips, torn tails, merges, corruption."""
+"""Crash-consistent journal: round-trips, torn tails, corruption."""
 
 import json
 
@@ -12,13 +12,18 @@ from repro.sweep import (
     SweepSpec,
     load_journal,
     load_sweep,
-    merge_journals,
-    point_payload_digest,
     register_target,
     run_sweep,
     save_sweep,
 )
-from repro.sweep.journal import SCHEMA, grid_digest, journal_header
+from repro.sweep.journal import (
+    SCHEMA,
+    JournalState,
+    grid_digest,
+    journal_header,
+    point_from_record,
+    point_record,
+)
 
 from tests.sweep import _ft_helpers as ft
 
@@ -212,90 +217,6 @@ class TestCorruption:
             load_journal(path)
 
 
-class TestMergeJournals:
-    """Merging per-process journals after a kill-any-subset interruption."""
-
-    def _write(self, tmp_path, name, points, spec=None, failures=()):
-        spec = spec or ft.cheap_spec(n=6)
-        path = tmp_path / name
-        with RunJournal(path, spec) as journal:
-            for index, value, attempts in points:
-                journal.record_point(_point(index, value), attempts=attempts)
-            for index, error in failures:
-                journal.record_failure(index, error, attempts=3)
-        return path
-
-    def test_disjoint_journals_union_cleanly(self, tmp_path):
-        first = self._write(tmp_path, "a.jsonl", [(0, 1.0, 1), (2, 3.0, 2)])
-        second = self._write(tmp_path, "b.jsonl", [(1, 2.0, 1)])
-        merged = merge_journals([first, second])
-        assert sorted(merged.completed) == [0, 1, 2]
-        assert merged.attempts == {0: 1, 2: 2, 1: 1}
-        assert merged.origin == {
-            0: str(first), 2: str(first), 1: str(second),
-        }
-
-    def test_duplicate_indices_keep_the_first_listed_record(self, tmp_path):
-        first = self._write(tmp_path, "a.jsonl", [(0, 1.0, 1)])
-        second = self._write(tmp_path, "b.jsonl", [(0, 1.0, 2)])
-        merged = merge_journals([first, second])
-        assert merged.attempts[0] == 1  # first journal's record won
-        assert merged.origin[0] == str(first)
-
-    def test_conflicting_payloads_name_path_and_index(self, tmp_path):
-        first = self._write(tmp_path, "a.jsonl", [(3, 1.0, 1)])
-        second = self._write(tmp_path, "b.jsonl", [(3, 999.0, 1)])
-        with pytest.raises(
-            ValueError, match=r"b\.jsonl: conflicting record for point 3"
-        ):
-            merge_journals([first, second])
-
-    def test_header_mismatch_names_the_offending_key(self, tmp_path):
-        first = self._write(tmp_path, "a.jsonl", [(0, 1.0, 1)])
-        second = self._write(
-            tmp_path, "b.jsonl", [(1, 2.0, 1)], spec=ft.cheap_spec(seed=99)
-        )
-        with pytest.raises(ValueError, match=r"b\.jsonl: journal seed"):
-            merge_journals([first, second])
-
-    def test_failures_survive_only_for_never_completed_points(self, tmp_path):
-        first = self._write(
-            tmp_path, "a.jsonl", [(0, 1.0, 1)],
-            failures=[(4, "boom"), (5, "bust")],
-        )
-        second = self._write(tmp_path, "b.jsonl", [(4, 5.0, 2)])
-        merged = merge_journals([first, second])
-        assert sorted(merged.failed) == [5]  # point 4 completed elsewhere
-        assert 4 in merged.completed
-
-    def test_torn_tail_in_any_journal_is_reported(self, tmp_path):
-        first = self._write(tmp_path, "a.jsonl", [(0, 1.0, 1)])
-        second = self._write(tmp_path, "b.jsonl", [(1, 2.0, 1)])
-        with open(second, "a") as handle:
-            handle.write('{"kind": "point", "ind')
-        merged = merge_journals([first, second])
-        assert merged.torn_tail is True
-        assert sorted(merged.completed) == [0, 1]
-
-    def test_empty_path_list_is_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            merge_journals([])
-
-    def test_payload_digest_tracks_the_fingerprint_fields(self):
-        assert point_payload_digest(_point(0)) == point_payload_digest(
-            _point(0)
-        )
-        assert point_payload_digest(_point(0)) != point_payload_digest(
-            _point(0, value=2.0)
-        )
-        # Wall-clock is harness noise, not part of the outcome.
-        noisy = PointResult(
-            index=0, params={"x": 0}, metrics={"value": 1.0},
-            counters={"runs": 1.0}, wall_seconds=99.0,
-        )
-        assert point_payload_digest(noisy) == point_payload_digest(_point(0))
-
-
 class TestSpecMatching:
     def test_journal_for_a_different_grid_reports_the_mismatch(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -343,3 +264,169 @@ class TestNonFiniteMetrics:
             ValueError, match=r"line 3: metrics\['value'\] is non-finite"
         ):
             load_journal(path)
+
+
+class TestPointRecords:
+    def test_record_round_trips_with_telemetry(self):
+        point = _point(4, value=2.5)
+        point.telemetry = {"counters": {"ft.runs": 1.0}}
+        result, attempts = point_from_record(point_record(point, attempts=3))
+        assert attempts == 3
+        assert result == point
+
+    def test_telemetry_is_journalled_only_when_collected(self):
+        assert "telemetry" not in point_record(_point(0))
+
+    def test_optional_fields_take_their_defaults(self):
+        result, attempts = point_from_record(
+            {"kind": "point", "index": "2", "params": {"x": 2},
+             "metrics": {"value": 1}}
+        )
+        assert attempts == 1
+        assert result.index == 2
+        assert result.counters == {}
+        assert result.wall_seconds == 0.0
+        assert result.telemetry is None
+        assert result.metrics == {"value": 1.0}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("metrics", {"value": "fast"}, r"metrics\['value'\] is not a number"),
+        ("metrics", {"value": None}, r"metrics\['value'\] is not a number"),
+        ("counters", {"runs": float("inf")},
+         r"counters\['runs'\] is non-finite"),
+    ])
+    def test_values_must_be_finite_numbers(self, field, value, message):
+        record = point_record(_point(0))
+        record[field] = value
+        with pytest.raises(ValueError, match=message):
+            point_from_record(record)
+
+
+class TestJournalLines:
+    def _journal(self, tmp_path, lines):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def _header(self):
+        return json.dumps(journal_header(ft.cheap_spec(n=4)))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self._journal(tmp_path, [
+            "", self._header(), "   ",
+            json.dumps(point_record(_point(1))), "",
+        ])
+        state = load_journal(path)
+        assert sorted(state.completed) == [1]
+        assert state.torn_tail is False
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"point"', '{"index": 0}'])
+    def test_a_record_without_a_kind_names_the_line(self, tmp_path, line):
+        path = self._journal(tmp_path, [self._header(), line])
+        with pytest.raises(ValueError, match="line 2 has no 'kind' field"):
+            load_journal(path)
+
+    def test_a_torn_header_leaves_no_header(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(self._header()[:20])
+        with pytest.raises(ValueError, match="no header record"):
+            load_journal(path)
+
+    def test_the_last_point_record_of_an_index_wins(self, tmp_path):
+        path = self._journal(tmp_path, [
+            self._header(),
+            json.dumps(point_record(_point(1, value=1.0), attempts=1)),
+            json.dumps(point_record(_point(1, value=7.0), attempts=2)),
+        ])
+        state = load_journal(path)
+        assert state.completed[1].metrics == {"value": 7.0}
+        assert state.attempts == {1: 2}
+
+    def test_a_failure_after_a_completion_does_not_undo_it(self, tmp_path):
+        spec = ft.cheap_spec(n=4)
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_point(_point(2), attempts=1)
+            journal.record_failure(2, "RuntimeError: late", attempts=3)
+        state = load_journal(path)
+        assert sorted(state.completed) == [2]
+        assert state.failed == {}
+
+    def test_the_last_failure_of_an_index_is_kept(self, tmp_path):
+        spec = ft.cheap_spec(n=4)
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_failure(0, "first", attempts=1)
+            journal.record_failure(0, "second", attempts=3)
+        failure = load_journal(path).failed[0]
+        assert (failure["error"], failure["attempts"]) == ("second", 3)
+
+
+class TestAppendSide:
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        path = tmp_path / "deep" / "er" / "run.jsonl"
+        with RunJournal(path, ft.cheap_spec(n=4)) as journal:
+            journal.record_point(_point(0))
+        assert sorted(load_journal(path).completed) == [0]
+
+    def test_unsynced_journal_is_still_complete_once_closed(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, ft.cheap_spec(n=4), fsync=False) as journal:
+            journal.record_point(_point(0))
+            journal.record_failure(1, "boom", attempts=2)
+        state = load_journal(path)
+        assert sorted(state.completed) == [0] and sorted(state.failed) == [1]
+
+    def test_close_twice_is_harmless(self, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl", ft.cheap_spec(n=4))
+        journal.close()
+        journal.close()
+
+    def test_every_record_is_one_sorted_key_json_line(self, tmp_path):
+        spec = ft.cheap_spec(n=4)
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_point(_point(0))
+            journal.record_failure(1, "boom", attempts=2)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == [
+            "header", "point", "failure",
+        ]
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert json.loads(lines[0]) == journal_header(spec)
+
+    def test_resume_over_a_clean_journal_keeps_every_byte(self, tmp_path):
+        spec = ft.cheap_spec(n=4)
+        path = tmp_path / "run.jsonl"
+        with RunJournal(path, spec) as journal:
+            journal.record_point(_point(0))
+        before = path.read_bytes()
+        with RunJournal(path, spec, mode="resume"):
+            pass
+        assert path.read_bytes() == before
+
+
+class TestHeaderMatching:
+    @pytest.mark.parametrize("key", [
+        "schema", "name", "target", "seed", "points", "grid_digest",
+    ])
+    def test_each_header_field_is_checked(self, key):
+        spec = ft.cheap_spec(n=4)
+        header = journal_header(spec)
+        header[key] = "changed"
+        assert JournalState(header=header).matches(spec) == (
+            f"journal {key} 'changed' does not match the spec's "
+            f"{journal_header(spec)[key]!r}"
+        )
+
+    def test_grid_digest_sees_value_types(self):
+        ints = SweepSpec(name="g", target="ft-cheap", grid={"x": [1, 2]})
+        floats = SweepSpec(name="g", target="ft-cheap", grid={"x": [1.0, 2.0]})
+        assert grid_digest(ints) != grid_digest(floats)
+
+    def test_grid_digest_ignores_the_name_and_seed(self):
+        assert grid_digest(ft.cheap_spec(n=4, seed=1)) == grid_digest(
+            SweepSpec(name="other", target="ft-cheap",
+                      grid={"x": list(range(4))}, seed=2)
+        )

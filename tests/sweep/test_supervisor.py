@@ -35,6 +35,7 @@ from repro.sweep.supervisor import (
     Supervisor,
     SupervisorConfig,
     _Worker,
+    process_context,
 )
 
 from tests.sweep import _ft_helpers as ft
@@ -54,6 +55,21 @@ class TestChaosSpec:
     def test_parse_rejects_malformed_clauses(self, text):
         with pytest.raises(ConfigurationError):
             parse_chaos(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("crash:0.1,", ChaosSpec(crash=0.1)),
+        (" crash : 0.1 , hang:0.2 ", ChaosSpec(crash=0.1, hang=0.2)),
+        ("hang:0.1,hang-seconds:30", ChaosSpec(hang=0.1, hang_seconds=30.0)),
+    ])
+    def test_parse_tolerates_spacing_and_empty_clauses(self, text, expected):
+        assert parse_chaos(text) == expected
+
+    @pytest.mark.parametrize("kwargs", [
+        {"crash": -0.1}, {"hang": 2.0}, {"hang": float("nan")},
+    ])
+    def test_each_probability_must_lie_in_the_unit_interval(self, kwargs):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            ChaosSpec(**kwargs)
 
     def test_probabilities_are_validated(self):
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
@@ -77,30 +93,17 @@ class TestChaosSpec:
         with pytest.raises(ConfigurationError, match="timeout"):
             SupervisorConfig(chaos=ChaosSpec(hang=0.1), timeout=None)
 
-    def test_fleet_clauses_parse_and_validate(self):
-        spec = parse_chaos("host-crash:0.1,drop:0.2,delay:0.3")
-        assert spec == ChaosSpec(host_crash=0.1, drop=0.2, delay=0.3)
-        assert spec.fleet_clauses == ("host-crash", "drop", "delay")
-        assert ChaosSpec(crash=0.5).fleet_clauses == ()
-        assert parse_chaos("delay:0.5,delay-seconds:0.2").delay_seconds == 0.2
-        with pytest.raises(ConfigurationError, match="exceed 1"):
-            ChaosSpec(drop=0.6, delay=0.6)
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
-            ChaosSpec(host_crash=-0.1)
-
-    def test_wire_form_round_trips(self):
-        spec = ChaosSpec(crash=0.1, host_crash=0.2, drop=0.05,
-                         delay=0.1, delay_seconds=0.5)
-        assert ChaosSpec(**spec.to_wire()) == spec
-
-    def test_host_and_net_draws_are_deterministic(self):
-        spec = ChaosSpec(host_crash=0.3, drop=0.3, delay=0.3)
-        host_draws = [spec.draw_host(7, "ft", i, 1) for i in range(16)]
-        net_draws = [spec.draw_net(7, "ft", i, 1) for i in range(16)]
-        assert host_draws == [spec.draw_host(7, "ft", i, 1) for i in range(16)]
-        assert net_draws == [spec.draw_net(7, "ft", i, 1) for i in range(16)]
-        assert "crash" in host_draws and None in host_draws
-        assert {"drop", "delay"} & set(net_draws)
+    @pytest.mark.parametrize(
+        "clause", ["host-crash", "drop", "delay", "delay-seconds"]
+    )
+    def test_retired_clauses_are_rejected_naming_the_survivors(self, clause):
+        with pytest.raises(ConfigurationError) as error:
+            SupervisorConfig(chaos=f"{clause}:0.1", timeout=5.0)
+        message = str(error.value)
+        assert f"'{clause}:0.1'" in message
+        assert message.endswith(
+            "expected clauses from: crash:<p>, hang:<p>, hang-seconds:<p>"
+        )
 
 
 class TestSupervisorConfig:
@@ -434,6 +437,22 @@ class TestJournalAndResume:
                 resume=tmp_path / "b.jsonl",
             )
 
+    @pytest.mark.parametrize("paths", [list, tuple])
+    def test_resume_takes_one_path_not_a_sequence(self, tmp_path, paths):
+        journal = tmp_path / "run.jsonl"
+        run_sweep(ft.cheap_spec(n=2), journal=journal)
+        with pytest.raises(ConfigurationError, match="one journal path"):
+            run_sweep(ft.cheap_spec(n=2), resume=paths([journal]))
+
+    @pytest.mark.parametrize("spell", [str, pathlib.Path])
+    def test_resume_path_may_be_a_string_or_a_path(self, tmp_path, spell):
+        spec = ft.cheap_spec(n=3)
+        journal = tmp_path / "run.jsonl"
+        full = run_sweep(spec, journal=journal)
+        resumed = run_sweep(spec, resume=spell(journal))
+        assert resumed.harness["resumed"] == 3.0
+        assert resumed.fingerprint() == full.fingerprint()
+
     def test_one_worker_journal_and_resume_run_in_process(self, tmp_path):
         spec = ft.cheap_spec(n=4, target="ft-pid")
         journal = tmp_path / "run.jsonl"
@@ -523,3 +542,171 @@ class TestTelemetryCounters:
         assert total("crashes") == 5.0
         assert total("retries") == 5.0
         assert total("failed") == 0.0
+
+
+class TestChaosEdges:
+    @pytest.mark.parametrize("text, message", [
+        ("crash:lots", "bad chaos probability in 'crash:lots'"),
+        ("hang:", "bad chaos probability in 'hang:'"),
+        (",", "empty chaos spec ','"),
+        ("  ", "empty chaos spec '  '"),
+    ])
+    def test_parse_errors_quote_the_input(self, text, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_chaos(text)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"crash": 1.0}, {"hang": 1.0}, {"crash": 0.25, "hang": 0.75},
+    ])
+    def test_probabilities_may_reach_their_bounds(self, kwargs):
+        assert ChaosSpec(**kwargs)
+
+    @pytest.mark.parametrize("spec, expected", [
+        (ChaosSpec(crash=1.0), "crash"),
+        (ChaosSpec(hang=1.0), "hang"),
+        (ChaosSpec(), None),
+    ])
+    def test_certain_odds_give_certain_draws(self, spec, expected):
+        assert {
+            spec.draw(5, "ft", index, attempt)
+            for index in range(6) for attempt in (1, 2)
+        } == {expected}
+
+    def test_draws_depend_on_the_sweep_name(self):
+        spec = ChaosSpec(crash=0.5)
+        draws = {
+            name: [spec.draw(77, name, index, 1) for index in range(16)]
+            for name in ("ft", "other")
+        }
+        assert draws["ft"] != draws["other"]
+
+
+class TestSupervisorConfigEdges:
+    def test_a_chaos_string_becomes_a_chaos_spec(self):
+        config = SupervisorConfig(chaos="hang:0.2", timeout=1.0)
+        assert config.chaos == ChaosSpec(hang=0.2)
+
+    def test_crash_chaos_needs_no_timeout(self):
+        assert SupervisorConfig(chaos="crash:0.5").timeout is None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"timeout": -1.0}, "timeout must be positive: -1.0"),
+        ({"retries": -2}, "retries must be >= 0: -2"),
+        ({"jitter": -0.5}, "jitter must be >= 0: -0.5"),
+    ])
+    def test_bad_policy_messages_name_the_value(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SupervisorConfig(**kwargs)
+
+    def test_unknown_start_method_lists_the_platform_methods(self):
+        with pytest.raises(ConfigurationError) as error:
+            SupervisorConfig(start_method="teleport")
+        for method in multiprocessing.get_all_start_methods():
+            assert method in str(error.value)
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_process_context_honours_the_start_method(self, method):
+        assert process_context(method).get_start_method() == method
+
+
+class TestDispatch:
+    """The parent's dispatch loop, driven over bare pipes (no children)."""
+
+    def _supervisor(self, workers, tasks, timeout=5.0):
+        supervisor = Supervisor(
+            ft.cheap_spec(n=len(tasks)), SupervisorConfig(timeout=timeout)
+        )
+        pipes = []
+        for _ in range(workers):
+            parent_conn, child_conn = multiprocessing.Pipe()
+            supervisor._workers.append(
+                _Worker(process=None, conn=parent_conn, ready=True)
+            )
+            pipes.append((parent_conn, child_conn))
+        supervisor._pending = [
+            _Task(index=index, params={"x": index}, attempt=1)
+            for index in tasks
+        ]
+        supervisor._outstanding = len(tasks)
+        return supervisor, pipes
+
+    def _close(self, pipes):
+        for parent_conn, child_conn in pipes:
+            parent_conn.close()
+            child_conn.close()
+
+    def test_workers_fill_breadth_first_up_to_the_pipeline_depth(self):
+        supervisor, pipes = self._supervisor(2, range(5))
+        try:
+            supervisor._dispatch_ready(0.0)
+            held = [[task.index for task in worker.tasks]
+                    for worker in supervisor._workers]
+            assert held == [[0, 2], [1, 3]]
+            assert [task.index for task in supervisor._pending] == [4]
+            assert supervisor.counters["dispatched"] == 4.0
+            assert [child.recv() for _, child in pipes] == [
+                (0, {"x": 0}, 1), (1, {"x": 1}, 1),
+            ]
+        finally:
+            self._close(pipes)
+
+    def test_a_ready_worker_starts_the_clock_at_dispatch(self):
+        supervisor, pipes = self._supervisor(1, [0, 1])
+        try:
+            supervisor._dispatch_ready(10.0)
+            [worker] = supervisor._workers
+            assert worker.deadline == 15.0
+        finally:
+            self._close(pipes)
+
+    def test_no_timeout_means_no_deadline(self):
+        supervisor, pipes = self._supervisor(1, [0], timeout=None)
+        try:
+            supervisor._dispatch_ready(10.0)
+            assert supervisor._workers[0].deadline is None
+        finally:
+            self._close(pipes)
+
+    def test_a_task_in_backoff_is_not_dispatched(self):
+        supervisor, pipes = self._supervisor(1, [0])
+        try:
+            supervisor._pending[0].not_before = 50.0
+            supervisor._dispatch_ready(10.0)
+            assert supervisor._workers[0].tasks == []
+            assert supervisor.counters["dispatched"] == 0.0
+        finally:
+            self._close(pipes)
+
+    def test_a_result_completes_the_head_task_and_clocks_the_next(self):
+        supervisor, pipes = self._supervisor(1, [0, 1])
+        results = []
+        supervisor._on_result = lambda result, attempt: results.append(
+            (result, attempt)
+        )
+        try:
+            supervisor._dispatch_ready(time.monotonic())
+            pipes[0][1].send(("ok", 0, 1, "point-0"))
+            before = time.monotonic()
+            supervisor._step()
+            [worker] = supervisor._workers
+            assert results == [("point-0", 1)]
+            assert [task.index for task in worker.tasks] == [1]
+            assert worker.deadline >= before + 5.0
+            assert supervisor._outstanding == 1
+        finally:
+            self._close(pipes)
+
+    def test_an_error_result_spends_one_retry(self):
+        supervisor, pipes = self._supervisor(1, [0])
+        try:
+            supervisor._dispatch_ready(time.monotonic())
+            pipes[0][1].send(("error", 0, 1, "RuntimeError: boom"))
+            supervisor._step()
+            assert supervisor.counters["errors"] == 1.0
+            assert supervisor.counters["retries"] == 1.0
+            [retry] = supervisor._pending
+            assert (retry.index, retry.attempt) == (0, 2)
+            assert supervisor._workers[0].tasks == []
+            assert supervisor._workers[0].deadline is None
+        finally:
+            self._close(pipes)

@@ -209,15 +209,6 @@ class TestSolverDifferential:
         assert result.detail.startswith("indexed on ")
 
 
-class TestDistributedDifferential:
-    def test_tcp_fleet_matches_serial_bit_for_bit(self):
-        from repro.validate import check_distributed
-
-        result = check_distributed(hosts=2)
-        assert result.passed, result.detail
-        assert "2 tcp hosts" in result.detail
-
-
 class TestServeDifferential:
     def test_cached_responses_match_fresh_cold_runs(self):
         from repro.validate import check_serve
@@ -239,12 +230,11 @@ class TestMemerrorsDifferential:
 
 
 class TestBundle:
-    def test_run_differential_checks_covers_all_nine(self):
+    def test_run_differential_checks_covers_all_eight(self):
         results = run_differential_checks()
         assert [r.name for r in results] == [
             "routes", "collectives", "checkpointing", "memerrors",
-            "sweep-pool", "sweep-resume", "solvers", "sweep-distributed",
-            "serve",
+            "sweep-pool", "sweep-resume", "solvers", "serve",
         ]
         assert all(r.passed for r in results), [str(r) for r in results]
 
