@@ -7,9 +7,8 @@ endpoint control, and Slingshot-like flow-based selective backpressure.
 Run:  python examples/congestion_study.py
 """
 
-import numpy as np
-
 from repro import FabricSimulator, Flow, build_topology
+from repro.analysis.metrics import mean, percentile
 from repro.core.units import format_time
 from repro.interconnect import (
     EcnCongestionControl,
@@ -59,9 +58,9 @@ def main() -> None:
         stats = FabricSimulator(topology, congestion=policy).run(flows)
         victims = [s.completion_time for s in stats if s.tag == "victim"]
         aggressors = [s.completion_time for s in stats if s.tag == "aggressor"]
-        print(f"{label:28s} {format_time(float(np.percentile(victims, 99))):>12s} "
-              f"{format_time(float(np.mean(victims))):>12s} "
-              f"{format_time(float(np.mean(aggressors))):>15s}")
+        print(f"{label:28s} {format_time(percentile(sorted(victims), 99)):>12s} "
+              f"{format_time(mean(victims)):>12s} "
+              f"{format_time(mean(aggressors)):>15s}")
 
     print("\nFlow-based CM pins the congesting flows to their fair share and")
     print("leaves the victims untouched — 'sustained performance under load,")

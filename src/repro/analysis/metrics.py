@@ -9,8 +9,7 @@ interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 #: numpy's pairwise-summation block (``PW_BLOCKSIZE``).
 _BLOCK = 128
@@ -81,69 +80,3 @@ def percentile(ordered: List[float], q: float) -> float:
         return above - diff * (1 - gamma)
     return below + diff * gamma
 
-
-def _floats(samples: Sequence[float]) -> List[float]:
-    return [float(x) for x in samples]
-
-
-def _has_nan(data: List[float]) -> bool:
-    return any(x != x for x in data)
-
-
-@dataclass(frozen=True)
-class Percentiles:
-    """Standard latency percentiles of a sample."""
-
-    p50: float
-    p90: float
-    p99: float
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "Percentiles":
-        if not samples:
-            raise ValueError("cannot compute percentiles of an empty sample")
-        data = _floats(samples)
-        if _has_nan(data):
-            # numpy's percentile of a sample holding NaN is NaN.
-            return cls(p50=math.nan, p90=math.nan, p99=math.nan)
-        data.sort()
-        return cls(
-            p50=percentile(data, 50),
-            p90=percentile(data, 90),
-            p99=percentile(data, 99),
-        )
-
-
-@dataclass(frozen=True)
-class SeriesStats:
-    """Mean/std/min/max plus percentiles of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    percentiles: Percentiles
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (0 for a zero-mean series)."""
-        if self.mean == 0:
-            return 0.0
-        return self.std / abs(self.mean)
-
-
-def summarize(samples: Sequence[float]) -> SeriesStats:
-    """Full summary of a numeric sample."""
-    if not samples:
-        raise ValueError("cannot summarise an empty sample")
-    data = _floats(samples)
-    nan = _has_nan(data)
-    return SeriesStats(
-        count=len(data),
-        mean=mean(data),
-        std=std(data),
-        minimum=math.nan if nan else min(data),
-        maximum=math.nan if nan else max(data),
-        percentiles=Percentiles.of(data),
-    )

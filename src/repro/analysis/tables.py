@@ -58,10 +58,3 @@ def _render(value: Any) -> str:
         return f"{value:.4g}"
     return str(value)
 
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """Render a named (x, y) series as one aligned block."""
-    if len(xs) != len(ys):
-        raise ValueError("series x and y lengths differ")
-    pairs = "  ".join(f"({_render(x)}, {_render(y)})" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

@@ -18,7 +18,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".units": (
         "GB", "GIB", "HOUR", "KB", "KIB", "MB", "MIB", "MICROSECOND",
         "MILLISECOND", "MINUTE", "NANOSECOND", "PB", "TB", "GFLOP", "MFLOP",
-        "PFLOP", "TFLOP", "format_bytes", "format_flops", "format_rate",
+        "PFLOP", "TFLOP", "format_bytes", "format_rate",
         "format_time",
     ),
 })
@@ -51,7 +51,6 @@ __all__ = [
     "TFLOP",
     "atomic_write_text",
     "format_bytes",
-    "format_flops",
     "format_rate",
     "format_time",
     "fsync_directory",

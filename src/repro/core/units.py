@@ -69,14 +69,6 @@ _SIZE_STEPS = (
     (KB, "KB"),
 )
 
-_FLOP_STEPS = (
-    (EFLOP, "EFLOP"),
-    (PFLOP, "PFLOP"),
-    (TFLOP, "TFLOP"),
-    (GFLOP, "GFLOP"),
-    (MFLOP, "MFLOP"),
-)
-
 
 def _format_scaled(value, steps, base_scale, base_suffix, precision):
     """Pick the largest unit not exceeding ``value`` and render it.
@@ -121,13 +113,6 @@ def format_bytes(num_bytes: float, precision: int = 3) -> str:
     if num_bytes == 0:
         return "0 B"
     return _format_scaled(num_bytes, _SIZE_STEPS, 1.0, "B", precision)
-
-
-def format_flops(flops: float, precision: int = 3) -> str:
-    """Render an operation count with an auto-selected unit."""
-    if flops == 0:
-        return "0 FLOP"
-    return _format_scaled(flops, _FLOP_STEPS, 1.0, "FLOP", precision)
 
 
 def format_rate(bytes_per_second: float, precision: int = 3) -> str:

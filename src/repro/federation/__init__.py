@@ -1,4 +1,4 @@
-"""Federated HPC: sites, WAN links, data gravity, bursting and SLAs.
+"""Federated HPC: sites, WAN links, data gravity, bursting and accounting.
 
 The paper's delivery-model vision (§II.C, §III.F, §III.G, Figure 3):
 HPC will be "inherently heterogeneous and distributed from edge to core",
@@ -20,13 +20,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".bursting": ("BurstingPolicy", "DeliveryStage"),
     ".datasets": ("Dataset", "DatasetCatalog"),
     ".federation": ("Federation",),
-    ".gravity": ("data_gravity_score", "transfer_cost"),
+    ".gravity": ("transfer_cost",),
     ".site": ("Site", "SiteKind"),
-    ".sla": ("QoSClass", "ServiceLevelAgreement", "SlaTracker"),
-    ".trust": (
-        "FederatedAction", "FederationAgreement", "Organisation",
-        "TrustRegistry",
-    ),
     ".wan": ("WanLink", "WanNetwork"),
     ".workflow": (
         "StepExecution", "WorkflowEngine", "WorkflowResult", "WorkflowStep",
@@ -41,22 +36,14 @@ __all__ = [
     "Dataset",
     "DatasetCatalog",
     "DeliveryStage",
-    "FederatedAction",
     "Federation",
-    "FederationAgreement",
-    "Organisation",
-    "TrustRegistry",
-    "QoSClass",
-    "ServiceLevelAgreement",
     "Site",
     "SiteKind",
-    "SlaTracker",
     "StepExecution",
     "WanLink",
     "WanNetwork",
     "WorkflowEngine",
     "WorkflowResult",
     "WorkflowStep",
-    "data_gravity_score",
     "transfer_cost",
 ]

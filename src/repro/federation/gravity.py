@@ -5,8 +5,8 @@ The paper (§III.F): "The new framework will enable the analysis of data
 following compute resources availability but targeting the optimization of
 job completion time end to end, including the data transfer."
 
-Two functions: a gravity *score* ranking candidate sites for a job, and a
-transfer *cost* pricing the data movement a placement implies.
+:func:`transfer_cost` prices the data movement a placement implies; the
+meta-scheduler adds it, weighted, to each candidate's score.
 """
 
 from __future__ import annotations
@@ -34,24 +34,3 @@ def transfer_cost(
         return catalog.staging_time(job.input_dataset, site)
     return job.input_bytes / 1e9
 
-
-def data_gravity_score(
-    job: Job,
-    site: Site,
-    catalog: Optional[DatasetCatalog],
-    compute_time_estimate: float,
-    gravity_weight: float = 1.0,
-) -> float:
-    """Placement score: lower is better.
-
-    ``compute_time_estimate + gravity_weight * staging_time`` — with
-    ``gravity_weight = 0`` this degenerates to the compute-only placement
-    the paper criticises; 1.0 is true end-to-end completion time; values
-    above 1.0 bias towards data locality (e.g. when transfers also carry a
-    dollar cost or governance risk).
-    """
-    if gravity_weight < 0:
-        raise ValueError("gravity_weight must be non-negative")
-    if compute_time_estimate < 0:
-        raise ValueError("compute_time_estimate must be non-negative")
-    return compute_time_estimate + gravity_weight * transfer_cost(job, site, catalog)

@@ -31,7 +31,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".processors": ("CPU", "GPU", "FPGA"),
     ".reliability": (
         "DEVICE_TECHNOLOGY", "TECHNOLOGIES", "MemoryReliabilitySpec",
-        "device_upset_rate", "reliability_for",
+        "reliability_for",
     ),
     ".roofline": ("RooflineModel",),
     ".systolic": ("SystolicArrayAccelerator",),
@@ -62,7 +62,6 @@ __all__ = [
     "DEVICE_TECHNOLOGY",
     "TECHNOLOGIES",
     "MemoryReliabilitySpec",
-    "device_upset_rate",
     "reliability_for",
     "OpticalMVMEngine",
     "Precision",

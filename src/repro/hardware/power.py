@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List
+from typing import List
 
 from repro.core.errors import CapacityError, ConfigurationError
 from repro.hardware.device import DeviceSpec
@@ -152,20 +152,3 @@ class DatacenterPowerModel:
             raise ValueError("joules must be non-negative")
         kwh = joules / 3.6e6
         return kwh * self.electricity_price
-
-
-def densest_feasible_rack(
-    spec: DeviceSpec, cooling_options: Iterable[CoolingTechnology] = tuple(CoolingTechnology)
-) -> "tuple[CoolingTechnology, int]":
-    """The cooling choice and device count maximising devices per rack.
-
-    Reproduces the paper's point that high-density racks *require*
-    aggressive liquid cooling: with air cooling only a handful of
-    accelerators fit a rack.
-    """
-    best: "tuple[CoolingTechnology, int]" = (CoolingTechnology.AIR, 0)
-    for cooling in cooling_options:
-        count = int((cooling.max_rack_power - 500.0) // spec.tdp)
-        if count > best[1]:
-            best = (cooling, count)
-    return best

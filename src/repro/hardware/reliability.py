@@ -153,9 +153,3 @@ def reliability_for(device: Union[str, object]) -> MemoryReliabilitySpec:
             f"catalog covers: {known}"
         ) from None
     return TECHNOLOGIES[technology]
-
-
-def device_upset_rate(device: Union[str, object],
-                      capacity_bytes: float) -> float:
-    """Raw upsets per second for ``capacity_bytes`` on a catalog device."""
-    return reliability_for(device).upset_rate(capacity_bytes)

@@ -16,8 +16,8 @@ This subpackage reproduces the paper's interconnect discussion (§II.B and
   versus an ECN-style baseline (:mod:`repro.interconnect.congestion`).
 * **Memory fabric** — the PCIe/CXL/Gen-Z latency hierarchy and composable
   remote memory (:mod:`repro.interconnect.memfabric`).
-* **Photonics** — electrical reach limits and the silicon-photonics cost
-  crossover (:mod:`repro.interconnect.photonics`).
+* **Photonics** — the off-ASIC optical escape bandwidth of co-packaged
+  silicon photonics (:mod:`repro.interconnect.photonics`).
 """
 
 from repro._lazy import lazy_exports
@@ -31,20 +31,14 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".fabric": ("FabricSimulator", "Flow", "FlowStats", "LinkEvent"),
     ".ratesolver": ("IndexedSolver", "RateSolver", "ReferenceSolver"),
-    ".failures": (
-        "ConnectivityCurve", "DegradedFabric", "connectivity_curve",
-        "default_failure_rng", "disconnection_threshold", "fail_links",
-        "fail_switches", "path_stretch", "terminal_connectivity",
-    ),
     ".memfabric": ("AccessKind", "MemoryFabric", "MemoryPool", "MemoryTier"),
-    ".photonics": ("PhotonicsCostModel", "electrical_reach"),
     ".graph": (
         "DiGraph", "Graph", "GraphError", "NetworkXNoPath", "NodeNotFound",
     ),
     ".routecache": ("RouteCache", "route_cache_for"),
     ".routing": ("adaptive_route", "minimal_route", "valiant_route"),
     ".switch": ("SwitchGeneration", "SwitchSpec"),
-    ".tenancy": ("SlicedFabric", "VirtualNetwork", "encryption_overhead"),
+    ".tenancy": ("SlicedFabric", "VirtualNetwork"),
     ".topology": (
         "TOPOLOGY_KINDS", "Topology", "TopologySpec", "build_topology",
         "normalize_topology_kind",
@@ -58,15 +52,6 @@ __all__ = [
     "CongestionManager",
     "DiGraph",
     "congestion_policy",
-    "ConnectivityCurve",
-    "connectivity_curve",
-    "default_failure_rng",
-    "DegradedFabric",
-    "disconnection_threshold",
-    "fail_links",
-    "fail_switches",
-    "path_stretch",
-    "terminal_connectivity",
     "EcnCongestionControl",
     "FabricSimulator",
     "Flow",
@@ -82,7 +67,6 @@ __all__ = [
     "NetworkXNoPath",
     "NodeNotFound",
     "NoCongestionControl",
-    "PhotonicsCostModel",
     "RateSolver",
     "ReferenceSolver",
     "RouteCache",
@@ -95,8 +79,6 @@ __all__ = [
     "VirtualNetwork",
     "adaptive_route",
     "build_topology",
-    "electrical_reach",
-    "encryption_overhead",
     "minimal_route",
     "normalize_topology_kind",
     "route_cache_for",

@@ -8,7 +8,7 @@ directed one).  Every order -- nodes, neighbours, edges -- is insertion
 order, built by the same steps networkx takes, so node, neighbour and
 edge iteration match networkx's exactly.  The algorithms below are ports
 of networkx's that walk those orders the same way, so they return the
-same paths, components and bisection, and raise the same exceptions with
+same paths, reachable sets and bisection, and raise the same exceptions with
 the same messages.  ``tests/proptest/test_graph_differential.py`` checks
 each of them against networkx.
 
@@ -575,11 +575,6 @@ def _levels(adj: Mapping[Node, Iterable[Node]], source: Node) -> Dict[Node, int]
     return lengths
 
 
-def shortest_path_length(graph: Graph, source: Node, target: Node) -> int:
-    """Hop count from ``source`` to ``target``."""
-    return len(shortest_path(graph, source, target)) - 1
-
-
 def _undirected(graph: Graph) -> None:
     if graph.is_directed():
         raise GraphError("not implemented for directed type")
@@ -621,18 +616,7 @@ def average_shortest_path_length(graph: Graph) -> float:
     return total / (n * (n - 1))
 
 
-# --- components and reachability -------------------------------------------------
-
-
-def connected_components(graph: Graph) -> Iterator[Set[Node]]:
-    """Node sets of the connected components, ordered by their first node."""
-    _undirected(graph)
-    seen: Set[Node] = set()
-    for node in graph:
-        if node not in seen:
-            component = set(_levels(graph._adj, node))
-            seen.update(component)
-            yield component
+# --- reachability ---------------------------------------------------------------
 
 
 def _reachable(adj: Mapping[Node, Iterable[Node]], graph: Graph,

@@ -1,127 +1,18 @@
-"""Silicon-photonics cost model and electrical reach limits.
+"""Silicon-photonics escape bandwidth.
 
-The paper (§II.B): "Increases in link speed have brought reductions in
-electrical reach and increased platform costs. Pressure to move to optical
-interconnect is increasing, but costs remain high."
+The paper (§III.C): "Silicon photonics provides the means to bring bandwidth
+off the switch devices and directly into a low-cost optical network ... it
+will be possible to take hundreds of fibres from each switch ASIC ... A
+system fabric of essentially unlimited scale can be constructed from
+low-cost switches and passive optical cables."
 
-And (§III.C): "Silicon photonics provides the means to bring bandwidth off
-the switch devices and directly into a low-cost optical network ... it will
-be possible to take hundreds of fibres from each switch ASIC ... A system
-fabric of essentially unlimited scale can be constructed from low-cost
-switches and passive optical cables."
-
-The model answers three questions:
-
-* how far can an electrical link reach at a given line rate?
-  (:func:`electrical_reach`)
-* what does a link cost, electrical vs pluggable optics vs co-packaged
-  SiPh, as a function of rate and length? (:class:`PhotonicsCostModel`)
-* at what link length does optical become cheaper than electrical at each
-  line rate (the crossover the industry keeps sliding down)?
+:func:`escape_bandwidth_tbps` is the off-ASIC optical bandwidth that claim
+rests on (C3 sets it against the SerDes area wall).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.errors import ConfigurationError
-
-#: Reference point: 56 Gbps PAM-4 reaches ~3 m over twinax copper.
-_REFERENCE_GBPS = 56.0
-_REFERENCE_REACH_M = 3.0
-
-
-def electrical_reach(line_rate_gbps: float) -> float:
-    """Maximum copper reach in metres at a given per-lane line rate.
-
-    Loss in dB scales roughly with sqrt(frequency) x length; holding the
-    loss budget constant gives reach proportional to ``1/sqrt(rate)``.
-    Calibrated to 3 m at 56 Gbps PAM-4 (the paper's current generation).
-    """
-    if line_rate_gbps <= 0:
-        raise ConfigurationError("line rate must be positive")
-    return _REFERENCE_REACH_M * (_REFERENCE_GBPS / line_rate_gbps) ** 0.5
-
-
-@dataclass(frozen=True)
-class PhotonicsCostModel:
-    """Per-link cost model for electrical, pluggable and co-packaged optics.
-
-    Attributes
-    ----------
-    electrical_cost_per_gbps:
-        Copper cable + connector cost per Gbps (short links only).
-    electrical_cost_per_meter:
-        Incremental copper cost per metre (gauge grows with reach).
-    pluggable_cost_per_gbps:
-        Pluggable optical transceiver cost per Gbps (two ends included).
-    copackaged_cost_per_gbps:
-        Co-packaged SiPh cost per Gbps — the paper's bet that integrating
-        SiPh "into the ASIC design workflow and CMOS manufacturing path"
-        drives this below pluggables.
-    fiber_cost_per_meter:
-        Passive fibre cost per metre (tiny; "passive optical cables").
-    """
-
-    electrical_cost_per_gbps: float = 0.25
-    electrical_cost_per_meter: float = 8.0
-    pluggable_cost_per_gbps: float = 2.5
-    copackaged_cost_per_gbps: float = 0.8
-    fiber_cost_per_meter: float = 0.35
-
-    def electrical_link_cost(self, rate_gbps: float, length_m: float) -> float:
-        """Cost of a copper link; raises if the reach limit is exceeded."""
-        if rate_gbps <= 0 or length_m <= 0:
-            raise ConfigurationError("rate and length must be positive")
-        reach = electrical_reach(rate_gbps)
-        if length_m > reach:
-            raise ConfigurationError(
-                f"electrical link of {length_m} m exceeds reach {reach:.2f} m "
-                f"at {rate_gbps} Gbps"
-            )
-        return rate_gbps * self.electrical_cost_per_gbps + length_m * self.electrical_cost_per_meter
-
-    def pluggable_link_cost(self, rate_gbps: float, length_m: float) -> float:
-        """Cost of a link using pluggable optical transceivers."""
-        if rate_gbps <= 0 or length_m <= 0:
-            raise ConfigurationError("rate and length must be positive")
-        return rate_gbps * self.pluggable_cost_per_gbps + length_m * self.fiber_cost_per_meter
-
-    def copackaged_link_cost(self, rate_gbps: float, length_m: float) -> float:
-        """Cost of a link using co-packaged silicon photonics."""
-        if rate_gbps <= 0 or length_m <= 0:
-            raise ConfigurationError("rate and length must be positive")
-        return rate_gbps * self.copackaged_cost_per_gbps + length_m * self.fiber_cost_per_meter
-
-    def cheapest_link(self, rate_gbps: float, length_m: float) -> str:
-        """Which technology is cheapest for a link (``'electrical'``,
-        ``'pluggable'`` or ``'copackaged'``); electrical is excluded beyond
-        its reach."""
-        options = {}
-        if length_m <= electrical_reach(rate_gbps):
-            options["electrical"] = self.electrical_link_cost(rate_gbps, length_m)
-        options["pluggable"] = self.pluggable_link_cost(rate_gbps, length_m)
-        options["copackaged"] = self.copackaged_link_cost(rate_gbps, length_m)
-        return min(options, key=options.get)  # type: ignore[arg-type]
-
-    def optical_crossover_length(self, rate_gbps: float) -> float:
-        """Link length where co-packaged optics beats copper, metres.
-
-        Solves ``electrical(L) = copackaged(L)``; if optics is cheaper even
-        at zero length (per-Gbps term dominates at high rates) returns 0,
-        and never exceeds the electrical reach (beyond which copper is not
-        an option at all).
-        """
-        if rate_gbps <= 0:
-            raise ConfigurationError("rate must be positive")
-        numerator = rate_gbps * (
-            self.copackaged_cost_per_gbps - self.electrical_cost_per_gbps
-        )
-        denominator = self.electrical_cost_per_meter - self.fiber_cost_per_meter
-        if denominator <= 0:
-            return float("inf")
-        crossover = max(0.0, numerator / denominator)
-        return min(crossover, electrical_reach(rate_gbps))
 
 
 def escape_bandwidth_tbps(

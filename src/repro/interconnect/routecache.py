@@ -12,10 +12,9 @@ the topology, so this module memoises them **per topology object**:
   instance shares it, so repeated ``run()`` calls — the sweep engine's
   bread and butter — pay the routing cost once.
 * Caches are keyed by object identity in a :class:`weakref.WeakKeyDictionary`,
-  so a derived topology (a :class:`~repro.interconnect.failures.DegradedFabric`
-  after ``fail_links``/``fail_switches``, or a tenant slice from
-  :class:`~repro.interconnect.tenancy.SlicedFabric`) starts from an empty
-  cache and can never see its parent's routes.
+  so a derived topology (a copy of a graph with links or switches removed,
+  or a tenant slice from :class:`~repro.interconnect.tenancy.SlicedFabric`)
+  starts from an empty cache and can never see its parent's routes.
 * A search runs :func:`~repro.interconnect.graph.bidirectional_shortest_path`
   (networkx's bidirectional BFS) over neighbour lists taken from the graph
   once, in ``graph.adj`` order, so it returns networkx's node list without
@@ -369,8 +368,3 @@ def route_cache_for(topology: Topology) -> RouteCache:
         cache = RouteCache(topology)
         _CACHES[topology] = cache
     return cache
-
-
-def cached_topology_count() -> int:
-    """How many live topologies currently hold a route cache."""
-    return len(_CACHES)

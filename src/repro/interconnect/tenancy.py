@@ -170,17 +170,3 @@ class SlicedFabric:
             tenant = stat.tag.split(":", 1)[0]
             results[tenant].append(stat)
         return results
-
-
-def encryption_overhead(
-    slice_: VirtualNetwork, message_bytes: float, hops: int, link_bandwidth: float
-) -> float:
-    """Extra seconds an encrypted transfer pays vs cleartext on the slice."""
-    if message_bytes < 0 or hops < 0 or link_bandwidth <= 0:
-        raise ConfigurationError("invalid transfer parameters")
-    if not slice_.encrypted:
-        return 0.0
-    clear_rate = link_bandwidth * slice_.bandwidth_share
-    encrypted_rate = link_bandwidth * slice_.effective_share
-    throughput_penalty = message_bytes / encrypted_rate - message_bytes / clear_rate
-    return throughput_penalty + hops * slice_.encryption_hop_latency

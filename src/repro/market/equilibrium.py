@@ -77,18 +77,3 @@ def clearing_price(
         lower = max(lower, min(bids[matched], upper))
     price = (lower + upper) / 2.0
     return price, matched * unit
-
-
-def allocative_efficiency(
-    traded_quantity: float, suppliers: Curve, consumers: Curve
-) -> float:
-    """Traded volume over the equilibrium volume (1.0 = fully efficient).
-
-    Values can exceed 1 when speculation churns volume beyond fundamentals.
-    """
-    if traded_quantity < 0:
-        raise MarketError("traded_quantity must be non-negative")
-    _, equilibrium_quantity = clearing_price(suppliers, consumers)
-    if equilibrium_quantity == 0:
-        return 0.0
-    return traded_quantity / equilibrium_quantity

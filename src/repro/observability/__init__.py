@@ -44,7 +44,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".probes": (
         "ProfilingKernelProbe", "Telemetry",
-        "attach_cluster_sampler", "attach_kernel_sampler",
+        "attach_cluster_sampler",
     ),
     ".profiler": (
         "PHASE_CONGESTION", "PHASE_DISPATCH", "PHASE_ROUTING", "PHASE_RUN",
@@ -55,7 +55,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".progress": ("SweepProgressReporter",),
     ".summary": (
         "label_string", "merge_summaries", "parse_label_string",
-        "registry_from_summary", "summarize_telemetry", "summary_totals",
+        "registry_from_summary", "summarize_telemetry",
     ),
     ".tracer": (
         "NULL_TRACER", "CounterRecord", "InstantRecord", "SpanRecord",
@@ -85,7 +85,6 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "attach_cluster_sampler",
-    "attach_kernel_sampler",
     "callback_label",
     "chrome_trace",
     "collapsed_stack_lines",
@@ -103,7 +102,6 @@ __all__ = [
     "prometheus_lines",
     "registry_from_summary",
     "summarize_telemetry",
-    "summary_totals",
     "timed",
     "top_time_sinks",
     "write_chrome_trace",

@@ -263,19 +263,3 @@ def attach_cluster_sampler(
     return telemetry.sample_every(
         cluster.simulation, period, take, keepalive=keepalive
     )
-
-
-def attach_kernel_sampler(
-    telemetry: Telemetry,
-    simulation: Simulation,
-    period: float,
-    keepalive: bool = False,
-) -> PeriodicSampler:
-    """Sample the kernel's live-event count (O(1) ``Simulation.pending``)."""
-    pending = telemetry.gauge("sim.pending", "live events in the kernel queue")
-
-    def take(now: float) -> None:
-        pending.set(simulation.pending)
-        telemetry.tracer.sample("sim.pending", now, pending=simulation.pending)
-
-    return telemetry.sample_every(simulation, period, take, keepalive=keepalive)

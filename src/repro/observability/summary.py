@@ -192,11 +192,3 @@ def registry_from_summary(summary: dict) -> MetricsRegistry:
             histogram._counts[key] = [int(c) for c in cell.get("counts", [])]
             histogram._sums[key] = float(cell.get("sum", 0.0))
     return registry
-
-
-def summary_totals(summary: dict) -> Dict[str, float]:
-    """``{counter name: total across label sets}`` for quick assertions."""
-    return {
-        name: sum(float(v) for v in data.get("series", {}).values())
-        for name, data in summary.get("counters", {}).items()
-    }

@@ -12,7 +12,7 @@ Layers:
 * :mod:`repro.scheduling.noise` — the OS/interference noise model behind
   the paper's "the slowest component dictates performance" claim (§II.C).
 * :mod:`repro.scheduling.cluster` — an event-driven single-site cluster
-  with pluggable queue policies (FCFS, SJF, EASY backfilling).
+  serving its queue first come, first served.
 * :mod:`repro.scheduling.metascheduler` — federation-wide placement:
   best-silicon selection with data gravity, against static/random
   baselines.
@@ -31,10 +31,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "MetaScheduler", "PlacementDecision", "PlacementPolicy",
     ),
     ".noise": ("NoiseModel", "bsp_slowdown", "expected_max_of_normals"),
-    ".policies": (
-        "EasyBackfillPolicy", "FcfsPolicy", "PriorityPolicy", "QueuePolicy",
-        "SjfPolicy",
-    ),
     ".runtime": ("RuntimeEstimate", "estimate_job"),
     ".taskgraph": (
         "DataTask", "Mapper", "Region", "TaskGraph", "TaskGraphExecutor",
@@ -51,21 +47,16 @@ __all__ = [
     "local_ssd_target",
     "parallel_filesystem_target",
     "young_daly_interval",
-    "EasyBackfillPolicy",
-    "FcfsPolicy",
     "JobRecord",
     "Mapper",
     "MetaScheduler",
-    "PriorityPolicy",
     "Region",
     "TaskGraph",
     "TaskGraphExecutor",
     "NoiseModel",
     "PlacementDecision",
     "PlacementPolicy",
-    "QueuePolicy",
     "RuntimeEstimate",
-    "SjfPolicy",
     "bsp_slowdown",
     "estimate_job",
     "expected_max_of_normals",

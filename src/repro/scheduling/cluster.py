@@ -1,8 +1,9 @@
 """Event-driven single-site cluster simulator.
 
 Simulates one site's job queue on the :class:`~repro.core.events.Simulation`
-kernel: jobs arrive, a :class:`~repro.scheduling.policies.QueuePolicy`
-orders the queue, and devices are held for each job's predicted runtime.
+kernel: jobs arrive, the queue is served first come, first served (the
+head starts as soon as enough devices are free, and nothing passes it),
+and devices are held for each job's predicted runtime.
 Per-job :class:`JobRecord` outcomes feed utilisation/wait/makespan metrics
 for the scheduling and federation experiments.
 
@@ -34,7 +35,6 @@ from repro.observability.probes import (
     CATEGORY_QUEUE,
     Telemetry,
 )
-from repro.scheduling.policies import FcfsPolicy, QueuePolicy
 from repro.scheduling.runtime import estimate_job
 from repro.workloads.base import Job
 
@@ -108,7 +108,7 @@ class _RunningJob:
 
 
 class ClusterSimulator:
-    """One site's queue and devices under a queue policy.
+    """One site's FCFS queue and devices.
 
     Parameters
     ----------
@@ -118,8 +118,6 @@ class ClusterSimulator:
         The device pool jobs run on. The cluster schedules over this single
         homogeneous pool; heterogeneous placement happens a level up in the
         meta-scheduler, which owns the choice of pool per job.
-    policy:
-        Queue ordering policy (default FCFS).
     simulation:
         An external simulation clock to share (a fresh one by default).
     telemetry:
@@ -148,7 +146,6 @@ class ClusterSimulator:
         self,
         site: Site,
         device: Device,
-        policy: Optional[QueuePolicy] = None,
         simulation: Optional[Simulation] = None,
         telemetry: Optional[Telemetry] = None,
         *,
@@ -160,7 +157,6 @@ class ClusterSimulator:
             raise ConfigurationError(f"{site.name} has no {device.name}")
         self.site = site
         self.device = device
-        self.policy = policy or FcfsPolicy()
         self.simulation = simulation or Simulation()
         self.telemetry = telemetry
         self.retry_policy = retry_policy
@@ -292,16 +288,10 @@ class ClusterSimulator:
     # --- dispatch loop -----------------------------------------------------------
 
     def _dispatch(self) -> None:
-        while True:
-            if self.down:
-                return
-            running = [(r.finish_time, r.needed) for r in self._running.values()]
-            index = self.policy.select(
-                self._queue, self._free, running, self.simulation.now
-            )
-            if index is None:
-                return
-            record, runtime, needed = self._queue.pop(index)
+        """Start queue heads, in ready order, while the head fits."""
+        queue = self._queue
+        while queue and not self.down and queue[0][2] <= self._free:
+            record, runtime, needed = queue.pop(0)
             self._start(record, runtime, needed)
 
     def _start(self, record: JobRecord, runtime: float, needed: int) -> None:

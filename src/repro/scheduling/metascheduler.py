@@ -33,7 +33,6 @@ from repro.federation.site import Site, SiteKind
 from repro.hardware.device import Device, DeviceKind
 from repro.observability.probes import CATEGORY_FAULT, CATEGORY_WAN, Telemetry
 from repro.scheduling.cluster import ClusterSimulator, JobRecord
-from repro.scheduling.policies import QueuePolicy
 from repro.scheduling.runtime import estimate_job
 from repro.workloads.base import Job, JobClass
 
@@ -86,7 +85,6 @@ class MetaScheduler:
         federation: Federation,
         policy: PlacementPolicy = PlacementPolicy.BEST_SILICON,
         gravity_weight: float = 1.0,
-        queue_policy: Optional[QueuePolicy] = None,
         rng: Optional[RandomSource] = None,
         home_site: Optional[Site] = None,
         telemetry: Optional[Telemetry] = None,
@@ -112,7 +110,6 @@ class MetaScheduler:
                 self.pools[(site.name, device.name)] = ClusterSimulator(
                     site=site,
                     device=device,
-                    policy=queue_policy,
                     simulation=self.simulation,
                     telemetry=telemetry,
                 )

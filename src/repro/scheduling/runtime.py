@@ -147,17 +147,3 @@ def estimate_job(job: Job, device: Device, site: Site) -> RuntimeEstimate:
         devices_used=job.ranks,
         effective_precision=precision,
     )
-
-
-def best_device_at_site(job: Job, site: Site) -> Optional[Device]:
-    """The installed device minimising predicted time (None if none fits)."""
-    best: Optional[Device] = None
-    best_time = float("inf")
-    for device in site.devices:
-        if site.count(device) < job.ranks:
-            continue
-        estimate = estimate_job(job, device, site)
-        if estimate.feasible and estimate.time < best_time:
-            best_time = estimate.time
-            best = device
-    return best

@@ -144,8 +144,13 @@ def parse_chaos(text: str) -> ChaosSpec:
             raise ConfigurationError(
                 f"bad chaos clause {part!r}; expected clauses from: {known}"
             )
+        key = _CHAOS_CLAUSES[name]
+        if key in values:
+            raise ConfigurationError(
+                f"chaos clause {name!r} given more than once in {text!r}"
+            )
         try:
-            values[_CHAOS_CLAUSES[name]] = float(raw)
+            values[key] = float(raw)
         except ValueError:
             raise ConfigurationError(
                 f"bad chaos probability in {part!r}"

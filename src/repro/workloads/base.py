@@ -108,7 +108,7 @@ class Task:
 
 @dataclass
 class Job:
-    """A complete job: tasks, class, dataset dependencies and QoS intent.
+    """A complete job: tasks, class and dataset dependencies.
 
     Attributes
     ----------
@@ -131,9 +131,6 @@ class Job:
         Wall-clock deadline in seconds from submission (None = best effort).
     arrival_time:
         Submission time (set by trace generators).
-    qos_weight:
-        Scheduling priority weight (see
-        :class:`repro.federation.sla.QoSClass`); 1.0 = best effort.
     """
 
     name: str
@@ -145,7 +142,6 @@ class Job:
     input_bytes: float = 0.0
     deadline: Optional[float] = None
     arrival_time: float = 0.0
-    qos_weight: float = 1.0
     job_id: int = field(default_factory=lambda: next(_job_ids))
 
     def __post_init__(self) -> None:

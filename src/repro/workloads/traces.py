@@ -11,13 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-
-if TYPE_CHECKING:  # imported lazily to keep workloads below federation
-    from repro.federation.sla import QoSClass
 from repro.hardware.precision import Precision
 from repro.workloads.ai import (
     AIModel,
@@ -70,9 +67,6 @@ class TraceConfig:
         Period of the modulation in seconds.
     max_jobs:
         Hard cap on generated jobs.
-    qos_mix:
-        Probability weight per QoS class; jobs get the class's scheduling
-        weight as ``qos_weight``. ``None`` leaves every job best effort.
     """
 
     arrival_rate: float = 0.01
@@ -88,7 +82,6 @@ class TraceConfig:
     diurnal: bool = False
     diurnal_period: float = 86_400.0
     max_jobs: int = 10_000
-    qos_mix: Optional[Dict["QoSClass", float]] = None
 
     def __post_init__(self) -> None:
         if self.arrival_rate <= 0 or self.duration <= 0:
@@ -99,10 +92,6 @@ class TraceConfig:
             raise ConfigurationError("invalid size distribution")
         if self.max_jobs <= 0:
             raise ConfigurationError("max_jobs must be positive")
-        if self.qos_mix is not None and (
-            not self.qos_mix or all(w <= 0 for w in self.qos_mix.values())
-        ):
-            raise ConfigurationError("qos_mix must contain a positive weight")
 
 
 class JobTraceGenerator:
@@ -221,10 +210,6 @@ class JobTraceGenerator:
         else:
             raise ConfigurationError(f"trace generator cannot build {job_class}")
         job.arrival_time = arrival_time
-        if self.config.qos_mix is not None:
-            classes = list(self.config.qos_mix)
-            weights = [self.config.qos_mix[c] for c in classes]
-            job.qos_weight = self.rng.choice(classes, weights=weights).weight
         return job
 
     def generate(self) -> List[Job]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import Table, format_series
+from repro.analysis.tables import Table
 
 
 class TestTable:
@@ -47,13 +47,3 @@ class TestTable:
         captured = capsys.readouterr()
         assert "t" in captured.out
 
-
-class TestFormatSeries:
-    def test_pairs_rendered(self):
-        rendered = format_series("latency", [1, 2], [10.0, 20.0])
-        assert rendered.startswith("latency:")
-        assert "(1, 10)" in rendered
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_series("x", [1], [1, 2])

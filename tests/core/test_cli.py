@@ -237,6 +237,15 @@ class TestSweepCommand:
             "expected clauses from: crash:<p>, hang:<p>, hang-seconds:<p>"
         ) in err
 
+    def test_repeated_chaos_clause_exits_2_naming_it(self, capsys):
+        code = main([
+            "sweep", "smoke", "--workers", "2", "--chaos", "crash:0.1,crash:0.3",
+        ])
+        assert code == 2
+        assert (
+            "chaos clause 'crash' given more than once in 'crash:0.1,crash:0.3'"
+        ) in capsys.readouterr().err
+
     def test_chaos_smoke_recovers_the_golden_fingerprint(self, tmp_path):
         """Injected worker crashes and hangs are retried away: the smoke
         sweep still reproduces its golden fingerprint."""

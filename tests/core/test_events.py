@@ -429,3 +429,48 @@ class TestScheduleMany:
             return order
 
         assert run(batched=True) == run(batched=False)
+
+
+class TestPublisher:
+    """The one call made whenever a run or a step returns."""
+
+    def test_run_publishes_once_at_its_end(self):
+        sim = Simulation()
+        seen = []
+        sim.set_publisher(lambda s: seen.append((s.now, s.processed)))
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        sim.run()
+        assert seen == [(3.0, 3)]
+
+    def test_each_step_publishes_even_on_an_empty_queue(self):
+        sim = Simulation()
+        seen = []
+        sim.set_publisher(lambda s: seen.append(s.processed))
+        sim.schedule(1.0, lambda: None)
+        assert sim.step() is True
+        assert sim.step() is False
+        assert seen == [1, 1]
+
+    def test_publishes_when_a_callback_raises(self):
+        sim = Simulation()
+        seen = []
+        sim.set_publisher(lambda s: seen.append(s.now))
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(2.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert seen == [2.0]
+
+    def test_setting_replaces_and_none_clears(self):
+        sim = Simulation()
+        first, second = [], []
+        sim.set_publisher(first.append)
+        sim.set_publisher(second.append)
+        sim.run()
+        sim.set_publisher(None)
+        sim.run()
+        assert first == [] and second == [sim]

@@ -59,17 +59,6 @@ class TestFormatBytes:
         assert units.format_bytes(2.5e15) == "2.5 PB"
 
 
-class TestFormatFlops:
-    def test_zero(self):
-        assert units.format_flops(0) == "0 FLOP"
-
-    def test_teraflops(self):
-        assert units.format_flops(9.7e12) == "9.7 TFLOP"
-
-    def test_small_counts(self):
-        assert units.format_flops(100.0) == "100 FLOP"
-
-
 class TestFormatRate:
     def test_rate_suffix(self):
         assert units.format_rate(25e9) == "25 GB/s"

@@ -53,6 +53,15 @@ class TestPlan:
         plan = plan_builder.plan(["raw", "shared"], federation.site("onprem"))
         assert plan.total_time <= plan.serial_time
 
+    def test_dollars_sum_over_items_and_local_copies_are_free(self, planner):
+        plan_builder, federation = planner
+        plan = plan_builder.plan(["raw", "shared"], federation.site("onprem"))
+        assert plan.total_dollars == pytest.approx(
+            sum(item.dollars for item in plan.items)
+        )
+        local = plan_builder.plan(["raw"], federation.site("super"))
+        assert local.total_dollars == 0.0
+
     def test_governance_blocks_restricted_data(self, small_federation):
         small_federation.add_dataset(
             Dataset(name="secret", size_bytes=1e9, replicas={"super"})

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.federation import Dataset, Federation, Site, SiteKind, WanLink
-from repro.federation.gravity import data_gravity_score, transfer_cost
+from repro.federation.gravity import transfer_cost
 from repro.hardware.device import DeviceKind
 from repro.workloads.base import JobClass, make_single_kernel_job
 
@@ -96,22 +96,3 @@ class TestGravity:
             job, small_federation.site("cloud"), small_federation.catalog
         )
         assert cost == pytest.approx(5.0)
-
-    def test_gravity_score_weights_staging(self, small_federation):
-        small_federation.add_dataset(
-            Dataset(name="big", size_bytes=100e9, replicas={"super"})
-        )
-        job = self.make_job(dataset="big")
-        site = small_federation.site("cloud")
-        ignore = data_gravity_score(job, site, small_federation.catalog, 10.0, 0.0)
-        full = data_gravity_score(job, site, small_federation.catalog, 10.0, 1.0)
-        assert ignore == 10.0
-        assert full > ignore
-
-    def test_gravity_rejects_negative_weight(self, small_federation):
-        job = self.make_job()
-        with pytest.raises(ValueError):
-            data_gravity_score(
-                job, small_federation.site("cloud"),
-                small_federation.catalog, 1.0, -1.0,
-            )

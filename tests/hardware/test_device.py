@@ -104,6 +104,18 @@ class TestDevice:
             device.time_for(kernel) * 200.0
         )
 
+    def test_energy_efficiency_is_throughput_per_watt(self):
+        device = Device(make_spec())
+        kernel = KernelProfile(flops=1e12, bytes_moved=1e6, precision=Precision.FP64)
+        assert device.energy_efficiency(kernel) == pytest.approx(
+            device.throughput_for(kernel) / 200.0
+        )
+
+    def test_energy_efficiency_of_no_work_is_zero(self):
+        device = Device(make_spec())
+        kernel = KernelProfile(flops=0.0, bytes_moved=0.0, precision=Precision.FP64)
+        assert device.energy_efficiency(kernel) == 0.0
+
     def test_throughput_bounded_by_sustained_peak(self):
         device = Device(make_spec())
         kernel = KernelProfile(flops=1e13, bytes_moved=1.0, precision=Precision.FP64)

@@ -8,7 +8,6 @@ from repro.hardware.power import (
     CoolingTechnology,
     DatacenterPowerModel,
     RackPowerModel,
-    densest_feasible_rack,
 )
 from repro.hardware.precision import Precision
 
@@ -96,6 +95,22 @@ class TestDatacenterPowerModel:
         datacenter.add_rack(self.make_rack())
         assert datacenter.pue() > 1.0
 
+    def test_facility_power_charges_each_rack_its_cooling(self):
+        datacenter = DatacenterPowerModel(facility_limit=35e6)
+        liquid = self.make_rack()
+        air = RackPowerModel(
+            cooling=CoolingTechnology.AIR, devices=[accelerator_spec()] * 10,
+        )
+        datacenter.add_rack(liquid)
+        datacenter.add_rack(air)
+        assert datacenter.total_facility_power() == pytest.approx(
+            liquid.peak_power * CoolingTechnology.DIRECT_LIQUID.partial_pue
+            + air.peak_power * CoolingTechnology.AIR.partial_pue
+        )
+        assert datacenter.pue() == pytest.approx(
+            datacenter.total_facility_power() / datacenter.it_power()
+        )
+
     def test_empty_datacenter_pue_is_one(self):
         assert DatacenterPowerModel().pue() == 1.0
 
@@ -111,10 +126,3 @@ class TestDatacenterPowerModel:
     def test_energy_cost_rejects_negative(self):
         with pytest.raises(ValueError):
             DatacenterPowerModel().energy_cost(-1.0)
-
-
-class TestDensestFeasibleRack:
-    def test_liquid_wins_for_hot_devices(self):
-        cooling, count = densest_feasible_rack(accelerator_spec(tdp=500.0))
-        assert cooling is CoolingTechnology.DIRECT_LIQUID
-        assert count == int((400_000.0 - 500.0) // 500.0)

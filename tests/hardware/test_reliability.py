@@ -8,7 +8,6 @@ from repro.hardware import (
     TECHNOLOGIES,
     MemoryReliabilitySpec,
     default_catalog,
-    device_upset_rate,
     reliability_for,
 )
 
@@ -50,13 +49,6 @@ class TestSpec:
         assert spec.upset_rate(1024.0 ** 3) == pytest.approx(1.0)
         with pytest.raises(ConfigurationError, match="capacity_bytes"):
             spec.upset_rate(0.0)
-
-    def test_device_upset_rate_composes_lookup_and_rate(self):
-        device = default_catalog().get("epyc-class-cpu")
-        capacity = device.spec.memory_capacity
-        expected = reliability_for(device).upset_rate(capacity)
-        assert device_upset_rate(device, capacity) == pytest.approx(expected)
-        assert device_upset_rate("epyc-class-cpu", capacity) > 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

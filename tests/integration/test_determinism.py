@@ -9,31 +9,12 @@ fixed operation order).
 import pytest
 
 from repro.core.rng import RandomSource
-from repro.federation.sla import QoSClass
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
 from repro.market.agents import BrokerAgent, ConsumerAgent, ProviderAgent
 from repro.market.exchange import ComputeExchange, MarketSimulation, ResourceClass
 from repro.scheduling import MetaScheduler, PlacementPolicy
 from repro.workloads import JobTraceGenerator, TraceConfig
-
-
-class TestTraceDeterminism:
-    def test_qos_trace_reproducible(self):
-        def build():
-            return JobTraceGenerator(
-                TraceConfig(
-                    arrival_rate=0.05, duration=2_000, max_jobs=30,
-                    qos_mix={QoSClass.BEST_EFFORT: 0.7, QoSClass.PREMIUM: 0.3},
-                ),
-                rng=RandomSource(seed=2),
-            ).generate()
-
-        first = build()
-        second = build()
-        assert [(j.name, j.arrival_time, j.qos_weight) for j in first] == [
-            (j.name, j.arrival_time, j.qos_weight) for j in second
-        ]
 
 
 class TestSchedulerDeterminism:

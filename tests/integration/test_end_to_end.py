@@ -177,39 +177,6 @@ class TestMarketBackedFederation:
         assert simulation.price_history  # trades happened
 
 
-class TestSlaAcrossFederation:
-    """SLA tracking over meta-scheduled placements (§II.C's Grid lesson:
-    SLAs and QoS must be first class)."""
-
-    def test_attainment_tracked_per_provider(self, small_federation):
-        from repro.federation.sla import ServiceLevelAgreement, SlaTracker
-
-        trace = JobTraceGenerator(
-            TraceConfig(arrival_rate=0.02, duration=20_000, max_jobs=60),
-            rng=RandomSource(seed=31),
-        ).generate()
-        scheduler = MetaScheduler(small_federation)
-        records = scheduler.run(trace)
-        sla = ServiceLevelAgreement(deadline=600.0, violation_penalty=10.0)
-        tracker = SlaTracker()
-        by_job = {d.job.job_id: d for d in scheduler.decisions}
-        for record in records:
-            decision = by_job[record.job.job_id]
-            tracker.record(
-                job_name=record.job.name,
-                provider=decision.site.name,
-                sla=sla,
-                queue_wait=record.queue_wait,
-                completion_time=record.completion_time,
-            )
-        assert 0.0 <= tracker.attainment() <= 1.0
-        per_provider = tracker.by_provider()
-        assert set(per_provider) <= {"onprem", "super", "cloud"}
-        # Penalties consistent with attainment.
-        violated = sum(1 for o in tracker.outcomes if not o.met)
-        assert tracker.total_penalties() == pytest.approx(10.0 * violated)
-
-
 class TestHeterogeneousTraceAcrossFederation:
     def test_mixed_trace_exploits_heterogeneity(self, small_federation):
         """The Figure 1 mix lands on at least three device kinds."""

@@ -56,11 +56,6 @@ class TestJobEdgeCases:
         job = Job(name="j", job_class=JobClass.ANALYTICS, tasks=[task])
         assert job.arithmetic_intensity() == 0.0
 
-    def test_qos_weight_default(self):
-        task = Task(name="t", phases=[Phase(kind=PhaseKind.BARRIER, sync=True)])
-        job = Job(name="j", job_class=JobClass.SIMULATION, tasks=[task])
-        assert job.qos_weight == 1.0
-
 
 class TestPersistentOrderBooks:
     def test_unfilled_orders_survive_rounds(self):

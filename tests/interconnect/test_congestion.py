@@ -7,6 +7,7 @@ from repro.interconnect.congestion import (
     EcnCongestionControl,
     FlowBasedCongestionControl,
     NoCongestionControl,
+    congestion_policy,
 )
 from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
@@ -73,6 +74,62 @@ class TestPolicyParameters:
         flow_based = FlowBasedCongestionControl()
         assert flow_based.victim_rate_factor(5) == 1.0
         assert flow_based.victim_extra_latency(5) == 0.0
+
+    def test_no_cm_rejects_negative_drain_time(self):
+        with pytest.raises(ValueError):
+            NoCongestionControl(buffer_drain_time=-1e-6)
+
+    def test_ecn_rejects_bad_residual_penalty(self):
+        with pytest.raises(ValueError):
+            EcnCongestionControl(residual_spread_penalty=1.0)
+
+    def test_aggressor_factors(self):
+        # Without control aggressors keep their share; ECN's sawtooth and
+        # flow-based identification each cost them a configured fraction.
+        assert NoCongestionControl().aggressor_rate_factor() == 1.0
+        assert EcnCongestionControl(
+            convergence_efficiency=0.7).aggressor_rate_factor() == 0.7
+        assert FlowBasedCongestionControl(
+            identification_efficiency=0.9).aggressor_rate_factor() == 0.9
+
+    def test_victim_latency_is_per_hot_switch(self):
+        none = NoCongestionControl(buffer_drain_time=40e-6)
+        ecn = EcnCongestionControl(residual_queue_delay=8e-6)
+        assert none.victim_extra_latency(3) == pytest.approx(120e-6)
+        assert ecn.victim_extra_latency(3) == pytest.approx(24e-6)
+        assert none.victim_extra_latency(0) == ecn.victim_extra_latency(0) == 0.0
+
+    @pytest.mark.parametrize("hot_switches", [0, 1, 2, 3])
+    def test_victims_fare_best_under_flow_based(self, hot_switches):
+        none, ecn, flow = (
+            congestion_policy(name) for name in ("none", "ecn", "flow")
+        )
+        assert (flow.victim_rate_factor(hot_switches)
+                >= ecn.victim_rate_factor(hot_switches)
+                >= none.victim_rate_factor(hot_switches))
+        assert (flow.victim_extra_latency(hot_switches)
+                <= ecn.victim_extra_latency(hot_switches)
+                <= none.victim_extra_latency(hot_switches))
+
+
+class TestPolicyNames:
+    @pytest.mark.parametrize("name, kind", [
+        ("none", NoCongestionControl),
+        ("off", NoCongestionControl),
+        ("ecn", EcnCongestionControl),
+        ("flow", FlowBasedCongestionControl),
+        (" Slingshot ", FlowBasedCongestionControl),
+        ("flow-based", FlowBasedCongestionControl),
+    ])
+    def test_names_and_aliases(self, name, kind):
+        assert type(congestion_policy(name)) is kind
+
+    def test_fresh_manager_per_call(self):
+        assert congestion_policy("ecn") is not congestion_policy("ecn")
+
+    def test_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(ValueError, match="known: none, ecn, flow"):
+            congestion_policy("pfc")
 
 
 class TestPaperClaim:

@@ -1,71 +1,9 @@
-"""Tests for electrical reach and the photonics cost model."""
+"""Tests for the silicon-photonics escape bandwidth."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.interconnect.photonics import (
-    PhotonicsCostModel,
-    electrical_reach,
-    escape_bandwidth_tbps,
-)
-
-
-class TestElectricalReach:
-    def test_reference_point(self):
-        assert electrical_reach(56.0) == pytest.approx(3.0)
-
-    def test_reach_shrinks_with_speed(self):
-        """§II.B: 'Increases in link speed have brought reductions in
-        electrical reach'."""
-        assert electrical_reach(112.0) < electrical_reach(56.0)
-        assert electrical_reach(224.0) < electrical_reach(112.0)
-
-    def test_inverse_sqrt_scaling(self):
-        assert electrical_reach(224.0) == pytest.approx(1.5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            electrical_reach(0.0)
-
-
-class TestCostModel:
-    @pytest.fixture
-    def model(self):
-        return PhotonicsCostModel()
-
-    def test_electrical_beyond_reach_rejected(self, model):
-        reach = electrical_reach(200.0)
-        with pytest.raises(ConfigurationError):
-            model.electrical_link_cost(200.0, reach * 2)
-
-    def test_copackaged_cheaper_than_pluggable(self, model):
-        """§III.C: integrating SiPh into the CMOS path beats pluggables."""
-        assert model.copackaged_link_cost(400.0, 10.0) < model.pluggable_link_cost(
-            400.0, 10.0
-        )
-
-    def test_short_slow_links_stay_electrical(self, model):
-        assert model.cheapest_link(56.0, 1.0) == "electrical"
-
-    def test_long_links_go_optical(self, model):
-        assert model.cheapest_link(400.0, 50.0) in ("pluggable", "copackaged")
-
-    def test_crossover_within_reach(self, model):
-        for rate in (56.0, 112.0, 224.0, 400.0):
-            crossover = model.optical_crossover_length(rate)
-            assert 0.0 <= crossover <= electrical_reach(rate)
-
-    def test_crossover_shrinks_with_rate(self, model):
-        """The optical transition point slides toward zero as rates climb."""
-        assert model.optical_crossover_length(400.0) <= model.optical_crossover_length(
-            56.0
-        )
-
-    def test_rejects_nonpositive_inputs(self, model):
-        with pytest.raises(ConfigurationError):
-            model.pluggable_link_cost(0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            model.optical_crossover_length(-1.0)
+from repro.interconnect.photonics import escape_bandwidth_tbps
 
 
 class TestEscapeBandwidth:

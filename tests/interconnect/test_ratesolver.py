@@ -26,14 +26,13 @@ from repro.core.rng import RandomSource
 from repro.interconnect.congestion import congestion_policy
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
 from repro.interconnect import ratesolver
-from repro.interconnect.failures import fail_links, fail_switches
 from repro.interconnect.ratesolver import (
     MIN_CONTENDERS_FOR_CONGESTION,
     IndexedSolver,
     RateSolver,
     ReferenceSolver,
 )
-from repro.interconnect.topology import build_topology
+from repro.interconnect.topology import Topology, build_topology
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -606,14 +605,22 @@ class TestFabricIntegration:
         topology = build_topology(
             "dragonfly", groups=4, routers_per_group=3, terminals=2
         )
+        switches = set(topology.switches)
+        graph = topology.graph.copy()
         if degrade == "links":
-            degraded = fail_links(
-                topology, fraction=0.15, rng=RandomSource(seed=5)
-            ).topology
+            # Every sixth switch-to-switch link (3 of 18).
+            graph.remove_edges_from([
+                (u, v) for u, v in graph.edges()
+                if u in switches and v in switches
+            ][::6])
         else:
-            degraded = fail_switches(
-                topology, count=1, rng=RandomSource(seed=5)
-            ).topology
+            # One router and its terminals.
+            victim = topology.switches[0]
+            graph.remove_nodes_from(
+                [n for n in graph.neighbors(victim) if n not in switches]
+                + [victim]
+            )
+        degraded = Topology("degraded", graph)
         reference = FabricSimulator(degraded, solver=ReferenceSolver()).run(
             _uniform_flows(degraded, 25)
         )

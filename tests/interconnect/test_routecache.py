@@ -12,14 +12,9 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
-from repro.interconnect.failures import fail_links, fail_switches
 from repro.interconnect import routecache
 from repro.interconnect.graph import DiGraph, Graph, NetworkXNoPath, NodeNotFound
-from repro.interconnect.routecache import (
-    RouteCache,
-    cached_topology_count,
-    route_cache_for,
-)
+from repro.interconnect.routecache import RouteCache, route_cache_for
 from repro.interconnect.topology import (
     Topology,
     build_topology,
@@ -123,10 +118,10 @@ class TestRouteCache:
     def test_cache_entry_dies_with_topology(self):
         topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
         route_cache_for(topology)
-        before = cached_topology_count()
+        before = len(routecache._CACHES)
         del topology
         gc.collect()
-        assert cached_topology_count() < before
+        assert len(routecache._CACHES) < before
 
     def test_stats_rendering(self):
         topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
@@ -178,15 +173,21 @@ class TestInvalidation:
         )
         # Warm the healthy topology's cache.
         FabricSimulator(topology).run(_uniform_flows(topology, 20))
-        degraded = fail_links(topology, fraction=0.2, rng=RandomSource(seed=5))
+        # Fail every fifth switch-to-switch link (4 of 18) in a copy.
+        switches = set(topology.switches)
+        graph = topology.graph.copy()
+        graph.remove_edges_from([
+            (u, v) for u, v in graph.edges() if u in switches and v in switches
+        ][::5])
+        degraded = Topology("degraded", graph)
         healthy_cache = route_cache_for(topology)
-        degraded_cache = route_cache_for(degraded.topology)
+        degraded_cache = route_cache_for(degraded)
         assert degraded_cache is not healthy_cache
         assert degraded_cache.stats()["routes"] == 0
         # Routes on the degraded fabric only use surviving links.
-        alive = set(degraded.topology.graph.edges())
-        simulator = FabricSimulator(degraded.topology)
-        stats = simulator.run(_uniform_flows(degraded.topology, 20))
+        alive = set(degraded.graph.edges())
+        simulator = FabricSimulator(degraded)
+        stats = simulator.run(_uniform_flows(degraded, 20))
         assert stats
         cache = simulator._route_cache
         for (src, dst), path in cache._paths.items():
@@ -196,11 +197,16 @@ class TestInvalidation:
     def test_failed_switches_invalidate(self):
         topology = build_topology("fat-tree", k=4)
         FabricSimulator(topology).run(_uniform_flows(topology, 10))
-        degraded = fail_switches(topology, count=1, rng=RandomSource(seed=9))
-        assert route_cache_for(degraded.topology).stats()["routes"] == 0
-        stats = FabricSimulator(degraded.topology).run(
-            _uniform_flows(degraded.topology, 10)
+        # Fail one edge switch, and the terminals attached to it, in a copy.
+        victim = topology.switches[-1]
+        graph = topology.graph.copy()
+        graph.remove_nodes_from(
+            [n for n in graph.neighbors(victim) if n in topology.terminals]
+            + [victim]
         )
+        degraded = Topology("degraded", graph)
+        assert route_cache_for(degraded).stats()["routes"] == 0
+        stats = FabricSimulator(degraded).run(_uniform_flows(degraded, 10))
         assert stats
 
     def test_in_place_edge_removal_is_noticed(self):

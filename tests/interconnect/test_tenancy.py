@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.errors import CapacityError, ConfigurationError
 from repro.interconnect.fabric import Flow
-from repro.interconnect.tenancy import (
-    SlicedFabric,
-    VirtualNetwork,
-    encryption_overhead,
-)
+from repro.interconnect.tenancy import SlicedFabric, VirtualNetwork
 from repro.interconnect.topology import build_topology
 
 
@@ -147,17 +143,3 @@ class TestEncryption:
         clear_mean = float(np.mean([s.completion_time for s in results["clear"]]))
         secure_mean = float(np.mean([s.completion_time for s in results["secure"]]))
         assert clear_mean < secure_mean < clear_mean * 1.6
-
-    def test_encryption_overhead_function(self):
-        secure = VirtualNetwork(tenant="s", bandwidth_share=0.5, encrypted=True)
-        clear = VirtualNetwork(tenant="c", bandwidth_share=0.5)
-        assert encryption_overhead(clear, 1e6, 3, 25e9) == 0.0
-        overhead = encryption_overhead(secure, 1e6, 3, 25e9)
-        assert overhead > 0
-        # Latency component: 3 hops x 150 ns.
-        assert overhead > 3 * 150e-9
-
-    def test_overhead_rejects_invalid(self):
-        secure = VirtualNetwork(tenant="s", bandwidth_share=0.5, encrypted=True)
-        with pytest.raises(ConfigurationError):
-            encryption_overhead(secure, -1.0, 3, 25e9)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import MarketError
 from repro.market.equilibrium import (
-    allocative_efficiency,
     clearing_price,
     demand_at,
     supply_at,
@@ -51,19 +50,3 @@ class TestClearingPrice:
         price, quantity = clearing_price(scarce, eager)
         assert quantity == 5
         assert price > 1.0
-
-
-class TestEfficiency:
-    def test_full_efficiency(self):
-        _, quantity = clearing_price(SUPPLIERS, CONSUMERS)
-        assert allocative_efficiency(quantity, SUPPLIERS, CONSUMERS) == pytest.approx(1.0)
-
-    def test_half_efficiency(self):
-        _, quantity = clearing_price(SUPPLIERS, CONSUMERS)
-        assert allocative_efficiency(
-            quantity / 2, SUPPLIERS, CONSUMERS
-        ) == pytest.approx(0.5)
-
-    def test_negative_quantity_rejected(self):
-        with pytest.raises(MarketError):
-            allocative_efficiency(-1.0, SUPPLIERS, CONSUMERS)

@@ -6,10 +6,7 @@ from repro import profiles
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.probes import (
-    Telemetry,
-    attach_kernel_sampler,
-)
+from repro.observability.probes import Telemetry
 from repro.observability.profiler import PhaseProfiler
 from repro.observability.tracer import Tracer
 from repro.validate import InvariantChecker, run_validated
@@ -132,16 +129,6 @@ class TestKernelCounts:
             + [("new", i) for i in range(1, batch)]
         )
         assert _event_totals(telemetry) == (8.0 + batch, 7.0 + batch, 1.0)
-
-    def test_kernel_sampler_tracks_pending(self):
-        sim = Simulation()
-        telemetry = Telemetry(simulation=sim)
-        for t in (5.0, 15.0, 25.0):
-            sim.schedule(t, lambda: None)
-        attach_kernel_sampler(telemetry, sim, period=10.0)
-        sim.run()
-        samples = [c for c in telemetry.tracer.counters if c.name == "sim.pending"]
-        assert [s.values["pending"] for s in samples] == [2, 1]
 
 
 class TestZeroOverheadContract:

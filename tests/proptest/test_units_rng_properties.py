@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.rng import RandomSource
 from repro.core.units import (
     format_bytes,
-    format_flops,
     format_rate,
     format_time,
 )
@@ -25,8 +24,6 @@ from tests.proptest import strategies as props
 _UNIT_SCALES = {
     "ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0,
     "B": 1.0, "KB": 1e3, "MB": 1e6, "GB": 1e9, "TB": 1e12, "PB": 1e15,
-    "FLOP": 1.0, "MFLOP": 1e6, "GFLOP": 1e9, "TFLOP": 1e12,
-    "PFLOP": 1e15, "EFLOP": 1e18,
 }
 
 
@@ -64,23 +61,6 @@ class TestFormatterProperties:
         assert abs(float(mantissa)) < 1000.0
         assert _parse(rendered) == pytest.approx(num_bytes, rel=5e-3)
 
-    @given(flops=st.floats(min_value=1e6, max_value=9.9e20))
-    @settings(max_examples=200, deadline=None)
-    def test_flops_round_trip_and_boundary(self, flops):
-        rendered = format_flops(flops)
-        mantissa, suffix = rendered.split()
-        assert abs(float(mantissa)) < 1000.0
-        assert _parse(rendered) == pytest.approx(flops, rel=5e-3)
-
-    @given(flops=st.floats(min_value=1.0, max_value=9.9e5))
-    @settings(max_examples=50, deadline=None)
-    def test_sub_mflop_counts_use_base_unit(self, flops):
-        """The FLOP table has no kilo step, so sub-MFLOP counts render in
-        the base unit (mantissa may reach 1e6) and still round-trip."""
-        rendered = format_flops(flops)
-        assert rendered.endswith(" FLOP")
-        assert _parse(rendered) == pytest.approx(flops, rel=5e-3)
-
     @given(num_bytes=st.floats(min_value=1e18, max_value=1e24))
     @settings(max_examples=50, deadline=None)
     def test_above_top_unit_still_round_trips(self, num_bytes):
@@ -93,7 +73,6 @@ class TestFormatterProperties:
     def test_zero_special_cases(self):
         assert format_time(0.0) == "0 s"
         assert format_bytes(0.0) == "0 B"
-        assert format_flops(0.0) == "0 FLOP"
         assert format_rate(0.0) == "0 B/s"
 
     @given(rate=st.floats(min_value=5e-324, max_value=1e-300))

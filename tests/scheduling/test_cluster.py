@@ -1,11 +1,13 @@
 """Tests for the event-driven cluster simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SchedulingError
 from repro.federation.site import Site, SiteKind
+from repro.hardware.catalog import default_catalog
 from repro.scheduling.cluster import ClusterSimulator
-from repro.scheduling.policies import EasyBackfillPolicy, FcfsPolicy, SjfPolicy
 from repro.workloads.base import JobClass, make_single_kernel_job
 
 
@@ -71,33 +73,130 @@ class TestQueueing:
         assert record.start_time >= 50.0
 
 
-class TestBackfilling:
-    def test_backfill_improves_utilisation(self, catalog):
-        """A narrow short job jumps past a blocked wide head."""
-        cpu = catalog.get("epyc-class-cpu")
+class TestFcfs:
+    """The dispatch rule on hand-built queues."""
 
-        def build(policy):
-            site = Site(name="s", kind=SiteKind.ON_PREMISE, devices={cpu: 4})
-            cluster = ClusterSimulator(site=site, device=cpu, policy=policy)
-            cluster.submit(make_job("running", flops=1e15, ranks=3, arrival=0.0))
-            cluster.submit(make_job("wide-head", flops=1e14, ranks=4, arrival=1.0))
-            cluster.submit(make_job("little", flops=1e12, ranks=1, arrival=2.0))
-            records = {r.job.name: r for r in cluster.run()}
-            return records
+    def test_empty_queue(self, cluster):
+        assert cluster.run() == []
+        assert cluster.queue_depth == 0
+        assert cluster.free_devices == cluster.capacity
 
-        fcfs = build(FcfsPolicy())
-        backfill = build(EasyBackfillPolicy())
-        assert backfill["little"].queue_wait < fcfs["little"].queue_wait
+    def test_head_fits(self, cluster):
+        record = cluster.submit(make_job("head", ranks=4, arrival=7.0))
+        cluster.run()
+        assert record.start_time == 7.0
 
-    def test_sjf_prefers_short(self, catalog):
+    def test_head_blocked_blocks_everything(self, cluster):
+        # One device stays free behind the 3-wide blocker; the 4-wide head
+        # waits for it, and the 1-wide job behind the head may not pass.
+        blocker = cluster.submit(make_job("blocker", ranks=3, flops=1e14))
+        head = cluster.submit(make_job("head", ranks=4, arrival=1.0))
+        small = cluster.submit(make_job("small", ranks=1, arrival=2.0))
+        cluster.simulation.run(until=2.0)
+        assert cluster.queue_depth == 2 and cluster.free_devices == 1
+        cluster.run()
+        assert head.start_time == blocker.finish_time
+        assert small.start_time >= head.start_time
+
+    def test_next_head_starts_at_the_finish_instant(self, cluster):
+        first = cluster.submit(make_job("first", ranks=4, flops=1e14))
+        second = cluster.submit(make_job("second", ranks=4, arrival=1.0))
+        cluster.run()
+        assert second.start_time == first.finish_time
+
+    def test_same_instant_ties_keep_submission_order(self, catalog):
         cpu = catalog.get("epyc-class-cpu")
         site = Site(name="s", kind=SiteKind.ON_PREMISE, devices={cpu: 1})
-        cluster = ClusterSimulator(site=site, device=cpu, policy=SjfPolicy())
-        cluster.submit(make_job("blocker", flops=1e14, arrival=0.0))
-        long_job = cluster.submit(make_job("long", flops=1e15, arrival=1.0))
-        short_job = cluster.submit(make_job("short", flops=1e12, arrival=1.0))
+        cluster = ClusterSimulator(site=site, device=cpu)
+        records = [cluster.submit(make_job(f"j{i}")) for i in range(4)]
         cluster.run()
-        assert short_job.start_time < long_job.start_time
+        starts = [record.start_time for record in records]
+        assert starts == sorted(starts) and len(set(starts)) == 4
+
+    def test_later_arrivals_queue_behind_the_running_job(self, catalog):
+        cpu = catalog.get("epyc-class-cpu")
+        site = Site(name="s", kind=SiteKind.ON_PREMISE, devices={cpu: 1})
+        cluster = ClusterSimulator(site=site, device=cpu)
+        first = cluster.submit(make_job("first", arrival=0.0, flops=1e14))
+        second = cluster.submit(make_job("second", arrival=10.0))
+        third = cluster.submit(make_job("third", arrival=20.0))
+        cluster.run()
+        assert first.finish_time == second.start_time
+        assert second.finish_time == third.start_time
+
+
+class TestJobRecord:
+    def test_queue_wait_of_unstarted_job_raises(self, cluster):
+        record = cluster.submit(make_job("queued", arrival=5.0))
+        with pytest.raises(SchedulingError):
+            record.queue_wait
+
+    def test_completion_time_of_unfinished_job_raises(self, cluster):
+        record = cluster.submit(make_job("queued"))
+        with pytest.raises(SchedulingError):
+            record.completion_time
+
+    def test_slowdown_is_bounded_below_ten_seconds(self, cluster):
+        record = cluster.submit(make_job("tiny", flops=1e6))
+        cluster.run()
+        assert record.predicted_runtime < 10.0
+        assert record.slowdown == pytest.approx(record.completion_time / 10.0)
+
+
+#: (arrival, ranks, flops) per job: arrivals on a coarse grid so that
+#: several jobs often become ready at the same instant.
+_JOBS = st.lists(
+    st.tuples(
+        st.integers(0, 40).map(lambda tick: tick * 5.0),
+        st.integers(1, 4),
+        st.sampled_from([1e12, 3e12, 1e13, 4e13, 1e14]),
+    ),
+    min_size=1, max_size=25,
+)
+
+
+class TestFcfsDefinition:
+    """First come, first served, checked against its definition on the
+    records alone: no job passes an earlier-ready one, and the queue never
+    waits while its head fits."""
+
+    CAPACITY = 4
+
+    @given(jobs=_JOBS, width=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_ready_order_and_no_idle_head(self, jobs, width):
+        cpu = default_catalog().get("epyc-class-cpu")
+        site = Site(name="s", kind=SiteKind.ON_PREMISE,
+                    devices={cpu: self.CAPACITY})
+        cluster = ClusterSimulator(site=site, device=cpu)
+        for index, (arrival, ranks, flops) in enumerate(jobs):
+            # At width 1 every job is one device wide, and (ii) below
+            # becomes: no device idles while a job waits.
+            cluster.submit(make_job(
+                f"j{index}", flops=flops, ranks=min(ranks, width),
+                arrival=arrival,
+            ))
+        # Ready order: ready time, then submission order (the kernel
+        # fires same-instant events first in, first out).
+        ready = sorted(cluster.run(), key=lambda r: r.ready_time)
+
+        # (i) Jobs start in ready order.
+        starts = [r.start_time for r in ready]
+        assert starts == sorted(starts)
+
+        # (ii) At every start or finish instant, once it settles, the
+        # queue is empty or its head needs more devices than are free.
+        instants = {r.start_time for r in ready} | {r.finish_time for r in ready}
+        for now in sorted(instants):
+            busy = sum(
+                r.job.ranks for r in ready
+                if r.start_time <= now < r.finish_time
+            )
+            waiting = [
+                r for r in ready if r.ready_time <= now < r.start_time
+            ]
+            if waiting:
+                assert waiting[0].job.ranks > self.CAPACITY - busy, now
 
 
 class TestMetrics:

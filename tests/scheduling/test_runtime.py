@@ -5,7 +5,6 @@ import pytest
 from repro.federation.site import Site, SiteKind
 from repro.hardware.precision import Precision
 from repro.scheduling.runtime import (
-    best_device_at_site,
     estimate_job,
     resolve_precision,
 )
@@ -107,35 +106,3 @@ class TestEstimateJob:
         cpu_est = estimate_job(job, catalog.get("epyc-class-cpu"), quiet_site)
         gpu_est = estimate_job(job, catalog.get("hpc-gpu"), quiet_site)
         assert gpu_est.time < cpu_est.time
-
-
-class TestBestDeviceAtSite:
-    def test_picks_specialised_silicon(self, catalog):
-        site = Site(
-            name="s", kind=SiteKind.SUPERCOMPUTER,
-            devices={
-                catalog.get("epyc-class-cpu"): 16,
-                catalog.get("hpc-gpu"): 16,
-                catalog.get("tpu-like"): 16,
-            },
-        )
-        training = build_mlp(hidden_dim=4096).training_job(batch=256, steps=10)
-        best = best_device_at_site(training, site)
-        assert best is not None
-        assert best.name in ("hpc-gpu", "tpu-like")
-
-    def test_respects_rank_capacity(self, catalog):
-        site = Site(
-            name="s", kind=SiteKind.ON_PREMISE,
-            devices={catalog.get("epyc-class-cpu"): 2},
-        )
-        wide = stencil(grid_points=10**7, ranks=64)
-        assert best_device_at_site(wide, site) is None
-
-    def test_none_when_nothing_feasible(self, catalog):
-        site = Site(
-            name="s", kind=SiteKind.EDGE,
-            devices={catalog.get("edge-npu"): 4},
-        )
-        fp64_sim = stencil(grid_points=10**6, ranks=1)
-        assert best_device_at_site(fp64_sim, site) is None

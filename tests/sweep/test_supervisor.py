@@ -550,6 +550,11 @@ class TestChaosEdges:
         ("hang:", "bad chaos probability in 'hang:'"),
         (",", "empty chaos spec ','"),
         ("  ", "empty chaos spec '  '"),
+        ("crash:0.1,crash:0.3",
+         "chaos clause 'crash' given more than once in 'crash:0.1,crash:0.3'"),
+        ("hang:0.1,hang-seconds:2, hang-seconds:3",
+         "chaos clause 'hang-seconds' given more than once"),
+        ("hang:0.1,hang:0.2", "chaos clause 'hang' given more than once"),
     ])
     def test_parse_errors_quote_the_input(self, text, message):
         with pytest.raises(ConfigurationError, match=message):

@@ -29,7 +29,6 @@ from repro.observability.summary import (
     merge_summaries,
     parse_label_string,
     summarize_telemetry,
-    summary_totals,
 )
 from repro.sweep import load_journal, run_sweep
 
@@ -63,8 +62,7 @@ class TestMergeDeterminism:
         summary = result.telemetry
         n = len(ft.telemetry_spec().points())
         assert summary["schema"] == SCHEMA
-        totals = summary_totals(summary)
-        assert totals["ft.runs"] == float(n)
+        assert summary["counters"]["ft.runs"]["series"] == {"": float(n)}
         # ft.value adds x + 0.25 per point, labelled by parity.
         series = summary["counters"]["ft.value"]["series"]
         assert series["parity=0"] == pytest.approx(
@@ -191,7 +189,7 @@ class TestSummaryUnits:
         telemetry.metrics.counter("c").inc(1.0)
         summary = summarize_telemetry(telemetry)
         merged = merge_summaries([None, summary, None, summary])
-        assert summary_totals(merged) == {"c": 2.0}
+        assert merged["counters"] == {"c": {"help": "", "series": {"": 2.0}}}
 
     def test_merge_rejects_mismatched_histogram_buckets(self):
         first = Telemetry()

@@ -104,26 +104,6 @@ class TestGeneration:
             assert job.total_flops > 0
             assert job.ranks >= 1
 
-    def test_qos_mix_assigns_weights(self):
-        from repro.federation.sla import QoSClass
-
-        jobs = self.make_trace(
-            max_jobs=60,
-            qos_mix={QoSClass.BEST_EFFORT: 0.5, QoSClass.REAL_TIME: 0.5},
-        )
-        weights = {job.qos_weight for job in jobs}
-        assert weights == {QoSClass.BEST_EFFORT.weight, QoSClass.REAL_TIME.weight}
-
-    def test_no_qos_mix_leaves_best_effort(self):
-        jobs = self.make_trace(max_jobs=10)
-        assert all(job.qos_weight == 1.0 for job in jobs)
-
-    def test_qos_mix_validation(self):
-        from repro.federation.sla import QoSClass
-
-        with pytest.raises(ConfigurationError):
-            TraceConfig(qos_mix={QoSClass.PREMIUM: 0.0})
-
 
 class _FreshModels(JobTraceGenerator):
     """The generator as it was before model shapes were shared: a whole
