@@ -58,7 +58,7 @@ def main() -> None:
         stats = FabricSimulator(topology, congestion=policy).run(flows)
         victims = [s.completion_time for s in stats if s.tag == "victim"]
         aggressors = [s.completion_time for s in stats if s.tag == "aggressor"]
-        print(f"{label:28s} {format_time(percentile(sorted(victims), 99)):>12s} "
+        print(f"{label:28s} {format_time(percentile(victims, 99)):>12s} "
               f"{format_time(mean(victims)):>12s} "
               f"{format_time(mean(aggressors)):>15s}")
 

@@ -61,9 +61,13 @@ def std(data: List[float]) -> float:
                      / len(data))
 
 
-def percentile(ordered: List[float], q: float) -> float:
-    """``np.percentile(data, q)`` with the default ``linear`` method, for
-    ``ordered`` the sorted data."""
+def percentile(data: List[float], q: float) -> float:
+    """``np.percentile(data, q)`` with the default ``linear`` method.
+
+    ``data`` may come in any order: it is sorted here, and sorting data
+    that is already sorted takes one linear pass.
+    """
+    ordered = sorted(data)
     count = len(ordered)
     virtual = (count - 1) * (q / 100)
     if virtual >= count - 1:

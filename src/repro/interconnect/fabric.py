@@ -5,14 +5,25 @@ Python, and unnecessary: the paper's congestion and topology claims concern
 *flow-completion times* (and their tails) under sustained load. Links are
 **full duplex** — capacity is tracked per traversal direction, so opposing
 flows never contend. This module simulates at flow granularity with
-**progressive filling**:
+**progressive filling**.  :meth:`FabricSimulator.run` repeats one epoch,
+a sequence of named steps of its per-run state, until all flows finish:
 
-1. compute max-min fair rates for all active flows over the topology's
-   link capacities (water-filling),
-2. let the installed congestion-management policy adjust aggressor and
-   victim rates,
-3. advance simulated time to the next flow arrival or completion,
-4. repeat until all flows finish.
+1. *link events* — apply the link failures and repairs due now, and
+   reroute or drop the flows crossing a failed link;
+2. *admission* — route the flows arriving now;
+3. *rates* — compute max-min fair rates for all active flows over the
+   topology's link capacities (water-filling), and let the installed
+   congestion-management policy adjust aggressor and victim rates;
+4. *penalties* — charge victims the policy's queueing delay;
+5. *next event* — find the next flow arrival, completion or link event;
+6. *advance* — move simulated time and every flow's bytes to it;
+7. *finish* — retire the flows that completed.
+
+The run counts each link's users as flows come and go, and keeps each
+flow's *bottleneck*, the smallest capacity on its path.  An epoch in
+which no link has two users takes the bottlenecks as its rates (each
+flow is alone on every link it crosses, so that is the max-min
+allocation) and calls no solver; only contended epochs are solved.
 
 Outputs are per-flow :class:`FlowStats` with completion times, from which
 benchmark harnesses compute mean/p99 FCT, goodput and slowdown.
@@ -24,13 +35,13 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import CongestionManager, NoCongestionControl
 from repro.interconnect.graph import NetworkXNoPath, NodeNotFound
-from repro.interconnect.ratesolver import IndexedSolver, RateSolver
+from repro.interconnect.ratesolver import IndexedSolver, Link, RateSolver
 from repro.interconnect.routecache import RouteCache, route_cache_for
 from repro.interconnect.routing import Path, valiant_route
 from repro.interconnect.topology import Topology
@@ -54,6 +65,9 @@ from repro.observability.tracer import CounterRecord, span_record
 FCT_BUCKETS = exponential_buckets(1e-6, 10.0, 9)
 
 _flow_ids = itertools.count()
+
+#: The congested links of an epoch that has none.
+_NO_LINKS: AbstractSet[Link] = frozenset()
 
 
 @dataclass
@@ -216,7 +230,9 @@ class FabricSimulator:
         ``None`` means a fresh
         :class:`~repro.interconnect.ratesolver.IndexedSolver`.  Checks and
         tests pass a :class:`~repro.interconnect.ratesolver.ReferenceSolver`
-        here to compare against the oracle.
+        here to compare against the oracle.  The solver sees only
+        contended epochs: an epoch in which no link has two users takes
+        each flow's path bottleneck and calls no solver.
 
     Minimal routes, link decompositions, propagation delays and the
     link-capacity map come from the topology's shared
@@ -256,21 +272,26 @@ class FabricSimulator:
 
     # --- routing ----------------------------------------------------------------
 
-    def _route(self, flow: Flow) -> Path:
+    def _route(self, flow: Flow) -> Tuple[Path, List[Link]]:
+        """A flow's path and its directed links, from one route-cache
+        lookup under minimal routing."""
         if self.routing == "minimal":
-            return self._route_cache.minimal_route(flow.source, flow.destination)
-        return valiant_route(
+            return self._route_cache.minimal_route_links(
+                flow.source, flow.destination
+            )
+        path = valiant_route(
             self.topology, flow.source, flow.destination, rng=self.rng
         )
+        return path, self._links_of(path)
 
     @staticmethod
-    def _links_of(path: Path) -> List[Tuple[str, str]]:
+    def _links_of(path: Path) -> List[Link]:
         """Directed links as traversed (full-duplex capacity model)."""
         return list(zip(path, path[1:]))
 
     # --- rate computation -------------------------------------------------------
 
-    def _hot_switches(self, saturated: Set[Tuple[str, str]]) -> Set[str]:
+    def _hot_switches(self, saturated: Set[Link]) -> Set[str]:
         """Switches adjacent to a saturated link (where buffers fill)."""
         hot: Set[str] = set()
         for u, v in saturated:
@@ -283,21 +304,24 @@ class FabricSimulator:
     def _policy_adjusted_rates(
         self,
         paths: Dict[int, Path],
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        remaining_bytes: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], Dict[int, int], Set[Tuple[str, str]]]:
-        """Max-min rates with congestion-policy adjustments.
+        flow_links: Dict[int, List[Link]],
+        remaining_bytes: Dict[int, float],
+    ) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, int], Set[Link]]:
+        """A contended epoch's max-min rates with congestion-policy
+        adjustments.
 
-        Returns rates, the per-victim count of hot switches on their path
-        (used for extra queueing accounting), and the congested link set
-        (used by telemetry to mark congestion onsets).
+        Returns the solver's rates, the adjusted rates (the same dict when
+        nothing is saturated), the per-victim count of hot switches on
+        their path (used for extra queueing accounting), and the congested
+        link set (used by telemetry to mark congestion onsets).
         """
-        rates, saturated = self.solver.solve(flow_links, remaining_bytes)
+        fair, saturated = self.solver.solve(flow_links, remaining_bytes)
         hot_exposure: Dict[int, int] = {}
         if not saturated:
             # Nothing saturated: no hot switches, no aggressor clamps and
             # no victim exposure.
-            return rates, hot_exposure, saturated
+            return fair, fair, hot_exposure, saturated
+        rates = dict(fair)
         hot_switches = self._hot_switches(saturated)
         contains_hot = hot_switches.__contains__
         for flow_id, path in paths.items():
@@ -310,7 +334,7 @@ class FabricSimulator:
                 if exposure:
                     rates[flow_id] *= self.congestion.victim_rate_factor(exposure)
                     hot_exposure[flow_id] = exposure
-        return rates, hot_exposure, saturated
+        return fair, rates, hot_exposure, saturated
 
     # --- simulation loop ----------------------------------------------------------
 
@@ -342,284 +366,491 @@ class FabricSimulator:
                 )
             seen.add(flow.flow_id)
         if self._capacities is not self._route_cache.link_capacities():
-            # Another simulator's link events on this shared topology
-            # rebuilt the capacity map since this one was bound.
+            # Another simulator's link events, or an in-place edit, on
+            # this shared topology rebuilt the capacity map since this
+            # one was bound.
             self._refresh_link_state()
-        arrivals = sorted(flows, key=lambda f: f.start_time)
-        arrival_count = len(arrivals)
-        now = arrivals[0].start_time
-        active: Dict[int, Flow] = {}
-        remaining: Dict[int, float] = {}
-        paths: Dict[int, Path] = {}
-        flow_links: Dict[int, List[Tuple[str, str]]] = {}
-        queueing: Dict[int, float] = {}
-        results: List[FlowStats] = []
-        arrival_index = 0
-        congested_now: Set[Tuple[str, str]] = set()
-        events = sorted(link_events, key=lambda e: e.time) if link_events else []
-        event_count = len(events)
-        event_index = 0
-        down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
-        # Each failed link's endpoints' neighbour order before any failure.
-        neighbour_order: Dict[str, List[str]] = {}
-        # Hot attributes as locals.
-        infinity = float("inf")
-        # Wall-clock phase attribution: with no profiler, `timed` hands
-        # each hot call back untouched.
-        profiler = getattr(self.telemetry, "profiler", None)
-        ledger = link_bytes = None
-        route = timed(profiler, PHASE_ROUTING, self._route)
-        congestion = self.congestion
-        reroute_adaptively = self.reroute_adaptively
-
-        adjusted_rates = timed(
-            profiler, PHASE_CONGESTION, self._policy_adjusted_rates
-        )
-        if self.telemetry is not None:
-            ledger = _RunTelemetry(self.telemetry)
-            link_bytes = ledger.link_bytes
-            offer = timed(profiler, PHASE_TELEMETRY, ledger.offer)
-            record_drop = timed(profiler, PHASE_TELEMETRY, ledger.drop)
-            record_congestion = timed(
-                profiler, PHASE_TELEMETRY, ledger.congestion
-            )
-            finish = timed(profiler, PHASE_TELEMETRY, ledger.finish)
-            publish = timed(profiler, PHASE_TELEMETRY, ledger.publish)
-
-        def drop_flow(flow_id: int) -> None:
-            flow = active.pop(flow_id)
-            path = paths.pop(flow_id)
-            del flow_links[flow_id]
-            left = remaining.pop(flow_id)
-            stats = _flow_stats(
-                flow, max(now, flow.start_time), len(path) - 1, 0.0,
-                queueing.pop(flow_id, 0.0), True, max(0.0, flow.size - left),
-            )
-            results.append(stats)
-            if ledger is not None:
-                record_drop(stats)
-
-        def apply_link_event(event: LinkEvent) -> None:
-            u, v = event.link
-            key = (u, v) if u <= v else (v, u)
-            graph = self.topology.graph
-            if event.up:
-                attrs = down_links.pop(key, None)
-                if attrs is None:
-                    return  # link was never down
-                _restore_link(graph, u, v, attrs, neighbour_order)
-            else:
-                if key in down_links or not graph.has_edge(u, v):
-                    return  # already down or never existed
-                for node in (u, v):
-                    neighbour_order.setdefault(node, list(graph.adj[node]))
-                down_links[key] = dict(graph.edges[u, v])
-                graph.remove_edge(u, v)
-            self._refresh_link_state()
-            if ledger is not None:
-                ledger.tracer.instant(
-                    "link_up" if event.up else "link_down", CATEGORY_FAULT,
-                    now, link=f"{u}-{v}",
-                )
-            if event.up:
-                return
-            # Re-route (or drop) every in-flight flow crossing the cut.
-            for flow_id in sorted(active):
-                links = flow_links[flow_id]
-                if (u, v) not in links and (v, u) not in links:
-                    continue
-                flow = active[flow_id]
-                try:
-                    new_path = route(flow)
-                except (NetworkXNoPath, NodeNotFound):
-                    drop_flow(flow_id)
-                    continue
-                paths[flow_id] = new_path
-                flow_links[flow_id] = self._route_cache.links_of(new_path)
-                if ledger is not None:
-                    ledger.rerouted(flow.tag)
-
+        epoch = _Epoch(self, flows, link_events)
+        apply_link_events = epoch.apply_link_events
+        admit = epoch.admit
+        set_rates = epoch.set_rates
+        accrue_penalties = epoch.accrue_penalties
+        next_event = epoch.next_event
+        advance = epoch.advance
+        finish = epoch.finish
         for _ in range(max_iterations):
-            # Apply link state changes due now (before admissions, so a
-            # flow arriving at the flap instant sees the degraded fabric).
-            while (
-                event_index < event_count
-                and events[event_index].time <= now + 1e-15
-            ):
-                apply_link_event(events[event_index])
-                event_index += 1
-
-            # Admit arrivals due now.  Admission order is the arrival
-            # order, so the offered-bytes ledger can take the epoch's
-            # arrivals in one call ahead of routing them.
-            due = arrival_index
-            while (
-                due < arrival_count
-                and arrivals[due].start_time <= now + 1e-15
-            ):
-                due += 1
-            if due > arrival_index:
-                admitted = arrivals[arrival_index:due]
-                arrival_index = due
-                if ledger is not None:
-                    # Conservation ledger: every admitted byte must later
-                    # land in fabric.flow_bytes or fabric.flow_bytes_lost.
-                    offer(admitted)
-                for flow in admitted:
-                    try:
-                        path = route(flow)
-                    except (NetworkXNoPath, NodeNotFound):
-                        # No path at admission: dead on arrival.
-                        stats = _flow_stats(
-                            flow, max(now, flow.start_time), 0, 0.0, 0.0,
-                            True, 0.0,
-                        )
-                        results.append(stats)
-                        if ledger is not None:
-                            record_drop(stats)
-                        continue
-                    flow_id = flow.flow_id
-                    active[flow_id] = flow
-                    remaining[flow_id] = flow.size
-                    paths[flow_id] = path
-                    flow_links[flow_id] = self._route_cache.links_of(path)
-                    queueing.setdefault(flow_id, 0.0)
-
-            if not active:
-                if arrival_index >= arrival_count:
+            apply_link_events()
+            admit()
+            if not epoch.active:
+                if epoch.arrival_index >= epoch.arrival_count:
                     break
-                # Idle: jump to whichever comes first, the next arrival or
-                # the next link event (future arrivals must see it).
-                next_time = arrivals[arrival_index].start_time
-                if event_index < event_count:
-                    next_time = min(next_time, events[event_index].time)
-                now = next_time
+                epoch.idle()
                 continue
-
-            rates, hot_exposure, saturated = adjusted_rates(
-                paths, flow_links, remaining
-            )
-            if reroute_adaptively:
-                # Reuse the epoch's saturated set: the solve above ran on
-                # exactly these flow_links/remaining, so re-solving inside
-                # the reroute would reproduce it bit-for-bit at double cost.
-                rerouted = self._reroute_hot_flows(paths, flow_links, saturated)
-                if rerouted:
-                    rates, hot_exposure, saturated = adjusted_rates(
-                        paths, flow_links, remaining
-                    )
-            if ledger is not None:
-                congested_now = record_congestion(
-                    now, saturated, congested_now, len(active)
-                )
-
-            # Accrue queueing penalties for victims (once per exposure interval).
-            for flow_id, exposure in hot_exposure.items():
-                queueing[flow_id] = max(
-                    queueing[flow_id],
-                    congestion.victim_extra_latency(exposure),
-                )
-
-            # Next event: earliest completion, next arrival or link event.
-            next_completion = infinity
-            for flow_id, rate in rates.items():
-                if rate <= 0:
-                    continue
-                until = remaining[flow_id] / rate
-                if until < next_completion:
-                    next_completion = until
-            next_arrival = (
-                arrivals[arrival_index].start_time - now
-                if arrival_index < arrival_count
-                else infinity
-            )
-            next_link_event = (
-                events[event_index].time - now
-                if event_index < event_count
-                else infinity
-            )
-            step = min(next_completion, next_arrival, next_link_event)
-            if step == infinity:
-                if ledger is not None:
-                    publish()
-                raise SimulationError("fabric deadlock: no progress possible")
-            step = max(step, 0.0)
-
-            # Advance.  ``remaining`` holds exactly the active flows, in
-            # admission order; the same pass adds up the link bytes.
-            now += step
-            rate_of = rates.get
-            finished: List[int] = []
-            for flow_id, left in remaining.items():
-                moved = rate_of(flow_id, 0.0) * step
-                remaining[flow_id] = left = left - moved
-                if left <= 1e-9:
-                    finished.append(flow_id)
-                if link_bytes is not None and moved > 0:
-                    for link in flow_links[flow_id]:
-                        link_bytes[link] += moved
-            if not finished:
-                continue
-            done: List[FlowStats] = []
-            for flow_id in finished:
-                flow = active.pop(flow_id)
-                path = paths.pop(flow_id)
-                del flow_links[flow_id]
-                del remaining[flow_id]
-                propagation = self._route_cache.propagation_delay(path)
-                extra = queueing.pop(flow_id, 0.0)
-                done.append(_flow_stats(
-                    flow, now + propagation + extra, len(path) - 1,
-                    propagation, extra,
-                ))
-            results.extend(done)
-            if ledger is not None:
-                finish(done)
+            set_rates()
+            accrue_penalties()
+            advance(next_event())
+            finish()
         else:
-            if ledger is not None:
-                publish()
+            epoch.publish()
             raise SimulationError("fabric simulation exceeded max_iterations")
-        if ledger is not None:
-            publish()
-
-        if down_links:
-            # The workload drained before every link came back; undo the
-            # in-place mutations so the shared topology is left intact.
-            for (u, v), attrs in down_links.items():
-                _restore_link(self.topology.graph, u, v, attrs, neighbour_order)
-            down_links.clear()
-            self._refresh_link_state()
-        return results
+        return epoch.close()
 
     def _refresh_link_state(self) -> None:
         """Rebind the solver to the capacities of the mutated graph."""
         self._capacities = self._route_cache.link_capacities()
         self.solver.bind(self._capacities)
 
-    def _reroute_hot_flows(
-        self,
-        paths: Dict[int, Path],
-        flow_links: Dict[int, List[Tuple[str, str]]],
-        saturated: Set[Tuple[str, str]],
-    ) -> bool:
-        """Detour the slowest congested flows via Valiant paths (in place).
 
-        ``saturated`` is the congested-link set from the epoch's rate solve.
+class _Epoch:
+    """One :meth:`FabricSimulator.run`: its flows and the epoch loop's steps.
+
+    The loop calls the steps in order, once per epoch:
+    :meth:`apply_link_events` and :meth:`admit`, then, while any flow is
+    active, :meth:`set_rates`, :meth:`accrue_penalties`,
+    :meth:`next_event`, :meth:`advance` and :meth:`finish`; with none
+    active it jumps ahead (:meth:`idle`).  Each step runs its own loop
+    over the flows it touches, so no step is called per flow.
+
+    Link users are counted per traversal by active flows (a detour that
+    crosses a link twice counts twice): ``in_use`` holds the links with
+    one or more, and ``extra_users`` maps each link with two or more to
+    its count less one.  ``bottleneck`` maps each active flow to the
+    smallest capacity on its path.  All three follow every admission,
+    finish, drop and reroute, and every bottleneck is recomputed when the
+    solver is rebound.  While ``extra_users`` is empty every link has one
+    user, so each round of water-filling fixes one flow at a bare
+    capacity and touches no other flow's links: max-min fairness gives
+    each flow its bottleneck (Bertsekas & Gallager, *Data Networks*,
+    §6.5), and no link has the contenders to count as congested.  Such an
+    epoch calls no solver, builds no congested set and runs no policy
+    adjustment or adaptive reroute.  ``fair_rates`` holds each epoch's
+    max-min rates, before the congestion policy's adjustments.
+    """
+
+    __slots__ = (
+        "sim", "now", "arrivals", "arrival_count", "arrival_index",
+        "events", "event_count", "event_index", "down_links",
+        "neighbour_order", "active", "remaining", "paths", "flow_links",
+        "queueing", "results", "in_use", "extra_users", "bottleneck",
+        "capacities", "rates", "fair_rates", "hot_exposure", "saturated",
+        "congested", "finished", "route", "solve", "ledger", "link_bytes",
+        "offer", "record_drop", "record_congestion", "record_finish",
+        "publish_totals",
+    )
+
+    def __init__(
+        self,
+        simulator: FabricSimulator,
+        flows: Sequence[Flow],
+        link_events: Optional[Sequence[LinkEvent]],
+    ) -> None:
+        self.sim = simulator
+        self.arrivals = sorted(flows, key=lambda f: f.start_time)
+        self.arrival_count = len(self.arrivals)
+        self.arrival_index = 0
+        self.now = self.arrivals[0].start_time
+        self.events = (
+            sorted(link_events, key=lambda e: e.time) if link_events else []
+        )
+        self.event_count = len(self.events)
+        self.event_index = 0
+        self.down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
+        # Each failed link's endpoints' neighbour order before any failure.
+        self.neighbour_order: Dict[str, List[str]] = {}
+        self.active: Dict[int, Flow] = {}
+        self.remaining: Dict[int, float] = {}
+        self.paths: Dict[int, Path] = {}
+        self.flow_links: Dict[int, List[Link]] = {}
+        self.queueing: Dict[int, float] = {}
+        self.results: List[FlowStats] = []
+        self.in_use: Set[Link] = set()
+        self.extra_users: Dict[Link, int] = {}
+        self.bottleneck: Dict[int, float] = {}
+        self.capacities = simulator._capacities
+        self.rates: Dict[int, float] = {}
+        self.fair_rates: Dict[int, float] = {}
+        self.hot_exposure: Dict[int, int] = {}
+        self.saturated: AbstractSet[Link] = _NO_LINKS
+        self.congested: AbstractSet[Link] = _NO_LINKS
+        self.finished: List[int] = []
+        # Wall-clock phase attribution: with no profiler, `timed` hands
+        # each hot call back untouched.
+        profiler = getattr(simulator.telemetry, "profiler", None)
+        self.route = timed(profiler, PHASE_ROUTING, simulator._route)
+        self.solve = timed(
+            profiler, PHASE_CONGESTION, simulator._policy_adjusted_rates
+        )
+        self.ledger = self.link_bytes = None
+        if simulator.telemetry is not None:
+            ledger = self.ledger = _RunTelemetry(simulator.telemetry)
+            self.link_bytes = ledger.link_bytes
+            self.offer = timed(profiler, PHASE_TELEMETRY, ledger.offer)
+            self.record_drop = timed(profiler, PHASE_TELEMETRY, ledger.drop)
+            self.record_congestion = timed(
+                profiler, PHASE_TELEMETRY, ledger.congestion
+            )
+            self.record_finish = timed(profiler, PHASE_TELEMETRY, ledger.finish)
+            self.publish_totals = timed(
+                profiler, PHASE_TELEMETRY, ledger.publish
+            )
+
+    # --- link users ---------------------------------------------------------
+
+    def _count(self, links: List[Link]) -> None:
+        """Add one traversal of each of ``links``.
+
+        :meth:`admit` counts a path whose links are all free, and
+        traversed once each, with one set update; this is the general
+        case, one traversal at a time.
         """
-        if not saturated:
-            return False
+        in_use = self.in_use
+        extra_users = self.extra_users
+        for link in links:
+            if link in in_use:
+                extra_users[link] = extra_users.get(link, 0) + 1
+            else:
+                in_use.add(link)
+
+    def _uncount(self, links: List[Link]) -> None:
+        """Take one traversal of each of ``links`` away."""
+        extra_users = self.extra_users
+        if not extra_users:  # the flow was these links' one user
+            self.in_use.difference_update(links)
+            return
+        in_use = self.in_use
+        for link in links:
+            extra = extra_users.get(link)
+            if extra is None:
+                in_use.remove(link)
+            elif extra == 1:
+                del extra_users[link]
+            else:
+                extra_users[link] = extra - 1
+
+    def _move(self, flow_id: int, path: Path, links: List[Link]) -> None:
+        """Put an active flow on a new path (its bottleneck is the
+        caller's to set)."""
+        self._uncount(self.flow_links[flow_id])
+        self.paths[flow_id] = path
+        self.flow_links[flow_id] = links
+        self._count(links)
+
+    def _rebind(self) -> None:
+        """Rebind the solver to the mutated graph's capacities and
+        recompute every active flow's bottleneck against them."""
+        self.sim._refresh_link_state()
+        self.capacities = self.sim._capacities
+        capacity = self.capacities.__getitem__
+        bottleneck = self.bottleneck
+        for flow_id, links in self.flow_links.items():
+            bottleneck[flow_id] = min(map(capacity, links))
+
+    # --- the steps ----------------------------------------------------------
+
+    def apply_link_events(self) -> None:
+        """Apply the link state changes due now (before admissions, so a
+        flow arriving at the flap instant sees the degraded fabric)."""
+        events = self.events
+        while (
+            self.event_index < self.event_count
+            and events[self.event_index].time <= self.now + 1e-15
+        ):
+            self._apply_link_event(events[self.event_index])
+            self.event_index += 1
+
+    def _apply_link_event(self, event: LinkEvent) -> None:
+        u, v = event.link
+        key = (u, v) if u <= v else (v, u)
+        graph = self.sim.topology.graph
+        down_links = self.down_links
+        if event.up:
+            attrs = down_links.pop(key, None)
+            if attrs is None:
+                return  # link was never down
+            _restore_link(graph, u, v, attrs, self.neighbour_order)
+        else:
+            if key in down_links or not graph.has_edge(u, v):
+                return  # already down or never existed
+            for node in (u, v):
+                self.neighbour_order.setdefault(node, list(graph.adj[node]))
+            down_links[key] = dict(graph.edges[u, v])
+            graph.remove_edge(u, v)
+        ledger = self.ledger
+        now = self.now
+        if ledger is not None:
+            ledger.tracer.instant(
+                "link_up" if event.up else "link_down", CATEGORY_FAULT,
+                now, link=f"{u}-{v}",
+            )
+        if not event.up:
+            # Re-route (or drop) every in-flight flow crossing the cut;
+            # the rebind below gives the rerouted ones their bottlenecks.
+            active = self.active
+            flow_links = self.flow_links
+            for flow_id in sorted(active):
+                links = flow_links[flow_id]
+                if (u, v) not in links and (v, u) not in links:
+                    continue
+                flow = active[flow_id]
+                try:
+                    path, new_links = self.route(flow)
+                except (NetworkXNoPath, NodeNotFound):
+                    del active[flow_id]
+                    path = self.paths.pop(flow_id)
+                    del flow_links[flow_id]
+                    del self.bottleneck[flow_id]
+                    self._uncount(links)
+                    left = self.remaining.pop(flow_id)
+                    stats = _flow_stats(
+                        flow, max(now, flow.start_time), len(path) - 1, 0.0,
+                        self.queueing.pop(flow_id, 0.0), True,
+                        max(0.0, flow.size - left),
+                    )
+                    self.results.append(stats)
+                    if ledger is not None:
+                        self.record_drop(stats)
+                    continue
+                self._move(flow_id, path, new_links)
+                if ledger is not None:
+                    ledger.rerouted(flow.tag)
+        self._rebind()
+
+    def admit(self) -> None:
+        """Admit the arrivals due now: route them and count their links.
+
+        Admission order is the arrival order, so the offered-bytes ledger
+        takes the epoch's arrivals in one call ahead of routing them.
+        """
+        first = due = self.arrival_index
+        arrivals = self.arrivals
+        count = self.arrival_count
+        now = self.now
+        while due < count and arrivals[due].start_time <= now + 1e-15:
+            due += 1
+        if due == first:
+            return
+        admitted = arrivals[first:due]
+        self.arrival_index = due
+        ledger = self.ledger
+        if ledger is not None:
+            # Conservation ledger: every admitted byte must later land in
+            # fabric.flow_bytes or fabric.flow_bytes_lost.
+            self.offer(admitted)
+        route = self.route
+        capacity = self.capacities.__getitem__
+        active = self.active
+        remaining = self.remaining
+        paths = self.paths
+        flow_links = self.flow_links
+        bottleneck = self.bottleneck
+        queueing = self.queueing
+        in_use = self.in_use
+        for flow in admitted:
+            try:
+                path, links = route(flow)
+            except (NetworkXNoPath, NodeNotFound):
+                # No path at admission: dead on arrival.
+                stats = _flow_stats(
+                    flow, max(now, flow.start_time), 0, 0.0, 0.0, True, 0.0,
+                )
+                self.results.append(stats)
+                if ledger is not None:
+                    self.record_drop(stats)
+                continue
+            flow_id = flow.flow_id
+            active[flow_id] = flow
+            remaining[flow_id] = flow.size
+            paths[flow_id] = path
+            flow_links[flow_id] = links
+            bottleneck[flow_id] = min(map(capacity, links))
+            queueing.setdefault(flow_id, 0.0)
+            if in_use.isdisjoint(links):
+                free = len(in_use)
+                in_use.update(links)
+                if len(in_use) - free == len(links):
+                    continue
+                in_use.difference_update(links)  # it crosses a link twice
+            self._count(links)
+
+    def idle(self) -> None:
+        """No flow is active: jump to whichever comes first, the next
+        arrival or the next link event (future arrivals must see it)."""
+        next_time = self.arrivals[self.arrival_index].start_time
+        if self.event_index < self.event_count:
+            next_time = min(next_time, self.events[self.event_index].time)
+        self.now = next_time
+
+    def set_rates(self) -> None:
+        """Each active flow's rate, the victims' hot-switch exposure and
+        the congested links, which the ledger records."""
+        if self.extra_users:
+            self.fair_rates, self.rates, self.hot_exposure, self.saturated = (
+                self.solve(self.paths, self.flow_links, self.remaining)
+            )
+            if (
+                self.sim.reroute_adaptively
+                and self.saturated
+                and self._reroute_hot_flows()
+            ):
+                (self.fair_rates, self.rates, self.hot_exposure,
+                 self.saturated) = self.solve(
+                    self.paths, self.flow_links, self.remaining
+                )
+        else:
+            # No link has two users: each flow's rate is its bottleneck.
+            self.fair_rates = self.rates = self.bottleneck
+            self.hot_exposure = {}
+            self.saturated = _NO_LINKS
+        ledger = self.ledger
+        if ledger is not None and (
+            self.saturated or self.congested or ledger.tracer.enabled
+        ):
+            self.congested = self.record_congestion(
+                self.now, self.saturated, self.congested, len(self.active)
+            )
+
+    def _reroute_hot_flows(self) -> bool:
+        """Detour the flows crossing a congested link via Valiant paths.
+
+        ``saturated`` is the congested-link set of the epoch's solve on
+        the current paths, so re-solving here would reproduce it
+        bit-for-bit at double cost.
+        """
+        sim = self.sim
+        saturated = self.saturated
+        flow_links = self.flow_links
+        capacity = self.capacities.__getitem__
         rerouted = False
-        for flow_id, path in list(paths.items()):
+        for flow_id, path in list(self.paths.items()):
             if not saturated.isdisjoint(flow_links[flow_id]):
                 source, destination = path[0], path[-1]
                 detour = valiant_route(
-                    self.topology, source, destination, rng=self.rng
+                    sim.topology, source, destination, rng=sim.rng
                 )
                 if detour != path:
-                    paths[flow_id] = detour
-                    flow_links[flow_id] = self._links_of(detour)
+                    links = sim._links_of(detour)
+                    self._move(flow_id, detour, links)
+                    self.bottleneck[flow_id] = min(map(capacity, links))
                     rerouted = True
         return rerouted
+
+    def accrue_penalties(self) -> None:
+        """Accrue queueing penalties for victims (once per exposure
+        interval)."""
+        hot_exposure = self.hot_exposure
+        if not hot_exposure:
+            return
+        queueing = self.queueing
+        extra_latency = self.sim.congestion.victim_extra_latency
+        for flow_id, exposure in hot_exposure.items():
+            queueing[flow_id] = max(queueing[flow_id], extra_latency(exposure))
+
+    def next_event(self) -> float:
+        """Time to the next event: the earliest completion at this
+        epoch's rates, the next arrival or the next link event."""
+        infinity = math.inf
+        remaining = self.remaining
+        next_completion = infinity
+        for flow_id, rate in self.rates.items():
+            if rate <= 0:
+                continue
+            until = remaining[flow_id] / rate
+            if until < next_completion:
+                next_completion = until
+        now = self.now
+        next_arrival = (
+            self.arrivals[self.arrival_index].start_time - now
+            if self.arrival_index < self.arrival_count
+            else infinity
+        )
+        next_link_event = (
+            self.events[self.event_index].time - now
+            if self.event_index < self.event_count
+            else infinity
+        )
+        step = min(next_completion, next_arrival, next_link_event)
+        if step == infinity:
+            self.publish()
+            raise SimulationError("fabric deadlock: no progress possible")
+        return max(step, 0.0)
+
+    def advance(self, step: float) -> None:
+        """Advance the clock by ``step`` and every flow at its rate.
+
+        ``remaining`` holds exactly the active flows, in admission order;
+        the same pass adds up the link bytes and notes finished flows.
+        """
+        self.now += step
+        rate_of = self.rates.get
+        remaining = self.remaining
+        link_bytes = self.link_bytes
+        flow_links = self.flow_links
+        finished = self.finished = []
+        for flow_id, left in remaining.items():
+            moved = rate_of(flow_id, 0.0) * step
+            remaining[flow_id] = left = left - moved
+            if left <= 1e-9:
+                finished.append(flow_id)
+            if link_bytes is not None and moved > 0:
+                for link in flow_links[flow_id]:
+                    link_bytes[link] += moved
+
+    def finish(self) -> None:
+        """Retire the flows the advance finished and release their links."""
+        finished = self.finished
+        if not finished:
+            return
+        active = self.active
+        paths = self.paths
+        flow_links = self.flow_links
+        remaining = self.remaining
+        bottleneck = self.bottleneck
+        queueing = self.queueing
+        in_use = self.in_use
+        extra_users = self.extra_users
+        propagation_delay = self.sim._route_cache.propagation_delay
+        now = self.now
+        done: List[FlowStats] = []
+        for flow_id in finished:
+            flow = active.pop(flow_id)
+            path = paths.pop(flow_id)
+            if extra_users:
+                self._uncount(flow_links.pop(flow_id))
+            else:  # the flow was its links' one user
+                in_use.difference_update(flow_links.pop(flow_id))
+            del remaining[flow_id]
+            del bottleneck[flow_id]
+            propagation = propagation_delay(path)
+            extra = queueing.pop(flow_id, 0.0)
+            done.append(_flow_stats(
+                flow, now + propagation + extra, len(path) - 1,
+                propagation, extra,
+            ))
+        self.results.extend(done)
+        if self.ledger is not None:
+            self.record_finish(done)
+
+    # --- the end of the run -------------------------------------------------
+
+    def publish(self) -> None:
+        """Write the run's telemetry totals, if it records any."""
+        if self.ledger is not None:
+            self.publish_totals()
+
+    def close(self) -> List[FlowStats]:
+        """Publish the run's totals, leave the topology as it was built
+        and return every flow's statistics."""
+        self.publish()
+        if self.down_links:
+            # The workload drained before every link came back; undo the
+            # in-place mutations so the shared topology is left intact.
+            for (u, v), attrs in self.down_links.items():
+                _restore_link(
+                    self.sim.topology.graph, u, v, attrs, self.neighbour_order
+                )
+            self.down_links.clear()
+            self.sim._refresh_link_state()
+        return self.results
 
 
 class _RunTelemetry:
@@ -658,10 +889,16 @@ class _RunTelemetry:
 
     def offer(self, flows: Sequence[Flow]) -> None:
         """Account the bytes of newly admitted flows (the offered ledger)."""
+        offered = self.offered
         for flow in flows:
-            self._add(self.offered, flow.tag or "flow", flow.size,
-                      "fabric.flow_bytes_offered",
-                      "bytes injected at flow admission")
+            tag = flow.tag or "flow"
+            total = offered.get(tag)
+            if total is None:
+                total = self.telemetry.counter(
+                    "fabric.flow_bytes_offered",
+                    "bytes injected at flow admission",
+                ).value(tag=tag)
+            offered[tag] = total + flow.size
 
     def finish(self, done: Sequence[FlowStats]) -> None:
         """Account finished flows: FCT histogram, bytes and a trace span."""
@@ -669,7 +906,7 @@ class _RunTelemetry:
             self._fct = self.telemetry.histogram(
                 "fabric.fct_seconds", FCT_BUCKETS, "flow completion time"
             )
-        fct, fcts = self._fct, self.fcts
+        fct, fcts, delivered = self._fct, self.fcts, self.delivered
         spans = self.tracer.spans if self.tracer.enabled else None
         for stats in done:
             tag = stats.tag or "flow"
@@ -679,7 +916,10 @@ class _RunTelemetry:
                 series = fcts[tag] = [fct.counts(tag=tag), fct.sum(tag=tag)]
             series[0][bucket_index(FCT_BUCKETS, seconds)] += 1
             series[1] += seconds
-            self._add(self.delivered, tag, stats.size, "fabric.flow_bytes")
+            total = delivered.get(tag)
+            if total is None:
+                total = self.telemetry.counter("fabric.flow_bytes").value(tag=tag)
+            delivered[tag] = total + stats.size
             if spans is not None:
                 spans.append(span_record(
                     f"flow:{tag}", CATEGORY_FLOW, stats.start_time,

@@ -1,9 +1,11 @@
 """Max-min fair rate solvers for the fabric simulator.
 
 The progressive-filling loop in :class:`~repro.interconnect.fabric.FabricSimulator`
-re-solves a max-min fair (water-filling) allocation on every epoch — each
-arrival, completion and link event.  This module separates that algorithm
-from the simulator behind a small protocol:
+re-solves a max-min fair (water-filling) allocation on every contended
+epoch — each arrival, completion and link event after which some link
+has two users.  (Without one, each flow's rate is its path's smallest
+capacity, which the fabric keeps itself.)  This module separates that
+algorithm from the simulator behind a small protocol:
 
 * :class:`RateSolver` — the protocol: ``bind(capacities)`` once per
   topology state, then ``solve(flow_links, remaining_bytes)`` per epoch.
@@ -16,10 +18,8 @@ from the simulator behind a small protocol:
   fixed flows cross; while the minimum is tied, rounds chain through the
   tied links without looking for it again.  A solve on the kept index
   first replays the rounds of the last contended solve that the flows
-  which arrived, left or moved since cannot affect.  An epoch whose flows
-  share no link (most low-concurrency epochs) skips the rounds: each flow
-  gets its path's smallest capacity.  Pure Python; ``bind`` drops the
-  kept index.
+  which arrived, left or moved since cannot affect.  Pure Python;
+  ``bind`` drops the kept index.
 * :class:`ReferenceSolver` — the original pure-Python loop, which
   recounts link users over every unfixed flow each round.  It is the
   oracle :class:`IndexedSolver` is checked against.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, truediv
+from operator import truediv
 from typing import Dict, List, Optional, Set, Tuple
 
 #: A directed link, as decomposed from a routed path.
@@ -190,11 +190,7 @@ class IndexedSolver(RateSolver):
     round.  This solver keeps a link index and pays per round only for
     what the round changes:
 
-    * first, a scan that stops at the first link traversed twice: when
-      there is none, every link has one user and max-min needs no rounds
-      (see :meth:`_disjoint_rates`).  A contended epoch reads only the
-      prefix of its flows up to the first shared link;
-    * otherwise the link index is brought up to date (see :meth:`_sync`).
+    * first the link index is brought up to date (see :meth:`_sync`).
       Each flow has a *slot*, and slots ascend in admission order; each
       *row* is a link in use and lists its flows' slots in ascending
       order, once per traversal, so a list's length is the link's user
@@ -302,20 +298,6 @@ class IndexedSolver(RateSolver):
         flow_links: Dict[int, List[Link]],
         remaining_bytes: Optional[Dict[int, float]] = None,
     ) -> Tuple[Dict[int, float], Set[Link]]:
-        # Link-disjoint flows need no rounds (see _disjoint_rates).  The
-        # scan stops at the first link traversed twice, so a contended
-        # epoch reads only a prefix of its flows here.
-        seen: Set[Link] = set()
-        traversals = 0
-        for path in flow_links.values():
-            seen.update(path)
-            traversals += len(path)
-            if len(seen) != traversals:
-                break
-        else:
-            return self._disjoint_rates(flow_links), set()
-        # The rounds live in their own frame: solve()'s stays small for
-        # the disjoint epochs, most of a low-concurrency run.
         self._sync(flow_links)
         return self._water_fill(len(flow_links), remaining_bytes)
 
@@ -361,7 +343,8 @@ class IndexedSolver(RateSolver):
         while unfixed:
             if not tied:
                 if levels is None:
-                    share = min(shares)
+                    # No rows when every path is empty: nothing to fix.
+                    share = min(shares, default=infinity)
                     if share == infinity:  # only unconstrained flows remain
                         break
                     row = shares.index(share)
@@ -702,29 +685,6 @@ class IndexedSolver(RateSolver):
                     ]
             links.pop()
             members.pop()
-
-    def _disjoint_rates(
-        self, flow_links: Dict[int, List[Link]]
-    ) -> Dict[int, float]:
-        """Max-min rates when no link is traversed twice.
-
-        Every link then has one user, so each round's fair share is a bare
-        capacity (``cap / 1 == cap``) and fixing a flow touches no other
-        flow's links: each flow gets the smallest capacity on its path
-        (``min`` keeps the first of equal minima, as the reference's strict
-        ``<`` does), a zero-length path gets ``inf``, and no link reaches
-        :data:`MIN_CONTENDERS_FOR_CONGESTION`.  The reference fixes flows
-        in ascending rate with ties in admission order; a stable sort
-        reproduces that insertion order.
-        """
-        infinity = float("inf")
-        lookup = self._capacities.__getitem__
-        rates = {}
-        for flow_id, path in flow_links.items():
-            rates[flow_id] = min(map(lookup, path)) if path else infinity
-        if len(rates) > 1:
-            rates = dict(sorted(rates.items(), key=itemgetter(1)))
-        return rates
 
 
 class _ShareLevels:

@@ -185,6 +185,18 @@ class RouteCache:
             self.hits += 1
         return path
 
+    def minimal_route_links(
+        self, source: str, destination: str
+    ) -> Tuple[List[str], List[Link]]:
+        """:meth:`minimal_route` and its :meth:`links_of`, memoised with
+        it, from one call."""
+        path = self.minimal_route(source, destination)
+        key = (source, destination)
+        links = self._links.get(key)
+        if links is None:
+            links = self._links[key] = list(zip(path, path[1:]))
+        return path, links
+
     def _route(self, source: str, destination: str) -> List[str]:
         """A route not memoised yet: built from the switch pair's core
         when both ends are leaves (see the module docstring), searched

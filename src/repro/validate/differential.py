@@ -518,11 +518,11 @@ def check_solvers(
             if rng.uniform(0.0, 1.0) < 0.1:
                 return []  # zero-length path
             source, destination = rng.sample(terminals, 2)
-            path = simulator._route(
+            _, links = simulator._route(
                 Flow(source=source, destination=destination,
                      size=1e6, flow_id=flow_id)
             )
-            return simulator._links_of(path)
+            return list(links)  # the stream edits it; the cache's is shared
 
         for epoch in range(epochs):
             for _ in range(rng.integer(1, 6)):

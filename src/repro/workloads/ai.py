@@ -10,8 +10,9 @@ accelerators exploit "model sparsity" (§III.B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.hardware.device import KernelProfile
@@ -84,6 +85,16 @@ class AIModel:
             l.forward_flops(batch) + l.backward_flops(batch) for l in self.layers
         )
 
+    def _step_shape(
+        self, local_batch: int, precision: Precision
+    ) -> Tuple[float, float, float]:
+        """One training step's compute FLOPs, bytes moved and gradient
+        all-reduce bytes (ring: ~2x parameter bytes)."""
+        flops = self.training_step_flops(local_batch)
+        activation_bytes = sum(l.m * l.n for l in self.layers) * local_batch * precision.bytes
+        parameter_bytes = self.parameter_bytes(precision)
+        return flops, 3.0 * parameter_bytes + activation_bytes, 2.0 * parameter_bytes
+
     # --- job builders --------------------------------------------------------
 
     def training_job(
@@ -107,10 +118,15 @@ class AIModel:
         if steps <= 0:
             raise ConfigurationError("steps must be positive")
         local_batch = batch // ranks
-        flops = self.training_step_flops(local_batch)
-        activation_bytes = sum(l.m * l.n for l in self.layers) * local_batch * precision.bytes
-        bytes_moved = 3.0 * self.parameter_bytes(precision) + activation_bytes
-        allreduce_bytes = 2.0 * self.parameter_bytes(precision)
+        if isinstance(self.layers, tuple):
+            # Immutable layers, which traces share between models: their
+            # sums are taken once per local batch and precision.
+            shape = _shared_step_shape(
+                self.layers, self.sparsity, local_batch, precision
+            )
+        else:
+            shape = self._step_shape(local_batch, precision)
+        flops, bytes_moved, allreduce_bytes = shape
         kernel = KernelProfile(
             flops=flops, bytes_moved=bytes_moved, precision=precision
         )
@@ -174,6 +190,18 @@ class AIModel:
             input_dataset=input_dataset,
             input_bytes=input_bytes,
         )
+
+
+@lru_cache(maxsize=64)
+def _shared_step_shape(
+    layers: Tuple[LayerShape, ...],
+    sparsity: float,
+    local_batch: int,
+    precision: Precision,
+) -> Tuple[float, float, float]:
+    """:meth:`AIModel._step_shape` of a model on immutable ``layers``,
+    computed once per argument set."""
+    return AIModel("shared", layers, sparsity)._step_shape(local_batch, precision)
 
 
 def build_mlp(

@@ -34,6 +34,11 @@ class TestPercentiles:
         assert percentile(data, 25) == pytest.approx(7.5)
         assert percentile(data, 75) == pytest.approx(22.5)
 
+    def test_unsorted_data(self):
+        # np.percentile sorts: the median of [3, 1, 2] is 2, not 1.
+        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
+        assert percentile([3.0, 1.0, 2.0, 1.0], 0) == 1.0
+
     def test_single_sample(self):
         assert all(percentile([4.0], q) == 4.0 for q in (0, 37.5, 100))
 

@@ -53,14 +53,11 @@ class TestFabricInvariants:
         ]
         simulator = FabricSimulator(topology)
         # Feasibility check at the solver level for the initial flow set.
-        paths = {flow.flow_id: simulator._route(flow) for flow in flows}
-        links = {
-            flow_id: simulator._links_of(path) for flow_id, path in paths.items()
-        }
+        links = {flow.flow_id: simulator._route(flow)[1] for flow in flows}
         rates, _ = simulator.solver.solve(links)
         link_totals = {}
-        for flow_id, path in paths.items():
-            for link in simulator._links_of(path):
+        for flow_id, flow_links in links.items():
+            for link in flow_links:
                 link_totals[link] = link_totals.get(link, 0.0) + rates[flow_id]
         for link, total in link_totals.items():
             assert total <= simulator._capacities[link] * (1 + 1e-9)

@@ -241,10 +241,9 @@ class TestExactness:
         for _ in range(30):
             for _ in range(rng.integer(1, 6)):  # arrivals
                 source, destination = rng.sample(terminals, 2)
-                path = probe._route(
+                _, flow_links[next_id] = probe._route(
                     Flow(source=source, destination=destination, size=1.0)
                 )
-                flow_links[next_id] = probe._links_of(path)
                 next_id += 1
             for flow_id in list(flow_links):  # completions
                 if rng.uniform() < 0.2:
@@ -475,9 +474,9 @@ class TestPrefixReplay:
 
 
 class TestLowConcurrencyEpochs:
-    """Tiny epochs, where ``"indexed"`` takes its link-disjoint shortcut
-    or falls back to the rounds: rates, their insertion order and the
-    saturated set must all match the reference."""
+    """Tiny epochs, link-disjoint or not (the fabric solves only the
+    latter, but the solver takes both): rates, their insertion order and
+    the saturated set must all match the reference."""
 
     CAPS = {AB: 10.0, BC: 4.0, CD: 7.0, ("d", "e"): 4.0, ("e", "f"): 9.0}
     DE, EF = ("d", "e"), ("e", "f")
@@ -516,9 +515,11 @@ class TestLowConcurrencyEpochs:
         assert list(rates.items()) == [
             (2, 4.0), (4, 10.0), (1, float("inf")), (3, float("inf")),
         ]
+        rates, _ = self._agree({1: [], 3: []})
+        assert rates == {1: float("inf"), 3: float("inf")}
 
     def test_detour_crossing_one_link_twice(self):
-        # A single flow, but AB carries it twice: no shortcut.
+        # A single flow, but AB carries it twice: it contends with itself.
         rates, _ = self._agree({1: [AB, CD, AB]})
         assert rates == {1: 5.0}  # AB counts the flow twice: 10 / 2
         self._agree({1: [AB, self.DE, AB], 2: [CD]})

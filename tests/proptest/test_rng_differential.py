@@ -258,6 +258,22 @@ def test_summaries_match_numpy(length):
             ), (length, q)
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 129])
+def test_percentiles_of_unsorted_data_with_duplicates_match_numpy(length):
+    rng = random.Random(500 + length)
+    for _ in range(6):
+        data = [
+            rng.choice((-1.5, 0.0, 2.0)) if rng.random() < 0.4
+            else rng.uniform(-10.0, 10.0)
+            for _ in range(length)
+        ]
+        array = np.asarray(data, dtype=float)
+        for q in (0, 1, 50, 99, 100):
+            assert _bits(percentile(data, q)) == _bits(
+                float(np.percentile(array, q))
+            ), (data, q)
+
+
 def test_summary_of_a_sample_with_nan_is_nan_like_numpy():
     data = [1.0, float("nan"), 3.0]
     assert math.isnan(mean(data)) and math.isnan(std(data))
