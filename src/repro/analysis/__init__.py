@@ -3,7 +3,7 @@
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".aggregate": ("group_mean", "pivot", "speedup", "summary_table"),
+    ".aggregate": ("group_mean", "pivot", "summary_table"),
     ".tables": ("Table",),
 })
 
@@ -11,6 +11,5 @@ __all__ = [
     "Table",
     "group_mean",
     "pivot",
-    "speedup",
     "summary_table",
 ]

@@ -10,7 +10,7 @@ hand-built rows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import Table
 
@@ -93,12 +93,3 @@ def summary_table(result_or_rows, title: str = "sweep results") -> Table:
     for record in records:
         table.add_row(*[record.get(column, "-") for column in columns])
     return table
-
-
-def speedup(
-    baseline: Mapping[str, float], candidate: Mapping[str, float], value: str
-) -> float:
-    """``baseline[value] / candidate[value]`` (inf when candidate is 0)."""
-    base = float(baseline[value])
-    cand = float(candidate[value])
-    return float("inf") if cand == 0 else base / cand

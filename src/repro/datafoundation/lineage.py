@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.errors import ConfigurationError
 from repro.interconnect.graph import (
@@ -22,7 +22,6 @@ from repro.interconnect.graph import (
     NetworkXNoPath,
     NodeNotFound,
     ancestors,
-    descendants,
     is_directed_acyclic_graph,
     shortest_path,
 )
@@ -129,16 +128,6 @@ class LineageGraph:
             raise KeyError(f"unknown dataset {dataset!r}")
         return {
             name for kind, name in ancestors(self._graph, node) if kind == "data"
-        }
-
-    def descendants(self, dataset: str) -> Set[str]:
-        """All datasets derived (transitively) from this one."""
-        node = ("data", dataset)
-        if node not in self._graph:
-            raise KeyError(f"unknown dataset {dataset!r}")
-        return {
-            name for kind, name in descendants(self._graph, node)
-            if kind == "data"
         }
 
     def derivation_path(self, ancestor: str, descendant: str) -> List[Transformation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Set
 
 from repro.core.errors import ConfigurationError
 
@@ -27,10 +27,6 @@ class GovernanceLabel(Enum):
     def may_cross_sites(self) -> bool:
         return self is not GovernanceLabel.RESTRICTED
 
-    @property
-    def may_leave_federation(self) -> bool:
-        return self is GovernanceLabel.PUBLIC
-
 
 @dataclass
 class DataEntry:
@@ -45,7 +41,7 @@ class DataEntry:
     schema:
         Column name -> type-string mapping (actionable metadata).
     tags:
-        Free-form search tags.
+        Free-form tags.
     governance:
         Movement restrictions.
     home_site:
@@ -66,13 +62,9 @@ class DataEntry:
         if self.size_bytes < 0:
             raise ConfigurationError(f"{self.name}: size must be non-negative")
 
-    def matches(self, tag_query: Sequence[str]) -> bool:
-        """Whether the entry carries every queried tag."""
-        return all(tag in self.tags for tag in tag_query)
-
 
 class MetadataCatalog:
-    """Register, search and govern data entries."""
+    """Register, look up and govern data entries."""
 
     def __init__(self) -> None:
         self._entries: Dict[str, DataEntry] = {}
@@ -95,11 +87,6 @@ class MetadataCatalog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def search(self, *tags: str) -> List[DataEntry]:
-        """All entries carrying every given tag, sorted by name."""
-        found = [e for e in self._entries.values() if e.matches(tags)]
-        return sorted(found, key=lambda e: e.name)
-
     def may_move(self, name: str, from_site: str, to_site: str) -> bool:
         """Whether governance allows moving an entry between sites."""
         entry = self.get(name)
@@ -109,7 +96,3 @@ class MetadataCatalog:
 
     def total_bytes(self) -> float:
         return sum(e.size_bytes for e in self._entries.values())
-
-    def schema_fields(self, name: str) -> List[str]:
-        """Column names of an entry (empty for schemaless data)."""
-        return sorted(self.get(name).schema)

@@ -10,7 +10,7 @@ the quantitative core of the paper's "data gravity" argument (§III.F).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.datafoundation.metadata import MetadataCatalog
@@ -121,17 +121,3 @@ class TransferPlanner:
                 )
             )
         return TransferPlan(destination=destination.name, items=tuple(items))
-
-    def cheapest_site(
-        self, dataset_names: Sequence[str], candidates: Sequence[Site]
-    ) -> Dict[str, float]:
-        """Total staging time per candidate site (governance-infeasible
-        sites are omitted). The argmin is where the data's gravity pulls."""
-        costs: Dict[str, float] = {}
-        for site in candidates:
-            try:
-                plan = self.plan(dataset_names, site)
-            except ConfigurationError:
-                continue
-            costs[site.name] = plan.total_time
-        return costs

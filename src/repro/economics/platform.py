@@ -36,13 +36,10 @@ class SiliconOption:
 
     name: str
     board_complexity: float = 1.0
-    expected_volume: int = 1_000
 
     def __post_init__(self) -> None:
         if self.board_complexity <= 0:
             raise ConfigurationError("board_complexity must be positive")
-        if self.expected_volume <= 0:
-            raise ConfigurationError("expected_volume must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,19 +94,6 @@ class PlatformCostModel:
         integration = self.integration_cost * len(options) * vendors
         return development + integration
 
-    def cost_per_unit(
-        self, option: SiliconOption, vendors: int, standard: bool
-    ) -> float:
-        """Development cost amortised per shipped unit of one option."""
-        if standard:
-            total = (
-                self.enablement_cost * self.standard_premium * option.board_complexity
-                + self.integration_cost * vendors
-            )
-        else:
-            total = self.enablement_cost * option.board_complexity * vendors
-        return total / (option.expected_volume * vendors)
-
     # --- sustainability ------------------------------------------------------------
 
     def sustainable_options(
@@ -135,21 +119,6 @@ class PlatformCostModel:
             per_option = self.enablement_cost * board_complexity * vendors
         return int(budget // per_option)
 
-    def breakeven_vendors(self, option: SiliconOption) -> float:
-        """Vendor count above which the standard model is cheaper for an option.
-
-        Solves ``enablement * v = enablement * premium + integration * v``.
-        """
-        denominator = (
-            self.enablement_cost * option.board_complexity - self.integration_cost
-        )
-        if denominator <= 0:
-            return float("inf")
-        return (
-            self.enablement_cost * self.standard_premium * option.board_complexity
-            / denominator
-        )
-
 
 def standardization_savings(
     model: PlatformCostModel, options: Sequence[SiliconOption], vendors: int
@@ -165,16 +134,16 @@ def standardization_savings(
 def default_silicon_ecosystem() -> List[SiliconOption]:
     """The paper's "Cambrian explosion": a representative 2021 option list."""
     return [
-        SiliconOption("x86-cpu-a", 1.0, 50_000),
-        SiliconOption("x86-cpu-b", 1.0, 40_000),
-        SiliconOption("arm-cpu", 1.1, 15_000),
-        SiliconOption("gpu-vendor-a", 1.4, 30_000),
-        SiliconOption("gpu-vendor-b", 1.4, 12_000),
-        SiliconOption("gpu-vendor-c", 1.3, 6_000),
-        SiliconOption("fpga", 1.2, 5_000),
-        SiliconOption("ml-asic-a", 1.5, 4_000),
-        SiliconOption("ml-asic-b", 1.5, 2_000),
-        SiliconOption("ml-asic-c", 1.6, 1_000),
-        SiliconOption("analog-dpe", 1.3, 800),
-        SiliconOption("optical-mvm", 1.8, 500),
+        SiliconOption("x86-cpu-a", 1.0),
+        SiliconOption("x86-cpu-b", 1.0),
+        SiliconOption("arm-cpu", 1.1),
+        SiliconOption("gpu-vendor-a", 1.4),
+        SiliconOption("gpu-vendor-b", 1.4),
+        SiliconOption("gpu-vendor-c", 1.3),
+        SiliconOption("fpga", 1.2),
+        SiliconOption("ml-asic-a", 1.5),
+        SiliconOption("ml-asic-b", 1.5),
+        SiliconOption("ml-asic-c", 1.6),
+        SiliconOption("analog-dpe", 1.3),
+        SiliconOption("optical-mvm", 1.8),
     ]

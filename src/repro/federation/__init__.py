@@ -16,7 +16,7 @@ the staged delivery evolution (bursting → fluidity → grid → exchange).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".accounting": ("AccountingLedger", "Invoice", "MeterRecord"),
+    ".accounting": ("AccountingLedger", "MeterRecord"),
     ".bursting": ("BurstingPolicy", "DeliveryStage"),
     ".datasets": ("Dataset", "DatasetCatalog"),
     ".federation": ("Federation",),
@@ -31,7 +31,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 __all__ = [
     "AccountingLedger",
     "BurstingPolicy",
-    "Invoice",
     "MeterRecord",
     "Dataset",
     "DatasetCatalog",

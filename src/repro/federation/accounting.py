@@ -10,7 +10,7 @@ Components:
 * :class:`MeterRecord` — one job's metered consumption at a provider site
   (device-hours, energy, data egress),
 * :class:`AccountingLedger` — append-only record store with per-site and
-  per-consumer aggregation, invoice generation, and bilateral netting of
+  per-consumer aggregation and bilateral netting of
   inter-site balances (the accounting substrate an exchange settles on).
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -92,23 +92,6 @@ class MeterRecord:
         return self.compute_charge + self.energy_charge + self.egress_charge
 
 
-@dataclass(frozen=True)
-class Invoice:
-    """Aggregated charges from one provider to one consumer."""
-
-    provider: str
-    consumer: str
-    records: Tuple[MeterRecord, ...]
-
-    @property
-    def total(self) -> float:
-        return sum(record.total_charge for record in self.records)
-
-    @property
-    def device_hours(self) -> float:
-        return sum(record.device_hours for record in self.records)
-
-
 class AccountingLedger:
     """Append-only meter-record store with aggregation and netting."""
 
@@ -137,25 +120,6 @@ class AccountingLedger:
         return sum(
             r.total_charge for r in self._records if r.consumer == consumer
         )
-
-    def device_hours_by_provider(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for record in self._records:
-            totals[record.provider] = totals.get(record.provider, 0.0) + record.device_hours
-        return totals
-
-    def invoice(self, provider: str, consumer: str) -> Invoice:
-        """All charges from one provider to one consumer."""
-        matching = tuple(
-            r for r in self._records
-            if r.provider == provider and r.consumer == consumer
-        )
-        return Invoice(provider=provider, consumer=consumer, records=matching)
-
-    def invoices(self) -> List[Invoice]:
-        """One invoice per (provider, consumer) pair with any charges."""
-        pairs = sorted({(r.provider, r.consumer) for r in self._records})
-        return [self.invoice(provider, consumer) for provider, consumer in pairs]
 
     # --- settlement -----------------------------------------------------------
 

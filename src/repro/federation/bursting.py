@@ -133,8 +133,3 @@ class BurstingPolicy:
         if self._considered == 0:
             return 0.0
         return self._bursted / self._considered
-
-    def reset(self) -> None:
-        """Clear counters (for reuse across experiment repetitions)."""
-        self._bursted = 0
-        self._considered = 0

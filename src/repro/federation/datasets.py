@@ -10,7 +10,7 @@ prospective execution site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.core.errors import ConfigurationError
 from repro.federation.site import Site
@@ -97,19 +97,3 @@ class DatasetCatalog:
             return 0.0
         source = self.closest_replica(name, to)
         return self.wan.transfer_time(source, to, dataset.size_bytes)
-
-    def staging_dollars(self, name: str, to: Site) -> float:
-        """Egress cost of staging the dataset to a site."""
-        dataset = self.get(name)
-        if dataset.has_replica_at(to):
-            return 0.0
-        source = self.closest_replica(name, to)
-        return self.wan.transfer_dollars(source, to, dataset.size_bytes)
-
-    def datasets_at(self, site: Site) -> List[Dataset]:
-        """All datasets with a replica at a site."""
-        return [d for d in self._datasets.values() if d.has_replica_at(site)]
-
-    def total_bytes_at(self, site: Site) -> float:
-        """Aggregate replica bytes at a site (its gravitational mass)."""
-        return sum(d.size_bytes for d in self.datasets_at(site))

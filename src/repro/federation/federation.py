@@ -16,9 +16,8 @@ from typing import Dict, List, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.federation.datasets import Dataset, DatasetCatalog
-from repro.federation.site import Site, SiteKind
+from repro.federation.site import Site
 from repro.federation.wan import WanLink, WanNetwork
-from repro.hardware.device import Device, DeviceKind
 from repro.observability.probes import Telemetry
 
 
@@ -76,20 +75,6 @@ class Federation:
             known = ", ".join(sorted(self._sites))
             raise KeyError(f"unknown site {name!r}; federation has: {known}") from None
 
-    def sites_of_kind(self, kind: SiteKind) -> List[Site]:
-        return [s for s in self._sites.values() if s.kind is kind]
-
-    def sites_with_device_kind(self, kind: DeviceKind) -> List[Site]:
-        return [s for s in self._sites.values() if s.has_kind(kind)]
-
-    def all_devices(self) -> List[Device]:
-        """Every distinct device model installed anywhere."""
-        seen: Dict[str, Device] = {}
-        for site in self._sites.values():
-            for device in site.devices:
-                seen.setdefault(device.name, device)
-        return list(seen.values())
-
     def device_diversity(self) -> int:
         """Count of distinct device kinds across the federation — the
         "breadth of silicon options" no single site can afford (§III.F)."""
@@ -102,28 +87,3 @@ class Federation:
     def total_capacity(self) -> int:
         """Total installed devices across all sites."""
         return sum(site.total_devices() for site in self._sites.values())
-
-    def utilization(self) -> float:
-        """Device-weighted mean utilisation."""
-        total = self.total_capacity()
-        if total == 0:
-            return 0.0
-        busy = sum(
-            site.utilization() * site.total_devices()
-            for site in self._sites.values()
-        )
-        return busy / total
-
-    # --- vertical / horizontal views ----------------------------------------------
-
-    def vertical_slice(self) -> List[Site]:
-        """Edge → supercomputer → cloud sites (the vertical federation)."""
-        order = [SiteKind.EDGE, SiteKind.ON_PREMISE, SiteKind.SUPERCOMPUTER, SiteKind.CLOUD]
-        ordered: List[Site] = []
-        for kind in order:
-            ordered.extend(self.sites_of_kind(kind))
-        return ordered
-
-    def horizontal_slice(self, kind: SiteKind) -> List[Site]:
-        """All sites of one tier (the horizontal federation)."""
-        return self.sites_of_kind(kind)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.errors import CapacityError, ConfigurationError
-from repro.hardware.device import Device, DeviceKind
+from repro.core.errors import ConfigurationError
+from repro.hardware.device import Device
 
 
 class SiteKind(Enum):
@@ -84,13 +84,8 @@ class Site:
             self.noise_level = DEFAULT_NOISE[self.kind]
         if self.interconnect_bandwidth <= 0 or self.interconnect_latency < 0:
             raise ConfigurationError(f"{self.name}: invalid interconnect parameters")
-        self._busy: Dict[Device, int] = {device: 0 for device in self.devices}
 
     # --- inventory -----------------------------------------------------------
-
-    @property
-    def device_list(self) -> List[Device]:
-        return list(self.devices)
 
     def total_devices(self) -> int:
         return sum(self.devices.values())
@@ -98,47 +93,7 @@ class Site:
     def count(self, device: Device) -> int:
         return self.devices.get(device, 0)
 
-    def peak_power(self) -> float:
-        """All installed devices at TDP."""
-        return sum(device.spec.tdp * count for device, count in self.devices.items())
-
-    def has_kind(self, kind: DeviceKind) -> bool:
-        return any(device.kind is kind for device in self.devices)
-
-    def devices_of_kind(self, kind: DeviceKind) -> List[Device]:
-        return [device for device in self.devices if device.kind is kind]
-
     # --- occupancy ------------------------------------------------------------
-
-    def free_count(self, device: Device) -> int:
-        """Devices of a model not currently allocated."""
-        return self.count(device) - self._busy.get(device, 0)
-
-    def acquire(self, device: Device, count: int = 1) -> None:
-        """Allocate ``count`` devices; raises :class:`CapacityError` if short."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if self.free_count(device) < count:
-            raise CapacityError(
-                f"{self.name}: need {count} x {device.name}, "
-                f"only {self.free_count(device)} free"
-            )
-        self._busy[device] = self._busy.get(device, 0) + count
-
-    def release(self, device: Device, count: int = 1) -> None:
-        """Return ``count`` devices to the free pool."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if self._busy.get(device, 0) < count:
-            raise ValueError(f"{self.name}: releasing more {device.name} than busy")
-        self._busy[device] -= count
-
-    def utilization(self) -> float:
-        """Fraction of installed devices currently allocated."""
-        total = self.total_devices()
-        if total == 0:
-            return 0.0
-        return sum(self._busy.values()) / total
 
     # --- pricing ---------------------------------------------------------------
 

@@ -88,11 +88,6 @@ class WanNetwork:
         except KeyError:
             raise KeyError(f"unknown site {name!r}") from None
 
-    def are_connected(self, a: Site, b: Site) -> bool:
-        if a.name == b.name:
-            return True
-        return has_path(self._graph, a.name, b.name)
-
     def _path(self, a: Site, b: Site, weight: str) -> List[Tuple[WanLink, str, str]]:
         """Links along the best path by a weight function name."""
         if a.name == b.name:
@@ -162,10 +157,3 @@ class WanNetwork:
                 bytes=size_bytes, dollars=dollars,
             )
         return elapsed
-
-    def bandwidth_between(self, a: Site, b: Site) -> float:
-        """Bottleneck bandwidth on the fastest path (inf for same site)."""
-        links = self._path(a, b, weight="time")
-        if not links:
-            return float("inf")
-        return min(link.bandwidth for link, _, _ in links)

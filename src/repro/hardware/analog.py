@@ -24,7 +24,6 @@ that these are "formidable candidates for AI inference at the edge".
 
 from __future__ import annotations
 
-import math
 
 from repro.core.errors import ConfigurationError
 from repro.hardware.device import Device, DeviceKind, DeviceSpec, KernelProfile
@@ -51,8 +50,6 @@ class AnalogDotProductEngine(Device):
         Conversions per second per ADC.
     conversion_energy:
         Joules per DAC or ADC conversion.
-    write_time_per_cell:
-        Seconds to program one crossbar cell (weight load).
     effective_bits:
         Equivalent digital precision after analog noise; requests for wider
         precision are refused.
@@ -66,7 +63,6 @@ class AnalogDotProductEngine(Device):
         adc_count: int = 8,
         adc_rate: float = 1e9,
         conversion_energy: float = 2e-12,
-        write_time_per_cell: float = 100e-9,
         effective_bits: int = 8,
     ) -> None:
         if spec.kind is not DeviceKind.ANALOG:
@@ -79,23 +75,9 @@ class AnalogDotProductEngine(Device):
         self.adc_count = adc_count
         self.adc_rate = adc_rate
         self.conversion_energy = conversion_energy
-        self.write_time_per_cell = write_time_per_cell
         self.effective_bits = effective_bits
 
-    # --- capability ---------------------------------------------------------
-
-    def supports_precision_bits(self, bits: int) -> bool:
-        """Whether the analog noise floor admits this equivalent precision."""
-        return bits <= self.effective_bits
-
     # --- structural timing ---------------------------------------------------
-
-    def tiles_for(self, n: int) -> int:
-        """Number of crossbar tiles needed for an ``n x n`` matrix."""
-        if n <= 0:
-            raise ValueError("matrix dimension must be positive")
-        per_side = math.ceil(n / self.crossbar_size)
-        return per_side * per_side
 
     def mvm_time(self, n: int) -> float:
         """Time for one ``n x n`` matrix-vector multiply (weights resident).
@@ -128,12 +110,6 @@ class AnalogDotProductEngine(Device):
         conversions = 2.0 * n
         analog_core = self.spec.idle_power * self.mvm_time(n)
         return conversions * self.conversion_energy + analog_core
-
-    def weight_programming_time(self, n: int) -> float:
-        """Time to (re)program an ``n x n`` weight matrix into crossbars."""
-        if n <= 0:
-            raise ValueError("matrix dimension must be positive")
-        return n * n * self.write_time_per_cell
 
     # --- Device interface -----------------------------------------------------
 

@@ -41,14 +41,6 @@ class DeviceCatalog:
             known = ", ".join(sorted(self._devices))
             raise KeyError(f"unknown device {name!r}; catalog has: {known}") from None
 
-    def by_kind(self, kind: DeviceKind) -> List[Device]:
-        """All devices of a given kind."""
-        return [d for d in self._devices.values() if d.kind is kind]
-
-    def supporting(self, precision: Precision) -> List[Device]:
-        """All devices natively supporting a precision."""
-        return [d for d in self._devices.values() if d.supports(precision)]
-
     def names(self) -> List[str]:
         return sorted(self._devices)
 
@@ -137,8 +129,6 @@ def default_catalog(seed: Optional[int] = None) -> DeviceCatalog:
             efficiency=0.5,
             unit_cost=2_000_000.0,
         ),
-        tiles=400_000,
-        fabric_bandwidth=100e12,
     ))
 
     catalog.add(FPGA(DeviceSpec(

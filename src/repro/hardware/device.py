@@ -177,10 +177,6 @@ class Device:
                 f"{self.name} does not support {precision}"
             ) from None
 
-    def sustained_flops(self, precision: Precision) -> float:
-        """Derated peak throughput at a precision."""
-        return self.roofline(precision).peak_flops
-
     # --- execution model ---------------------------------------------------
 
     def time_for(self, kernel: KernelProfile) -> float:
@@ -201,20 +197,6 @@ class Device:
     def energy_for(self, kernel: KernelProfile) -> float:
         """Energy in joules: TDP while busy (simple full-power model)."""
         return self.time_for(kernel) * self.spec.tdp
-
-    def throughput_for(self, kernel: KernelProfile) -> float:
-        """Achieved FLOP/s on the kernel (0 for zero-flop kernels)."""
-        elapsed = self.time_for(kernel)
-        if elapsed == 0:
-            return 0.0
-        return kernel.flops / elapsed
-
-    def energy_efficiency(self, kernel: KernelProfile) -> float:
-        """FLOPs per joule on the kernel."""
-        energy = self.energy_for(kernel)
-        if energy == 0:
-            return 0.0
-        return kernel.flops / energy
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"

@@ -6,120 +6,25 @@ with sensors and instruments themselves, and designed to operate in
 'hostile' environments across very aggressive temperature ranges, and even
 radiation in some cases."
 
-The model adds two edge-specific effects to the roofline base:
-
-* **thermal derating** — sustained throughput drops with ambient
-  temperature above a nominal point (passively cooled parts throttle),
-* **radiation-induced error rate** — an upset probability per second of
-  operation that grows with the environment's radiation level; upsets force
-  recomputation, inflating expected latency.
+The reproduction runs the edge part on the roofline base alone: a
+low-power device of kind ``EDGE_INFERENCE`` in the catalog.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.errors import ConfigurationError
-from repro.hardware.device import Device, DeviceKind, DeviceSpec, KernelProfile
-
-
-@dataclass(frozen=True)
-class EdgeEnvironment:
-    """Operating conditions at an instrumentation edge site.
-
-    Attributes
-    ----------
-    ambient_celsius:
-        Ambient temperature around the device.
-    radiation_factor:
-        Multiplier over the sea-level neutron flux (1.0 = benign lab,
-        10-100 = accelerator tunnels / space-adjacent).
-    """
-
-    ambient_celsius: float = 25.0
-    radiation_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.radiation_factor < 0:
-            raise ConfigurationError("radiation_factor must be non-negative")
+from repro.hardware.device import Device, DeviceKind, DeviceSpec
 
 
 class EdgeInferenceAccelerator(Device):
     """A low-power inference part deployed next to an instrument.
 
-    Parameters
-    ----------
-    spec:
-        Device spec (kind must be ``EDGE_INFERENCE``); TDP is typically
-        single-digit watts.
-    nominal_celsius:
-        Temperature at which full throughput is sustained.
-    throttle_celsius:
-        Temperature at which throughput has fallen to ``throttle_floor``.
-    throttle_floor:
-        Minimum fraction of peak retained at/above ``throttle_celsius``.
-    base_upset_rate:
-        Soft-error upsets per second at radiation factor 1.0.
+    ``spec`` must be of kind ``EDGE_INFERENCE``; its TDP is typically
+    single-digit watts.
     """
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        nominal_celsius: float = 45.0,
-        throttle_celsius: float = 85.0,
-        throttle_floor: float = 0.4,
-        base_upset_rate: float = 1e-7,
-    ) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         if spec.kind is not DeviceKind.EDGE_INFERENCE:
             raise ValueError(
                 f"edge model requires EDGE_INFERENCE spec, got {spec.kind}"
             )
         super().__init__(spec)
-        if throttle_celsius <= nominal_celsius:
-            raise ConfigurationError("throttle_celsius must exceed nominal_celsius")
-        if not 0.0 < throttle_floor <= 1.0:
-            raise ConfigurationError("throttle_floor must be in (0, 1]")
-        if base_upset_rate < 0:
-            raise ConfigurationError("base_upset_rate must be non-negative")
-        self.nominal_celsius = nominal_celsius
-        self.throttle_celsius = throttle_celsius
-        self.throttle_floor = throttle_floor
-        self.base_upset_rate = base_upset_rate
-
-    def thermal_derate(self, ambient_celsius: float) -> float:
-        """Sustained fraction of peak at an ambient temperature.
-
-        Linear ramp from 1.0 at ``nominal_celsius`` down to
-        ``throttle_floor`` at ``throttle_celsius``; clamped beyond.
-        """
-        if ambient_celsius <= self.nominal_celsius:
-            return 1.0
-        if ambient_celsius >= self.throttle_celsius:
-            return self.throttle_floor
-        span = self.throttle_celsius - self.nominal_celsius
-        slope = (1.0 - self.throttle_floor) / span
-        return 1.0 - slope * (ambient_celsius - self.nominal_celsius)
-
-    def upset_rate(self, environment: EdgeEnvironment) -> float:
-        """Expected soft-error upsets per second in an environment."""
-        return self.base_upset_rate * environment.radiation_factor
-
-    def time_for_in_environment(
-        self, kernel: KernelProfile, environment: EdgeEnvironment
-    ) -> float:
-        """Expected kernel time including throttling and upset-driven retries.
-
-        With upset rate λ and nominal time t, the expected number of retries
-        of an all-or-nothing kernel is ``1 / (1 - λt)`` for ``λt < 1``
-        (geometric retry model); an environment harsh enough that ``λt >= 1``
-        cannot complete the kernel and raises.
-        """
-        derate = self.thermal_derate(environment.ambient_celsius)
-        nominal = super().time_for(kernel) / derate
-        failure_probability = self.upset_rate(environment) * nominal
-        if failure_probability >= 1.0:
-            raise ConfigurationError(
-                f"{self.name}: upset rate too high to complete kernel "
-                f"(lambda*t = {failure_probability:.2f} >= 1)"
-            )
-        return nominal / (1.0 - failure_probability)

@@ -66,13 +66,6 @@ class OpticalMVMEngine(Device):
         self.detection_energy = detection_energy
         self.effective_bits = effective_bits
 
-    def tiles_for(self, n: int) -> int:
-        """MZI mesh tiles needed to cover an ``n x n`` operator."""
-        if n <= 0:
-            raise ValueError("dimension must be positive")
-        per_side = math.ceil(n / self.mesh_size)
-        return per_side * per_side
-
     def mvm_time(self, n: int) -> float:
         """One ``n x n`` MVM: O(N) boundary conversion + O(1) propagation.
 

@@ -76,14 +76,6 @@ class RackPowerModel:
         """Rack draw with all devices idle, watts."""
         return sum(spec.idle_power for spec in self.devices) + self.overhead_power
 
-    def headroom(self) -> float:
-        """Watts of cooling capacity left at peak."""
-        return self.cooling.max_rack_power - self.peak_power
-
-    def can_add(self, spec: DeviceSpec) -> bool:
-        """Whether one more device of this spec fits the cooling envelope."""
-        return spec.tdp <= self.headroom()
-
 
 @dataclass
 class DatacenterPowerModel:
@@ -116,15 +108,6 @@ class DatacenterPowerModel:
                 f"exceeds limit {self.facility_limit / 1e6:.1f} MW"
             )
 
-    def add_rack(self, rack: RackPowerModel) -> None:
-        """Install a rack, enforcing the facility envelope."""
-        self.racks.append(rack)
-        try:
-            self._check_envelope()
-        except CapacityError:
-            self.racks.pop()
-            raise
-
     def it_power(self) -> float:
         """Peak IT (compute) power across all racks, watts."""
         return sum(rack.peak_power for rack in self.racks)
@@ -139,12 +122,6 @@ class DatacenterPowerModel:
         if it == 0:
             return 1.0
         return self.total_facility_power() / it
-
-    def max_racks_supported(self, rack: RackPowerModel) -> int:
-        """How many racks of a given build fit the remaining envelope."""
-        per_rack = rack.peak_power * rack.cooling.partial_pue
-        remaining = self.facility_limit - self.total_facility_power()
-        return int(remaining // per_rack)
 
     def energy_cost(self, joules: float) -> float:
         """Dollar cost of an energy quantity at the facility tariff."""

@@ -47,17 +47,6 @@ class Precision(Enum):
         """Storage width in bytes (may be fractional for sub-byte formats)."""
         return self._bits / 8.0
 
-    @property
-    def is_floating_point(self) -> bool:
-        """Whether the format is a floating-point (vs integer/analog) type."""
-        return self in (
-            Precision.FP64,
-            Precision.FP32,
-            Precision.TF32,
-            Precision.BF16,
-            Precision.FP16,
-        )
-
     def __str__(self) -> str:
         return self.name.lower()
 

@@ -36,7 +36,7 @@ class CPU(Device):
         if not self.supports(kernel.precision):
             # Narrow formats run at the narrowest supported rate; wide
             # formats are unsupported outright.
-            fallback = self._narrowest_supported()
+            fallback = min(self.spec.peak_flops, key=lambda p: p.bits)
             kernel = KernelProfile(
                 flops=kernel.flops,
                 bytes_moved=kernel.bytes_moved,
@@ -45,9 +45,6 @@ class CPU(Device):
                 parallel_fraction=kernel.parallel_fraction,
             )
         return super().time_for(kernel)
-
-    def _narrowest_supported(self) -> Precision:
-        return min(self.spec.peak_flops, key=lambda p: p.bits)
 
 
 class GPU(Device):
@@ -107,10 +104,6 @@ class FPGA(Device):
             reconfig = self.reconfiguration_time
             self._configured_for = kernel.precision
         return reconfig + super().time_for(kernel)
-
-    def reset_configuration(self) -> None:
-        """Forget the loaded bitstream (next kernel pays reconfiguration)."""
-        self._configured_for = None
 
 
 def make_cpu_spec(

@@ -39,25 +39,6 @@ class RooflineModel:
                 f"memory_bandwidth must be positive: {self.memory_bandwidth}"
             )
 
-    @property
-    def ridge_point(self) -> float:
-        """Arithmetic intensity (FLOP/byte) where the model turns compute bound."""
-        return self.peak_flops / self.memory_bandwidth
-
-    def attainable_flops(self, arithmetic_intensity: float) -> float:
-        """Attainable throughput (FLOP/s) at a given arithmetic intensity."""
-        if arithmetic_intensity < 0:
-            raise ValueError(
-                f"arithmetic intensity must be non-negative: {arithmetic_intensity}"
-            )
-        if arithmetic_intensity == 0:
-            return 0.0
-        return min(self.peak_flops, self.memory_bandwidth * arithmetic_intensity)
-
-    def is_compute_bound(self, arithmetic_intensity: float) -> bool:
-        """Whether a kernel at this intensity hits the compute ceiling."""
-        return arithmetic_intensity >= self.ridge_point
-
     def time_for(self, flops: float, bytes_moved: float) -> float:
         """Execution time lower bound for a kernel.
 
@@ -70,10 +51,3 @@ class RooflineModel:
         compute_time = flops / self.peak_flops
         memory_time = bytes_moved / self.memory_bandwidth
         return max(compute_time, memory_time)
-
-    def scaled(self, flops_factor: float = 1.0, bandwidth_factor: float = 1.0) -> "RooflineModel":
-        """A new roofline with scaled ceilings (e.g. for derated utilisation)."""
-        return RooflineModel(
-            peak_flops=self.peak_flops * flops_factor,
-            memory_bandwidth=self.memory_bandwidth * bandwidth_factor,
-        )

@@ -11,11 +11,9 @@ waste lanes. Small matrices also pay a pipeline fill/drain latency.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.errors import ConfigurationError
 from repro.hardware.device import Device, DeviceKind, DeviceSpec, KernelProfile
-from repro.hardware.precision import Precision
 
 
 class SystolicArrayAccelerator(Device):
@@ -77,27 +75,3 @@ class SystolicArrayAccelerator(Device):
             )
             base = base / max(utilisation, 1e-3)
         return self.pipeline_latency() + base
-
-    def matmul_time(
-        self,
-        m: int,
-        n: int,
-        k: int,
-        precision: Precision = Precision.BF16,
-        batched: Optional[int] = None,
-    ) -> float:
-        """Time for a (possibly batched) dense ``m x k @ k x n`` matmul.
-
-        This is the native operation of the array; utilisation is applied
-        along the (m, n) output tile dimensions.
-        """
-        if min(m, n, k) <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        batch = batched if batched else 1
-        flops = 2.0 * m * n * k * batch
-        bytes_moved = precision.bytes * (m * k + k * n + m * n) * batch
-        roofline = self.roofline(precision)
-        utilisation = self.tile_utilization(m, n)
-        compute_time = flops / (roofline.peak_flops * utilisation)
-        memory_time = bytes_moved / roofline.memory_bandwidth
-        return self.pipeline_latency() + max(compute_time, memory_time)

@@ -137,10 +137,6 @@ class ArchitectureModel:
             node.density * lit * node.frequency * self.transistor_efficiency
         )
 
-    def throughput_per_watt(self, node: ProcessNode, power_budget: float = 1.0) -> float:
-        """Relative energy efficiency at the node."""
-        return self.throughput(node, power_budget) / power_budget
-
 
 GENERAL_PURPOSE = ArchitectureModel("general-purpose", transistor_efficiency=1.0)
 SPECIALIZED = ArchitectureModel("specialized-accelerator", transistor_efficiency=40.0)

@@ -11,16 +11,13 @@ A wafer of ``tiles`` compute tiles connected by an on-wafer mesh whose
 bisection bandwidth is one to two orders of magnitude above off-package
 links. The structural effect captured here is *communication locality*: for
 model-parallel workloads, the inter-tile traffic that a GPU cluster would
-push through NICs stays on-wafer. The model exposes a ``fits_on_wafer``
-predicate (SRAM-only capacity is the hard constraint Cerebras-class parts
-have) and a weak-scaling efficiency estimate versus an off-wafer cluster.
+push through NICs stays on-wafer. SRAM-only capacity is the hard
+constraint Cerebras-class parts have: a working set that does not fit
+streams from off-wafer at a fraction of the SRAM bandwidth.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.core.errors import ConfigurationError
 from repro.hardware.device import Device, DeviceKind, DeviceSpec, KernelProfile
 
 
@@ -33,60 +30,14 @@ class WaferScaleEngine(Device):
         Device spec (kind must be ``WAFER_SCALE``). ``memory_capacity`` is
         the *on-wafer SRAM* (small — the defining constraint),
         ``memory_bandwidth`` the aggregate SRAM bandwidth (huge).
-    tiles:
-        Number of compute tiles on the wafer.
-    fabric_bandwidth:
-        Aggregate on-wafer interconnect bandwidth, bytes/s.
-    tile_hop_latency:
-        Per-hop latency of the on-wafer mesh, seconds.
-    yield_fraction:
-        Fraction of tiles usable after defect harvesting (wafer-scale parts
-        route around bad tiles).
     """
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        tiles: int = 400_000,
-        fabric_bandwidth: float = 100e12,
-        tile_hop_latency: float = 5e-9,
-        yield_fraction: float = 0.98,
-    ) -> None:
+    def __init__(self, spec: DeviceSpec) -> None:
         if spec.kind is not DeviceKind.WAFER_SCALE:
             raise ValueError(
                 f"wafer-scale model requires WAFER_SCALE spec, got {spec.kind}"
             )
         super().__init__(spec)
-        if tiles <= 0 or fabric_bandwidth <= 0 or tile_hop_latency <= 0:
-            raise ConfigurationError("wafer parameters must be positive")
-        if not 0.0 < yield_fraction <= 1.0:
-            raise ConfigurationError("yield_fraction must be in (0, 1]")
-        self.tiles = tiles
-        self.fabric_bandwidth = fabric_bandwidth
-        self.tile_hop_latency = tile_hop_latency
-        self.yield_fraction = yield_fraction
-
-    @property
-    def usable_tiles(self) -> int:
-        """Tiles remaining after defect harvesting."""
-        return int(self.tiles * self.yield_fraction)
-
-    def fits_on_wafer(self, model_bytes: float) -> bool:
-        """Whether a model's working set fits in on-wafer SRAM."""
-        if model_bytes < 0:
-            raise ValueError("model_bytes must be non-negative")
-        return model_bytes <= self.spec.memory_capacity
-
-    def mesh_diameter_latency(self) -> float:
-        """Corner-to-corner latency of the on-wafer mesh."""
-        side = math.ceil(math.sqrt(self.usable_tiles))
-        return 2.0 * side * self.tile_hop_latency
-
-    def communication_time(self, traffic_bytes: float) -> float:
-        """Time to move model-parallel traffic across the on-wafer fabric."""
-        if traffic_bytes < 0:
-            raise ValueError("traffic_bytes must be non-negative")
-        return self.mesh_diameter_latency() + traffic_bytes / self.fabric_bandwidth
 
     def time_for(self, kernel: KernelProfile) -> float:
         # On-wafer SRAM means the memory term of the roofline is rarely the

@@ -29,7 +29,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "FlowBasedCongestionControl", "NoCongestionControl",
         "congestion_policy",
     ),
-    ".fabric": ("FabricSimulator", "Flow", "FlowStats", "LinkEvent"),
+    ".fabric": ("FabricSimulator", "Flow", "FlowStats"),
     ".ratesolver": ("IndexedSolver", "RateSolver", "ReferenceSolver"),
     ".memfabric": ("AccessKind", "MemoryFabric", "MemoryPool", "MemoryTier"),
     ".graph": (
@@ -60,7 +60,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "IndexedSolver",
-    "LinkEvent",
     "MemoryFabric",
     "MemoryPool",
     "MemoryTier",

@@ -157,16 +157,6 @@ class CollectiveModel:
             return 0.0
         return math.ceil(math.log2(self.nodes)) * self.alpha
 
-    def best_allreduce(self, message_bytes: float, offload_available: bool = True) -> str:
-        """Which all-reduce implementation wins for this message size."""
-        options = {
-            "ring": self.allreduce_ring(message_bytes),
-            "tree": self.allreduce_tree(message_bytes),
-        }
-        if offload_available:
-            options["in-network"] = self.allreduce_in_network(message_bytes)
-        return min(options, key=options.get)  # type: ignore[arg-type]
-
     @staticmethod
     def _check_bytes(message_bytes: float) -> None:
         if message_bytes < 0:

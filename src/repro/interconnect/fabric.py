@@ -8,16 +8,14 @@ flows never contend. This module simulates at flow granularity with
 **progressive filling**.  :meth:`FabricSimulator.run` repeats one epoch,
 a sequence of named steps of its per-run state, until all flows finish:
 
-1. *link events* — apply the link failures and repairs due now, and
-   reroute or drop the flows crossing a failed link;
-2. *admission* — route the flows arriving now;
-3. *rates* — compute max-min fair rates for all active flows over the
+1. *admission* — route the flows arriving now;
+2. *rates* — compute max-min fair rates for all active flows over the
    topology's link capacities (water-filling), and let the installed
    congestion-management policy adjust aggressor and victim rates;
-4. *penalties* — charge victims the policy's queueing delay;
-5. *next event* — find the next flow arrival, completion or link event;
-6. *advance* — move simulated time and every flow's bytes to it;
-7. *finish* — retire the flows that completed.
+3. *penalties* — charge victims the policy's queueing delay;
+4. *next event* — find the next flow arrival or completion;
+5. *advance* — move simulated time and every flow's bytes to it;
+6. *finish* — retire the flows that completed.
 
 The run counts each link's users as flows come and go, and keeps each
 flow's *bottleneck*, the smallest capacity on its path.  An epoch in
@@ -42,13 +40,17 @@ from repro.core.rng import RandomSource
 from repro.interconnect.congestion import CongestionManager, NoCongestionControl
 from repro.interconnect.graph import NetworkXNoPath, NodeNotFound
 from repro.interconnect.ratesolver import IndexedSolver, Link, RateSolver
-from repro.interconnect.routecache import RouteCache, route_cache_for
-from repro.interconnect.routing import Path, valiant_route
+from repro.interconnect.routecache import (
+    Route,
+    RouteCache,
+    RouteLinks,
+    route_cache_for,
+)
+from repro.interconnect.routing import valiant_route
 from repro.interconnect.topology import Topology
 from repro.observability.metrics import Histogram, bucket_index, exponential_buckets
 from repro.observability.probes import (
     CATEGORY_CONGESTION,
-    CATEGORY_FAULT,
     CATEGORY_FLOW,
     Telemetry,
 )
@@ -70,6 +72,14 @@ _flow_ids = itertools.count()
 _NO_LINKS: AbstractSet[Link] = frozenset()
 
 
+def _finite(value: object) -> bool:
+    """Whether ``value`` is a finite number (a non-number is not)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 @dataclass
 class Flow:
     """One network flow: ``size`` bytes from ``source`` to ``destination``.
@@ -86,13 +96,20 @@ class Flow:
     flow_id: int = field(default_factory=lambda: next(_flow_ids))
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.size) or self.size <= 0:
+        for name in ("source", "destination"):
+            node = getattr(self, name)
+            if not isinstance(node, str) or not node:
+                raise ConfigurationError(
+                    f"flow {name} must be a non-empty node name, got {node!r}"
+                )
+        if not _finite(self.size) or self.size <= 0:
             raise ConfigurationError(
-                f"flow size must be positive and finite: {self.size}"
+                f"flow size must be positive and finite: {self.size!r}"
             )
-        if not math.isfinite(self.start_time) or self.start_time < 0:
+        if not _finite(self.start_time) or self.start_time < 0:
             raise ConfigurationError(
-                f"start_time must be non-negative and finite: {self.start_time}"
+                f"start_time must be non-negative and finite: "
+                f"{self.start_time!r}"
             )
         if self.source == self.destination:
             # A loopback flow never enters the fabric, so no epoch would
@@ -106,10 +123,10 @@ class Flow:
 class FlowStats:
     """Result of one simulated flow.
 
-    ``dropped`` marks flows killed by a link failure that left no path to
-    the destination; for those, ``delivered`` holds the bytes that made it
-    before the cut (``-1`` is the not-dropped sentinel meaning all of
-    ``size`` arrived — see :attr:`delivered_bytes`).
+    ``dropped`` marks flows that found no path to the destination at
+    admission (dead on arrival); for those, ``delivered`` is 0 (``-1`` is
+    the not-dropped sentinel meaning all of ``size`` arrived — see
+    :attr:`delivered_bytes`).
     """
 
     flow_id: int
@@ -169,38 +186,6 @@ def _flow_stats(
     return stats
 
 
-@dataclass(frozen=True)
-class LinkEvent:
-    """A scheduled link state change for :meth:`FabricSimulator.run`.
-
-    The undirected ``link`` (an ``(u, v)`` edge of the topology) goes down
-    (``up=False``) or comes back (``up=True``) at ``time``.
-    """
-
-    time: float
-    link: Tuple[str, str]
-    up: bool = False
-
-
-def _restore_link(
-    graph, u: str, v: str, attrs: Dict[str, object],
-    neighbour_order: Dict[str, List[str]],
-) -> None:
-    """Re-add a failed link where it sat in both endpoints' adjacency.
-
-    ``add_edge`` appends the neighbour, and shortest paths break ties by
-    adjacency order, so without the reorder a repaired fabric routes
-    differently from a fresh build of the same topology.
-    """
-    graph.add_edge(u, v, **attrs)
-    for node in (u, v):
-        rank = {n: i for i, n in enumerate(neighbour_order[node])}
-        adjacency = graph._adj[node]
-        ordered = sorted(adjacency.items(), key=lambda item: rank[item[0]])
-        adjacency.clear()
-        adjacency.update(ordered)
-
-
 class FabricSimulator:
     """Progressive-filling flow simulator over a :class:`Topology`.
 
@@ -250,8 +235,23 @@ class FabricSimulator:
         telemetry: Optional[Telemetry] = None,
         solver: Optional[RateSolver] = None,
     ) -> None:
+        if not isinstance(topology, Topology):
+            raise ConfigurationError(
+                f"topology must be a Topology, got {type(topology).__name__}"
+            )
         if routing not in ("minimal", "valiant"):
             raise ConfigurationError(f"unknown routing: {routing!r}")
+        if congestion is not None and not isinstance(
+            congestion, CongestionManager
+        ):
+            raise ConfigurationError(
+                "congestion must be a CongestionManager or None, got "
+                f"{type(congestion).__name__}"
+            )
+        if rng is not None and not isinstance(rng, RandomSource):
+            raise ConfigurationError(
+                f"rng must be a RandomSource or None, got {type(rng).__name__}"
+            )
         if solver is None:
             solver = IndexedSolver()
         elif not isinstance(solver, RateSolver):
@@ -272,22 +272,22 @@ class FabricSimulator:
 
     # --- routing ----------------------------------------------------------------
 
-    def _route(self, flow: Flow) -> Tuple[Path, List[Link]]:
+    def _route(self, flow: Flow) -> Tuple[Route, RouteLinks]:
         """A flow's path and its directed links, from one route-cache
         lookup under minimal routing."""
         if self.routing == "minimal":
             return self._route_cache.minimal_route_links(
                 flow.source, flow.destination
             )
-        path = valiant_route(
+        path = tuple(valiant_route(
             self.topology, flow.source, flow.destination, rng=self.rng
-        )
+        ))
         return path, self._links_of(path)
 
     @staticmethod
-    def _links_of(path: Path) -> List[Link]:
+    def _links_of(path: Route) -> RouteLinks:
         """Directed links as traversed (full-duplex capacity model)."""
-        return list(zip(path, path[1:]))
+        return tuple(zip(path, path[1:]))
 
     # --- rate computation -------------------------------------------------------
 
@@ -303,8 +303,8 @@ class FabricSimulator:
 
     def _policy_adjusted_rates(
         self,
-        paths: Dict[int, Path],
-        flow_links: Dict[int, List[Link]],
+        paths: Dict[int, Route],
+        flow_links: Dict[int, RouteLinks],
         remaining_bytes: Dict[int, float],
     ) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, int], Set[Link]]:
         """A contended epoch's max-min rates with congestion-policy
@@ -342,19 +342,20 @@ class FabricSimulator:
         self,
         flows: Sequence[Flow],
         max_iterations: int = 1_000_000,
-        link_events: Optional[Sequence[LinkEvent]] = None,
     ) -> List[FlowStats]:
         """Simulate all flows to completion and return their statistics.
 
-        ``link_events`` replays mid-run link failures and repairs: when a
-        link goes down its capacity disappears, the shared route cache
-        drops its routes (it sees the graph's ``mutations`` count move),
-        and every in-flight flow crossing it is re-routed over the
-        surviving fabric — or dropped (``FlowStats.dropped``) when no path
-        remains, keeping the bytes delivered so far on the record.
+        A flow with no path to its destination at admission is dropped
+        (``FlowStats.dropped``) with no bytes delivered.
 
         Flow ids must be unique within one run: results are keyed by them.
         """
+        if (isinstance(max_iterations, bool)
+                or not isinstance(max_iterations, int) or max_iterations < 1):
+            raise ConfigurationError(
+                f"max_iterations must be a positive integer, got "
+                f"{max_iterations!r}"
+            )
         if not flows:
             return []
         seen: Set[int] = set()
@@ -366,12 +367,10 @@ class FabricSimulator:
                 )
             seen.add(flow.flow_id)
         if self._capacities is not self._route_cache.link_capacities():
-            # Another simulator's link events, or an in-place edit, on
-            # this shared topology rebuilt the capacity map since this
-            # one was bound.
+            # An edit of this shared topology rebuilt the capacity map
+            # since this simulator was bound.
             self._refresh_link_state()
-        epoch = _Epoch(self, flows, link_events)
-        apply_link_events = epoch.apply_link_events
+        epoch = _Epoch(self, flows)
         admit = epoch.admit
         set_rates = epoch.set_rates
         accrue_penalties = epoch.accrue_penalties
@@ -379,7 +378,6 @@ class FabricSimulator:
         advance = epoch.advance
         finish = epoch.finish
         for _ in range(max_iterations):
-            apply_link_events()
             admit()
             if not epoch.active:
                 if epoch.arrival_index >= epoch.arrival_count:
@@ -405,19 +403,18 @@ class _Epoch:
     """One :meth:`FabricSimulator.run`: its flows and the epoch loop's steps.
 
     The loop calls the steps in order, once per epoch:
-    :meth:`apply_link_events` and :meth:`admit`, then, while any flow is
-    active, :meth:`set_rates`, :meth:`accrue_penalties`,
-    :meth:`next_event`, :meth:`advance` and :meth:`finish`; with none
-    active it jumps ahead (:meth:`idle`).  Each step runs its own loop
-    over the flows it touches, so no step is called per flow.
+    :meth:`admit`, then, while any flow is active, :meth:`set_rates`,
+    :meth:`accrue_penalties`, :meth:`next_event`, :meth:`advance` and
+    :meth:`finish`; with none active it jumps ahead (:meth:`idle`).
+    Each step runs its own loop over the flows it touches, so no step is
+    called per flow.
 
     Link users are counted per traversal by active flows (a detour that
     crosses a link twice counts twice): ``in_use`` holds the links with
     one or more, and ``extra_users`` maps each link with two or more to
     its count less one.  ``bottleneck`` maps each active flow to the
     smallest capacity on its path.  All three follow every admission,
-    finish, drop and reroute, and every bottleneck is recomputed when the
-    solver is rebound.  While ``extra_users`` is empty every link has one
+    finish and reroute.  While ``extra_users`` is empty every link has one
     user, so each round of water-filling fixes one flow at a bare
     capacity and touches no other flow's links: max-min fairness gives
     each flow its bottleneck (Bertsekas & Gallager, *Data Networks*,
@@ -429,8 +426,7 @@ class _Epoch:
 
     __slots__ = (
         "sim", "now", "arrivals", "arrival_count", "arrival_index",
-        "events", "event_count", "event_index", "down_links",
-        "neighbour_order", "active", "remaining", "paths", "flow_links",
+        "active", "remaining", "paths", "flow_links",
         "queueing", "results", "in_use", "extra_users", "bottleneck",
         "capacities", "rates", "fair_rates", "hot_exposure", "saturated",
         "congested", "finished", "route", "solve", "ledger", "link_bytes",
@@ -442,25 +438,16 @@ class _Epoch:
         self,
         simulator: FabricSimulator,
         flows: Sequence[Flow],
-        link_events: Optional[Sequence[LinkEvent]],
     ) -> None:
         self.sim = simulator
         self.arrivals = sorted(flows, key=lambda f: f.start_time)
         self.arrival_count = len(self.arrivals)
         self.arrival_index = 0
         self.now = self.arrivals[0].start_time
-        self.events = (
-            sorted(link_events, key=lambda e: e.time) if link_events else []
-        )
-        self.event_count = len(self.events)
-        self.event_index = 0
-        self.down_links: Dict[Tuple[str, str], Dict[str, object]] = {}
-        # Each failed link's endpoints' neighbour order before any failure.
-        self.neighbour_order: Dict[str, List[str]] = {}
         self.active: Dict[int, Flow] = {}
         self.remaining: Dict[int, float] = {}
-        self.paths: Dict[int, Path] = {}
-        self.flow_links: Dict[int, List[Link]] = {}
+        self.paths: Dict[int, Route] = {}
+        self.flow_links: Dict[int, RouteLinks] = {}
         self.queueing: Dict[int, float] = {}
         self.results: List[FlowStats] = []
         self.in_use: Set[Link] = set()
@@ -496,7 +483,7 @@ class _Epoch:
 
     # --- link users ---------------------------------------------------------
 
-    def _count(self, links: List[Link]) -> None:
+    def _count(self, links: RouteLinks) -> None:
         """Add one traversal of each of ``links``.
 
         :meth:`admit` counts a path whose links are all free, and
@@ -511,7 +498,7 @@ class _Epoch:
             else:
                 in_use.add(link)
 
-    def _uncount(self, links: List[Link]) -> None:
+    def _uncount(self, links: RouteLinks) -> None:
         """Take one traversal of each of ``links`` away."""
         extra_users = self.extra_users
         if not extra_users:  # the flow was these links' one user
@@ -527,7 +514,7 @@ class _Epoch:
             else:
                 extra_users[link] = extra - 1
 
-    def _move(self, flow_id: int, path: Path, links: List[Link]) -> None:
+    def _move(self, flow_id: int, path: Route, links: RouteLinks) -> None:
         """Put an active flow on a new path (its bottleneck is the
         caller's to set)."""
         self._uncount(self.flow_links[flow_id])
@@ -535,85 +522,7 @@ class _Epoch:
         self.flow_links[flow_id] = links
         self._count(links)
 
-    def _rebind(self) -> None:
-        """Rebind the solver to the mutated graph's capacities and
-        recompute every active flow's bottleneck against them."""
-        self.sim._refresh_link_state()
-        self.capacities = self.sim._capacities
-        capacity = self.capacities.__getitem__
-        bottleneck = self.bottleneck
-        for flow_id, links in self.flow_links.items():
-            bottleneck[flow_id] = min(map(capacity, links))
-
     # --- the steps ----------------------------------------------------------
-
-    def apply_link_events(self) -> None:
-        """Apply the link state changes due now (before admissions, so a
-        flow arriving at the flap instant sees the degraded fabric)."""
-        events = self.events
-        while (
-            self.event_index < self.event_count
-            and events[self.event_index].time <= self.now + 1e-15
-        ):
-            self._apply_link_event(events[self.event_index])
-            self.event_index += 1
-
-    def _apply_link_event(self, event: LinkEvent) -> None:
-        u, v = event.link
-        key = (u, v) if u <= v else (v, u)
-        graph = self.sim.topology.graph
-        down_links = self.down_links
-        if event.up:
-            attrs = down_links.pop(key, None)
-            if attrs is None:
-                return  # link was never down
-            _restore_link(graph, u, v, attrs, self.neighbour_order)
-        else:
-            if key in down_links or not graph.has_edge(u, v):
-                return  # already down or never existed
-            for node in (u, v):
-                self.neighbour_order.setdefault(node, list(graph.adj[node]))
-            down_links[key] = dict(graph.edges[u, v])
-            graph.remove_edge(u, v)
-        ledger = self.ledger
-        now = self.now
-        if ledger is not None:
-            ledger.tracer.instant(
-                "link_up" if event.up else "link_down", CATEGORY_FAULT,
-                now, link=f"{u}-{v}",
-            )
-        if not event.up:
-            # Re-route (or drop) every in-flight flow crossing the cut;
-            # the rebind below gives the rerouted ones their bottlenecks.
-            active = self.active
-            flow_links = self.flow_links
-            for flow_id in sorted(active):
-                links = flow_links[flow_id]
-                if (u, v) not in links and (v, u) not in links:
-                    continue
-                flow = active[flow_id]
-                try:
-                    path, new_links = self.route(flow)
-                except (NetworkXNoPath, NodeNotFound):
-                    del active[flow_id]
-                    path = self.paths.pop(flow_id)
-                    del flow_links[flow_id]
-                    del self.bottleneck[flow_id]
-                    self._uncount(links)
-                    left = self.remaining.pop(flow_id)
-                    stats = _flow_stats(
-                        flow, max(now, flow.start_time), len(path) - 1, 0.0,
-                        self.queueing.pop(flow_id, 0.0), True,
-                        max(0.0, flow.size - left),
-                    )
-                    self.results.append(stats)
-                    if ledger is not None:
-                        self.record_drop(stats)
-                    continue
-                self._move(flow_id, path, new_links)
-                if ledger is not None:
-                    ledger.rerouted(flow.tag)
-        self._rebind()
 
     def admit(self) -> None:
         """Admit the arrivals due now: route them and count their links.
@@ -673,12 +582,8 @@ class _Epoch:
             self._count(links)
 
     def idle(self) -> None:
-        """No flow is active: jump to whichever comes first, the next
-        arrival or the next link event (future arrivals must see it)."""
-        next_time = self.arrivals[self.arrival_index].start_time
-        if self.event_index < self.event_count:
-            next_time = min(next_time, self.events[self.event_index].time)
-        self.now = next_time
+        """No flow is active: jump to the next arrival."""
+        self.now = self.arrivals[self.arrival_index].start_time
 
     def set_rates(self) -> None:
         """Each active flow's rate, the victims' hot-switch exposure and
@@ -724,9 +629,9 @@ class _Epoch:
         for flow_id, path in list(self.paths.items()):
             if not saturated.isdisjoint(flow_links[flow_id]):
                 source, destination = path[0], path[-1]
-                detour = valiant_route(
+                detour = tuple(valiant_route(
                     sim.topology, source, destination, rng=sim.rng
-                )
+                ))
                 if detour != path:
                     links = sim._links_of(detour)
                     self._move(flow_id, detour, links)
@@ -747,7 +652,7 @@ class _Epoch:
 
     def next_event(self) -> float:
         """Time to the next event: the earliest completion at this
-        epoch's rates, the next arrival or the next link event."""
+        epoch's rates or the next arrival."""
         infinity = math.inf
         remaining = self.remaining
         next_completion = infinity
@@ -763,12 +668,7 @@ class _Epoch:
             if self.arrival_index < self.arrival_count
             else infinity
         )
-        next_link_event = (
-            self.events[self.event_index].time - now
-            if self.event_index < self.event_count
-            else infinity
-        )
-        step = min(next_completion, next_arrival, next_link_event)
+        step = min(next_completion, next_arrival)
         if step == infinity:
             self.publish()
             raise SimulationError("fabric deadlock: no progress possible")
@@ -838,18 +738,8 @@ class _Epoch:
             self.publish_totals()
 
     def close(self) -> List[FlowStats]:
-        """Publish the run's totals, leave the topology as it was built
-        and return every flow's statistics."""
+        """Publish the run's totals and return every flow's statistics."""
         self.publish()
-        if self.down_links:
-            # The workload drained before every link came back; undo the
-            # in-place mutations so the shared topology is left intact.
-            for (u, v), attrs in self.down_links.items():
-                _restore_link(
-                    self.sim.topology.graph, u, v, attrs, self.neighbour_order
-                )
-            self.down_links.clear()
-            self.sim._refresh_link_state()
         return self.results
 
 
@@ -879,13 +769,6 @@ class _RunTelemetry:
         self.fcts: Dict[str, list] = {}  # tag -> [bucket counts, sum]
         self.link_bytes: Dict[Tuple[str, str], float] = defaultdict(float)
         self._fct: Optional[Histogram] = None
-
-    def _add(self, totals: Dict[str, float], tag: str, amount: float,
-             *counter: str) -> None:
-        """Add to a tag's run total, started from the counter's value."""
-        if tag not in totals:
-            totals[tag] = self.telemetry.counter(*counter).value(tag=tag)
-        totals[tag] += amount
 
     def offer(self, flows: Sequence[Flow]) -> None:
         """Account the bytes of newly admitted flows (the offered ledger)."""
@@ -929,30 +812,20 @@ class _RunTelemetry:
                 ))
 
     def drop(self, stats: FlowStats) -> None:
-        """Account one dropped flow (no FCT sample — it never completed)."""
+        """Account one flow dropped at admission: all of its bytes are
+        lost, and it leaves no FCT sample."""
         tag = stats.tag or "flow"
         self.telemetry.counter(
-            "fabric.flows.dropped", "flows killed by link failures"
+            "fabric.flows.dropped", "flows with no path to their destination"
         ).inc(tag=tag)
-        if stats.delivered_bytes > 0:
-            self._add(self.delivered, tag, stats.delivered_bytes, "fabric.flow_bytes")
-        lost = stats.size - stats.delivered_bytes
-        if lost > 0:
-            self.telemetry.counter(
-                "fabric.flow_bytes_lost",
-                "offered bytes that never reached their destination",
-            ).inc(lost, tag=tag)
+        self.telemetry.counter(
+            "fabric.flow_bytes_lost",
+            "offered bytes that never reached their destination",
+        ).inc(stats.size, tag=tag)
         self.tracer.complete(
             f"flow:{tag}", CATEGORY_FLOW, stats.start_time, stats.finish_time,
             flow_id=stats.flow_id, bytes=stats.delivered_bytes, dropped=True,
         )
-
-    def rerouted(self, tag: str) -> None:
-        """Count one in-flight flow re-routed around a dead link."""
-        self.telemetry.counter(
-            "fabric.flows.rerouted",
-            "in-flight flows re-routed around a dead link",
-        ).inc(tag=tag or "flow")
 
     def publish(self) -> None:
         """Write the run's totals into the registry (metrics exist by now)."""

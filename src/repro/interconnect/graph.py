@@ -629,11 +629,6 @@ def _reachable(adj: Mapping[Node, Iterable[Node]], graph: Graph,
     return reached
 
 
-def descendants(graph: Graph, source: Node) -> Set[Node]:
-    """Every node reachable from ``source``, itself excluded."""
-    return _reachable(graph._adj, graph, source)
-
-
 def ancestors(graph: Graph, source: Node) -> Set[Node]:
     """Every node that reaches ``source``, itself excluded."""
     return _reachable(graph._pred, graph, source)

@@ -199,10 +199,6 @@ class MemoryFabric:
             )
         return [pool for pool, _ in taken]
 
-    def remote_access_penalty(self, local: str, remote: str) -> float:
-        """Latency ratio remote/local for small accesses."""
-        return self.tier(remote).latency / self.tier(local).latency
-
 
 def pcie_era_fabric() -> MemoryFabric:
     """The pre-CXL hierarchy: load/store stops at the socket.

@@ -2,8 +2,8 @@
 
 The progressive-filling loop in :class:`~repro.interconnect.fabric.FabricSimulator`
 re-solves a max-min fair (water-filling) allocation on every contended
-epoch — each arrival, completion and link event after which some link
-has two users.  (Without one, each flow's rate is its path's smallest
+epoch — each arrival or completion after which some link has two
+users.  (Without one, each flow's rate is its path's smallest
 capacity, which the fabric keeps itself.)  This module separates that
 algorithm from the simulator behind a small protocol:
 
@@ -31,8 +31,8 @@ summation order, so rates *and* the saturated-link set agree to the last
 bit (verified by :func:`repro.validate.differential.check_solvers` and
 ``tests/proptest/test_ratesolver_properties.py``).
 
-The fabric rebinds its solver after every topology mutation (link flaps,
-degraded fabrics), the same way the shared
+The fabric rebinds its solver after every topology mutation (a graph
+degraded or edited between runs), the same way the shared
 :class:`~repro.interconnect.routecache.RouteCache` is invalidated.
 """
 
@@ -541,7 +541,10 @@ class IndexedSolver(RateSolver):
                     break
                 else:
                     last = slot
-                    if path != paths[slot]:
+                    # Kept copies are tuples, like the fabric's links; a
+                    # list equal by value is no move either.
+                    kept_path = paths[slot]
+                    if path != kept_path and tuple(path) != kept_path:
                         moved.append(slot)
             else:
                 kept = len(flow_links) - len(fresh)
@@ -586,7 +589,7 @@ class IndexedSolver(RateSolver):
         # keep their index.
         keep = len(flows) >= _KEEP_INDEX_MIN_FLOWS
         self._slot_of = dict(zip(flows, range(len(flows)))) if keep else {}
-        self._paths = list(map(list, flow_links.values())) if keep else []
+        self._paths = list(map(tuple, flow_links.values())) if keep else []
         # The last contended solve's rounds, (link, share, fixed slots),
         # and the links whose members changed since.
         self._log: List[Tuple[Link, float, List[int]]] = []
@@ -612,7 +615,7 @@ class IndexedSolver(RateSolver):
                 slot = slot_of.pop(flow_id)
                 self._unlist(slot, emptied)
                 changed.update(paths[slot])
-                paths[slot] = []
+                paths[slot] = ()
                 flow_rows[slot] = []
                 vacant[slot] = True
         for slot in moved:
@@ -621,14 +624,14 @@ class IndexedSolver(RateSolver):
             path = flow_links[flows[slot]]
             changed.update(path)
             flow_rows[slot] = self._list(slot, path)
-            paths[slot] = list(path)
+            paths[slot] = tuple(path)
         for flow_id in fresh:
             slot = slot_of[flow_id] = len(flows)
             path = flow_links[flow_id]
             changed.update(path)
             flows.append(flow_id)
             flow_rows.append(self._list(slot, path))
-            paths.append(list(path))
+            paths.append(tuple(path))
             vacant.append(False)
         if emptied:
             self._drop_rows(emptied)

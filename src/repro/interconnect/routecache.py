@@ -22,7 +22,7 @@ the topology, so this module memoises them **per topology object**:
   latency map, also built once, in the same left-to-right order as
   per-edge reads.
 * The cache remembers the graph's ``mutations`` count.  When a node or
-  edge is added or removed in place (a link flap), or an edge attribute
+  edge is added or removed in place, or an edge attribute
   is written (``graph.edges[u, v]["bandwidth"] /= 10``), the count moves
   and the next lookup first drops every memoised route, neighbour list,
   latency and capacity; on a hit this costs one integer compare.
@@ -65,6 +65,9 @@ delays always stay in the topology's own cache.
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
+Memoised routes and link sequences are tuples: they are shared by every
+caller, so an in-place edit raises ``TypeError`` instead of silently
+re-routing every simulator on the topology (and on its spec).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.errors import ConfigurationError
 from repro.interconnect.graph import NodeNotFound, bidirectional_shortest_path
@@ -80,6 +83,10 @@ from repro.interconnect.topology import Topology
 
 #: A directed link as traversed by a flow.
 Link = Tuple[str, str]
+#: A memoised route: its nodes, source first.
+Route = Tuple[str, ...]
+#: A memoised route's directed links, in traversal order.
+RouteLinks = Tuple[Link, ...]
 #: Neighbour lists by node.
 Adjacency = Dict[str, List[str]]
 T = TypeVar("T")
@@ -118,9 +125,9 @@ def _spec_maps(
 class RouteCache:
     """Memoised routing state for one :class:`Topology`.
 
-    The cached path/link lists are shared between callers and must be
-    treated as immutable; :class:`FabricSimulator` replaces (never edits)
-    a flow's path when it reroutes.
+    The cached routes and link sequences are tuples shared between
+    callers; :class:`FabricSimulator` replaces a flow's path when it
+    reroutes.
 
     Holds the topology's *graph*, not the :class:`Topology` itself — the
     registry keys on the topology in a ``WeakKeyDictionary``, and a
@@ -136,8 +143,8 @@ class RouteCache:
         self._graph = topology.graph
         self._name = topology.name
         self._built_as = topology._built_as
-        self._paths: Dict[Tuple[str, str], List[str]] = {}
-        self._links: Dict[Tuple[str, str], List[Link]] = {}
+        self._paths: Dict[Tuple[str, str], Route] = {}
+        self._links: Dict[Tuple[str, str], RouteLinks] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
         self._adopt_graph()
         self.hits = 0
@@ -169,7 +176,7 @@ class RouteCache:
 
     # --- routes --------------------------------------------------------------
 
-    def minimal_route(self, source: str, destination: str) -> List[str]:
+    def minimal_route(self, source: str, destination: str) -> Route:
         """Shortest path, memoised by endpoint pair.
 
         ``misses`` counts the lookups that ran a search; ``hits`` counts
@@ -187,17 +194,17 @@ class RouteCache:
 
     def minimal_route_links(
         self, source: str, destination: str
-    ) -> Tuple[List[str], List[Link]]:
+    ) -> Tuple[Route, RouteLinks]:
         """:meth:`minimal_route` and its :meth:`links_of`, memoised with
         it, from one call."""
         path = self.minimal_route(source, destination)
         key = (source, destination)
         links = self._links.get(key)
         if links is None:
-            links = self._links[key] = list(zip(path, path[1:]))
+            links = self._links[key] = tuple(zip(path, path[1:]))
         return path, links
 
-    def _route(self, source: str, destination: str) -> List[str]:
+    def _route(self, source: str, destination: str) -> Route:
         """A route not memoised yet: built from the switch pair's core
         when both ends are leaves (see the module docstring), searched
         otherwise."""
@@ -211,17 +218,17 @@ class RouteCache:
             a, b = first[0], last[0]
             if a == b:
                 self.hits += 1
-                return [source, a, destination]
+                return (source, a, destination)
             core = self._cores.get((a, b))
             if core is not None:
                 self.hits += 1
-                return [source, *core, destination]
+                return (source, *core, destination)
             self.misses += 1
-            path = self._shortest_path(source, destination)
-            self._cores[(a, b)] = tuple(path[1:-1])
+            path = tuple(self._shortest_path(source, destination))
+            self._cores[(a, b)] = path[1:-1]
             return path
         self.misses += 1
-        return self._shortest_path(source, destination)
+        return tuple(self._shortest_path(source, destination))
 
     def _neighbours(self) -> Adjacency:
         """Neighbour lists in ``graph.adj`` order, taken once (``pred``
@@ -258,7 +265,7 @@ class RouteCache:
             succ_of, self._predecessors or succ_of, source, target
         )
 
-    def links_of(self, path: List[str]) -> List[Link]:
+    def links_of(self, path: Sequence[str]) -> RouteLinks:
         """Directed link decomposition, memoised by endpoint pair.
 
         Only minimal paths are memoised (one canonical path per endpoint
@@ -270,12 +277,12 @@ class RouteCache:
         cached = self._links.get(key)
         if cached is not None and self._paths.get(key) is path:
             return cached
-        links = list(zip(path, path[1:]))
+        links = tuple(zip(path, path[1:]))
         if self._paths.get(key) is path:
             self._links[key] = links
         return links
 
-    def propagation_delay(self, path: List[str]) -> float:
+    def propagation_delay(self, path: Sequence[str]) -> float:
         """Sum of per-hop latencies, memoised for canonical minimal paths."""
         if self._graph.mutations != self._mutations:
             self.clear()
@@ -288,7 +295,7 @@ class RouteCache:
             return delay
         return self._sum_latency(path)
 
-    def _sum_latency(self, path: List[str]) -> float:
+    def _sum_latency(self, path: Sequence[str]) -> float:
         # The same ``sum`` over the same per-hop floats, left to right, as
         # reading ``graph.edges[u, v]["latency"]`` hop by hop.
         latencies = self._latencies

@@ -59,7 +59,7 @@ def valiant_route(
     intermediate = rng.choice(candidates)
     first_leg = cache.minimal_route(source, intermediate)
     second_leg = cache.minimal_route(intermediate, destination)
-    return first_leg + second_leg[1:]
+    return [*first_leg, *second_leg[1:]]
 
 
 def path_load(path: Path, load: LinkLoad) -> float:

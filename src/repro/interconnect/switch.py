@@ -62,11 +62,6 @@ class SwitchSpec:
         """Aggregate switching capacity in Tbps."""
         return self.radix * self.port_gbps / 1000.0
 
-    @property
-    def throughput_bytes_per_s(self) -> float:
-        """Aggregate switching capacity in bytes/s."""
-        return self.radix * self.port_gbps * 1e9 / 8.0
-
     def serdes_area(self) -> float:
         """SerDes die area, mm^2 (process-insensitive)."""
         total_io_gbps = self.radix * self.port_gbps

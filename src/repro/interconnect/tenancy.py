@@ -102,18 +102,9 @@ class SlicedFabric:
         self._slices[slice_.tenant] = slice_
         return slice_
 
-    def release(self, tenant: str) -> None:
-        """Tear down a tenant's virtual network."""
-        if tenant not in self._slices:
-            raise KeyError(f"unknown tenant {tenant!r}")
-        del self._slices[tenant]
-
     @property
     def tenants(self) -> List[str]:
         return sorted(self._slices)
-
-    def remaining_share(self) -> float:
-        return 1.0 - sum(s.bandwidth_share for s in self._slices.values())
 
     def _sliced_topology(self, slice_: VirtualNetwork) -> Topology:
         """A private topology copy with scaled capacities (and encryption

@@ -167,12 +167,3 @@ class MarketSimulation:
         if not prices:
             raise MarketError("no trades occurred")
         return mean([float(p) for p in prices])
-
-    def fill_rate(self, offered_per_round: float) -> float:
-        """Mean traded volume over offered capacity per round — the market's
-        utilisation of perishable capacity."""
-        if offered_per_round <= 0:
-            raise MarketError("offered_per_round must be positive")
-        if not self.volume_history:
-            return 0.0
-        return mean([float(v) for v in self.volume_history]) / offered_per_round

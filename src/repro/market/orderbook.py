@@ -10,7 +10,7 @@ exchange, e.g., the Chicago Mercantile", §III.F).
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.errors import MarketError
 from repro.market.orders import Order, Side, Trade
@@ -35,18 +35,6 @@ class OrderBook:
     def best_ask(self) -> Optional[float]:
         return self._asks[0].price if self._asks else None
 
-    @property
-    def spread(self) -> Optional[float]:
-        if self._bids and self._asks:
-            return self._asks[0].price - self._bids[0].price
-        return None
-
-    @property
-    def mid_price(self) -> Optional[float]:
-        if self._bids and self._asks:
-            return (self._asks[0].price + self._bids[0].price) / 2.0
-        return None
-
     def last_trade_price(self) -> Optional[float]:
         return self.trades[-1].price if self.trades else None
 
@@ -54,9 +42,6 @@ class OrderBook:
         """Total resting quantity on a side."""
         book = self._bids if side is Side.BID else self._asks
         return sum(order.quantity for order in book)
-
-    def resting_orders(self, side: Side) -> List[Order]:
-        return list(self._bids if side is Side.BID else self._asks)
 
     # --- matching -------------------------------------------------------------------
 
@@ -125,15 +110,6 @@ class OrderBook:
         self._asks.insert(index, order)
 
     # --- maintenance ------------------------------------------------------------------
-
-    def cancel(self, order_id: int) -> bool:
-        """Remove a resting order by id; returns whether it was found."""
-        for book in (self._bids, self._asks):
-            for index, order in enumerate(book):
-                if order.order_id == order_id:
-                    book.pop(index)
-                    return True
-        return False
 
     def cancel_agent_orders(self, agent_id: str) -> int:
         """Cancel all resting orders of an agent; returns the count."""

@@ -3,12 +3,11 @@
 The paper's exascale argument (§III.C) is a resilience argument: systems
 survive hours-scale MTBF only by checkpointing into a persistence tier and
 reacting to failures as they happen. This package makes failures *dynamic*
-— a :class:`FaultCampaign` schedules node deaths, link flaps and site
-outages on the shared DES kernel via a :class:`FaultInjector`, and every
-affected layer reacts: the cluster kills and requeues jobs under a
-:class:`RetryPolicy` (optionally resuming from checkpoints per a
-:class:`CheckpointPlan`), the fabric reroutes or drops in-flight transfers,
-and the metascheduler fails whole sites over to survivors.
+— a :class:`FaultCampaign` schedules node deaths (and a
+:class:`MemoryErrorCampaign` memory upsets) on the shared DES kernel via a
+:class:`FaultInjector`, and the cluster reacts: it kills and requeues jobs
+under a :class:`RetryPolicy`, optionally resuming from checkpoints per a
+:class:`CheckpointPlan`.
 
 Outcomes — goodput vs. raw utilisation, wasted work, MTTI, recovery
 latency, retry histograms — flow through the observability layer and
@@ -20,7 +19,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".faults": (
         "FailureProcess", "FaultCampaign", "FaultEvent", "FaultKind",
-        "LinkFlapSpec", "NodeFaultSpec", "SiteOutageSpec",
+        "NodeFaultSpec",
     ),
     ".injector": ("FaultInjector",),
     ".memerrors": (
@@ -44,8 +43,6 @@ __all__ = [
     "FaultKind",
     "FailureProcess",
     "NodeFaultSpec",
-    "LinkFlapSpec",
-    "SiteOutageSpec",
     "FaultInjector",
     "CHIPKILL",
     "ECC_NONE",

@@ -15,7 +15,7 @@ standard reaction so most callers never register handlers by hand.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
@@ -44,8 +44,6 @@ class FaultInjector:
         Optional :class:`~repro.observability.probes.Telemetry`: faults
         bump ``resilience.faults.injected`` / ``.repaired`` counters
         (labelled by kind) and leave instant markers on the trace.
-    links:
-        Link population for campaigns with link flaps.
     timeline:
         A pre-expanded timeline to replay instead of drawing one — used
         to hold faults identical across a parameter grid (common random
@@ -58,7 +56,6 @@ class FaultInjector:
         campaign: FaultCampaign,
         rng: RandomSource,
         telemetry: Optional[Telemetry] = None,
-        links: Optional[Sequence[Tuple[str, str]]] = None,
         timeline: Optional[List[FaultEvent]] = None,
     ) -> None:
         self.simulation = simulation
@@ -66,7 +63,7 @@ class FaultInjector:
         self.telemetry = telemetry
         self.timeline: List[FaultEvent] = (
             list(timeline) if timeline is not None
-            else campaign.timeline(rng, links=links)
+            else campaign.timeline(rng)
         )
         self._handlers: Dict[FaultKind, List[FaultHandler]] = {
             kind: [] for kind in FaultKind

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
@@ -401,7 +401,7 @@ class MemoryErrorCampaign:
     """A fault campaign extended with memory-error processes.
 
     Duck-types :class:`~repro.resilience.faults.FaultCampaign` for the
-    injector: ``timeline(rng)`` merges the base campaign's node/link/site
+    injector: ``timeline(rng)`` merges the base campaign's node
     events (drawn from their unchanged ``node/<i>``-style forks) with
     each memory spec's upsets (drawn from ``mem/<i>`` forks), so adding
     memory errors to an existing campaign is bit-stable for both sides.
@@ -416,16 +416,26 @@ class MemoryErrorCampaign:
             raise ConfigurationError(
                 f"horizon must be positive and finite, got {self.horizon!r}"
             )
-        object.__setattr__(self, "memory", tuple(self.memory))
+        memory = self.memory
+        if isinstance(memory, (list, tuple)):
+            memory = tuple(memory)
+        if not isinstance(memory, tuple) or not all(
+            isinstance(spec, MemoryErrorSpec) for spec in memory
+        ):
+            raise ConfigurationError(
+                f"memory must be a sequence of MemoryErrorSpec, got {self.memory!r}"
+            )
+        object.__setattr__(self, "memory", memory)
+        if self.base is not None and not isinstance(self.base, FaultCampaign):
+            raise ConfigurationError(
+                "base must be a FaultCampaign or None, got "
+                f"{type(self.base).__name__}"
+            )
 
-    def timeline(
-        self,
-        rng: RandomSource,
-        links: Optional[Sequence[Tuple[str, str]]] = None,
-    ) -> List[FaultEvent]:
+    def timeline(self, rng: RandomSource) -> List[FaultEvent]:
         events: List[FaultEvent] = []
         if self.base is not None:
-            events.extend(self.base.timeline(rng, links=links))
+            events.extend(self.base.timeline(rng))
         for index, spec in enumerate(self.memory):
             fork = rng.fork(f"mem/{index}")
             events.extend(expand_spec(spec, self.horizon, fork, index))

@@ -52,7 +52,7 @@ def conservation(cluster) -> Dict[str, int]:
     ``cluster`` duck-types :class:`~repro.scheduling.cluster.ClusterSimulator`
     with the resilience extensions (``dead_jobs``, ``pending_requeues``).
     """
-    submitted = len(cluster.records) + len(cluster.evacuated_records)
+    submitted = len(cluster.records)
     completed = sum(1 for r in cluster.records if r.finish_time is not None)
     dead = len(cluster.dead_jobs)
     in_flight = (
@@ -63,25 +63,21 @@ def conservation(cluster) -> Dict[str, int]:
         "completed": completed,
         "dead": dead,
         "in_flight": in_flight,
-        "evacuated": len(cluster.evacuated_records),
     }
 
 
 def check_conservation(cluster) -> Dict[str, int]:
-    """Assert submitted = completed + dead + in-flight (+ evacuated).
+    """Assert submitted = completed + dead + in-flight.
 
     Returns the tally; raises :class:`SimulationError` on violation.
     """
     tally = conservation(cluster)
-    balance = (
-        tally["completed"] + tally["dead"] + tally["in_flight"]
-        + tally["evacuated"]
-    )
+    balance = tally["completed"] + tally["dead"] + tally["in_flight"]
     if balance != tally["submitted"]:
         raise SimulationError(
             f"job conservation violated on {cluster.site.name}: "
             f"submitted={tally['submitted']} but completed+dead+in_flight"
-            f"+evacuated={balance} ({tally})"
+            f"={balance} ({tally})"
         )
     return tally
 

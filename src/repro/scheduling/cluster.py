@@ -11,16 +11,14 @@ Resilience (see :mod:`repro.resilience`): the cluster reacts to injected
 faults. :meth:`ClusterSimulator.fail_node` takes a device out (killing a
 victim job if none are idle), :meth:`ClusterSimulator.fail_job` kills one
 job and requeues it under the optional retry policy — resuming from the
-last checkpoint when a checkpoint plan is configured — and
-:meth:`ClusterSimulator.evacuate` / :meth:`ClusterSimulator.restore`
-implement whole-site outages for metascheduler failover. Job conservation
-(submitted = completed + dead + in-flight + evacuated) holds at every
-instant; :func:`repro.resilience.metrics.check_conservation` asserts it.
+last checkpoint when a checkpoint plan is configured. Job conservation
+(submitted = completed + dead + in-flight) holds at every instant;
+:func:`repro.resilience.metrics.check_conservation` asserts it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, SchedulingError
@@ -44,8 +42,7 @@ class JobRecord:
     """Lifecycle record of one job through a cluster.
 
     ``ready_time`` is when the job last entered the queue (arrival plus
-    staging, or the preemption instant for a requeued job);
-    ``preemptions`` counts how many times it was kicked off its devices.
+    staging, or the end of the backoff for a requeued job).
 
     Resilience fields: ``failures`` counts fault-induced kills,
     ``retries`` counts requeues after a kill, ``wasted_time`` accumulates
@@ -62,7 +59,6 @@ class JobRecord:
     finish_time: Optional[float] = None
     transfer_time: float = 0.0
     ready_time: Optional[float] = None
-    preemptions: int = 0
     failures: int = 0
     retries: int = 0
     wasted_time: float = 0.0
@@ -81,11 +77,6 @@ class JobRecord:
         if self.finish_time is None:
             raise SchedulingError(f"{self.job.name} never finished")
         return self.finish_time - self.submit_time
-
-    @property
-    def slowdown(self) -> float:
-        """Bounded slowdown: completion over max(runtime, 10 s)."""
-        return self.completion_time / max(self.predicted_runtime, 10.0)
 
 
 @dataclass
@@ -122,8 +113,8 @@ class ClusterSimulator:
         An external simulation clock to share (a fresh one by default).
     telemetry:
         Optional :class:`~repro.observability.probes.Telemetry`; when set,
-        the cluster records wait/service spans, job counters and
-        preemptions. ``None`` (the default) costs one ``is not None``
+        the cluster records wait/service/recovery spans and job
+        counters. ``None`` (the default) costs one ``is not None``
         test per lifecycle step.
     retry_policy:
         Optional :class:`~repro.resilience.retry.RetryPolicy` (duck-typed:
@@ -172,10 +163,8 @@ class ClusterSimulator:
         self._busy_device_seconds = 0.0
         # --- resilience state ---
         self.failed_nodes = 0
-        self.down = False
         self.dead_jobs: List[JobRecord] = []
         self.kill_times: List[float] = []
-        self.evacuated_records: List[JobRecord] = []
         self._useful_device_seconds = 0.0
         self._wasted_device_seconds = 0.0
         #: job_id -> (scheduled enqueue event, record): submissions still
@@ -290,7 +279,7 @@ class ClusterSimulator:
     def _dispatch(self) -> None:
         """Start queue heads, in ready order, while the head fits."""
         queue = self._queue
-        while queue and not self.down and queue[0][2] <= self._free:
+        while queue and queue[0][2] <= self._free:
             record, runtime, needed = queue.pop(0)
             self._start(record, runtime, needed)
 
@@ -347,55 +336,15 @@ class ClusterSimulator:
             )
         self._dispatch()
 
-    # --- preemption --------------------------------------------------------------
-
-    def preempt(self, job_id: int) -> JobRecord:
-        """Kick a running job off its devices and put it back in the queue.
-
-        The job's finish event is cancelled (exercising the kernel's O(1)
-        cancel path) and the *remaining* runtime is requeued, so a later
-        restart only repeats the unfinished work. Raises
-        :class:`SchedulingError` if the job is not currently running.
-        """
-        running = self._running.pop(job_id, None)
-        if running is None:
-            raise SchedulingError(f"job {job_id} is not running; cannot preempt")
-        now = self.simulation.now
-        self.simulation.cancel(running.finish_event)
-        remaining = max(0.0, running.finish_time - now)
-        self._free += running.needed
-        self._busy_device_seconds -= remaining * running.needed
-        record = running.record
-        record.preemptions += 1
-        if self.telemetry is not None:
-            self._count("cluster.preemptions")
-            self.telemetry.tracer.complete(
-                f"run:{record.job.job_class.value}", CATEGORY_JOB,
-                record.start_time, now,
-                job=record.job.name, site=self.site.name,
-                device=self.device.name, preempted=True,
-            )
-            self.telemetry.tracer.instant(
-                "preempt", CATEGORY_JOB, now, job=record.job.name
-            )
-        record.start_time = None
-        record.ready_time = now
-        # A preempted job keeps its progress: the requeued attempt is the
-        # unfinished remainder, with no restart prefix to pay.
-        self._attempt_meta[job_id] = (remaining, 0.0)
-        self._queue.append((record, remaining, running.needed))
-        self._dispatch()
-        return record
-
     # --- fault handling -----------------------------------------------------------
 
     def fail_job(self, job_id: int) -> JobRecord:
         """Kill a running job: a fault takes its devices mid-attempt.
 
-        Unlike :meth:`preempt`, progress since the last completed
-        checkpoint is lost. The job requeues after the retry policy's
-        backoff (immediately without one) unless its retry budget is
-        exhausted, in which case it joins the dead-job ledger. Raises
+        Progress since the last completed checkpoint is lost. The job
+        requeues after the retry policy's backoff (immediately without
+        one) unless its retry budget is exhausted, in which case it joins
+        the dead-job ledger. Raises
         :class:`SchedulingError` if the job is not currently running.
         """
         running = self._running.pop(job_id, None)
@@ -494,66 +443,6 @@ class ClusterSimulator:
             self._count("cluster.nodes.repaired")
         self._dispatch()
 
-    def evacuate(self) -> List[Job]:
-        """Site outage: stop dispatching and displace every job here.
-
-        Running jobs are killed (their progress wasted — checkpoints at a
-        dead site are unreachable), queued and staging jobs are recalled,
-        and all displaced jobs' records move to ``evacuated_records`` so
-        per-cluster conservation still balances. Returns the displaced
-        jobs for resubmission elsewhere (metascheduler failover).
-        """
-        self.down = True
-        now = self.simulation.now
-        displaced: List[Job] = []
-
-        def displace(record: JobRecord) -> None:
-            job_id = record.job.job_id
-            self._remaining_work.pop(job_id, None)
-            self._restart_prefix.pop(job_id, None)
-            self._attempt_meta.pop(job_id, None)
-            self.records.remove(record)
-            self.evacuated_records.append(record)
-            displaced.append(record.job)
-
-        for job_id in sorted(self._running):
-            running = self._running.pop(job_id)
-            self.simulation.cancel(running.finish_event)
-            elapsed = now - running.record.start_time
-            remaining_sched = max(0.0, running.finish_time - now)
-            self._free += running.needed
-            self._busy_device_seconds -= remaining_sched * running.needed
-            self._wasted_device_seconds += elapsed * running.needed
-            running.record.wasted_time += elapsed
-            running.record.start_time = None
-            displace(running.record)
-        for record, _, _ in self._queue:
-            displace(record)
-        self._queue.clear()
-        for event, record in list(self._pending_enqueues.values()):
-            self.simulation.cancel(event)
-            displace(record)
-        self._pending_enqueues.clear()
-        if self.telemetry is not None:
-            self._count("cluster.jobs.evacuated", len(displaced))
-            self.telemetry.tracer.instant(
-                "evacuate", CATEGORY_FAULT, now,
-                site=self.site.name, displaced=len(displaced),
-            )
-        return displaced
-
-    def restore(self) -> None:
-        """End a site outage: resume dispatching queued work."""
-        if not self.down:
-            return
-        self.down = False
-        if self.telemetry is not None:
-            self.telemetry.tracer.instant(
-                "restore", CATEGORY_FAULT, self.simulation.now,
-                site=self.site.name,
-            )
-        self._dispatch()
-
     # --- runs and metrics -----------------------------------------------------------
 
     def run(self) -> List[JobRecord]:
@@ -590,12 +479,6 @@ class ClusterSimulator:
             (r.finish_time for r in self.records if r.finish_time is not None),
             default=0.0,
         )
-
-    def mean_queue_wait(self) -> float:
-        finished = [r for r in self.records if r.start_time is not None]
-        if not finished:
-            return 0.0
-        return sum(r.queue_wait for r in finished) / len(finished)
 
     def utilization(self) -> float:
         """Busy device-seconds over healthy capacity x makespan."""

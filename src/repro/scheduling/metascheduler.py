@@ -21,17 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SchedulingError
 from repro.core.events import Simulation
 from repro.core.rng import RandomSource
-from repro.federation.bursting import BurstingPolicy
 from repro.federation.federation import Federation
 from repro.federation.gravity import transfer_cost
-from repro.federation.site import Site, SiteKind
+from repro.federation.site import Site
 from repro.hardware.device import Device, DeviceKind
-from repro.observability.probes import CATEGORY_FAULT, CATEGORY_WAN, Telemetry
+from repro.observability.probes import CATEGORY_WAN, Telemetry
 from repro.scheduling.cluster import ClusterSimulator, JobRecord
 from repro.scheduling.runtime import estimate_job
 from repro.workloads.base import Job, JobClass
@@ -88,7 +87,6 @@ class MetaScheduler:
         rng: Optional[RandomSource] = None,
         home_site: Optional[Site] = None,
         telemetry: Optional[Telemetry] = None,
-        failover: Optional[BurstingPolicy] = None,
     ) -> None:
         if gravity_weight < 0:
             raise ValueError("gravity_weight must be non-negative")
@@ -115,13 +113,6 @@ class MetaScheduler:
                 )
         self.decisions: List[PlacementDecision] = []
         self.rejected: List[Job] = []
-        #: Site-outage failover (see :meth:`fail_site`): cloud candidates
-        #: for displaced jobs must pass this bursting policy, if set.
-        self.failover = failover
-        self.down_sites: Set[str] = set()
-        #: Jobs displaced by an outage with no surviving placement; they
-        #: retry automatically when a site is restored.
-        self.stranded: List[Job] = []
 
     # --- candidate scoring ------------------------------------------------------
 
@@ -129,8 +120,6 @@ class MetaScheduler:
         """All feasible placements with their predicted cost components."""
         candidates: List[PlacementDecision] = []
         for (site_name, device_name), pool in self.pools.items():
-            if site_name in self.down_sites:
-                continue
             site = self.federation.site(site_name)
             device = pool.device
             if job.ranks > pool.capacity:
@@ -154,13 +143,8 @@ class MetaScheduler:
             )
         return candidates
 
-    def _choose(
-        self,
-        job: Job,
-        candidates: Optional[List[PlacementDecision]] = None,
-    ) -> Optional[PlacementDecision]:
-        if candidates is None:
-            candidates = self._candidates(job)
+    def _choose(self, job: Job) -> Optional[PlacementDecision]:
+        candidates = self._candidates(job)
         if not candidates:
             return None
 
@@ -238,84 +222,6 @@ class MetaScheduler:
             pool.submit(job, transfer_time=decision.staging_time)
 
         return place
-
-    # --- site outages and failover ------------------------------------------------
-
-    def fail_site(self, name: str) -> List[Job]:
-        """Take a whole site down and fail its jobs over to survivors.
-
-        Every pool at the site is evacuated; displaced jobs are rescored
-        over the surviving sites (cloud candidates gated by the
-        ``failover`` bursting policy, when one is set) and resubmitted.
-        Jobs with no surviving placement are ``stranded`` until a
-        :meth:`restore_site`. Returns the displaced jobs. No-op if the
-        site is already down.
-        """
-        if name in self.down_sites:
-            return []
-        self.federation.site(name)  # unknown site names raise here
-        self.down_sites.add(name)
-        displaced: List[Job] = []
-        for (site_name, _), pool in self.pools.items():
-            if site_name == name:
-                displaced.extend(pool.evacuate())
-        if self.telemetry is not None:
-            self.telemetry.counter("federation.site_outages").inc(site=name)
-            self.telemetry.tracer.instant(
-                "site_outage", CATEGORY_FAULT, self.simulation.now,
-                site=name, displaced=len(displaced),
-            )
-        for job in displaced:
-            self._failover(job)
-        return displaced
-
-    def restore_site(self, name: str) -> None:
-        """Bring a failed site back and re-place any stranded jobs."""
-        if name not in self.down_sites:
-            return
-        self.down_sites.discard(name)
-        for (site_name, _), pool in self.pools.items():
-            if site_name == name:
-                pool.restore()
-        if self.telemetry is not None:
-            self.telemetry.counter("federation.site_restored").inc(site=name)
-            self.telemetry.tracer.instant(
-                "site_restore", CATEGORY_FAULT, self.simulation.now, site=name
-            )
-        stranded, self.stranded = self.stranded, []
-        for job in stranded:
-            self._failover(job)
-
-    def _failover(self, job: Job) -> None:
-        """Re-place one displaced job on the surviving sites."""
-        candidates = self._candidates(job)
-        if self.failover is not None:
-            # One bursting decision per job, shared by its cloud candidates:
-            # the policy's budget counts jobs, not candidate pools.
-            cloud_ok: Optional[bool] = None
-            allowed: List[PlacementDecision] = []
-            for candidate in candidates:
-                if candidate.site.kind is SiteKind.CLOUD:
-                    if cloud_ok is None:
-                        cloud_ok = self.failover.should_burst(job, float("inf"))
-                    if not cloud_ok:
-                        continue
-                allowed.append(candidate)
-            candidates = allowed
-        decision = self._choose(job, candidates) if candidates else None
-        if decision is None:
-            self.stranded.append(job)
-            if self.telemetry is not None:
-                self.telemetry.counter("federation.failover.stranded").inc()
-            return
-        self.decisions.append(decision)
-        if self.telemetry is not None:
-            self.telemetry.counter("federation.failover.resubmitted").inc(
-                site=decision.site.name
-            )
-            self._record_placement(decision)
-        pool = self.pools[(decision.site.name, decision.device.name)]
-        pool.submit(job, transfer_time=decision.staging_time)
 
     def _record_placement(self, decision: PlacementDecision) -> None:
         """Account a committed placement: counters plus actual staging."""

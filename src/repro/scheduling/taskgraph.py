@@ -128,23 +128,6 @@ class TaskGraph:
     def dependencies(self, task: DataTask) -> List[int]:
         return list(self._dependencies[task.task_id])
 
-    def independent_pairs(self) -> int:
-        """Count of task pairs with no (transitive) ordering — the
-        parallelism the data structure exposes."""
-        closure: Dict[int, set] = {}
-        for task in self._tasks:
-            ancestors = set(self._dependencies[task.task_id])
-            for dep in list(ancestors):
-                ancestors |= closure.get(dep, set())
-            closure[task.task_id] = ancestors
-        independent = 0
-        ids = [t.task_id for t in self._tasks]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if b not in closure.get(a, set()) and a not in closure.get(b, set()):
-                    independent += 1
-        return independent
-
 
 class Mapper:
     """Task-to-device mapping strategies."""

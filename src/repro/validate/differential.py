@@ -158,14 +158,14 @@ def check_routes(pairs: int = 48, seed: int = 2024) -> DifferentialResult:
             # the raw graph, no cache involved.
             reference = nx.shortest_path(reference_graph, source, destination)
             comparisons += 1
-            if cached != reference:
+            if list(cached) != reference:
                 failures.append(
                     f"{topology.name}: cached {source}->{destination} is "
                     f"{cached}, networkx says {reference}"
                 )
                 continue
             links = cache.links_of(cached)
-            if links != list(zip(cached, cached[1:])):
+            if links != tuple(zip(cached, cached[1:])):
                 failures.append(
                     f"{topology.name}: links_of disagrees with "
                     f"pair-zipping for {source}->{destination}"
@@ -548,7 +548,11 @@ def check_solvers(
                 remaining = {
                     flow_id: rng.uniform(0.0, 5e8) for flow_id in flow_links
                 }
-            epoch_links = dict(flow_links)
+            # The fabric hands the solvers tuples; the rewrite above
+            # edited the list behind this epoch's snapshot.
+            epoch_links = {
+                flow_id: tuple(links) for flow_id, links in flow_links.items()
+            }
             ref_rates, ref_saturated = reference.solve(epoch_links, remaining)
             rates, saturated = solver.solve(epoch_links, remaining)
             comparisons += 1

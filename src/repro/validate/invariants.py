@@ -7,7 +7,7 @@ parameters, seeds or faults:
   negative, and the event ledger balances (the kernel's own counts never
   show more fires + cancels than schedules; the live count never goes
   negative).
-* **cluster** — ``submitted == completed + dead + in_flight + evacuated``
+* **cluster** — ``submitted == completed + dead + in_flight``
   (the :func:`~repro.resilience.metrics.conservation` identity), and
   goodput never exceeds utilization.
 * **fabric** — per flow, delivered bytes never exceed the flow size and
@@ -224,15 +224,12 @@ class InvariantChecker:
 
         subject = subject or f"cluster:{cluster.site.name}"
         tally = conservation(cluster)
-        balance = (
-            tally["completed"] + tally["dead"] + tally["in_flight"]
-            + tally["evacuated"]
-        )
+        balance = tally["completed"] + tally["dead"] + tally["in_flight"]
         if balance != tally["submitted"]:
             self.fail(
                 "cluster.conservation", subject,
                 f"submitted={tally['submitted']} but completed+dead"
-                f"+in_flight+evacuated={balance} ({tally})",
+                f"+in_flight={balance} ({tally})",
             )
         utilization = cluster.utilization()
         if not 0.0 <= utilization <= 1.0 + TIME_EPSILON:
@@ -307,8 +304,7 @@ class InvariantChecker:
           fabric.flow_bytes_lost`` when the fabric ran;
         * ``sim.events.fired + cancelled <= scheduled``;
         * with ``drained=True`` (a run that completed), every submitted job
-          is accounted: ``cluster.jobs.submitted == finished + dead +
-          evacuated``.
+          is accounted: ``cluster.jobs.submitted == finished + dead``.
         """
         registry = telemetry.metrics
 
@@ -365,14 +361,11 @@ class InvariantChecker:
         if drained and "cluster.jobs.submitted" in registry:
             submitted = total("cluster.jobs.submitted")
             settled_jobs = (
-                total("cluster.jobs.finished")
-                + total("cluster.jobs.dead")
-                + total("cluster.jobs.evacuated")
+                total("cluster.jobs.finished") + total("cluster.jobs.dead")
             )
             if submitted != settled_jobs:
                 self.fail(
                     "cluster.conservation", subject,
                     f"cluster.jobs.submitted ({submitted}) != finished + "
-                    f"dead + evacuated ({settled_jobs}) after the run "
-                    "drained",
+                    f"dead ({settled_jobs}) after the run drained",
                 )

@@ -34,9 +34,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".hybrid": ("ClosedLoopWorkflow", "SurrogateModel"),
     ".interchange": (
         "CompiledModel", "PortableModel", "best_target", "compile_for_device",
-        "export_model", "from_wire", "import_model", "to_wire",
+        "export_model", "from_wire", "to_wire",
     ),
-    ".synthetic": ("GanPair", "build_gan", "synthesise_dataset"),
+    ".synthetic": ("GanPair", "build_gan"),
     ".traces": ("JobTraceGenerator", "TraceConfig"),
 })
 
@@ -48,7 +48,6 @@ __all__ = [
     "GanPair",
     "PortableModel",
     "build_gan",
-    "synthesise_dataset",
     "TieredControlPolicy",
     "edge_ai",
     "human_operator",
@@ -58,7 +57,6 @@ __all__ = [
     "compile_for_device",
     "export_model",
     "from_wire",
-    "import_model",
     "to_wire",
     "DetectorPreset",
     "InstrumentStream",

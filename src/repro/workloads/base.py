@@ -97,10 +97,6 @@ class Task:
         )
 
     @property
-    def total_comm_bytes(self) -> float:
-        return self.ranks * sum(p.comm_bytes for p in self.phases)
-
-    @property
     def barrier_count(self) -> int:
         """Number of synchronising phases (noise-sensitivity proxy)."""
         return sum(1 for p in self.phases if p.sync)
@@ -160,10 +156,6 @@ class Job:
     @property
     def total_flops(self) -> float:
         return self.iterations * sum(task.total_flops for task in self.tasks)
-
-    @property
-    def total_comm_bytes(self) -> float:
-        return self.iterations * sum(task.total_comm_bytes for task in self.tasks)
 
     @property
     def barrier_count(self) -> int:

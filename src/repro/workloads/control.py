@@ -66,16 +66,6 @@ class DecisionMaker:
             raise ValueError("event_rate must be non-negative")
         return event_rate / self.capacity
 
-    def expected_latency(self, event_rate: float) -> float:
-        """Mean decision latency including queueing (M/M/1).
-
-        At or beyond saturation the queue diverges; returns infinity.
-        """
-        rho = self.utilisation(event_rate)
-        if rho >= 1.0:
-            return float("inf")
-        return self.service_latency + rho / (self.capacity * (1.0 - rho))
-
     def timeliness(self, event_rate: float, deadline: float) -> float:
         """P[decision within deadline] for an M/M/1 sojourn time.
 

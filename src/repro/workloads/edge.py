@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
-
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
 
 
 class DetectorPreset(Enum):
@@ -35,11 +32,6 @@ class DetectorPreset(Enum):
         self.label = label
         self.event_rate = event_rate
         self.event_bytes = event_bytes
-
-    @property
-    def data_rate(self) -> float:
-        """Raw detector output in bytes/s."""
-        return self.event_rate * self.event_bytes
 
 
 @dataclass
@@ -82,10 +74,6 @@ class InstrumentStream:
         return self.event_rate * self.preset.event_bytes
 
     @property
-    def total_events(self) -> int:
-        return int(self.event_rate * self.duration)
-
-    @property
     def total_bytes(self) -> float:
         return self.data_rate * self.duration
 
@@ -105,29 +93,3 @@ class InstrumentStream:
         interesting = self.total_bytes * self.interesting_fraction
         boring = self.total_bytes - interesting
         return interesting * recall + boring * false_positive_rate
-
-    def inference_flops_per_event(self, model_flops: float) -> float:
-        """Per-event classifier cost (passthrough; kept for API symmetry)."""
-        if model_flops <= 0:
-            raise ConfigurationError("model_flops must be positive")
-        return model_flops
-
-    def event_arrivals(
-        self, rng: RandomSource, max_events: int = 10_000
-    ) -> List[Tuple[float, float]]:
-        """Sample (arrival_time, size_bytes) pairs as a Poisson process.
-
-        Event sizes vary log-normally (sigma 0.3) around the preset size.
-        At most ``max_events`` are generated (sampling a 100 kHz detector
-        for a minute exactly is pointless for flow-level experiments).
-        """
-        arrivals: List[Tuple[float, float]] = []
-        now = 0.0
-        mean_gap = 1.0 / self.event_rate
-        for _ in range(max_events):
-            now += rng.exponential(mean_gap)
-            if now > self.duration:
-                break
-            size = rng.lognormal(self.preset.event_bytes, 0.3)
-            arrivals.append((now, size))
-        return arrivals

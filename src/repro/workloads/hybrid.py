@@ -136,20 +136,6 @@ class ClosedLoopWorkflow:
             loop_time += trainer.time_for(training_kernel)
         return loop_time
 
-    def speedup(
-        self,
-        simulation_device: Device,
-        inference_device: Device,
-        surrogate: SurrogateModel,
-        training_device: Optional[Device] = None,
-        precision: Precision = Precision.INT8,
-    ) -> float:
-        """Baseline time divided by surrogate-accelerated time."""
-        accelerated = self.surrogate_time(
-            simulation_device, inference_device, surrogate, training_device, precision
-        )
-        return self.baseline_time(simulation_device) / accelerated
-
     def breakeven_acceptance_rate(
         self,
         simulation_device: Device,

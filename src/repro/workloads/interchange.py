@@ -13,8 +13,9 @@ This module provides:
 
 * :class:`PortableModel` — a serialisable, framework-neutral model graph
   (the ONNX analogue), exported from an :class:`~repro.workloads.ai.AIModel`,
-* :func:`export_model` / :func:`import_model` — lossless round-trip through
-  a plain-dict wire format,
+* :func:`export_model` (from an ``AIModel``) and :func:`to_wire` /
+  :func:`from_wire` — a lossless round-trip through a plain-dict wire
+  format,
 * :class:`CompiledModel` / :func:`compile_for_device` — lowering a portable
   model onto a concrete device: choosing the execution precision down the
   ladder (quantisation), mapping MVM-shaped layers onto analog/optical
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.errors import ConfigurationError
 from repro.hardware.device import Device, KernelProfile
 from repro.hardware.precision import Precision, narrower_precisions
-from repro.workloads.ai import AIModel, LayerShape
+from repro.workloads.ai import AIModel
 
 #: Wire-format version; importers reject unknown majors.
 FORMAT_VERSION = "1.0"
@@ -127,14 +128,6 @@ def from_wire(payload: Dict) -> PortableModel:
         sparsity=float(payload.get("sparsity", 0.0)),
         metadata=tuple(sorted(dict(payload.get("metadata", {})).items())),
     )
-
-
-def import_model(portable: PortableModel) -> AIModel:
-    """Rebuild an :class:`AIModel` from the interchange graph."""
-    layers = [
-        LayerShape(name=l.name, m=l.m, k=l.k, n=l.n) for l in portable.layers
-    ]
-    return AIModel(name=portable.name, layers=layers, sparsity=portable.sparsity)
 
 
 @dataclass(frozen=True)

@@ -11,23 +11,16 @@ Model
 A :class:`GanPair` couples a generator and a discriminator (both GEMM
 graphs); :meth:`GanPair.training_job` builds the adversarial training job
 (both networks trained per step) and :meth:`GanPair.generation_job` the
-bulk sampling job. :func:`synthesise_dataset` runs generation against a
-device, registers the product in a federation's catalog and records its
-provenance — synthetic data is only trustworthy if its lineage says which
-model (and which real data) produced it.
+bulk sampling job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.errors import ConfigurationError
-from repro.datafoundation.lineage import LineageGraph, Transformation
-from repro.federation.datasets import Dataset
-from repro.federation.federation import Federation
-from repro.federation.site import Site
-from repro.hardware.device import Device, KernelProfile
+from repro.hardware.device import KernelProfile
 from repro.hardware.precision import Precision
 from repro.workloads.ai import AIModel, build_mlp
 from repro.workloads.base import Job, JobClass, Phase, PhaseKind, Task
@@ -161,46 +154,3 @@ def build_gan(
         generator=generator, discriminator=discriminator,
         sample_bytes=sample_bytes,
     )
-
-
-def synthesise_dataset(
-    gan: GanPair,
-    samples: int,
-    device: Device,
-    federation: Federation,
-    site: Site,
-    dataset_name: str,
-    lineage: Optional[LineageGraph] = None,
-    source_dataset: Optional[str] = None,
-) -> Tuple[Dataset, float]:
-    """Generate a synthetic dataset and register it with provenance.
-
-    Returns the registered :class:`Dataset` and the generation wall time
-    on ``device``. When a ``lineage`` graph is given, the generation step
-    is recorded with the (real) ``source_dataset`` as its input, so
-    downstream users can audit what the synthetic data was modelled on.
-    """
-    job = gan.generation_job(samples)
-    kernel = job.tasks[0].phases[0].kernel
-    assert kernel is not None
-    generation_time = job.iterations * device.time_for(kernel)
-    size_bytes = samples * gan.sample_bytes
-    dataset = federation.add_dataset(
-        Dataset(name=dataset_name, size_bytes=size_bytes, replicas={site.name})
-    )
-    if lineage is not None:
-        inputs: Tuple[str, ...] = ()
-        if source_dataset is not None:
-            if not lineage.has_dataset(source_dataset):
-                lineage.add_source(source_dataset)
-            inputs = (source_dataset,)
-        lineage.record(
-            Transformation(
-                f"synthesise-{dataset_name}",
-                inputs=inputs,
-                outputs=(dataset_name,),
-                site=site.name,
-                parameters=f"samples={samples}, generator={gan.generator.name}",
-            )
-        )
-    return dataset, generation_time

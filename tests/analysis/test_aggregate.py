@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.aggregate import group_mean, pivot, speedup, summary_table
+from repro.analysis.aggregate import group_mean, pivot, summary_table
 
 ROWS = [
     {"topology": "torus", "policy": "none", "fct": 4.0},
@@ -65,11 +65,3 @@ class TestSummaryTable:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summary_table([])
-
-
-class TestSpeedup:
-    def test_ratio_of_baseline_to_candidate(self):
-        assert speedup({"t": 10.0}, {"t": 4.0}, "t") == 2.5
-
-    def test_zero_candidate_is_infinite(self):
-        assert speedup({"t": 1.0}, {"t": 0}, "t") == float("inf")

@@ -18,7 +18,7 @@ def rng():
 @pytest.fixture(scope="session")
 def catalog():
     """The default device catalog (session scoped: devices are stateless
-    except the FPGA's bitstream cache, which tests reset explicitly)."""
+    except the FPGA's loaded bitstream)."""
     return default_catalog()
 
 

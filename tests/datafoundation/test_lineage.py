@@ -57,11 +57,6 @@ class TestQueries:
     def test_ancestry_full_closure(self, pipeline):
         assert pipeline.ancestry("model") == {"raw", "calibrated", "features"}
 
-    def test_descendants(self, pipeline):
-        assert pipeline.descendants("raw") == {
-            "calibrated", "features", "qa-report", "model",
-        }
-
     def test_derivation_path_ordered(self, pipeline):
         steps = pipeline.derivation_path("raw", "model")
         assert [s.name for s in steps] == ["calibrate", "featurise", "train"]

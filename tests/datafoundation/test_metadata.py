@@ -20,19 +20,6 @@ def entry(name="d", governance=GovernanceLabel.INSTITUTIONAL, tags=()):
     )
 
 
-class TestGovernanceLabel:
-    def test_public_moves_anywhere(self):
-        assert GovernanceLabel.PUBLIC.may_cross_sites
-        assert GovernanceLabel.PUBLIC.may_leave_federation
-
-    def test_restricted_stays_home(self):
-        assert not GovernanceLabel.RESTRICTED.may_cross_sites
-
-    def test_institutional_stays_in_federation(self):
-        assert GovernanceLabel.INSTITUTIONAL.may_cross_sites
-        assert not GovernanceLabel.INSTITUTIONAL.may_leave_federation
-
-
 class TestCatalog:
     def test_register_and_get(self):
         catalog = MetadataCatalog()
@@ -55,15 +42,6 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             DataEntry(name="bad", size_bytes=-1.0)
 
-    def test_search_by_tags(self):
-        catalog = MetadataCatalog()
-        catalog.register(entry("a", tags=("beamline", "2026")))
-        catalog.register(entry("b", tags=("beamline",)))
-        catalog.register(entry("c", tags=("simulation",)))
-        assert [e.name for e in catalog.search("beamline")] == ["a", "b"]
-        assert [e.name for e in catalog.search("beamline", "2026")] == ["a"]
-        assert catalog.search("nothing") == []
-
     def test_may_move_respects_governance(self):
         catalog = MetadataCatalog()
         catalog.register(entry("open", governance=GovernanceLabel.PUBLIC))
@@ -71,11 +49,6 @@ class TestCatalog:
         assert catalog.may_move("open", "site-a", "site-b")
         assert not catalog.may_move("secret", "site-a", "site-b")
         assert catalog.may_move("secret", "site-a", "site-a")
-
-    def test_schema_fields(self):
-        catalog = MetadataCatalog()
-        catalog.register(entry("x"))
-        assert catalog.schema_fields("x") == ["detector_id", "energy"]
 
     def test_total_bytes(self):
         catalog = MetadataCatalog()

@@ -25,8 +25,6 @@ class TestSiliconOption:
     def test_rejects_invalid(self):
         with pytest.raises(ConfigurationError):
             SiliconOption("x", board_complexity=0.0)
-        with pytest.raises(ConfigurationError):
-            SiliconOption("x", expected_volume=0)
 
     def test_default_ecosystem_is_a_dozen_plus(self, ecosystem):
         """§III.E: 'more than a dozen configurations'."""
@@ -60,24 +58,6 @@ class TestCostRegimes:
     def test_rejects_nonpositive_vendors(self, model, ecosystem):
         with pytest.raises(ConfigurationError):
             model.custom_total_cost(ecosystem, vendors=0)
-
-
-class TestPerUnitAndBreakeven:
-    def test_cost_per_unit_lower_with_standard_at_scale(self, model):
-        option = SiliconOption("ml-asic", board_complexity=1.5, expected_volume=1_000)
-        custom = model.cost_per_unit(option, vendors=8, standard=False)
-        standard = model.cost_per_unit(option, vendors=8, standard=True)
-        assert standard < custom
-
-    def test_breakeven_vendors_sensible(self, model):
-        option = SiliconOption("x", board_complexity=1.0)
-        breakeven = model.breakeven_vendors(option)
-        # With premium 1.5 and integration << enablement, breakeven ~ 1.6.
-        assert 1.0 < breakeven < 3.0
-        # Above breakeven the standard model is cheaper.
-        assert model.standard_total_cost([option], vendors=3) < model.custom_total_cost(
-            [option], vendors=3
-        )
 
 
 class TestSustainability:

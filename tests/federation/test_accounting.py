@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.federation.accounting import (
-    AccountingLedger,
-    Invoice,
-    MeterRecord,
-)
+from repro.federation.accounting import AccountingLedger, MeterRecord
 
 
 def record(provider="site-a", consumer="org-x", hours=10.0, price=2.0, **kwargs):
@@ -56,23 +52,6 @@ class TestLedgerAggregation:
         assert ledger.provider_revenue("a") == 20.0
         assert ledger.consumer_spend("x") == 13.0
         assert len(ledger) == 3
-
-    def test_device_hours_by_provider(self):
-        ledger = AccountingLedger()
-        ledger.meter(record(provider="a", hours=10))
-        ledger.meter(record(provider="a", hours=5))
-        ledger.meter(record(provider="b", hours=1))
-        assert ledger.device_hours_by_provider() == {"a": 15.0, "b": 1.0}
-
-    def test_invoice_collects_pair(self):
-        ledger = AccountingLedger()
-        ledger.meter(record(provider="a", consumer="x", hours=10, price=1.0))
-        ledger.meter(record(provider="a", consumer="x", hours=2, price=1.0))
-        ledger.meter(record(provider="a", consumer="y", hours=9, price=1.0))
-        invoice = ledger.invoice("a", "x")
-        assert invoice.total == 12.0
-        assert invoice.device_hours == 12.0
-        assert len(ledger.invoices()) == 2
 
 
 class TestSettlement:

@@ -85,10 +85,9 @@ class TestBurstingPolicy:
         decisions = [policy.should_burst(job, 1e6) for _ in range(20)]
         assert 0.3 <= sum(decisions) / len(decisions) <= 0.6
 
-    def test_burst_rate_and_reset(self):
+    def test_burst_rate(self):
         policy = BurstingPolicy(queue_threshold=0.0, max_burst_fraction=1.0)
+        assert policy.burst_rate == 0.0
         job = self.make_insensitive_job()
         policy.should_burst(job, 1e6)
         assert policy.burst_rate > 0
-        policy.reset()
-        assert policy.burst_rate == 0.0

@@ -65,30 +65,6 @@ class TestDatasetCatalog:
         catalog.register(Dataset(name="d", size_bytes=10e9, replicas={a.name}))
         assert catalog.staging_time("d", b) == pytest.approx(0.01 + 1.0)
 
-    def test_staging_dollars(self, wan_with_sites):
-        wan, a, b, c = wan_with_sites
-        catalog = DatasetCatalog(wan)
-        catalog.register(Dataset(name="d", size_bytes=10e9, replicas={b.name}))
-        assert catalog.staging_dollars("d", c) == pytest.approx(0.8)
-        assert catalog.staging_dollars("d", b) == 0.0
-
-    def test_gravitational_mass(self, wan_with_sites):
-        wan, a, b, _ = wan_with_sites
-        catalog = DatasetCatalog(wan)
-        catalog.register(Dataset(name="d1", size_bytes=5e9, replicas={a.name}))
-        catalog.register(Dataset(name="d2", size_bytes=3e9, replicas={a.name, b.name}))
-        assert catalog.total_bytes_at(a) == pytest.approx(8e9)
-        assert catalog.total_bytes_at(b) == pytest.approx(3e9)
-
-    def test_datasets_at_lists_replicas_in_registration_order(self, wan_with_sites):
-        wan, a, b, c = wan_with_sites
-        catalog = DatasetCatalog(wan)
-        catalog.register(Dataset(name="d1", size_bytes=5e9, replicas={a.name}))
-        catalog.register(Dataset(name="d2", size_bytes=3e9, replicas={a.name, b.name}))
-        assert [d.name for d in catalog.datasets_at(a)] == ["d1", "d2"]
-        assert [d.name for d in catalog.datasets_at(b)] == ["d2"]
-        assert catalog.datasets_at(c) == []
-
     def test_contains_and_len(self, wan_with_sites):
         wan, a, *_ = wan_with_sites
         catalog = DatasetCatalog(wan)

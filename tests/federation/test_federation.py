@@ -30,13 +30,6 @@ class TestFederationConstruction:
 
 
 class TestFederationQueries:
-    def test_sites_of_kind(self, small_federation):
-        clouds = small_federation.sites_of_kind(SiteKind.CLOUD)
-        assert [s.name for s in clouds] == ["cloud"]
-
-    def test_sites_with_device_kind(self, small_federation):
-        with_tpu = small_federation.sites_with_device_kind(DeviceKind.SYSTOLIC)
-        assert [s.name for s in with_tpu] == ["super"]
 
     def test_device_diversity(self, small_federation):
         # CPU + GPU + systolic across the three sites.
@@ -44,15 +37,6 @@ class TestFederationQueries:
 
     def test_total_capacity(self, small_federation):
         assert small_federation.total_capacity() == 32 + (64 + 32 + 16) + (128 + 32)
-
-    def test_vertical_slice_ordering(self, small_federation):
-        ordered = small_federation.vertical_slice()
-        kinds = [s.kind for s in ordered]
-        assert kinds.index(SiteKind.ON_PREMISE) < kinds.index(SiteKind.SUPERCOMPUTER)
-        assert kinds.index(SiteKind.SUPERCOMPUTER) < kinds.index(SiteKind.CLOUD)
-
-    def test_utilization_starts_zero(self, small_federation):
-        assert small_federation.utilization() == 0.0
 
 
 class TestGravity:

@@ -36,41 +36,6 @@ class TestInventory:
         assert site.total_devices() == 14
         assert site.count(gpu) == 4
 
-    def test_has_kind(self, catalog):
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="x", kind=SiteKind.ON_PREMISE, devices={gpu: 2})
-        assert site.has_kind(DeviceKind.GPU)
-        assert not site.has_kind(DeviceKind.ANALOG)
-
-    def test_peak_power(self, catalog):
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="x", kind=SiteKind.ON_PREMISE, devices={gpu: 3})
-        assert site.peak_power() == pytest.approx(3 * gpu.spec.tdp)
-
-
-class TestOccupancy:
-    def test_acquire_release_cycle(self, catalog):
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="x", kind=SiteKind.ON_PREMISE, devices={gpu: 4})
-        site.acquire(gpu, 3)
-        assert site.free_count(gpu) == 1
-        assert site.utilization() == pytest.approx(0.75)
-        site.release(gpu, 3)
-        assert site.free_count(gpu) == 4
-
-    def test_over_acquire_raises(self, catalog):
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="x", kind=SiteKind.ON_PREMISE, devices={gpu: 2})
-        with pytest.raises(CapacityError):
-            site.acquire(gpu, 3)
-
-    def test_over_release_raises(self, catalog):
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="x", kind=SiteKind.ON_PREMISE, devices={gpu: 2})
-        site.acquire(gpu, 1)
-        with pytest.raises(ValueError):
-            site.release(gpu, 2)
-
 
 class TestPricing:
     def test_explicit_price_wins(self, catalog):

@@ -58,14 +58,6 @@ class TestWanNetwork:
         with pytest.raises(ConfigurationError):
             wan.transfer_time(a, b, 1.0)
 
-    def test_are_connected(self):
-        wan = WanNetwork()
-        a, b, c = make_sites("a", "b", "c")
-        wan.connect(a, b, WanLink(bandwidth=1e9, latency=0.01))
-        wan.add_site(c)
-        assert wan.are_connected(a, b)
-        assert not wan.are_connected(a, c)
-
     def test_cheapest_path_for_dollars(self):
         wan = WanNetwork()
         a, b, c = make_sites("a", "b", "c")
@@ -76,13 +68,6 @@ class TestWanNetwork:
         assert wan.transfer_dollars(a, c, 10e9) == pytest.approx(0.0)
         # But the fastest path is the direct one.
         assert wan.transfer_time(a, c, 1e9) < 0.2
-
-    def test_bandwidth_between(self):
-        wan = WanNetwork()
-        a, b = make_sites("a", "b")
-        wan.connect(a, b, WanLink(bandwidth=5e9, latency=0.01))
-        assert wan.bandwidth_between(a, b) == 5e9
-        assert wan.bandwidth_between(a, a) == float("inf")
 
     def test_unknown_site_lookup(self):
         wan = WanNetwork()

@@ -74,12 +74,6 @@ class TestScaling:
         t_large = dpe.mvm_time(256)
         assert t_large < t_small * 5
 
-    def test_tiles_for(self):
-        dpe = make_dpe(crossbar_size=256)
-        assert dpe.tiles_for(256) == 1
-        assert dpe.tiles_for(257) == 4
-        assert dpe.tiles_for(512) == 4
-
     @given(n=st.integers(1, 10_000))
     @settings(max_examples=40)
     def test_mvm_time_positive(self, n):
@@ -103,11 +97,6 @@ class TestPrecisionGate:
         )
         assert dpe.time_for(kernel) > 0
 
-    def test_supports_precision_bits(self):
-        dpe = make_dpe()
-        assert dpe.supports_precision_bits(8)
-        assert not dpe.supports_precision_bits(16)
-
 
 class TestKernelInterface:
     def test_multiple_passes_counted(self):
@@ -127,12 +116,6 @@ class TestKernelInterface:
         dpe = make_dpe()
         kernel = KernelProfile(flops=1e9, bytes_moved=1e6, precision=Precision.INT8)
         assert dpe.time_for(kernel) > 0
-
-    def test_weight_programming_is_quadratic(self):
-        dpe = make_dpe()
-        assert dpe.weight_programming_time(200) == pytest.approx(
-            4.0 * dpe.weight_programming_time(100)
-        )
 
     def test_invalid_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -43,15 +43,6 @@ class TestDefaultCatalogContents:
             DeviceKind.EDGE_INFERENCE,
         }
 
-    def test_by_kind(self, catalog):
-        gpus = catalog.by_kind(DeviceKind.GPU)
-        assert len(gpus) == 1
-        assert gpus[0].name == "hpc-gpu"
-
-    def test_supporting_fp64_is_cpu_and_gpu_only(self, catalog):
-        names = {device.name for device in catalog.supporting(Precision.FP64)}
-        assert names == {"epyc-class-cpu", "hpc-gpu"}
-
     def test_all_devices_executable(self, catalog):
         """Every device must run some kernel it supports."""
         for device in catalog:

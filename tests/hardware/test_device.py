@@ -74,7 +74,7 @@ class TestDeviceSpec:
 class TestDevice:
     def test_roofline_derated_by_efficiency(self):
         device = Device(make_spec(efficiency=0.5))
-        assert device.sustained_flops(Precision.FP64) == pytest.approx(0.5e12)
+        assert device.roofline(Precision.FP64).peak_flops == pytest.approx(0.5e12)
 
     def test_unsupported_precision_raises(self):
         device = Device(make_spec())
@@ -103,23 +103,6 @@ class TestDevice:
         assert device.energy_for(kernel) == pytest.approx(
             device.time_for(kernel) * 200.0
         )
-
-    def test_energy_efficiency_is_throughput_per_watt(self):
-        device = Device(make_spec())
-        kernel = KernelProfile(flops=1e12, bytes_moved=1e6, precision=Precision.FP64)
-        assert device.energy_efficiency(kernel) == pytest.approx(
-            device.throughput_for(kernel) / 200.0
-        )
-
-    def test_energy_efficiency_of_no_work_is_zero(self):
-        device = Device(make_spec())
-        kernel = KernelProfile(flops=0.0, bytes_moved=0.0, precision=Precision.FP64)
-        assert device.energy_efficiency(kernel) == 0.0
-
-    def test_throughput_bounded_by_sustained_peak(self):
-        device = Device(make_spec())
-        kernel = KernelProfile(flops=1e13, bytes_moved=1.0, precision=Precision.FP64)
-        assert device.throughput_for(kernel) <= device.sustained_flops(Precision.FP64) * 1.001
 
     def test_device_ids_unique(self):
         a = Device(make_spec(name="a"))

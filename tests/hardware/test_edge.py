@@ -1,14 +1,14 @@
-"""Tests for the edge inference accelerator and its hostile environment."""
+"""Tests for the edge inference accelerator."""
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.hardware.catalog import default_catalog
 from repro.hardware.device import DeviceKind, DeviceSpec, KernelProfile
-from repro.hardware.edge import EdgeEnvironment, EdgeInferenceAccelerator
+from repro.hardware.edge import EdgeInferenceAccelerator
 from repro.hardware.precision import Precision
 
 
-def make_npu(**kwargs):
+def make_npu():
     spec = DeviceSpec(
         name="npu",
         kind=DeviceKind.EDGE_INFERENCE,
@@ -18,7 +18,7 @@ def make_npu(**kwargs):
         tdp=15.0,
         idle_power=2.0,
     )
-    return EdgeInferenceAccelerator(spec, **kwargs)
+    return EdgeInferenceAccelerator(spec)
 
 
 KERNEL = KernelProfile(flops=1e9, bytes_moved=1e6, precision=Precision.INT8)
@@ -34,54 +34,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EdgeInferenceAccelerator(spec)
 
-    def test_throttle_must_exceed_nominal(self):
-        with pytest.raises(ConfigurationError):
-            make_npu(nominal_celsius=85.0, throttle_celsius=45.0)
-
-    def test_environment_radiation_nonnegative(self):
-        with pytest.raises(ConfigurationError):
-            EdgeEnvironment(radiation_factor=-1.0)
+    def test_catalog_edge_part_is_an_edge_accelerator(self):
+        part = default_catalog().get("edge-npu")
+        assert isinstance(part, EdgeInferenceAccelerator)
+        assert part.kind is DeviceKind.EDGE_INFERENCE
 
 
-class TestThermalDerating:
-    def test_no_derate_at_nominal(self):
-        assert make_npu().thermal_derate(25.0) == 1.0
-
-    def test_floor_at_throttle(self):
-        npu = make_npu(throttle_floor=0.4)
-        assert npu.thermal_derate(85.0) == pytest.approx(0.4)
-        assert npu.thermal_derate(120.0) == pytest.approx(0.4)
-
-    def test_linear_ramp_midpoint(self):
-        npu = make_npu(nominal_celsius=45.0, throttle_celsius=85.0, throttle_floor=0.4)
-        assert npu.thermal_derate(65.0) == pytest.approx(0.7)
-
-    def test_hot_environment_slows_kernels(self):
+class TestRoofline:
+    def test_kernel_time_is_the_roofline_time(self):
         npu = make_npu()
-        cool = EdgeEnvironment(ambient_celsius=25.0)
-        hot = EdgeEnvironment(ambient_celsius=85.0)
-        assert npu.time_for_in_environment(KERNEL, hot) > npu.time_for_in_environment(
-            KERNEL, cool
-        )
+        roofline = npu.roofline(Precision.INT8)
+        assert npu.time_for(KERNEL) == pytest.approx(max(
+            KERNEL.flops / roofline.peak_flops,
+            KERNEL.bytes_moved / roofline.memory_bandwidth,
+        ))
 
-
-class TestRadiation:
-    def test_upset_rate_scales(self):
-        npu = make_npu(base_upset_rate=1e-7)
-        benign = EdgeEnvironment(radiation_factor=1.0)
-        tunnel = EdgeEnvironment(radiation_factor=100.0)
-        assert npu.upset_rate(tunnel) == pytest.approx(100 * npu.upset_rate(benign))
-
-    def test_retries_inflate_expected_time(self):
-        npu = make_npu(base_upset_rate=1.0)  # absurdly high to see the effect
-        benign = EdgeEnvironment(radiation_factor=0.0)
-        harsh = EdgeEnvironment(radiation_factor=1.0)
-        clean = npu.time_for_in_environment(KERNEL, benign)
-        risky = npu.time_for_in_environment(KERNEL, harsh)
-        assert risky > clean
-
-    def test_impossible_environment_raises(self):
-        npu = make_npu(base_upset_rate=1.0)
-        doomed = EdgeEnvironment(radiation_factor=1e12)
-        with pytest.raises(ConfigurationError):
-            npu.time_for_in_environment(KERNEL, doomed)
+    def test_lower_precision_runs_faster(self):
+        npu = make_npu()
+        fp16 = KernelProfile(flops=1e9, bytes_moved=1e6, precision=Precision.FP16)
+        assert npu.time_for(KERNEL) < npu.time_for(fp16)

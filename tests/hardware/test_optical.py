@@ -46,11 +46,6 @@ class TestScaling:
         engine = make_optical()
         assert engine.mvm_time(1) >= engine.propagation_delay
 
-    def test_tiles_for(self):
-        engine = make_optical(mesh_size=64)
-        assert engine.tiles_for(64) == 1
-        assert engine.tiles_for(65) == 4
-
     def test_static_power_dominates_energy_at_low_rate(self):
         """Lasers burn power regardless — the idle-power floor shows up."""
         engine = make_optical()

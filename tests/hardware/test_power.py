@@ -52,14 +52,6 @@ class TestRackPowerModel:
                 devices=[accelerator_spec()] * 100,  # 40 kW >> 20 kW air limit
             )
 
-    def test_headroom_and_can_add(self):
-        rack = RackPowerModel(
-            cooling=CoolingTechnology.DIRECT_LIQUID,
-            devices=[accelerator_spec()] * 10,
-        )
-        assert rack.headroom() > 0
-        assert rack.can_add(accelerator_spec())
-
     def test_idle_power_below_peak(self):
         rack = RackPowerModel(
             cooling=CoolingTechnology.DIRECT_LIQUID,
@@ -76,33 +68,24 @@ class TestDatacenterPowerModel:
         )
 
     def test_envelope_enforced(self):
-        datacenter = DatacenterPowerModel(facility_limit=100_000.0)
-        datacenter.add_rack(self.make_rack())
+        DatacenterPowerModel(facility_limit=100_000.0, racks=[self.make_rack()])
         with pytest.raises(CapacityError):
-            datacenter.add_rack(self.make_rack())
-            datacenter.add_rack(self.make_rack())
-
-    def test_failed_add_rolls_back(self):
-        datacenter = DatacenterPowerModel(facility_limit=50_000.0)
-        datacenter.add_rack(self.make_rack())
-        before = len(datacenter.racks)
-        with pytest.raises(CapacityError):
-            datacenter.add_rack(self.make_rack())
-        assert len(datacenter.racks) == before
+            DatacenterPowerModel(
+                facility_limit=100_000.0, racks=[self.make_rack()] * 3
+            )
 
     def test_pue_above_one(self):
-        datacenter = DatacenterPowerModel(facility_limit=35e6)
-        datacenter.add_rack(self.make_rack())
+        datacenter = DatacenterPowerModel(
+            facility_limit=35e6, racks=[self.make_rack()]
+        )
         assert datacenter.pue() > 1.0
 
     def test_facility_power_charges_each_rack_its_cooling(self):
-        datacenter = DatacenterPowerModel(facility_limit=35e6)
         liquid = self.make_rack()
         air = RackPowerModel(
             cooling=CoolingTechnology.AIR, devices=[accelerator_spec()] * 10,
         )
-        datacenter.add_rack(liquid)
-        datacenter.add_rack(air)
+        datacenter = DatacenterPowerModel(facility_limit=35e6, racks=[liquid, air])
         assert datacenter.total_facility_power() == pytest.approx(
             liquid.peak_power * CoolingTechnology.DIRECT_LIQUID.partial_pue
             + air.peak_power * CoolingTechnology.AIR.partial_pue
@@ -113,11 +96,6 @@ class TestDatacenterPowerModel:
 
     def test_empty_datacenter_pue_is_one(self):
         assert DatacenterPowerModel().pue() == 1.0
-
-    def test_max_racks_supported(self):
-        datacenter = DatacenterPowerModel(facility_limit=35e6)
-        count = datacenter.max_racks_supported(self.make_rack())
-        assert count > 100  # a 35 MW facility fits hundreds of 40 kW racks
 
     def test_energy_cost(self):
         datacenter = DatacenterPowerModel(electricity_price=0.10)

@@ -17,12 +17,6 @@ class TestPrecision:
     def test_bytes_fractional_for_int4(self):
         assert Precision.INT4.bytes == 0.5
 
-    def test_floating_point_classification(self):
-        assert Precision.FP64.is_floating_point
-        assert Precision.BF16.is_floating_point
-        assert not Precision.INT8.is_floating_point
-        assert not Precision.ANALOG.is_floating_point
-
     def test_str_lowercase(self):
         assert str(Precision.BF16) == "bf16"
 

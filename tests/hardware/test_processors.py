@@ -92,13 +92,6 @@ class TestFpga:
         fpga.time_for(int8)
         assert fpga.time_for(fp32) > 1.0
 
-    def test_reset_configuration(self):
-        fpga = FPGA(fpga_spec(), reconfiguration_time=1.0)
-        kernel = KernelProfile(flops=1e9, bytes_moved=1e6, precision=Precision.INT8)
-        fpga.time_for(kernel)
-        fpga.reset_configuration()
-        assert fpga.time_for(kernel) > 1.0
-
     def test_negative_reconfiguration_rejected(self):
         with pytest.raises(ValueError):
             FPGA(fpga_spec(), reconfiguration_time=-1.0)

@@ -24,46 +24,6 @@ class TestConstruction:
             RooflineModel(peak_flops=1e12, memory_bandwidth=-1)
 
 
-class TestRidgePoint:
-    def test_ridge_value(self, roofline):
-        assert roofline.ridge_point == pytest.approx(10.0)
-
-    def test_compute_bound_above_ridge(self, roofline):
-        assert roofline.is_compute_bound(50.0)
-        assert not roofline.is_compute_bound(1.0)
-
-
-class TestAttainable:
-    def test_zero_intensity_zero_flops(self, roofline):
-        assert roofline.attainable_flops(0.0) == 0.0
-
-    def test_memory_bound_region_linear(self, roofline):
-        assert roofline.attainable_flops(2.0) == pytest.approx(2e12)
-
-    def test_compute_bound_region_flat(self, roofline):
-        assert roofline.attainable_flops(100.0) == pytest.approx(10e12)
-
-    def test_negative_intensity_raises(self, roofline):
-        with pytest.raises(ValueError):
-            roofline.attainable_flops(-1.0)
-
-    @given(intensity=st.floats(min_value=0, max_value=1e4, allow_nan=False))
-    @settings(max_examples=60)
-    def test_attainable_never_exceeds_peak(self, intensity):
-        model = RooflineModel(peak_flops=10e12, memory_bandwidth=1e12)
-        assert model.attainable_flops(intensity) <= model.peak_flops
-
-    @given(
-        a=st.floats(min_value=0, max_value=1e3),
-        b=st.floats(min_value=0, max_value=1e3),
-    )
-    @settings(max_examples=60)
-    def test_attainable_monotone_in_intensity(self, a, b):
-        model = RooflineModel(peak_flops=10e12, memory_bandwidth=1e12)
-        low, high = min(a, b), max(a, b)
-        assert model.attainable_flops(low) <= model.attainable_flops(high)
-
-
 class TestTimeFor:
     def test_compute_bound_time(self, roofline):
         # 1e13 FLOPs, tiny data: bound by compute -> 1 s.
@@ -81,10 +41,3 @@ class TestTimeFor:
     def test_negative_inputs_raise(self, roofline):
         with pytest.raises(ValueError):
             roofline.time_for(-1.0, 0.0)
-
-
-class TestScaled:
-    def test_scaling_factors(self, roofline):
-        scaled = roofline.scaled(flops_factor=0.5, bandwidth_factor=2.0)
-        assert scaled.peak_flops == pytest.approx(5e12)
-        assert scaled.memory_bandwidth == pytest.approx(2e12)

@@ -71,22 +71,6 @@ class TestTiming:
         tiny = KernelProfile(flops=10.0, bytes_moved=10.0, precision=Precision.BF16)
         assert tpu.time_for(tiny) >= tpu.pipeline_latency()
 
-    def test_aligned_matmul_faster_than_misaligned(self):
-        tpu = make_tpu()
-        aligned = tpu.matmul_time(128, 128, 1024)
-        misaligned = tpu.matmul_time(129, 129, 1024)
-        assert misaligned > aligned
-
-    def test_matmul_batching_scales_time(self):
-        tpu = make_tpu()
-        single = tpu.matmul_time(256, 256, 256)
-        batched = tpu.matmul_time(256, 256, 256, batched=8)
-        assert batched > single * 4  # at least linear-ish growth
-
-    def test_matmul_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            make_tpu().matmul_time(0, 1, 1)
-
     def test_mvm_kernel_derated_by_utilization(self):
         tpu = make_tpu()
         flops = 2.0 * 64 * 64

@@ -77,13 +77,6 @@ class TestArchitectures:
         ratio = SPECIALIZED.throughput(node) / GENERAL_PURPOSE.throughput(node)
         assert ratio == pytest.approx(40.0)
 
-    def test_specialized_perf_per_watt_dominates(self):
-        node = default_roadmap()[-2]  # 5nm, the paper's present day
-        assert (
-            SPECIALIZED.throughput_per_watt(node)
-            > 10 * GENERAL_PURPOSE.throughput_per_watt(node)
-        )
-
     def test_specialization_outruns_two_process_nodes(self):
         """One specialisation step buys more than two process shrinks —
         why 'general purpose is no longer sufficient'."""

@@ -18,7 +18,7 @@ def make_wse(memory_capacity=40e9):
         tdp=20_000.0,
         idle_power=4_000.0,
     )
-    return WaferScaleEngine(spec, tiles=400_000, yield_fraction=0.98)
+    return WaferScaleEngine(spec)
 
 
 class TestConstruction:
@@ -30,40 +30,6 @@ class TestConstruction:
         )
         with pytest.raises(ValueError):
             WaferScaleEngine(spec)
-
-    def test_yield_bounds(self):
-        with pytest.raises(ConfigurationError):
-            WaferScaleEngine(make_wse().spec, yield_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            WaferScaleEngine(make_wse().spec, yield_fraction=1.5)
-
-
-class TestCapacity:
-    def test_usable_tiles_after_yield(self):
-        wse = make_wse()
-        assert wse.usable_tiles == int(400_000 * 0.98)
-
-    def test_fits_on_wafer(self):
-        wse = make_wse(memory_capacity=40e9)
-        assert wse.fits_on_wafer(30e9)
-        assert not wse.fits_on_wafer(50e9)
-
-    def test_fits_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_wse().fits_on_wafer(-1.0)
-
-
-class TestCommunication:
-    def test_mesh_latency_positive(self):
-        assert make_wse().mesh_diameter_latency() > 0
-
-    def test_communication_time_scales_with_traffic(self):
-        wse = make_wse()
-        assert wse.communication_time(1e12) > wse.communication_time(1e9)
-
-    def test_negative_traffic_rejected(self):
-        with pytest.raises(ValueError):
-            make_wse().communication_time(-1.0)
 
 
 class TestSpill:

@@ -12,30 +12,6 @@ from repro.market.orders import Side
 from repro.workloads.base import JobClass, Phase, PhaseKind, Task, Job
 
 
-class TestSiteQueries:
-    def test_devices_of_kind(self, catalog):
-        cpu = catalog.get("epyc-class-cpu")
-        gpu = catalog.get("hpc-gpu")
-        site = Site(name="s", kind=SiteKind.ON_PREMISE, devices={cpu: 2, gpu: 2})
-        assert site.devices_of_kind(DeviceKind.GPU) == [gpu]
-        assert site.devices_of_kind(DeviceKind.ANALOG) == []
-
-    def test_device_list(self, catalog):
-        cpu = catalog.get("epyc-class-cpu")
-        site = Site(name="s", kind=SiteKind.ON_PREMISE, devices={cpu: 2})
-        assert site.device_list == [cpu]
-
-
-class TestFederationSlices:
-    def test_horizontal_slice(self, small_federation):
-        clouds = small_federation.horizontal_slice(SiteKind.CLOUD)
-        assert [s.name for s in clouds] == ["cloud"]
-
-    def test_all_devices_deduplicates(self, small_federation):
-        names = [d.name for d in small_federation.all_devices()]
-        assert len(names) == len(set(names))
-
-
 class TestDeliveryStageEdgeCases:
     def test_bursting_without_any_cloud(self):
         home = Site(name="home", kind=SiteKind.ON_PREMISE)

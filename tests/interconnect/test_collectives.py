@@ -58,11 +58,6 @@ class TestAllReduce:
             assert offloaded <= model.allreduce_ring(size)
             assert offloaded <= model.allreduce_tree(size)
 
-    def test_best_allreduce_dispatch(self, model):
-        assert model.best_allreduce(1e6) == "in-network"
-        assert model.best_allreduce(1e9, offload_available=False) == "ring"
-        assert model.best_allreduce(1e3, offload_available=False) == "tree"
-
     def test_in_network_depth_scales_with_radix(self):
         narrow = CollectiveModel(nodes=4096, switch_radix=4)
         wide = CollectiveModel(nodes=4096, switch_radix=64)

@@ -3,21 +3,24 @@
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.core.rng import RandomSource
 from repro.interconnect.congestion import (
     FlowBasedCongestionControl,
     NoCongestionControl,
 )
-from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats, LinkEvent
+from repro.interconnect.fabric import FabricSimulator, Flow, FlowStats
 from repro.interconnect.topology import (
     DEFAULT_LINK_BANDWIDTH,
     build_topology,
 )
 from repro.observability import Telemetry
+from repro.validate.invariants import InvariantChecker
 
 
 @pytest.fixture
@@ -95,26 +98,31 @@ class TestSingleFlow:
         assert stats.slowdown(DEFAULT_LINK_BANDWIDTH) == pytest.approx(1.0, rel=1e-6)
 
 
+def cut_off_run(telemetry=None):
+    """Flows on a two-tier fabric whose last terminal was cut off before
+    the run: the two flows into it have no path and are dead on arrival."""
+    topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+    t0, t1, t2, t3 = topology.terminals
+    [leaf] = topology.graph.adj[t3]
+    topology.graph.remove_edge(t3, leaf)
+    flows = [
+        Flow(source=t0, destination=t2, size=1e9, flow_id=1, tag="done"),
+        Flow(source=t0, destination=t3, size=1e9, flow_id=2, tag="doa"),
+        Flow(source=t1, destination=t3, size=2.5e8, start_time=2e-6,
+             flow_id=3, tag="doa"),
+    ]
+    return FabricSimulator(topology, telemetry=telemetry).run(flows)
+
+
 class TestFlowStatsContract:
     """The run loop's ``FlowStats`` behave like constructor-built ones:
-    completed flows, flows dropped mid-run and flows dead on arrival."""
+    completed flows and flows dead on arrival."""
 
     @pytest.fixture
     def stats(self):
-        topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
-        t0, t1, t2, t3 = topology.terminals
-        [leaf] = topology.graph.adj[t3]
-        flows = [
-            Flow(source=t0, destination=t2, size=1e9, flow_id=1, tag="done"),
-            Flow(source=t0, destination=t3, size=1e9, flow_id=2, tag="cut"),
-            Flow(source=t1, destination=t3, size=1e9, start_time=2e-6,
-                 flow_id=3, tag="doa"),
-        ]
-        stats = FabricSimulator(topology).run(
-            flows, link_events=[LinkEvent(time=1e-6, link=(t3, leaf))]
-        )
+        stats = cut_off_run()
         assert sorted((s.tag, s.dropped) for s in stats) == [
-            ("cut", True), ("doa", True), ("done", False),
+            ("doa", True), ("doa", True), ("done", False),
         ]
         return stats
 
@@ -132,6 +140,49 @@ class TestFlowStatsContract:
             assert list(vars(record).items()) == list(vars(twin).items())
             assert pickle.dumps(record) == pickle.dumps(twin)
             assert pickle.loads(pickle.dumps(record)) == twin
+
+
+class TestDeadOnArrival:
+    """A flow with no path at admission is dropped, delivers nothing and
+    is booked as lost, so the conservation ledger still balances."""
+
+    def test_stats_deliver_nothing(self):
+        dropped = {s.flow_id: s for s in cut_off_run() if s.dropped}
+        assert sorted(dropped) == [2, 3]
+        for stats in dropped.values():
+            assert stats.delivered == 0.0 and stats.delivered_bytes == 0.0
+            assert stats.finish_time == stats.start_time
+            assert (stats.path_hops, stats.propagation_delay,
+                    stats.extra_queueing) == (0, 0.0, 0.0)
+
+    def test_counted_as_dropped_and_lost(self):
+        telemetry = Telemetry()
+        cut_off_run(telemetry)
+        metrics = telemetry.metrics
+        assert metrics.get("fabric.flows.dropped").value(tag="doa") == 2
+        assert metrics.get("fabric.flow_bytes_lost").value(tag="doa") == 1.25e9
+        assert metrics.get("fabric.flow_bytes").value(tag="done") == 1e9
+        assert "doa" not in {
+            labels["tag"]
+            for labels in metrics.get("fabric.flow_bytes").label_sets()
+        }
+        dropped_spans = [
+            span for span in telemetry.tracer.spans if span.args.get("dropped")
+        ]
+        assert [span.args["bytes"] for span in dropped_spans] == [0.0, 0.0]
+
+    def test_conservation_ledger_balances(self):
+        telemetry = Telemetry()
+        stats = cut_off_run(telemetry)
+        metrics = telemetry.metrics
+        offered = metrics.get("fabric.flow_bytes_offered").total()
+        assert offered == 2.25e9
+        assert offered == (metrics.get("fabric.flow_bytes").total()
+                           + metrics.get("fabric.flow_bytes_lost").total())
+        checker = InvariantChecker()
+        checker.check_fabric(stats)
+        checker.check_telemetry(telemetry)
+        checker.assert_clean()
 
 
 class TestSharing:
@@ -231,3 +282,118 @@ class TestRouting:
         ]
         stats = sim.run(flows)
         assert len(stats) == 5
+
+
+class TestInvalidInputs:
+    """Bad flow and simulator inputs fail early, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("source", {"source": ""}),
+            ("source", {"source": None}),
+            ("source", {"source": 3}),
+            ("destination", {"destination": ""}),
+            ("destination", {"destination": None}),
+            ("size", {"size": "1e6"}),
+            ("size", {"size": None}),
+            ("size", {"size": -1.0}),
+            ("start_time", {"start_time": "0"}),
+            ("start_time", {"start_time": None}),
+        ],
+    )
+    def test_flow_field_rejected(self, field, kwargs):
+        arguments = {"source": "a", "destination": "b", "size": 1.0, **kwargs}
+        with pytest.raises(ConfigurationError, match=field):
+            Flow(**arguments)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("congestion", {"congestion": "flow"}),
+            ("congestion", {"congestion": 1.0}),
+            ("rng", {"rng": 5}),
+            ("rng", {"rng": "seed"}),
+            ("routing", {"routing": "adaptive"}),
+            ("solver", {"solver": "indexed"}),
+        ],
+    )
+    def test_simulator_field_rejected(self, topology, field, kwargs):
+        with pytest.raises(ConfigurationError, match=field):
+            FabricSimulator(topology, **kwargs)
+
+    @pytest.mark.parametrize("size", [
+        np.float32(1e6), np.float64(1e6), np.int64(10**6), 10**6,
+    ])
+    def test_numeric_scalars_are_accepted(self, topology, size):
+        terminals = topology.terminals
+        flow = Flow(source=terminals[0], destination=terminals[1], size=size,
+                    start_time=np.float64(0.0))
+        [stats] = FabricSimulator(topology).run([flow])
+        assert stats.delivered_bytes == size and not stats.dropped
+
+    @pytest.mark.parametrize("policy, name", [
+        ("none", "none"), ("ecn", "ecn"), ("flow", "flow-based"),
+    ])
+    def test_every_named_policy_is_accepted(self, topology, policy, name):
+        from repro.interconnect.congestion import congestion_policy
+
+        simulator = FabricSimulator(
+            topology, congestion=congestion_policy(policy),
+            rng=RandomSource(seed=1),
+        )
+        assert simulator.congestion.name == name
+
+    @pytest.mark.parametrize("bad", [None, "two-tier", {"graph": None}])
+    def test_topology_must_be_a_topology(self, bad):
+        with pytest.raises(ConfigurationError, match="topology"):
+            FabricSimulator(bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "10", None])
+    def test_max_iterations_must_be_a_positive_integer(self, topology, bad):
+        terminals = topology.terminals
+        flows = [Flow(source=terminals[0], destination=terminals[1], size=1e6)]
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            FabricSimulator(topology).run(flows, max_iterations=bad)
+
+
+class TestDegradedFabricLedger:
+    """On every sweep topology with one terminal cut off before the run,
+    the flows into it are dropped at admission, every other flow
+    completes, and offered bytes equal delivered plus lost bytes under
+    every congestion policy."""
+
+    @pytest.mark.parametrize("policy", ["none", "ecn", "flow"])
+    @pytest.mark.parametrize("kind", ["dragonfly", "fat-tree", "hyperx",
+                                      "torus", "two-tier"])
+    def test_dropped_flows_balance_the_ledger(self, kind, policy):
+        from repro.interconnect.congestion import congestion_policy
+        from repro.sweep.targets import _FABRIC_TOPOLOGIES
+
+        topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
+        terminals = topology.terminals
+        victim = terminals[-1]
+        [switch] = topology.graph.adj[victim]
+        topology.graph.remove_edge(victim, switch)
+        flows = [
+            Flow(source=terminals[index], destination=(
+                victim if index % 3 == 0 else terminals[index + 1]
+            ), size=1e6 * (1 + index), start_time=index * 1e-6, flow_id=index)
+            for index in range(12)
+        ]
+        telemetry = Telemetry()
+        stats = FabricSimulator(
+            topology, congestion=congestion_policy(policy), telemetry=telemetry
+        ).run(flows)
+        dropped = {s.flow_id for s in stats if s.dropped}
+        assert dropped == {0, 3, 6, 9}
+        metrics = telemetry.metrics
+        lost = metrics.get("fabric.flow_bytes_lost").total()
+        assert lost == sum(flows[i].size for i in dropped)
+        assert metrics.get("fabric.flow_bytes_offered").total() == (
+            metrics.get("fabric.flow_bytes").total() + lost
+        )
+        checker = InvariantChecker()
+        checker.check_fabric(stats)
+        checker.check_telemetry(telemetry)
+        checker.assert_clean()

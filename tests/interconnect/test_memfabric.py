@@ -137,8 +137,3 @@ class TestEraComparison:
         storage tier, from processing'."""
         fabric = cxl_era_fabric()
         assert any(t.persistent for t in fabric.tiers)
-
-    def test_remote_access_penalty(self):
-        fabric = cxl_era_fabric()
-        penalty = fabric.remote_access_penalty("local-ddr", "cxl-pooled-rack")
-        assert penalty > 1.0

@@ -7,7 +7,7 @@ Three concerns, mirroring the RouteCache suite's structure:
   the :class:`ReferenceSolver` ground truth on hand-built corner cases
   (ties, multiplicity, backlog, zero-length paths), and across scripted
   epochs that change what the link index it keeps has to follow,
-* end-to-end runs, link flaps and degraded topologies, where both
+* end-to-end runs, degraded topologies and hot-flow detours, where both
   solvers must produce identical ``FlowStats``,
 * the synchronized burst, where the indexed solver must also be at
   least twice as fast as the reference.
@@ -24,7 +24,8 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.congestion import congestion_policy
-from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
+from repro.interconnect import fabric as fabric_module
+from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect import ratesolver
 from repro.interconnect.ratesolver import (
     MIN_CONTENDERS_FOR_CONGESTION,
@@ -397,6 +398,36 @@ class TestPrefixReplay:
         assert scanned == heaped
         return scanned
 
+    @pytest.mark.parametrize("first, second", [
+        (list, list), (list, tuple), (tuple, list), (tuple, tuple),
+    ])
+    def test_unchanged_paths_replay_every_round_in_any_container(
+        self, first, second
+    ):
+        # The fabric passes tuples, other callers lists: a path equal by
+        # value to the kept copy is no move, whatever its container.
+        solver = IndexedSolver()
+        solver.bind(dict(self.CAPS))
+        flow_links = {
+            flow_id: first(path) for flow_id, path in self._flows().items()
+        }
+        backlog = {flow_id: 1e9 for flow_id in flow_links}
+        self._agree(solver, flow_links, backlog)
+        again = {flow_id: second(path) for flow_id, path in flow_links.items()}
+        self._agree(solver, again, backlog)
+        assert solver.rounds_replayed == self.BASE_ROUNDS
+        assert solver.rounds_solved == self.BASE_ROUNDS
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_a_path_changed_by_value_is_a_move_in_either_container(
+        self, container
+    ):
+        def change(flow_links, backlog):
+            flow_links[18] = container([self.E, self.Z, self.W])
+
+        replayed, solved, _ = self._replay(change)
+        assert replayed < self.BASE_ROUNDS and solved > 0
+
     def test_an_arrival_on_round_zeros_link_replays_nothing(self):
         def change(flow_links, backlog):
             flow_links[100] = [self.A, self.Z]
@@ -562,22 +593,15 @@ class TestFabricIntegration:
         indexed = FabricSimulator(topology).run(_uniform_flows(topology, 40))
         assert _stats_key(reference) == _stats_key(indexed)
 
-    def test_link_flap_rebinds_and_matches(self):
-        # Mirrors the RouteCache invalidation contract: a mid-run topology
-        # mutation must rebind the solver to the new capacity map and still
-        # produce stats bit-identical to the reference solver.
-        topology = build_topology(
-            "dragonfly", groups=4, routers_per_group=3, terminals=2
+    def test_link_removed_between_runs_rebinds_and_matches(self):
+        # Mirrors the RouteCache invalidation contract: a topology edit
+        # between two runs must rebind the solver to the new capacity map
+        # and still produce stats bit-identical to the reference solver.
+        switches = set(
+            build_topology(
+                "dragonfly", groups=4, routers_per_group=3, terminals=2
+            ).switches
         )
-        switches = [
-            node for node, data in topology.graph.nodes(data=True)
-            if data.get("role") == "switch"
-        ]
-        victim = next(
-            (u, v) for u, v in topology.graph.edges()
-            if u in set(switches) and v in set(switches)
-        )
-        events = [LinkEvent(2e-4, victim)]
 
         class CountingBinds(IndexedSolver):
             binds = 0
@@ -586,20 +610,30 @@ class TestFabricIntegration:
                 self.binds += 1
                 super().bind(capacities)
 
-        def run(solver):
+        def runs(solver):
+            topology = build_topology(
+                "dragonfly", groups=4, routers_per_group=3, terminals=2
+            )
             simulator = FabricSimulator(
                 topology, solver=solver, reroute_adaptively=True
             )
-            return simulator.run(
-                _uniform_flows(topology, 30, size=1e7), link_events=list(events)
+            flows = _uniform_flows(topology, 30, size=1e7)
+            first = simulator.run(flows)
+            victim = next(
+                (u, v) for u, v in topology.graph.edges()
+                if u in switches and v in switches
             )
+            topology.graph.remove_edge(*victim)
+            return first, simulator.run(flows)
 
-        reference = run(ReferenceSolver())
+        reference = runs(ReferenceSolver())
         counting = CountingBinds()
-        indexed = run(counting)
-        assert _stats_key(reference) == _stats_key(indexed)
-        # Construction binds once; the flap's _refresh_link_state re-binds.
-        assert counting.binds >= 2
+        indexed = runs(counting)
+        assert [_stats_key(s) for s in reference] == [
+            _stats_key(s) for s in indexed
+        ]
+        # Construction binds once; the second run's refresh re-binds.
+        assert counting.binds == 2
 
     @pytest.mark.parametrize("degrade", ["links", "switches"])
     def test_degraded_topologies_match(self, degrade):
@@ -698,3 +732,76 @@ class TestNumpyUnavailable:
         solver = IndexedSolver()
         solver.bind(dict(CAPS))
         assert solver.solve({1: [AB], 2: [AB]}) == ({1: 5.0, 2: 5.0}, set())
+
+
+class TestDegradedAndAdaptiveRuns:
+    """Whole runs the reproduction's own workloads never make: fabrics
+    degraded before the run, and hot-flow detours under adaptive
+    rerouting.  The indexed solver must give the reference's
+    ``FlowStats`` bit for bit."""
+
+    @staticmethod
+    def _degraded(kind):
+        from repro.sweep.targets import _FABRIC_TOPOLOGIES
+
+        topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
+        graph = topology.graph
+        switches = set(topology.switches)
+        link = next(
+            (u, v) for u, v in graph.edges() if u in switches and v in switches
+        )
+        graph.remove_edge(*link)
+        victim = topology.terminals[-1]
+        [switch] = graph.adj[victim]
+        graph.remove_edge(victim, switch)
+        return topology
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("kind", ["dragonfly", "fat-tree", "hyperx",
+                                      "torus", "two-tier"])
+    def test_degraded_fabric_runs_match_the_reference(self, kind, adaptive):
+        def run(solver):
+            topology = self._degraded(kind)
+            return FabricSimulator(
+                topology, congestion=congestion_policy("flow"),
+                reroute_adaptively=adaptive, solver=solver,
+                rng=RandomSource(seed=3, name="degraded"),
+            ).run(_uniform_flows(topology, 40, size=2e7))
+
+        reference = run(ReferenceSolver())
+        assert any(s.dropped for s in reference)
+        assert run(IndexedSolver()) == reference
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hot_flow_detours_match_the_reference(self, seed):
+        topology = build_topology(
+            "dragonfly", groups=4, routers_per_group=3, terminals=2
+        )
+        rng = RandomSource(seed=seed, name="incast")
+        hot = topology.terminals[-1]
+        flows = [
+            Flow(source=source, destination=hot, size=5e7,
+                 start_time=index * 1e-6, flow_id=index)
+            for index, source in enumerate(
+                rng.sample(list(topology.terminals[:-1]), 8)
+            )
+        ]
+        moves = []
+        move = fabric_module._Epoch._move
+
+        def counting_move(epoch, flow_id, path, links):
+            assert type(path) is tuple and type(links) is tuple
+            moves.append(flow_id)
+            move(epoch, flow_id, path, links)
+
+        results = []
+        for solver in (ReferenceSolver(), IndexedSolver()):
+            simulator = FabricSimulator(
+                topology, congestion=congestion_policy("flow"),
+                reroute_adaptively=True, solver=solver,
+                rng=RandomSource(seed=seed, name="detours"),
+            )
+            with mock.patch.object(fabric_module._Epoch, "_move", counting_move):
+                results.append(simulator.run(flows))
+        assert moves
+        assert results[0] == results[1]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
-from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
+from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect import routecache
 from repro.interconnect.graph import DiGraph, Graph, NetworkXNoPath, NodeNotFound
 from repro.interconnect.routecache import RouteCache, route_cache_for
@@ -70,11 +70,11 @@ class TestRouteCache:
         # Siblings on the same switch pair reuse the search's core, and
         # two terminals of one leaf need none.
         assert cache.minimal_route(terminals[1], terminals[-2]) == (
-            [terminals[1]] + first[1:-1] + [terminals[-2]]
+            terminals[1], *first[1:-1], terminals[-2]
         )
-        assert cache.minimal_route(terminals[0], terminals[1]) == [
+        assert cache.minimal_route(terminals[0], terminals[1]) == (
             terminals[0], first[1], terminals[1],
-        ]
+        )
         assert cache.hits == 3 and cache.misses == 1
 
     def test_links_of_memoised_for_canonical_paths(self):
@@ -86,6 +86,56 @@ class TestRouteCache:
         # A non-canonical path (fresh list) decomposes correctly too.
         detour = list(path)
         assert cache.links_of(detour) == cache.links_of(path)
+
+    def test_returned_routes_and_links_cannot_be_edited(self):
+        # They are shared by every caller (and, through the spec's core
+        # table, by other topologies): an in-place edit must raise.
+        topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
+        cache = RouteCache(topology)
+        source, destination = topology.terminals[0], topology.terminals[-1]
+        path, links = cache.minimal_route_links(source, destination)
+        assert path is cache.minimal_route(source, destination)
+        assert links is cache.links_of(path)
+        for shared in (path, links):
+            with pytest.raises(TypeError):
+                shared[0] = shared[-1]
+            with pytest.raises(AttributeError):
+                shared.append(shared[0])
+            with pytest.raises(TypeError):
+                shared[:] = []
+        # Concatenating builds a new route and leaves the memo alone.
+        longer = path + path[-2::-1]
+        assert len(longer) == 2 * len(path) - 1
+        assert cache.minimal_route(source, destination) == path
+        assert len(cache.links_of(list(path))) == len(path) - 1
+
+    @pytest.mark.parametrize("kind", sorted(_FABRIC_TOPOLOGIES))
+    def test_every_lookup_hands_out_tuples(self, kind):
+        # Terminal pairs (from a switch pair's core, from the shared
+        # attachment switch) and switch pairs (searched on their own).
+        topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
+        cache = route_cache_for(topology)
+        terminals, switches = topology.terminals, topology.switches
+        for source, destination in [
+            (terminals[0], terminals[-1]), (terminals[-1], terminals[0]),
+            (terminals[0], terminals[1]), (switches[0], switches[-1]),
+            (terminals[0], switches[-1]),
+        ]:
+            path, links = cache.minimal_route_links(source, destination)
+            assert type(path) is tuple and type(links) is tuple
+            assert links == tuple(zip(path, path[1:]))
+            assert cache.links_of(path) is links
+            assert type(cache.links_of(list(path))) is tuple
+
+    def test_fabric_paths_are_tuples_under_both_routings(self):
+        topology = build_topology("dragonfly", groups=4, routers_per_group=3,
+                                  terminals=2)
+        for routing in ("minimal", "valiant"):
+            simulator = FabricSimulator(topology, routing=routing)
+            flow = Flow(topology.terminals[0], topology.terminals[-1], 1e6)
+            path, links = simulator._route(flow)
+            assert type(path) is tuple and type(links) is tuple
+            assert links == tuple(zip(path, path[1:]))
 
     def test_link_capacities_shared_map(self):
         topology = build_topology("two-tier", leaves=4, spines=2, terminals=4)
@@ -274,18 +324,19 @@ class TestInvalidation:
             topology.graph.add_edge(*victim, **attrs)
 
 
-    def test_simulator_bound_before_another_ones_flaps_still_runs(self):
-        # Both simulators share the topology's cache; a link event in the
-        # first rebuilds the capacity map the second was bound to.
+    def test_simulator_bound_before_a_link_edit_still_runs(self):
+        # Both simulators share the topology's cache; a link removed and
+        # put back after the first was bound rebuilds its capacity map.
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         early = FabricSimulator(topology)
-        flapping = FabricSimulator(topology)
         victim = next(
             (u, v) for u, v in topology.graph.edges()
             if u in topology.switches and v in topology.switches
         )
+        attrs = dict(topology.graph.edges[victim])
+        topology.graph.remove_edge(*victim)
+        topology.graph.add_edge(*victim, **attrs)
         flows = _uniform_flows(topology, 10)
-        flapping.run(flows, link_events=[LinkEvent(time=0.0, link=victim)])
         fresh = FabricSimulator(topology).run(flows)
         assert _stats_key(early.run(flows)) == _stats_key(fresh)
 
@@ -356,7 +407,7 @@ class TestShortestPathPort:
         nodes = list(graph.nodes)
         for source in nodes:
             for destination in nodes:
-                assert cache.minimal_route(source, destination) == (
+                assert list(cache.minimal_route(source, destination)) == (
                     nx.shortest_path(graph, source, destination)
                 ), (source, destination)
 
@@ -376,12 +427,12 @@ class TestShortestPathPort:
                     with pytest.raises(NetworkXNoPath):
                         cache.minimal_route(source, destination)
                     continue
-                assert cache.minimal_route(source, destination) == expected
+                assert list(cache.minimal_route(source, destination)) == expected
 
     def test_source_equals_destination(self):
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         node = topology.terminals[0]
-        assert RouteCache(topology).minimal_route(node, node) == [node]
+        assert RouteCache(topology).minimal_route(node, node) == (node,)
 
     def test_unknown_node_raises_node_not_found(self):
         topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
@@ -453,7 +504,7 @@ class TestShortestPathPort:
         attrs = dict(graph.edges[u, v])
         graph.remove_edge(u, v)
         after = cache.minimal_route(source, destination)
-        assert after == nx.shortest_path(
+        assert list(after) == nx.shortest_path(
             networkx_twin(graph), source, destination
         )
         assert (u, v) not in zip(after, after[1:])
@@ -506,7 +557,7 @@ class TestSwitchPairCores:
         cache = route_cache_for(second)
         for source in terminals:
             for destination in terminals:
-                assert cache.minimal_route(source, destination) == (
+                assert list(cache.minimal_route(source, destination)) == (
                     nx.shortest_path(graph, source, destination)
                 ), (source, destination)
         # Only the source == destination lookups went to the search.
@@ -523,7 +574,7 @@ class TestSwitchPairCores:
         # Terminal <-> switch and switch <-> switch pairs.
         for pair in [(t0, other_leaf), (t1, other_leaf), (other_leaf, t0),
                      (other_leaf, t1), (leaf, other_leaf), (spine, other_leaf)]:
-            assert cache.minimal_route(*pair) == nx.shortest_path(
+            assert list(cache.minimal_route(*pair)) == nx.shortest_path(
                 networkx_twin(topology.graph), *pair
             )
         assert (cache.hits, cache.misses) == (0, 6)
@@ -533,14 +584,16 @@ class TestSwitchPairCores:
                                 latency=300e-9, optical=False)
         graph = networkx_twin(topology.graph)
         for pair in [(t1, t3), (t0, t2), (t2, t0), (t1, t2)]:
-            assert cache.minimal_route(*pair) == nx.shortest_path(graph, *pair)
-        assert cache.minimal_route(t0, t2) == [t0, other_leaf, t2]
+            assert list(cache.minimal_route(*pair)) == nx.shortest_path(
+                graph, *pair
+            )
+        assert cache.minimal_route(t0, t2) == (t0, other_leaf, t2)
         # (t1, t2) reuses the edited graph's (t1, t3) search.
         assert (cache.hits, cache.misses) == (2, 10)
         # The spec's table kept the unedited graph's core.
         rebuilt = build_topology("two-tier", leaves=2, spines=2, terminals=2)
         fresh = route_cache_for(rebuilt)
-        assert fresh.minimal_route(t0, t2) == nx.shortest_path(
+        assert list(fresh.minimal_route(t0, t2)) == nx.shortest_path(
             networkx_twin(rebuilt.graph), t0, t2
         )
         assert (fresh.hits, fresh.misses) == (1, 0)
@@ -559,7 +612,7 @@ class TestSwitchPairCores:
         link = tuple(edited.switches[:2])
         assert route_cache_for(edited).minimal_route(
             terminals[0], terminals[2]
-        )[1:3] == list(link)
+        )[1:3] == link
 
         def edit_in_place(graph):
             if edit == "remove-edge":
@@ -601,7 +654,7 @@ class TestSwitchPairCores:
         reference = build_topology("dragonfly", **spec)
         graph = networkx_twin(reference.graph)
         terminals = reference.terminals
-        expected = {(s, t): nx.shortest_path(graph, s, t)
+        expected = {(s, t): tuple(nx.shortest_path(graph, s, t))
                     for s in terminals for t in terminals}
         # A topology not built from a spec keeps its maps to itself.
         private = route_cache_for(Topology("private", reference.graph))

@@ -13,7 +13,11 @@ The shared-telemetry case uses non-integer flow sizes on two runs over
 one :class:`~repro.observability.Telemetry`, so a series that restarted
 from 0.0 in the second run and was added to the first run's total
 afterwards would round differently from the same additions made in
-order.
+order.  Its topology has a terminal cut off and two router links
+removed before the runs, so flows to or from that terminal are dropped
+at admission and others take longer routes.  (It ran on mid-run link
+flaps until those were removed from the fabric; its digests were then
+taken anew, from the code before that removal.)
 """
 
 import hashlib
@@ -26,7 +30,7 @@ from repro.core.errors import SimulationError
 from repro.core.rng import RandomSource
 from repro.interconnect import fabric
 from repro.interconnect.congestion import congestion_policy
-from repro.interconnect.fabric import FabricSimulator, Flow, LinkEvent
+from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
 from repro.observability import Telemetry
 from repro.sweep import named_sweep, run_sweep
@@ -69,9 +73,8 @@ def fresh_flow_ids(monkeypatch):
     monkeypatch.setattr(fabric, "_flow_ids", itertools.count())
 
 
-def _flap_traffic(topology, rng, run: int):
-    """Mice between random pairs and an elephant incast on one terminal,
-    while a terminal link and two router links go down and come back."""
+def _traffic(topology, rng, run: int):
+    """Mice between random pairs and an elephant incast on one terminal."""
     terminals = topology.terminals
     hot = terminals[-1]
     flows = []
@@ -83,32 +86,28 @@ def _flap_traffic(topology, rng, run: int):
             size, tag = 1e5 * (1.37 + (index % 7) * 0.113) + run * 0.3, "mice"
         flows.append(Flow(source=source, destination=destination, size=size,
                           start_time=index * 2e-5, tag=tag))
-    cut = terminals[run * 5]
-    router = topology.graph.nodes[cut]["attached_to"]
-    events = [
-        LinkEvent(1e-4, (cut, router)),
-        LinkEvent(3e-4, ("s1", "s6")),
-        LinkEvent(4e-4, ("s2", "s9")),
-        LinkEvent(9e-4, ("s1", "s6"), up=True),
-        LinkEvent(1.2e-3, (cut, router), up=True),
-    ]
-    return flows, events
+    return flows
 
 
 def shared_telemetry_runs() -> Telemetry:
-    """Two flapping runs, two tags and adaptive reroute on one Telemetry."""
+    """Two runs on a degraded dragonfly, two tags and adaptive reroute
+    on one Telemetry."""
     telemetry = Telemetry()
     topology = build_topology(
         "dragonfly", groups=4, routers_per_group=3, terminals=2
     )
+    graph = topology.graph
+    cut = topology.terminals[0]
+    graph.remove_edge(cut, graph.nodes[cut]["attached_to"])
+    graph.remove_edge("s1", "s6")
+    graph.remove_edge("s2", "s9")
     simulator = FabricSimulator(
         topology, congestion=congestion_policy("flow"),
         reroute_adaptively=True, telemetry=telemetry,
     )
     rng = RandomSource(seed=5, name="run-telemetry")
     for run in range(2):
-        flows, events = _flap_traffic(topology, rng, run)
-        simulator.run(flows, link_events=events)
+        simulator.run(_traffic(topology, rng, run))
     return telemetry
 
 
@@ -136,7 +135,7 @@ def max_iterations_run() -> Telemetry:
 PINNED = {
     "C1": ("00698a881079e526", "ca8cd6e6c2135281"),
     "C2": ("58769508cd49d76d", "4f1f7317aab92d3b"),
-    "shared": ("76311538caad4a24", "f890195657a74c56"),
+    "shared": ("909463529c892ce8", "2f659acfa9e7d834"),
     "max_iterations": ("7edb924fb91a5704", "4af38abc226b4fa6"),
 }
 
@@ -154,7 +153,7 @@ def test_profile_telemetry_is_pinned(case):
 
 def test_shared_telemetry_runs_are_pinned():
     telemetry = shared_telemetry_runs()
-    for name in ("fabric.flows.dropped", "fabric.flows.rerouted",
+    for name in ("fabric.flows.dropped", "fabric.flow_bytes_lost",
                  "fabric.congestion_events"):
         assert telemetry.metrics.get(name).total() > 0, name
     assert {labels["tag"] for labels in

@@ -12,10 +12,6 @@ from repro.interconnect.switch import (
 
 
 class TestSwitchSpec:
-    def test_throughput(self):
-        spec = SwitchSpec(radix=64, port_gbps=200.0)
-        assert spec.throughput_tbps == pytest.approx(12.8)
-        assert spec.throughput_bytes_per_s == pytest.approx(12.8e12 / 8)
 
     def test_rejects_invalid(self):
         with pytest.raises(ConfigurationError):

@@ -72,17 +72,6 @@ class TestAdmission:
         with pytest.raises(CapacityError):
             fabric.allocate(VirtualNetwork(tenant="b", bandwidth_share=0.5))
 
-    def test_release_frees_share(self, topology):
-        fabric = SlicedFabric(topology)
-        fabric.allocate(VirtualNetwork(tenant="a", bandwidth_share=0.7))
-        fabric.release("a")
-        assert fabric.remaining_share() == pytest.approx(1.0)
-        fabric.allocate(VirtualNetwork(tenant="b", bandwidth_share=0.9))
-
-    def test_release_unknown_raises(self, topology):
-        with pytest.raises(KeyError):
-            SlicedFabric(topology).release("ghost")
-
 
 class TestIsolation:
     def test_sliced_tenants_cannot_disturb_each_other(self, topology):

@@ -126,12 +126,6 @@ class TestLiquidity:
         without_broker.run(60)
         assert sum(with_broker.volume_history) >= sum(without_broker.volume_history)
 
-    def test_fill_rate_bounds(self):
-        _, simulation, *_ = build_market()
-        simulation.run(40)
-        rate = simulation.fill_rate(offered_per_round=120.0)
-        assert 0.0 < rate
-
 
 class TestValidation:
     def test_mean_price_requires_trades(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.errors import SchedulingError
 from repro.federation.bursting import BurstingPolicy
 from repro.federation.site import Site, SiteKind
 from repro.federation.wan import WanLink, WanNetwork
@@ -79,35 +78,6 @@ class TestClusterTelemetry:
             if c.name.startswith("queue_depth:")
         ]
         assert 1 in sampled  # the backlog was visible while "second" waited
-
-
-class TestPreemption:
-    def test_preempt_requeues_remaining_runtime(self, cluster):
-        record = cluster.submit(make_job("victim", ranks=4))
-        filler = cluster.submit(make_job("filler", ranks=4, arrival=0.0))
-        sim = cluster.simulation
-        sim.run(max_events=2)  # victim is now running
-        half = record.predicted_runtime / 2
-        sim.schedule(half, lambda: cluster.preempt(record.job.job_id))
-        cluster.run()
-        assert record.preemptions == 1
-        assert record.finish_time is not None
-        metrics = cluster.telemetry.metrics
-        assert metrics.get("cluster.preemptions").total() == 1
-        # Partial run span is marked; a preempt instant exists.
-        partial = [
-            s for s in cluster.telemetry.tracer.spans_in(CATEGORY_JOB)
-            if s.args.get("preempted")
-        ]
-        assert len(partial) == 1
-        assert any(
-            i.name == "preempt" for i in cluster.telemetry.tracer.instants
-        )
-        assert filler.finish_time is not None
-
-    def test_preempting_non_running_job_raises(self, cluster):
-        with pytest.raises(SchedulingError):
-            cluster.preempt(12345)
 
 
 class TestWanTelemetry:

@@ -22,18 +22,9 @@ from hypothesis import strategies as st
 from repro.core.rng import RandomSource
 from repro.hardware import Precision
 from repro.interconnect.topology import TopologySpec, build_topology
-from repro.resilience.faults import (
-    FailureProcess,
-    FaultCampaign,
-    LinkFlapSpec,
-    NodeFaultSpec,
-    SiteOutageSpec,
-)
+from repro.resilience.faults import FailureProcess, FaultCampaign, NodeFaultSpec
+from repro.resilience.memerrors import MemoryErrorCampaign, MemoryErrorSpec
 from repro.workloads.base import JobClass, make_single_kernel_job
-
-#: Link population handed to strategies that materialise LINK flap
-#: timelines without building a real fabric first.
-CANNED_LINKS = (("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s0", "s3"))
 
 
 def seeds() -> st.SearchStrategy:
@@ -140,8 +131,10 @@ def failure_processes(draw) -> FailureProcess:
 
 
 @st.composite
-def fault_campaigns(draw, site: str = "prop-site") -> FaultCampaign:
-    """A campaign mixing node faults, link flaps and site outages."""
+def fault_campaigns(draw, site: str = "prop-site") -> MemoryErrorCampaign:
+    """Node faults at ``site`` under memory-error processes in its
+    region: the base campaign draws from ``node/<i>`` forks and each
+    memory spec from ``mem/<i>``."""
     horizon = draw(st.floats(1_000.0, 50_000.0))
     node_faults = tuple(
         NodeFaultSpec(
@@ -151,26 +144,18 @@ def fault_campaigns(draw, site: str = "prop-site") -> FaultCampaign:
         )
         for _ in range(draw(st.integers(0, 2)))
     )
-    link_flaps = tuple(
-        LinkFlapSpec(
-            process=draw(failure_processes()),
-            repair_time=draw(st.floats(1.0, 120.0)),
+    memory = tuple(
+        MemoryErrorSpec(
+            region=site,
+            capacity_bytes=draw(st.floats(2.0**30, 2.0**40)),
+            fit_per_gib=draw(st.floats(1e4, 1e7)),
         )
-        for _ in range(draw(st.integers(0, 1)))
+        for _ in range(draw(st.integers(0, 2)))
     )
-    site_outages = tuple(
-        SiteOutageSpec(
-            site=site,
-            duration=draw(st.floats(60.0, 3_600.0)),
-            at=draw(st.floats(0.0, horizon)),
-        )
-        for _ in range(draw(st.integers(0, 1)))
-    )
-    return FaultCampaign(
+    return MemoryErrorCampaign(
         horizon=horizon,
-        node_faults=node_faults,
-        link_flaps=link_flaps,
-        site_outages=site_outages,
+        memory=memory,
+        base=FaultCampaign(horizon=horizon, node_faults=node_faults),
     )
 
 
@@ -179,5 +164,5 @@ def fault_timelines(draw):
     """A materialised, sorted fault timeline plus the campaign behind it."""
     campaign = draw(fault_campaigns())
     rng = RandomSource(seed=draw(seeds()), name="proptest/faults")
-    timeline = campaign.timeline(rng, links=CANNED_LINKS)
+    timeline = campaign.timeline(rng)
     return campaign, timeline

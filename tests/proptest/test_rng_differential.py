@@ -296,9 +296,6 @@ def test_market_means_match_numpy(length):
     assert _bits(simulation.mean_price(last=5)) == _bits(
         float(np.mean(simulation.price_history[-5:]))
     )
-    assert _bits(simulation.fill_rate(3.0)) == _bits(
-        float(np.mean(simulation.volume_history)) / 3.0
-    )
 
 
 def _numpy_equilibrium_round(prices, window, tolerance):

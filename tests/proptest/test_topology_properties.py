@@ -72,7 +72,7 @@ class TestRouteSymmetry:
     def test_self_route_is_trivial(self, topology):
         terminal = topology.terminals[0]
         cache = route_cache_for(topology)
-        assert cache.minimal_route(terminal, terminal) == [terminal]
+        assert cache.minimal_route(terminal, terminal) == (terminal,)
         assert cache.propagation_delay([terminal]) == 0.0
 
 

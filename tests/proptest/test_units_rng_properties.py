@@ -18,6 +18,7 @@ from repro.core.units import (
     format_rate,
     format_time,
 )
+from repro.resilience.faults import FaultKind
 
 from tests.proptest import strategies as props
 
@@ -160,10 +161,13 @@ class TestFaultStrategyProperties:
     @given(seed=props.seeds(), campaign=props.fault_campaigns())
     @settings(max_examples=20, deadline=None)
     def test_timeline_generation_is_seed_stable(self, seed, campaign):
-        first = campaign.timeline(
-            RandomSource(seed=seed, name="replay"), links=props.CANNED_LINKS
-        )
-        second = campaign.timeline(
-            RandomSource(seed=seed, name="replay"), links=props.CANNED_LINKS
-        )
+        first = campaign.timeline(RandomSource(seed=seed, name="replay"))
+        second = campaign.timeline(RandomSource(seed=seed, name="replay"))
         assert first == second
+
+    @given(seed=props.seeds(), campaign=props.fault_campaigns())
+    @settings(max_examples=20, deadline=None)
+    def test_memory_specs_leave_the_node_timeline_alone(self, seed, campaign):
+        merged = campaign.timeline(RandomSource(seed=seed, name="replay"))
+        alone = campaign.base.timeline(RandomSource(seed=seed, name="replay"))
+        assert [e for e in merged if e.kind is FaultKind.NODE] == alone

@@ -5,12 +5,19 @@ import math
 import pytest
 
 from repro.core.rng import RandomSource
+from repro.observability import Telemetry
 from repro.resilience import (
     CheckpointPlan,
+    FailureProcess,
+    FaultCampaign,
+    FaultInjector,
+    NodeFaultSpec,
     RetryPolicy,
     check_conservation,
     cluster_report,
 )
+from repro.resilience.recovery import bind_cluster
+from repro.validate.invariants import InvariantChecker
 from tests.resilience.conftest import make_cluster, make_job
 
 
@@ -208,48 +215,6 @@ class TestNodeChurn:
         assert "wide" in names  # 3x the footprint, should dominate
 
 
-class TestEvacuation:
-    def test_evacuate_displaces_everything(self):
-        cluster = make_cluster(nodes=2)
-        running = make_job(300.0, name="running")
-        queued = make_job(300.0, name="queued", ranks=2)
-        staging = make_job(300.0, name="staging")
-        cluster.submit(running)
-        cluster.submit(queued)
-        cluster.submit(staging, transfer_time=1_000.0)
-        displaced = []
-        cluster.simulation.schedule_at(
-            50.0, lambda: displaced.extend(cluster.evacuate())
-        )
-        cluster.run()
-        assert {j.name for j in displaced} == {"running", "queued", "staging"}
-        assert cluster.records == []
-        assert len(cluster.evacuated_records) == 3
-        assert cluster.free_devices == 2
-        tally = check_conservation(cluster)
-        assert tally["evacuated"] == 3
-
-    def test_restore_resumes_dispatch(self):
-        """Work arriving during an outage queues up and starts at restore."""
-        cluster = make_cluster(nodes=1)
-        cluster.simulation.schedule_at(0.0, lambda: cluster.evacuate())
-        records = []
-        cluster.simulation.schedule_at(
-            10.0, lambda: records.append(cluster.submit(make_job(50.0, arrival=10.0)))
-        )
-        cluster.simulation.schedule_at(100.0, lambda: cluster.restore())
-        cluster.run()
-        assert records[0].start_time == pytest.approx(100.0)
-        check_conservation(cluster)
-
-    def test_evacuated_progress_is_wasted(self):
-        cluster = make_cluster(nodes=1)
-        cluster.submit(make_job(300.0))
-        cluster.simulation.schedule_at(120.0, lambda: cluster.evacuate())
-        cluster.run()
-        assert cluster.wasted_device_seconds == pytest.approx(120.0)
-
-
 class TestReport:
     def test_report_totals_match_ledgers(self):
         policy = RetryPolicy(max_retries=2, base_delay=1.0, jitter=0.0)
@@ -271,3 +236,66 @@ class TestReport:
         assert report.goodput <= report.utilization + 1e-12
         if report.kills:
             assert report.mtti == pytest.approx(report.makespan / report.kills)
+
+
+class TestConservationUnderChurn:
+    """The job ledger balances at every instant of a churn run, not only
+    at its end: a daemon probe checks it every 25 simulated seconds."""
+
+    @staticmethod
+    def _churn(seed, telemetry=None):
+        """A two-node cluster, six jobs and a node-fault campaign."""
+        cluster = make_cluster(
+            nodes=2, telemetry=telemetry,
+            retry_policy=RetryPolicy(max_retries=3, base_delay=5.0, jitter=0.0),
+            rng=RandomSource(seed=seed, name="victims"),
+        )
+        if telemetry is not None:
+            telemetry.bind_simulation(cluster.simulation)
+        campaign = FaultCampaign(
+            horizon=5_000.0,
+            node_faults=(NodeFaultSpec(
+                "testsite", FailureProcess(mtbf=300.0), repair_time=60.0,
+            ),),
+        )
+        injector = FaultInjector(
+            cluster.simulation, campaign, RandomSource(seed=seed, name="faults")
+        )
+        bind_cluster(injector, cluster)
+        injector.install()
+        for index in range(6):
+            cluster.submit(make_job(400.0, name=f"j{index}",
+                                    arrival=index * 100.0))
+        return cluster, injector
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ledger_balances_throughout(self, seed):
+        cluster, injector = self._churn(seed)
+        checks = []
+        for tick in range(1, 200):
+            cluster.simulation.schedule_at(
+                tick * 25.0,
+                lambda: checks.append(check_conservation(cluster)),
+                daemon=True,
+            )
+        cluster.run()
+        final = check_conservation(cluster)
+        assert checks and final["in_flight"] == 0
+        assert final["completed"] + final["dead"] == final["submitted"] == 6
+        assert injector.injected > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_run_invariants_hold(self, seed):
+        telemetry = Telemetry()
+        cluster, injector = self._churn(seed, telemetry)
+        cluster.run()
+        checker = InvariantChecker()
+        checker.check_cluster(cluster)
+        checker.check_telemetry(telemetry, drained=True)
+        checker.assert_clean()
+        metrics = telemetry.metrics
+        assert metrics.get("cluster.jobs.submitted").total() == 6
+        # A fault finding every node already down takes none.
+        failed = metrics.get("cluster.nodes.failed").total()
+        assert 0 < failed <= injector.injected
+        assert metrics.get("cluster.nodes.repaired").total() == failed

@@ -5,17 +5,18 @@ from repro.resilience import (
     FailureProcess,
     FaultCampaign,
     FaultInjector,
-    LinkFlapSpec,
+    FaultKind,
+    MemoryErrorCampaign,
+    MemoryErrorSpec,
     NodeFaultSpec,
     RetryPolicy,
-    SiteOutageSpec,
 )
 from repro.resilience.recovery import bind_cluster
 from repro.sweep import SweepSpec, named_sweep, run_sweep
 from tests.resilience.conftest import make_cluster, make_job
 
 
-def _campaign():
+def _node_campaign():
     return FaultCampaign(
         horizon=20_000.0,
         node_faults=(
@@ -23,8 +24,19 @@ def _campaign():
                 "testsite", FailureProcess(mtbf=1_500.0), repair_time=50.0
             ),
         ),
-        link_flaps=(LinkFlapSpec(FailureProcess(mtbf=5_000.0)),),
-        site_outages=(SiteOutageSpec(site="other", at=9_000.0, duration=500.0),),
+    )
+
+
+def _campaign():
+    """Node faults here, plus memory upsets in a region nothing binds."""
+    return MemoryErrorCampaign(
+        horizon=20_000.0,
+        memory=(
+            MemoryErrorSpec(
+                region="other", fit_per_gib=5e6, capacity_bytes=64 * 2**30
+            ),
+        ),
+        base=_node_campaign(),
     )
 
 
@@ -39,7 +51,6 @@ def _ledger(seed):
         cluster.simulation,
         _campaign(),
         RandomSource(seed=seed, name="faults"),
-        links=[("s0", "s1")],
     )
     bind_cluster(injector, cluster)
     injector.install()
@@ -74,6 +85,15 @@ class TestReplays:
         timeline_a, _ = _ledger(42)
         timeline_b, _ = _ledger(43)
         assert timeline_a != timeline_b
+
+    def test_memory_specs_leave_the_node_timeline_alone(self):
+        # Each spec draws from its own named fork: the node faults of the
+        # merged campaign are the base campaign's, event for event.
+        merged = _campaign().timeline(RandomSource(seed=42, name="faults"))
+        alone = _node_campaign().timeline(RandomSource(seed=42, name="faults"))
+        kinds = {event.kind for event in merged}
+        assert kinds == {FaultKind.NODE, FaultKind.MEMORY}
+        assert [e for e in merged if e.kind is FaultKind.NODE] == alone
 
 
 class TestSweepDeterminism:

@@ -76,7 +76,7 @@ class TestHandlersAndTelemetry:
             timeline=[FaultEvent(1.0, FaultKind.NODE, "a", 2.0)],
         )
         injector.on(FaultKind.NODE, lambda e, repaired: calls.append(repaired))
-        injector.on(FaultKind.SITE, lambda e, repaired: calls.append("wrong"))
+        injector.on(FaultKind.MEMORY, lambda e, repaired: calls.append("wrong"))
         injector.install()
         simulation.schedule_at(1.0, lambda: None)
         simulation.run()

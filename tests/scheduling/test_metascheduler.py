@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.rng import RandomSource
 from repro.federation import Dataset
+from repro.resilience.metrics import check_conservation
 from repro.scheduling.metascheduler import MetaScheduler, PlacementPolicy
 from repro.workloads.ai import build_mlp
 from repro.workloads.base import JobClass, make_single_kernel_job
@@ -136,3 +137,24 @@ class TestMetrics:
     def test_gravity_weight_validation(self, small_federation):
         with pytest.raises(ValueError):
             MetaScheduler(small_federation, gravity_weight=-1.0)
+
+
+class TestEveryPolicy:
+    """Every placement policy places each feasible job on a pool of the
+    federation, every placed job finishes, and each pool's job ledger
+    balances (placement never strands a job)."""
+
+    @pytest.mark.parametrize("policy", list(PlacementPolicy))
+    def test_places_and_finishes_every_job(self, small_federation, policy):
+        scheduler = MetaScheduler(
+            small_federation, policy=policy, rng=RandomSource(seed=4)
+        )
+        trace = small_trace(max_jobs=20)
+        records = scheduler.run(trace)
+        assert len(records) + len(scheduler.rejected) == len(trace)
+        assert len(scheduler.decisions) == len(records)
+        for decision in scheduler.decisions:
+            assert (decision.site.name, decision.device.name) in scheduler.pools
+        for pool in scheduler.pools.values():
+            tally = check_conservation(pool)
+            assert tally["in_flight"] == 0 and tally["dead"] == 0

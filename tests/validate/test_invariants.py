@@ -168,7 +168,6 @@ class TestClusterChecks:
         stub = SimpleNamespace(
             site=SimpleNamespace(name="stub-site"),
             records=[SimpleNamespace(finish_time=1.0)],
-            evacuated_records=[],
             dead_jobs=[object()],  # dead job with no matching record
             queue_depth=0,
             _running={},
@@ -188,7 +187,7 @@ class TestClusterChecks:
     def test_negative_accounting_is_flagged(self):
         stub = SimpleNamespace(
             site=SimpleNamespace(name="stub-site"),
-            records=[], evacuated_records=[], dead_jobs=[],
+            records=[], dead_jobs=[],
             queue_depth=0, _running={}, pending_requeues=0,
             utilization=lambda: 0.0, makespan=lambda: 0.0,
             useful_device_seconds=-5.0,

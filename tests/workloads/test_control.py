@@ -25,15 +25,6 @@ class TestDecisionMaker:
         assert maker.utilisation(50.0) == 0.5
         assert maker.utilisation(200.0) == 2.0
 
-    def test_latency_diverges_at_saturation(self):
-        maker = DecisionMaker("x", service_latency=0.01, capacity=100.0)
-        assert maker.expected_latency(99.0) < float("inf")
-        assert maker.expected_latency(100.0) == float("inf")
-
-    def test_latency_grows_with_load(self):
-        maker = DecisionMaker("x", service_latency=0.01, capacity=100.0)
-        assert maker.expected_latency(90.0) > maker.expected_latency(10.0)
-
     def test_timeliness_zero_when_saturated(self):
         maker = DecisionMaker("x", service_latency=0.01, capacity=10.0)
         assert maker.timeliness(20.0, deadline=100.0) == 0.0

@@ -3,18 +3,17 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
 from repro.workloads.edge import DetectorPreset, InstrumentStream
 
 
 class TestDetectorPreset:
-    def test_light_source_rate(self):
-        preset = DetectorPreset.LIGHT_SOURCE_IMAGING
-        assert preset.data_rate == pytest.approx(3_000.0 * 8e6)
-
-    def test_all_presets_have_positive_rates(self):
-        for preset in DetectorPreset:
-            assert preset.data_rate > 0
+    @pytest.mark.parametrize("preset", list(DetectorPreset))
+    def test_stream_data_rate_is_event_rate_times_event_size(self, preset):
+        stream = InstrumentStream(preset=preset, rate_scale=2.0)
+        assert preset.event_rate > 0 and preset.event_bytes > 0
+        assert stream.event_rate == 2.0 * preset.event_rate
+        assert stream.data_rate == stream.event_rate * preset.event_bytes
+        assert stream.total_bytes == stream.data_rate * stream.duration
 
 
 class TestInstrumentStream:
@@ -57,25 +56,3 @@ class TestInstrumentStream:
         stream = InstrumentStream(preset=DetectorPreset.RADIO_TELESCOPE)
         with pytest.raises(ConfigurationError):
             stream.filtered_bytes_with_recall(1.5, 0.0)
-
-
-class TestEventArrivals:
-    def test_arrivals_sorted_and_bounded(self):
-        stream = InstrumentStream(
-            preset=DetectorPreset.CRYO_EM, duration=10.0
-        )
-        arrivals = stream.event_arrivals(RandomSource(seed=8))
-        times = [t for t, _ in arrivals]
-        assert times == sorted(times)
-        assert all(0 < t <= 10.0 for t in times)
-
-    def test_rate_roughly_matches(self):
-        stream = InstrumentStream(preset=DetectorPreset.CRYO_EM, duration=50.0)
-        arrivals = stream.event_arrivals(RandomSource(seed=8), max_events=10_000)
-        observed_rate = len(arrivals) / 50.0
-        assert observed_rate == pytest.approx(stream.event_rate, rel=0.2)
-
-    def test_max_events_cap(self):
-        stream = InstrumentStream(preset=DetectorPreset.PARTICLE_DETECTOR, duration=3600.0)
-        arrivals = stream.event_arrivals(RandomSource(seed=8), max_events=100)
-        assert len(arrivals) == 100

@@ -85,14 +85,6 @@ class TestDenseLinearAlgebra:
         large = dense_linear_algebra(matrix_dim=5000)
         assert large.arithmetic_intensity() > small.arithmetic_intensity()
 
-    def test_single_rank_has_no_comm(self):
-        job = dense_linear_algebra(matrix_dim=1000, ranks=1)
-        assert job.total_comm_bytes == 0.0
-
-    def test_multi_rank_communicates(self):
-        job = dense_linear_algebra(matrix_dim=1000, ranks=4)
-        assert job.total_comm_bytes > 0.0
-
 
 class TestSpectrumCoverage:
     def test_kernels_span_the_intensity_spectrum(self):

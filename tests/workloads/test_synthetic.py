@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.datafoundation.lineage import LineageGraph
-from repro.federation import Federation, Site, SiteKind
 from repro.workloads.base import JobClass
-from repro.workloads.synthetic import GanPair, build_gan, synthesise_dataset
+from repro.workloads.synthetic import GanPair, build_gan
 
 
 @pytest.fixture
@@ -53,38 +51,3 @@ class TestGanPair:
         io_phases = [p for t in job.tasks for p in t.phases if p.io_bytes > 0]
         assert io_phases
         assert io_phases[0].io_bytes == pytest.approx(100 * gan.sample_bytes)
-
-
-class TestSynthesiseDataset:
-    @pytest.fixture
-    def federation(self, catalog):
-        federation = Federation(name="synth")
-        site = Site(
-            name="core", kind=SiteKind.SUPERCOMPUTER,
-            devices={catalog.get("hpc-gpu"): 8},
-        )
-        federation.add_site(site)
-        return federation, site
-
-    def test_dataset_registered_with_size(self, gan, federation, catalog):
-        fed, site = federation
-        dataset, elapsed = synthesise_dataset(
-            gan, samples=10_000, device=catalog.get("hpc-gpu"),
-            federation=fed, site=site, dataset_name="synthetic-events",
-        )
-        assert elapsed > 0
-        assert dataset.size_bytes == pytest.approx(10_000 * gan.sample_bytes)
-        assert fed.catalog.get("synthetic-events").has_replica_at(site)
-
-    def test_provenance_records_source(self, gan, federation, catalog):
-        fed, site = federation
-        lineage = LineageGraph()
-        synthesise_dataset(
-            gan, samples=100, device=catalog.get("hpc-gpu"),
-            federation=fed, site=site, dataset_name="synthetic",
-            lineage=lineage, source_dataset="real-measurements",
-        )
-        assert lineage.sources_of("synthetic") == {"real-measurements"}
-        producer = lineage.producer("synthetic")
-        assert producer is not None
-        assert "generator" in producer.parameters
