@@ -112,17 +112,28 @@ class CheckpointPlan:
 def bind_cluster(injector: FaultInjector, cluster) -> None:
     """Route NODE faults at the cluster's site to kill/repair reactions.
 
-    ``cluster`` duck-types :class:`~repro.scheduling.cluster.ClusterSimulator`:
-    it needs ``site.name``, ``fail_node()`` and ``repair_node()``.
+    A fault that finds every node already down takes none, so its repair
+    brings none back: a node returns only at the repair of the fault that
+    took it.  ``cluster`` duck-types
+    :class:`~repro.scheduling.cluster.ClusterSimulator`: it needs
+    ``site.name``, ``failed_nodes``, ``fail_node()`` and ``repair_node()``.
     """
     site_name = cluster.site.name
+    # The faults whose node is still down, by identity: two faults may
+    # be equal in time, target and duration.
+    holding = set()
 
     def react(event: FaultEvent, repaired: bool) -> None:
         if event.target != site_name:
             return
         if repaired:
-            cluster.repair_node()
+            if id(event) in holding:
+                holding.remove(id(event))
+                cluster.repair_node()
         else:
+            failed = cluster.failed_nodes
             cluster.fail_node()
+            if cluster.failed_nodes > failed:
+                holding.add(id(event))
 
     injector.on(FaultKind.NODE, react)

@@ -477,7 +477,12 @@ def check_solvers(
     new path under a surviving flow's key), re-admission of a departed
     flow id (which moves it to the end of admission order) and a path
     list rewritten in place — the changes the link index the indexed
-    solver keeps across epochs has to follow.  Per epoch the rates, their
+    solver keeps across epochs has to follow.  Then ``epochs // 2``
+    *island* epochs run on a fresh pair of solvers: flows on runs of up
+    to three link-disjoint routes, so each epoch spans several
+    components, with the arrivals, departures and reroutes of an epoch
+    confined to one island; the untouched islands keep their logged
+    rounds (the detail reports how many).  Per epoch the rates, their
     insertion order and the saturated-link set must be ``==`` to the
     reference's.  One
     end-to-end :class:`~repro.interconnect.fabric.FabricSimulator` run per
@@ -501,6 +506,28 @@ def check_solvers(
     ]
     rng = RandomSource(seed=seed, name="validate/solvers")
     comparisons = 0
+    kept = 0
+
+    def compare(reference, solver, epoch_links, remaining, where) -> None:
+        ref_rates, ref_saturated = reference.solve(epoch_links, remaining)
+        rates, saturated = solver.solve(epoch_links, remaining)
+        if saturated != ref_saturated:
+            failures.append(
+                f"{where}: saturated sets "
+                f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
+            )
+        elif list(rates.items()) != list(ref_rates.items()):
+            flow_id = next(
+                (f for f in ref_rates if rates.get(f) != ref_rates[f]),
+                None,
+            )
+            failures.append(
+                f"{where}: "
+                + (f"rate of flow {flow_id} differs"
+                   if flow_id is not None
+                   else "rates inserted in another order")
+            )
+
     for trial in range(trials):
         kind, kwargs = specs[trial % len(specs)]
         topology = build_topology(kind, **kwargs)
@@ -553,25 +580,55 @@ def check_solvers(
             epoch_links = {
                 flow_id: tuple(links) for flow_id, links in flow_links.items()
             }
-            ref_rates, ref_saturated = reference.solve(epoch_links, remaining)
-            rates, saturated = solver.solve(epoch_links, remaining)
+            compare(reference, solver, epoch_links, remaining,
+                    f"{name} on {kind} epoch {epoch}")
             comparisons += 1
-            if saturated != ref_saturated:
-                failures.append(
-                    f"{name} on {kind} epoch {epoch}: saturated sets "
-                    f"differ ({sorted(ref_saturated ^ saturated)[:2]}...)"
-                )
-            elif list(rates.items()) != list(ref_rates.items()):
-                flow_id = next(
-                    (f for f in ref_rates if rates.get(f) != ref_rates[f]),
-                    None,
-                )
-                failures.append(
-                    f"{name} on {kind} epoch {epoch}: "
-                    + (f"rate of flow {flow_id} differs"
-                       if flow_id is not None
-                       else "rates inserted in another order")
-                )
+        # Islands: runs of link-disjoint routes, one island changed per
+        # epoch.
+        islands: list = []
+        for _ in range(30):
+            if len(islands) == 3:
+                break
+            links = route(next_id)
+            if links and not any(set(links) & set(i) for i in islands):
+                islands.append(links)
+        reference = ReferenceSolver()
+        reference.bind(simulator._capacities)
+        solver = IndexedSolver()
+        solver.bind(simulator._capacities)
+        flow_links = {}
+        members: dict = {index: [] for index in range(len(islands))}
+
+        def run_of(island: int) -> tuple:
+            links = islands[island]
+            start = rng.integer(0, len(links) - 1)
+            return tuple(links[start:rng.integer(start + 1, len(links))])
+
+        for epoch in range(epochs // 2 + 1):
+            changed = list(members) if epoch == 0 else (
+                [rng.integer(0, len(islands) - 1)] if islands else []
+            )
+            for island in changed:
+                flows = members[island]
+                for _ in range(rng.integer(3, 5) if epoch == 0 else 1):
+                    draw = rng.uniform(0.0, 1.0)
+                    if epoch == 0 or draw < 0.4 or not flows:
+                        flow_links[next_id] = run_of(island)
+                        flows.append(next_id)
+                        next_id += 1
+                    elif draw < 0.7:
+                        flow_id = flows.pop(rng.integer(0, len(flows) - 1))
+                        del flow_links[flow_id]
+                    else:
+                        flow_id = rng.choice(flows)
+                        flow_links[flow_id] = run_of(island)
+            remaining = {
+                flow_id: rng.uniform(0.0, 6e7) for flow_id in flow_links
+            }
+            compare(reference, solver, dict(flow_links), remaining,
+                    f"{name} on {kind} island epoch {epoch}")
+            comparisons += 1
+        kept += solver.rounds_kept
         # End-to-end: one fabric run per trial under each solver.
         trace_seed = rng.integer(0, 2**31 - 1)
         results = []
@@ -601,7 +658,8 @@ def check_solvers(
             )
     detail = (
         f"{name} vs reference: {trials} topologies x {epochs} "
-        f"epochs + fabric runs bit-identical"
+        f"epochs, island epochs ({kept} rounds kept) + fabric runs "
+        f"bit-identical"
         if not failures
         else "; ".join(failures[:3])
     )

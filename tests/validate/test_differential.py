@@ -1,5 +1,6 @@
 """The tier-1 differential checks: fast paths vs independent references."""
 
+import re
 import sys
 
 import pytest
@@ -183,6 +184,12 @@ class TestSolverDifferential:
         result = check_solvers(trials=40, epochs=30)
         assert result.passed, result.detail
         assert result.comparisons > check_solvers().comparisons
+
+    def test_island_epochs_keep_the_untouched_islands_rounds(self):
+        result = check_solvers()
+        assert result.passed, result.detail
+        kept = re.search(r"\((\d+) rounds kept\)", result.detail)
+        assert kept and int(kept.group(1)) > 0
 
     def test_trial_count_is_configurable(self):
         small = check_solvers(trials=1, epochs=4)
