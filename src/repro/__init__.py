@@ -96,49 +96,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 ))
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AIModel",
-    "CheckpointPlan",
-    "ComputeExchange",
-    "Dataset",
-    "Device",
-    "DeviceCatalog",
-    "DeviceKind",
-    "DeviceSpec",
-    "FabricSimulator",
-    "FaultCampaign",
-    "FaultInjector",
-    "Federation",
-    "Flow",
-    "Job",
-    "JobClass",
-    "JobTraceGenerator",
-    "KernelProfile",
-    "MarketSimulation",
-    "MetaScheduler",
-    "MetricsRegistry",
-    "ParameterGrid",
-    "PlacementPolicy",
-    "Precision",
-    "RandomSource",
-    "ResourceClass",
-    "RetryPolicy",
-    "Simulation",
-    "Site",
-    "SiteKind",
-    "SweepResult",
-    "SweepSpec",
-    "Telemetry",
-    "Topology",
-    "TopologySpec",
-    "TraceConfig",
-    "Tracer",
-    "WanLink",
-    "build_topology",
-    "cluster_report",
-    "congestion_policy",
-    "default_catalog",
-    "run_sweep",
-    "__version__",
-]
+__all__.append("__version__")

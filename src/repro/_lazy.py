@@ -3,7 +3,8 @@
 Every package ``__init__`` lists its public names by the module that
 defines them and imports nothing up front.  A name's module loads on its
 first lookup, so a process pays only for the modules its run touches:
-``import repro`` loads neither numpy nor networkx.
+``import repro`` loads neither numpy nor networkx.  That map is the only
+list of a package's public names: ``__all__`` is derived from it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ def lazy_exports(
     ``namespace`` is the package's ``globals()``.  ``exports`` maps a
     defining module (relative to the package when it starts with a dot)
     to the public names it provides; ``submodules`` are child modules
-    that resolve as attributes too.  A resolved value is stored in the
-    namespace, so each name is looked up once.  Unknown names raise
-    ``AttributeError``, which ``from package import submodule`` relies on
-    to fall back to importing the submodule.
+    that resolve as attributes too.  ``__all__`` is set in the namespace
+    to the sorted exported names (submodules excluded).  A resolved value
+    is stored in the namespace, so each name is looked up once.  Unknown
+    names raise ``AttributeError``, which ``from package import
+    submodule`` relies on to fall back to importing the submodule.
     """
     package = str(namespace["__name__"])
     owner = {name: module for module, names in exports.items() for name in names}
     children = frozenset(submodules)
+    namespace["__all__"] = sorted(owner)
 
     def __getattr__(name: str) -> object:
         module = owner.get(name)

@@ -6,10 +6,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".aggregate": ("group_mean", "pivot", "summary_table"),
     ".tables": ("Table",),
 })
-
-__all__ = [
-    "Table",
-    "group_mean",
-    "pivot",
-    "summary_table",
-]

@@ -973,11 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per point before it lands in the error ledger",
     )
     policy.add_argument(
-        "--jitter", type=float, metavar="FRACTION",
-        help="stretch each retry backoff by up to this fraction, drawn "
-             "deterministically per (seed, sweep, point, attempt)",
-    )
-    policy.add_argument(
         "--chaos", metavar="SPEC",
         help="inject harness faults, e.g. crash:0.1,hang:0.05 "
              "(hang needs --timeout)",

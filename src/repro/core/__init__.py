@@ -22,36 +22,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "format_time",
     ),
 })
-
-__all__ = [
-    "CapacityError",
-    "ConfigurationError",
-    "Event",
-    "GB",
-    "GFLOP",
-    "GIB",
-    "HOUR",
-    "KB",
-    "KIB",
-    "MB",
-    "MFLOP",
-    "MIB",
-    "MICROSECOND",
-    "MILLISECOND",
-    "MINUTE",
-    "NANOSECOND",
-    "PB",
-    "PFLOP",
-    "RandomSource",
-    "ReproError",
-    "Simulation",
-    "SimulationError",
-    "SimulationHooks",
-    "TB",
-    "TFLOP",
-    "atomic_write_text",
-    "format_bytes",
-    "format_rate",
-    "format_time",
-    "fsync_directory",
-]

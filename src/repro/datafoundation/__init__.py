@@ -24,13 +24,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".metadata": ("DataEntry", "GovernanceLabel", "MetadataCatalog"),
     ".transfer": ("TransferPlan", "TransferPlanner"),
 })
-
-__all__ = [
-    "DataEntry",
-    "GovernanceLabel",
-    "LineageGraph",
-    "MetadataCatalog",
-    "TransferPlan",
-    "TransferPlanner",
-    "Transformation",
-]

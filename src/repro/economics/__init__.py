@@ -21,10 +21,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "PlatformCostModel", "SiliconOption", "standardization_savings",
     ),
 })
-
-__all__ = [
-    "EnergyCarbonModel",
-    "PlatformCostModel",
-    "SiliconOption",
-    "standardization_savings",
-]

@@ -27,22 +27,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "StepExecution", "WorkflowEngine", "WorkflowResult", "WorkflowStep",
     ),
 })
-
-__all__ = [
-    "AccountingLedger",
-    "BurstingPolicy",
-    "MeterRecord",
-    "Dataset",
-    "DatasetCatalog",
-    "DeliveryStage",
-    "Federation",
-    "Site",
-    "SiteKind",
-    "StepExecution",
-    "WanLink",
-    "WanNetwork",
-    "WorkflowEngine",
-    "WorkflowResult",
-    "WorkflowStep",
-    "transfer_cost",
-]

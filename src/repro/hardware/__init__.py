@@ -41,35 +41,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".wafer_scale": ("WaferScaleEngine",),
 })
-
-__all__ = [
-    "AnalogDotProductEngine",
-    "ArchitectureModel",
-    "CPU",
-    "GENERAL_PURPOSE",
-    "ProcessNode",
-    "SPECIALIZED",
-    "CoolingTechnology",
-    "DatacenterPowerModel",
-    "Device",
-    "DeviceCatalog",
-    "DeviceKind",
-    "DeviceSpec",
-    "EdgeInferenceAccelerator",
-    "FPGA",
-    "GPU",
-    "KernelProfile",
-    "DEVICE_TECHNOLOGY",
-    "TECHNOLOGIES",
-    "MemoryReliabilitySpec",
-    "reliability_for",
-    "OpticalMVMEngine",
-    "Precision",
-    "RackPowerModel",
-    "RooflineModel",
-    "SystolicArrayAccelerator",
-    "WaferScaleEngine",
-    "default_catalog",
-    "default_roadmap",
-    "dennard_break_year",
-]

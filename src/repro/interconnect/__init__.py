@@ -44,43 +44,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "normalize_topology_kind",
     ),
 })
-
-__all__ = [
-    "AccessKind",
-    "CONGESTION_POLICIES",
-    "CollectiveModel",
-    "CongestionManager",
-    "DiGraph",
-    "congestion_policy",
-    "EcnCongestionControl",
-    "FabricSimulator",
-    "Flow",
-    "FlowBasedCongestionControl",
-    "FlowStats",
-    "Graph",
-    "GraphError",
-    "IndexedSolver",
-    "MemoryFabric",
-    "MemoryPool",
-    "MemoryTier",
-    "NetworkXNoPath",
-    "NodeNotFound",
-    "NoCongestionControl",
-    "RateSolver",
-    "ReferenceSolver",
-    "RouteCache",
-    "SlicedFabric",
-    "SwitchGeneration",
-    "SwitchSpec",
-    "TOPOLOGY_KINDS",
-    "Topology",
-    "TopologySpec",
-    "VirtualNetwork",
-    "adaptive_route",
-    "build_topology",
-    "minimal_route",
-    "normalize_topology_kind",
-    "route_cache_for",
-    "training_step_communication",
-    "valiant_route",
-]

@@ -34,26 +34,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "market_savings", "on_demand_cost",
     ),
 })
-
-__all__ = [
-    "Agent",
-    "BrokerAgent",
-    "CapacityOffer",
-    "CapacityProcurer",
-    "ComputeExchange",
-    "ProcurementResult",
-    "market_savings",
-    "on_demand_cost",
-    "ConsumerAgent",
-    "MarketSimulation",
-    "Order",
-    "OrderBook",
-    "ProviderAgent",
-    "ResourceClass",
-    "Side",
-    "SpeculatorAgent",
-    "Trade",
-    "clearing_price",
-    "demand_at",
-    "supply_at",
-]

@@ -62,50 +62,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "Tracer",
     ),
 })
-
-__all__ = [
-    "Counter",
-    "CounterRecord",
-    "Gauge",
-    "Histogram",
-    "InstantRecord",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "PHASE_CONGESTION",
-    "PHASE_DISPATCH",
-    "PHASE_ROUTING",
-    "PHASE_RUN",
-    "PHASE_TELEMETRY",
-    "PeriodicSampler",
-    "PhaseProfiler",
-    "ProfilingKernelProbe",
-    "SpanRecord",
-    "StackSampler",
-    "SweepProgressReporter",
-    "Telemetry",
-    "Tracer",
-    "attach_cluster_sampler",
-    "callback_label",
-    "chrome_trace",
-    "collapsed_stack_lines",
-    "counter_rows",
-    "exponential_buckets",
-    "histogram_rows",
-    "jsonl_lines",
-    "label_string",
-    "load_jsonl",
-    "merge_summaries",
-    "parse_collapsed",
-    "parse_label_string",
-    "parse_prometheus",
-    "profile_report",
-    "prometheus_lines",
-    "registry_from_summary",
-    "summarize_telemetry",
-    "timed",
-    "top_time_sinks",
-    "write_chrome_trace",
-    "write_collapsed",
-    "write_jsonl",
-    "write_prometheus",
-]

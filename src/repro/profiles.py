@@ -15,7 +15,9 @@ structured :class:`ProfileResult` that both the CLI and the
 
 This module sits above the subsystems (like :mod:`repro.cli`): it imports
 scheduling, interconnect and federation freely, while the
-:mod:`repro.observability` package itself depends only on core.
+:mod:`repro.observability` package itself depends only on core.  The
+fabric-family profiles (C1, C2) import the flow fabric in their bodies, so
+a process that runs only the cluster profiles never loads the rate solver.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from repro.hardware.power import (
     DatacenterPowerModel,
     RackPowerModel,
 )
-from repro.interconnect.congestion import congestion_policy
-from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
 from repro.observability import Telemetry, attach_cluster_sampler
 from repro.resilience import (
@@ -468,7 +468,7 @@ def carbon_report(
 
 
 #: Both churn profiles requeue killed jobs with the same bounded backoff.
-_PROFILE_RETRY = RetryPolicy(max_retries=8, base_delay=5.0, jitter=0.0)
+_PROFILE_RETRY = RetryPolicy(max_retries=8, base_delay=5.0)
 
 
 def _trace_jobs(
@@ -625,7 +625,9 @@ def _profile_c17(
 # --- fabric-family profiles ----------------------------------------------------
 
 
-def _incast_flows(topology, aggressors: int) -> List[Flow]:
+def _incast_flows(topology, aggressors: int) -> list:
+    from repro.interconnect.fabric import Flow
+
     graph = topology.graph
     hot = topology.terminals[0]
     hot_router = graph.nodes[hot]["attached_to"]
@@ -661,6 +663,9 @@ def _profile_c1(
     congestion: str = "flow",
 ) -> ProfileResult:
     """C1: elephant incast vs latency-sensitive mice under flow-based CM."""
+    from repro.interconnect.congestion import congestion_policy
+    from repro.interconnect.fabric import FabricSimulator
+
     topology = build_topology(
         "dragonfly", groups=groups, routers_per_group=routers_per_group,
         terminals=terminals,
@@ -696,6 +701,8 @@ def _profile_c2(
     seed: int = 17,
 ) -> ProfileResult:
     """C2: uniform random traffic over a low-diameter dragonfly."""
+    from repro.interconnect.fabric import FabricSimulator, Flow
+
     topology = build_topology(
         "dragonfly", groups=6, routers_per_group=4, terminals=4
     )

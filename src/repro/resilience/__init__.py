@@ -36,37 +36,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".recovery": ("CheckpointPlan", "bind_cluster"),
     ".retry": ("RetryPolicy",),
 })
-
-__all__ = [
-    "FaultCampaign",
-    "FaultEvent",
-    "FaultKind",
-    "FailureProcess",
-    "NodeFaultSpec",
-    "FaultInjector",
-    "CHIPKILL",
-    "ECC_NONE",
-    "ECC_POLICIES",
-    "NO_SCRUB",
-    "SEC_DED",
-    "EccPolicy",
-    "MemoryErrorCampaign",
-    "MemoryErrorSpec",
-    "MemoryErrorStats",
-    "MemoryUpset",
-    "ScrubPolicy",
-    "bind_memory",
-    "due_rate",
-    "ecc_policy",
-    "effective_mtbf",
-    "expand_spec",
-    "memory_failure_model",
-    "outcome_fractions",
-    "RetryPolicy",
-    "CheckpointPlan",
-    "bind_cluster",
-    "ResilienceReport",
-    "conservation",
-    "check_conservation",
-    "cluster_report",
-]

@@ -1,12 +1,10 @@
-"""Retry policies: bounded retries with exponential backoff and jitter."""
+"""Retry policies: bounded retries with capped exponential backoff."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
 
 
 @dataclass(frozen=True)
@@ -15,22 +13,17 @@ class RetryPolicy:
 
     A job's ``n``-th restart (``n`` counted from 0) is delayed by::
 
-        min(base_delay * multiplier**n, max_delay) * (1 + jitter * U(-1, 1))
+        min(base_delay * multiplier**n, max_delay)
 
-    After ``max_retries`` failed attempts have been retried, the next
-    failure declares the job dead (it lands on the cluster's dead-job
-    ledger instead of the queue).
-
-    ``jitter`` is the half-width of the uniform perturbation; 0 disables
-    it, in which case no :class:`RandomSource` is consumed and backoff is
-    a pure function of the attempt number.
+    a pure function of the attempt number.  After ``max_retries`` failed
+    attempts have been retried, the next failure declares the job dead
+    (it lands on the cluster's dead-job ledger instead of the queue).
     """
 
     max_retries: int = 3
     base_delay: float = 10.0
     multiplier: float = 2.0
     max_delay: float = 3_600.0
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -39,14 +32,9 @@ class RetryPolicy:
             raise ConfigurationError("delays must be non-negative")
         if self.multiplier < 1.0:
             raise ConfigurationError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError("jitter must be in [0, 1)")
 
-    def backoff(self, attempt: int, rng: Optional[RandomSource] = None) -> float:
+    def backoff(self, attempt: int) -> float:
         """Delay before restart number ``attempt`` (0-based)."""
         if attempt < 0:
             raise ValueError(f"attempt must be non-negative, got {attempt}")
-        delay = min(self.base_delay * self.multiplier ** attempt, self.max_delay)
-        if self.jitter > 0.0 and rng is not None:
-            delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
-        return delay
+        return min(self.base_delay * self.multiplier ** attempt, self.max_delay)

@@ -36,28 +36,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "DataTask", "Mapper", "Region", "TaskGraph", "TaskGraphExecutor",
     ),
 })
-
-__all__ = [
-    "CheckpointTarget",
-    "CheckpointedExecution",
-    "ClusterSimulator",
-    "DataTask",
-    "FailureModel",
-    "fabric_pm_target",
-    "local_ssd_target",
-    "parallel_filesystem_target",
-    "young_daly_interval",
-    "JobRecord",
-    "Mapper",
-    "MetaScheduler",
-    "Region",
-    "TaskGraph",
-    "TaskGraphExecutor",
-    "NoiseModel",
-    "PlacementDecision",
-    "PlacementPolicy",
-    "RuntimeEstimate",
-    "bsp_slowdown",
-    "estimate_job",
-    "expected_max_of_normals",
-]

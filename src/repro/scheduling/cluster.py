@@ -118,7 +118,7 @@ class ClusterSimulator:
         test per lifecycle step.
     retry_policy:
         Optional :class:`~repro.resilience.retry.RetryPolicy` (duck-typed:
-        ``max_retries`` and ``backoff(attempt, rng)``) governing how
+        ``max_retries`` and ``backoff(attempt)``) governing how
         killed jobs requeue. ``None`` retries immediately and without
         bound — every kill requeues with zero backoff.
     checkpoint:
@@ -127,10 +127,10 @@ class ClusterSimulator:
         When set, attempts pay checkpoint-write overhead and kills resume
         from the last completed checkpoint instead of from scratch.
     rng:
-        Optional :class:`~repro.core.rng.RandomSource` for backoff jitter
-        and victim selection on node failures; fork it from the run seed
-        so campaigns compose with the sweep engine's determinism contract.
-        ``None`` keeps both deterministic (no jitter; lowest-id victim).
+        Optional :class:`~repro.core.rng.RandomSource` for victim
+        selection on node failures; fork it from the run seed so campaigns
+        compose with the sweep engine's determinism contract.  ``None``
+        picks the lowest-id victim.
     """
 
     def __init__(
@@ -394,7 +394,7 @@ class ClusterSimulator:
             return record
         record.retries += 1
         delay = (
-            policy.backoff(record.failures - 1, rng=self.rng)
+            policy.backoff(record.failures - 1)
             if policy is not None else 0.0
         )
         if self.telemetry is not None:

@@ -47,25 +47,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     ".testing": ("ClientResponse", "ServerThread", "ServiceClient"),
 })
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ClientResponse",
-    "NdjsonResponse",
-    "ProtocolError",
-    "QuotaPolicy",
-    "Response",
-    "ResultCache",
-    "SERVE_SCHEMA",
-    "ServeConfig",
-    "ServeRequest",
-    "ServerThread",
-    "ServiceApp",
-    "ServiceClient",
-    "TokenBucket",
-    "build_body",
-    "error_response",
-    "http_request",
-    "json_response",
-]

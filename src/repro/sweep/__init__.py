@@ -60,35 +60,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "register_target", "resolve_target",
     ),
 })
-
-__all__ = [
-    "BACKEND_NAMES",
-    "BaseExecutor",
-    "ChaosSpec",
-    "FABRIC_CONGESTION_VARIANTS",
-    "NAMED_SWEEPS",
-    "ParameterGrid",
-    "PointFailure",
-    "PointResult",
-    "RunJournal",
-    "SCHEMA",
-    "ScenarioPoint",
-    "SupervisorConfig",
-    "SweepInterrupted",
-    "SweepPointError",
-    "SweepResult",
-    "SweepSpec",
-    "TARGETS",
-    "backoff_delay",
-    "create_executor",
-    "load_journal",
-    "load_sweep",
-    "named_sweep",
-    "parse_chaos",
-    "register_target",
-    "resolve_target",
-    "run_sweep",
-    "save_sweep",
-    "spec_from_request",
-    "sweep_document",
-]

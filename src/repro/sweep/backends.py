@@ -16,10 +16,9 @@ contract never change with the choice:
   processes (:mod:`repro.sweep.supervisor`), started by the config's
   ``start_method`` (``fork`` where available by default).
 
-* :func:`backoff_delay` — deterministic retry backoff with optional
-  jitter, forked per ``(seed, sweep, index, attempt)`` exactly like
-  :class:`~repro.sweep.supervisor.ChaosSpec` draws, so retry timelines
-  are reproducible at any worker count.
+* :func:`backoff_delay` — the fixed geometric retry backoff, a function
+  of the attempt number alone, so retry timelines are the same at any
+  worker count.
 
 Every executor upholds the same contract: point outcomes are pure
 functions of ``(seed, sweep name, point index)``, so fingerprints are
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, ReproError
-from repro.core.rng import RandomSource
 
 
 class SweepPointError(ReproError):
@@ -92,24 +90,15 @@ COUNTERS = (
 RETRY_BACKOFF = 0.05
 
 
-def backoff_delay(config, seed: int, sweep_name: str, index: int,
-                  attempt: int) -> float:
+def backoff_delay(attempt: int) -> float:
     """The backoff before dispatching ``attempt`` (1-based) of one point.
 
-    The base schedule is geometric: nothing before the first attempt,
+    The schedule is geometric: nothing before the first attempt,
     :data:`RETRY_BACKOFF` before the second, doubling after that.
-    ``config.jitter > 0`` stretches it by up to ``jitter`` of itself,
-    drawn from ``RandomSource(seed).fork(f"backoff/{sweep}/{index}/{attempt}")``
-    — a pure function of the sweep seed, point and attempt, never of the
-    worker running it, so retry timelines reproduce at any worker count.
     """
     if attempt <= 1:
         return 0.0
-    base = RETRY_BACKOFF * 2.0 ** (attempt - 2)
-    if config.jitter <= 0.0:
-        return base
-    rng = RandomSource(seed).fork(f"backoff/{sweep_name}/{index}/{attempt}")
-    return base * (1.0 + config.jitter * rng.uniform())
+    return RETRY_BACKOFF * 2.0 ** (attempt - 2)
 
 
 class BaseExecutor:
@@ -181,10 +170,7 @@ class BaseExecutor:
                     index=task.index,
                     params=task.params,
                     attempt=next_attempt,
-                    not_before=now + backoff_delay(
-                        self.config, self.spec.seed, self.spec.name,
-                        task.index, next_attempt,
-                    ),
+                    not_before=now + backoff_delay(next_attempt),
                 )
             )
             return

@@ -404,7 +404,7 @@ def run_sweep(
         The fault-tolerance policy
         (:class:`~repro.sweep.supervisor.SupervisorConfig`, default
         ``SupervisorConfig()``): per-point ``timeout``, the ``retries``
-        budget and its backoff ``jitter``, injected ``chaos``,
+        budget, injected ``chaos``,
         ``strict`` fail-fast raising
         (:class:`~repro.sweep.backends.SweepPointError`) instead of an
         error ledger, and the local ``start_method``.

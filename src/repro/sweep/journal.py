@@ -215,22 +215,19 @@ class RunJournal:
         path: Union[str, pathlib.Path],
         spec: SweepSpec,
         mode: str = "fresh",
-        fsync: bool = True,
     ) -> None:
         if mode not in ("fresh", "resume"):
             raise ValueError(f"journal mode must be fresh|resume, not {mode!r}")
         self.path = pathlib.Path(path)
-        self.fsync = fsync
         if self.path.parent and not self.path.parent.is_dir():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         if mode == "resume":
             self._truncate_torn_tail()
         self._handle = open(self.path, "w" if mode == "fresh" else "a")
         if mode == "fresh":
-            if self.fsync:
-                # The journal *file* is fsynced per record, but its very
-                # existence is only durable once the directory entry is.
-                fsync_directory(self.path.parent)
+            # The journal *file* is fsynced per record, but its very
+            # existence is only durable once the directory entry is.
+            fsync_directory(self.path.parent)
             self._append(journal_header(spec))
 
     def _truncate_torn_tail(self) -> None:
@@ -249,16 +246,14 @@ class RunJournal:
                     return
                 handle.truncate(raw.rfind(b"\n") + 1)
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
         except FileNotFoundError:
             return
 
     def _append(self, record: Dict[str, object]) -> None:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def record_point(self, result: PointResult, attempts: int = 1) -> None:
         """Durably journal one completed point."""
@@ -276,8 +271,7 @@ class RunJournal:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
 
     def __enter__(self) -> "RunJournal":

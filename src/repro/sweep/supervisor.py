@@ -168,11 +168,6 @@ class SupervisorConfig:
     timeout: Optional[float] = None
     #: How many times a failed point is re-dispatched before the ledger.
     retries: int = 2
-    #: Deterministic backoff jitter: each retry delay is stretched by up
-    #: to this fraction of itself, drawn per ``(seed, sweep, index,
-    #: attempt)`` (see :func:`repro.sweep.backends.backoff_delay`) so
-    #: retry timelines decorrelate without losing reproducibility.
-    jitter: float = 0.0
     #: Harness faults to inject; the string form (``"crash:0.1"``) is
     #: parsed with :func:`parse_chaos`.
     chaos: Union[ChaosSpec, str, None] = None
@@ -193,8 +188,6 @@ class SupervisorConfig:
             )
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0: {self.retries}")
-        if self.jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0: {self.jitter}")
         methods = multiprocessing.get_all_start_methods()
         if self.start_method is not None and self.start_method not in methods:
             raise ConfigurationError(

@@ -26,8 +26,6 @@ import inspect
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.rng import RandomSource
-from repro.interconnect.congestion import congestion_policy
-from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology, normalize_topology_kind
 from repro.observability import Telemetry
 
@@ -55,15 +53,21 @@ def preload_target(name: str) -> SweepTarget:
     and a spawned worker imports them before it reports ready.
     """
     target = resolve_target(name)
+    if name.startswith("profile:"):
+        name = "profile:" + name.split(":", 1)[1].upper()
     for module in _TARGET_IMPORTS.get(name, ()):
         importlib.import_module(module)
     return target
 
 
-#: Modules a target imports inside its body, by target name.
+#: Modules a target imports inside its body, by target name (profile ids
+#: upper-case).  The fabric imports congestion itself.
 _TARGET_IMPORTS: Dict[str, Tuple[str, ...]] = {
+    "fabric-congestion": ("repro.interconnect.fabric",),
     "resilience-churn": ("repro.profiles",),
     "memory-reliability": ("repro.profiles",),
+    "profile:C1": ("repro.interconnect.fabric",),
+    "profile:C2": ("repro.interconnect.fabric",),
 }
 
 
@@ -112,6 +116,9 @@ def _profile_target(profile_id: str) -> SweepTarget:
 
 
 # --- the fabric congestion target ---------------------------------------------
+#
+# It imports the fabric in its body, so a cluster-only sweep never loads the
+# rate solver.
 
 #: Canned topology sizes for the fabric target — small enough that one
 #: point runs in well under a second, large enough that congestion policies
@@ -150,6 +157,9 @@ def fabric_congestion(
     ``flows`` / ``flow_size``
         Trace length and per-flow bytes (defaults 96 and 2 MB).
     """
+    from repro.interconnect.congestion import congestion_policy
+    from repro.interconnect.fabric import FabricSimulator, Flow
+
     kind = normalize_topology_kind(str(params["topology"]))
     spec = dict(_FABRIC_TOPOLOGIES[kind])
     variant = str(params.get("congestion", "none"))
@@ -235,8 +245,7 @@ def resilience_churn(
         Periodic checkpointing knobs; interval 0 (default) disables
         checkpointing entirely.
     ``max_retries`` / ``base_delay``
-        Retry policy bounds (defaults 10 and 5 s; jitter stays 0 so only
-        the named forks consume randomness).
+        Retry policy bounds (defaults 10 and 5 s).
     ``arrival_gap``
         Seconds between job arrivals (default 60).
     """
@@ -390,7 +399,6 @@ def _retry_policy(params):
     return RetryPolicy(
         max_retries=int(params.get("max_retries", 10)),
         base_delay=float(params.get("base_delay", 5.0)),
-        jitter=0.0,
     )
 
 

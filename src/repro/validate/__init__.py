@@ -49,35 +49,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "run_validated", "validate",
     ),
 })
-
-__all__ = [
-    "DEFAULT_GOLDEN_DIR",
-    "DEFAULT_RTOL",
-    "REQUEST_SCHEMA",
-    "SCHEMA",
-    "DifferentialResult",
-    "GoldenStore",
-    "InvariantChecker",
-    "InvariantViolation",
-    "KernelInvariantHooks",
-    "ValidationEntry",
-    "ValidationReport",
-    "Violation",
-    "check_checkpointing",
-    "check_collectives",
-    "check_memerrors",
-    "check_resume",
-    "check_routes",
-    "check_solvers",
-    "check_serve",
-    "check_sweep",
-    "canonical_request",
-    "compare_fingerprints",
-    "profile_defaults",
-    "profile_fingerprint",
-    "request_fingerprint",
-    "run_differential_checks",
-    "run_validated",
-    "sweep_fingerprint",
-    "validate",
-]

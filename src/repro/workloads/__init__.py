@@ -39,42 +39,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".synthetic": ("GanPair", "build_gan"),
     ".traces": ("JobTraceGenerator", "TraceConfig"),
 })
-
-__all__ = [
-    "AIModel",
-    "ClosedLoopWorkflow",
-    "CompiledModel",
-    "DecisionMaker",
-    "GanPair",
-    "PortableModel",
-    "build_gan",
-    "TieredControlPolicy",
-    "edge_ai",
-    "human_operator",
-    "remote_ai",
-    "science_yield",
-    "best_target",
-    "compile_for_device",
-    "export_model",
-    "from_wire",
-    "to_wire",
-    "DetectorPreset",
-    "InstrumentStream",
-    "Job",
-    "JobClass",
-    "JobTraceGenerator",
-    "LayerShape",
-    "Phase",
-    "PhaseKind",
-    "SurrogateModel",
-    "Task",
-    "TraceConfig",
-    "build_cnn",
-    "build_mlp",
-    "build_transformer",
-    "dense_linear_algebra",
-    "nbody",
-    "sparse_solver",
-    "spectral_transform",
-    "stencil",
-]

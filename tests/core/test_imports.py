@@ -10,6 +10,7 @@ cover the lazy attribute protocol and the sweep workers' frozen heap.
 
 import ast
 import gc
+import importlib
 import os
 import pathlib
 import re
@@ -27,6 +28,12 @@ from repro.sweep.targets import TARGETS
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 HEAVY = ("numpy", "networkx")
+
+#: Every package init under ``src/repro``, by dotted name.
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(pathlib.Path(SRC)).parts)
+    for path in pathlib.Path(SRC, "repro").rglob("__init__.py")
+)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -79,6 +86,24 @@ class TestColdImports:
         modules = _imported(result)
         assert "repro.cli" in modules
         assert _heavy(modules) == []
+
+    def test_serve_start_path_loads_no_fabric_module(self):
+        # What ``repro serve`` imports before it binds: the app, its
+        # request path and the CLI.  Only fabric runs (C1, C2, the
+        # fabric-congestion target) load the fabric.
+        loaded = _run(
+            "import importlib, sys, repro.serve.app; "
+            "[importlib.import_module(m) for m in repro.serve.app.REQUEST_PATH]; "
+            "import repro.cli; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith('repro.interconnect.')))"
+        ).split()
+        assert "repro.interconnect.topology" in loaded
+        fabric = {
+            f"repro.interconnect.{name}"
+            for name in ("fabric", "ratesolver", "routecache", "congestion", "routing")
+        }
+        assert sorted(fabric.intersection(loaded)) == []
 
     def test_docstring_subpackages_resolve_after_bare_import(self):
         names = sorted(set(re.findall(r"``repro\.(\w+)``", repro.__doc__)))
@@ -196,9 +221,50 @@ def test_heavy_dependencies_stay_in_their_modules():
     assert found == DIRECT_IMPORTERS
 
 
+def _writes_all(node) -> bool:
+    """Whether an ``ast`` statement assigns ``__all__``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in targets
+    )
+
+
 class TestLazyAttributes:
     def test_dir_covers_all(self):
         assert set(repro.__all__) <= set(dir(repro))
+
+    def test_no_package_init_writes_all_by_hand(self):
+        # ``lazy_exports`` derives ``__all__`` from the export map; the
+        # root only appends ``__version__``.
+        written = []
+        for path in pathlib.Path(SRC, "repro").rglob("__init__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            written += [
+                path.relative_to(SRC).as_posix()
+                for node in tree.body if _writes_all(node)
+            ]
+        assert written == []
+        root = ast.parse(pathlib.Path(repro.__file__).read_text(encoding="utf-8"))
+        calls = [
+            ast.unparse(node.value) for node in root.body
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        ]
+        assert calls == ["__all__.append('__version__')"]
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_is_the_sorted_export_map(self, package):
+        module = importlib.import_module(package)
+        names = [name for name in module.__all__ if name != "__version__"]
+        assert names == sorted(set(names)) and names
+        namespace = {}
+        exec(f"from {package} import *", namespace)  # noqa: S102
+        assert set(module.__all__) <= set(namespace)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="'repro'.*no_such_name"):
@@ -251,30 +317,29 @@ class TestRegistries:
     def test_filled_in_a_fresh_process(self, code):
         _run(code)
 
-    def test_preload_covers_what_a_point_imports(self):
+    @pytest.mark.parametrize("name, params", [
+        ("fabric-congestion", {"topology": "torus", "flows": 8}),
+        ("resilience-churn", {"nodes": 2, "jobs": 2, "work": 10.0}),
+        ("memory-reliability", {"nodes": 2, "jobs": 2, "work": 10.0}),
+        ("profile:C2", {"flows": 8}),
+        ("profile:c1", {"aggressors": 2}),
+    ])
+    def test_preload_covers_what_a_point_imports(self, name, params):
         # After preload_target, running a point imports nothing new, so
-        # forked workers never import on their first point.
-        script = """
+        # forked workers never import on their first point.  Each target
+        # runs in its own interpreter, so no other target's imports can
+        # stand in for a missing preload.
+        script = f"""
 import sys
 from repro.core.rng import RandomSource
 from repro.observability import Telemetry
 from repro.sweep.targets import preload_target
-cases = {
-    "fabric-congestion": {"topology": "torus", "flows": 8},
-    "resilience-churn": {"nodes": 2, "jobs": 2, "work": 10.0},
-    "memory-reliability": {"nodes": 2, "jobs": 2, "work": 10.0},
-    "profile:C2": {"flows": 8},
-}
-for name, params in cases.items():
-    target = preload_target(name)
-    before = set(sys.modules)
-    target(params, Telemetry(), RandomSource(1))
-    print(name, sorted(set(sys.modules) - before))
+target = preload_target({name!r})
+before = set(sys.modules)
+target({params!r}, Telemetry(), RandomSource(1))
+print(sorted(set(sys.modules) - before))
 """
-        lines = _run(script).splitlines()
-        assert len(lines) == 4
-        for line in lines:
-            assert line.endswith(" []"), line
+        assert _run(script) == "[]"
 
 
 def _freeze_count(params, telemetry, rng):

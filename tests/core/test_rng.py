@@ -50,7 +50,9 @@ class TestCrossProcessDeterminism:
         outputs = set()
         for run in range(2):
             result = subprocess.run(
-                [sys.executable, "-c", script],
+                # -B: the bare env drops PYTHONDONTWRITEBYTECODE, and the
+                # child must not leave bytecode in the checkout.
+                [sys.executable, "-B", "-c", script],
                 capture_output=True, text=True, check=True,
                 env={
                     "PYTHONHASHSEED": str(run),

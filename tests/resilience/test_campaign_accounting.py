@@ -22,7 +22,7 @@ def test_twelve_jobs_under_node_churn_are_all_accounted_for():
     site = Site(name="smoke", kind=SiteKind.ON_PREMISE, devices={device: 4})
     cluster = ClusterSimulator(
         site=site, device=device,
-        retry_policy=RetryPolicy(max_retries=50, base_delay=5.0, jitter=0.0),
+        retry_policy=RetryPolicy(max_retries=50, base_delay=5.0),
     )
     campaign = FaultCampaign(
         horizon=20_000.0,

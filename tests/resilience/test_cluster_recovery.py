@@ -46,7 +46,7 @@ class TestFailJob:
 
     def test_backoff_delays_the_restart(self):
         policy = RetryPolicy(
-            max_retries=3, base_delay=50.0, multiplier=2.0, jitter=0.0
+            max_retries=3, base_delay=50.0, multiplier=2.0
         )
         cluster = make_cluster(nodes=1, retry_policy=policy)
         job = make_job(600.0)
@@ -56,7 +56,7 @@ class TestFailJob:
         )
 
     def test_retry_budget_exhaustion_declares_dead(self):
-        policy = RetryPolicy(max_retries=0, base_delay=1.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=0, base_delay=1.0)
         cluster = make_cluster(nodes=1, retry_policy=policy)
         job = make_job(600.0)
         record = _run_with_kill(cluster, job, kill_at=100.0)
@@ -253,7 +253,7 @@ class TestBoundFaults:
 
 class TestReport:
     def test_report_totals_match_ledgers(self):
-        policy = RetryPolicy(max_retries=2, base_delay=1.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=2, base_delay=1.0)
         cluster = make_cluster(nodes=2, retry_policy=policy)
         jobs = [make_job(400.0, name=f"j{i}", arrival=i * 5.0) for i in range(3)]
         for job in jobs:
@@ -287,7 +287,7 @@ class TestConservationUnderChurn:
         """A two-node cluster, six jobs and a node-fault campaign."""
         cluster = make_cluster(
             nodes=2, telemetry=telemetry,
-            retry_policy=RetryPolicy(max_retries=3, base_delay=5.0, jitter=0.0),
+            retry_policy=RetryPolicy(max_retries=3, base_delay=5.0),
             rng=RandomSource(seed=seed, name="victims"),
         )
         if telemetry is not None:

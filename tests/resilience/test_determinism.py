@@ -44,7 +44,7 @@ def _ledger(seed):
     """Run a churn scenario and return a comparable outcome tuple."""
     cluster = make_cluster(
         nodes=2,
-        retry_policy=RetryPolicy(max_retries=50, base_delay=5.0, jitter=0.0),
+        retry_policy=RetryPolicy(max_retries=50, base_delay=5.0),
         rng=RandomSource(seed=seed, name="victims"),
     )
     injector = FaultInjector(

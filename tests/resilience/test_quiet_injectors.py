@@ -119,7 +119,7 @@ def bare_run():
 def test_quiet_injector_runs_no_code_inside_the_workload(name, bare_run):
     campaign, bind = QUIET[name]
     cluster = ClusterSimulator(
-        site=SITE, device=DEVICE, retry_policy=RetryPolicy(jitter=0.0)
+        site=SITE, device=DEVICE, retry_policy=RetryPolicy()
     )
     injector = FaultInjector(
         cluster.simulation, campaign, RandomSource(seed=5, name=name)

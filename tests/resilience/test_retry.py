@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
 from repro.resilience import RetryPolicy
 
 
@@ -16,35 +15,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RetryPolicy(multiplier=0.5)
 
-    def test_rejects_out_of_range_jitter(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.0)
-
 
 class TestBackoff:
     def test_exponential_progression(self):
-        policy = RetryPolicy(base_delay=10.0, multiplier=2.0, jitter=0.0)
+        policy = RetryPolicy(base_delay=10.0, multiplier=2.0)
         assert [policy.backoff(n) for n in range(4)] == [10.0, 20.0, 40.0, 80.0]
 
     def test_cap_applies(self):
-        policy = RetryPolicy(
-            base_delay=10.0, multiplier=10.0, max_delay=500.0, jitter=0.0
-        )
+        policy = RetryPolicy(base_delay=10.0, multiplier=10.0, max_delay=500.0)
         assert policy.backoff(5) == 500.0
-
-    def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy(base_delay=10.0, jitter=0.5)
-        assert policy.backoff(0) == 10.0
-
-    def test_jitter_bounded_and_seeded(self):
-        policy = RetryPolicy(base_delay=100.0, multiplier=1.0, jitter=0.2)
-        delays = [
-            policy.backoff(0, rng=RandomSource(seed=s)) for s in range(50)
-        ]
-        assert all(80.0 <= d <= 120.0 for d in delays)
-        assert len(set(delays)) > 1
-        again = policy.backoff(0, rng=RandomSource(seed=3))
-        assert again == policy.backoff(0, rng=RandomSource(seed=3))
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):

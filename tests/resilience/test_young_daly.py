@@ -44,7 +44,7 @@ def goodput_at(plan, seed=SEED):
     cluster = make_cluster(
         nodes=1,
         retry_policy=RetryPolicy(
-            max_retries=100_000, base_delay=1.0, multiplier=1.0, jitter=0.0
+            max_retries=100_000, base_delay=1.0, multiplier=1.0
         ),
         checkpoint=plan,
     )

@@ -89,61 +89,6 @@ class TestStartMethodBackends:
         assert spawned.fingerprint() == serial.fingerprint()
 
 
-class TestBackoffDelay:
-    def _config(self, jitter):
-        return SupervisorConfig(jitter=jitter)
-
-    def _base(self, attempt):
-        return backoff_delay(self._config(0.0), 7, "ft", 0, attempt)
-
-    def test_zero_jitter_is_the_plain_geometric_schedule(self):
-        delays = [self._base(attempt) for attempt in range(1, 6)]
-        assert delays[:2] == [0.0, RETRY_BACKOFF]
-        for before, after in zip(delays[1:], delays[2:]):
-            assert after == pytest.approx(2.0 * before)
-
-    def test_jittered_delay_is_deterministic(self):
-        config = self._config(0.5)
-        first = [
-            backoff_delay(config, 7, "ft", index, attempt)
-            for index in range(4)
-            for attempt in range(2, 5)
-        ]
-        again = [
-            backoff_delay(config, 7, "ft", index, attempt)
-            for index in range(4)
-            for attempt in range(2, 5)
-        ]
-        assert first == again
-
-    def test_jitter_stays_within_its_fraction_of_the_base(self):
-        config = self._config(0.5)
-        for index in range(8):
-            for attempt in range(2, 6):
-                base = self._base(attempt)
-                delay = backoff_delay(config, 7, "ft", index, attempt)
-                assert base <= delay <= base * 1.5
-
-    def test_draws_differ_across_points_and_attempts(self):
-        config = self._config(1.0)
-        draws = {
-            backoff_delay(config, 7, "ft", index, 2) for index in range(8)
-        }
-        assert len(draws) > 1
-        chains = {
-            backoff_delay(config, 7, "ft", 0, attempt) / self._base(attempt)
-            for attempt in range(2, 8)
-        }
-        assert len(chains) > 1
-
-    def test_first_attempt_has_no_delay_to_jitter(self):
-        assert backoff_delay(self._config(1.0), 7, "ft", 0, 1) == 0.0
-
-    def test_negative_jitter_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="jitter"):
-            SupervisorConfig(jitter=-0.1)
-
-
 class _ScriptedExecutor(BaseExecutor):
     """A substrate-free executor: ``_loop`` runs a scripted callable."""
 
@@ -215,9 +160,7 @@ class TestRetryOrFail:
         assert (retry.index, retry.params, retry.attempt) == (
             2, {"x": 2}, attempt + 1
         )
-        assert retry.not_before == 100.0 + backoff_delay(
-            config, executor.spec.seed, executor.spec.name, 2, attempt + 1
-        )
+        assert retry.not_before == 100.0 + backoff_delay(attempt + 1)
         assert executor._outstanding == 1
         assert executor.counters["retries"] == 1.0
         assert executor.failures == []
@@ -349,11 +292,4 @@ class TestCreateExecutorContext:
 class TestBackoffSchedule:
     @pytest.mark.parametrize("attempt", [2, 3, 4, 5, 6])
     def test_attempt_n_waits_the_base_doubled_n_minus_2_times(self, attempt):
-        delay = backoff_delay(SupervisorConfig(), 7, "ft", 0, attempt)
-        assert delay == RETRY_BACKOFF * 2 ** (attempt - 2)
-
-    def test_jitter_draws_depend_on_the_seed_and_sweep(self):
-        config = SupervisorConfig(jitter=1.0)
-        delay = backoff_delay(config, 7, "ft", 0, 2)
-        assert backoff_delay(config, 8, "ft", 0, 2) != delay
-        assert backoff_delay(config, 7, "other", 0, 2) != delay
+        assert backoff_delay(attempt) == RETRY_BACKOFF * 2 ** (attempt - 2)

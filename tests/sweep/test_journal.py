@@ -369,14 +369,6 @@ class TestAppendSide:
             journal.record_point(_point(0))
         assert sorted(load_journal(path).completed) == [0]
 
-    def test_unsynced_journal_is_still_complete_once_closed(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path, ft.cheap_spec(n=4), fsync=False) as journal:
-            journal.record_point(_point(0))
-            journal.record_failure(1, "boom", attempts=2)
-        state = load_journal(path)
-        assert sorted(state.completed) == [0] and sorted(state.failed) == [1]
-
     def test_close_twice_is_harmless(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl", ft.cheap_spec(n=4))
         journal.close()
