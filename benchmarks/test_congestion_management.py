@@ -30,8 +30,9 @@ from repro.interconnect.congestion import (
     FlowBasedCongestionControl,
     NoCongestionControl,
 )
-from repro.interconnect.fabric import FabricSimulator, Flow
+from repro.interconnect.fabric import FabricSimulator
 from repro.interconnect.topology import build_topology
+from repro.profiles import incast_flows
 
 POLICIES = (
     NoCongestionControl(),
@@ -41,41 +42,12 @@ POLICIES = (
 INCAST_DEGREES = (4, 8, 16)
 
 
-def incast_workload(topology, aggressors):
-    graph = topology.graph
-    hot = topology.terminals[0]
-    hot_router = graph.nodes[hot]["attached_to"]
-    same_router = [
-        t for t in topology.terminals
-        if graph.nodes[t]["attached_to"] == hot_router and t != hot
-    ]
-    far = [
-        t for t in topology.terminals
-        if graph.nodes[t]["attached_to"] != hot_router
-    ]
-    flows = [
-        Flow(source=far[i], destination=hot, size=100e6, tag="aggressor")
-        for i in range(aggressors)
-    ]
-    for index, source in enumerate(same_router):
-        flows.append(
-            Flow(
-                source=source,
-                destination=far[-(index + 1)],
-                size=64e3,
-                start_time=1e-3,
-                tag="victim",
-            )
-        )
-    return flows
-
-
 def run_experiment():
     topology = build_topology("dragonfly", groups=6, routers_per_group=4, terminals=4)
     rows = []
     for degree in INCAST_DEGREES:
         for policy in POLICIES:
-            flows = incast_workload(topology, degree)
+            flows = incast_flows(topology, degree)
             stats = FabricSimulator(topology, congestion=policy).run(flows)
             victims = [s.completion_time for s in stats if s.tag == "victim"]
             aggressors = [s for s in stats if s.tag == "aggressor"]

@@ -562,7 +562,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
                 config=config, journal=args.journal, resume=resume,
                 telemetry=parent_telemetry,
                 collect_telemetry=collect_telemetry,
-                backend=args.backend,
             )
         finally:
             if reporter is not None:
@@ -786,8 +785,6 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.sweep.backends import BACKEND_NAMES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Diversified heterogeneous HPC simulation framework "
@@ -953,12 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the merged sweep telemetry as Prometheus text "
              "exposition here (implies --telemetry)",
     )
-    sweep.add_argument(
-        "--backend", default=None, choices=BACKEND_NAMES,
-        help="executor backend: local (supervised worker processes); "
-             "default: in process for one worker with no --timeout or "
-             "--chaos, local otherwise",
-    )
     # SupervisorConfig fields: left out, the library decides.
     policy = sweep.add_argument_group(
         "fault tolerance", argument_default=argparse.SUPPRESS
@@ -971,11 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     policy.add_argument(
         "--retries", type=int, metavar="N",
         help="retry budget per point before it lands in the error ledger",
-    )
-    policy.add_argument(
-        "--chaos", metavar="SPEC",
-        help="inject harness faults, e.g. crash:0.1,hang:0.05 "
-             "(hang needs --timeout)",
     )
     policy.add_argument(
         "--strict", action="store_true",

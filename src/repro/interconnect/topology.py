@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -475,21 +476,56 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", normalize_topology_kind(self.kind))
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _whole(name, value))
+        if self.terminals is not None and self.terminals < 1:
+            raise ConfigurationError(
+                f"topology terminals must be >= 1: {self.terminals}"
+            )
         if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+            if not isinstance(self.dims, (list, tuple)):
+                raise ConfigurationError(
+                    f"topology dims must be a sequence of whole numbers: "
+                    f"{self.dims!r}"
+                )
+            object.__setattr__(
+                self, "dims", tuple(_whole("dims", d) for d in self.dims)
+            )
         # Checked here because every builder goes through a spec: a bad
         # link either fails mid-run ("no progress possible") or gives
         # negative completion times.
-        if not (math.isfinite(self.link_bandwidth) and self.link_bandwidth > 0):
+        if not (_real(self.link_bandwidth) and self.link_bandwidth > 0):
             raise ConfigurationError(
                 "link_bandwidth must be positive and finite: "
                 f"{self.link_bandwidth!r}"
             )
-        if not (math.isfinite(self.link_latency) and self.link_latency >= 0):
+        if not (_real(self.link_latency) and self.link_latency >= 0):
             raise ConfigurationError(
                 "link_latency must be non-negative and finite: "
                 f"{self.link_latency!r}"
             )
+
+
+#: Spec fields that count switches, links or endpoints.
+_COUNT_FIELDS = ("terminals", "groups", "routers_per_group",
+                 "global_links_per_router", "k", "leaves", "spines")
+
+
+def _real(value: object) -> bool:
+    """Whether ``value`` is a finite real number."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _whole(name: str, value: object) -> int:
+    """``value`` as an ``int``; anything but a whole number raises naming
+    ``name`` (a builder would otherwise truncate it or fail mid-build)."""
+    if _real(value) and not isinstance(value, bool) and value == int(value):
+        return int(value)
+    raise ConfigurationError(
+        f"topology {name} must be a whole number: {value!r}"
+    )
 
 
 def normalize_topology_kind(kind: str) -> str:

@@ -625,7 +625,10 @@ def _profile_c17(
 # --- fabric-family profiles ----------------------------------------------------
 
 
-def _incast_flows(topology, aggressors: int) -> list:
+def incast_flows(topology, aggressors: int) -> list:
+    """C1's workload: ``aggressors`` 100 MB elephants from far terminals
+    into the first terminal, and one 64 KB victim at 1 ms from each of
+    its router neighbours to a far terminal."""
     from repro.interconnect.fabric import Flow
 
     graph = topology.graph
@@ -674,7 +677,7 @@ def _profile_c1(
         topology, congestion=congestion_policy(congestion),
         telemetry=telemetry,
     )
-    stats = fabric.run(_incast_flows(topology, aggressors=aggressors))
+    stats = fabric.run(incast_flows(topology, aggressors=aggressors))
     victims = sorted(
         s.completion_time for s in stats if s.tag == "victim"
     )

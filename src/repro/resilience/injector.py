@@ -24,8 +24,10 @@ from repro.observability.probes import CATEGORY_FAULT, Telemetry
 from repro.resilience.faults import FaultCampaign, FaultEvent, FaultKind
 
 #: A fault handler: receives the event and whether this call is the repair
-#: (``True``) or the fault itself (``False``).
-FaultHandler = Callable[[FaultEvent, bool], None]
+#: (``True``) or the fault itself (``False``).  On the fault call it
+#: returns ``False`` when the fault found nothing to take; that fault's
+#: repair then counts nothing and reaches no handler.
+FaultHandler = Callable[[FaultEvent, bool], Optional[bool]]
 
 
 class FaultInjector:
@@ -126,13 +128,17 @@ class FaultInjector:
                 self.simulation.now, target=event.target,
                 duration=event.duration,
             )
-        for handler in self._handlers[event.kind]:
-            handler(event, False)
+        took = [handler(event, False) for handler in self._handlers[event.kind]]
+        dropped = any(result is False for result in took)
         # Repair is real pending work (queued jobs may be waiting on it),
         # so it is a non-daemon event and keeps the simulation alive.
-        self.simulation.schedule(event.duration, lambda: self._repair(event))
+        self.simulation.schedule(
+            event.duration, lambda: self._repair(event, dropped)
+        )
 
-    def _repair(self, event: FaultEvent) -> None:
+    def _repair(self, event: FaultEvent, dropped: bool) -> None:
+        if dropped:
+            return
         self.repaired += 1
         if self.telemetry is not None:
             self._count(

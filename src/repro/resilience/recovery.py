@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.errors import ConfigurationError
 from repro.resilience.faults import FaultEvent, FaultKind
@@ -112,28 +113,22 @@ class CheckpointPlan:
 def bind_cluster(injector: FaultInjector, cluster) -> None:
     """Route NODE faults at the cluster's site to kill/repair reactions.
 
-    A fault that finds every node already down takes none, so its repair
-    brings none back: a node returns only at the repair of the fault that
-    took it.  ``cluster`` duck-types
+    A fault that finds every node already down takes none and says so,
+    so the injector drops its repair: a node returns only at the repair
+    of the fault that took it.  ``cluster`` duck-types
     :class:`~repro.scheduling.cluster.ClusterSimulator`: it needs
     ``site.name``, ``failed_nodes``, ``fail_node()`` and ``repair_node()``.
     """
     site_name = cluster.site.name
-    # The faults whose node is still down, by identity: two faults may
-    # be equal in time, target and duration.
-    holding = set()
 
-    def react(event: FaultEvent, repaired: bool) -> None:
+    def react(event: FaultEvent, repaired: bool) -> Optional[bool]:
         if event.target != site_name:
-            return
+            return None
         if repaired:
-            if id(event) in holding:
-                holding.remove(id(event))
-                cluster.repair_node()
-        else:
-            failed = cluster.failed_nodes
-            cluster.fail_node()
-            if cluster.failed_nodes > failed:
-                holding.add(id(event))
+            cluster.repair_node()
+            return None
+        failed = cluster.failed_nodes
+        cluster.fail_node()
+        return cluster.failed_nodes > failed
 
     injector.on(FaultKind.NODE, react)

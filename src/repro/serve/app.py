@@ -464,9 +464,6 @@ class ServiceApp:
         result = run_sweep(
             spec,
             workers=self.config.sweep_workers,
-            # Worker processes even at one worker: a point that crashes
-            # or hangs must cost a retry, never the service.
-            backend="local",
             progress=on_point,
             config=SupervisorConfig(strict=True),
             journal=None if resuming else str(journal),

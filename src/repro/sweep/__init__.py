@@ -7,9 +7,9 @@ policy, load)" into three declarative pieces:
   axes, enumerated in a stable order (:mod:`repro.sweep.grid`),
 * a registered **target** — the function one grid point runs, looked up
   by name so specs stay picklable (:mod:`repro.sweep.targets`),
-* :func:`~repro.sweep.engine.run_sweep` — the fan-out over one executor
-  (:mod:`repro.sweep.backends`) with per-point telemetry capture
-  (:mod:`repro.sweep.engine`).
+* :func:`~repro.sweep.engine.run_sweep` — the fan-out over supervised
+  worker processes (:mod:`repro.sweep.supervisor`) with per-point
+  telemetry capture (:mod:`repro.sweep.engine`).
 
 Determinism is the headline contract: every point draws randomness from
 ``spawn(point.index)`` off the sweep seed, so the aggregated result is
@@ -21,10 +21,10 @@ it).  Results persist as ``repro.sweep/v1`` JSON documents
 Fault tolerance rides on the same contract.  One
 :class:`~repro.sweep.supervisor.SupervisorConfig` —
 ``run_sweep(spec, config=SupervisorConfig(timeout=..., retries=...,
-chaos=..., strict=...))`` — is the whole policy every executor reads.
-The supervised executor (:mod:`repro.sweep.supervisor`), which runs
-every sweep but a plain one-worker one, detects crashed and hung
-workers and requeues their points under the bounded retry budget.  Any
+strict=...))`` — is the whole policy.  The supervisor
+(:mod:`repro.sweep.supervisor`), which runs every sweep, one worker or
+many, detects crashed and hung workers and requeues their points under
+the bounded retry budget.  Any
 run can journal every completed point to a crash-consistent JSONL file
 (:mod:`repro.sweep.journal`) and resume an interrupted sweep —
 ``run_sweep(spec, resume=path)`` — with a fingerprint bit-identical to
@@ -44,8 +44,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".backends": (
-        "BACKEND_NAMES", "BaseExecutor", "PointFailure", "SweepInterrupted",
-        "SweepPointError", "backoff_delay", "create_executor",
+        "PointFailure", "SweepInterrupted", "SweepPointError",
+        "backoff_delay",
     ),
     ".engine": (
         "PointResult", "SweepResult", "SweepSpec", "run_sweep",
@@ -54,7 +54,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".grid": ("ParameterGrid", "ScenarioPoint"),
     ".journal": ("RunJournal", "load_journal"),
     ".store": ("SCHEMA", "load_sweep", "save_sweep", "sweep_document"),
-    ".supervisor": ("ChaosSpec", "SupervisorConfig", "parse_chaos"),
+    ".supervisor": ("SupervisorConfig",),
     ".targets": (
         "FABRIC_CONGESTION_VARIANTS", "NAMED_SWEEPS", "TARGETS", "named_sweep",
         "register_target", "resolve_target",

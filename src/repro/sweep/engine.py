@@ -1,10 +1,9 @@
 """The scenario-sweep engine.
 
-:func:`run_sweep` hands the points of a :class:`SweepSpec` to one
-executor (:func:`repro.sweep.backends.create_executor`) and collects one
-:class:`PointResult` per point.  A one-worker sweep with no ``backend``
-that needs no process boundary runs in the calling process; every other
-sweep runs under the supervisor (:mod:`repro.sweep.supervisor`).
+:func:`run_sweep` hands the points of a :class:`SweepSpec` to the
+supervisor (:mod:`repro.sweep.supervisor`), which runs them in worker
+processes, one or many, and collects one :class:`PointResult` per
+point.
 
 Determinism contract
 --------------------
@@ -24,16 +23,15 @@ is a small picklable value even under the ``spawn`` start method.
 
 Fault tolerance
 ---------------
-One :class:`~repro.sweep.supervisor.SupervisorConfig` holds the policy
-every executor follows: a failing point is retried up to ``retries``
-times (default 2) and then lands in the error ledger
-(``result.failures``) of the partial :class:`SweepResult` that
-``run_sweep`` returns, or raises at once when the config is ``strict``.
-The supervisor also detects worker crashes and hangs (``timeout``) and
-requeues the lost points.  ``journal=path`` records every completed
-point in an append-only crash-consistent JSONL file, and
-``run_sweep(spec, resume=path)`` finishes an interrupted sweep with a
-fingerprint bit-identical to an uninterrupted run.
+One :class:`~repro.sweep.supervisor.SupervisorConfig` holds the policy:
+a failing point is retried up to ``retries`` times (default 2) and then
+lands in the error ledger (``result.failures``) of the partial
+:class:`SweepResult` that ``run_sweep`` returns, or raises at once when
+the config is ``strict``.  The supervisor detects worker crashes and
+hangs (``timeout``) and requeues the lost points.  ``journal=path``
+records every completed point in an append-only crash-consistent JSONL
+file, and ``run_sweep(spec, resume=path)`` finishes an interrupted sweep
+with a fingerprint bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -49,9 +47,9 @@ from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.observability import Telemetry, Tracer, write_jsonl
 from repro.observability.summary import merge_summaries, summarize_telemetry
-from repro.sweep.backends import PointFailure, SweepInterrupted, create_executor
+from repro.sweep.backends import PointFailure, SweepInterrupted
 from repro.sweep.grid import ParameterGrid, ScenarioPoint
-from repro.sweep.supervisor import SupervisorConfig
+from repro.sweep.supervisor import Supervisor, SupervisorConfig
 from repro.sweep.targets import preload_target, resolve_target
 
 
@@ -300,7 +298,7 @@ def _assemble(
 
 def _execute(
     spec: SweepSpec,
-    executor,
+    executor: Supervisor,
     workers: int,
     progress,
     journal: Optional[str],
@@ -382,18 +380,14 @@ def run_sweep(
     resume: Union[str, pathlib.Path, None] = None,
     telemetry: Optional[Telemetry] = None,
     collect_telemetry: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Run every point of ``spec`` and return the assembled result.
 
     Parameters
     ----------
     workers:
-        Worker processes.  ``1`` with no ``backend``, and a ``config``
-        with no ``timeout``, ``chaos`` or ``start_method``, runs the
-        points in this process (no child, easiest to debug); anything
-        else runs them under the supervisor.  The aggregated result is
-        bit-identical either way and at any value.
+        Supervised worker processes.  The aggregated result is
+        bit-identical at any value.
     trace_dir:
         When given, each point writes its telemetry trace as
         ``point-NNNN.jsonl`` under this directory.
@@ -404,10 +398,9 @@ def run_sweep(
         The fault-tolerance policy
         (:class:`~repro.sweep.supervisor.SupervisorConfig`, default
         ``SupervisorConfig()``): per-point ``timeout``, the ``retries``
-        budget, injected ``chaos``,
-        ``strict`` fail-fast raising
+        budget and ``strict`` fail-fast raising
         (:class:`~repro.sweep.backends.SweepPointError`) instead of an
-        error ledger, and the local ``start_method``.
+        error ledger.
     journal / resume:
         ``journal=path`` starts a fresh crash-consistent run journal at
         ``path``; ``resume=path`` loads one, skips its completed points
@@ -422,9 +415,6 @@ def run_sweep(
         pipes, and the parent merges them in point-index order into
         ``SweepResult.telemetry`` — bit-identical at any worker count,
         and journalled so a resumed run reconstructs the same aggregate.
-    backend:
-        ``"local"`` runs supervised workers even at ``workers=1``
-        (see :mod:`repro.sweep.backends`).
 
     The target is resolved once up front, with every module its points
     import, so an unknown name fails fast and forked workers inherit the
@@ -448,8 +438,8 @@ def run_sweep(
     journal = None if journal is None else str(journal)
     resume = None if resume is None else str(resume)
     started = time.perf_counter()
-    executor = create_executor(
-        backend, spec, config or SupervisorConfig(),
+    executor = Supervisor(
+        spec, config or SupervisorConfig(),
         workers=workers, trace_dir=trace_dir,
         metrics=telemetry.metrics if telemetry is not None else None,
         collect_telemetry=collect_telemetry,

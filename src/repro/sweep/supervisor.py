@@ -1,31 +1,27 @@
-"""Supervised sweep execution: crash detection, timeouts, retries, chaos.
+"""The sweep executor: supervised worker processes, timeouts, retries.
 
 A sweep point can segfault, call ``os._exit`` or hang forever.  The
-supervisor runs points where that cannot take the sweep down: each
-worker is a long-lived child process driven over its own pipe, so the
-parent always knows *which point* a worker is running and for how long:
+:class:`Supervisor` runs every sweep's points where that cannot take the
+sweep down, one worker or many: each worker is a long-lived child
+process driven over its own pipe, so the parent always knows *which
+point* a worker is running and for how long:
 
 * a worker that **dies** (non-zero exit, ``os._exit``, SIGKILL — under
   both ``fork`` and ``spawn`` start methods) is detected as EOF on its
   pipe; the in-flight point is requeued to a replacement worker;
 * a point that **hangs** past ``timeout`` gets its worker killed and
   replaced, and the point is requeued;
-* every requeue consumes one unit of the point's bounded
-  **retry-with-backoff** budget; an exhausted budget lands the point in
-  the sweep's error ledger (:class:`~repro.sweep.backends.PointFailure`)
-  instead of raising, unless the :class:`SupervisorConfig` asks for
-  fail-fast behaviour (:class:`~repro.sweep.backends.SweepPointError`).
+* every lost attempt, and every exception a point raises, consumes one
+  unit of the point's bounded **retry-with-backoff** budget; an
+  exhausted budget lands the point in the sweep's error ledger
+  (:class:`~repro.sweep.backends.PointFailure`) instead of raising,
+  unless the :class:`SupervisorConfig` asks for fail-fast behaviour
+  (:class:`~repro.sweep.backends.SweepPointError`).
 
-:class:`SupervisorConfig` is a sweep's whole fault-tolerance policy,
-read by every executor.  The supervisor is ``run_sweep``'s executor for
-every local run that is not a plain one-worker sweep (see
-:func:`repro.sweep.backends.create_executor`).
-
-A built-in **chaos mode** (:class:`ChaosSpec`, CLI ``--chaos
-crash:0.1,hang:0.05``) injects worker crashes and hangs into the harness
-itself — deterministically per ``(seed, sweep, point, attempt)`` — so
-recovery is provable end to end: a chaos run that completes has the same
-fingerprint as a calm one.
+Workers start by ``fork`` where the platform has it and by ``spawn``
+otherwise (:func:`process_context`).  Either way a sweep pays a fixed
+cost to start, handshake with and stop its children, however few its
+points.
 
 Retry/timeout/requeue counts surface both as
 ``sweep.supervisor.*`` counters on an optional
@@ -36,26 +32,22 @@ Retry/timeout/requeue counts surface both as
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.rng import RandomSource
-from repro.sweep.backends import BaseExecutor, _Task
+from repro.sweep.backends import (
+    COUNTERS,
+    PointFailure,
+    SweepInterrupted,
+    SweepPointError,
+    _Task,
+    backoff_delay,
+)
 
-__all__ = [
-    "CHAOS_EXIT_CODE",
-    "ChaosSpec",
-    "Supervisor",
-    "SupervisorConfig",
-    "parse_chaos",
-]
-
-#: Exit code chaos-injected crashes die with (visible in crash messages).
-CHAOS_EXIT_CODE = 86
+__all__ = ["Supervisor", "SupervisorConfig"]
 
 #: Points a worker may hold at once (1 running + the rest queued in its
 #: pipe).  Depth 2 hides the parent's scheduling latency — the worker
@@ -65,142 +57,35 @@ CHAOS_EXIT_CODE = 86
 PIPELINE_DEPTH = 2
 
 
-def process_context(start_method: Optional[str] = None):
-    """The ``multiprocessing`` context for ``start_method``.
-
-    ``None`` prefers ``fork`` (fast, shares the imported tree) and falls
-    back to ``spawn`` where the platform has no fork.
-    """
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
+def process_context():
+    """The ``multiprocessing`` context workers start in: ``fork`` (fast,
+    shares the imported tree) where the platform has it, else ``spawn``."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context("spawn")
 
 
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Harness-fault injection probabilities, drawn per (point, attempt).
-
-    ``crash`` is the probability a worker ``os._exit``\\ s instead of
-    running the point; ``hang`` the probability it sleeps
-    ``hang_seconds`` first (long past any sane timeout).  Draws come from
-    ``RandomSource(seed).fork(f"chaos/{sweep}/{index}/{attempt}")`` — a
-    pure function of the sweep seed, point and attempt — so chaos runs
-    are reproducible and a retried attempt rolls fresh dice.
-    """
-
-    crash: float = 0.0
-    hang: float = 0.0
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        for name in ("crash", "hang"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(
-                    f"chaos {name} probability must be in [0, 1]: {value}"
-                )
-        if self.crash + self.hang > 1.0:
-            raise ConfigurationError(
-                "chaos crash + hang probabilities exceed 1 "
-                f"({self.crash} + {self.hang})"
-            )
-
-    def draw(
-        self, seed: int, sweep_name: str, index: int, attempt: int
-    ) -> Optional[str]:
-        """``"crash"``, ``"hang"`` or ``None`` for this (point, attempt)."""
-        roll = RandomSource(seed).fork(
-            f"chaos/{sweep_name}/{index}/{attempt}"
-        ).uniform()
-        if roll < self.crash:
-            return "crash"
-        if roll < self.crash + self.hang:
-            return "hang"
-        return None
-
-
-#: CLI clause name -> ChaosSpec field.
-_CHAOS_CLAUSES = {
-    "crash": "crash",
-    "hang": "hang",
-    "hang-seconds": "hang_seconds",
-}
-
-
-def parse_chaos(text: str) -> ChaosSpec:
-    """Parse ``crash:0.1,hang:0.05,hang-seconds:30``."""
-    values: Dict[str, float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, separator, raw = part.partition(":")
-        name = name.strip()
-        if not separator or name not in _CHAOS_CLAUSES:
-            known = ", ".join(f"{clause}:<p>" for clause in _CHAOS_CLAUSES)
-            raise ConfigurationError(
-                f"bad chaos clause {part!r}; expected clauses from: {known}"
-            )
-        key = _CHAOS_CLAUSES[name]
-        if key in values:
-            raise ConfigurationError(
-                f"chaos clause {name!r} given more than once in {text!r}"
-            )
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"bad chaos probability in {part!r}"
-            ) from None
-    if not values:
-        raise ConfigurationError(f"empty chaos spec {text!r}")
-    return ChaosSpec(**values)
-
-
 @dataclass
 class SupervisorConfig:
-    """A sweep's fault-tolerance policy, read by every executor."""
+    """A sweep's fault-tolerance policy."""
 
     #: Per-point wall-clock budget in seconds; ``None`` disables the kill.
     timeout: Optional[float] = None
     #: How many times a failed point is re-dispatched before the ledger.
     retries: int = 2
-    #: Harness faults to inject; the string form (``"crash:0.1"``) is
-    #: parsed with :func:`parse_chaos`.
-    chaos: Union[ChaosSpec, str, None] = None
     #: Raise :class:`~repro.sweep.backends.SweepPointError` on the first
     #: point that exhausts its retries instead of returning a partial
     #: result with an error ledger.
     strict: bool = False
-    #: Local worker start method (``fork``/``spawn``/``forkserver``);
-    #: ``None`` prefers ``fork``.
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.chaos, str):
-            self.chaos = parse_chaos(self.chaos)
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(
                 f"per-point timeout must be positive: {self.timeout}"
             )
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0: {self.retries}")
-        methods = multiprocessing.get_all_start_methods()
-        if self.start_method is not None and self.start_method not in methods:
-            raise ConfigurationError(
-                f"unknown start method {self.start_method!r}; this platform "
-                f"has: {', '.join(methods)}"
-            )
-        if self.timeout is None and self.chaos is not None and (
-            self.chaos.hang > 0
-        ):
-            raise ConfigurationError(
-                "chaos hang injection needs a per-point timeout, or hung "
-                "workers would stall the sweep forever"
-            )
 
 
 def _supervised_worker(conn, common: Tuple) -> None:
@@ -211,7 +96,7 @@ def _supervised_worker(conn, common: Tuple) -> None:
     """
     from repro.sweep.engine import _run_point, _start_worker
 
-    target_name, sweep_name, seed, trace_dir, chaos, collect_telemetry = common
+    target_name, sweep_name, seed, trace_dir, collect_telemetry = common
     _start_worker(target_name)
     try:
         # Ready handshake: interpreter boot + imports are done (the bulk
@@ -238,12 +123,6 @@ def _supervised_worker(conn, common: Tuple) -> None:
         if job is None:
             break
         index, params, attempt = job
-        if chaos is not None:
-            action = chaos.draw(seed, sweep_name, index, attempt)
-            if action == "crash":
-                os._exit(CHAOS_EXIT_CODE)
-            elif action == "hang":
-                time.sleep(chaos.hang_seconds)
         try:
             result = _run_point(
                 (target_name, sweep_name, seed, index, params, trace_dir,
@@ -280,25 +159,138 @@ class _Worker:
     ready: bool = False
 
 
-class Supervisor(BaseExecutor):
+class Supervisor:
     """Drives one sweep's points through ``workers`` supervised processes.
 
-    ``context`` is :class:`~repro.sweep.backends.BaseExecutor`'s keywords
-    (``trace_dir``, ``metrics``, ``collect_telemetry``).
+    Owns the harness counters, the pending queue (lowest grid index
+    first, honouring per-task retry backoff), the bounded
+    retry-or-error-ledger policy of ``config`` and the worker pool.
+    ``trace_dir`` and ``collect_telemetry`` reach every point;
+    ``metrics``, when given, counts harness events as
+    ``sweep.supervisor.*`` counters.
     """
 
     def __init__(self, spec, config: SupervisorConfig, workers: int = 1,
-                 **context) -> None:
-        super().__init__(spec, config, **context)
+                 trace_dir: Optional[str] = None, metrics=None,
+                 collect_telemetry: bool = False) -> None:
+        self.spec = spec
+        self.config = config
         self.workers = workers
-        self._context = process_context(config.start_method)
+        self.trace_dir = trace_dir
+        self.metrics = metrics
+        self.collect_telemetry = collect_telemetry
+        self.counters: Dict[str, float] = {name: 0.0 for name in COUNTERS}
+        self._pending: List[_Task] = []
+        self._outstanding = 0
+        #: The running sweep's callbacks, bound by :meth:`run`.
+        self._on_result: Optional[Callable[[object, int], None]] = None
+        self._on_failure: Optional[Callable[[PointFailure], None]] = None
+        self._context = process_context()
         self._common = (
-            spec.target, spec.name, spec.seed, self.trace_dir, config.chaos,
-            self.collect_telemetry,
+            spec.target, spec.name, spec.seed, trace_dir, collect_telemetry,
         )
         self._workers: List[_Worker] = []
 
+    def run(
+        self,
+        tasks: List[Tuple[int, Dict[str, object]]],
+        on_result: Callable[[object, int], None],
+        on_failure: Callable[[PointFailure], None],
+    ) -> Dict[str, float]:
+        """Run every (index, params) task; returns the harness counters.
+
+        ``on_result(point_result, attempts)`` fires as points complete
+        (completion order, not grid order); ``on_failure(point_failure)``
+        fires when a point exhausts its retry budget.
+        """
+        self._on_result = on_result
+        self._on_failure = on_failure
+        self._pending = [
+            _Task(index=index, params=dict(params), attempt=1)
+            for index, params in tasks
+        ]
+        self._outstanding = len(self._pending)
+        if not self._pending:
+            return dict(self.counters)
+        try:
+            for _ in range(min(self.workers, len(self._pending))):
+                self._spawn_worker()
+            while self._outstanding > 0:
+                self._step()
+        except KeyboardInterrupt:
+            raise SweepInterrupted(
+                f"sweep {self.spec.name!r} interrupted; "
+                f"{self._outstanding} point(s) unfinished"
+            ) from None
+        finally:
+            self._shutdown()
+        return dict(self.counters)
+
     # -- bookkeeping ------------------------------------------------------
+
+    def bump(self, name: str, amount: float = 1.0) -> None:
+        self.counters[name] = self.counters.get(name, 0.0) + amount
+        if self.metrics is not None:
+            self.metrics.counter(
+                f"sweep.supervisor.{name}",
+                "sweep supervisor harness event count",
+            ).inc(amount)
+
+    def _pop_ready(self, now: float) -> Optional[_Task]:
+        """The lowest-index pending task whose backoff has expired."""
+        best = None
+        for task in self._pending:
+            if task.not_before > now:
+                continue
+            if best is None or task.index < best.index:
+                best = task
+        if best is not None:
+            self._pending.remove(best)
+        return best
+
+    def _next_wake(self) -> Optional[float]:
+        """Earliest ``not_before`` among pending tasks, if any."""
+        if not self._pending:
+            return None
+        return min(task.not_before for task in self._pending)
+
+    def _complete(self, result, attempt: int) -> None:
+        """One point finished: count it and hand it to the run."""
+        self.bump("completed")
+        self._outstanding -= 1
+        self._on_result(result, attempt)
+
+    def _retry_or_fail(self, task: _Task, error: str, now: float) -> None:
+        """Requeue a lost attempt, or move the point to the error ledger."""
+        if task.attempt <= self.config.retries:
+            self.bump("retries")
+            next_attempt = task.attempt + 1
+            self._pending.append(
+                _Task(
+                    index=task.index,
+                    params=task.params,
+                    attempt=next_attempt,
+                    not_before=now + backoff_delay(next_attempt),
+                )
+            )
+            return
+        self._outstanding -= 1
+        self.bump("failed")
+        self._on_failure(
+            PointFailure(
+                index=task.index,
+                params=dict(task.params),
+                error=error,
+                attempts=task.attempt,
+            )
+        )
+        if self.config.strict:
+            raise SweepPointError(
+                f"sweep {self.spec.name!r} point {task.index} failed after "
+                f"{task.attempt} attempt(s): {error}"
+            )
+
+    # -- the worker pool --------------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
@@ -345,12 +337,6 @@ class Supervisor(BaseExecutor):
             self._spawn_worker()
 
     # -- the event loop ---------------------------------------------------
-
-    def _loop(self) -> None:
-        for _ in range(min(self.workers, len(self._pending))):
-            self._spawn_worker()
-        while self._outstanding > 0:
-            self._step()
 
     def _dispatch_ready(self, now: float) -> None:
         # Breadth-first: top every worker up to one task before any
@@ -402,8 +388,7 @@ class Supervisor(BaseExecutor):
         busy = [w for w in self._workers if w.tasks]
         if not busy:
             if self._pending:
-                wake = min(task.not_before for task in self._pending)
-                time.sleep(max(0.0, min(wake - now, 0.1)))
+                time.sleep(max(0.0, min(self._next_wake() - now, 0.1)))
             return
         # 3. Sleep until a message, a death, a deadline or a backoff expiry.
         horizons = [w.deadline for w in busy if w.deadline is not None]
@@ -411,7 +396,7 @@ class Supervisor(BaseExecutor):
             len(w.tasks) < PIPELINE_DEPTH for w in self._workers
         )
         if self._pending and spare_depth:
-            horizons.append(min(task.not_before for task in self._pending))
+            horizons.append(self._next_wake())
         wait_timeout = (
             max(0.0, min(horizons) - now) if horizons else None
         )
@@ -454,6 +439,7 @@ class Supervisor(BaseExecutor):
                 self._retry_or_fail(task, payload, now)
 
     def _shutdown(self) -> None:
+        """Stop and reap every worker, however the run ended."""
         for worker in list(self._workers):
             try:
                 worker.conn.send(None)

@@ -17,9 +17,8 @@ and an independent (slower, simpler) reference — and demands agreement:
 * :func:`check_checkpointing` — the Young/Daly interval vs a numeric grid
   scan of the first-order Daly expected-time model, for every checkpoint
   target preset.
-* :func:`check_sweep` — the fork-pool parallel sweep vs serial execution
-  of the same spec (the engine's bit-identical-at-any-worker-count
-  contract).
+* :func:`check_sweep` — the same spec at 1 vs N supervised workers
+  (the engine's bit-identical-at-any-worker-count contract).
 * :func:`check_resume` — a journalled sweep interrupted mid-run (journal
   truncated to a prefix, with a deliberately torn trailing line) and
   resumed via ``run_sweep(..., resume=...)`` vs the uninterrupted run:
@@ -395,7 +394,7 @@ def check_checkpointing(
 
 
 def check_sweep(workers: int = 2) -> DifferentialResult:
-    """Fork-pool sweep vs serial execution of the same spec."""
+    """The smoke sweep at 1 vs N supervised workers."""
     from repro.sweep import named_sweep, run_sweep
 
     serial = run_sweep(named_sweep("smoke"), workers=1)
@@ -408,8 +407,8 @@ def check_sweep(workers: int = 2) -> DifferentialResult:
         f"{workers} workers"
         if passed
         else (
-            f"smoke sweep diverged: serial {serial_print[:12]} vs "
-            f"{workers}-worker pool {pooled_print[:12]}"
+            f"smoke sweep diverged: 1 worker {serial_print[:12]} vs "
+            f"{workers} workers {pooled_print[:12]}"
         )
     )
     return DifferentialResult(

@@ -220,53 +220,34 @@ class TestSweepCommand:
         assert "1 point(s) failed after retries" in err
         assert "unknown topology kind 'nosuch'" in err
 
-    @pytest.mark.parametrize(
-        "clause", ["host-crash", "drop", "delay", "delay-seconds"]
-    )
-    def test_retired_chaos_clause_exits_2_naming_it_and_the_survivors(
-        self, capsys, clause
+    def test_crashed_workers_recover_the_calm_fingerprint(
+        self, tmp_path, capsys
     ):
-        code = main([
-            "sweep", "smoke", "--workers", "2", "--timeout", "5",
-            "--chaos", f"{clause}:0.5",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"bad chaos clause '{clause}:0.5'" in err
-        assert (
-            "expected clauses from: crash:<p>, hang:<p>, hang-seconds:<p>"
-        ) in err
-
-    def test_repeated_chaos_clause_exits_2_naming_it(self, capsys):
-        code = main([
-            "sweep", "smoke", "--workers", "2", "--chaos", "crash:0.1,crash:0.3",
-        ])
-        assert code == 2
-        assert (
-            "chaos clause 'crash' given more than once in 'crash:0.1,crash:0.3'"
-        ) in capsys.readouterr().err
-
-    def test_chaos_smoke_recovers_the_golden_fingerprint(self, tmp_path):
-        """Injected worker crashes and hangs are retried away: the smoke
-        sweep still reproduces its golden fingerprint."""
+        """Worker crashes are retried away: the stored result of a sweep
+        whose every point first kills its worker matches the calm rerun."""
         from repro.sweep import load_sweep
 
-        output = tmp_path / "sweep_chaos.json"
-        process = _repro(
-            "sweep", "smoke", "--workers", "2",
-            "--chaos", "crash:0.15,hang:0.05", "--timeout", "2",
-            "--retries", "4", "--journal", str(tmp_path / "chaos_run.jsonl"),
-            "--output", str(output),
-            capture_output=True, text=True,
-        )
-        assert process.returncode == 0, process.stderr
-        golden = json.loads(
-            (CHECKOUT / "tests" / "golden" / "sweep_smoke.json").read_text()
-        )
-        stored = load_sweep(output)
-        assert stored.ok, stored.failures
-        assert stored.fingerprint() == golden["digest"]
-        assert stored.harness["crashes"] + stored.harness["timeouts"] > 0
+        from tests.sweep import _ft_helpers  # noqa: F401  (registers targets)
+
+        def sweep(output):
+            return main([
+                "sweep", "ft", "--target", "ft-crash-once",
+                "--axis", "x=0,1,2,3", "--axis", f"marker_dir={tmp_path}",
+                "--workers", "2", "--timeout", "2", "--retries", "4",
+                "--journal", str(tmp_path / f"{output}.jsonl"),
+                "--output", str(tmp_path / f"{output}.json"),
+            ])
+
+        assert sweep("recovered") == 0
+        # Every first attempt left its marker: the rerun crashes nowhere.
+        assert sweep("calm") == 0
+        capsys.readouterr()
+        recovered = load_sweep(tmp_path / "recovered.json")
+        calm = load_sweep(tmp_path / "calm.json")
+        assert recovered.ok and calm.ok
+        assert recovered.harness["crashes"] == 4.0
+        assert calm.harness["crashes"] == 0.0
+        assert recovered.fingerprint() == calm.fingerprint()
 
     def test_axis_without_a_target_exits_2(self, capsys):
         assert main(["sweep", "smoke", "--axis", "bogus=1"]) == 2

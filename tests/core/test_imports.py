@@ -362,15 +362,13 @@ class TestWorkerFreeze:
         assert gc.get_freeze_count() == before
         assert pooled.fingerprint() == run_sweep(spec, workers=1).fingerprint()
 
-    @pytest.mark.parametrize("options", [
-        {"config": SupervisorConfig(strict=True)},
-        {"config": SupervisorConfig(strict=True, start_method="fork")},
-    ])
-    def test_forked_workers_start_frozen(self, freeze_probe, options):
+    def test_forked_workers_start_frozen(self, freeze_probe):
         spec = SweepSpec(name="freeze", target=freeze_probe,
                          grid={"i": [0, 1, 2, 3]})
         before = gc.get_freeze_count()
-        result = run_sweep(spec, workers=2, **options)
+        result = run_sweep(
+            spec, workers=2, config=SupervisorConfig(strict=True)
+        )
         assert gc.get_freeze_count() == before
         # Each worker froze the heap it inherited, on top of anything the
         # calling process had frozen itself.

@@ -78,9 +78,69 @@ class TestFieldValidation:
             with pytest.raises(ConfigurationError, match="bad topology parameters"):
                 build_topology(kind, wings=2)
 
+    @pytest.mark.parametrize("kind, overrides, message", [
+        ("dragonfly", {"groups": 2.5}, "groups must be a whole number: 2.5"),
+        ("torus", {"dims": (2.7, 3)}, "dims must be a whole number: 2.7"),
+        ("torus", {"terminals": 0}, "terminals must be >= 1: 0"),
+    ])
+    def test_bad_count_names_the_field(self, kind, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_topology(kind, **overrides)
+
     def test_old_terminal_spelling_rejected(self):
         with pytest.raises(ConfigurationError, match="bad topology parameters"):
             build_topology("dragonfly", terminals_per_router=4)
+
+
+#: (kind, count field) for every count field each family takes.
+COUNT_FIELDS = [
+    ("dragonfly", "terminals"), ("dragonfly", "groups"),
+    ("dragonfly", "routers_per_group"),
+    ("dragonfly", "global_links_per_router"),
+    ("hyperx", "terminals"), ("hyperx", "dims"),
+    ("fat-tree", "k"),
+    ("two-tier", "terminals"), ("two-tier", "leaves"), ("two-tier", "spines"),
+    ("torus", "terminals"), ("torus", "dims"),
+]
+
+
+def _count(field, value):
+    """``value`` as ``field`` takes it: one entry of ``dims``."""
+    return (value, 3) if field == "dims" else value
+
+
+class TestCountValidation:
+    """A count that is not a whole number fails before the build, naming
+    the field, instead of raising ``TypeError`` mid-build or being
+    truncated."""
+
+    @pytest.mark.parametrize("kind, field", COUNT_FIELDS)
+    @pytest.mark.parametrize(
+        "value", [2.5, True, "4", float("nan")],
+        ids=["fraction", "bool", "string", "nan"],
+    )
+    def test_not_a_whole_number_names_the_field(self, kind, field, value):
+        with pytest.raises(
+            ConfigurationError, match=rf"topology {field} must be a whole number"
+        ):
+            build_topology(kind, **{field: _count(field, value)})
+
+    @pytest.mark.parametrize("kind, field", COUNT_FIELDS)
+    def test_a_whole_float_builds_as_the_int(self, kind, field):
+        assert _same_topology(
+            build_topology(kind, **{field: _count(field, 4.0)}),
+            build_topology(kind, **{field: _count(field, 4)}),
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["dragonfly", "hyperx", "two-tier", "torus"]
+    )
+    @pytest.mark.parametrize("terminals", [0, -2])
+    def test_terminals_below_one_are_rejected(self, kind, terminals):
+        with pytest.raises(
+            ConfigurationError, match=f"terminals must be >= 1: {terminals}"
+        ):
+            build_topology(kind, terminals=terminals)
 
 
 #: Link parameters every builder must reject, with the field each names.
@@ -92,6 +152,8 @@ BAD_LINKS = [
     ("link_latency", -1e-3),
     ("link_latency", float("nan")),
     ("link_latency", float("inf")),
+    ("link_bandwidth", "fast"),
+    ("link_latency", None),
 ]
 
 

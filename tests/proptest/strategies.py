@@ -2,7 +2,7 @@
 
 Generators for the domain objects property tests keep re-needing:
 topology specs (honouring every builder's constraints), built topologies,
-job lists, fault campaigns and materialised fault timelines. Everything is
+invalid topology inputs, job lists, fault campaigns and materialised fault timelines. Everything is
 drawn through hypothesis' own entropy — no wall clock, no global RNG — so
 a failing example shrinks and replays deterministically, and the suite can
 run under a fixed ``--hypothesis-seed`` in CI.
@@ -16,6 +16,8 @@ Usage::
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import strategies as st
 
@@ -87,6 +89,65 @@ def topology_specs(
 def topologies(**kwargs) -> st.SearchStrategy:
     """Built :class:`~repro.interconnect.topology.Topology` objects."""
     return topology_specs(**kwargs).map(build_topology)
+
+
+#: The count fields each family takes.
+_COUNT_FIELDS = {
+    "dragonfly": ("terminals", "groups", "routers_per_group",
+                  "global_links_per_router"),
+    "hyperx": ("terminals", "dims"),
+    "fat-tree": ("k",),
+    "two-tier": ("terminals", "leaves", "spines"),
+    "torus": ("terminals", "dims"),
+}
+
+
+def _not_whole() -> st.SearchStrategy:
+    """Values a count field must reject: fractions, non-finite floats,
+    bools and non-numbers."""
+    return st.one_of(
+        st.floats().filter(
+            lambda value: not (math.isfinite(value) and value.is_integer())
+        ),
+        st.booleans(),
+        st.text(max_size=3),
+    )
+
+
+@st.composite
+def invalid_topology_inputs(draw):
+    """``(kind, field, overrides)``: one bad field on a family's defaults.
+
+    ``build_topology(kind, **overrides)`` must raise
+    :class:`~repro.core.errors.ConfigurationError` naming ``field``.  The
+    bad value is a count that is not a whole number (an entry of
+    ``dims`` too, or ``dims`` itself not a sequence), ``terminals``
+    below 1, or a link bandwidth or latency that is out of range or not
+    a number.
+    """
+    kind = draw(st.sampled_from(sorted(_COUNT_FIELDS)))
+    field = draw(st.sampled_from(
+        _COUNT_FIELDS[kind] + ("link_bandwidth", "link_latency")
+    ))
+    if field == "link_bandwidth":
+        value = draw(st.floats(max_value=0.0) | st.sampled_from(
+            [math.inf, math.nan, "fast", None]
+        ))
+    elif field == "link_latency":
+        value = draw(st.floats(max_value=-1e-12) | st.sampled_from(
+            [math.inf, math.nan, "slow", None]
+        ))
+    elif field == "dims" and draw(st.booleans()):
+        value = draw(st.integers(2, 4))  # not a sequence
+    elif field == "dims":
+        dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+        at = draw(st.integers(0, len(dims)))
+        value = tuple(dims[:at]) + (draw(_not_whole()),) + tuple(dims[at:])
+    elif field == "terminals":
+        value = draw(_not_whole() | st.integers(max_value=0))
+    else:
+        value = draw(_not_whole())
+    return kind, field, {field: value}
 
 
 # --- workloads ------------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 Structural laws every builder must satisfy regardless of family or size:
 diameter and average-path bounds, route symmetry, bisection non-negativity,
-and the subgraph property of degraded fabrics. Specs come from the shared
+and the subgraph property of degraded fabrics; and every invalid input
+fails before the build, naming its field. Specs come from the shared
 strategy toolkit (:mod:`tests.proptest.strategies`) so failures shrink to a
 minimal topology and replay deterministically.
 """
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigurationError
 from repro.core.rng import RandomSource
 from repro.interconnect.routecache import route_cache_for
-from repro.interconnect.topology import Topology
+from repro.interconnect.topology import Topology, TopologySpec, build_topology
 from repro.validate.differential import networkx_twin
 
 from tests.proptest import strategies as props
@@ -122,3 +125,14 @@ class TestDegradedFabrics:
         assert set(degraded.terminals) == set(topology.terminals) - set(attached)
         assert set(degraded.graph.nodes()) <= set(topology.graph.nodes())
         assert set(degraded.graph.edges()) <= set(topology.graph.edges())
+
+
+class TestInvalidInputs:
+    @given(case=props.invalid_topology_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_naming_the_field(self, case):
+        kind, field, overrides = case
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            build_topology(kind, **overrides)
+        with pytest.raises(ConfigurationError, match=rf"\b{field}\b"):
+            TopologySpec(kind=kind, **overrides)

@@ -222,10 +222,11 @@ class TestBoundFaults:
     the fault that took it down."""
 
     def test_a_fault_finding_every_node_down_repairs_none(self):
-        cluster = make_cluster(nodes=1)
+        telemetry = Telemetry()
+        cluster = make_cluster(nodes=1, telemetry=telemetry)
         injector = FaultInjector(
             cluster.simulation, FaultCampaign(horizon=1_000.0),
-            RandomSource(seed=1, name="faults"),
+            RandomSource(seed=1, name="faults"), telemetry=telemetry,
             timeline=[
                 FaultEvent(10.0, FaultKind.NODE, "testsite", 100.0),
                 FaultEvent(20.0, FaultKind.NODE, "testsite", 5.0),
@@ -245,10 +246,13 @@ class TestBoundFaults:
         # back, and the node stays down until the first one's at t=110.
         assert capacity == {15.0: 0, 24.0: 0, 26.0: 0, 109.0: 0, 111.0: 1}
         assert record.start_time == pytest.approx(110.0)
-        # ``injector.repaired`` is left out: it still counts the repair
-        # of the dropped fault, which repairs nothing.
+        # Only the fault that took the node counts a repair.
         assert injector.injected == 2
+        assert injector.repaired == 1
         assert cluster.failed_nodes == 0
+        metrics = telemetry.metrics
+        assert metrics.get("resilience.faults.repaired").total() == 1.0
+        assert metrics.get("cluster.nodes.repaired").total() == 1.0
 
 
 class TestReport:
@@ -371,5 +375,7 @@ class TestConservationUnderChurn:
             assert failed == len(took)
             repaired = telemetry.metrics.get("cluster.nodes.repaired").total()
             assert repaired == failed
+            # The injector counts the repairs of the faults that took one.
+            assert injector.repaired == repaired
             dropped += injector.injected - len(took)
         assert dropped > 0  # the seeds reach the dropped-fault case

@@ -93,9 +93,11 @@ def ft_boom(params, telemetry, rng):
 
 @register_target("ft-interrupt")
 def ft_interrupt(params, telemetry, rng):
-    """Simulate Ctrl-C landing while a specific point is running."""
+    """Ctrl-C the sweep's parent process while a specific point runs."""
+    import signal
+
     if int(params["x"]) == int(params.get("interrupt_at", 2)):
-        raise KeyboardInterrupt
+        os.kill(os.getppid(), signal.SIGINT)
     return {"value": float(params["x"])}
 
 

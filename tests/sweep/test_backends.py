@@ -1,77 +1,49 @@
-"""Executor selection, the shared executor skeleton and deterministic
-backoff."""
+"""The supervisor's queue, retry budget and run contract, the start
+methods, and deterministic backoff."""
+
+import multiprocessing
 
 import pytest
 
-from repro.core.errors import ConfigurationError
-from repro.sweep import run_sweep
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import supervisor as supervisor_module
 from repro.sweep.backends import (
-    BACKEND_NAMES,
     COUNTERS,
     RETRY_BACKOFF,
-    BaseExecutor,
-    InlineExecutor,
     SweepInterrupted,
     SweepPointError,
     _Task,
     backoff_delay,
-    create_executor,
 )
 from repro.sweep.supervisor import Supervisor, SupervisorConfig
 
 from tests.sweep import _ft_helpers as ft
 
 
-class TestCreateExecutor:
-    def test_every_declared_backend_builds_an_executor(self):
-        for name in BACKEND_NAMES:
-            executor = create_executor(
-                name, ft.cheap_spec(), SupervisorConfig()
-            )
-            assert isinstance(executor, BaseExecutor)
-
-    def test_unknown_backend_lists_what_exists(self):
-        with pytest.raises(
-            ConfigurationError, match="registered backends: local$"
-        ):
-            create_executor("mpi", ft.cheap_spec(), SupervisorConfig())
-
-    @pytest.mark.parametrize("workers, config, expected", [
-        (1, SupervisorConfig(), InlineExecutor),
-        (2, SupervisorConfig(), Supervisor),
-        (1, SupervisorConfig(timeout=5.0), Supervisor),
-        (1, SupervisorConfig(chaos="crash:0.1"), Supervisor),
-        (1, SupervisorConfig(start_method="spawn"), Supervisor),
-    ])
-    def test_default_backend_runs_in_process_unless_isolation_is_asked(
-        self, workers, config, expected
-    ):
-        executor = create_executor(
-            None, ft.cheap_spec(), config, workers=workers
-        )
-        assert type(executor) is expected
-
-    def test_local_backend_always_supervises(self):
-        executor = create_executor("local", ft.cheap_spec(), SupervisorConfig())
-        assert isinstance(executor, Supervisor)
-        assert executor.workers == 1
-
-
 class TestStartMethodBackends:
-    def test_fork_backend_agrees_with_serial(self):
+    @pytest.fixture
+    def start_in(self, monkeypatch):
+        """Start the supervisor's workers by ``method``."""
+
+        def force(method):
+            monkeypatch.setattr(
+                supervisor_module, "process_context",
+                lambda: multiprocessing.get_context(method),
+            )
+
+        return force
+
+    def test_fork_backend_agrees_with_serial(self, start_in):
         spec = ft.cheap_spec(n=4)
         serial = run_sweep(spec, workers=1)
-        forked = run_sweep(
-            spec, workers=2, config=SupervisorConfig(start_method="fork")
-        )
+        start_in("fork")
+        forked = run_sweep(spec, workers=2)
         assert forked.ok
         assert forked.fingerprint() == serial.fingerprint()
 
-    def test_spawn_backend_agrees_with_serial(self):
+    def test_spawn_backend_agrees_with_serial(self, start_in):
         # A built-in target: spawn children re-import the registry from
         # scratch, so test-local registrations would not exist there.
-        from repro.sweep import SweepSpec
-
         spec = SweepSpec(
             name="backend-spawn",
             target="fabric-congestion",
@@ -82,15 +54,20 @@ class TestStartMethodBackends:
             seed=5,
         )
         serial = run_sweep(spec, workers=1)
-        spawned = run_sweep(
-            spec, workers=2, config=SupervisorConfig(start_method="spawn")
-        )
+        start_in("spawn")
+        spawned = run_sweep(spec, workers=2)
         assert spawned.ok
         assert spawned.fingerprint() == serial.fingerprint()
 
+    def test_default_context_prefers_fork(self):
+        assert supervisor_module.process_context().get_start_method() == (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
 
-class _ScriptedExecutor(BaseExecutor):
-    """A substrate-free executor: ``_loop`` runs a scripted callable."""
+
+class _ScriptedExecutor(Supervisor):
+    """A supervisor with no workers: each step runs a scripted callable."""
 
     def __init__(self, script=None, config=None, **context):
         super().__init__(ft.cheap_spec(n=4), config or SupervisorConfig(),
@@ -100,7 +77,10 @@ class _ScriptedExecutor(BaseExecutor):
         self.results = []
         self.failures = []
 
-    def _loop(self):
+    def _spawn_worker(self):
+        pass
+
+    def _step(self):
         self.script(self)
 
     def _shutdown(self):
@@ -268,25 +248,22 @@ class TestRunContract:
         assert interrupt.partial is None
 
 
-class TestCreateExecutorContext:
-    @pytest.mark.parametrize("backend, workers", [
-        (None, 1), (None, 3), ("local", 1), ("local", 3),
-    ])
-    def test_context_and_worker_count_reach_the_executor(
-        self, tmp_path, backend, workers
+class TestSupervisorContext:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_context_and_worker_count_reach_the_supervisor(
+        self, tmp_path, workers
     ):
         from repro.observability import Telemetry
 
         metrics = Telemetry().metrics
-        executor = create_executor(
-            backend, ft.cheap_spec(), SupervisorConfig(), workers=workers,
+        supervisor = Supervisor(
+            ft.cheap_spec(), SupervisorConfig(), workers=workers,
             trace_dir=str(tmp_path), metrics=metrics, collect_telemetry=True,
         )
-        assert executor.trace_dir == str(tmp_path)
-        assert executor.metrics is metrics
-        assert executor.collect_telemetry is True
-        if isinstance(executor, Supervisor):
-            assert executor.workers == workers
+        assert supervisor.trace_dir == str(tmp_path)
+        assert supervisor.metrics is metrics
+        assert supervisor.collect_telemetry is True
+        assert supervisor.workers == workers
 
 
 class TestBackoffSchedule:

@@ -1,5 +1,5 @@
-"""CLI surface of ``repro sweep``: resume hints, one-journal resume,
-backend names."""
+"""CLI surface of ``repro sweep``: resume hints and one-journal
+resume."""
 
 import os
 import pathlib
@@ -178,30 +178,3 @@ class TestOneJournalResume:
         assert "6 points" in out
         assert f"fingerprint {full.fingerprint()[:12]}" in out
         assert sorted(load_journal(path).completed) == list(range(6))
-
-
-class TestBackendFlag:
-    def test_unknown_backend_is_rejected_with_the_known_list(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                "sweep", "ft", "--target", "ft-cheap", "--axis", "x=0,1",
-                "--backend", "mpi",
-            ])
-        assert exit_info.value.code == 2
-        assert "choose from 'local')" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", ["local-fork", "local-spawn"])
-    def test_start_method_names_are_not_backends(self, capsys, name):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "smoke", "--backend", name])
-        assert exit_info.value.code == 2
-        assert f"invalid choice: '{name}'" in capsys.readouterr().err
-
-    def test_local_backend_runs_from_the_cli(self, capsys):
-        code = main([
-            "sweep", "ft", "--target", "ft-cheap",
-            "--axis", "x=0,1,2", "--seed", "77",
-            "--backend", "local", "--workers", "2",
-        ])
-        assert code == 0
-        assert "3 points" in capsys.readouterr().out

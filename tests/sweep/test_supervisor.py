@@ -1,4 +1,4 @@
-"""The supervised executor: crash/hang recovery, retries, chaos, resume.
+"""The supervised executor: crash/hang recovery, retries, resume.
 
 The acceptance bar for the fault-tolerance work: a sweep killed mid-run
 (SIGKILL on a worker or on the parent process) resumes via ``resume=``
@@ -21,89 +21,17 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.observability import Telemetry
 from repro.sweep import (
-    ChaosSpec,
     SweepInterrupted,
     SweepPointError,
-    SweepSpec,
     load_journal,
-    parse_chaos,
     run_sweep,
 )
 from repro.sweep.backends import _Task, backoff_delay
-from repro.sweep.supervisor import (
-    CHAOS_EXIT_CODE,
-    Supervisor,
-    SupervisorConfig,
-    _Worker,
-    process_context,
-)
+from repro.sweep.supervisor import Supervisor, SupervisorConfig, _Worker
 
 from tests.sweep import _ft_helpers as ft
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-
-class TestChaosSpec:
-    def test_parse_round_trip(self):
-        spec = parse_chaos("crash:0.1,hang:0.05")
-        assert spec == ChaosSpec(crash=0.1, hang=0.05)
-        assert parse_chaos("crash:0.2") == ChaosSpec(crash=0.2)
-
-    @pytest.mark.parametrize(
-        "text", ["", "banana:0.1", "crash", "crash:lots", "crash:0.1;hang:0.2"]
-    )
-    def test_parse_rejects_malformed_clauses(self, text):
-        with pytest.raises(ConfigurationError):
-            parse_chaos(text)
-
-    @pytest.mark.parametrize("text, expected", [
-        ("crash:0.1,", ChaosSpec(crash=0.1)),
-        (" crash : 0.1 , hang:0.2 ", ChaosSpec(crash=0.1, hang=0.2)),
-        ("hang:0.1,hang-seconds:30", ChaosSpec(hang=0.1, hang_seconds=30.0)),
-    ])
-    def test_parse_tolerates_spacing_and_empty_clauses(self, text, expected):
-        assert parse_chaos(text) == expected
-
-    @pytest.mark.parametrize("kwargs", [
-        {"crash": -0.1}, {"hang": 2.0}, {"hang": float("nan")},
-    ])
-    def test_each_probability_must_lie_in_the_unit_interval(self, kwargs):
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
-            ChaosSpec(**kwargs)
-
-    def test_probabilities_are_validated(self):
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
-            ChaosSpec(crash=1.5)
-        with pytest.raises(ConfigurationError, match="exceed 1"):
-            ChaosSpec(crash=0.7, hang=0.7)
-
-    def test_draws_are_deterministic_per_point_and_attempt(self):
-        spec = ChaosSpec(crash=0.45)
-        first = [spec.draw(77, "ft", i, 1) for i in range(8)]
-        again = [spec.draw(77, "ft", i, 1) for i in range(8)]
-        assert first == again
-        # A retried attempt rolls fresh dice, not the same outcome forever.
-        chains = [
-            [spec.draw(77, "ft", i, attempt) for attempt in range(1, 6)]
-            for i in range(8)
-        ]
-        assert any(len(set(chain)) > 1 for chain in chains)
-
-    def test_hang_injection_requires_a_timeout(self):
-        with pytest.raises(ConfigurationError, match="timeout"):
-            SupervisorConfig(chaos=ChaosSpec(hang=0.1), timeout=None)
-
-    @pytest.mark.parametrize(
-        "clause", ["host-crash", "drop", "delay", "delay-seconds"]
-    )
-    def test_retired_clauses_are_rejected_naming_the_survivors(self, clause):
-        with pytest.raises(ConfigurationError) as error:
-            SupervisorConfig(chaos=f"{clause}:0.1", timeout=5.0)
-        message = str(error.value)
-        assert f"'{clause}:0.1'" in message
-        assert message.endswith(
-            "expected clauses from: crash:<p>, hang:<p>, hang-seconds:<p>"
-        )
 
 
 class TestSupervisorConfig:
@@ -116,7 +44,6 @@ class TestSupervisorConfig:
         [
             {"timeout": 0.0},
             {"retries": -1},
-            {"start_method": "teleport"},
         ],
     )
     def test_bad_policy_is_rejected(self, kwargs):
@@ -143,18 +70,12 @@ _CRASH_SCRIPT = textwrap.dedent(
 
 
 class TestDefaultExecutor:
-    def test_one_worker_runs_in_process_unless_isolation_is_asked(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_run_in_worker_processes(self, workers):
         spec = ft.cheap_spec(n=2, target="ft-pid")
-        inline = run_sweep(spec)
-        assert {p.metrics["pid"] for p in inline.points} == {os.getpid()}
-        assert inline.harness["completed"] == 2.0
-        for options in (
-            {"config": SupervisorConfig(timeout=30.0)},
-            {"config": SupervisorConfig(start_method="fork")},
-            {"backend": "local"},
-        ):
-            isolated = run_sweep(spec, **options)
-            assert os.getpid() not in {p.metrics["pid"] for p in isolated.points}
+        result = run_sweep(spec, workers=workers)
+        assert result.harness["completed"] == 2.0
+        assert os.getpid() not in {p.metrics["pid"] for p in result.points}
 
     def test_crashing_worker_lands_in_the_ledger_instead_of_hanging(self):
         process = subprocess.run(
@@ -173,29 +94,29 @@ class TestDefaultExecutor:
         assert error.startswith("WorkerCrash")
 
 
-class TestSupervisedMatchesInline:
-    def test_supervised_fingerprint_equals_in_process(self):
+class TestWorkerCounts:
+    def test_one_and_two_workers_give_one_fingerprint(self):
         spec = ft.cheap_spec(n=6)
-        inline = run_sweep(spec)
-        supervised = run_sweep(spec, workers=2, backend="local")
-        assert supervised.ok
-        assert supervised.fingerprint() == inline.fingerprint()
-        assert supervised.harness["completed"] == 6.0
-        assert supervised.harness["crashes"] == 0.0
+        one = run_sweep(spec)
+        two = run_sweep(spec, workers=2)
+        assert one.ok and two.ok
+        assert two.fingerprint() == one.fingerprint()
+        assert one.harness["completed"] == two.harness["completed"] == 6.0
+        assert one.harness["crashes"] == two.harness["crashes"] == 0.0
 
-    def test_in_process_exceptions_use_the_same_budget(self):
+    def test_exceptions_use_the_same_budget_at_any_worker_count(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
         config = SupervisorConfig(retries=1)
-        inline = run_sweep(spec, config=config)
-        supervised = run_sweep(spec, workers=2, config=config)
-        assert [f.record() for f in inline.failures] == [
-            f.record() for f in supervised.failures
+        one = run_sweep(spec, config=config)
+        two = run_sweep(spec, workers=2, config=config)
+        assert [f.record() for f in one.failures] == [
+            f.record() for f in two.failures
         ]
-        assert inline.fingerprint() == supervised.fingerprint()
-        assert inline.harness["errors"] == 4.0  # 2 points x 2 attempts
-        assert inline.harness["retries"] == 2.0
+        assert one.fingerprint() == two.fingerprint()
+        assert one.harness["errors"] == 4.0  # 2 points x 2 attempts
+        assert one.harness["retries"] == 2.0
 
-    def test_in_process_strict_failure_raises_after_the_budget(self):
+    def test_one_worker_strict_failure_raises_after_the_budget(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
         with pytest.raises(SweepPointError, match="point 1 failed after 3"):
             run_sweep(spec, config=SupervisorConfig(strict=True))
@@ -221,30 +142,25 @@ class TestCrashRecovery:
         assert result.ok
         assert result.harness["crashes"] == 3.0
 
-    def test_chaos_crashes_recover_with_identical_fingerprint(self):
-        spec = ft.cheap_spec(n=8)
-        calm = run_sweep(spec)
-        chaotic = run_sweep(
-            spec, workers=2,
-            config=SupervisorConfig(chaos=ChaosSpec(crash=0.45), retries=3),
-        )
-        assert chaotic.ok
-        assert chaotic.fingerprint() == calm.fingerprint()
-        # Deterministic chaos: seed 77 / sweep "ft" / crash 0.45 injects
-        # first-attempt crashes on points 4, 5 and 7, chains of length
-        # 1, 2 and 2 — five crashed attempts in total.
-        assert chaotic.harness["crashes"] == 5.0
-        assert chaotic.harness["retries"] == 5.0
-        assert chaotic.harness["completed"] == 8.0
-
-    def test_chaos_accepts_the_cli_string_form(self):
-        spec = ft.cheap_spec(n=8)
-        result = run_sweep(
-            spec, workers=2,
-            config=SupervisorConfig(chaos="crash:0.45", retries=3),
-        )
-        assert result.ok
-        assert result.harness["crashes"] == 5.0
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("target, config, counter", [
+        ("ft-crash-once", SupervisorConfig(), "crashes"),
+        ("ft-sigkill-once", SupervisorConfig(), "crashes"),
+        ("ft-hang-once", SupervisorConfig(timeout=0.4), "timeouts"),
+    ], ids=["crash", "sigkill", "hang"])
+    def test_recovered_fingerprint_equals_the_calm_run(
+        self, tmp_path, target, config, counter, workers
+    ):
+        spec = ft.cheap_spec(n=2, target=target, marker_dir=[str(tmp_path)])
+        recovered = run_sweep(spec, workers=workers, config=config)
+        # Every first attempt left its marker, so the same spec now runs
+        # with no fault at all.
+        calm = run_sweep(spec, workers=workers, config=config)
+        assert recovered.ok and calm.ok
+        assert recovered.harness[counter] == 2.0
+        assert recovered.harness["retries"] == 2.0
+        assert calm.harness[counter] == calm.harness["retries"] == 0.0
+        assert recovered.fingerprint() == calm.fingerprint()
 
 
 class TestTimeoutRecovery:
@@ -306,9 +222,7 @@ class TestReadyHandshake:
 class TestRetryExhaustion:
     def test_exhausted_budget_lands_in_the_error_ledger(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
-        result = run_sweep(
-            spec, backend="local", config=SupervisorConfig(retries=1)
-        )
+        result = run_sweep(spec, config=SupervisorConfig(retries=1))
         assert not result.ok
         assert result.points == []
         assert [f.index for f in result.failures] == [0, 1]
@@ -320,10 +234,7 @@ class TestRetryExhaustion:
     def test_strict_mode_raises_instead(self):
         spec = ft.cheap_spec(n=2, target="ft-always-crash")
         with pytest.raises(SweepPointError, match="after 2 attempt"):
-            run_sweep(
-                spec, backend="local",
-                config=SupervisorConfig(retries=1, strict=True),
-            )
+            run_sweep(spec, config=SupervisorConfig(retries=1, strict=True))
 
     def test_strict_cli_exits_1_with_a_message_not_a_traceback(self, capsys):
         from repro.cli import main
@@ -331,7 +242,6 @@ class TestRetryExhaustion:
         code = main([
             "sweep", "strict-ft", "--target", "ft-always-crash",
             "--axis", "x=0,1", "--retries", "0", "--strict",
-            "--backend", "local",
         ])
         assert code == 1
         err = capsys.readouterr().err
@@ -348,33 +258,68 @@ class TestRetryExhaustion:
         assert result.harness["errors"] == 4.0  # 2 points x 2 attempts
 
 
-class TestSpawnStartMethod:
-    def test_crash_detection_works_under_spawn(self):
-        spec = SweepSpec(
-            name="spawn-ft",
-            target="fabric-congestion",
-            grid={
-                "topology": ["two-tier"], "congestion": ["none"],
-                "load": [0.5], "flows": [8],
-            },
-            seed=5,
+#: A script whose spawned workers re-run it as ``__mp_main__``, which
+#: registers the crashing target there too; the exit code says which
+#: module the point ran in.
+_SPAWN_CRASH_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import multiprocessing
+    import os
+
+    from repro.sweep import SupervisorConfig, SweepSpec, register_target
+    from repro.sweep import run_sweep, supervisor
+
+
+    @register_target("spawn-crash")
+    def spawn_crash(params, telemetry, rng):
+        os._exit(25 if __name__ == "__mp_main__" else 26)
+
+
+    if __name__ == "__main__":
+        supervisor.process_context = (
+            lambda: multiprocessing.get_context("spawn")
         )
         result = run_sweep(
-            spec,
-            config=SupervisorConfig(
-                chaos=ChaosSpec(crash=1.0), retries=1, start_method="spawn",
-            ),
+            SweepSpec(name="spawn-ft", target="spawn-crash",
+                      grid={"x": [0]}),
+            config=SupervisorConfig(retries=1),
         )
-        assert not result.ok
-        assert result.failures[0].attempts == 2
-        assert f"exit code {CHAOS_EXIT_CODE}" in result.failures[0].error
+        print(json.dumps([[f.attempts, f.error] for f in result.failures]))
+    """
+)
+
+
+class TestSpawnStartMethod:
+    def test_crash_detection_works_under_spawn(self, tmp_path):
+        script = tmp_path / "spawn_crash.py"
+        script.write_text(_SPAWN_CRASH_SCRIPT)
+        process = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
+        [[attempts, error]] = json.loads(process.stdout)
+        assert attempts == 2
+        assert "exit code 25" in error
 
 
 class TestInterrupt:
-    def test_inline_interrupt_carries_the_partial_result(self):
-        spec = ft.cheap_spec(n=5, target="ft-interrupt")
+    def test_interrupt_carries_the_partial_result(self):
+        spec = ft.cheap_spec(n=5)
+        seen = []
+
+        def progress(point):
+            seen.append(point.index)
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+
         with pytest.raises(SweepInterrupted) as excinfo:
-            run_sweep(spec, workers=1)
+            run_sweep(spec, workers=1, progress=progress)
         assert isinstance(excinfo.value, KeyboardInterrupt)
         partial = excinfo.value.partial
         assert [p.index for p in partial.points] == [0, 1]
@@ -434,11 +379,10 @@ class TestJournalAndResume:
         assert resumed.harness["resumed"] == 3.0
         assert resumed.fingerprint() == full.fingerprint()
 
-    def test_one_worker_journal_and_resume_run_in_process(self, tmp_path):
-        spec = ft.cheap_spec(n=4, target="ft-pid")
+    def test_one_worker_journal_and_resume_agree(self, tmp_path):
+        spec = ft.cheap_spec(n=4)
         journal = tmp_path / "run.jsonl"
         full = run_sweep(spec, journal=journal)
-        assert {p.metrics["pid"] for p in full.points} == {os.getpid()}
         assert sorted(load_journal(journal).completed) == [0, 1, 2, 3]
         lines = journal.read_text().splitlines()
         journal.write_text("".join(line + "\n" for line in lines[:3]))
@@ -508,10 +452,9 @@ class TestResumeAfterParentSigkill:
 class TestTelemetryCounters:
     def test_supervisor_events_surface_as_metrics(self):
         telemetry = Telemetry()
-        spec = ft.cheap_spec(n=8)
+        spec = ft.cheap_spec(n=8, target="ft-crash-at", crash_at=[4])
         run_sweep(
-            spec, workers=2,
-            config=SupervisorConfig(chaos=ChaosSpec(crash=0.45), retries=3),
+            spec, workers=2, config=SupervisorConfig(retries=3),
             telemetry=telemetry,
         )
         metrics = telemetry.metrics
@@ -519,62 +462,13 @@ class TestTelemetryCounters:
         def total(name):
             return metrics.counter(f"sweep.supervisor.{name}").total()
 
-        assert total("completed") == 8.0
-        assert total("crashes") == 5.0
-        assert total("retries") == 5.0
-        assert total("failed") == 0.0
-
-
-class TestChaosEdges:
-    @pytest.mark.parametrize("text, message", [
-        ("crash:lots", "bad chaos probability in 'crash:lots'"),
-        ("hang:", "bad chaos probability in 'hang:'"),
-        (",", "empty chaos spec ','"),
-        ("  ", "empty chaos spec '  '"),
-        ("crash:0.1,crash:0.3",
-         "chaos clause 'crash' given more than once in 'crash:0.1,crash:0.3'"),
-        ("hang:0.1,hang-seconds:2, hang-seconds:3",
-         "chaos clause 'hang-seconds' given more than once"),
-        ("hang:0.1,hang:0.2", "chaos clause 'hang' given more than once"),
-    ])
-    def test_parse_errors_quote_the_input(self, text, message):
-        with pytest.raises(ConfigurationError, match=message):
-            parse_chaos(text)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"crash": 1.0}, {"hang": 1.0}, {"crash": 0.25, "hang": 0.75},
-    ])
-    def test_probabilities_may_reach_their_bounds(self, kwargs):
-        assert ChaosSpec(**kwargs)
-
-    @pytest.mark.parametrize("spec, expected", [
-        (ChaosSpec(crash=1.0), "crash"),
-        (ChaosSpec(hang=1.0), "hang"),
-        (ChaosSpec(), None),
-    ])
-    def test_certain_odds_give_certain_draws(self, spec, expected):
-        assert {
-            spec.draw(5, "ft", index, attempt)
-            for index in range(6) for attempt in (1, 2)
-        } == {expected}
-
-    def test_draws_depend_on_the_sweep_name(self):
-        spec = ChaosSpec(crash=0.5)
-        draws = {
-            name: [spec.draw(77, name, index, 1) for index in range(16)]
-            for name in ("ft", "other")
-        }
-        assert draws["ft"] != draws["other"]
+        assert total("completed") == 7.0
+        assert total("crashes") == 4.0
+        assert total("retries") == 3.0
+        assert total("failed") == 1.0
 
 
 class TestSupervisorConfigEdges:
-    def test_a_chaos_string_becomes_a_chaos_spec(self):
-        config = SupervisorConfig(chaos="hang:0.2", timeout=1.0)
-        assert config.chaos == ChaosSpec(hang=0.2)
-
-    def test_crash_chaos_needs_no_timeout(self):
-        assert SupervisorConfig(chaos="crash:0.5").timeout is None
-
     @pytest.mark.parametrize("kwargs, message", [
         ({"timeout": -1.0}, "timeout must be positive: -1.0"),
         ({"retries": -2}, "retries must be >= 0: -2"),
@@ -582,16 +476,6 @@ class TestSupervisorConfigEdges:
     def test_bad_policy_messages_name_the_value(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             SupervisorConfig(**kwargs)
-
-    def test_unknown_start_method_lists_the_platform_methods(self):
-        with pytest.raises(ConfigurationError) as error:
-            SupervisorConfig(start_method="teleport")
-        for method in multiprocessing.get_all_start_methods():
-            assert method in str(error.value)
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_process_context_honours_the_start_method(self, method):
-        assert process_context(method).get_start_method() == method
 
 
 class TestDispatch:

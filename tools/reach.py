@@ -10,7 +10,10 @@ records every Python function called, then drives, in this process:
 * ``pytest benchmarks`` (the claim modules; they rewrite
   ``benchmarks/results/*.txt`` exactly as a plain run does);
 * every profile through the CLI (``trace``, ``metrics``, ``profile``);
-* every named sweep at seed 1, serially, and ``repro sweep smoke``;
+* every point of every named sweep at seed 1, run by the worker's
+  point runner (``repro.sweep.engine._run_point``) in this process,
+  since sweeps run their points in child processes that the hook does
+  not follow; and ``repro sweep smoke``;
 * every example under ``examples/``;
 * ``serve`` profile, sweep, streamed and ``/metrics`` requests through
   the in-process ``ServiceClient``;
@@ -121,13 +124,15 @@ def run_profiles() -> None:
 
 
 def run_named_sweeps() -> None:
-    from repro.sweep import named_sweep, run_sweep
+    from repro.sweep import named_sweep
+    from repro.sweep.engine import _run_point
     from repro.sweep.targets import NAMED_SWEEPS
 
     for name in NAMED_SWEEPS:
-        result = run_sweep(named_sweep(name, seed=1), workers=1)
-        if not result.ok:
-            raise RuntimeError(f"sweep {name} failed")
+        spec = named_sweep(name, seed=1)
+        for point in spec.points():
+            _run_point((spec.target, spec.name, spec.seed, point.index,
+                        point.params, None, False))
     _cli("sweep", "smoke")
 
 
