@@ -9,7 +9,8 @@ formatting helpers (:mod:`repro.core.units`), seeded random-number management
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    ".atomicio": ("atomic_write_text", "fsync_directory"),
+    ".atomicio": ("atomic_write_bytes", "atomic_write_text",
+                  "fsync_directory"),
     ".errors": (
         "CapacityError", "ConfigurationError", "ReproError", "SimulationError",
     ),

@@ -1,8 +1,9 @@
 """Crash-consistent file writes shared by the result stores.
 
 A process killed mid-``write_text`` leaves a truncated artefact that a
-later ``json.loads`` chokes on.  :func:`atomic_write_text` removes that
-window: the payload lands in a temporary file *in the same directory*
+later ``json.loads`` chokes on.  :func:`atomic_write_text` (and
+:func:`atomic_write_bytes`, for serve's exact response bytes) removes
+that window: the payload lands in a temporary file *in the same directory*
 (same filesystem, so the final rename cannot degrade into a copy), is
 flushed and fsynced, then published with :func:`os.replace`, and the
 directory entry is fsynced so the rename itself survives power loss —
@@ -22,9 +23,22 @@ def atomic_write_text(
     path: Union[str, pathlib.Path], text: str
 ) -> pathlib.Path:
     """Write ``text`` to ``path`` so a crash never leaves a partial file."""
+    return _atomic_write(path, text, "w")
+
+
+def atomic_write_bytes(
+    path: Union[str, pathlib.Path], data: bytes
+) -> pathlib.Path:
+    """Write ``data`` to ``path`` so a crash never leaves a partial file."""
+    return _atomic_write(path, data, "wb")
+
+
+def _atomic_write(
+    path: Union[str, pathlib.Path], payload: Union[str, bytes], mode: str
+) -> pathlib.Path:
     target = pathlib.Path(path)
     handle = tempfile.NamedTemporaryFile(
-        mode="w",
+        mode=mode,
         dir=target.parent,
         prefix=f".{target.name}.",
         suffix=".tmp",
@@ -32,7 +46,7 @@ def atomic_write_text(
     )
     try:
         with handle:
-            handle.write(text)
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(handle.name, target)

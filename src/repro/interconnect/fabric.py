@@ -366,10 +366,6 @@ class FabricSimulator:
                     "in the same run"
                 )
             seen.add(flow.flow_id)
-        if self._capacities is not self._route_cache.link_capacities():
-            # An edit of this shared topology rebuilt the capacity map
-            # since this simulator was bound.
-            self._refresh_link_state()
         epoch = _Epoch(self, flows)
         admit = epoch.admit
         set_rates = epoch.set_rates
@@ -392,11 +388,6 @@ class FabricSimulator:
             epoch.publish()
             raise SimulationError("fabric simulation exceeded max_iterations")
         return epoch.close()
-
-    def _refresh_link_state(self) -> None:
-        """Rebind the solver to the capacities of the mutated graph."""
-        self._capacities = self._route_cache.link_capacities()
-        self.solver.bind(self._capacities)
 
 
 class _Epoch:

@@ -12,14 +12,13 @@ same paths, reachable sets and bisection, and raise the same exceptions with
 the same messages.  ``tests/proptest/test_graph_differential.py`` checks
 each of them against networkx.
 
-Every method that adds or removes a node or an edge bumps
-``graph.mutations``, and so does every write to an edge's attribute dict
-(``graph.edges[u, v]["bandwidth"] /= 10``): edge attributes are kept in
-a ``dict`` subclass that counts its writes on its graph.  State derived
-from a graph -- the :class:`~repro.interconnect.routecache.RouteCache`
--- remembers the count it was built at and rebuilds when the count has
-moved.  Node attribute dicts are plain and uncounted; nothing derived
-from the graph reads them.
+A :class:`~repro.interconnect.topology.Topology` freezes its graph
+(:meth:`Graph.freeze`): every method that adds or removes a node or an
+edge, and every write to a node's, an edge's or a neighbour dict, then
+raises :class:`GraphError`, so what the route cache derives from it is
+never stale.  To change a built fabric, edit
+``copy.deepcopy(topology.graph)`` (a deep copy or a pickle is editable
+and keeps every order) and build a new ``Topology`` from it.
 """
 
 from __future__ import annotations
@@ -59,42 +58,32 @@ class NetworkXNoPath(GraphError):
     """No path joins the two nodes (networkx's exception of that name)."""
 
 
-# --- edge attributes ------------------------------------------------------------
+# --- read-only dicts -----------------------------------------------------------
+
+_READ_ONLY = (
+    "a Topology's graph is read-only: edit copy.deepcopy(topology.graph) "
+    "and build a new Topology from it"
+)
 
 
-class _EdgeAttrs(dict):
-    """An edge's attribute dict: each write through it bumps its graph's
-    ``mutations``, so what was derived from the old values is rebuilt."""
+def _refuse(self, *args, **kwargs):
+    raise GraphError(_READ_ONLY)
 
-    __slots__ = ("_graph",)
+
+class _ReadOnlyDict(dict):
+    """A frozen graph's attribute or neighbour dict: reads as a dict,
+    refuses every write."""
+
+    __slots__ = ()
 
     def __reduce__(self):
-        # Pickle and deepcopy rebuild it whole, without counting.
-        return (_edge_attrs, (self._graph, dict(self)))
-
-
-def _edge_attrs(graph: "Graph", attrs: dict) -> _EdgeAttrs:
-    """A counted attribute dict of ``graph`` holding ``attrs``."""
-    counted = _EdgeAttrs(attrs)
-    counted._graph = graph
-    return counted
-
-
-def _counted(name: str):
-    write = getattr(dict, name)
-
-    def counted(self, *args, **kwargs):
-        result = write(self, *args, **kwargs)
-        self._graph.mutations += 1
-        return result
-
-    counted.__name__ = name
-    return counted
+        # A pickle or deep copy holds a plain, editable dict.
+        return (dict, (dict(self),))
 
 
 for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
               "popitem", "setdefault", "update"):
-    setattr(_EdgeAttrs, _name, _counted(_name))
+    setattr(_ReadOnlyDict, _name, _refuse)
 
 
 # --- views ----------------------------------------------------------------------
@@ -158,15 +147,19 @@ class Graph:
     Nodes are hashable; a pair of nodes has at most one edge.
     """
 
+    #: Set by :meth:`freeze`; a pickle or deep copy leaves it out.
+    _frozen = False
+
     def __init__(self) -> None:
         self._node: Dict[Node, dict] = {}
         self._adj: Dict[Node, Dict[Node, dict]] = {}
         # In-edges: an undirected edge is its own reverse.
         self._pred = self._adj
-        #: Bumped by every call that adds or removes nodes or edges.
-        self.mutations = 0
         self.nodes = NodeView(self._node)
         self.edges = EdgeView(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_frozen"}
 
     # -- queries ---------------------------------------------------------
 
@@ -236,6 +229,28 @@ class Graph:
 
     # -- mutation --------------------------------------------------------
 
+    def freeze(self) -> None:
+        """Make the graph read-only for good, every order unchanged."""
+        if self._frozen:
+            return
+        self._frozen = True
+        for node, attrs in self._node.items():
+            self._node[node] = _ReadOnlyDict(attrs)
+        for u, nbrs in self._adj.items():
+            for v, attrs in nbrs.items():
+                if type(attrs) is not _ReadOnlyDict:
+                    nbrs[v] = self._pred[v][u] = _ReadOnlyDict(attrs)
+        tables = [self._adj]
+        if self._pred is not self._adj:
+            tables.append(self._pred)
+        for table in tables:
+            for node, nbrs in table.items():
+                table[node] = _ReadOnlyDict(nbrs)
+
+    def _writable(self) -> None:
+        if self._frozen:
+            raise GraphError(_READ_ONLY)
+
     def _new_node(self, node: Node) -> None:
         if node is None:
             raise ValueError("None cannot be a node")
@@ -243,13 +258,14 @@ class Graph:
         self._node[node] = {}
 
     def add_node(self, node: Node, **attr: object) -> None:
+        self._writable()
         if node not in self._node:
             self._new_node(node)
         self._node[node].update(attr)
-        self.mutations += 1
 
     def add_nodes_from(self, nodes: Iterable, **attr: object) -> None:
         """Add bare nodes or ``(node, attribute dict)`` pairs."""
+        self._writable()
         for node in nodes:
             try:
                 new = node not in self._node
@@ -261,7 +277,6 @@ class Graph:
             if new:
                 self._new_node(node)
             self._node[node].update(attrs)
-        self.mutations += 1
 
     def _add_edge(self, u: Node, v: Node, attr: dict) -> None:
         if u not in self._node:
@@ -270,19 +285,19 @@ class Graph:
             self._new_node(v)
         attrs = self._adj[u].get(v)
         if attrs is None:
-            attrs = _EdgeAttrs(attr)
-            attrs._graph = self
-        else:  # the caller counts the call once
-            dict.update(attrs, attr)
+            attrs = dict(attr)
+        else:
+            attrs.update(attr)
         self._adj[u][v] = attrs
         self._pred[v][u] = attrs
 
     def add_edge(self, u: Node, v: Node, **attr: object) -> None:
+        self._writable()
         self._add_edge(u, v, attr)
-        self.mutations += 1
 
     def add_edges_from(self, edges: Iterable, **attr: object) -> None:
         """Add ``(u, v)`` or ``(u, v, attribute dict)`` edges in order."""
+        self._writable()
         for edge in edges:
             if len(edge) == 3:
                 u, v, edge_attrs = edge
@@ -290,24 +305,25 @@ class Graph:
             else:
                 u, v = edge
                 self._add_edge(u, v, attr)
-        self.mutations += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
+        self._writable()
         try:
             del self._adj[u][v]
             if u != v:
                 del self._adj[v][u]
         except KeyError:
             raise GraphError(f"The edge {u}-{v} is not in the graph") from None
-        self.mutations += 1
 
     def remove_edges_from(self, edges: Iterable) -> None:
         """Remove the listed edges; ones not in the graph are skipped."""
+        self._writable()
         for u, v, *_ in edges:
             if self.has_edge(u, v):
                 self.remove_edge(u, v)
 
     def remove_node(self, node: Node) -> None:
+        self._writable()
         try:
             nbrs = list(self._adj[node])
             del self._node[node]
@@ -316,10 +332,10 @@ class Graph:
         for nbr in nbrs:
             del self._adj[nbr][node]
         del self._adj[node]
-        self.mutations += 1
 
     def remove_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Remove the listed nodes; ones not in the graph are skipped."""
+        self._writable()
         for node in list(nodes):
             if node in self._node:
                 self.remove_node(node)
@@ -394,14 +410,15 @@ class DiGraph(Graph):
         self._pred[node] = {}
 
     def remove_edge(self, u: Node, v: Node) -> None:
+        self._writable()
         try:
             del self._adj[u][v]
             del self._pred[v][u]
         except KeyError:
             raise GraphError(f"The edge {u}-{v} not in graph.") from None
-        self.mutations += 1
 
     def remove_node(self, node: Node) -> None:
+        self._writable()
         try:
             succ = self._adj[node]
             del self._node[node]
@@ -413,7 +430,6 @@ class DiGraph(Graph):
         for nbr in self._pred[node]:
             del self._adj[nbr][node]
         del self._pred[node]
-        self.mutations += 1
 
 
 # --- shortest paths ---------------------------------------------------------------

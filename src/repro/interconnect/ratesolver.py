@@ -8,7 +8,7 @@ capacity, which the fabric keeps itself.)  This module separates that
 algorithm from the simulator behind a small protocol:
 
 * :class:`RateSolver` — the protocol: ``bind(capacities)`` once per
-  topology state, then ``solve(flow_links, remaining_bytes)`` per epoch.
+  simulator, then ``solve(flow_links, remaining_bytes)`` per epoch.
 * :class:`IndexedSolver` — the fabric's solver: the reference's rounds
   over a link index that is kept from one contended epoch to the next
   and patched with the flows that arrived, left or were rerouted.  Each
@@ -33,9 +33,9 @@ summation order, so rates *and* the saturated-link set agree to the last
 bit (verified by :func:`repro.validate.differential.check_solvers` and
 ``tests/proptest/test_ratesolver_properties.py``).
 
-The fabric rebinds its solver after every topology mutation (a graph
-degraded or edited between runs), the same way the shared
-:class:`~repro.interconnect.routecache.RouteCache` is invalidated.
+A simulator binds its solver once, to the read-only capacity map of the
+shared :class:`~repro.interconnect.routecache.RouteCache`: a built
+topology never changes (a degraded fabric is a new topology).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from operator import truediv
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 #: A directed link, as decomposed from a routed path.
 Link = Tuple[str, str]
@@ -104,8 +104,8 @@ class RateSolver:
     #: Short name used in check and test reports.
     name: str = "abstract"
 
-    def bind(self, capacities: Dict[Link, float]) -> None:
-        """Attach the solver to a capacity map (resets incremental state)."""
+    def bind(self, capacities: Mapping[Link, float]) -> None:
+        """Attach the solver to a read-only capacity map (resets state)."""
         raise NotImplementedError
 
     def solve(
@@ -142,9 +142,9 @@ class ReferenceSolver(RateSolver):
     name = "reference"
 
     def __init__(self) -> None:
-        self._capacities: Dict[Link, float] = {}
+        self._capacities: Mapping[Link, float] = {}
 
-    def bind(self, capacities: Dict[Link, float]) -> None:
+    def bind(self, capacities: Mapping[Link, float]) -> None:
         self._capacities = capacities
 
     def solve(
@@ -346,7 +346,7 @@ class IndexedSolver(RateSolver):
     name = "indexed"
 
     def __init__(self) -> None:
-        self._capacities: Dict[Link, float] = {}
+        self._capacities: Mapping[Link, float] = {}
         self._rebuild({})
         self._most: Optional[float] = None  # the solve's backlog bound
         #: Rounds of untouched components kept from the last solve's log,
@@ -355,7 +355,7 @@ class IndexedSolver(RateSolver):
         self.rounds_replayed = 0
         self.rounds_solved = 0
 
-    def bind(self, capacities: Dict[Link, float]) -> None:
+    def bind(self, capacities: Mapping[Link, float]) -> None:
         self._capacities = capacities
         self._rebuild({})
 

@@ -12,20 +12,17 @@ the topology, so this module memoises them **per topology object**:
   instance shares it, so repeated ``run()`` calls — the sweep engine's
   bread and butter — pay the routing cost once.
 * Caches are keyed by object identity in a :class:`weakref.WeakKeyDictionary`,
-  so a derived topology (a copy of a graph with links or switches removed,
-  or a tenant slice from :class:`~repro.interconnect.tenancy.SlicedFabric`)
-  starts from an empty cache and can never see its parent's routes.
+  so a derived topology (a deep copy of a graph with links or switches
+  removed, or a tenant slice from
+  :class:`~repro.interconnect.tenancy.SlicedFabric`) starts from an empty
+  cache and can never see its parent's routes.
 * A search runs :func:`~repro.interconnect.graph.bidirectional_shortest_path`
-  (networkx's bidirectional BFS) over neighbour lists taken from the graph
-  once, in ``graph.adj`` order, so it returns networkx's node list without
-  building adjacency views per call.  Propagation delays sum a per-link
-  latency map, also built once, in the same left-to-right order as
-  per-edge reads.
-* The cache remembers the graph's ``mutations`` count.  When a node or
-  edge is added or removed in place, or an edge attribute
-  is written (``graph.edges[u, v]["bandwidth"] /= 10``), the count moves
-  and the next lookup first drops every memoised route, neighbour list,
-  latency and capacity; on a hit this costs one integer compare.
+  (networkx's bidirectional BFS) over neighbour tuples taken from the
+  graph once, in ``graph.adj`` order, so it returns networkx's node list
+  without building adjacency views per call.  Propagation delays sum a
+  per-link latency map, also built once, in the same left-to-right order
+  as per-edge reads.  Nothing is ever invalidated: a topology's graph is
+  read-only (see :mod:`repro.interconnect.graph`).
 
 **One search per switch pair.**  Every terminal of the five topology
 families is a leaf: its one link goes to its attachment switch.  For
@@ -51,23 +48,22 @@ pair, so their empty core is never reused.)
 terminal pair of the sweep topologies with ``nx.shortest_path``.
 
 Cores and link maps are shared across topologies of one spec.
-:func:`build_topology` stamps each topology with its canonical spec key
-and its graph's ``mutations`` count; while the count holds, the cache
-uses a process-wide table for that key, so every topology a worker
-builds from one spec reuses the others' searches, link capacities,
-neighbour lists and latency map.  A map is published only once built
-whole, since serve's job threads may read it, and
-:meth:`RouteCache.clear` rebinds the cache's maps, never empties them.
-At most ``_MAX_SPECS`` tables are kept, the oldest dropped first.  A
-topology whose graph was edited, or that was not built from a spec,
-keeps its cores and maps to itself.  Terminal-pair routes, links and
-delays always stay in the topology's own cache.
+:func:`build_topology` stamps each topology with its canonical spec key,
+and the cache uses a process-wide table for that key, so every topology
+a worker builds from one spec reuses the others' searches, link
+capacities, neighbour tuples and latency map.  A map is published only
+once built whole, since serve's job threads may read it.  At most
+``_MAX_SPECS`` tables are kept, the oldest dropped first.  A topology
+that was not built from a spec keeps its cores and maps to itself.
+Terminal-pair routes, links and delays always stay in the topology's
+own cache.
 
 Only deterministic routes are cached (minimal/shortest paths); Valiant
 and adaptive routes draw from an RNG and are always computed fresh.
-Memoised routes and link sequences are tuples: they are shared by every
-caller, so an in-place edit raises ``TypeError`` instead of silently
-re-routing every simulator on the topology (and on its spec).
+Everything the cache hands out is shared by every caller and read-only
+(tuples, and :class:`~types.MappingProxyType` maps), so an in-place edit
+raises ``TypeError`` instead of silently re-routing every simulator on
+the topology (and on its spec).
 """
 
 from __future__ import annotations
@@ -75,7 +71,10 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from types import MappingProxyType
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.core.errors import ConfigurationError
 from repro.interconnect.graph import NodeNotFound, bidirectional_shortest_path
@@ -87,8 +86,8 @@ Link = Tuple[str, str]
 Route = Tuple[str, ...]
 #: A memoised route's directed links, in traversal order.
 RouteLinks = Tuple[Link, ...]
-#: Neighbour lists by node.
-Adjacency = Dict[str, List[str]]
+#: Neighbour tuples by node.
+Adjacency = Mapping[str, Tuple[str, ...]]
 T = TypeVar("T")
 
 _CACHES: "weakref.WeakKeyDictionary[Topology, RouteCache]" = (
@@ -97,22 +96,19 @@ _CACHES: "weakref.WeakKeyDictionary[Topology, RouteCache]" = (
 
 #: Most spec tables one process keeps.
 _MAX_SPECS = 8
-#: Canonical spec key -> the maps its unedited topologies share, oldest
-#: spec first: ``"cores"`` (``{(a, b): core}``) from the start, and
+#: Canonical spec key -> the maps its topologies share, oldest spec
+#: first: ``"cores"`` (``{(a, b): core}``) from the start, and
 #: ``"capacities"``, ``"neighbours"`` and ``"latencies"`` once built.
 _SPEC_MAPS: Dict[object, Dict[str, object]] = {}
 _SPEC_MAPS_LOCK = threading.Lock()
 
 
-def _spec_maps(
-    built_as: Optional[Tuple[object, int]], mutations: int
-) -> Optional[Dict[str, object]]:
-    """The spec's shared table while its graph is unedited, else None.
-    (Writers to one core table need no lock: each stores the same core
-    for a switch pair.)"""
-    if built_as is None or mutations != built_as[1]:
-        return None
-    key = built_as[0]
+def _spec_maps(key: Optional[object]) -> Dict[str, object]:
+    """The shared table of a topology built from spec ``key``; a private
+    one without a spec.  (Writers to one core table need no lock: each
+    stores the same core for a switch pair.)"""
+    if key is None:
+        return {"cores": {}}
     with _SPEC_MAPS_LOCK:
         maps = _SPEC_MAPS.get(key)
         if maps is None:
@@ -134,44 +130,37 @@ class RouteCache:
     value that referenced its own key would keep the entry alive forever.
     """
 
-    __slots__ = ("_graph", "_mutations", "_name", "_built_as", "_spec",
-                 "_cores", "_paths", "_links", "_delays", "_capacities",
+    __slots__ = ("_graph", "_name", "_table", "_cores", "_spec_cores",
+                 "_paths", "_links", "_delays", "_capacities",
                  "_successors", "_predecessors", "_latencies", "hits",
                  "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._graph = topology.graph
         self._name = topology.name
-        self._built_as = topology._built_as
+        self._table = _spec_maps(topology._built_as)
+        # Cores of the switch pairs looked up here, and of every pair
+        # searched on the spec.
+        self._cores: Dict[Tuple[str, str], Route] = {}
+        self._spec_cores = self._table["cores"]
         self._paths: Dict[Tuple[str, str], Route] = {}
         self._links: Dict[Tuple[str, str], RouteLinks] = {}
         self._delays: Dict[Tuple[str, str], float] = {}
-        self._adopt_graph()
+        # Link maps are fetched on first use.
+        self._capacities: Optional[Mapping[Link, float]] = None
+        self._successors: Optional[Adjacency] = None
+        self._predecessors: Optional[Adjacency] = None
+        self._latencies: Optional[Mapping[Link, float]] = None
         self.hits = 0
         self.misses = 0
 
-    def _adopt_graph(self) -> None:
-        """Take the graph's ``mutations`` count, the spec's table while
-        it applies, and unset link maps (fetched on first use)."""
-        self._mutations = self._graph.mutations
-        self._spec = _spec_maps(self._built_as, self._mutations)
-        self._cores = {} if self._spec is None else self._spec["cores"]
-        self._capacities: Optional[Dict[Link, float]] = None
-        self._successors: Optional[Adjacency] = None
-        self._predecessors: Optional[Adjacency] = None
-        self._latencies: Optional[Dict[Link, float]] = None
-
     def _shared(self, name: str, build: Callable[[], T]) -> T:
         """The spec table's map ``name``, built and published on first
-        use; ``build()`` alone when the cache has no table.  A racing
-        thread may build it too, but only one map is published whole
-        and both return it."""
-        maps = self._spec
-        if maps is None:
-            return build()
-        found = maps.get(name)
+        use.  A racing thread may build it too, but only one map is
+        published whole and both return it."""
+        found = self._table.get(name)
         if found is None:
-            found = maps.setdefault(name, build())
+            found = self._table.setdefault(name, build())
         return found
 
     # --- routes --------------------------------------------------------------
@@ -179,11 +168,12 @@ class RouteCache:
     def minimal_route(self, source: str, destination: str) -> Route:
         """Shortest path, memoised by endpoint pair.
 
-        ``misses`` counts the lookups that ran a search; ``hits`` counts
-        the others, answered from the pair's memo, a switch pair's core
-        or the shared attachment switch."""
-        if self._graph.mutations != self._mutations:
-            self.clear()
+        ``misses`` counts the lookups that ran a search or looked a
+        switch pair up for the first time on this topology (whether or
+        not another topology of its spec searched it), so the counts
+        depend only on the lookups made here.  ``hits`` counts the
+        others: the pair's memo, a core looked up here before, or the
+        shared attachment switch."""
         key = (source, destination)
         path = self._paths.get(key)
         if path is None:
@@ -224,14 +214,18 @@ class RouteCache:
                 self.hits += 1
                 return (source, *core, destination)
             self.misses += 1
-            path = tuple(self._shortest_path(source, destination))
-            self._cores[(a, b)] = path[1:-1]
-            return path
+            core = self._spec_cores.get((a, b))
+            if core is None:
+                core = self._spec_cores[(a, b)] = tuple(
+                    self._shortest_path(source, destination)
+                )[1:-1]
+            self._cores[(a, b)] = core
+            return (source, *core, destination)
         self.misses += 1
         return tuple(self._shortest_path(source, destination))
 
     def _neighbours(self) -> Adjacency:
-        """Neighbour lists in ``graph.adj`` order, taken once (``pred``
+        """Neighbour tuples in ``graph.adj`` order, taken once (``pred``
         too for a directed graph, else empty)."""
         succ_of = self._successors
         if succ_of is None:
@@ -243,10 +237,11 @@ class RouteCache:
 
     def _build_neighbours(self) -> Tuple[Adjacency, Adjacency]:
         graph = self._graph
-        succ_of = {node: list(nodes) for node, nodes in graph.adj.items()}
-        if not graph.is_directed():
-            return succ_of, {}
-        return succ_of, {node: list(nodes) for node, nodes in graph.pred.items()}
+        tables = (graph.adj, graph.pred if graph.is_directed() else {})
+        return tuple(
+            MappingProxyType({node: tuple(nbrs) for node, nbrs in table.items()})
+            for table in tables
+        )
 
     def _shortest_path(self, source: str, target: str) -> List[str]:
         """networkx's ``shortest_path(graph, source, target)``, node for node.
@@ -271,8 +266,6 @@ class RouteCache:
         Only minimal paths are memoised (one canonical path per endpoint
         pair); detour paths fall through to a fresh decomposition.
         """
-        if self._graph.mutations != self._mutations:
-            self.clear()
         key = (path[0], path[-1]) if path else ("", "")
         cached = self._links.get(key)
         if cached is not None and self._paths.get(key) is path:
@@ -284,8 +277,6 @@ class RouteCache:
 
     def propagation_delay(self, path: Sequence[str]) -> float:
         """Sum of per-hop latencies, memoised for canonical minimal paths."""
-        if self._graph.mutations != self._mutations:
-            self.clear()
         key = (path[0], path[-1]) if path else ("", "")
         if self._paths.get(key) is path:
             delay = self._delays.get(key)
@@ -305,7 +296,7 @@ class RouteCache:
             )
         return sum(map(latencies.__getitem__, zip(path, path[1:])))
 
-    def _build_latencies(self) -> Dict[Link, float]:
+    def _build_latencies(self) -> Mapping[Link, float]:
         graph = self._graph
         directed = graph.is_directed()
         latencies: Dict[Link, float] = {}
@@ -315,23 +306,21 @@ class RouteCache:
                 latencies[(u, v)] = latency
                 if not directed:
                     latencies[(v, u)] = latency
-        return latencies
+        return MappingProxyType(latencies)
 
     # --- capacities ----------------------------------------------------------
 
-    def link_capacities(self) -> Dict[Link, float]:
+    def link_capacities(self) -> Mapping[Link, float]:
         """Per-direction link capacities (full duplex), computed once.
 
-        Returns the shared map (the spec's, while the graph is unedited);
-        callers that mutate capacities during water-filling must copy it
-        first.  Raises
+        Returns the shared, read-only map (the spec's, when the topology
+        was built from one); callers that change capacities during
+        water-filling work on a copy.  Raises
         :class:`~repro.core.errors.ConfigurationError` naming the link
         when an edge's ``bandwidth`` is not positive and finite: a graph
-        built or edited by hand does not pass ``TopologySpec``'s check,
-        and the rate solvers assume real, positive capacities.
+        built by hand does not pass ``TopologySpec``'s check, and the
+        rate solvers assume real, positive capacities.
         """
-        if self._graph.mutations != self._mutations:
-            self.clear()
         capacities = self._capacities
         if capacities is None:
             capacities = self._capacities = self._shared(
@@ -339,7 +328,7 @@ class RouteCache:
             )
         return capacities
 
-    def _build_capacities(self) -> Dict[Link, float]:
+    def _build_capacities(self) -> Mapping[Link, float]:
         capacities: Dict[Link, float] = {}
         for u, v, data in self._graph.edges(data=True):
             bandwidth = float(data["bandwidth"])
@@ -350,20 +339,9 @@ class RouteCache:
                 )
             capacities[(u, v)] = bandwidth
             capacities[(v, u)] = bandwidth
-        return capacities
+        return MappingProxyType(capacities)
 
-    # --- lifecycle -----------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every memoised route, link, capacity, neighbour list and
-        latency, and adopt the graph's current ``mutations`` count (stats
-        are kept).  The spec's shared cores and maps stay shared only
-        while the count is the one the topology was built at; they are
-        let go, never emptied."""
-        self._paths.clear()
-        self._links.clear()
-        self._delays.clear()
-        self._adopt_graph()
+    # --- counters ------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters plus current cache population."""

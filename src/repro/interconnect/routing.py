@@ -11,9 +11,10 @@ Three classical options, exercised by the topology-comparison experiment:
   adaptive routing does per packet).
 
 Every minimal leg comes from the topology's shared
-:class:`~repro.interconnect.routecache.RouteCache`, which notices nodes
-and edges added to or removed from ``topology.graph``, and edge
-attributes edited in place, by itself.
+:class:`~repro.interconnect.routecache.RouteCache`.  A built topology's
+graph is read-only, so the cached routes never go stale; to route over
+a degraded fabric, edit ``copy.deepcopy(topology.graph)`` and build a
+new ``Topology`` from it.
 """
 
 from __future__ import annotations

@@ -48,13 +48,15 @@ DEFAULT_ELECTRICAL_REACH = 3.0
 
 
 class Topology:
-    """A network topology with switches and terminal (compute) nodes."""
+    """A network topology with switches and terminal (compute) nodes.
 
-    #: ``(canonical spec key, graph.mutations)`` of a topology that
-    #: :func:`build_topology` built, ``None`` otherwise: while the count
-    #: holds, the graph is the spec's, and the route cache may share
-    #: searches and link maps with other topologies of that spec.
-    _built_as: Optional[Tuple[object, int]] = None
+    Wrapping a graph freezes it for good (:meth:`Graph.freeze`).
+    """
+
+    #: The canonical spec key of a topology that :func:`build_topology`
+    #: built, ``None`` otherwise: the route cache shares searches and link
+    #: maps between the topologies of one spec.
+    _built_as: Optional[object] = None
 
     def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
@@ -63,6 +65,12 @@ class Topology:
         self._terminals = [n for n, d in graph.nodes(data=True) if d.get("role") == "terminal"]
         if not self._switches:
             raise ConfigurationError(f"{name}: topology has no switches")
+        graph.freeze()
+
+    def __setstate__(self, state: dict) -> None:
+        # A copied graph comes back editable; the topology's stays frozen.
+        self.__dict__.update(state)
+        self.graph.freeze()
 
     # --- structure ----------------------------------------------------------
 
@@ -590,6 +598,6 @@ def build_topology(kind: Union[str, TopologySpec], **spec: object) -> Topology:
         "torus": _torus,
     }[name]
     built = builder(**values)
-    built._built_as = (_spec_key(name, values), built.graph.mutations)
+    built._built_as = _spec_key(name, values)
     return built
 

@@ -1,10 +1,10 @@
 """The fingerprint-keyed artefact cache behind ``repro serve``.
 
 Completed response bodies are stored on disk under
-``<store>/artefacts/<fingerprint>.json`` — written atomically
-(:func:`repro.core.atomicio.atomic_write_text` semantics, but for the
-exact response bytes) so a crash mid-write can never publish a torn
-artefact — and fronted by a bounded in-memory LRU so the hot path
+``<store>/artefacts/<fingerprint>.json`` — written with
+:func:`repro.core.atomicio.atomic_write_bytes`, like the sweep and golden
+stores, so a crash mid-write can never publish a torn artefact — and
+fronted by a bounded in-memory LRU so the hot path
 serves repeats without touching the filesystem.
 
 The same store owns ``<store>/journals/<fingerprint>.jsonl``: the sweep
@@ -17,12 +17,12 @@ the artefact lands.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 import time
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Union
+
+from repro.core.atomicio import atomic_write_bytes
 
 
 class ResultCache:
@@ -106,22 +106,7 @@ class ResultCache:
 
     def put(self, fingerprint: str, body: bytes) -> pathlib.Path:
         """Publish a completed response body atomically."""
-        path = self.artefact_path(fingerprint)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{fingerprint[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                handle.write(body)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        path = atomic_write_bytes(self.artefact_path(fingerprint), body)
         if self.ttl is not None:
             # A (re)publication is fresh by definition.
             self._stamps[fingerprint] = self.clock()

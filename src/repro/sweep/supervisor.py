@@ -129,9 +129,9 @@ def _supervised_worker(conn, common: Tuple) -> None:
                  collect_telemetry)
             )
             message = ("ok", index, attempt, result)
-        except KeyboardInterrupt:
-            break
         except BaseException as error:
+            # KeyboardInterrupt too: a point that raises it fails like any
+            # other; a Ctrl-C reaches the parent, which stops the sweep.
             message = (
                 "error", index, attempt,
                 f"{type(error).__name__}: {error}",

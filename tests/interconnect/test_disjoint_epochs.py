@@ -7,8 +7,9 @@ capacity, so the epoch takes those bottlenecks as its rates and calls no
 solver.  The property below checks that against the definition and the
 reference solver; the digests pin whole runs that move between solved
 and unsolved epochs to the ``FlowStats`` the fabric gave before it kept
-any count: a Valiant detour that crosses one link twice, and a run after
-an in-place ``bandwidth`` edit.
+any count: a Valiant detour that crosses one link twice, and a run on a
+copy of the topology with one link's ``bandwidth`` halved (an in-place
+edit of the built topology when the digest was taken).
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.graph import DiGraph, Graph
 from repro.interconnect.ratesolver import IndexedSolver, ReferenceSolver
 from repro.interconnect.topology import Topology, build_topology
+from tests.interconnect._edit import edited
 from tests.interconnect._maxmin import assert_max_min_fair
 
 
@@ -82,8 +84,8 @@ def valiant_run(solver=None):
 
 
 def edited_bandwidth_runs(solver=None):
-    """(b) Two runs of one simulator; between them a link the second
-    run's flow crosses has its ``bandwidth`` halved in place."""
+    """(b) Two runs: the second on a copy of the topology in which a link
+    the first flow crosses has its ``bandwidth`` halved."""
     topology = build_topology("two-tier", leaves=4, spines=2, terminals=2)
     simulator = FabricSimulator(topology, solver=solver)
     terminals = topology.terminals
@@ -97,8 +99,12 @@ def edited_bandwidth_runs(solver=None):
     first = simulator.run(flows())
     leaf = topology.graph.nodes[terminals[0]]["attached_to"]
     spine = simulator._route_cache.minimal_route(terminals[0], terminals[7])[2]
-    topology.graph.edges[leaf, spine]["bandwidth"] /= 2
-    return first, simulator.run(flows())
+
+    def halve(graph):
+        graph.edges[leaf, spine]["bandwidth"] /= 2
+
+    halved = edited(topology, halve)
+    return first, FabricSimulator(halved, solver=solver).run(flows())
 
 
 @pytest.fixture
@@ -123,7 +129,7 @@ def test_valiant_run_is_pinned(epochs):
     assert len(solver.solves) < epochs["epochs"], (solver.solves, epochs)
 
 
-def test_runs_after_an_in_place_bandwidth_edit_are_pinned():
+def test_runs_before_and_after_a_bandwidth_edit_are_pinned():
     first, second = edited_bandwidth_runs()
     assert (stats_digest(first), stats_digest(second)) == (
         "bb62f5069baa9b03", "419f6d82530df1e2",

@@ -21,6 +21,7 @@ from repro.interconnect.topology import (
 )
 from repro.observability import Telemetry
 from repro.validate.invariants import InvariantChecker
+from tests.interconnect._edit import edited
 
 
 @pytest.fixture
@@ -101,10 +102,10 @@ class TestSingleFlow:
 def cut_off_run(telemetry=None):
     """Flows on a two-tier fabric whose last terminal was cut off before
     the run: the two flows into it have no path and are dead on arrival."""
-    topology = build_topology("two-tier", leaves=2, spines=2, terminals=2)
-    t0, t1, t2, t3 = topology.terminals
-    [leaf] = topology.graph.adj[t3]
-    topology.graph.remove_edge(t3, leaf)
+    built = build_topology("two-tier", leaves=2, spines=2, terminals=2)
+    t0, t1, t2, t3 = built.terminals
+    [leaf] = built.graph.adj[t3]
+    topology = edited(built, lambda graph: graph.remove_edge(t3, leaf))
     flows = [
         Flow(source=t0, destination=t2, size=1e9, flow_id=1, tag="done"),
         Flow(source=t0, destination=t3, size=1e9, flow_id=2, tag="doa"),
@@ -370,11 +371,13 @@ class TestDegradedFabricLedger:
         from repro.interconnect.congestion import congestion_policy
         from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
-        topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
-        terminals = topology.terminals
+        built = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
+        terminals = built.terminals
         victim = terminals[-1]
-        [switch] = topology.graph.adj[victim]
-        topology.graph.remove_edge(victim, switch)
+        [switch] = built.graph.adj[victim]
+        topology = edited(
+            built, lambda graph: graph.remove_edge(victim, switch)
+        )
         flows = [
             Flow(source=terminals[index], destination=(
                 victim if index % 3 == 0 else terminals[index + 1]

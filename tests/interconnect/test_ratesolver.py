@@ -34,6 +34,7 @@ from repro.interconnect.ratesolver import (
     ReferenceSolver,
 )
 from repro.interconnect.topology import Topology, build_topology
+from tests.interconnect._edit import edited
 
 
 def _uniform_flows(topology, count, seed=11, size=1e6):
@@ -830,16 +831,11 @@ class TestFabricIntegration:
         indexed = FabricSimulator(topology).run(_uniform_flows(topology, 40))
         assert _stats_key(reference) == _stats_key(indexed)
 
-    def test_link_removed_between_runs_rebinds_and_matches(self):
-        # Mirrors the RouteCache invalidation contract: a topology edit
-        # between two runs must rebind the solver to the new capacity map
-        # and still produce stats bit-identical to the reference solver.
-        switches = set(
-            build_topology(
-                "dragonfly", groups=4, routers_per_group=3, terminals=2
-            ).switches
-        )
-
+    def test_a_simulator_binds_once_and_a_degraded_copy_matches(self):
+        # A built topology never changes, so a simulator binds its solver
+        # once, however many runs it makes.  A fabric with a link removed
+        # is a new topology with its own simulator, and its run is
+        # bit-identical to the reference solver's too.
         class CountingBinds(IndexedSolver):
             binds = 0
 
@@ -851,17 +847,20 @@ class TestFabricIntegration:
             topology = build_topology(
                 "dragonfly", groups=4, routers_per_group=3, terminals=2
             )
+            switches = set(topology.switches)
             simulator = FabricSimulator(
                 topology, solver=solver, reroute_adaptively=True
             )
             flows = _uniform_flows(topology, 30, size=1e7)
-            first = simulator.run(flows)
+            first, second = simulator.run(flows), simulator.run(flows)
             victim = next(
                 (u, v) for u, v in topology.graph.edges()
                 if u in switches and v in switches
             )
-            topology.graph.remove_edge(*victim)
-            return first, simulator.run(flows)
+            degraded = edited(topology, lambda graph: graph.remove_edge(*victim))
+            return first, second, FabricSimulator(
+                degraded, solver=solver, reroute_adaptively=True
+            ).run(flows)
 
         reference = runs(ReferenceSolver())
         counting = CountingBinds()
@@ -869,7 +868,9 @@ class TestFabricIntegration:
         assert [_stats_key(s) for s in reference] == [
             _stats_key(s) for s in indexed
         ]
-        # Construction binds once; the second run's refresh re-binds.
+        assert _stats_key(indexed[0]) == _stats_key(indexed[1])
+        assert _stats_key(indexed[2]) != _stats_key(indexed[0])
+        # One bind per simulator: none between runs.
         assert counting.binds == 2
 
     @pytest.mark.parametrize("degrade", ["links", "switches"])
@@ -982,16 +983,19 @@ class TestDegradedAndAdaptiveRuns:
         from repro.sweep.targets import _FABRIC_TOPOLOGIES
 
         topology = build_topology(kind, **_FABRIC_TOPOLOGIES[kind])
-        graph = topology.graph
         switches = set(topology.switches)
-        link = next(
-            (u, v) for u, v in graph.edges() if u in switches and v in switches
-        )
-        graph.remove_edge(*link)
         victim = topology.terminals[-1]
-        [switch] = graph.adj[victim]
-        graph.remove_edge(victim, switch)
-        return topology
+
+        def degrade(graph):
+            link = next(
+                (u, v) for u, v in graph.edges()
+                if u in switches and v in switches
+            )
+            graph.remove_edge(*link)
+            [switch] = graph.adj[victim]
+            graph.remove_edge(victim, switch)
+
+        return edited(topology, degrade)
 
     @pytest.mark.parametrize("adaptive", [False, True])
     @pytest.mark.parametrize("kind", ["dragonfly", "fat-tree", "hyperx",

@@ -34,6 +34,7 @@ from repro.interconnect.fabric import FabricSimulator, Flow
 from repro.interconnect.topology import build_topology
 from repro.observability import Telemetry
 from repro.sweep import named_sweep, run_sweep
+from tests.interconnect._edit import edited
 
 
 def _digest(parts) -> str:
@@ -93,14 +94,17 @@ def shared_telemetry_runs() -> Telemetry:
     """Two runs on a degraded dragonfly, two tags and adaptive reroute
     on one Telemetry."""
     telemetry = Telemetry()
-    topology = build_topology(
+    built = build_topology(
         "dragonfly", groups=4, routers_per_group=3, terminals=2
     )
-    graph = topology.graph
-    cut = topology.terminals[0]
-    graph.remove_edge(cut, graph.nodes[cut]["attached_to"])
-    graph.remove_edge("s1", "s6")
-    graph.remove_edge("s2", "s9")
+    cut = built.terminals[0]
+
+    def degrade(graph):
+        graph.remove_edge(cut, graph.nodes[cut]["attached_to"])
+        graph.remove_edge("s1", "s6")
+        graph.remove_edge("s2", "s9")
+
+    topology = edited(built, degrade)
     simulator = FabricSimulator(
         topology, congestion=congestion_policy("flow"),
         reroute_adaptively=True, telemetry=telemetry,

@@ -1,7 +1,9 @@
 """Tests for topology generators and their structural metrics."""
 
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.interconnect.graph import DiGraph, GraphError
 from repro.interconnect.topology import (
     Topology,
     build_topology,
@@ -138,6 +141,143 @@ class TestTorus:
     def test_degree_is_2n_plus_terminals(self):
         topology = build_topology("torus", dims=(4, 4, 4), terminals=1)
         assert topology.max_switch_degree() == 2 * 3 + 1
+
+
+def _directed_topology():
+    graph = DiGraph()
+    graph.add_nodes_from(["a", "b", "c"], role="switch")
+    graph.add_edges_from([("a", "b"), ("b", "c"), ("c", "a")],
+                         bandwidth=1e9, latency=1e-6)
+    return Topology("ring", graph)
+
+
+def _two_tier():
+    return build_topology("two-tier", leaves=2, spines=2, terminals=2)
+
+
+def _snapshot(graph):
+    """Every order and attribute of a graph."""
+    return (
+        list(graph.nodes(data=True)),
+        [(node, list(graph.adj[node].items())) for node in graph],
+        [(node, list(graph.pred[node])) for node in graph]
+        if graph.is_directed() else None,
+        list(graph.edges(data=True)),
+    )
+
+
+#: Every method that adds or removes nodes or edges, with arguments.
+MUTATORS = {
+    "add_node": lambda g, u, v: g.add_node("new", role="switch"),
+    "add_node-existing": lambda g, u, v: g.add_node(u, note=1),
+    "add_nodes_from": lambda g, u, v: g.add_nodes_from(["new"]),
+    "add_edge": lambda g, u, v: g.add_edge(u, "new", bandwidth=1.0),
+    "add_edge-existing": lambda g, u, v: g.add_edge(u, v, bandwidth=1.0),
+    "add_edges_from": lambda g, u, v: g.add_edges_from([(u, "new")]),
+    "remove_edge": lambda g, u, v: g.remove_edge(u, v),
+    "remove_edges_from": lambda g, u, v: g.remove_edges_from([(u, v)]),
+    "remove_edges_from-none": lambda g, u, v: g.remove_edges_from([]),
+    "remove_node": lambda g, u, v: g.remove_node(u),
+    "remove_nodes_from": lambda g, u, v: g.remove_nodes_from([u]),
+    "remove_nodes_from-none": lambda g, u, v: g.remove_nodes_from([]),
+}
+
+#: Every write method of a dict.
+DICT_WRITES = {
+    "__setitem__": lambda d, key: d.__setitem__(key, 1),
+    "__delitem__": lambda d, key: d.__delitem__(key),
+    "__ior__": lambda d, key: d.__ior__({key: 1}),
+    "clear": lambda d, key: d.clear(),
+    "pop": lambda d, key: d.pop(key),
+    "popitem": lambda d, key: d.popitem(),
+    "setdefault": lambda d, key: d.setdefault("new", 1),
+    "update": lambda d, key: d.update({key: 1}),
+}
+
+
+class TestReadOnlyGraph:
+    """A built topology's graph refuses every edit; a deep copy or a pickle
+    of it is editable and keeps every order."""
+
+    @pytest.mark.parametrize("build", [_two_tier, _directed_topology],
+                             ids=["graph", "digraph"])
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_every_mutator_raises(self, build, mutator):
+        graph = build().graph
+        u, v = next(iter(graph.edges()))
+        before = _snapshot(graph)
+        with pytest.raises(GraphError, match=r"copy\.deepcopy"):
+            MUTATORS[mutator](graph, u, v)
+        assert _snapshot(graph) == before
+
+    @pytest.mark.parametrize("build", [_two_tier, _directed_topology],
+                             ids=["graph", "digraph"])
+    @pytest.mark.parametrize("target", ["node", "edge", "neighbours",
+                                        "predecessors"])
+    @pytest.mark.parametrize("write", sorted(DICT_WRITES))
+    def test_every_attribute_dict_write_raises(self, build, target, write):
+        graph = build().graph
+        u, v = next(iter(graph.edges()))
+        dict_, key = {
+            "node": (graph.nodes[u], "role"),
+            "edge": (graph.edges[u, v], "bandwidth"),
+            "neighbours": (graph.adj[u], v),
+            "predecessors": (graph._pred[v], u),
+        }[target]
+        before = _snapshot(graph)
+        with pytest.raises(GraphError, match=r"copy\.deepcopy"):
+            DICT_WRITES[write](dict_, key)
+        assert _snapshot(graph) == before
+
+    def test_the_adjacency_maps_are_read_only(self):
+        graph = _directed_topology().graph
+        for table in (graph.adj, graph.pred):
+            with pytest.raises(TypeError):
+                table["a"] = {}
+
+    @pytest.mark.parametrize("build", [_two_tier, _directed_topology],
+                             ids=["graph", "digraph"])
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, lambda graph: pickle.loads(pickle.dumps(graph)),
+    ], ids=["deepcopy", "pickle"])
+    def test_a_copy_is_editable_in_the_same_order(self, build, copier):
+        graph = build().graph
+        twin = copier(graph)
+        assert _snapshot(twin) == _snapshot(graph)
+        before = _snapshot(graph)
+        u, v = next(iter(twin.edges))
+        # One attribute dict per edge, in both directions, as built.
+        twin.edges[u, v]["bandwidth"] = 1.0
+        assert twin.adj[u][v] is twin._pred[v][u]
+        twin.nodes[u]["note"] = "edited"
+        twin.remove_edge(u, v)
+        twin.add_edge(u, v, bandwidth=2.0)
+        twin.add_node("new", role="switch")
+        assert twin.edges[u, v]["bandwidth"] == 2.0
+        assert _snapshot(graph) == before
+        Topology("rebuilt", twin)
+        with pytest.raises(GraphError):
+            twin.remove_node("new")
+
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, lambda topology: pickle.loads(pickle.dumps(topology)),
+    ], ids=["deepcopy", "pickle"])
+    def test_a_copied_topology_stays_read_only(self, copier):
+        topology = _two_tier()
+        twin = copier(topology)
+        assert _snapshot(twin.graph) == _snapshot(topology.graph)
+        assert twin._built_as == topology._built_as
+        with pytest.raises(GraphError):
+            twin.graph.add_node("new")
+
+    def test_derived_graphs_are_editable(self):
+        topology = _two_tier()
+        for derived in (topology.switch_graph(), topology.graph.copy(),
+                        topology.graph.subgraph(topology.terminals)):
+            derived.add_node("new", role="switch")
+            node = next(iter(derived))
+            derived.nodes[node]["note"] = "edited"
+        assert "note" not in topology.graph.nodes[node]
 
 
 class TestMetrics:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import atomicio
 from repro.serve import ResultCache
 
 BODY = json.dumps({"hello": "world"}).encode() + b"\n"
@@ -51,6 +52,25 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.put("fp1", BODY)
         assert list(cache.artefacts.glob("*.tmp")) == []
+
+    def test_a_failed_put_leaves_no_tmp_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("fp1", BODY)
+        with pytest.raises(TypeError):
+            cache.put("fp2", "not bytes")
+        assert sorted(p.name for p in cache.artefacts.iterdir()) == [
+            "fp1.json"
+        ]
+        assert cache.get("fp2") is None
+
+    def test_a_put_fsyncs_the_artefact_directory(self, tmp_path, monkeypatch):
+        # The rename itself is made durable, as the sweep and golden
+        # stores make theirs.
+        synced = []
+        monkeypatch.setattr(atomicio, "fsync_directory", synced.append)
+        cache = ResultCache(tmp_path)
+        assert cache.put("fp1", BODY).read_bytes() == BODY
+        assert synced == [cache.artefacts]
 
     def test_journal_lifecycle(self, tmp_path):
         cache = ResultCache(tmp_path)

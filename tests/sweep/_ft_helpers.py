@@ -101,6 +101,16 @@ def ft_interrupt(params, telemetry, rng):
     return {"value": float(params["x"])}
 
 
+@register_target("ft-raise-interrupt")
+def ft_raise_interrupt(params, telemetry, rng):
+    """Raise ``KeyboardInterrupt`` inside point 1, with no Ctrl-C at the
+    parent, until a ``params['marker_dir']/interrupt-done`` file exists."""
+    done = pathlib.Path(params["marker_dir"]) / "interrupt-done"
+    if int(params["x"]) == 1 and not done.exists():
+        raise KeyboardInterrupt("raised inside the point")
+    return {"value": float(params["x"])}
+
+
 def cheap_spec(n=6, seed=77, target="ft-cheap", **extra_axes):
     grid = {"x": list(range(n))}
     grid.update(extra_axes)

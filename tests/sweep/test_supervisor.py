@@ -116,6 +116,29 @@ class TestWorkerCounts:
         assert one.harness["errors"] == 4.0  # 2 points x 2 attempts
         assert one.harness["retries"] == 2.0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_keyboard_interrupt_inside_a_point_fails_the_point(
+        self, tmp_path, workers
+    ):
+        # No Ctrl-C reached the parent: the point is retried, ledgered
+        # with its error, and attempted again on resume.  No worker dies.
+        spec = ft.cheap_spec(n=3, target="ft-raise-interrupt",
+                             marker_dir=[str(tmp_path)])
+        journal = tmp_path / "run.jsonl"
+        result = run_sweep(spec, workers=workers, journal=journal,
+                           config=SupervisorConfig(retries=1))
+        [failure] = result.failures
+        assert failure.index == 1
+        assert failure.error.startswith("KeyboardInterrupt")
+        assert [p.index for p in result.points] == [0, 2]
+        assert result.harness["errors"] == 2.0
+        assert result.harness["crashes"] == 0.0
+        (tmp_path / "interrupt-done").write_text("")
+        resumed = run_sweep(spec, workers=workers, resume=journal)
+        assert resumed.ok
+        assert resumed.harness["dispatched"] == 1.0
+        assert [p.metrics["value"] for p in resumed.points] == [0.0, 1.0, 2.0]
+
     def test_one_worker_strict_failure_raises_after_the_budget(self):
         spec = ft.cheap_spec(n=4, target="ft-boom")
         with pytest.raises(SweepPointError, match="point 1 failed after 3"):
